@@ -90,9 +90,8 @@ def cmd_plan(args) -> int:
 
 def _build_or_load_plan(args, scop):
     if args.plan:
-        text = Path(args.plan).read_text()
-        analysis = analyze_scop(scop)
-        return analysis, parse_plan(text)
+        plan = parse_plan(Path(args.plan).read_text())
+        return analyze_scop(scop), plan
     return plan_scop(scop)
 
 

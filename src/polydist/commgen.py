@@ -1,7 +1,7 @@
 """Communication plan generation.
 
-Builds the transfer relation (which producer execution feeds which
-consumer execution with which field element), groups transfers into
+Resolves the transfers (which producer execution, on which node, feeds
+which consumer execution with which field element), groups them into
 chunks via the chunking functions, and emits the six-call protocol per
 chunk and (source, destination) pair:
 
@@ -26,22 +26,10 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .deps import EPILOGUE, PROLOGUE, DepGraph, FlowFamily
-from .errors import AnalysisError, OutOfHull, ScatterCollision
-from .isets import (
-    IntSet,
-    Space,
-    embed_pieces,
-    enumerate_set,
-    eq0,
-    is_empty,
-    project_pieces,
-    select_lex_extreme,
-    subtract,
-    union,
-    AffineExpr,
-)
-from .placement import FieldPlacement, StmtPlacement
-from .scop import Scop
+from .errors import AnalysisError, OutOfHull, ParseError, ScatterCollision, ValidationError
+from .isets import enumerate_set
+from .placement import FieldPlacement, StmtPlacement, block_distribute
+from .scop import ClusterGrid, FieldDecl, Scop
 from .syntax import format_map
 
 __all__ = [
@@ -154,12 +142,6 @@ class CommPlan:
     def channel(self, cid: int) -> Channel:
         return self.channels[cid]
 
-    def all_events(self) -> list:
-        out = []
-        for node in sorted(self.events):
-            out.extend(self.events[node])
-        return out
-
 
 # ---------------------------------------------------------------------------
 # Transfers
@@ -171,76 +153,6 @@ def _family_key(fam: FlowFamily) -> str:
     if fam.consumer == EPILOGUE:
         return f"epi:{fam.producer}:{fam.ref}"
     return f"flow:{fam.producer}->{fam.consumer}:{fam.ref}"
-
-
-def _exec_relation(fam: FlowFamily, sp: StmtPlacement, fp: FieldPlacement) -> IntSet:
-    """Relation over (i_G ++ i_C ++ k ++ p_C ++ p_G) of candidate transfers.
-
-    For the virtual prologue the producer executions are the element's
-    homes; for the virtual epilogue the consumer executions are."""
-    n_g, n_c, n_k = fam.n_prod, fam.n_cons, fam.n_elem
-    if fam.producer == PROLOGUE:
-        prod_rel = fp.maps[fam.ref]  # element -> home nodes
-        prod_map_dims = "element"
-    else:
-        prod_rel = sp.maps[fam.producer]
-        prod_map_dims = "instance"
-    if fam.consumer == EPILOGUE:
-        cons_rel = fp.maps[fam.ref]
-        cons_map_dims = "element"
-    else:
-        cons_rel = sp.maps[fam.consumer]
-        cons_map_dims = "instance"
-    n_p = prod_rel.n_out
-    arity = n_g + n_c + n_k + n_p + n_p
-    pieces = embed_pieces(fam.rel.pieces, list(range(n_g + n_c + n_k)), arity)
-    kc_base = n_g + n_c
-    pc_base = n_g + n_c + n_k
-    pg_base = pc_base + n_p
-    if cons_map_dims == "instance":
-        cmap = [n_g + i for i in range(n_c)] + [pc_base + i for i in range(n_p)]
-    else:
-        cmap = [kc_base + i for i in range(n_k)] + [pc_base + i for i in range(n_p)]
-    cons_pieces = embed_pieces(cons_rel.pieces, cmap, arity)
-    if prod_map_dims == "instance":
-        gmap = list(range(n_g)) + [pg_base + i for i in range(n_p)]
-    else:
-        gmap = [kc_base + i for i in range(n_k)] + [pg_base + i for i in range(n_p)]
-    prod_pieces = embed_pieces(prod_rel.pieces, gmap, arity)
-    combined = []
-    for a in pieces:
-        for b in cons_pieces:
-            for c in prod_pieces:
-                combined.append(a + b + c)
-    dims = []
-    for i in range(arity):
-        dims.append(f"d{i}")
-    space = Space(f"T:{_family_key(fam)}", tuple(dims))
-    return IntSet.make(space, combined, check=False)
-
-
-def _select_producer_node(t: IntSet, n_p: int) -> IntSet:
-    """Unique producer execution per (consumer execution, element): keep the
-    producer on the consumer's node when present, else the lexmin node."""
-    arity = t.arity
-    pg_base = arity - n_p
-    pc_base = pg_base - n_p
-    same_cons = []
-    for d in range(n_p):
-        same_cons.append(
-            eq0(AffineExpr.var(arity, pc_base + d) - AffineExpr.var(arity, pg_base + d))
-        )
-    t_same = IntSet.make(t.space, [p + tuple(same_cons) for p in t.pieces], check=False)
-    if is_empty(t_same):
-        rest = t
-    else:
-        covered = project_pieces(arity, t_same.pieces, list(range(pg_base, arity)))
-        covered_w = embed_pieces(covered, list(range(pg_base)), arity)
-        rest = subtract(t, IntSet.make(t.space, covered_w, check=False))
-    if is_empty(rest):
-        return t_same
-    chosen = select_lex_extreme(rest, pg_base, maximize=False)
-    return union(t_same, chosen)
 
 
 def _placement_nodes(dep: DepGraph, sp: StmtPlacement) -> dict:
@@ -265,20 +177,20 @@ def _placement_nodes(dep: DepGraph, sp: StmtPlacement) -> dict:
 def build_transfers(dep: DepGraph, sp: StmtPlacement, fp: FieldPlacement, chunkings: dict) -> dict:
     """Resolved transfer tuples per family key.
 
-    The unique-producer choice is made symbolically on the execution
-    relation; candidate executions are then enumerated from the family
-    pairs and placement graphs and membership-filtered against it.
+    Every (producer execution, consumer execution, element) pair of a
+    family is resolved once per consumer node: the producer node is the
+    consumer's own node when the producer runs there, else the smallest
+    node the producer runs on.  For the virtual prologue the producer
+    nodes are the element's homes; for the virtual epilogue the consumer
+    nodes are.
     """
     exec_nodes = _placement_nodes(dep, sp)
     out: dict = {}
     for fam in dep.field_families():
         key = _family_key(fam)
-        n_g, n_c, n_k = fam.n_prod, fam.n_cons, fam.n_elem
-        t = _exec_relation(fam, sp, fp)
-        n_p = (t.arity - n_g - n_c - n_k) // 2
-        t_sel = _select_producer_node(t, n_p)
         phi = chunkings.get((fam.producer, fam.consumer, fam.ref))
-        if phi is None and fam.producer != PROLOGUE and fam.consumer != EPILOGUE:
+        single_chunk = fam.producer == PROLOGUE or fam.consumer == EPILOGUE
+        if phi is None and not single_chunk:
             raise AnalysisError(f"no chunking function for family {key}")
         tuples = []
         for ig, ic, k in fam.pairs():
@@ -290,27 +202,22 @@ def build_transfers(dep: DepGraph, sp: StmtPlacement, fp: FieldPlacement, chunki
                 cons_nodes = fp.homes(fam.ref, k)
             else:
                 cons_nodes = exec_nodes[fam.consumer][ic]
+            rep = () if single_chunk else phi.apply_point(ic)
             for pc in cons_nodes:
-                for pg in prod_nodes:
-                    if not t_sel.contains(ig + ic + k + tuple(pc) + tuple(pg)):
-                        continue
-                    if fam.producer == PROLOGUE or fam.consumer == EPILOGUE:
-                        rep = ()  # single chunk per prologue/epilogue family
-                    else:
-                        rep = phi.apply_point(ic)
-                    tuples.append(
-                        TransferTuple(
-                            representative=rep,
-                            producer=fam.producer,
-                            producer_instance=ig,
-                            producer_node=tuple(pg),
-                            consumer=fam.consumer,
-                            consumer_instance=ic,
-                            consumer_node=tuple(pc),
-                            fieldname=fam.ref,
-                            element=k,
-                        )
+                pg = pc if pc in prod_nodes else min(prod_nodes)
+                tuples.append(
+                    TransferTuple(
+                        representative=rep,
+                        producer=fam.producer,
+                        producer_instance=ig,
+                        producer_node=pg,
+                        consumer=fam.consumer,
+                        consumer_instance=ic,
+                        consumer_node=pc,
+                        fieldname=fam.ref,
+                        element=k,
                     )
+                )
         out[key] = tuples
     return out
 
@@ -328,10 +235,6 @@ def group_chunks(transfers: dict) -> dict:
 
 # ---------------------------------------------------------------------------
 # Protocol emission
-
-
-def _dilated(stmt, point) -> tuple:
-    return tuple(2 * v for v in stmt.scatter_of(point))
 
 
 def _offset_last(t: tuple, delta: int) -> tuple:
@@ -476,7 +379,7 @@ def emit_protocol(
                     _, acc = s.writes()[0]
                     if s.id in retained:
                         k = tuple(e.evaluate(inst) for e in acc.index_exprs)
-                        if node in {tuple(h) for h in fp.homes(acc.field, k)}:
+                        if node in fp.homes(acc.field, k):
                             writes.append(("storage",))
                     for cid, rank in sorted(set(write_bindings.get((s.id, inst, node), []))):
                         writes.append(("buffer", cid, rank))
@@ -530,7 +433,10 @@ def _parse_tuple(text: str) -> tuple:
     inner = inner[1:-1]
     if not inner:
         return ()
-    return tuple(int(x) for x in inner.split(","))
+    try:
+        return tuple(int(x) for x in inner.split(","))
+    except ValueError:
+        raise ValueError(f"bad tuple {text!r}") from None
 
 
 def _fmt_writes(writes) -> str:
@@ -598,77 +504,105 @@ def dump_plan(plan: CommPlan) -> str:
 
 
 def parse_plan(text: str) -> CommPlan:
-    """Rebuild a plan from its dump; the file is self-contained."""
-    from .syntax import parse_map
+    """Rebuild a plan from its dump; the file is self-contained.
 
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    head = lines[0].split()
-    if head[0] != "plan":
-        raise ValueError("not a plan file")
-    name = head[1]
-    grid = _parse_tuple(head[2].split("=", 1)[1])
-    scatter_arity = int(head[3].split("=", 1)[1])
+    The field placement is rebuilt by block distribution of each field's
+    extents over the grid, and every ``block=`` and ``fieldmap`` entry must
+    match it, so a parsed plan homes each element on exactly one node.
+    Malformed input raises ParseError with the 1-based line number."""
+    numbered = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not numbered:
+        raise ParseError("empty plan file", line=1)
     fields = []
     block_extents = {}
     field_maps = {}
     channels = []
     events: dict = {}
     cid_by_tag: dict = {}
-    for ln in lines[1:]:
+    for i, (no, ln) in enumerate(numbered):
         parts = ln.split()
-        if parts[0] == "fieldmap":
-            field_maps[parts[1]] = parse_map(ln.split(None, 2)[2])
-            continue
-        kv = {}
-        for p in parts[1:]:
-            if "=" in p:
-                key, val = p.split("=", 1)
-                kv[key] = val
-        if parts[0] == "field":
-            fields.append((parts[1], parts[2], _parse_tuple(kv["extents"])))
-            block_extents[parts[1]] = _parse_tuple(kv["block"])
-        elif parts[0] == "channel":
-            box_text = kv["box"][1:-1]
-            box = tuple(
-                (int(a), int(b)) for a, b in (seg.split(":") for seg in box_text.split(";"))
-            ) if box_text else ()
-            ch = Channel(
-                cid=int(kv["cid"]),
-                family=kv["family"],
-                src=_parse_tuple(kv["src"]),
-                dst=_parse_tuple(kv["dst"]),
-                tag=int(kv["tag"]),
-                layout=BufferLayout(fieldname=kv["family"].rsplit(":", 1)[1], box=box),
-                element_type=kv["elem"],
-            )
-            channels.append(ch)
-            cid_by_tag[ch.tag] = ch.cid
-        elif parts[0].startswith("node="):
-            node = _parse_tuple(parts[0].split("=", 1)[1])
-            scatter = _parse_tuple(kv["t"])
-            kind = kv["kind"]
-            if kind == "compute":
-                read = None
-                if kv["read"] != "storage":
-                    body = kv["read"][len("buf:") :]
-                    cid, rank = body.split("@")
-                    read = (int(cid), int(rank))
-                ev = Event(node=node, scatter=scatter, kind=kind, stmt=kv["stmt"],
-                           instance=_parse_tuple(kv["i"]), read_from=read,
-                           writes=_parse_writes(kv["write"]))
-            elif kind in ("buffer_fill", "buffer_drain"):
-                ev = Event(node=node, scatter=scatter, kind=kind, chunk=kv["chunk"],
-                           cid=int(kv["cid"]), element=_parse_tuple(kv["elem"]),
-                           rank=int(kv["rank"]))
+        kv = dict(p.split("=", 1) for p in parts[1:] if "=" in p)
+        try:
+            if i == 0:
+                if parts[0] != "plan":
+                    raise ParseError(f"not a plan file: {ln!r}", line=no)
+                name = parts[1]
+                grid = ClusterGrid(_parse_tuple(kv["grid"]))
+                scatter_arity = int(kv["scatter_arity"])
+            elif parts[0] == "field":
+                decl = FieldDecl(name=parts[1], element_type=parts[2],
+                                 extents=_parse_tuple(kv["extents"]))
+                fp = block_distribute([decl], grid)
+                block = _parse_tuple(kv["block"])
+                if block != fp.block_extents[decl.name]:
+                    raise ParseError(
+                        f"field {decl.name}: block={_fmt_tuple(block)} differs from "
+                        f"block distribution over grid {_fmt_tuple(grid.extents)}",
+                        line=no,
+                    )
+                fields.append((decl.name, decl.element_type, decl.extents))
+                block_extents.update(fp.block_extents)
+                field_maps.update(fp.maps)
+            elif parts[0] == "fieldmap":
+                if parts[1] not in field_maps:
+                    raise ParseError(f"fieldmap for undeclared field {parts[1]}", line=no)
+                if ln.split(None, 2)[2] != format_map(field_maps[parts[1]]):
+                    raise ParseError(
+                        f"fieldmap {parts[1]} differs from block distribution over "
+                        f"grid {_fmt_tuple(grid.extents)}",
+                        line=no,
+                    )
+            elif parts[0] == "channel":
+                box_text = kv["box"][1:-1]
+                box = tuple(
+                    (int(a), int(b)) for a, b in (seg.split(":") for seg in box_text.split(";"))
+                ) if box_text else ()
+                ch = Channel(
+                    cid=int(kv["cid"]),
+                    family=kv["family"],
+                    src=_parse_tuple(kv["src"]),
+                    dst=_parse_tuple(kv["dst"]),
+                    tag=int(kv["tag"]),
+                    layout=BufferLayout(fieldname=kv["family"].rsplit(":", 1)[1], box=box),
+                    element_type=kv["elem"],
+                )
+                channels.append(ch)
+                cid_by_tag[ch.tag] = ch.cid
+            elif parts[0].startswith("node="):
+                node = _parse_tuple(parts[0].split("=", 1)[1])
+                scatter = _parse_tuple(kv["t"])
+                kind = kv["kind"]
+                if kind == "compute":
+                    read = None
+                    if kv["read"] != "storage":
+                        body = kv["read"][len("buf:") :]
+                        cid, rank = body.split("@")
+                        read = (int(cid), int(rank))
+                    ev = Event(node=node, scatter=scatter, kind=kind, stmt=kv["stmt"],
+                               instance=_parse_tuple(kv["i"]), read_from=read,
+                               writes=_parse_writes(kv["write"]))
+                elif kind in ("buffer_fill", "buffer_drain"):
+                    ev = Event(node=node, scatter=scatter, kind=kind, chunk=kv["chunk"],
+                               cid=int(kv["cid"]), element=_parse_tuple(kv["elem"]),
+                               rank=int(kv["rank"]))
+                else:
+                    tag = int(kv["tag"])
+                    if tag not in cid_by_tag:
+                        raise ParseError(f"unknown tag {tag}", line=no)
+                    ev = Event(node=node, scatter=scatter, kind=kind, chunk=kv["chunk"],
+                               cid=cid_by_tag[tag])
+                events.setdefault(node, []).append(ev)
             else:
-                ev = Event(node=node, scatter=scatter, kind=kind, chunk=kv["chunk"],
-                           cid=cid_by_tag[int(kv["tag"])])
-            events.setdefault(node, []).append(ev)
-        else:
-            raise ValueError(f"bad plan line: {ln!r}")
+                raise ParseError(f"unknown plan line {ln!r}", line=no)
+        except KeyError as e:
+            raise ParseError(f"missing {e.args[0]}=", line=no) from None
+        except IndexError:
+            raise ParseError(f"incomplete line {ln!r}", line=no) from None
+        except (ValueError, ValidationError) as e:
+            raise ParseError(str(e), line=no) from None
     return CommPlan(
         name=name,
-        grid=grid,
+        grid=grid.extents,
         scatter_arity=scatter_arity,
         fields=tuple(fields),
         block_extents=block_extents,

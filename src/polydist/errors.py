@@ -14,8 +14,10 @@ class ParseError(PolydistError):
     def __init__(self, message, line=None, column=None):
         self.line = line
         self.column = column
-        if line is not None:
+        if line is not None and column is not None:
             message = f"{message} (line {line}, column {column})"
+        elif line is not None:
+            message = f"{message} (line {line})"
         super().__init__(message)
 
 

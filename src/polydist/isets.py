@@ -80,9 +80,6 @@ class Space:
     def arity(self) -> int:
         return len(self.dims)
 
-    def dim_index(self, name: str) -> int:
-        return self.dims.index(name)
-
     def renamed(self, name: str) -> "Space":
         return Space(name, self.dims)
 
@@ -1485,11 +1482,6 @@ def map_union(a: IntMap, b: IntMap) -> IntMap:
     return IntMap(a.dom, a.ran, union(a.as_set(), b.as_set()).pieces)
 
 
-def map_intersect(a: IntMap, b: IntMap) -> IntMap:
-    _map_same_shape(a, b)
-    return IntMap(a.dom, a.ran, intersect(a.as_set(), b.as_set()).pieces)
-
-
 def map_subtract(a: IntMap, b: IntMap) -> IntMap:
     _map_same_shape(a, b)
     return IntMap(a.dom, a.ran, subtract(a.as_set(), b.as_set()).pieces)
@@ -1564,19 +1556,6 @@ def restrict_domain(m: IntMap, s: IntSet) -> IntMap:
         raise SpaceMismatch("restriction set arity mismatch")
     arity = m.n_in + m.n_out
     mapping = list(range(m.n_in))
-    pieces = []
-    for sp in s.pieces:
-        sp_w = tuple(Constraint(c.expr.remap(mapping, arity), c.is_eq) for c in sp)
-        for mp in m.pieces:
-            pieces.append(mp + sp_w)
-    return IntMap.make(m.dom, m.ran, pieces, check=False)
-
-
-def restrict_range(m: IntMap, s: IntSet) -> IntMap:
-    if m.ran.arity != s.space.arity:
-        raise SpaceMismatch("restriction set arity mismatch")
-    arity = m.n_in + m.n_out
-    mapping = [m.n_in + i for i in range(m.n_out)]
     pieces = []
     for sp in s.pieces:
         sp_w = tuple(Constraint(c.expr.remap(mapping, arity), c.is_eq) for c in sp)

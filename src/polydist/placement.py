@@ -24,18 +24,28 @@ from .isets import (
     embed_pieces,
     compose,
     enumerate_set,
+    inverse,
     is_empty,
     map_domain,
     map_is_empty,
     map_subtract,
     map_union,
+    restrict_domain,
     select_lex_extreme,
     subtract,
 )
 from .scop import ClusterGrid, Scop, Statement
 from .syntax import format_map
 
-__all__ = ["FieldPlacement", "StmtPlacement", "block_distribute", "place_statements", "dump_placements"]
+__all__ = [
+    "FieldPlacement",
+    "StmtPlacement",
+    "block_distribute",
+    "block_home",
+    "block_box",
+    "place_statements",
+    "dump_placements",
+]
 
 
 @dataclass(frozen=True)
@@ -46,12 +56,17 @@ class FieldPlacement:
     block_extents: dict  # field name -> tuple of block sizes
 
     def homes(self, field: str, index) -> list[tuple[int, ...]]:
-        blocks = self.block_extents.get(field)
-        if blocks is not None:
-            return [tuple(v // b for v, b in zip(index, blocks))]
-        m = self.maps[field]
-        src = IntSet.from_points(m.dom, [tuple(index)])
-        return enumerate_set(apply(m, src))
+        return [block_home(index, self.block_extents[field])]
+
+
+def block_home(index, blocks) -> tuple[int, ...]:
+    """The one home node of an element: its block coordinate."""
+    return tuple(v // b for v, b in zip(index, blocks))
+
+
+def block_box(node, blocks) -> tuple[tuple[int, int], ...]:
+    """The inclusive index box a node homes: its block."""
+    return tuple((c * b, (c + 1) * b - 1) for c, b in zip(node, blocks))
 
 
 @dataclass(frozen=True)
@@ -96,8 +111,6 @@ def block_distribute(fields, grid: ClusterGrid) -> FieldPlacement:
 
 def _access_to_grid(scop: Scop, s: Statement, acc, fp: FieldPlacement) -> IntMap:
     """Map statement instances to the home nodes of the accessed elements."""
-    from .isets import restrict_domain
-
     fld = scop.field(acc.field)
     if acc.index_exprs is None:
         raise ValidationError("virtual accesses have no single placement map")
@@ -162,8 +175,6 @@ def place_statements(scop: Scop, dep: DepGraph, fp: FieldPlacement) -> StmtPlace
             placements[s.id] = _access_to_grid(scop, s, acc, fp)
 
     # neighbor adoption for still-unplaced instances, lexmin node per instance
-    from .isets import restrict_domain
-
     def missing_of(s):
         current = placements.get(s.id)
         if current is None:
@@ -222,8 +233,6 @@ def place_statements(scop: Scop, dep: DepGraph, fp: FieldPlacement) -> StmtPlace
 
 
 def _reverse_map(fam: FlowFamily) -> IntMap:
-    from .isets import inverse
-
     return inverse(fam.as_map())
 
 

@@ -18,6 +18,7 @@ be delivered, the run aborts with DeadlockDetected.
 from __future__ import annotations
 
 import hashlib
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,8 +31,8 @@ from .errors import (
     IndexOutOfBounds,
     NotLocal,
 )
-from .isets import IntSet, apply
-from .scop import ELEMENT_DTYPES, Scop, _check_store, _from_np
+from .placement import block_box, block_home
+from .scop import FieldDecl, Scop, _check_store, _from_np
 from .exprs import eval_expr
 
 __all__ = ["NodeState", "ChannelState", "Trace", "SimState", "init_runtime", "run"]
@@ -72,9 +73,9 @@ class Trace:
 
 
 class SimState:
-    def __init__(self, plan: CommPlan, scop: Scop, nodes, channels, trace):
+    def __init__(self, plan: CommPlan, fields: dict, nodes, channels, trace):
         self.plan = plan
-        self.scop = scop
+        self.fields = fields  # field name -> FieldDecl
         self.nodes = nodes
         self.channels = channels
         self.trace = trace
@@ -82,31 +83,25 @@ class SimState:
 
     # -- value-level fallback access (synchronous single-value transfers) ----
 
-    def _homes(self, fieldname: str, index) -> list:
-        fld = self.scop.field(fieldname)
-        if any(not 0 <= v < ext for v, ext in zip(index, fld.extents)):
+    def _home(self, fieldname: str, index) -> tuple:
+        if any(not 0 <= v < ext for v, ext in zip(index, self.fields[fieldname].extents)):
             raise IndexOutOfBounds(f"{fieldname}{tuple(index)}")
-        m = self.plan.field_maps[fieldname]
-        out = [c for c in self.nodes if m.contains(tuple(index) + tuple(c))]
-        return sorted(out)
+        return block_home(index, self.plan.block_extents[fieldname])
 
     def value_load(self, fieldname: str, index):
-        homes = self._homes(fieldname, index)
-        node = self.nodes[min(homes)]
-        fld = self.scop.field(fieldname)
-        return _from_np(node.storage[fieldname][self._offset(node, fieldname, index)], fld)
+        node = self.nodes[self._home(fieldname, index)]
+        value = node.storage[fieldname][self._offset(node, fieldname, index)]
+        return _from_np(value, self.fields[fieldname])
 
     def value_store(self, fieldname: str, index, value):
-        fld = self.scop.field(fieldname)
-        _check_store(value, fld)
-        for home in self._homes(fieldname, index):
-            node = self.nodes[home]
-            node.storage[fieldname][self._offset(node, fieldname, index)] = value
+        _check_store(value, self.fields[fieldname])
+        node = self.nodes[self._home(fieldname, index)]
+        node.storage[fieldname][self._offset(node, fieldname, index)] = value
 
     def local_rank(self, node_coord, fieldname: str, index) -> int:
         """Row-major rank of a home element inside the node's home box."""
         node = self.nodes[tuple(node_coord)]
-        if tuple(node_coord) not in self._homes(fieldname, index):
+        if tuple(node_coord) != self._home(fieldname, index):
             raise NotLocal(f"{fieldname}{tuple(index)} is not homed on {tuple(node_coord)}")
         box = node.boxes[fieldname]
         rank = 0
@@ -124,69 +119,35 @@ class SimState:
 
     def gather(self) -> dict:
         out = {}
-        for name, etype, extents in self.plan.fields:
-            fld = self.scop.field(name)
-            arr = np.zeros(extents, dtype=fld.dtype)
-            # reversed so the lexicographically smallest home wins overlaps
-            for coord in sorted(self.nodes, reverse=True):
-                node = self.nodes[coord]
-                box = node.boxes[name]
-                if any(lo > hi for lo, hi in box):
-                    continue
-                slices = tuple(slice(lo, hi + 1) for lo, hi in box)
+        for name, fld in self.fields.items():
+            arr = np.zeros(fld.extents, dtype=fld.dtype)
+            for node in self.nodes.values():
+                slices = tuple(slice(lo, hi + 1) for lo, hi in node.boxes[name])
                 arr[slices] = node.storage[name]
             out[name] = arr
         return out
 
 
 def init_runtime(plan: CommPlan, grid, init: dict) -> SimState:
-    """Build nodes and channels; abort on geometry mismatch."""
+    """Build nodes and channels; abort on geometry mismatch.  Each node
+    stores the block of every field that block distribution homes on it."""
     grid_extents = tuple(grid.extents) if hasattr(grid, "extents") else tuple(grid)
     if grid_extents != tuple(plan.grid):
         raise GeometryMismatch(f"plan compiled for {plan.grid}, running on {grid_extents}")
-    import itertools
-
-    from .scop import ClusterGrid, FieldDecl
-
-    scop_fields = tuple(
-        FieldDecl(name=n, element_type=t, extents=tuple(e)) for n, t, e in plan.fields
-    )
-    from .scop import Scop as _Scop
-
-    shell = _Scop(
-        name=plan.name,
-        fields=scop_fields,
-        statements=(),
-        scatter_arity=1,
-        grid=ClusterGrid(grid_extents),
-    )
-    from .isets import IntSet, apply, inverse
-
-    home_boxes: dict = {}
-    for name, etype, extents in plan.fields:
-        m = plan.field_maps[name]
-        inv = inverse(m)
-        for coord in itertools.product(*[range(e) for e in grid_extents]):
-            pt = IntSet.from_points(inv.dom, [coord])
-            home = apply(inv, pt)
-            home_boxes[(name, coord)] = home.box()
+    fields = {n: FieldDecl(name=n, element_type=t, extents=tuple(e)) for n, t, e in plan.fields}
     nodes = {}
     for coord in itertools.product(*[range(e) for e in grid_extents]):
         storage = {}
         boxes = {}
-        for name, etype, extents in plan.fields:
-            box = home_boxes[(name, coord)]
-            if box is None:
-                box = tuple((0, -1) for _ in extents)  # nothing homed here
+        for name, fld in fields.items():
+            box = block_box(coord, plan.block_extents[name])
             boxes[name] = box
-            arr = np.array(
-                init[name][tuple(slice(lo, hi + 1) for lo, hi in box)],
-                dtype=ELEMENT_DTYPES[etype],
+            storage[name] = np.array(
+                init[name][tuple(slice(lo, hi + 1) for lo, hi in box)], dtype=fld.dtype
             )
-            storage[name] = arr
         nodes[coord] = NodeState(coord=coord, storage=storage, boxes=boxes)
     channels = {ch.cid: ChannelState() for ch in plan.channels}
-    return SimState(plan, shell, nodes, channels, Trace())
+    return SimState(plan, fields, nodes, channels, Trace())
 
 
 def _digest(values) -> str:
@@ -197,11 +158,8 @@ def _digest(values) -> str:
 def run(sim: SimState, scop: Scop = None):
     """Execute the plan; returns (field contents, trace)."""
     plan = sim.plan
-    if scop is not None:
-        sim.scop = scop
-    exec_scop = sim.scop
-    functions = exec_scop.functions
-    stmts = {s.id: s for s in exec_scop.statements}
+    functions = scop.functions if scop is not None else {}
+    stmts = {s.id: s for s in scop.statements} if scop is not None else {}
 
     node_events = {coord: plan.events.get(coord, []) for coord in sim.nodes}
     pending = {coord for coord, evs in node_events.items() if evs}
@@ -251,7 +209,7 @@ def run(sim: SimState, scop: Scop = None):
             if ch.state != FILLING:
                 raise BufferStateViolation(f"buffer fill in state {ch.state}")
             chan = plan.channels[ev.cid]
-            fld = exec_scop.field(chan.layout.fieldname)
+            fld = sim.fields[chan.layout.fieldname]
             value = _from_np(
                 node.storage[chan.layout.fieldname][sim._offset(node, chan.layout.fieldname, ev.element)],
                 fld,
@@ -288,7 +246,7 @@ def run(sim: SimState, scop: Scop = None):
             value = eval_expr(s.body, node.scalars, access, functions)
             if s.writes():
                 _, acc = s.writes()[0]
-                fld = exec_scop.field(acc.field)
+                fld = sim.fields[acc.field]
                 _check_store(value, fld)
                 k = tuple(e.evaluate(ev.instance) for e in acc.index_exprs)
                 for w in ev.writes:

@@ -228,10 +228,6 @@ def _parse_tuple(tk: _Tokens):
     return name, entries
 
 
-def _entry_names(entries) -> list[Optional[str]]:
-    return [e[1] if e[0] == "name" else None for e in entries]
-
-
 def _fresh_names(prefix: str, entries, taken: set[str]) -> list[str]:
     out = []
     for idx, e in enumerate(entries):

@@ -87,6 +87,37 @@ def test_verify_tampered_plan(gol16_path, tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def _simulate_with_plan_text(gol16_path, tmp_path, capsys, text):
+    plan_file = tmp_path / "plan.txt"
+    plan_file.write_text(text)
+    rc = invoke("simulate", str(gol16_path), "--plan", str(plan_file))
+    return rc, capsys.readouterr().err
+
+
+def test_simulate_empty_plan_file(gol16_path, tmp_path, capsys):
+    rc, err = _simulate_with_plan_text(gol16_path, tmp_path, capsys, "")
+    assert rc == 1
+    assert "empty plan file (line 1)" in err
+
+
+def test_simulate_garbage_plan_file(gol16_path, tmp_path, capsys):
+    rc, err = _simulate_with_plan_text(gol16_path, tmp_path, capsys, "garbage\n")
+    assert rc == 1
+    assert "not a plan file" in err
+
+
+def test_simulate_edited_fieldmap_plan(gol16_path, tmp_path, capsys):
+    # a fieldmap other than block distribution of the extents is rejected
+    invoke("plan", str(gol16_path), "--out", str(tmp_path))
+    lines = (tmp_path / "plan.txt").read_text().splitlines()
+    assert lines[2].startswith("fieldmap front ")
+    lines[2] = "fieldmap front { front[k0, k1] -> P[0, 0] : 0 <= k0 <= 15 and 0 <= k1 <= 15 }"
+    rc, err = _simulate_with_plan_text(gol16_path, tmp_path, capsys, "\n".join(lines) + "\n")
+    assert rc == 1
+    assert "fieldmap front differs from block distribution" in err
+    assert "(line 3)" in err
+
+
 def test_simulate_writes_outputs(gol16_path, tmp_path):
     rc = invoke(
         "simulate", str(gol16_path), "--seed", "9", "--out", str(tmp_path),

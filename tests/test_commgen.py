@@ -1,10 +1,12 @@
 import json
+import re
 
 import pytest
 
 from polydist.chunking import chunk_all
 from polydist.commgen import (
     BufferLayout,
+    _family_key,
     build_transfers,
     buffer_rank,
     compile_plan,
@@ -13,8 +15,21 @@ from polydist.commgen import (
     group_chunks,
     parse_plan,
 )
-from polydist.deps import add_virtual_statements, compute_flow
-from polydist.errors import OutOfHull, ScatterCollision
+from polydist.deps import EPILOGUE, PROLOGUE, add_virtual_statements, compute_flow
+from polydist.errors import OutOfHull, ParseError, ScatterCollision
+from polydist.isets import (
+    AffineExpr,
+    IntSet,
+    Space,
+    embed_pieces,
+    enumerate_set,
+    eq0,
+    is_empty,
+    project_pieces,
+    select_lex_extreme,
+    subtract,
+    union,
+)
 from polydist.placement import block_distribute, place_statements
 from polydist.scop import isolate_accesses
 from polydist.scopio import parse_scop, parse_scop_file
@@ -36,8 +51,6 @@ def brute_force_transfers(dep, sp, fp):
     """Pointwise oracle for the resolved transfer relation: for every flow
     pair and consumer execution, the producer node is the consumer's node
     when the producer executed there, else the smallest producer node."""
-    from polydist.deps import EPILOGUE, PROLOGUE
-
     out = {}
     for fam in dep.field_families():
         key = (fam.producer, fam.consumer, fam.ref)
@@ -58,10 +71,72 @@ def brute_force_transfers(dep, sp, fp):
     return out
 
 
+def exec_relation(fam, sp, fp) -> IntSet:
+    """Relation over (i_G ++ i_C ++ k ++ p_C ++ p_G) of candidate transfers.
+
+    For the virtual prologue the producer executions are the element's
+    homes; for the virtual epilogue the consumer executions are."""
+    n_g, n_c, n_k = fam.n_prod, fam.n_cons, fam.n_elem
+    prod_by_element = fam.producer == PROLOGUE
+    cons_by_element = fam.consumer == EPILOGUE
+    prod_rel = fp.maps[fam.ref] if prod_by_element else sp.maps[fam.producer]
+    cons_rel = fp.maps[fam.ref] if cons_by_element else sp.maps[fam.consumer]
+    n_p = prod_rel.n_out
+    arity = n_g + n_c + n_k + 2 * n_p
+    k_dims = [n_g + n_c + i for i in range(n_k)]
+    pc_dims = [n_g + n_c + n_k + i for i in range(n_p)]
+    pg_dims = [n_g + n_c + n_k + n_p + i for i in range(n_p)]
+    pieces = embed_pieces(fam.rel.pieces, list(range(n_g + n_c + n_k)), arity)
+    cmap = (k_dims if cons_by_element else [n_g + i for i in range(n_c)]) + pc_dims
+    gmap = (k_dims if prod_by_element else list(range(n_g))) + pg_dims
+    cons_pieces = embed_pieces(cons_rel.pieces, cmap, arity)
+    prod_pieces = embed_pieces(prod_rel.pieces, gmap, arity)
+    combined = [a + b + c for a in pieces for b in cons_pieces for c in prod_pieces]
+    space = Space(f"T:{_family_key(fam)}", tuple(f"d{i}" for i in range(arity)))
+    return IntSet.make(space, combined, check=False)
+
+
+def select_producer_node(t: IntSet, n_p: int) -> IntSet:
+    """The selection rule on sets: keep the producer on the consumer's node
+    when present, else the lexmin producer node."""
+    arity = t.arity
+    pg_base = arity - n_p
+    pc_base = pg_base - n_p
+    same_cons = tuple(
+        eq0(AffineExpr.var(arity, pc_base + d) - AffineExpr.var(arity, pg_base + d))
+        for d in range(n_p)
+    )
+    t_same = IntSet.make(t.space, [p + same_cons for p in t.pieces], check=False)
+    if is_empty(t_same):
+        rest = t
+    else:
+        covered = project_pieces(arity, t_same.pieces, list(range(pg_base, arity)))
+        covered_w = embed_pieces(covered, list(range(pg_base)), arity)
+        rest = subtract(t, IntSet.make(t.space, covered_w, check=False))
+    if is_empty(rest):
+        return t_same
+    return union(t_same, select_lex_extreme(rest, pg_base, maximize=False))
+
+
+def assert_symbolic_selection(dep, sp, fp, transfers, n_p):
+    """The selection rule solved on sets picks exactly the resolved tuples."""
+    for fam in dep.field_families():
+        selected = select_producer_node(exec_relation(fam, sp, fp), n_p)
+        got = {
+            t.producer_instance + t.consumer_instance + t.element + t.consumer_node + t.producer_node
+            for t in transfers[_family_key(fam)]
+        }
+        assert set(enumerate_set(selected)) == got, _family_key(fam)
+
+
+def test_symbolic_selection_matches_transfers(gol16_ctx):
+    scop, virt, dep, fp, sp, chunks, transfers = gol16_ctx
+    assert_symbolic_selection(dep, sp, fp, transfers, virt.grid.arity)
+
+
 def test_transfers_match_pointwise_oracle(gol16_ctx):
     scop, virt, dep, fp, sp, chunks, transfers = gol16_ctx
     oracle = brute_force_transfers(dep, sp, fp)
-    from polydist.commgen import _family_key
 
     for fam in dep.field_families():
         got = {
@@ -183,6 +258,7 @@ def test_multi_home_producer_prefers_consumer_node():
     assert fam, "flow family missing"
     for t in fam:
         assert t.producer_node == t.consumer_node  # redundant copy selected
+    assert_symbolic_selection(dep, sp, fp, transfers, virt.grid.arity)
 
 
 def test_buffer_rank_examples():
@@ -344,3 +420,57 @@ def test_plan_dump_deterministic(gol16_ctx):
     a = dump_plan(compile_plan(virt, dep, fp, sp, chunks))
     b = dump_plan(compile_plan(virt, dep, fp, sp, chunks))
     assert a == b
+
+
+@pytest.fixture(scope="module")
+def gol16_plan_text(gol16_ctx):
+    scop, virt, dep, fp, sp, chunks, transfers = gol16_ctx
+    return dump_plan(compile_plan(virt, dep, fp, sp, chunks))
+
+
+# case -> (line to edit, edit, expected message)
+MALFORMED_PLANS = {
+    "unknown_line": (
+        lambda ln: ln.startswith("channel"),
+        lambda ln: "chanel" + ln[len("channel"):],
+        "unknown plan line",
+    ),
+    "bad_tuple": (
+        lambda ln: ln.startswith("plan"),
+        lambda ln: ln.replace("grid=(2,2)", "grid=(2;2)"),
+        "bad tuple '(2;2)'",
+    ),
+    "missing_key": (
+        lambda ln: " kind=send " in ln,
+        lambda ln: re.sub(r" tag=\d+", "", ln),
+        "missing tag=",
+    ),
+    "unknown_tag": (
+        lambda ln: " kind=send " in ln,
+        lambda ln: re.sub(r" tag=\d+", " tag=9999", ln),
+        "unknown tag 9999",
+    ),
+    "edited_block": (
+        lambda ln: ln.startswith("field front"),
+        lambda ln: ln.replace("block=(8,8)", "block=(16,8)"),
+        "block=(16,8) differs from block distribution",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_PLANS))
+def test_parse_plan_rejects_malformed(gol16_plan_text, case):
+    pick, edit, message = MALFORMED_PLANS[case]
+    lines = gol16_plan_text.splitlines()
+    no = next(i for i, ln in enumerate(lines, 1) if pick(ln))
+    lines[no - 1] = edit(lines[no - 1])
+    with pytest.raises(ParseError) as exc:
+        parse_plan("\n".join(lines))
+    assert exc.value.line == no
+    assert message in str(exc.value)
+
+
+def test_parse_plan_rejects_empty():
+    with pytest.raises(ParseError) as exc:
+        parse_plan("\n  \n")
+    assert exc.value.line == 1

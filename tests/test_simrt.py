@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from polydist.chunking import chunk_all
-from polydist.commgen import CommPlan, compile_plan
+from polydist.cli import main
+from polydist.commgen import CommPlan, compile_plan, dump_plan, parse_plan
 from polydist.deps import add_virtual_statements, compute_flow
 from polydist.errors import (
     BufferStateViolation,
@@ -13,6 +14,7 @@ from polydist.errors import (
     GeometryMismatch,
     IndexOutOfBounds,
     NotLocal,
+    ParseError,
 )
 from polydist.fields import contents_equal, random_contents, zero_contents
 from polydist.placement import block_distribute, place_statements
@@ -221,8 +223,10 @@ def test_local_rank(gol16_built):
         sim.local_rank((0, 0), "front", (8, 8))
 
 
-def test_multi_home_store_updates_all_homes():
-    # a hand-built plan whose field is homed on both nodes of a 1-d grid
+def test_multi_home_plan_rejected(tmp_path, capsys):
+    # a hand-built plan whose fieldmap homes f on both nodes of a 1-d grid
+    # while block=(4,) homes it on one: a plan file cannot carry a placement
+    # other than block distribution, so no element ever has two homes
     doc = {
         "name": "homes",
         "grid": [2],
@@ -231,7 +235,6 @@ def test_multi_home_store_updates_all_homes():
         "functions": {},
         "statements": [],
     }
-    scop = parse_scop(json.dumps(doc))
     both = parse_map("{ [k] -> [p] : 0 <= k < 4 and 0 <= p < 2 }")
     plan = CommPlan(
         name="homes",
@@ -243,12 +246,15 @@ def test_multi_home_store_updates_all_homes():
         channels=[],
         events={},
     )
-    init = {"f": np.arange(4, dtype=np.int64)}
-    sim = init_runtime(plan, ClusterGrid((2,)), init)
-    sim.value_store("f", (2,), 77)
-    assert sim.nodes[(0,)].storage["f"][2] == 77
-    assert sim.nodes[(1,)].storage["f"][2] == 77
-    assert sim.value_load("f", (2,)) == 77
+    text = dump_plan(plan)
+    with pytest.raises(ParseError):
+        parse_plan(text)
+    scop_file = tmp_path / "homes.scop"
+    scop_file.write_text(json.dumps(doc))
+    plan_file = tmp_path / "plan.txt"
+    plan_file.write_text(text)
+    assert main(["verify", str(scop_file), "--plan", str(plan_file)]) == 1
+    assert "parse error" in capsys.readouterr().err
 
 
 def test_trace_text_stable(gol16_built):
