@@ -11,36 +11,25 @@ domain dims that appear in the qualifying scatter prefix and zero the
 rest.  When no prefix length qualifies the identity chunking is used:
 every value travels alone.
 
-Validity checks run on the enumerated instance graph: collapsing is a
-graph quotient and cycle detection there is exact on these finite scops.
-The symbolic transitive closure in the set kernel is the test-side
-cross-check for this, on small relations.
+All three conditions are checked on enumerated instances.  The two order
+conditions come from one pass over the family's pairs, and collapsing is
+a quotient of the enumerated instance graph, where cycle detection is
+exact on these finite scops.  The symbolic order checks and the symbolic
+transitive closure in the set kernel are the test-side cross-checks.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 from .deps import DepGraph, FlowFamily
-from .isets import (
-    AffineExpr,
-    IntMap,
-    IntSet,
-    Space,
-    apply,
-    enumerate_set,
-    eq0,
-    ge0,
-    is_empty,
-    lexmax,
-    lexmin,
-    project_pieces,
-)
+from .isets import AffineExpr, IntMap, Space
 from .scop import Scop, Statement
 from .syntax import format_map
 
-__all__ = ["ChunkingFn", "chunk_heuristic", "validate_chunking", "chunk_all", "dump_chunks"]
+__all__ = ["ChunkingFn", "chunk_heuristic", "chunk_all", "dump_chunks"]
 
 
 @dataclass(frozen=True)
@@ -128,90 +117,37 @@ def _collapsed_has_cycle(dep: DepGraph, phi: ChunkingFn) -> bool:
     return False
 
 
-def validate_chunking(phi: ChunkingFn, dep: DepGraph) -> bool:
-    """True iff applying phi to both sides of the transitive closure of all
-    flows yields an irreflexive relation: no dependence path may connect
-    two instances of the same chunk."""
-    adj = _instance_graph(dep)
-    chunks: dict = {}
-    for s in dep.scop.statements:
-        if s.id != phi.consumer:
-            continue
-        for pt in enumerate_set(s.domain):
-            chunks.setdefault(phi.apply_point(pt), set()).add(pt)
-    for members in chunks.values():
-        if len(members) < 1:
-            continue
-        # any path of length >= 1 from a member to a member invalidates phi
-        frontier = []
-        seen = set()
-        for pt in members:
-            for nxt in adj.get((phi.consumer, pt), ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        while frontier:
-            sid, pt = frontier.pop()
-            if sid == phi.consumer and pt in members:
-                return False
-            for nxt in adj.get((sid, pt), ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-    return True
-
-
 # ---------------------------------------------------------------------------
 # The heuristic
 
 
+def _order_summary(scop: Scop, fam: FlowFamily) -> tuple[float, bool]:
+    """One pass over the family's enumerated pairs.
+
+    Returns (D, ordered).  D is the largest first scatter index at which a
+    producer and its consumer differ, counting a pair as infinite when the
+    producer is not below there (or nowhere differs), and -1 for no pairs;
+    the strict-prefix condition holds at level l exactly when l > D.
+    ordered says whether every producer runs before every consumer."""
+    prod = scop.statement(fam.producer)
+    cons = scop.statement(fam.consumer)
+    deepest: float = -1
+    last_prod = first_cons = None
+    for ig, ic, _ in fam.pairs():
+        tg, tc = prod.scatter_of(ig), cons.scatter_of(ic)
+        first = next((t for t in range(len(tg)) if tg[t] != tc[t]), None)
+        if first is None or tg[first] > tc[first]:
+            deepest = math.inf
+        else:
+            deepest = max(deepest, first)
+        last_prod = tg if last_prod is None else max(last_prod, tg)
+        first_cons = tc if first_cons is None else min(first_cons, tc)
+    return deepest, last_prod is None or last_prod < first_cons
+
+
 def _strict_prefix_holds(scop: Scop, fam: FlowFamily, level: int) -> bool:
     """Every family pair: producer scatter prefix strictly below consumer's."""
-    prod = scop.statement(fam.producer)
-    cons = scop.statement(fam.consumer)
-    n_g, n_c, n_k = fam.n_prod, fam.n_cons, fam.n_elem
-    arity = n_g + n_c + n_k
-    theta_g = [e.remap(list(range(n_g)), arity) for e in prod.schedule_exprs]
-    theta_c = [e.remap([n_g + i for i in range(n_c)], arity) for e in cons.schedule_exprs]
-    # violation: NOT (prefix_l(theta_g) <lex prefix_l(theta_c))
-    violation_alternatives = []
-    eq_all = [eq0(theta_g[t] - theta_c[t]) for t in range(level)]
-    violation_alternatives.append(eq_all)
-    for t in range(level):
-        alt = [eq0(theta_g[u] - theta_c[u]) for u in range(t)]
-        alt.append(ge0(theta_g[t] - theta_c[t].plus_const(1)))
-        violation_alternatives.append(alt)
-    for piece in fam.rel.pieces:
-        for alt in violation_alternatives:
-            bad = IntSet.make(fam.rel.space, [tuple(piece) + tuple(alt)], check=False)
-            if not is_empty(bad):
-                return False
-    return True
-
-
-def _global_order_holds(scop: Scop, fam: FlowFamily) -> bool:
-    """All producers of the family run before all of its consumers."""
-    prod = scop.statement(fam.producer)
-    cons = scop.statement(fam.consumer)
-    arity = fam.n_prod + fam.n_cons + fam.n_elem
-    prod_set = IntSet.make(
-        Space(fam.producer, fam.prod_space.dims),
-        project_pieces(arity, fam.rel.pieces, list(range(fam.n_prod, arity))),
-        check=False,
-    )
-    cons_set = IntSet.make(
-        Space(fam.consumer, fam.cons_space.dims),
-        project_pieces(
-            arity,
-            fam.rel.pieces,
-            list(range(fam.n_prod)) + list(range(fam.n_prod + fam.n_cons, arity)),
-        ),
-        check=False,
-    )
-    sched = scop.scatter_space
-    tg = apply(prod.schedule(sched), IntSet(prod.space, prod_set.pieces))
-    tc = apply(cons.schedule(sched), IntSet(cons.space, cons_set.pieces))
-    return lexmax(tg) < lexmin(tc)
+    return level > _order_summary(scop, fam)[0]
 
 
 def _kept_dims(cons: Statement, level: int) -> tuple[int, ...]:
@@ -228,11 +164,10 @@ def chunk_heuristic(fam: FlowFamily, dep: DepGraph) -> ChunkingFn:
     scop = dep.scop
     cons = scop.statement(fam.consumer)
     n_t = scop.scatter_arity
+    deepest, ordered = _order_summary(scop, fam)
     for level in range(0, n_t):
-        if level == 0:
-            if not _global_order_holds(scop, fam):
-                continue
-        elif not _strict_prefix_holds(scop, fam, level):
+        holds = ordered if level == 0 else level > deepest
+        if not holds:
             continue
         phi = ChunkingFn(
             consumer=fam.consumer,

@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 from .commgen import dump_plan, parse_plan
+from .deps import add_virtual_statements
 from .errors import (
     AnalysisError,
     BufferStateViolation,
@@ -22,7 +23,7 @@ from .errors import (
 )
 from .fields import dump_contents, first_divergence, load_contents, random_contents
 from .pipeline import analyze_scop, cap_iterations, override_grid, plan_scop
-from .scop import sequential_execute
+from .scop import isolate_accesses, sequential_execute
 from .scopio import parse_scop_file, print_scop
 from .simrt import init_runtime, run
 
@@ -89,10 +90,13 @@ def cmd_plan(args) -> int:
 
 
 def _build_or_load_plan(args, scop):
+    """(isolated scop with virtual statements, plan); a ``--plan`` file
+    needs only the isolated statements, not the analysis."""
     if args.plan:
         plan = parse_plan(Path(args.plan).read_text())
-        return analyze_scop(scop), plan
-    return plan_scop(scop)
+        return add_virtual_statements(isolate_accesses(scop)), plan
+    analysis, plan = plan_scop(scop)
+    return analysis.scop, plan
 
 
 def _initial_contents(args, scop):
@@ -103,10 +107,10 @@ def _initial_contents(args, scop):
 
 def cmd_simulate(args) -> int:
     scop = _load(args)
-    analysis, plan = _build_or_load_plan(args, scop)
+    virt, plan = _build_or_load_plan(args, scop)
     init = _initial_contents(args, scop)
-    sim = init_runtime(plan, analysis.scop.grid, init)
-    final, trace = run(sim, analysis.scop)
+    sim = init_runtime(plan, virt.grid, init)
+    final, trace = run(sim, virt)
     if _wanted(args, "plan"):
         _emit(args, "plan.txt", dump_plan(plan))
     if _wanted(args, "trace"):
@@ -117,12 +121,12 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify(args) -> int:
     scop = _load(args)
-    analysis, plan = _build_or_load_plan(args, scop)
+    virt, plan = _build_or_load_plan(args, scop)
     init = _initial_contents(args, scop)
     expected = sequential_execute(scop, init)
     try:
-        sim = init_runtime(plan, analysis.scop.grid, init)
-        final, trace = run(sim, analysis.scop)
+        sim = init_runtime(plan, virt.grid, init)
+        final, trace = run(sim, virt)
     except (DeadlockDetected, BufferStateViolation) as e:
         print(f"verify: FAIL ({type(e).__name__}: {e})")
         return EXIT_VERIFY
@@ -130,7 +134,7 @@ def cmd_verify(args) -> int:
         _emit(args, "trace.txt", trace.to_text())
     div = first_divergence(expected, final)
     if div is None:
-        print(f"verify: PASS (grid={'x'.join(map(str, analysis.scop.grid.extents))}, seed={args.seed})")
+        print(f"verify: PASS (grid={'x'.join(map(str, virt.grid.extents))}, seed={args.seed})")
         return 0
     name, idx, want, got = div
     print(f"verify: FAIL first divergence field={name} index={idx} expected={want} got={got}")

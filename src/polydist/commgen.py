@@ -27,7 +27,6 @@ from typing import Optional
 
 from .deps import EPILOGUE, PROLOGUE, DepGraph, FlowFamily
 from .errors import AnalysisError, OutOfHull, ParseError, ScatterCollision, ValidationError
-from .isets import enumerate_set
 from .placement import FieldPlacement, StmtPlacement, block_distribute
 from .scop import ClusterGrid, FieldDecl, Scop
 from .syntax import format_map
@@ -135,12 +134,8 @@ class CommPlan:
     scatter_arity: int
     fields: tuple  # (name, element_type, extents)
     block_extents: dict
-    field_maps: dict  # field name -> IntMap (element -> home nodes)
     channels: list
     events: dict  # node -> sorted list[Event]
-
-    def channel(self, cid: int) -> Channel:
-        return self.channels[cid]
 
 
 # ---------------------------------------------------------------------------
@@ -155,25 +150,6 @@ def _family_key(fam: FlowFamily) -> str:
     return f"flow:{fam.producer}->{fam.consumer}:{fam.ref}"
 
 
-def _placement_nodes(dep: DepGraph, sp: StmtPlacement) -> dict:
-    """Statement id -> instance -> sorted node list (enumerated graphs)."""
-    cached = getattr(dep, "_placement_nodes", None)
-    if cached is not None:
-        return cached
-    out: dict = {}
-    for s in dep.scop.statements:
-        m = sp.maps[s.id]
-        n_i = s.arity
-        table: dict = {}
-        for pt in enumerate_set(m.as_set()):
-            table.setdefault(pt[:n_i], []).append(pt[n_i:])
-        for v in table.values():
-            v.sort()
-        out[s.id] = table
-    setattr(dep, "_placement_nodes", out)
-    return out
-
-
 def build_transfers(dep: DepGraph, sp: StmtPlacement, fp: FieldPlacement, chunkings: dict) -> dict:
     """Resolved transfer tuples per family key.
 
@@ -184,7 +160,7 @@ def build_transfers(dep: DepGraph, sp: StmtPlacement, fp: FieldPlacement, chunki
     nodes are the element's homes; for the virtual epilogue the consumer
     nodes are.
     """
-    exec_nodes = _placement_nodes(dep, sp)
+    exec_nodes = sp.table
     out: dict = {}
     for fam in dep.field_families():
         key = _family_key(fam)
@@ -362,7 +338,7 @@ def emit_protocol(
                         read_bindings[rkey] = (cid, layout.rank(t.element))
 
     # compute events for every execution of every real statement
-    exec_nodes = _placement_nodes(dep, sp)
+    exec_nodes = sp.table
     compute_scatters: dict = {}
     for s in scop.real_statements():
         for inst, exec_list in sorted(exec_nodes[s.id].items()):
@@ -406,7 +382,6 @@ def emit_protocol(
         scatter_arity=scop.scatter_arity,
         fields=tuple((f.name, f.element_type, f.extents) for f in scop.fields),
         block_extents=dict(fp.block_extents),
-        field_maps={f.name: fp.maps[f.name] for f in scop.fields},
         channels=channels,
         events={node: evs for node, evs in sorted(events.items())},
     )
@@ -451,7 +426,24 @@ def _fmt_writes(writes) -> str:
     return "+".join(parts)
 
 
-def _parse_writes(text: str):
+def _parse_buffer_ref(text: str, channels: list) -> tuple:
+    """(cid, rank) from ``buf:CID@RANK``; the slot must exist in a declared channel."""
+    if not text.startswith("buf:"):
+        raise ValueError(f"bad buffer reference {text!r}")
+    cid, _, rank = text[len("buf:") :].partition("@")
+    return _check_slot(channels, int(cid), int(rank))
+
+
+def _check_slot(channels: list, cid: int, rank: int) -> tuple:
+    if not 0 <= cid < len(channels):
+        raise ValueError(f"unknown channel cid={cid}")
+    size = channels[cid].layout.size
+    if not 0 <= rank < size:
+        raise ValueError(f"rank {rank} outside the {size}-slot buffer of channel {cid}")
+    return cid, rank
+
+
+def _parse_writes(text: str, channels: list):
     if text == "none":
         return ()
     out = []
@@ -459,20 +451,20 @@ def _parse_writes(text: str):
         if part == "storage":
             out.append(("storage",))
         else:
-            body = part[len("buf:") :]
-            cid, rank = body.split("@")
-            out.append(("buffer", int(cid), int(rank)))
+            out.append(("buffer",) + _parse_buffer_ref(part, channels))
     return tuple(out)
 
 
 def dump_plan(plan: CommPlan) -> str:
     lines = [f"plan {plan.name} grid={_fmt_tuple(plan.grid)} scatter_arity={plan.scatter_arity}"]
+    decls = [FieldDecl(name=n, element_type=t, extents=e) for n, t, e in plan.fields]
+    homes = block_distribute(decls, ClusterGrid(plan.grid)).maps
     for name, etype, extents in plan.fields:
         block = plan.block_extents[name]
         lines.append(
             f"field {name} {etype} extents={_fmt_tuple(extents)} block={_fmt_tuple(block)}"
         )
-        lines.append(f"fieldmap {name} {format_map(plan.field_maps[name])}")
+        lines.append(f"fieldmap {name} {format_map(homes[name])}")
     for ch in plan.channels:
         box = ";".join(f"{lo}:{hi}" for lo, hi in ch.layout.box)
         lines.append(
@@ -509,13 +501,15 @@ def parse_plan(text: str) -> CommPlan:
     The field placement is rebuilt by block distribution of each field's
     extents over the grid, and every ``block=`` and ``fieldmap`` entry must
     match it, so a parsed plan homes each element on exactly one node.
-    Malformed input raises ParseError with the 1-based line number."""
+    Channels must be numbered in order and name a declared field, and every
+    event's channel and buffer rank must exist.  Malformed input raises
+    ParseError with the 1-based line number."""
     numbered = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not numbered:
         raise ParseError("empty plan file", line=1)
     fields = []
     block_extents = {}
-    field_maps = {}
+    homes = {}
     channels = []
     events: dict = {}
     cid_by_tag: dict = {}
@@ -542,11 +536,11 @@ def parse_plan(text: str) -> CommPlan:
                     )
                 fields.append((decl.name, decl.element_type, decl.extents))
                 block_extents.update(fp.block_extents)
-                field_maps.update(fp.maps)
+                homes.update(fp.maps)
             elif parts[0] == "fieldmap":
-                if parts[1] not in field_maps:
+                if parts[1] not in homes:
                     raise ParseError(f"fieldmap for undeclared field {parts[1]}", line=no)
-                if ln.split(None, 2)[2] != format_map(field_maps[parts[1]]):
+                if ln.split(None, 2)[2] != format_map(homes[parts[1]]):
                     raise ParseError(
                         f"fieldmap {parts[1]} differs from block distribution over "
                         f"grid {_fmt_tuple(grid.extents)}",
@@ -557,13 +551,20 @@ def parse_plan(text: str) -> CommPlan:
                 box = tuple(
                     (int(a), int(b)) for a, b in (seg.split(":") for seg in box_text.split(";"))
                 ) if box_text else ()
+                cid = int(kv["cid"])
+                if cid != len(channels):
+                    raise ParseError(f"channel cid={cid} out of order, expected {len(channels)}",
+                                     line=no)
+                fieldname = kv["family"].rsplit(":", 1)[-1]
+                if fieldname not in block_extents:
+                    raise ParseError(f"channel for undeclared field {fieldname}", line=no)
                 ch = Channel(
-                    cid=int(kv["cid"]),
+                    cid=cid,
                     family=kv["family"],
                     src=_parse_tuple(kv["src"]),
                     dst=_parse_tuple(kv["dst"]),
                     tag=int(kv["tag"]),
-                    layout=BufferLayout(fieldname=kv["family"].rsplit(":", 1)[1], box=box),
+                    layout=BufferLayout(fieldname=fieldname, box=box),
                     element_type=kv["elem"],
                 )
                 channels.append(ch)
@@ -575,16 +576,14 @@ def parse_plan(text: str) -> CommPlan:
                 if kind == "compute":
                     read = None
                     if kv["read"] != "storage":
-                        body = kv["read"][len("buf:") :]
-                        cid, rank = body.split("@")
-                        read = (int(cid), int(rank))
+                        read = _parse_buffer_ref(kv["read"], channels)
                     ev = Event(node=node, scatter=scatter, kind=kind, stmt=kv["stmt"],
                                instance=_parse_tuple(kv["i"]), read_from=read,
-                               writes=_parse_writes(kv["write"]))
+                               writes=_parse_writes(kv["write"], channels))
                 elif kind in ("buffer_fill", "buffer_drain"):
+                    cid, rank = _check_slot(channels, int(kv["cid"]), int(kv["rank"]))
                     ev = Event(node=node, scatter=scatter, kind=kind, chunk=kv["chunk"],
-                               cid=int(kv["cid"]), element=_parse_tuple(kv["elem"]),
-                               rank=int(kv["rank"]))
+                               cid=cid, element=_parse_tuple(kv["elem"]), rank=rank)
                 else:
                     tag = int(kv["tag"])
                     if tag not in cid_by_tag:
@@ -606,7 +605,6 @@ def parse_plan(text: str) -> CommPlan:
         scatter_arity=scatter_arity,
         fields=tuple(fields),
         block_extents=block_extents,
-        field_maps=field_maps,
         channels=channels,
         events={node: evs for node, evs in sorted(events.items())},
     )

@@ -53,7 +53,6 @@ __all__ = [
     "inverse",
     "lexmin",
     "lexmax",
-    "lex_lt_prefix",
     "transitive_closure",
     "select_lex_extreme",
 ]
@@ -1390,11 +1389,6 @@ def lexmax(a: IntSet) -> tuple[int, ...]:
     if best is None:
         raise EmptySet("lexmax of empty set")
     return best
-
-
-def lex_lt_prefix(a: Sequence[int], b: Sequence[int], length: int) -> bool:
-    """Strict lexicographic comparison of the first `length` components."""
-    return tuple(a[:length]) < tuple(b[:length])
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ lexicographically smallest node any dependence neighbor runs on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import IndivisibleExtent, UnsatisfiablePlacement, ValidationError
 from .deps import DepGraph, FlowFamily
@@ -20,7 +21,6 @@ from .isets import (
     DivTerm,
     IntMap,
     IntSet,
-    apply,
     embed_pieces,
     compose,
     enumerate_set,
@@ -73,10 +73,21 @@ def block_box(node, blocks) -> tuple[tuple[int, int], ...]:
 class StmtPlacement:
     maps: dict  # statement id -> IntMap (domain -> grid)
 
+    @cached_property
+    def table(self) -> dict:
+        """Statement id -> instance -> sorted executing nodes, enumerated once."""
+        out: dict = {}
+        for sid, m in self.maps.items():
+            rows: dict = {}
+            for pt in enumerate_set(m.as_set()):
+                rows.setdefault(pt[: m.n_in], []).append(pt[m.n_in :])
+            for nodes in rows.values():
+                nodes.sort()
+            out[sid] = rows
+        return out
+
     def nodes(self, stmt: str, point) -> list[tuple[int, ...]]:
-        m = self.maps[stmt]
-        src = IntSet.from_points(m.dom, [tuple(point)])
-        return enumerate_set(apply(m, src))
+        return self.table[stmt].get(tuple(point), [])
 
 
 def block_distribute(fields, grid: ClusterGrid) -> FieldPlacement:

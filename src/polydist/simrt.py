@@ -129,12 +129,26 @@ class SimState:
 
 
 def init_runtime(plan: CommPlan, grid, init: dict) -> SimState:
-    """Build nodes and channels; abort on geometry mismatch.  Each node
-    stores the block of every field that block distribution homes on it."""
+    """Build nodes and channels; abort on geometry mismatch.  The plan's
+    fields must be the contents' fields, with the same element types and
+    extents.  Each node stores the block of every field that block
+    distribution homes on it."""
     grid_extents = tuple(grid.extents) if hasattr(grid, "extents") else tuple(grid)
     if grid_extents != tuple(plan.grid):
         raise GeometryMismatch(f"plan compiled for {plan.grid}, running on {grid_extents}")
     fields = {n: FieldDecl(name=n, element_type=t, extents=tuple(e)) for n, t, e in plan.fields}
+    for name, fld in fields.items():
+        if name not in init:
+            raise GeometryMismatch(f"plan field {name} is not a field of the contents")
+        arr = init[name]
+        if arr.dtype != fld.dtype or arr.shape != fld.extents:
+            raise GeometryMismatch(
+                f"plan field {name} is {fld.element_type} {fld.extents}, "
+                f"the contents' {name} is {arr.dtype} {arr.shape}"
+            )
+    for name in init:
+        if name not in fields:
+            raise GeometryMismatch(f"field {name} of the contents is missing from the plan")
     nodes = {}
     for coord in itertools.product(*[range(e) for e in grid_extents]):
         storage = {}

@@ -154,3 +154,91 @@ def ref_closure(pairs, n):
         if not new:
             return sorted(a + b for a, b in closure)
         closure |= new
+
+
+# -- analysis oracles ---------------------------------------------------------
+
+
+def validate_chunking(phi, dep) -> bool:
+    """True iff applying phi to both sides of the transitive closure of all
+    flows yields an irreflexive relation: no dependence path may connect
+    two instances of the same chunk."""
+    from polydist.isets import enumerate_set
+
+    adj: dict = {}
+    for gid, ig, cid, ic in dep.instance_edges():
+        adj.setdefault((gid, ig), []).append((cid, ic))
+    chunks: dict = {}
+    for pt in enumerate_set(dep.scop.statement(phi.consumer).domain):
+        chunks.setdefault(phi.apply_point(pt), set()).add(pt)
+    for members in chunks.values():
+        # any path of length >= 1 from a member to a member invalidates phi
+        frontier = []
+        seen = set()
+        for pt in members:
+            for nxt in adj.get((phi.consumer, pt), ()):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+        while frontier:
+            sid, pt = frontier.pop()
+            if sid == phi.consumer and pt in members:
+                return False
+            for nxt in adj.get((sid, pt), ()):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+    return True
+
+
+def strict_prefix_holds_symbolic(scop, fam, level: int) -> bool:
+    """Every family pair: producer scatter prefix strictly below consumer's,
+    decided by emptiness of the violating constraint sets over fam.rel."""
+    from polydist.isets import is_empty
+
+    prod = scop.statement(fam.producer)
+    cons = scop.statement(fam.consumer)
+    n_g, n_c, n_k = fam.n_prod, fam.n_cons, fam.n_elem
+    arity = n_g + n_c + n_k
+    theta_g = [e.remap(list(range(n_g)), arity) for e in prod.schedule_exprs]
+    theta_c = [e.remap([n_g + i for i in range(n_c)], arity) for e in cons.schedule_exprs]
+    # violation: NOT (prefix_l(theta_g) <lex prefix_l(theta_c))
+    violation_alternatives = [[eq0(theta_g[t] - theta_c[t]) for t in range(level)]]
+    for t in range(level):
+        alt = [eq0(theta_g[u] - theta_c[u]) for u in range(t)]
+        alt.append(ge0(theta_g[t] - theta_c[t].plus_const(1)))
+        violation_alternatives.append(alt)
+    for piece in fam.rel.pieces:
+        for alt in violation_alternatives:
+            bad = IntSet.make(fam.rel.space, [tuple(piece) + tuple(alt)], check=False)
+            if not is_empty(bad):
+                return False
+    return True
+
+
+def global_order_holds_symbolic(scop, fam) -> bool:
+    """All producers of the family run before all of its consumers, by the
+    lexmax/lexmin of the projected instance sets' scatter images."""
+    from polydist.isets import apply, lexmax, lexmin, project_pieces
+
+    prod = scop.statement(fam.producer)
+    cons = scop.statement(fam.consumer)
+    arity = fam.n_prod + fam.n_cons + fam.n_elem
+    prod_pieces = project_pieces(arity, fam.rel.pieces, list(range(fam.n_prod, arity)))
+    cons_pieces = project_pieces(
+        arity,
+        fam.rel.pieces,
+        list(range(fam.n_prod)) + list(range(fam.n_prod + fam.n_cons, arity)),
+    )
+    sched = scop.scatter_space
+    tg = apply(prod.schedule(sched), IntSet.make(prod.space, prod_pieces, check=False))
+    tc = apply(cons.schedule(sched), IntSet.make(cons.space, cons_pieces, check=False))
+    return lexmax(tg) < lexmin(tc)
+
+
+def stmt_nodes(sp, stmt: str, point) -> list:
+    """Executing nodes of one instance by applying its placement map."""
+    from polydist.isets import apply, enumerate_set
+
+    m = sp.maps[stmt]
+    return enumerate_set(apply(m, IntSet.from_points(m.dom, [tuple(point)])))

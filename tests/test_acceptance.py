@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from polydist.chunking import ChunkingFn, validate_chunking
+from polydist.chunking import ChunkingFn
 from polydist.commgen import build_transfers, compile_plan
 from polydist.deps import EPILOGUE, PROLOGUE
 from polydist.fields import contents_equal, random_contents
@@ -19,7 +19,7 @@ from polydist.scopio import parse_scop, parse_scop_file
 from polydist.simrt import init_runtime, run
 
 from dep_oracle import brute_force_flows
-from oracle import run_algebra_case
+from oracle import run_algebra_case, validate_chunking
 
 
 def report(number: int, label: str, failures: list):

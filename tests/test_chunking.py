@@ -1,12 +1,124 @@
+import dataclasses
 import json
 
 import pytest
 
-from polydist.chunking import ChunkingFn, chunk_all, chunk_heuristic, dump_chunks, validate_chunking
+from oracle import global_order_holds_symbolic, strict_prefix_holds_symbolic, validate_chunking
+from polydist.chunking import (
+    ChunkingFn,
+    _order_summary,
+    _strict_prefix_holds,
+    chunk_all,
+    chunk_heuristic,
+    dump_chunks,
+)
 from polydist.deps import add_virtual_statements, compute_flow
-from polydist.isets import IntMap, enumerate_set, map_union, transitive_closure
+from polydist.isets import (
+    IntMap,
+    IntSet,
+    embed_pieces,
+    enumerate_set,
+    map_union,
+    transitive_closure,
+)
 from polydist.scop import isolate_accesses
 from polydist.scopio import parse_scop, parse_scop_file
+
+
+CHAIN = {
+    "name": "chain",
+    "grid": [1],
+    "scatter_arity": 2,
+    "fields": [{"name": "a", "type": "int64", "extents": [8]}],
+    "functions": {},
+    "statements": [
+        {
+            "id": "W",
+            "domain": "{ [x] : 1 <= x < 8 }",
+            "schedule": "{ [x] -> [0,x] }",
+            "accesses": [
+                {"field": "a", "kind": "read", "index": ["x-1"]},
+                {"field": "a", "kind": "write", "index": ["x"]},
+            ],
+            "body": ["add", ["access", 0], ["int", 1]],
+        }
+    ],
+}
+
+
+STRAIGHT = {
+    "name": "straight",
+    "grid": [1],
+    "scatter_arity": 1,
+    "fields": [{"name": "a", "type": "int64", "extents": [4]}],
+    "functions": {},
+    "statements": [
+        {
+            "id": "G",
+            "domain": "{ [x] : 0 <= x < 4 }",
+            "schedule": "{ [x] -> [x] }",
+            "accesses": [{"field": "a", "kind": "write", "index": ["x"]}],
+            "body": ["int", 7],
+        },
+        {
+            "id": "C",
+            "domain": "{ [x] : 0 <= x < 4 }",
+            "schedule": "{ [x] -> [x+4] }",
+            "accesses": [{"field": "a", "kind": "read", "index": ["x"]}],
+            "body": ["access", 0],
+            "scalar_writes": ["v"],
+        },
+    ],
+}
+
+
+TWO = {
+    "name": "two",
+    "grid": [1],
+    "scatter_arity": 2,
+    "fields": [{"name": "a", "type": "int64", "extents": [6]}],
+    "functions": {},
+    "statements": [
+        {
+            "id": "W",
+            "domain": "{ [x] : 1 <= x < 6 }",
+            "schedule": "{ [x] -> [x,0] }",
+            "accesses": [
+                {"field": "a", "kind": "read", "index": ["x-1"]},
+                {"field": "a", "kind": "write", "index": ["x"]},
+            ],
+            "body": ["access", 0],
+        }
+    ],
+}
+
+
+# R[0] follows W[0] only at the innermost scatter level, every other R[x]
+# follows its producer at the outermost level
+MIXED = {
+    "name": "mixed",
+    "grid": [1],
+    "scatter_arity": 3,
+    "fields": [{"name": "a", "type": "int64", "extents": [4]}],
+    "functions": {},
+    "statements": [
+        {
+            "id": "W",
+            "domain": "{ [x] : 0 <= x < 4 }",
+            "schedule": "{ [x] -> [0,x,0] }",
+            "accesses": [{"field": "a", "kind": "write", "index": ["x"]}],
+            "body": ["int", 7],
+        },
+        {
+            "id": "R",
+            "domain": "{ [x] : 0 <= x < 4 }",
+            "schedule": "{ [x] -> [x,0,1] }",
+            "accesses": [{"field": "a", "kind": "read", "index": ["x"]}],
+            "body": ["access", 0],
+            "scalar_writes": ["v"],
+        },
+    ],
+}
 
 
 @pytest.fixture(scope="module")
@@ -33,7 +145,7 @@ def test_stencil_family_level_two(gol16_dep):
 def test_stencil_family_minimality(gol16_dep):
     # level 1 must fail at least one of the two conditions
     fam = fam_of(gol16_dep, "S2.2", "S1.1")
-    from polydist.chunking import _collapsed_has_cycle, _strict_prefix_holds
+    from polydist.chunking import _collapsed_has_cycle
 
     cons = gol16_dep.scop.statement("S1.1")
     level1_ok = _strict_prefix_holds(gol16_dep.scop, fam, 1)
@@ -69,26 +181,7 @@ def test_same_iteration_family_level_three(gol16_dep):
 
 
 def test_identity_on_self_feeding_loop():
-    doc = {
-        "name": "chain",
-        "grid": [1],
-        "scatter_arity": 2,
-        "fields": [{"name": "a", "type": "int64", "extents": [8]}],
-        "functions": {},
-        "statements": [
-            {
-                "id": "W",
-                "domain": "{ [x] : 1 <= x < 8 }",
-                "schedule": "{ [x] -> [0,x] }",
-                "accesses": [
-                    {"field": "a", "kind": "read", "index": ["x-1"]},
-                    {"field": "a", "kind": "write", "index": ["x"]},
-                ],
-                "body": ["add", ["access", 0], ["int", 1]],
-            }
-        ],
-    }
-    scop = parse_scop(json.dumps(doc))
+    scop = parse_scop(json.dumps(CHAIN))
     virt = add_virtual_statements(scop)
     dep = compute_flow(virt)
     fam = next(f for f in dep.intra_field_families())
@@ -103,31 +196,7 @@ def test_identity_on_self_feeding_loop():
 
 
 def test_straight_line_level_zero():
-    doc = {
-        "name": "straight",
-        "grid": [1],
-        "scatter_arity": 1,
-        "fields": [{"name": "a", "type": "int64", "extents": [4]}],
-        "functions": {},
-        "statements": [
-            {
-                "id": "G",
-                "domain": "{ [x] : 0 <= x < 4 }",
-                "schedule": "{ [x] -> [x] }",
-                "accesses": [{"field": "a", "kind": "write", "index": ["x"]}],
-                "body": ["int", 7],
-            },
-            {
-                "id": "C",
-                "domain": "{ [x] : 0 <= x < 4 }",
-                "schedule": "{ [x] -> [x+4] }",
-                "accesses": [{"field": "a", "kind": "read", "index": ["x"]}],
-                "body": ["access", 0],
-                "scalar_writes": ["v"],
-            },
-        ],
-    }
-    scop = parse_scop(json.dumps(doc))
+    scop = parse_scop(json.dumps(STRAIGHT))
     virt = add_virtual_statements(scop)
     dep = compute_flow(virt)
     fam = next(f for f in dep.intra_field_families())
@@ -154,26 +223,7 @@ def test_validate_collapse_producer_consumer_false(gol16_dep):
 
 def test_validity_against_symbolic_closure():
     # cross-check the graph-quotient validity with the symbolic closure
-    doc = {
-        "name": "two",
-        "grid": [1],
-        "scatter_arity": 2,
-        "fields": [{"name": "a", "type": "int64", "extents": [6]}],
-        "functions": {},
-        "statements": [
-            {
-                "id": "W",
-                "domain": "{ [x] : 1 <= x < 6 }",
-                "schedule": "{ [x] -> [x,0] }",
-                "accesses": [
-                    {"field": "a", "kind": "read", "index": ["x-1"]},
-                    {"field": "a", "kind": "write", "index": ["x"]},
-                ],
-                "body": ["access", 0],
-            }
-        ],
-    }
-    scop = parse_scop(json.dumps(doc))
+    scop = parse_scop(json.dumps(TWO))
     virt = add_virtual_statements(scop)
     dep = compute_flow(virt)
     s = scop.statement("W")
@@ -207,3 +257,47 @@ def test_dump_format(gol16_dep):
     text = dump_chunks(gol16_dep, chunks)
     assert "chunk S1.1 level=2 phi={ S1.1[i, x, y] -> S1.1[i, 0, 0] }" in text
     assert text == dump_chunks(gol16_dep, chunks)
+
+
+def _synthetic_dep(doc):
+    return compute_flow(add_virtual_statements(parse_scop(json.dumps(doc))))
+
+
+def _reversed(fam):
+    """The family with producer and consumer swapped: every producer now
+    runs after its consumer, so no order condition may hold."""
+    n_g, n_c = fam.n_prod, fam.n_cons
+    arity = fam.rel.arity
+    swap = [n_c + i for i in range(n_g)] + list(range(n_c)) + list(range(n_g + n_c, arity))
+    rel = IntSet(fam.rel.space, tuple(embed_pieces(fam.rel.pieces, swap, arity)))
+    return dataclasses.replace(
+        fam,
+        producer=fam.consumer,
+        consumer=fam.producer,
+        rel=rel,
+        prod_space=fam.cons_space,
+        cons_space=fam.prod_space,
+    )
+
+
+@pytest.mark.parametrize("name", ["gol16", "gol16_fused", "chain", "straight", "two", "mixed"])
+def test_order_checks_match_symbolic(name, scops_dir):
+    # the one-pass order checks agree with the symbolic ones on every
+    # intra-field family and its reverse, at level 0 and every deeper level
+    if name.startswith("gol16"):
+        scop = parse_scop_file(scops_dir / f"{name}.scop")
+        dep = compute_flow(add_virtual_statements(isolate_accesses(scop)))
+    else:
+        docs = {"chain": CHAIN, "straight": STRAIGHT, "two": TWO, "mixed": MIXED}
+        dep = _synthetic_dep(docs[name])
+    scop = dep.scop
+    families = dep.intra_field_families()
+    assert families
+    for fam in families + [_reversed(f) for f in families]:
+        where = (fam.producer, fam.consumer, fam.ref)
+        _, ordered = _order_summary(scop, fam)
+        assert ordered == global_order_holds_symbolic(scop, fam), where
+        for level in range(scop.scatter_arity):
+            assert _strict_prefix_holds(scop, fam, level) == strict_prefix_holds_symbolic(
+                scop, fam, level
+            ), (where, level)

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from polydist.cli import main
@@ -116,6 +117,26 @@ def test_simulate_edited_fieldmap_plan(gol16_path, tmp_path, capsys):
     assert rc == 1
     assert "fieldmap front differs from block distribution" in err
     assert "(line 3)" in err
+
+
+def test_simulate_dangling_channel_plan(gol16_path, tmp_path, capsys):
+    # an event naming a channel the plan does not declare is a parse error
+    invoke("plan", str(gol16_path), "--out", str(tmp_path))
+    lines = (tmp_path / "plan.txt").read_text().splitlines()
+    no = next(i for i, ln in enumerate(lines) if " kind=buffer_fill " in ln)
+    lines[no] = re.sub(r" cid=\d+", " cid=9999", lines[no])
+    rc, err = _simulate_with_plan_text(gol16_path, tmp_path, capsys, "\n".join(lines) + "\n")
+    assert rc == 1
+    assert f"unknown channel cid=9999 (line {no + 1})" in err
+
+
+def test_simulate_plan_for_other_fields(gol16_path, tmp_path, capsys):
+    # a plan whose fields are not the scop's is a validation error
+    invoke("plan", str(gol16_path), "--out", str(tmp_path))
+    text = (tmp_path / "plan.txt").read_text().replace("front", "fronx")
+    rc, err = _simulate_with_plan_text(gol16_path, tmp_path, capsys, text)
+    assert rc == 2
+    assert "plan field fronx is not a field of the contents" in err
 
 
 def test_simulate_writes_outputs(gol16_path, tmp_path):

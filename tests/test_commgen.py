@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from oracle import stmt_nodes
 from polydist.chunking import chunk_all
 from polydist.commgen import (
     BufferLayout,
@@ -30,9 +31,10 @@ from polydist.isets import (
     subtract,
     union,
 )
-from polydist.placement import block_distribute, place_statements
+from polydist.placement import StmtPlacement, block_distribute, place_statements
 from polydist.scop import isolate_accesses
 from polydist.scopio import parse_scop, parse_scop_file
+from polydist.syntax import parse_map
 
 
 @pytest.fixture(scope="module")
@@ -59,11 +61,11 @@ def brute_force_transfers(dep, sp, fp):
             if fam.producer == PROLOGUE:
                 prod_nodes = [tuple(h) for h in fp.homes(fam.ref, k)]
             else:
-                prod_nodes = [tuple(p) for p in sp.nodes(fam.producer, ig)]
+                prod_nodes = stmt_nodes(sp, fam.producer, ig)
             if fam.consumer == EPILOGUE:
                 cons_nodes = [tuple(h) for h in fp.homes(fam.ref, k)]
             else:
-                cons_nodes = [tuple(p) for p in sp.nodes(fam.consumer, ic)]
+                cons_nodes = stmt_nodes(sp, fam.consumer, ic)
             for pc in cons_nodes:
                 pg = pc if pc in prod_nodes else min(prod_nodes)
                 rows.add((ig, pg, ic, pc, k))
@@ -195,9 +197,11 @@ def test_boundary_buffer_size_seven(gol16_ctx):
     assert sizes == {((0, 0), (1, 0)): 7, ((0, 1), (1, 1)): 7}
 
 
-def test_multi_home_producer_prefers_consumer_node():
-    # a 2-node synthetic with a redundantly executed producer: the transfer
-    # must pick the copy on the consumer's node
+@pytest.fixture
+def multi_ctx():
+    """A 2-node synthetic and three placements of its one DepGraph: the
+    computed one, one executing producer G redundantly on both nodes and
+    one executing G on the node that does not home its element."""
     doc = {
         "name": "multi",
         "grid": [2],
@@ -236,29 +240,44 @@ def test_multi_home_producer_prefers_consumer_node():
     dep = compute_flow(virt)
     fp = block_distribute(virt.fields, virt.grid)
     sp = place_statements(virt, dep, fp)
-    # force redundant execution of G on both nodes
-    from polydist.isets import IntMap, embed_pieces
+    g, grid = virt.statement("G"), virt.grid.space
+    both = parse_map("{ [x] -> [p] : 0 <= x < 8 and 0 <= p < 2 }", dom=g.space, ran=grid)
+    away = parse_map("{ [x] -> [1 - floor(x/4)] : 0 <= x < 8 }", dom=g.space, ran=grid)
+    placements = {
+        "computed": sp,
+        "redundant": StmtPlacement(maps={**sp.maps, "G": both}),
+        "away": StmtPlacement(maps={**sp.maps, "G": away}),
+    }
+    return virt, dep, fp, placements, chunk_all(dep)
 
-    g = virt.statement("G")
-    both = IntMap.make(
-        g.space,
-        virt.grid.space,
-        [
-            p + q
-            for p in embed_pieces(g.domain.pieces, [0], 2)
-            for q in embed_pieces(virt.grid.node_set.pieces, [1], 2)
-        ],
-        check=False,
-    )
-    sp.maps["G"] = both
-    dep.__dict__.pop("_placement_nodes", None)
-    chunks = chunk_all(dep)
-    transfers = build_transfers(dep, sp, fp, chunks)
+
+def test_multi_home_producer_prefers_consumer_node(multi_ctx):
+    # with G on both nodes, the transfer must pick the copy on the consumer's node
+    virt, dep, fp, placements, chunks = multi_ctx
+    redundant = placements["redundant"]
+    transfers = build_transfers(dep, redundant, fp, chunks)
     fam = transfers["flow:G->C:a"]
     assert fam, "flow family missing"
     for t in fam:
         assert t.producer_node == t.consumer_node  # redundant copy selected
-    assert_symbolic_selection(dep, sp, fp, transfers, virt.grid.arity)
+    assert_symbolic_selection(dep, redundant, fp, transfers, virt.grid.arity)
+
+
+def test_placements_of_one_depgraph_resolve_separately(multi_ctx):
+    # each placement of the same DepGraph resolves transfers from its own
+    # nodes, whichever placement was resolved before it
+    virt, dep, fp, placements, chunks = multi_ctx
+    producers = {}
+    for name in ("computed", "away", "redundant", "computed"):
+        sp = placements[name]
+        transfers = build_transfers(dep, sp, fp, chunks)
+        for t in transfers["flow:G->C:a"]:
+            assert t.consumer_node in stmt_nodes(sp, "C", t.consumer_instance), name
+            prod_nodes = stmt_nodes(sp, "G", t.producer_instance)
+            pc = t.consumer_node
+            assert t.producer_node == (pc if pc in prod_nodes else min(prod_nodes)), name
+        producers[name] = {(t.producer_instance, t.producer_node) for t in transfers["flow:G->C:a"]}
+    assert len({frozenset(v) for v in producers.values()}) == 3
 
 
 def test_buffer_rank_examples():
@@ -449,6 +468,26 @@ MALFORMED_PLANS = {
         lambda ln: " kind=send " in ln,
         lambda ln: re.sub(r" tag=\d+", " tag=9999", ln),
         "unknown tag 9999",
+    ),
+    "dangling_fill_cid": (
+        lambda ln: " kind=buffer_fill " in ln,
+        lambda ln: re.sub(r" cid=\d+", " cid=9999", ln),
+        "unknown channel cid=9999",
+    ),
+    "dangling_fill_rank": (
+        lambda ln: " kind=buffer_fill " in ln,
+        lambda ln: re.sub(r" rank=\d+", " rank=99999", ln),
+        "rank 99999 outside",
+    ),
+    "dangling_read": (
+        lambda ln: " read=buf:" in ln,
+        lambda ln: re.sub(r" read=buf:\d+@", " read=buf:9999@", ln),
+        "unknown channel cid=9999",
+    ),
+    "dangling_write": (
+        lambda ln: "+buf:" in ln,
+        lambda ln: re.sub(r"\+buf:\d+@\d+", "+buf:0@99999", ln, count=1),
+        "rank 99999 outside",
     ),
     "edited_block": (
         lambda ln: ln.startswith("field front"),

@@ -12,7 +12,6 @@ from polydist.isets import (
     intersect,
     inverse,
     is_empty,
-    lex_lt_prefix,
     lexmax,
     lexmin,
     map_union,
@@ -133,12 +132,6 @@ def test_lexmin_nonbox():
     pts = enumerate_set(s)
     assert lexmin(s) == min(pts)
     assert lexmax(s) == max(pts)
-
-
-def test_lex_lt_prefix():
-    assert lex_lt_prefix((0, 3, 9), (0, 4, 0), 2)
-    assert not lex_lt_prefix((0, 4, 9), (0, 4, 0), 2)
-    assert not lex_lt_prefix((1, 0), (1, 0), 2)
 
 
 def test_transitive_closure_adds_pair():

@@ -21,7 +21,6 @@ from polydist.placement import block_distribute, place_statements
 from polydist.scop import ClusterGrid, isolate_accesses, sequential_execute
 from polydist.scopio import parse_scop
 from polydist.simrt import init_runtime, run
-from polydist.syntax import parse_map
 
 
 def build(gol16_path, grid=None):
@@ -224,9 +223,9 @@ def test_local_rank(gol16_built):
 
 
 def test_multi_home_plan_rejected(tmp_path, capsys):
-    # a hand-built plan whose fieldmap homes f on both nodes of a 1-d grid
-    # while block=(4,) homes it on one: a plan file cannot carry a placement
-    # other than block distribution, so no element ever has two homes
+    # a plan whose fieldmap line homes f on both nodes of a 1-d grid while
+    # block distribution homes each element on one: a plan file cannot carry
+    # a placement other than block distribution, so no element has two homes
     doc = {
         "name": "homes",
         "grid": [2],
@@ -235,19 +234,20 @@ def test_multi_home_plan_rejected(tmp_path, capsys):
         "functions": {},
         "statements": [],
     }
-    both = parse_map("{ [k] -> [p] : 0 <= k < 4 and 0 <= p < 2 }")
     plan = CommPlan(
         name="homes",
         grid=(2,),
         scatter_arity=1,
         fields=(("f", "int64", (4,)),),
-        block_extents={"f": (4,)},
-        field_maps={"f": both},
+        block_extents={"f": (2,)},
         channels=[],
         events={},
     )
-    text = dump_plan(plan)
-    with pytest.raises(ParseError):
+    lines = dump_plan(plan).splitlines()
+    assert lines[2].startswith("fieldmap f ")
+    lines[2] = "fieldmap f { f[k0] -> P[p0] : 0 <= k0 <= 3 and 0 <= p0 <= 1 }"
+    text = "\n".join(lines) + "\n"
+    with pytest.raises(ParseError, match="fieldmap f differs"):
         parse_plan(text)
     scop_file = tmp_path / "homes.scop"
     scop_file.write_text(json.dumps(doc))
@@ -255,6 +255,28 @@ def test_multi_home_plan_rejected(tmp_path, capsys):
     plan_file.write_text(text)
     assert main(["verify", str(scop_file), "--plan", str(plan_file)]) == 1
     assert "parse error" in capsys.readouterr().err
+
+
+# case -> plan.fields edit, field named in the message
+FIELD_MISMATCHES = {
+    "renamed": (lambda n, t, e: ("fronx" if n == "front" else n, t, e), "fronx"),
+    "element_type": (lambda n, t, e: (n, "int64" if n == "front" else t, e), "front"),
+    "extents": (lambda n, t, e: (n, t, (32, 16) if n == "back" else e), "back"),
+    "missing": (None, "back"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FIELD_MISMATCHES))
+def test_plan_fields_must_match_contents(gol16_built, case):
+    scop, virt, plan = gol16_built
+    edit, named = FIELD_MISMATCHES[case]
+    if edit is None:
+        fields = tuple(f for f in plan.fields if f[0] != named)
+    else:
+        fields = tuple(edit(*f) for f in plan.fields)
+    bad = dataclasses.replace(plan, fields=fields)
+    with pytest.raises(GeometryMismatch, match=f"field {named} "):
+        init_runtime(bad, virt.grid, zero_contents(scop))
 
 
 def test_trace_text_stable(gol16_built):
