@@ -28,7 +28,6 @@ from .isets import (
     lexmax,
     lexmin,
     subtract,
-    transitive_closure,
     union,
 )
 from .pipeline import Analysis, analyze_scop, plan_scop
@@ -95,6 +94,5 @@ __all__ = [
     "run",
     "sequential_execute",
     "subtract",
-    "transitive_closure",
     "union",
 ]

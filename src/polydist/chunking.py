@@ -15,7 +15,7 @@ All three conditions are checked on enumerated instances.  The two order
 conditions come from one pass over the family's pairs, and collapsing is
 a quotient of the enumerated instance graph, where cycle detection is
 exact on these finite scops.  The symbolic order checks and the symbolic
-transitive closure in the set kernel are the test-side cross-checks.
+transitive closure in ``tests/oracle.py`` are the test-side cross-checks.
 """
 
 from __future__ import annotations

@@ -14,11 +14,10 @@ from .commgen import dump_plan, parse_plan
 from .deps import add_virtual_statements
 from .errors import (
     AnalysisError,
-    BufferStateViolation,
-    DeadlockDetected,
     GeometryMismatch,
     ParseError,
     PolydistError,
+    SimulationFault,
     ValidationError,
 )
 from .fields import dump_contents, first_divergence, load_contents, random_contents
@@ -127,7 +126,7 @@ def cmd_verify(args) -> int:
     try:
         sim = init_runtime(plan, virt.grid, init)
         final, trace = run(sim, virt)
-    except (DeadlockDetected, BufferStateViolation) as e:
+    except SimulationFault as e:
         print(f"verify: FAIL ({type(e).__name__}: {e})")
         return EXIT_VERIFY
     if _wanted(args, "trace"):
@@ -183,6 +182,9 @@ def main(argv=None) -> int:
     except (ValidationError, GeometryMismatch) as e:
         print(f"validation error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
+    except SimulationFault as e:
+        print(f"simulation fault: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_VERIFY
     except (AnalysisError, PolydistError) as e:
         print(f"analysis error: {e}", file=sys.stderr)
         return EXIT_ANALYSIS

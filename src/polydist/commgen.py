@@ -502,8 +502,9 @@ def parse_plan(text: str) -> CommPlan:
     extents over the grid, and every ``block=`` and ``fieldmap`` entry must
     match it, so a parsed plan homes each element on exactly one node.
     Channels must be numbered in order and name a declared field, and every
-    event's channel and buffer rank must exist.  Malformed input raises
-    ParseError with the 1-based line number."""
+    event's channel and buffer rank must exist.  Every event node and
+    channel end must lie in the grid.  Malformed input raises ParseError
+    with the 1-based line number."""
     numbered = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not numbered:
         raise ParseError("empty plan file", line=1)
@@ -513,6 +514,15 @@ def parse_plan(text: str) -> CommPlan:
     channels = []
     events: dict = {}
     cid_by_tag: dict = {}
+
+    def on_grid(key: str, text: str) -> tuple:
+        node = _parse_tuple(text)
+        if len(node) != len(grid.extents) or not all(
+            0 <= v < e for v, e in zip(node, grid.extents)
+        ):
+            raise ValueError(f"{key}={_fmt_tuple(node)} outside grid {_fmt_tuple(grid.extents)}")
+        return node
+
     for i, (no, ln) in enumerate(numbered):
         parts = ln.split()
         kv = dict(p.split("=", 1) for p in parts[1:] if "=" in p)
@@ -561,8 +571,8 @@ def parse_plan(text: str) -> CommPlan:
                 ch = Channel(
                     cid=cid,
                     family=kv["family"],
-                    src=_parse_tuple(kv["src"]),
-                    dst=_parse_tuple(kv["dst"]),
+                    src=on_grid("src", kv["src"]),
+                    dst=on_grid("dst", kv["dst"]),
                     tag=int(kv["tag"]),
                     layout=BufferLayout(fieldname=fieldname, box=box),
                     element_type=kv["elem"],
@@ -570,7 +580,7 @@ def parse_plan(text: str) -> CommPlan:
                 channels.append(ch)
                 cid_by_tag[ch.tag] = ch.cid
             elif parts[0].startswith("node="):
-                node = _parse_tuple(parts[0].split("=", 1)[1])
+                node = on_grid("node", parts[0].split("=", 1)[1])
                 scatter = _parse_tuple(kv["t"])
                 kind = kv["kind"]
                 if kind == "compute":

@@ -66,23 +66,23 @@ class EvaluationError(PolydistError):
 
 
 class GeometryMismatch(PolydistError):
-    """A plan was initialized on a grid it was not compiled for."""
+    """A plan does not fit the grid, fields or statements it is run with."""
 
 
-class DeadlockDetected(PolydistError):
+class SimulationFault(PolydistError):
+    """Base class for faults the simulator detects while running a plan."""
+
+
+class DeadlockDetected(SimulationFault):
     """All simulated nodes are blocked and no message can be delivered."""
 
 
-class BufferStateViolation(PolydistError):
+class BufferStateViolation(SimulationFault):
     """A communication buffer was used in an illegal state."""
 
 
-class IndexOutOfBounds(PolydistError):
-    """A field element index lies outside the field's index set."""
-
-
-class NotLocal(PolydistError):
-    """A local-rank query for an element not homed on the queried node."""
+class NotLocal(SimulationFault):
+    """A node accessed a field element outside its home box."""
 
 
 class OutOfHull(PolydistError):

@@ -53,7 +53,6 @@ __all__ = [
     "inverse",
     "lexmin",
     "lexmax",
-    "transitive_closure",
     "select_lex_extreme",
 ]
 
@@ -330,10 +329,6 @@ class Constraint:
     def key(self):
         return (self.is_eq, self.expr.key())
 
-    def holds(self, point: Sequence[int]) -> bool:
-        v = self.expr.evaluate(point)
-        return v == 0 if self.is_eq else v >= 0
-
 
 def ge0(expr: AffineExpr) -> Constraint:
     return Constraint(expr, False)
@@ -398,6 +393,44 @@ def _normalize_constraint(c: Constraint) -> Optional[Constraint]:
 FALSE = Constraint(AffineExpr((), -1), False)  # sentinel: unsatisfiable
 
 
+def _interval_groups(constraints: Iterable[Constraint]) -> list[list]:
+    """Fold constraints sharing one linear part into 'lo <= canon <= hi'.
+
+    canon is the part without its constant, signed so that its leading
+    coefficient is positive.  One [canon, lo, hi, members] per linear part,
+    in order of first appearance, with lo/hi None when that side is
+    unconstrained.
+    """
+    groups: dict[tuple, list] = {}
+    for c in constraints:
+        base = AffineExpr(c.expr.coeffs, 0, c.expr.divs)
+        sign = 1 if next(iter(_all_coeffs(base)), 0) > 0 else -1
+        canon = base if sign > 0 else base.scale(-1)
+        key = canon.key()
+        entry = groups.get(key)
+        if entry is None:
+            entry = groups[key] = [canon, None, None, []]
+        v = -c.expr.const * sign  # c.expr == sign * (canon - v)
+        if c.is_eq or sign > 0:  # canon >= v
+            entry[1] = v if entry[1] is None else max(entry[1], v)
+        if c.is_eq or sign < 0:  # canon <= v
+            entry[2] = v if entry[2] is None else min(entry[2], v)
+        entry[3].append(c)
+    return list(groups.values())
+
+
+def _interval_constraints(canon: AffineExpr, lo, hi) -> list[Constraint]:
+    """lo <= canon <= hi as constraints: one equality when lo == hi."""
+    if lo is not None and lo == hi:
+        return [eq0(canon.plus_const(-lo))]
+    out = []
+    if lo is not None:
+        out.append(ge0(canon.plus_const(-lo)))
+    if hi is not None:
+        out.append(ge0(canon.scale(-1).plus_const(hi)))
+    return out
+
+
 def normalize_piece(constraints: Iterable[Constraint]) -> Optional[Piece]:
     """Canonicalize a conjunction; None when it is syntactically false.
 
@@ -405,54 +438,20 @@ def normalize_piece(constraints: Iterable[Constraint]) -> Optional[Piece]:
     opposite inequalities become an equality, dominated bounds are
     dropped, and contradictions are detected here.
     """
-    groups: dict[tuple, list] = {}
-    order: list[tuple] = []
+    normalized = []
     for c in constraints:
         n = _normalize_constraint(c)
-        if n is None:
-            continue
         if n is FALSE:
             return None
-        base = AffineExpr(n.expr.coeffs, 0, n.expr.divs)
-        lead = next(iter(_all_coeffs(base)), 0)
-        sign = 1 if lead > 0 else -1
-        canon = base if sign > 0 else base.scale(-1)
-        key = canon.key()
-        if key not in groups:
-            groups[key] = [canon, None, None]  # canon, lo, hi
-            order.append(key)
-        entry = groups[key]
-        const = n.expr.const
-        if n.is_eq:
-            v = -const * sign
-            entry[1] = v if entry[1] is None else max(entry[1], v)
-            entry[2] = v if entry[2] is None else min(entry[2], v)
-        elif sign > 0:
-            v = -const
-            entry[1] = v if entry[1] is None else max(entry[1], v)
-        else:
-            v = const
-            entry[2] = v if entry[2] is None else min(entry[2], v)
+        if n is not None:
+            normalized.append(n)
     out = {}
-    for key in order:
-        canon, lo, hi = groups[key]
+    for canon, lo, hi, _ in _interval_groups(normalized):
         if lo is not None and hi is not None and lo > hi:
             return None
-        emit = []
-        if lo is not None and lo == hi:
-            emit.append(eq0(canon.plus_const(-lo)))
-        else:
-            if lo is not None:
-                emit.append(ge0(canon.plus_const(-lo)))
-            if hi is not None:
-                emit.append(ge0(canon.scale(-1).plus_const(hi)))
-        for c in emit:
+        for c in _interval_constraints(canon, lo, hi):
             out[c.key()] = c
     return tuple(out[k] for k in sorted(out))
-
-
-def piece_holds(piece: Piece, point: Sequence[int]) -> bool:
-    return all(c.holds(point) for c in piece)
 
 
 # ---------------------------------------------------------------------------
@@ -692,10 +691,9 @@ def _scan_program(arity: int, piece: Piece) -> Optional[_ScanProgram]:
     Each equality with a unit coefficient on a dimension outside its floor
     divisions defines that dimension from the others (the highest such
     dimension that closes no cycle).  The remaining free dimensions span
-    the box to scan; every other constraint is checked point by point.
-    None when an equality with a floor division is left over, when a
-    dimension is unbounded (the search reports that), or when int64
-    evaluation could overflow.
+    the box to scan; every other constraint, floor divisions included, is
+    checked point by point.  None when a dimension is unbounded (the search
+    reports that) or when int64 evaluation could overflow.
     """
     bounds = propagate(arity, piece)
     if any(lo is None or hi is None for lo, hi in bounds):
@@ -738,8 +736,6 @@ def _scan_program(arity: int, piece: Piece) -> Optional[_ScanProgram]:
                     steps[k] = ({j: -a * v for j, v in rest.items()}, -a * const, 1)
                     break
             else:
-                if any(j >= arity for j in row):
-                    return None
                 rows.append({j: -v for j, v in row.items()})
                 bases.append(-const)
                 rows.append(row)
@@ -826,130 +822,79 @@ def _scan_piece(arity: int, piece: Piece, cap: int):
     return np.concatenate(found)
 
 
-def _solve_piece(arity: int, piece: Piece, maximize: bool) -> Optional[tuple[int, ...]]:
-    """Lexicographic extreme point of a piece, or None when empty.
+def _search_piece(arity: int, piece: Piece, descending: bool):
+    """Points of a piece in lexicographic order, descending when asked.
 
-    Small boxes are scanned outright.  Otherwise: backtracking search, one
-    dimension at a time in lexicographic order, with interval propagation
-    pruning.  Exact either way.
+    Backtracking over the dimensions in order: each value is substituted
+    into the constraints, and interval propagation prunes empty subtrees.
+    Once every remaining constraint is linear in a single dimension, the
+    propagated bounds are exact and independent, so the rest of the
+    subtree is a box and is emitted wholesale.  Raises UnboundedSet when a
+    dimension to branch on or emit is unbounded.
     """
+    point = [0] * arity
+
+    def values(bounds, d):
+        lo, hi = bounds[d]
+        if lo is None or hi is None:
+            raise UnboundedSet(f"dimension {d} is unbounded")
+        return range(hi, lo - 1, -1) if descending else range(lo, hi + 1)
+
+    def rec(cons: Piece, d: int):
+        bounds = propagate(arity, cons)
+        if bounds is None:
+            return
+        if all(not c.expr.divs and sum(1 for x in c.expr.coeffs if x) <= 1 for c in cons):
+            for tail in itertools.product(*(values(bounds, k) for k in range(d, arity))):
+                point[d:] = tail
+                yield tuple(point)
+            return
+        for v in values(bounds, d):
+            nxt = []
+            for c in cons:
+                e = c.expr.assign_dim(d, v)
+                if not e.divs and not any(e.coeffs):
+                    if e.const != 0 if c.is_eq else e.const < 0:
+                        break
+                    continue  # trivially true after substitution
+                nxt.append(c if e is c.expr else Constraint(e, c.is_eq))
+            else:
+                point[d] = v
+                yield from rec(tuple(nxt), d + 1)
+
+    return rec(piece, 0)
+
+
+def _solve_piece(arity: int, piece: Piece, maximize: bool) -> Optional[tuple[int, ...]]:
+    """Lexicographic extreme point of a piece, or None when empty: the
+    extreme of the scanned points when the box is small, else the first
+    point of the search."""
     if propagate(arity, piece) is None:
         return None
     points = _scan_piece(arity, piece, _SOLVE_SCAN_CAP)
-    if points is not None:
-        if not len(points):
-            return None
-        for d in range(arity):
-            col = points[:, d]
-            points = points[col == (col.max() if maximize else col.min())]
-        return tuple(points[0].tolist())
-
-    def rec(cons: Piece, depth: int, prefix: tuple[int, ...]):
-        bounds = propagate(arity, cons)
-        if bounds is None:
-            return None
-        if depth == arity:
-            return prefix
-        lo, hi = bounds[depth]
-        if lo is None or hi is None:
-            raise UnboundedSet(f"dimension {depth} is unbounded")
-        values = range(hi, lo - 1, -1) if maximize else range(lo, hi + 1)
-        for v in values:
-            pin = eq0(AffineExpr.var(arity, depth).plus_const(-v))
-            nxt = normalize_piece(cons + (pin,))
-            if nxt is None:
-                continue
-            got = rec(nxt, depth + 1, prefix + (v,))
-            if got is not None:
-                return got
+    if points is None:
+        return next(_search_piece(arity, piece, maximize), None)
+    if not len(points):
         return None
-
-    return rec(piece, 0, ())
+    for d in range(arity):
+        col = points[:, d]
+        points = points[col == (col.max() if maximize else col.min())]
+    return tuple(points[0].tolist())
 
 
 def piece_is_empty(arity: int, piece: Piece) -> bool:
     return _solve_piece(arity, piece, False) is None
 
 
-def _enumerate_piece(arity: int, piece: Piece):
-    """All points of a piece.
-
-    The box of the free dimensions is scanned when it is small enough (see
-    _scan_program).  Otherwise: backtracking with propagation pruning.  Dims
-    coupled through multi-variable constraints or floor divisions are
-    assigned first; once only independent single-variable constraints
-    remain, the rest of the subtree is a box and is emitted wholesale.
-    Points are produced in no particular order (callers sort).
-    """
+def _enumerate_piece(arity: int, piece: Piece) -> list[tuple[int, ...]]:
+    """All points of a piece: scanned when the box is small enough (see
+    _scan_program), else searched."""
     if propagate(arity, piece) is None:
         return []
     points = _scan_piece(arity, piece, _ENUM_SCAN_CAP)
-    if points is not None:
-        return list(map(tuple, points.tolist()))
-    coupled = set()
-    for c in piece:
-        support = [i for i in range(arity) if c.expr.coeffs[i]]
-        div_dims = [i for i in range(arity) if c.expr.dim_in_div(i)]
-        if div_dims or len(support) > 1:
-            coupled.update(support)
-            coupled.update(div_dims)
-    order = sorted(range(arity), key=lambda i: (0 if i in coupled else 1, i))
-    out: list[tuple[int, ...]] = []
-    point = [0] * arity
-
-    def rec(cons: Piece, pos: int):
-        bounds = propagate(arity, cons)
-        if bounds is None:
-            return
-        rest = order[pos:]
-        if not rest:
-            out.append(tuple(point))
-            return
-        # box fast path: every remaining constraint is linear in a single
-        # dimension, so the propagated bounds are exact and independent
-        simple = all(bounds[d][0] is not None and bounds[d][1] is not None for d in rest)
-        if simple:
-            for c in cons:
-                if c.expr.divs:
-                    simple = False
-                    break
-                used = 0
-                for i in range(arity):
-                    if c.expr.coeffs[i]:
-                        used += 1
-                        if used > 1:
-                            break
-                if used > 1:
-                    simple = False
-                    break
-        if simple:
-            ranges = [range(bounds[d][0], bounds[d][1] + 1) for d in rest]
-            for tail in itertools.product(*ranges):
-                for d, v in zip(rest, tail):
-                    point[d] = v
-                out.append(tuple(point))
-            return
-        d = rest[0]
-        lo, hi = bounds[d]
-        if lo is None or hi is None:
-            raise UnboundedSet(f"dimension {d} is unbounded")
-        for v in range(lo, hi + 1):
-            nxt = []
-            feasible = True
-            for c in cons:
-                e = c.expr.assign_dim(d, v)
-                if not e.divs and all(x == 0 for x in e.coeffs):
-                    if e.const != 0 if c.is_eq else e.const < 0:
-                        feasible = False
-                        break
-                    continue  # trivially true after substitution
-                nxt.append(c if e is c.expr else Constraint(e, c.is_eq))
-            if feasible:
-                point[d] = v
-                rec(tuple(nxt), pos + 1)
-
-    rec(piece, 0)
-    return out
+    if points is None:
+        return list(_search_piece(arity, piece, False))
+    return list(map(tuple, points.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -1128,47 +1073,12 @@ def _interval_signatures(piece: Piece):
     """All decompositions of a piece as 'others AND lo <= e <= hi' for one
     sign-canonical expression e.  Yields (others, canon, lo, hi); lo/hi may
     be None when that side is unconstrained within the piece."""
-    groups: dict[tuple, tuple[AffineExpr, list]] = {}
-    for c in piece:
-        base = AffineExpr(c.expr.coeffs, 0, c.expr.divs)
-        lead = next(iter(_all_coeffs(base)), 0)
-        sign = 1 if lead > 0 else -1
-        canon = base if sign > 0 else base.scale(-1)
-        key = canon.key()
-        if key not in groups:
-            groups[key] = (canon, [])
-        groups[key][1].append((c, sign))
     out = []
-    for canon, members in groups.values():
-        member_set = {id(c) for c, _ in members}
-        others = tuple(c for c in piece if id(c) not in member_set)
-        lo, hi = None, None
-        for c, sign in members:
-            const = c.expr.const  # c.expr == sign*canon + const
-            if c.is_eq:
-                v = -const * sign
-                lo = v if lo is None else max(lo, v)
-                hi = v if hi is None else min(hi, v)
-            elif sign > 0:
-                v = -const  # canon + const >= 0  ->  canon >= -const
-                lo = v if lo is None else max(lo, v)
-            else:
-                v = const  # -canon + const >= 0  ->  canon <= const
-                hi = v if hi is None else min(hi, v)
+    for canon, lo, hi, members in _interval_groups(piece):
+        ids = {id(c) for c in members}
+        others = tuple(c for c in piece if id(c) not in ids)
         out.append((others, canon, lo, hi))
     return tuple(out)
-
-
-def _merged_interval_piece(others, canon, lo, hi) -> Optional[Piece]:
-    merged = list(others)
-    if lo is not None and hi is not None and lo == hi:
-        merged.append(eq0(canon.plus_const(-lo)))
-    else:
-        if lo is not None:
-            merged.append(ge0(canon.plus_const(-lo)))
-        if hi is not None:
-            merged.append(ge0(canon.scale(-1).plus_const(hi)))
-    return normalize_piece(merged)
 
 
 def coalesce_pieces(arity: int, pieces: Iterable[Piece]) -> list[Piece]:
@@ -1214,7 +1124,8 @@ def coalesce_pieces(arity: int, pieces: Iterable[Piece]) -> list[Piece]:
                 idxs = {e[2] for e in grun}
                 if len(idxs) < 2:
                     continue
-                mp = _merged_interval_piece(grun[0][4], grun[0][3], glo, ghi)
+                _, _, _, canon, others = grun[0]
+                mp = normalize_piece(others + tuple(_interval_constraints(canon, glo, ghi)))
                 if mp is None:
                     continue
                 consumed.update(idxs)
@@ -1260,10 +1171,6 @@ class IntSet:
         return IntSet(space, tuple(norm))
 
     @staticmethod
-    def empty(space: Space) -> "IntSet":
-        return IntSet(space, ())
-
-    @staticmethod
     def from_box(space: Space, bounds: Sequence[tuple[int, int]]) -> "IntSet":
         cons = []
         n = space.arity
@@ -1272,34 +1179,9 @@ class IntSet:
             cons.append(ge0(AffineExpr.var(n, i, -1).plus_const(hi)))
         return IntSet.make(space, [cons])
 
-    @staticmethod
-    def from_points(space: Space, points: Iterable[Sequence[int]]) -> "IntSet":
-        n = space.arity
-        pieces = []
-        for pt in points:
-            cons = [eq0(AffineExpr.var(n, i).plus_const(-v)) for i, v in enumerate(pt)]
-            pieces.append(cons)
-        return IntSet.make(space, pieces)
-
     @property
     def arity(self) -> int:
         return self.space.arity
-
-    def contains(self, point: Sequence[int]) -> bool:
-        return any(piece_holds(p, point) for p in self.pieces)
-
-    def box(self) -> Optional[tuple[tuple[int, int], ...]]:
-        """Componentwise hull box over all pieces; None when empty."""
-        out = None
-        for p in self.pieces:
-            b = piece_box(self.arity, p)
-            if b is None:
-                continue
-            if out is None:
-                out = list(b)
-            else:
-                out = [(min(a, c), max(b_, d)) for (a, b_), (c, d) in zip(out, b)]
-        return None if out is None else tuple(out)
 
 
 def _require_same_space(a: IntSet, b: IntSet):
@@ -1355,10 +1237,6 @@ def subtract(a: IntSet, b: IntSet) -> IntSet:
 
 def is_empty(a: IntSet) -> bool:
     return all(piece_is_empty(a.arity, p) for p in a.pieces)
-
-
-def sets_equal(a: IntSet, b: IntSet) -> bool:
-    return is_empty(subtract(a, b)) and is_empty(subtract(b, a))
 
 
 def enumerate_set(a: IntSet) -> list[tuple[int, ...]]:
@@ -1430,15 +1308,6 @@ class IntMap:
             cons.append(eq0(lhs - e.remap(mapping, arity)))
         return IntMap.make(dom, ran, [cons], check=check)
 
-    @staticmethod
-    def identity(space: Space) -> "IntMap":
-        exprs = [AffineExpr.var(space.arity, i) for i in range(space.arity)]
-        return IntMap.from_exprs(space, space.renamed(space.name), exprs, check=False)
-
-    @staticmethod
-    def empty(dom: Space, ran: Space) -> "IntMap":
-        return IntMap(dom, ran)
-
     @property
     def n_in(self) -> int:
         return self.dom.arity
@@ -1449,19 +1318,6 @@ class IntMap:
 
     def as_set(self) -> IntSet:
         return IntSet(product_space(self.dom, self.ran), self.pieces)
-
-    def contains(self, pair: Sequence[int]) -> bool:
-        return self.as_set().contains(pair)
-
-    def is_single_valued(self) -> bool:
-        """Checked by enumeration (finite sets make this exact)."""
-        seen: dict[tuple, tuple] = {}
-        for pt in enumerate_set(self.as_set()):
-            key, val = pt[: self.n_in], pt[self.n_in :]
-            if key in seen and seen[key] != val:
-                return False
-            seen[key] = val
-        return True
 
 
 def _map_same_shape(a: IntMap, b: IntMap):
@@ -1485,11 +1341,6 @@ def map_is_empty(a: IntMap) -> bool:
     return is_empty(a.as_set())
 
 
-def maps_equal(a: IntMap, b: IntMap) -> bool:
-    _map_same_shape(a, b)
-    return sets_equal(a.as_set(), b.as_set())
-
-
 def apply(m: IntMap, s: IntSet) -> IntSet:
     """Image of s under m."""
     if m.dom.dims != s.space.dims:
@@ -1509,11 +1360,6 @@ def apply(m: IntMap, s: IntSet) -> IntSet:
 def map_domain(m: IntMap) -> IntSet:
     pieces = project_pieces(m.n_in + m.n_out, m.pieces, list(range(m.n_in, m.n_in + m.n_out)))
     return IntSet.make(m.dom, pieces, check=False)
-
-
-def map_range(m: IntMap) -> IntSet:
-    pieces = project_pieces(m.n_in + m.n_out, m.pieces, list(range(m.n_in)))
-    return IntSet.make(m.ran, pieces, check=False)
 
 
 def compose(g: IntMap, f: IntMap) -> IntMap:
@@ -1556,34 +1402,6 @@ def restrict_domain(m: IntMap, s: IntSet) -> IntMap:
         for mp in m.pieces:
             pieces.append(mp + sp_w)
     return IntMap.make(m.dom, m.ran, pieces, check=False)
-
-
-def transitive_closure(r: IntMap) -> IntMap:
-    """Smallest transitive relation containing r (finite fixpoint)."""
-    if r.dom.arity != r.ran.arity:
-        raise SpaceMismatch("transitive closure requires equal-arity domain and range")
-    dom_box = map_domain(r).box()
-    ran_box = map_range(r).box()
-    if dom_box is None and ran_box is None:
-        return r
-    cap = 1
-    for box in (dom_box, ran_box):
-        if box is None:
-            continue
-        size = 1
-        for lo, hi in box:
-            size *= hi - lo + 1
-        cap = max(cap, size)
-    closure = r
-    delta = r
-    for _ in range(cap + 1):
-        step = compose(r, delta)
-        new = map_subtract(step, closure)
-        if map_is_empty(new):
-            return closure
-        closure = map_union(closure, new)
-        delta = new
-    raise IterationCapExceeded("transitive closure fixpoint exceeded universe size")
 
 
 # ---------------------------------------------------------------------------

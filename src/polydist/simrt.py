@@ -28,10 +28,9 @@ from .errors import (
     BufferStateViolation,
     DeadlockDetected,
     GeometryMismatch,
-    IndexOutOfBounds,
     NotLocal,
 )
-from .placement import block_box, block_home
+from .placement import block_box
 from .scop import FieldDecl, Scop, _check_store, _from_np
 from .exprs import eval_expr
 
@@ -80,34 +79,6 @@ class SimState:
         self.channels = channels
         self.trace = trace
         self.step = 0
-
-    # -- value-level fallback access (synchronous single-value transfers) ----
-
-    def _home(self, fieldname: str, index) -> tuple:
-        if any(not 0 <= v < ext for v, ext in zip(index, self.fields[fieldname].extents)):
-            raise IndexOutOfBounds(f"{fieldname}{tuple(index)}")
-        return block_home(index, self.plan.block_extents[fieldname])
-
-    def value_load(self, fieldname: str, index):
-        node = self.nodes[self._home(fieldname, index)]
-        value = node.storage[fieldname][self._offset(node, fieldname, index)]
-        return _from_np(value, self.fields[fieldname])
-
-    def value_store(self, fieldname: str, index, value):
-        _check_store(value, self.fields[fieldname])
-        node = self.nodes[self._home(fieldname, index)]
-        node.storage[fieldname][self._offset(node, fieldname, index)] = value
-
-    def local_rank(self, node_coord, fieldname: str, index) -> int:
-        """Row-major rank of a home element inside the node's home box."""
-        node = self.nodes[tuple(node_coord)]
-        if tuple(node_coord) != self._home(fieldname, index):
-            raise NotLocal(f"{fieldname}{tuple(index)} is not homed on {tuple(node_coord)}")
-        box = node.boxes[fieldname]
-        rank = 0
-        for v, (lo, hi) in zip(index, box):
-            rank = rank * (hi - lo + 1) + (v - lo)
-        return rank
 
     def _offset(self, node: NodeState, fieldname: str, index) -> tuple:
         box = node.boxes[fieldname]
@@ -170,17 +141,21 @@ def _digest(values) -> str:
 
 
 def run(sim: SimState, scop: Scop = None):
-    """Execute the plan; returns (field contents, trace)."""
+    """Execute the plan; returns (field contents, trace).  Every compute
+    event must name a statement of the scop."""
     plan = sim.plan
     functions = scop.functions if scop is not None else {}
     stmts = {s.id: s for s in scop.statements} if scop is not None else {}
 
     node_events = {coord: plan.events.get(coord, []) for coord in sim.nodes}
     pending = {coord for coord, evs in node_events.items() if evs}
-    if not stmts and any(
-        ev.kind == "compute" for evs in node_events.values() for ev in evs
-    ):
-        raise BufferStateViolation("plan has compute events but no scop was attached")
+    for coord, evs in sorted(node_events.items()):
+        for ev in evs:
+            if ev.kind == "compute" and ev.stmt not in stmts:
+                raise GeometryMismatch(
+                    f"compute event on node {coord} names statement {ev.stmt}, "
+                    "which the scop does not have"
+                )
 
     def deliver(ch: ChannelState):
         if ch.state == SENT and ch.sent_at < sim.step:

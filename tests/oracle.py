@@ -1,13 +1,16 @@
 """Randomized generators and point-level reference semantics for the set kernel.
 
 The reference side works purely on enumerated Python sets of tuples, so a
-bug in the symbolic constraint algebra cannot hide in the oracle.
+bug in the symbolic constraint algebra cannot hide in the oracle.  Set-kernel
+helpers that only the tests need (equality checks, point sets, the symbolic
+transitive closure) and the symbolic analysis cross-checks live here too.
 """
 
 from __future__ import annotations
 
 import random
 
+from polydist.errors import IterationCapExceeded, SpaceMismatch
 from polydist.isets import (
     AffineExpr,
     Constraint,
@@ -15,11 +18,102 @@ from polydist.isets import (
     IntMap,
     IntSet,
     Space,
+    _map_same_shape,
+    apply,
+    compose,
+    enumerate_set,
     eq0,
     ge0,
+    intersect,
+    inverse,
+    is_empty,
+    lexmax,
+    lexmin,
+    map_domain,
+    map_is_empty,
+    map_subtract,
+    map_union,
+    piece_box,
+    project_pieces,
+    subtract,
+    union,
 )
 
 MAX_POINTS = 250
+
+
+# -- set-kernel helpers that only the tests use -------------------------------
+
+
+def set_from_points(space: Space, points) -> IntSet:
+    n = space.arity
+    pieces = [
+        [eq0(AffineExpr.var(n, i).plus_const(-v)) for i, v in enumerate(pt)] for pt in points
+    ]
+    return IntSet.make(space, pieces)
+
+
+def identity_map(space: Space) -> IntMap:
+    exprs = [AffineExpr.var(space.arity, i) for i in range(space.arity)]
+    return IntMap.from_exprs(space, space.renamed(space.name), exprs, check=False)
+
+
+def sets_equal(a: IntSet, b: IntSet) -> bool:
+    return is_empty(subtract(a, b)) and is_empty(subtract(b, a))
+
+
+def maps_equal(a: IntMap, b: IntMap) -> bool:
+    _map_same_shape(a, b)
+    return sets_equal(a.as_set(), b.as_set())
+
+
+def is_single_valued(m: IntMap) -> bool:
+    """Checked by enumeration (finite sets make this exact)."""
+    seen: dict = {}
+    for pt in enumerate_set(m.as_set()):
+        key, val = pt[: m.n_in], pt[m.n_in :]
+        if seen.setdefault(key, val) != val:
+            return False
+    return True
+
+
+def hull_box(s: IntSet):
+    """Componentwise hull box over all pieces; None when empty."""
+    out = None
+    for p in s.pieces:
+        b = piece_box(s.arity, p)
+        if b is None:
+            continue
+        out = list(b) if out is None else [
+            (min(a, c), max(b_, d)) for (a, b_), (c, d) in zip(out, b)
+        ]
+    return None if out is None else tuple(out)
+
+
+def map_range(m: IntMap) -> IntSet:
+    pieces = project_pieces(m.n_in + m.n_out, m.pieces, list(range(m.n_in)))
+    return IntSet.make(m.ran, pieces, check=False)
+
+
+def transitive_closure(r: IntMap) -> IntMap:
+    """Smallest transitive relation containing r (symbolic finite fixpoint)."""
+    if r.dom.arity != r.ran.arity:
+        raise SpaceMismatch("transitive closure requires equal-arity domain and range")
+    cap = 1
+    for box in (hull_box(map_domain(r)), hull_box(map_range(r))):
+        if box is not None:
+            size = 1
+            for lo, hi in box:
+                size *= hi - lo + 1
+            cap = max(cap, size)
+    closure = delta = r
+    for _ in range(cap + 1):
+        new = map_subtract(compose(r, delta), closure)
+        if map_is_empty(new):
+            return closure
+        closure = map_union(closure, new)
+        delta = new
+    raise IterationCapExceeded("transitive closure fixpoint exceeded universe size")
 
 
 def random_space(rng: random.Random, name: str, max_dims: int = 4) -> Space:
@@ -83,19 +177,6 @@ def run_algebra_case(seed: int) -> None:
     compose, inverse) rotate by seed so a batch of cases covers each of
     them several hundred times.
     """
-    from polydist.isets import (
-        apply,
-        compose,
-        enumerate_set,
-        intersect,
-        inverse,
-        is_empty,
-        lexmax,
-        lexmin,
-        subtract,
-        union,
-    )
-
     rng = random.Random(seed)
     space = random_space(rng, "s")
     a = random_set(rng, space)
@@ -163,8 +244,6 @@ def validate_chunking(phi, dep) -> bool:
     """True iff applying phi to both sides of the transitive closure of all
     flows yields an irreflexive relation: no dependence path may connect
     two instances of the same chunk."""
-    from polydist.isets import enumerate_set
-
     adj: dict = {}
     for gid, ig, cid, ic in dep.instance_edges():
         adj.setdefault((gid, ig), []).append((cid, ic))
@@ -194,8 +273,6 @@ def validate_chunking(phi, dep) -> bool:
 def strict_prefix_holds_symbolic(scop, fam, level: int) -> bool:
     """Every family pair: producer scatter prefix strictly below consumer's,
     decided by emptiness of the violating constraint sets over fam.rel."""
-    from polydist.isets import is_empty
-
     prod = scop.statement(fam.producer)
     cons = scop.statement(fam.consumer)
     n_g, n_c, n_k = fam.n_prod, fam.n_cons, fam.n_elem
@@ -219,8 +296,6 @@ def strict_prefix_holds_symbolic(scop, fam, level: int) -> bool:
 def global_order_holds_symbolic(scop, fam) -> bool:
     """All producers of the family run before all of its consumers, by the
     lexmax/lexmin of the projected instance sets' scatter images."""
-    from polydist.isets import apply, lexmax, lexmin, project_pieces
-
     prod = scop.statement(fam.producer)
     cons = scop.statement(fam.consumer)
     arity = fam.n_prod + fam.n_cons + fam.n_elem
@@ -238,7 +313,5 @@ def global_order_holds_symbolic(scop, fam) -> bool:
 
 def stmt_nodes(sp, stmt: str, point) -> list:
     """Executing nodes of one instance by applying its placement map."""
-    from polydist.isets import apply, enumerate_set
-
     m = sp.maps[stmt]
-    return enumerate_set(apply(m, IntSet.from_points(m.dom, [tuple(point)])))
+    return enumerate_set(apply(m, set_from_points(m.dom, [tuple(point)])))

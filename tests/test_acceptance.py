@@ -12,14 +12,14 @@ from polydist.chunking import ChunkingFn
 from polydist.commgen import build_transfers, compile_plan
 from polydist.deps import EPILOGUE, PROLOGUE
 from polydist.fields import contents_equal, random_contents
-from polydist.isets import IntMap, compose, maps_equal, restrict_domain
+from polydist.isets import IntMap, compose, restrict_domain
 from polydist.pipeline import analyze_scop, plan_scop
 from polydist.scop import sequential_execute
 from polydist.scopio import parse_scop, parse_scop_file
 from polydist.simrt import init_runtime, run
 
 from dep_oracle import brute_force_flows
-from oracle import run_algebra_case, validate_chunking
+from oracle import maps_equal, run_algebra_case, validate_chunking
 
 
 def report(number: int, label: str, failures: list):

@@ -3,7 +3,12 @@ import json
 
 import pytest
 
-from oracle import global_order_holds_symbolic, strict_prefix_holds_symbolic, validate_chunking
+from oracle import (
+    global_order_holds_symbolic,
+    strict_prefix_holds_symbolic,
+    transitive_closure,
+    validate_chunking,
+)
 from polydist.chunking import (
     ChunkingFn,
     _order_summary,
@@ -19,7 +24,6 @@ from polydist.isets import (
     embed_pieces,
     enumerate_set,
     map_union,
-    transitive_closure,
 )
 from polydist.scop import isolate_accesses
 from polydist.scopio import parse_scop, parse_scop_file

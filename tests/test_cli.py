@@ -2,6 +2,9 @@ import json
 import re
 import subprocess
 import sys
+
+import pytest
+
 from polydist.cli import main
 
 
@@ -137,6 +140,53 @@ def test_simulate_plan_for_other_fields(gol16_path, tmp_path, capsys):
     rc, err = _simulate_with_plan_text(gol16_path, tmp_path, capsys, text)
     assert rc == 2
     assert "plan field fronx is not a field of the contents" in err
+
+
+def test_verify_plan_with_unknown_statement(gol16_path, tmp_path, capsys):
+    # a compute event naming a statement the scop lacks is a validation error
+    invoke("plan", str(gol16_path), "--out", str(tmp_path))
+    text = (tmp_path / "plan.txt").read_text().replace("stmt=S1.1 ", "stmt=S9.9 ", 1)
+    plan_file = tmp_path / "bad.txt"
+    plan_file.write_text(text)
+    rc = invoke("verify", str(gol16_path), "--plan", str(plan_file))
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "names statement S9.9" in err
+    assert err.count("\n") == 1
+
+
+def _faulty_plan(gol16_path, tmp_path, kind):
+    """A gol16 2x2 plan that faults in the simulator: 'not_local' fills an
+    element homed elsewhere, 'deadlock' drops a cross-node send."""
+    invoke("plan", str(gol16_path), "--out", str(tmp_path))
+    lines = (tmp_path / "plan.txt").read_text().splitlines()
+    if kind == "not_local":
+        no = next(i for i, ln in enumerate(lines) if " kind=buffer_fill " in ln)
+        lines[no] = re.sub(r" elem=\(\d+,\d+\)", " elem=(15,15)", lines[no])
+    else:
+        tag = next(
+            re.search(r" tag=\d+ ", ln)[0]
+            for ln in lines
+            if ln.startswith("channel") and "loopback" not in ln
+        )
+        lines = [ln for ln in lines if not (" kind=send " in ln and tag in ln)]
+    plan_file = tmp_path / f"{kind}.txt"
+    plan_file.write_text("\n".join(lines) + "\n")
+    return plan_file
+
+
+@pytest.mark.parametrize("kind, fault", [("not_local", "NotLocal"), ("deadlock", "DeadlockDetected")])
+def test_simulation_fault_exit_code(gol16_path, tmp_path, capsys, kind, fault):
+    plan_file = _faulty_plan(gol16_path, tmp_path, kind)
+    rc = invoke("simulate", str(gol16_path), "--plan", str(plan_file), "--out", str(tmp_path))
+    out = capsys.readouterr()
+    assert rc == 4
+    assert out.err.startswith(f"simulation fault: {fault}: ")
+    assert out.err.count("\n") == 1
+    rc = invoke("verify", str(gol16_path), "--plan", str(plan_file))
+    out = capsys.readouterr()
+    assert rc == 4
+    assert out.out.startswith(f"verify: FAIL ({fault}: ")
 
 
 def test_simulate_writes_outputs(gol16_path, tmp_path):

@@ -489,6 +489,21 @@ MALFORMED_PLANS = {
         lambda ln: re.sub(r"\+buf:\d+@\d+", "+buf:0@99999", ln, count=1),
         "rank 99999 outside",
     ),
+    "event_off_grid": (
+        lambda ln: " kind=compute " in ln,
+        lambda ln: re.sub(r"^node=\(\d+,\d+\)", "node=(5,5)", ln),
+        "node=(5,5) outside grid (2,2)",
+    ),
+    "channel_src_off_grid": (
+        lambda ln: ln.startswith("channel"),
+        lambda ln: re.sub(r" src=\(\d+,\d+\)", " src=(2,0)", ln),
+        "src=(2,0) outside grid (2,2)",
+    ),
+    "channel_dst_off_grid": (
+        lambda ln: ln.startswith("channel"),
+        lambda ln: re.sub(r" dst=\(\d+,\d+\)", " dst=(0,0,0)", ln),
+        "dst=(0,0,0) outside grid (2,2)",
+    ),
     "edited_block": (
         lambda ln: ln.startswith("field front"),
         lambda ln: ln.replace("block=(8,8)", "block=(16,8)"),

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polydist import isets
+from polydist.errors import UnboundedSet
 from polydist.isets import (
     AffineExpr,
     DivTerm,
@@ -22,11 +23,11 @@ from polydist.isets import (
     apply,
     compose,
     enumerate_set,
+    eq0,
     ge0,
     is_empty,
     lexmax,
     lexmin,
-    transitive_closure,
 )
 
 from oracle import (
@@ -35,6 +36,7 @@ from oracle import (
     random_space,
     ref_closure,
     run_algebra_case,
+    transitive_closure,
 )
 
 
@@ -80,6 +82,44 @@ def test_huge_bounds_stay_exact(base, scanned):
     assert not is_empty(s)
     assert lexmin(s) == expected[0]
     assert lexmax(s) == expected[-1]
+
+
+def test_floor_div_equality_is_scanned(monkeypatch):
+    """2*x0 == 3*floor(x1/2) has no unit coefficient outside its floor
+    division, so it defines no dimension; the scan checks it point by point."""
+    space = Space("q", ("x0", "x1"))
+    eq = AffineExpr((2, 0), 0, (DivTerm(-3, AffineExpr((0, 1)), 2),))
+    box = IntSet.from_box(space, [(0, 9), (0, 9)])
+    s = IntSet.make(space, [box.pieces[0] + (eq0(eq),)])
+    assert len(s.pieces) == 1
+    assert isets._scan_program(2, s.pieces[0]) is not None
+    expected = [
+        p for p in itertools.product(range(10), range(10)) if 2 * p[0] == 3 * (p[1] // 2)
+    ]
+    assert expected == [(0, 0), (0, 1), (3, 4), (3, 5), (6, 8), (6, 9)]
+    scanned = (enumerate_set(s), lexmin(s), lexmax(s))
+    assert scanned == (expected, expected[0], expected[-1])
+    monkeypatch.setattr(isets, "_ENUM_SCAN_CAP", 0)
+    monkeypatch.setattr(isets, "_SOLVE_SCAN_CAP", 0)
+    assert (enumerate_set(s), lexmin(s), lexmax(s)) == scanned
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        (ge0(AffineExpr((-1, 0), 3)),),  # x0 <= 3: x1 is unbounded in the box tail
+        (),  # x0 is unbounded where the search branches
+    ],
+    ids=["tail", "branch"],
+)
+@pytest.mark.parametrize("query", [enumerate_set, lexmin, lexmax, is_empty])
+def test_unbounded_piece_raises(extra, query):
+    space = Space("u", ("x0", "x1"))
+    piece = (ge0(AffineExpr((1, 0))), ge0(AffineExpr((-1, 1)))) + extra
+    s = IntSet.make(space, [piece], check=False)
+    assert isets._scan_program(2, s.pieces[0]) is None
+    with pytest.raises(UnboundedSet):
+        query(s)
 
 
 @pytest.mark.parametrize("seed", range(0, 40))

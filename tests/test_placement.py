@@ -1,12 +1,13 @@
 import pytest
 
+from oracle import maps_equal, sets_equal
 from polydist.deps import add_virtual_statements, compute_flow
 from polydist.errors import IndivisibleExtent
 from polydist.isets import (
     IntMap,
     IntSet,
     compose,
-    maps_equal,
+    map_domain,
     restrict_domain,
 )
 from polydist.placement import block_distribute, place_statements, dump_placements
@@ -100,8 +101,6 @@ def test_every_instance_placed(gol16_pipeline):
     virt, dep, fp, sp = gol16_pipeline
     for s in virt.statements:
         m = sp.maps[s.id]
-        from polydist.isets import map_domain, sets_equal, IntSet
-
         dom = IntSet(s.domain.space, map_domain(m).pieces)
         assert sets_equal(dom, s.domain), s.id
 

@@ -12,9 +12,9 @@ from polydist.errors import (
     BufferStateViolation,
     DeadlockDetected,
     GeometryMismatch,
-    IndexOutOfBounds,
     NotLocal,
     ParseError,
+    SimulationFault,
 )
 from polydist.fields import contents_equal, random_contents, zero_contents
 from polydist.placement import block_distribute, place_statements
@@ -188,38 +188,22 @@ def test_violation_on_early_buffer_fill(gol16_built):
         run(init_runtime(bad, virt.grid, random_contents(scop, 3)), virt)
 
 
-def test_value_load_store_roundtrip(gol16_built):
+def test_simulation_faults_share_a_base():
+    for fault in (DeadlockDetected, BufferStateViolation, NotLocal):
+        assert issubclass(fault, SimulationFault)
+
+
+def test_unknown_statement_rejected_before_first_step(gol16_built):
     scop, virt, plan = gol16_built
-    sim = init_runtime(plan, virt.grid, zero_contents(scop))
-    sim.value_store("front", (3, 5), True)
-    assert sim.value_load("front", (3, 5)) is True
-    assert sim.value_load("front", (3, 6)) is False
-
-
-def test_value_load_remote_home(gol16_built):
-    scop, virt, plan = gol16_built
-    init = random_contents(scop, 21)
-    sim = init_runtime(plan, virt.grid, init)
-    # mirror array check across all homes
-    for idx in [(0, 0), (7, 8), (8, 7), (15, 15), (3, 12)]:
-        assert sim.value_load("front", idx) == bool(init["front"][idx])
-
-
-def test_value_index_out_of_bounds(gol16_built):
-    scop, virt, plan = gol16_built
-    sim = init_runtime(plan, virt.grid, zero_contents(scop))
-    with pytest.raises(IndexOutOfBounds):
-        sim.value_load("front", (16, 0))
-
-
-def test_local_rank(gol16_built):
-    scop, virt, plan = gol16_built
-    sim = init_runtime(plan, virt.grid, zero_contents(scop))
-    assert sim.local_rank((0, 0), "front", (3, 5)) == 3 * 8 + 5
-    assert sim.local_rank((0, 0), "front", (0, 0)) == 0
-    assert sim.local_rank((1, 1), "front", (8, 8)) == 0
-    with pytest.raises(NotLocal):
-        sim.local_rank((0, 0), "front", (8, 8))
+    node, evs = next((n, evs) for n, evs in plan.events.items() if evs)
+    i = next(i for i, ev in enumerate(evs) if ev.kind == "compute")
+    bad_evs = list(evs)
+    bad_evs[i] = dataclasses.replace(evs[i], stmt="S9.9")
+    bad = dataclasses.replace(plan, events={**plan.events, node: bad_evs})
+    sim = init_runtime(bad, virt.grid, random_contents(scop, 3))
+    with pytest.raises(GeometryMismatch, match=r"node \(0, 0\) names statement S9.9"):
+        run(sim, virt)
+    assert sim.step == 0 and not sim.trace.entries
 
 
 def test_multi_home_plan_rejected(tmp_path, capsys):

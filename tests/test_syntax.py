@@ -3,10 +3,10 @@ import random
 import pytest
 
 from polydist.errors import ParseError
-from polydist.isets import IntSet, Space, apply, enumerate_set, maps_equal, sets_equal
+from polydist.isets import Space, apply, enumerate_set
 from polydist.syntax import format_map, format_set, parse_expr, parse_map, parse_set
 
-from oracle import random_map, random_set, random_space
+from oracle import maps_equal, random_map, random_set, random_space, set_from_points, sets_equal
 
 
 def test_parse_simple_box():
@@ -36,7 +36,7 @@ def test_parse_map_with_exprs_on_domain_side():
 
 def test_parse_floor():
     m = parse_map("{ [w,h] -> [floor(w/8), floor(h/8)] : 0 <= w < 16 and 0 <= h < 16 }")
-    img = apply(m, IntSet.from_points(m.dom, [(7, 8)]))
+    img = apply(m, set_from_points(m.dom, [(7, 8)]))
     assert enumerate_set(img) == [(0, 1)]
 
 
