@@ -12,10 +12,11 @@ rest.  When no prefix length qualifies the identity chunking is used:
 every value travels alone.
 
 All three conditions are checked on enumerated instances.  The two order
-conditions come from one pass over the family's pairs, and collapsing is
-a quotient of the enumerated instance graph, where cycle detection is
-exact on these finite scops.  The symbolic order checks and the symbolic
-transitive closure in ``tests/oracle.py`` are the test-side cross-checks.
+conditions come from one pass over the family's pair table, and
+collapsing is a quotient of the numbered instance graph, where cycle
+detection is exact on these finite scops.  The symbolic order checks, the
+symbolic transitive closure and a depth-first cycle search in
+``tests/oracle.py`` are the test-side cross-checks.
 """
 
 from __future__ import annotations
@@ -24,9 +25,11 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .deps import DepGraph, FlowFamily
 from .isets import AffineExpr, IntMap, Space
-from .scop import Scop, Statement
+from .scop import Scop, Statement, evaluate_rows
 from .syntax import format_map
 
 __all__ = ["ChunkingFn", "chunk_heuristic", "chunk_all", "dump_chunks"]
@@ -65,56 +68,30 @@ class ChunkingFn:
 # Instance-graph machinery
 
 
-def _instance_graph(dep: DepGraph):
-    """Adjacency over enumerated instances of all direct flows (cached)."""
-    cached = getattr(dep, "_instance_graph", None)
-    if cached is not None:
-        return cached
-    adj: dict = {}
-    for gid, ig, cid, ic in dep.instance_edges():
-        adj.setdefault((gid, ig), []).append((cid, ic))
-    setattr(dep, "_instance_graph", adj)
-    return adj
-
-
 def _collapsed_has_cycle(dep: DepGraph, phi: ChunkingFn) -> bool:
-    """Cycle in the instance graph after quotienting by phi."""
-    adj = _instance_graph(dep)
-
-    def node_of(sid, pt):
-        if sid == phi.consumer:
-            return (sid, phi.apply_point(pt))
-        return (sid, pt)
-
-    quotient: dict = {}
-    for (gid, ig), succs in adj.items():
-        src = node_of(gid, ig)
-        bucket = quotient.setdefault(src, set())
-        for cid, ic in succs:
-            bucket.add(node_of(cid, ic))
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color: dict = {}
-    for start in quotient:
-        if color.get(start, WHITE) != WHITE:
-            continue
-        stack = [(start, iter(quotient.get(start, ())))]
-        color[start] = GRAY
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                c = color.get(nxt, WHITE)
-                if c == GRAY:
-                    return True
-                if c == WHITE:
-                    color[nxt] = GRAY
-                    stack.append((nxt, iter(quotient.get(nxt, ()))))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = BLACK
-                stack.pop()
-    return False
+    """Cycle in the instance graph after merging each chunk of phi into one
+    node.  Each consumer instance is renumbered to the first instance of
+    its chunk, so an edge inside one chunk becomes a self-loop.  Kahn's
+    algorithm then removes nodes without predecessors; what is left lies
+    on or behind a cycle."""
+    cons = dep.scop.statement(phi.consumer)
+    base, first = dep.offsets[phi.consumer], {}
+    merged = {base + r: base + first.setdefault(phi.apply_point(p), r)
+              for r, p in enumerate(cons.rows)}
+    src, dst = ([merged.get(v, v) for v in ends.tolist()] for ends in dep.edges)
+    n = max(src + dst, default=-1) + 1
+    succ: list = [[] for _ in range(n)]
+    indegree = [0] * n
+    for a, b in zip(src, dst):
+        succ[a].append(b)
+        indegree[b] += 1
+    ready = [v for v in range(n) if not indegree[v]]
+    for v in ready:
+        for w in succ[v]:
+            indegree[w] -= 1
+            if not indegree[w]:
+                ready.append(w)
+    return len(ready) < n
 
 
 # ---------------------------------------------------------------------------
@@ -122,27 +99,26 @@ def _collapsed_has_cycle(dep: DepGraph, phi: ChunkingFn) -> bool:
 
 
 def _order_summary(scop: Scop, fam: FlowFamily) -> tuple[float, bool]:
-    """One pass over the family's enumerated pairs.
+    """One pass over the family's pair table.
 
     Returns (D, ordered).  D is the largest first scatter index at which a
     producer and its consumer differ, counting a pair as infinite when the
     producer is not below there (or nowhere differs), and -1 for no pairs;
     the strict-prefix condition holds at level l exactly when l > D.
     ordered says whether every producer runs before every consumer."""
-    prod = scop.statement(fam.producer)
-    cons = scop.statement(fam.consumer)
-    deepest: float = -1
-    last_prod = first_cons = None
-    for ig, ic, _ in fam.pairs():
-        tg, tc = prod.scatter_of(ig), cons.scatter_of(ic)
-        first = next((t for t in range(len(tg)) if tg[t] != tc[t]), None)
-        if first is None or tg[first] > tc[first]:
-            deepest = math.inf
-        else:
-            deepest = max(deepest, first)
-        last_prod = tg if last_prod is None else max(last_prod, tg)
-        first_cons = tc if first_cons is None else min(first_cons, tc)
-    return deepest, last_prod is None or last_prod < first_cons
+    if not len(fam.table):
+        return -1, True
+    a, b = fam.n_prod, fam.n_prod + fam.n_cons
+    tg = evaluate_rows(scop.statement(fam.producer).schedule_exprs, fam.table[:, :a])
+    tc = evaluate_rows(scop.statement(fam.consumer).schedule_exprs, fam.table[:, a:b])
+    differ = tg != tc
+    first = differ.argmax(axis=1)
+    pair = np.arange(len(first))
+    if not differ.any(axis=1).all() or (tg[pair, first] > tc[pair, first]).any():
+        deepest: float = math.inf
+    else:
+        deepest = int(first.max())
+    return deepest, max(map(tuple, tg.tolist())) < min(map(tuple, tc.tolist()))
 
 
 def _strict_prefix_holds(scop: Scop, fam: FlowFamily, level: int) -> bool:

@@ -23,7 +23,7 @@ from .errors import (
 from .fields import dump_contents, first_divergence, load_contents, random_contents
 from .pipeline import analyze_scop, cap_iterations, override_grid, plan_scop
 from .scop import isolate_accesses, sequential_execute
-from .scopio import parse_scop_file, print_scop
+from .scopio import parse_scop_file, print_scop, read_input
 from .simrt import init_runtime, run
 
 EXIT_PARSE = 1
@@ -92,7 +92,7 @@ def _build_or_load_plan(args, scop):
     """(isolated scop with virtual statements, plan); a ``--plan`` file
     needs only the isolated statements, not the analysis."""
     if args.plan:
-        plan = parse_plan(Path(args.plan).read_text())
+        plan = parse_plan(read_input(args.plan))
         return add_virtual_statements(isolate_accesses(scop)), plan
     analysis, plan = plan_scop(scop)
     return analysis.scop, plan
@@ -100,7 +100,7 @@ def _build_or_load_plan(args, scop):
 
 def _initial_contents(args, scop):
     if args.init:
-        return load_contents(scop, Path(args.init).read_text())
+        return load_contents(scop, read_input(args.init))
     return random_contents(scop, args.seed)
 
 

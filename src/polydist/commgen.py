@@ -229,7 +229,7 @@ def emit_protocol(
     stmts = {s.id: s for s in scop.statements}
 
     def dil(sid, point):
-        return tuple(dilation * v for v in stmts[sid].scatter_of(point))
+        return tuple(dilation * v for v in stmts[sid].scatters[stmts[sid].rows[point]])
 
     # channels: one per (family, src, dst), layouts over the union hull
     chan_elems: dict = {}

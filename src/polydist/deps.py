@@ -18,7 +18,10 @@ exact symbolic domination subtraction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
+
+import numpy as np
 
 from .errors import UncoveredRead, ValidationError
 from .isets import (
@@ -39,7 +42,7 @@ from .isets import (
     _expr_interval,
     piece_box,
 )
-from .scop import AccessRef, Scop, Statement
+from .scop import AccessRef, Scop, Statement, point_table
 from .syntax import format_map
 
 __all__ = ["PROLOGUE", "EPILOGUE", "FlowFamily", "DepGraph", "add_virtual_statements", "compute_flow", "dump_deps"]
@@ -147,21 +150,16 @@ class FlowFamily:
     def n_cons(self) -> int:
         return self.cons_space.arity
 
+    @cached_property
+    def table(self) -> np.ndarray:
+        """Every pair, enumerated once: one row of producer ++ consumer ++
+        element columns per pair, in lexicographic order."""
+        return point_table(enumerate_set(self.rel), self.rel.arity)
+
     def pairs(self) -> list[tuple[tuple, tuple, tuple]]:
-        cached = getattr(self, "_pairs", None)
-        if cached is not None:
-            return cached
-        out = []
-        for pt in enumerate_set(self.rel):
-            out.append(
-                (
-                    pt[: self.n_prod],
-                    pt[self.n_prod : self.n_prod + self.n_cons],
-                    pt[self.n_prod + self.n_cons :],
-                )
-            )
-        object.__setattr__(self, "_pairs", out)
-        return out
+        """The table as (producer, consumer, element) tuples, row for row."""
+        a, b = self.n_prod, self.n_prod + self.n_cons
+        return [(p[:a], p[a:b], p[b:]) for p in map(tuple, self.table.tolist())]
 
     def as_map(self) -> IntMap:
         """Producer instances -> consumer instances (element dims dropped)."""
@@ -205,13 +203,24 @@ class DepGraph:
     def epilogue_families(self) -> list[FlowFamily]:
         return [f for f in self.field_families() if f.consumer == EPILOGUE]
 
-    def instance_edges(self) -> list[tuple[str, tuple, str, tuple]]:
-        """Every direct flow pair, enumerated: (producer, i_g, consumer, i_c)."""
-        out = []
+    @cached_property
+    def offsets(self) -> dict:
+        """Statement id -> number of its first instance: every instance is
+        numbered once, as this offset plus its row in ``Statement.instances``."""
+        sizes = np.cumsum([0] + [len(s.instances) for s in self.scop.statements])
+        return {s.id: int(n) for s, n in zip(self.scop.statements, sizes)}
+
+    @cached_property
+    def edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """The pairs of every family, field and scalar, as (producer number,
+        consumer number) arrays."""
+        ends: tuple = ([], [])
         for fam in self.families:
-            for ig, ic, _ in fam.pairs():
-                out.append((fam.producer, ig, fam.consumer, ic))
-        return out
+            cols = np.split(fam.table, [fam.n_prod, fam.n_prod + fam.n_cons], axis=1)
+            for out, sid, points in zip(ends, (fam.producer, fam.consumer), cols):
+                rows, base = self.scop.statement(sid).rows, self.offsets[sid]
+                out += (base + rows[p] for p in map(tuple, points.tolist()))
+        return np.array(ends[0], dtype=np.int64), np.array(ends[1], dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -222,9 +222,10 @@ def place_statements(scop: Scop, dep: DepGraph, fp: FieldPlacement) -> StmtPlace
             break
 
     # last resort: the smallest node, for instances no dependence reaches
+    # (an empty domain gets an empty placement)
     for s in scop.statements:
         missing = missing_of(s)
-        if is_empty(missing):
+        if s.id in placements and is_empty(missing):
             continue
         zero = [AffineExpr.constant(s.arity, 0) for _ in range(grid.arity)]
         fallback = restrict_domain(

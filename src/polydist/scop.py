@@ -9,6 +9,7 @@ distributed simulator is verified against.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -21,14 +22,7 @@ from .exprs import (
     expr_scalar_reads,
     validate_expr,
 )
-from .isets import (
-    AffineExpr,
-    IntMap,
-    IntSet,
-    Space,
-    enumerate_set,
-    piece_box,
-)
+from .isets import AffineExpr, IntMap, IntSet, Space, enumerate_set
 
 __all__ = [
     "FieldDecl",
@@ -38,9 +32,32 @@ __all__ = [
     "Scop",
     "isolate_accesses",
     "sequential_execute",
+    "point_table",
+    "evaluate_rows",
 ]
 
 ELEMENT_DTYPES = {"bool": np.bool_, "int64": np.int64, "float64": np.float64}
+
+
+def point_table(points: Sequence[tuple[int, ...]], arity: int) -> np.ndarray:
+    """Points as an (n, arity) table of Python ints (exact, unlike int64), one row each."""
+    return np.array(points, dtype=object).reshape(len(points), arity)
+
+
+def evaluate_rows(exprs: Sequence[AffineExpr], rows: np.ndarray) -> np.ndarray:
+    """Every expression at every row of a point table, as an (n, len(exprs))
+    table of exact Python ints; floor-division terms are floor divisions."""
+
+    def value(e: AffineExpr) -> np.ndarray:
+        out = np.full(len(rows), e.const, dtype=object)
+        for d, c in enumerate(e.coeffs):
+            if c:
+                out += c * rows[:, d]
+        for dt in e.divs:
+            out += dt.coeff * (value(dt.inner) // dt.div)
+        return out
+
+    return np.stack([value(e) for e in exprs], axis=1) if exprs else rows[:, :0]
 
 
 @dataclass(frozen=True)
@@ -110,8 +127,21 @@ class Statement:
     def schedule(self, scatter_space: Space) -> IntMap:
         return IntMap.from_exprs(self.space, scatter_space, self.schedule_exprs, check=False)
 
-    def scatter_of(self, point: Sequence[int]) -> tuple[int, ...]:
-        return tuple(e.evaluate(point) for e in self.schedule_exprs)
+    @cached_property
+    def instances(self) -> np.ndarray:
+        """The domain's points in lexicographic order, one row each; an
+        instance's row number is its identity within the statement."""
+        return point_table(enumerate_set(self.domain), self.arity)
+
+    @cached_property
+    def rows(self) -> dict:
+        """Instance tuple -> its row in ``instances``, in row order."""
+        return {p: r for r, p in enumerate(map(tuple, self.instances.tolist()))}
+
+    @cached_property
+    def scatters(self) -> list[tuple[int, ...]]:
+        """The scatter of every instance, row for row."""
+        return list(map(tuple, evaluate_rows(self.schedule_exprs, self.instances).tolist()))
 
     def reads(self) -> list[tuple[int, AccessRef]]:
         return [(j, a) for j, a in enumerate(self.accesses) if a.kind == "read"]
@@ -194,8 +224,7 @@ class Scop:
         seen_scatter: dict[tuple[int, ...], tuple[str, tuple[int, ...]]] = {}
         for s in self.statements:
             self._validate_statement(s)
-            for point in enumerate_set(s.domain):
-                t = s.scatter_of(point)
+            for point, t in zip(s.rows, s.scatters):
                 if t in seen_scatter:
                     other = seen_scatter[t]
                     raise ValidationError(
@@ -244,35 +273,14 @@ class Scop:
             raise ValidationError(f"{s.id}: writing statement has no body")
 
     def _check_in_bounds(self, s: Statement, acc: AccessRef, fld: FieldDecl) -> None:
-        for piece in s.domain.pieces:
-            box = piece_box(s.arity, piece)
-            if box is None:
-                continue
-            for d, e in enumerate(acc.index_exprs):
-                lo = hi = e.const
-                for i, c in enumerate(e.coeffs):
-                    if c > 0:
-                        lo += c * box[i][0]
-                        hi += c * box[i][1]
-                    elif c < 0:
-                        lo += c * box[i][1]
-                        hi += c * box[i][0]
-                if lo < 0 or hi >= fld.extents[d]:
-                    # interval bound is exact on box pieces; fall back to
-                    # point check for non-box pieces before rejecting
-                    if self._really_out_of_bounds(s, acc, fld):
-                        raise ValidationError(
-                            f"{s.id}: access {fld.name}[dim {d}] out of bounds "
-                            f"(range [{lo}, {hi}], extent {fld.extents[d]})"
-                        )
-                    return
-
-    def _really_out_of_bounds(self, s: Statement, acc: AccessRef, fld: FieldDecl) -> bool:
-        for point in enumerate_set(s.domain):
-            idx = tuple(e.evaluate(point) for e in acc.index_exprs)
-            if any(not 0 <= v < ext for v, ext in zip(idx, fld.extents)):
-                return True
-        return False
+        index = evaluate_rows(acc.index_exprs, s.instances)
+        for d, extent in enumerate(fld.extents):
+            values = index[:, d].tolist()
+            if values and (min(values) < 0 or max(values) >= extent):
+                raise ValidationError(
+                    f"{s.id}: access {fld.name}[dim {d}] out of bounds "
+                    f"(range [{min(values)}, {max(values)}], extent {extent})"
+                )
 
 
 # ---------------------------------------------------------------------------
@@ -446,8 +454,7 @@ def sequential_execute(scop: Scop, init: FieldContents) -> FieldContents:
         fields[f.name] = arr
     timeline = []
     for s in scop.real_statements():
-        for point in enumerate_set(s.domain):
-            timeline.append((s.scatter_of(point), s, point))
+        timeline.extend((t, s, point) for point, t in zip(s.rows, s.scatters))
     timeline.sort(key=lambda item: item[0])
     scalars: dict[str, object] = {}
     for _, s, point in timeline:

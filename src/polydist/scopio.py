@@ -8,6 +8,7 @@ and ``print_scop`` emits a document that parses back to an equal scop.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 from typing import Optional
 
 from .errors import ParseError, ValidationError
@@ -16,7 +17,7 @@ from .isets import AffineExpr, IntSet, Space
 from .scop import AccessRef, ClusterGrid, FieldDecl, Scop, Statement
 from .syntax import format_expr, format_set, parse_expr, parse_set, _parse_body
 
-__all__ = ["parse_scop", "parse_scop_file", "print_scop"]
+__all__ = ["parse_scop", "parse_scop_file", "print_scop", "read_input"]
 
 
 def _schedule_exprs(text: str, dom: Space) -> tuple[AffineExpr, ...]:
@@ -127,12 +128,16 @@ def parse_scop(text: str, name: str = "scop") -> Scop:
     return scop
 
 
-def parse_scop_file(path) -> Scop:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    from pathlib import Path
+def read_input(path) -> str:
+    """A UTF-8 text file's contents, or ParseError naming the path and why not."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        raise ParseError(f"cannot read {path}: {getattr(e, 'strerror', None) or e}") from None
 
-    return parse_scop(text, name=Path(path).stem)
+
+def parse_scop_file(path) -> Scop:
+    return parse_scop(read_input(path), name=Path(path).stem)
 
 
 def print_scop(scop: Scop) -> str:

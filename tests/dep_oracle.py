@@ -12,13 +12,18 @@ from polydist.isets import enumerate_set
 from polydist.scop import Scop
 
 
+def scatter_of(s, point) -> tuple:
+    """One instance's scatter, evaluated point by point."""
+    return tuple(e.evaluate(point) for e in s.schedule_exprs)
+
+
 def brute_force_flows(scop: Scop) -> set:
     """All direct flow pairs (producer, i_g, consumer, i_c, kind, ref, element)
     for a scop that already carries its virtual statements."""
     timeline = []
     for s in scop.statements:
         for point in enumerate_set(s.domain):
-            timeline.append((s.scatter_of(point), s, point))
+            timeline.append((scatter_of(s, point), s, point))
     timeline.sort(key=lambda item: item[0])
 
     field_writer: dict = {}

@@ -240,13 +240,61 @@ def ref_closure(pairs, n):
 # -- analysis oracles ---------------------------------------------------------
 
 
+def instance_graph(dep) -> dict:
+    """Adjacency over enumerated instances of all direct flows:
+    (statement, instance) -> [(statement, instance), ...]."""
+    adj: dict = {}
+    for fam in dep.families:
+        for ig, ic, _ in fam.pairs():
+            adj.setdefault((fam.producer, ig), []).append((fam.consumer, ic))
+    return adj
+
+
+def collapsed_has_cycle(dep, phi) -> bool:
+    """Cycle in the instance graph after quotienting the consumer's
+    instances by phi, by a three-colour depth-first search."""
+    adj = instance_graph(dep)
+
+    def node_of(sid, pt):
+        if sid == phi.consumer:
+            return (sid, phi.apply_point(pt))
+        return (sid, pt)
+
+    quotient: dict = {}
+    for (gid, ig), succs in adj.items():
+        bucket = quotient.setdefault(node_of(gid, ig), set())
+        for cid, ic in succs:
+            bucket.add(node_of(cid, ic))
+    WHITE, GRAY, BLACK = 0, 1, 2
+    color: dict = {}
+    for start in quotient:
+        if color.get(start, WHITE) != WHITE:
+            continue
+        stack = [(start, iter(quotient.get(start, ())))]
+        color[start] = GRAY
+        while stack:
+            node, it = stack[-1]
+            advanced = False
+            for nxt in it:
+                c = color.get(nxt, WHITE)
+                if c == GRAY:
+                    return True
+                if c == WHITE:
+                    color[nxt] = GRAY
+                    stack.append((nxt, iter(quotient.get(nxt, ()))))
+                    advanced = True
+                    break
+            if not advanced:
+                color[node] = BLACK
+                stack.pop()
+    return False
+
+
 def validate_chunking(phi, dep) -> bool:
     """True iff applying phi to both sides of the transitive closure of all
     flows yields an irreflexive relation: no dependence path may connect
     two instances of the same chunk."""
-    adj: dict = {}
-    for gid, ig, cid, ic in dep.instance_edges():
-        adj.setdefault((gid, ig), []).append((cid, ic))
+    adj = instance_graph(dep)
     chunks: dict = {}
     for pt in enumerate_set(dep.scop.statement(phi.consumer).domain):
         chunks.setdefault(phi.apply_point(pt), set()).add(pt)

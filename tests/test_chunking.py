@@ -4,6 +4,7 @@ import json
 import pytest
 
 from oracle import (
+    collapsed_has_cycle,
     global_order_holds_symbolic,
     strict_prefix_holds_symbolic,
     transitive_closure,
@@ -11,6 +12,8 @@ from oracle import (
 )
 from polydist.chunking import (
     ChunkingFn,
+    _collapsed_has_cycle,
+    _kept_dims,
     _order_summary,
     _strict_prefix_holds,
     chunk_all,
@@ -123,6 +126,44 @@ MIXED = {
         },
     ],
 }
+
+
+# s accumulates a[x] in order: the only flow inside S is the scalar S -> S
+# self-loop, so merging all of S (levels 0 and 1) is cyclic and level 2 is not
+ACC = {
+    "name": "acc",
+    "grid": [1],
+    "scatter_arity": 3,
+    "fields": [{"name": "a", "type": "int64", "extents": [4]}],
+    "functions": {},
+    "statements": [
+        {
+            "id": "I",
+            "domain": "{ [] }",
+            "schedule": "{ [] -> [0,0,0] }",
+            "body": ["int", 0],
+            "scalar_writes": ["s"],
+        },
+        {
+            "id": "W",
+            "domain": "{ [x] : 0 <= x < 4 }",
+            "schedule": "{ [x] -> [1,x,0] }",
+            "accesses": [{"field": "a", "kind": "write", "index": ["x"]}],
+            "body": ["int", 7],
+        },
+        {
+            "id": "S",
+            "domain": "{ [x] : 0 <= x < 4 }",
+            "schedule": "{ [x] -> [2,x,0] }",
+            "accesses": [{"field": "a", "kind": "read", "index": ["x"]}],
+            "body": ["add", ["var", "s"], ["access", 0]],
+            "scalar_reads": ["s"],
+            "scalar_writes": ["s"],
+        },
+    ],
+}
+
+SYNTHETIC = {"chain": CHAIN, "straight": STRAIGHT, "two": TWO, "mixed": MIXED, "acc": ACC}
 
 
 @pytest.fixture(scope="module")
@@ -267,6 +308,14 @@ def _synthetic_dep(doc):
     return compute_flow(add_virtual_statements(parse_scop(json.dumps(doc))))
 
 
+def _named_dep(name, scops_dir):
+    """A shipped gol16 variant, isolated, or one of the SYNTHETIC scops."""
+    if name.startswith("gol16"):
+        scop = parse_scop_file(scops_dir / f"{name}.scop")
+        return compute_flow(add_virtual_statements(isolate_accesses(scop)))
+    return _synthetic_dep(SYNTHETIC[name])
+
+
 def _reversed(fam):
     """The family with producer and consumer swapped: every producer now
     runs after its consumer, so no order condition may hold."""
@@ -288,12 +337,7 @@ def _reversed(fam):
 def test_order_checks_match_symbolic(name, scops_dir):
     # the one-pass order checks agree with the symbolic ones on every
     # intra-field family and its reverse, at level 0 and every deeper level
-    if name.startswith("gol16"):
-        scop = parse_scop_file(scops_dir / f"{name}.scop")
-        dep = compute_flow(add_virtual_statements(isolate_accesses(scop)))
-    else:
-        docs = {"chain": CHAIN, "straight": STRAIGHT, "two": TWO, "mixed": MIXED}
-        dep = _synthetic_dep(docs[name])
+    dep = _named_dep(name, scops_dir)
     scop = dep.scop
     families = dep.intra_field_families()
     assert families
@@ -305,3 +349,35 @@ def test_order_checks_match_symbolic(name, scops_dir):
             assert _strict_prefix_holds(scop, fam, level) == strict_prefix_holds_symbolic(
                 scop, fam, level
             ), (where, level)
+
+
+def _phi_at(dep, consumer, level):
+    cons = dep.scop.statement(consumer)
+    return ChunkingFn(consumer, level, _kept_dims(cons, level), cons.space)
+
+
+@pytest.mark.parametrize(
+    "name", ["gol16", "gol16_fused", "chain", "straight", "two", "mixed", "acc"]
+)
+def test_collapsed_cycle_matches_dfs(name, scops_dir):
+    # Kahn's algorithm over the numbered instance graph agrees with the
+    # depth-first search over the tuple quotient at every candidate level
+    dep = _named_dep(name, scops_dir)
+    for fam in dep.intra_field_families():
+        for level in range(dep.scop.scatter_arity):
+            phi = _phi_at(dep, fam.consumer, level)
+            assert _collapsed_has_cycle(dep, phi) == collapsed_has_cycle(dep, phi), (
+                fam.producer, fam.consumer, level
+            )
+
+
+def test_scalar_self_loop_is_a_cycle():
+    dep = _synthetic_dep(ACC)
+    fam = next(f for f in dep.intra_field_families())
+    assert (fam.producer, fam.consumer) == ("W", "S")
+    assert [_collapsed_has_cycle(dep, _phi_at(dep, "S", lv)) for lv in range(3)] == [
+        True,
+        True,
+        False,
+    ]
+    assert chunk_all(dep)[("W", "S", "a")].level == 2

@@ -6,6 +6,8 @@ import sys
 import pytest
 
 from polydist.cli import main
+from polydist.fields import dump_contents, random_contents
+from polydist.scopio import parse_scop_file
 
 
 def invoke(*argv):
@@ -238,3 +240,89 @@ def test_console_entrypoint():
     )
     assert proc.returncode == 0
     assert "analyze" in proc.stdout
+
+
+def test_empty_domains_every_subcommand(gol16_path, tmp_path, capsys):
+    # --iters 0 empties every statement domain: each statement still gets a
+    # (empty) placement, and the plan leaves the contents as they were
+    scop = parse_scop_file(gol16_path)
+    init = dump_contents(scop, random_contents(scop, 5))
+    init_file = tmp_path / "init.txt"
+    init_file.write_text(init)
+    for cmd in ("analyze", "plan", "simulate", "verify"):
+        rc = invoke(cmd, str(gol16_path), "--iters", "0", "--init", str(init_file),
+                    "--out", str(tmp_path / cmd))
+        assert rc == 0, cmd
+    assert "verify: PASS" in capsys.readouterr().out
+    assert (tmp_path / "simulate" / "fields.txt").read_text() == init
+
+
+def _unreadable(tmp_path, gol16_path, option, what):
+    target = tmp_path / what
+    if what == "dir":
+        target.mkdir()
+    elif what == "binary":
+        target.write_bytes(b"\xff\xfe\x00")
+    if option == "input":
+        return [str(target)], target
+    return [str(gol16_path), f"--{option}", str(target)], target
+
+
+@pytest.mark.parametrize(
+    "option, what, reason",
+    [
+        ("input", "missing", "No such file or directory"),
+        ("input", "dir", "Is a directory"),
+        ("input", "binary", "'utf-8' codec can't decode byte 0xff"),
+        ("plan", "missing", "No such file or directory"),
+        ("plan", "dir", "Is a directory"),
+        ("init", "missing", "No such file or directory"),
+        ("init", "dir", "Is a directory"),
+    ],
+)
+def test_unreadable_file_is_a_parse_error(gol16_path, tmp_path, capsys, option, what, reason):
+    args, target = _unreadable(tmp_path, gol16_path, option, what)
+    assert invoke("simulate", *args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"parse error: cannot read {target}: {reason}")
+    assert err.count("\n") == 1
+
+
+def _wide_scop(offset, coeff):
+    """W[x] writes b[x-offset]; R[x] reads b in reverse and writes a[x-offset],
+    both scheduled coeff*x, so the flows cross the two nodes."""
+    dom = f"{{ [x] : {offset} <= x < {offset + 4} }}"
+    return {
+        "name": "wide", "grid": [2], "scatter_arity": 2,
+        "fields": [{"name": "a", "type": "int64", "extents": [4]},
+                   {"name": "b", "type": "int64", "extents": [4]}],
+        "functions": {},
+        "statements": [
+            {"id": "W", "domain": dom, "schedule": f"{{ [x] -> [0, {coeff}*x] }}",
+             "accesses": [{"field": "b", "kind": "write", "index": [f"x-{offset}"]}],
+             "body": ["int", 7]},
+            {"id": "R", "domain": dom, "schedule": f"{{ [x] -> [1, {coeff}*x] }}",
+             "accesses": [{"field": "b", "kind": "read", "index": [f"{offset + 3}-x"]},
+                          {"field": "a", "kind": "write", "index": [f"x-{offset}"]}],
+             "body": ["access", 0]},
+        ],
+    }
+
+
+@pytest.mark.parametrize(
+    "offset, coeff", [(2**62, 1), (2**70, 1), (0, 2**62), (0, 2**70)],
+    ids=["offset62", "offset70", "coeff62", "coeff70"],
+)
+def test_scatters_stay_exact_beyond_int64(tmp_path, capsys, offset, coeff):
+    path = tmp_path / "wide.scop"
+    path.write_text(json.dumps(_wide_scop(offset, coeff)))
+    assert invoke("verify", str(path), "--seed", "1") == 0
+    assert "verify: PASS" in capsys.readouterr().out
+    assert invoke("plan", str(path), "--out", str(tmp_path)) == 0
+    text = (tmp_path / "plan.txt").read_text()
+    computes = re.findall(r"t=\((\d+),(\d+),(\d+)\) kind=compute stmt=(\S+) i=\((\d+)\)", text)
+    assert len(computes) == 12  # W, R.1 and R.2 at four points each
+    for t0, t1, t2, stmt, i in computes:
+        assert (int(t0), int(t1)) == (0 if stmt == "W" else 2, 2 * coeff * int(i)), stmt
+    first = 2 * coeff * offset
+    assert f"node=(0) t=(0,{first},-1) kind=send_wait chunk=flow:W->R.1:b" in text

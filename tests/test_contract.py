@@ -1,0 +1,29 @@
+"""The output contract: plan, trace and final contents of two shipped
+configurations, pinned by sha256.  A change to any of them must say why."""
+
+import hashlib
+
+import pytest
+
+from polydist.cli import main
+
+EXPECTED = {
+    ("gol16", "2x2"): {
+        "plan.txt": "4fd625f96d32d4f8448a15c7db946ebbfae23808025c617370369db6120ca277",
+        "trace.txt": "7790f0e07275a685a8b131d773376486627fce14ced92a897fe5b94b4bfe8adf",
+        "fields.txt": "8720dc71e6251c2ce067a8b9a4fdb5755e7571421572ff3d56a9528dea2dac82",
+    },
+    ("gol16_fused", "8x8"): {
+        "plan.txt": "2f1cc752c3eac75b6a7d7a15b10be4ad1f1cea53c4055d2d0a4c4c627f93a76f",
+        "trace.txt": "148485c1e9014cfd0179f7880cdbd426bed70ad69f7355c290c4be70bd882a5f",
+    },
+}
+
+
+@pytest.mark.parametrize("scop, grid", sorted(EXPECTED))
+def test_simulate_outputs_pinned(scops_dir, tmp_path, scop, grid):
+    argv = ["simulate", str(scops_dir / f"{scop}.scop"), "--grid", grid,
+            "--dump", "plan,trace", "--seed", "7", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    for name, digest in EXPECTED[(scop, grid)].items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name

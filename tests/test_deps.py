@@ -15,7 +15,7 @@ from polydist.isets import enumerate_set
 from polydist.scop import isolate_accesses
 from polydist.scopio import parse_scop, parse_scop_file
 
-from dep_oracle import brute_force_flows, flows_of_depgraph
+from dep_oracle import brute_force_flows, flows_of_depgraph, scatter_of
 
 
 @pytest.fixture(scope="module")
@@ -109,8 +109,8 @@ def test_delta_respects_time(gol16_virt, gol16_dep):
     stmts = {s.id: s for s in gol16_virt.statements}
     for fam in gol16_dep.families:
         for ig, ic, _ in fam.pairs():
-            tg = stmts[fam.producer].scatter_of(ig)
-            tc = stmts[fam.consumer].scatter_of(ic)
+            tg = scatter_of(stmts[fam.producer], ig)
+            tc = scatter_of(stmts[fam.consumer], ic)
             assert tg < tc
 
 

@@ -5,8 +5,8 @@ import pytest
 
 from polydist.errors import ParseError, ValidationError
 from polydist.fields import contents_equal, random_contents, zero_contents
-from polydist.isets import enumerate_set
-from polydist.scop import isolate_accesses, sequential_execute
+from polydist.isets import AffineExpr, DivTerm, enumerate_set
+from polydist.scop import evaluate_rows, isolate_accesses, point_table, sequential_execute
 from polydist.scopio import parse_scop, parse_scop_file, print_scop
 
 
@@ -62,6 +62,47 @@ def test_out_of_bounds_access_rejected(gol16_path):
     doc["statements"][0]["accesses"][0]["index"] = ["x", "16"]
     with pytest.raises(ValidationError):
         parse_scop(json.dumps(doc))
+
+
+def _triangle(index):
+    return json.dumps({
+        "name": "triangle",
+        "grid": [1, 1],
+        "scatter_arity": 2,
+        "fields": [{"name": "f", "type": "int64", "extents": [16, 16]}],
+        "functions": {},
+        "statements": [{
+            "id": "T",
+            "domain": "{ [x,y] : 0 <= x < 16 and 0 <= y <= x }",
+            "schedule": "{ [x,y] -> [x,y] }",
+            "accesses": [{"field": "f", "kind": "read", "index": index}],
+            "body": ["access", 0],
+            "scalar_writes": ["v"],
+        }],
+    })
+
+
+def test_bounds_checked_on_exact_ranges():
+    # the domain's bounding box would give 15-x+y the range [0, 30]; over
+    # the triangle it is [0, 15], and only y+1 leaves the extent
+    parse_scop(_triangle(["15-x+y", "y"]))
+    with pytest.raises(ValidationError) as ei:
+        parse_scop(_triangle(["15-x+y", "y+1"]))
+    assert str(ei.value) == "T: access f[dim 1] out of bounds (range [1, 16], extent 16)"
+
+
+@pytest.mark.parametrize("scale", [1, 2**62, 2**70])
+def test_evaluate_rows_matches_pointwise(scale):
+    points = sorted((scale * x + d, y) for x in (-2, 0, 3) for d in (-1, 0, 1) for y in (-5, 0, 7))
+    x, y = AffineExpr.var(2, 0), AffineExpr.var(2, 1)
+    exprs = [
+        x + y.scale(3),
+        AffineExpr((2, -1), 5, (DivTerm(3, x - y, 4),)),
+        AffineExpr((0, scale), 1, (DivTerm(-1, y, scale),)),
+    ]
+    got = evaluate_rows(exprs, point_table(points, 2))
+    assert got.tolist() == [[e.evaluate(p) for e in exprs] for p in points]
+    assert evaluate_rows(exprs, point_table([], 2)).shape == (0, 3)
 
 
 def test_non_injective_schedule_rejected(gol16_path):
