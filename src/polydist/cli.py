@@ -53,11 +53,30 @@ def _load(args):
     return scop
 
 
+def _check_outputs(args):
+    """Reject unknown dump kinds and make the output directory, before any
+    analysis runs."""
+    if args.dump:
+        for kind in args.dump.split(","):
+            if kind not in DUMPS:
+                raise ValidationError(
+                    f"unknown --dump kind {kind!r} (expected {','.join(DUMPS)})"
+                )
+    if args.out:
+        try:
+            Path(args.out).mkdir(parents=True, exist_ok=True)
+        except OSError as e:
+            raise ValidationError(f"--out {args.out}: {e.strerror or e}") from None
+
+
 def _emit(args, filename: str, text: str):
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / filename).write_text(text)
+        try:
+            (Path(args.out) / filename).write_text(text)
+        except OSError as e:
+            raise ValidationError(
+                f"--out {args.out}: cannot write {filename}: {e.strerror or e}"
+            ) from None
     else:
         sys.stdout.write(f"# {filename}\n")
         sys.stdout.write(text)
@@ -175,6 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_outputs(args)
         return args.fn(args)
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)

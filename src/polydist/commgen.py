@@ -12,12 +12,16 @@ chunk and (source, destination) pair:
     buffer reads    at the consumer executions
     recv        one step after the last consumer execution
 
-All schedules are dilated by two first, so the inserted calls land on odd
-scatter coordinates that no statement instance occupies.  Prologue and
-epilogue flows travel as a single chunk per family between field storage
-and the buffers.  Producers whose values also reach the epilogue keep
-their local store; all other original stores are dropped, so consumers
-read intra-scop values from buffers only.
+All schedules are dilated by two first: every statement scatter then has
+an even last coordinate, and every inserted call, one step before or after
+a dilated scatter, an odd one, so no call lands where a statement instance
+runs.  The virtual prologue and epilogue are statements with one scatter
+each, so their families get the same four channel calls; only the element
+handling differs.  Prologue producers fill the buffer from field storage
+and epilogue consumers drain it back, each family as a single chunk.
+Producers whose values also reach the epilogue keep their local store;
+all other original stores are dropped, so consumers read intra-scop values
+from buffers only.
 """
 
 from __future__ import annotations
@@ -26,9 +30,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .deps import EPILOGUE, PROLOGUE, DepGraph, FlowFamily
-from .errors import AnalysisError, OutOfHull, ParseError, ScatterCollision, ValidationError
-from .placement import FieldPlacement, StmtPlacement, block_distribute
-from .scop import ClusterGrid, FieldDecl, Scop
+from .errors import AnalysisError, OutOfHull, ParseError, ValidationError
+from .placement import FieldPlacement, StmtPlacement, block_distribute, block_home
+from .scop import ClusterGrid, FieldDecl, Scop, evaluate_rows
 from .syntax import format_map
 
 __all__ = [
@@ -76,9 +80,6 @@ class BufferLayout:
         for lo, hi in self.box:
             n *= hi - lo + 1
         return n
-
-    def rank(self, index) -> int:
-        return buffer_rank(self, index)
 
 
 def buffer_rank(layout: BufferLayout, index) -> int:
@@ -199,13 +200,13 @@ def build_transfers(dep: DepGraph, sp: StmtPlacement, fp: FieldPlacement, chunki
 
 
 def group_chunks(transfers: dict) -> dict:
-    """family key -> representative -> transfer list; empty chunks dropped."""
+    """family key -> representative -> transfer list, representatives sorted."""
     out: dict = {}
     for key, tuples in transfers.items():
         chunks: dict = {}
         for t in tuples:
             chunks.setdefault(t.representative, []).append(t)
-        out[key] = {rep: chunk for rep, chunk in sorted(chunks.items()) if chunk}
+        out[key] = dict(sorted(chunks.items()))
     return out
 
 
@@ -223,50 +224,24 @@ def emit_protocol(
     fp: FieldPlacement,
     sp: StmtPlacement,
     chunked: dict,
-    dilation: int = 2,
 ) -> CommPlan:
     """Assemble the per-node event lists from grouped transfers."""
     stmts = {s.id: s for s in scop.statements}
+    dilated = {s.id: [tuple(2 * v for v in sc) for sc in s.scatters] for s in scop.statements}
 
     def dil(sid, point):
-        return tuple(dilation * v for v in stmts[sid].scatters[stmts[sid].rows[point]])
+        return dilated[sid][stmts[sid].rows[point]]
 
-    # channels: one per (family, src, dst), layouts over the union hull
-    chan_elems: dict = {}
-    order: list = []
-    for key in chunked:
-        for rep, tuples in chunked[key].items():
+    # one channel per (family, src, dst) in order of first appearance, its
+    # transfers grouped by chunk representative
+    by_channel: dict = {}
+    for key, chunks in chunked.items():
+        for rep, tuples in chunks.items():
             for t in tuples:
                 ck = (key, t.producer_node, t.consumer_node)
-                if ck not in chan_elems:
-                    chan_elems[ck] = set()
-                    order.append(ck)
-                chan_elems[ck].add(t.element)
-    channels: list = []
-    chan_ids: dict = {}
-    for tag, ck in enumerate(order):
-        key, src, dst = ck
-        elems = chan_elems[ck]
-        fieldname = key.rsplit(":", 1)[1]
-        fld = scop.field(fieldname)
-        box = tuple(
-            (min(e[d] for e in elems), max(e[d] for e in elems)) for d in range(fld.arity)
-        )
-        layout = BufferLayout(fieldname=fieldname, box=box)
-        cid = len(channels)
-        channels.append(
-            Channel(
-                cid=cid,
-                family=key,
-                src=src,
-                dst=dst,
-                tag=tag,
-                layout=layout,
-                element_type=fld.element_type,
-            )
-        )
-        chan_ids[ck] = cid
+                by_channel.setdefault(ck, {}).setdefault(rep, []).append(t)
 
+    channels: list = []
     read_bindings: dict = {}  # (consumer, instance, node) -> (cid, rank)
     write_bindings: dict = {}  # (producer, instance, node) -> [(cid, rank)]
     events: dict = {}
@@ -274,104 +249,70 @@ def emit_protocol(
     def emit(node, ev: Event):
         events.setdefault(node, []).append(ev)
 
-    retained = {f.producer for f in dep.epilogue_families()}
-
-    for key in chunked:
-        for rep, tuples in sorted(chunked[key].items()):
-            chunk_name = f"{key}@{_fmt_tuple(rep)}"
-            by_pair: dict = {}
-            for t in tuples:
-                by_pair.setdefault((t.producer_node, t.consumer_node), []).append(t)
-            for (src, dst), group in sorted(by_pair.items()):
-                cid = chan_ids[(key, src, dst)]
-                layout = channels[cid].layout
-                is_pro = key.startswith("pro:")
-                is_epi = key.startswith("epi:")
-                # producer side
-                if is_pro:
-                    t_pro = dil(PROLOGUE, ())
-                    emit(src, Event(node=src, scatter=_offset_last(t_pro, -1),
-                                    kind="send_wait", chunk=chunk_name, cid=cid))
-                    filled = set()
-                    for t in sorted(group, key=lambda t: layout.rank(t.element)):
-                        rank = layout.rank(t.element)
-                        if rank in filled:
-                            continue
+    for cid, ((key, src, dst), chunks) in enumerate(by_channel.items()):
+        first = next(iter(chunks.values()))[0]
+        fills, drains = first.producer == PROLOGUE, first.consumer == EPILOGUE
+        fld = scop.field(first.fieldname)
+        elems = [t.element for group in chunks.values() for t in group]
+        box = tuple((min(e[d] for e in elems), max(e[d] for e in elems)) for d in range(fld.arity))
+        layout = BufferLayout(fieldname=fld.name, box=box)
+        channels.append(Channel(cid=cid, family=key, src=src, dst=dst, tag=cid,
+                                layout=layout, element_type=fld.element_type))
+        for rep, group in chunks.items():
+            chunk = f"{key}@{_fmt_tuple(rep)}"
+            ranked = sorted(((buffer_rank(layout, t.element), t) for t in group),
+                            key=lambda rt: rt[0])
+            prod = [dil(t.producer, t.producer_instance) for t in group]
+            cons = [dil(t.consumer, t.consumer_instance) for t in group]
+            for node, kind, scatter in (
+                (src, "send_wait", _offset_last(min(prod), -1)),
+                (src, "send", _offset_last(max(prod), +1)),
+                (dst, "recv_wait", _offset_last(min(cons), -1)),
+                (dst, "recv", _offset_last(max(cons), +1)),
+            ):
+                emit(node, Event(node=node, scatter=scatter, kind=kind, chunk=chunk, cid=cid))
+            filled = set()
+            for rank, t in ranked:
+                if fills:
+                    if rank not in filled:
                         filled.add(rank)
-                        emit(src, Event(node=src, scatter=t_pro, kind="buffer_fill",
-                                        chunk=chunk_name, cid=cid, element=t.element,
-                                        rank=rank))
-                    emit(src, Event(node=src, scatter=_offset_last(t_pro, +1),
-                                    kind="send", chunk=chunk_name, cid=cid))
+                        emit(src, Event(node=src, scatter=prod[0], kind="buffer_fill",
+                                        chunk=chunk, cid=cid, element=t.element, rank=rank))
                 else:
-                    prod_scatters = sorted(dil(t.producer, t.producer_instance) for t in group)
-                    emit(src, Event(node=src, scatter=_offset_last(prod_scatters[0], -1),
-                                    kind="send_wait", chunk=chunk_name, cid=cid))
-                    emit(src, Event(node=src, scatter=_offset_last(prod_scatters[-1], +1),
-                                    kind="send", chunk=chunk_name, cid=cid))
-                    for t in group:
-                        wkey = (t.producer, t.producer_instance, src)
-                        write_bindings.setdefault(wkey, []).append(
-                            (cid, layout.rank(t.element))
-                        )
-                # consumer side
-                if is_epi:
-                    t_epi = dil(EPILOGUE, ())
-                    emit(dst, Event(node=dst, scatter=_offset_last(t_epi, -1),
-                                    kind="recv_wait", chunk=chunk_name, cid=cid))
-                    for t in sorted(group, key=lambda t: layout.rank(t.element)):
-                        emit(dst, Event(node=dst, scatter=t_epi, kind="buffer_drain",
-                                        chunk=chunk_name, cid=cid, element=t.element,
-                                        rank=layout.rank(t.element)))
-                    emit(dst, Event(node=dst, scatter=_offset_last(t_epi, +1),
-                                    kind="recv", chunk=chunk_name, cid=cid))
+                    wkey = (t.producer, t.producer_instance, src)
+                    write_bindings.setdefault(wkey, []).append((cid, rank))
+                if drains:
+                    emit(dst, Event(node=dst, scatter=cons[0], kind="buffer_drain",
+                                    chunk=chunk, cid=cid, element=t.element, rank=rank))
                 else:
-                    cons_scatters = sorted(dil(t.consumer, t.consumer_instance) for t in group)
-                    emit(dst, Event(node=dst, scatter=_offset_last(cons_scatters[0], -1),
-                                    kind="recv_wait", chunk=chunk_name, cid=cid))
-                    emit(dst, Event(node=dst, scatter=_offset_last(cons_scatters[-1], +1),
-                                    kind="recv", chunk=chunk_name, cid=cid))
-                    for t in group:
-                        rkey = (t.consumer, t.consumer_instance, dst)
-                        if rkey in read_bindings:
-                            raise AnalysisError(f"double read binding for {rkey}")
-                        read_bindings[rkey] = (cid, layout.rank(t.element))
+                    rkey = (t.consumer, t.consumer_instance, dst)
+                    if rkey in read_bindings:
+                        raise AnalysisError(f"double read binding for {rkey}")
+                    read_bindings[rkey] = (cid, rank)
 
-    # compute events for every execution of every real statement
-    exec_nodes = sp.table
-    compute_scatters: dict = {}
+    # compute events for every execution of every real statement, row by row
+    retained = {f.producer for f in dep.epilogue_families()}
     for s in scop.real_statements():
-        for inst, exec_list in sorted(exec_nodes[s.id].items()):
-            scatter = dil(s.id, inst)
-            for node in map(tuple, exec_list):
-                compute_scatters.setdefault(node, set()).add(scatter)
+        placed = sp.table[s.id]
+        reads = bool(s.reads())
+        homes = None
+        if s.id in retained:
+            _, acc = s.writes()[0]
+            blocks = fp.block_extents[acc.field]
+            homes = [block_home(k, blocks)
+                     for k in evaluate_rows(acc.index_exprs, s.instances).tolist()]
+        for row, (inst, scatter) in enumerate(zip(s.rows, dilated[s.id])):
+            for node in placed.get(inst, ()):
                 read_from = None
-                if s.reads():
+                if reads:
                     read_from = read_bindings.get((s.id, inst, node))
                     if read_from is None:
                         raise AnalysisError(f"unbound read for {s.id}{inst} on {node}")
-                writes = []
-                if s.writes():
-                    _, acc = s.writes()[0]
-                    if s.id in retained:
-                        k = tuple(e.evaluate(inst) for e in acc.index_exprs)
-                        if node in fp.homes(acc.field, k):
-                            writes.append(("storage",))
-                    for cid, rank in sorted(set(write_bindings.get((s.id, inst, node), []))):
-                        writes.append(("buffer", cid, rank))
+                writes = [("storage",)] if homes is not None and homes[row] == node else []
+                for cid, rank in sorted(set(write_bindings.get((s.id, inst, node), []))):
+                    writes.append(("buffer", cid, rank))
                 emit(node, Event(node=node, scatter=scatter, kind="compute", stmt=s.id,
                                  instance=inst, read_from=read_from, writes=tuple(writes)))
-
-    # prologue fills and epilogue drains execute at virtual-statement scatters;
-    # inserted comm calls must never collide with a statement instance
-    for node, evs in events.items():
-        occupied = compute_scatters.get(node, set())
-        for ev in evs:
-            if ev.kind in ("send_wait", "send", "recv_wait", "recv"):
-                if ev.scatter in occupied:
-                    raise ScatterCollision(
-                        f"{ev.kind} at {ev.scatter} collides with a statement on {node}"
-                    )
 
     for node in events:
         events[node].sort(key=Event.sort_key)

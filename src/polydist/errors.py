@@ -57,10 +57,6 @@ class UnsatisfiablePlacement(AnalysisError):
     """Co-location constraints left some statement instance without a node."""
 
 
-class ScatterCollision(AnalysisError):
-    """An inserted communication event collided with an existing scatter tuple."""
-
-
 class EvaluationError(PolydistError):
     """Type error or bad reference while evaluating a statement body."""
 

@@ -70,6 +70,46 @@ def test_plan_indivisible_grid(gol16_path, tmp_path):
     assert invoke("plan", str(gol16_path), "--grid", "3x3", "--out", str(tmp_path)) == 2
 
 
+def _no_analysis(monkeypatch):
+    def boom(scop):
+        raise AssertionError("analysis ran before the options were checked")
+
+    monkeypatch.setattr("polydist.cli.analyze_scop", boom)
+    monkeypatch.setattr("polydist.cli.plan_scop", boom)
+
+
+@pytest.mark.parametrize("command", ["plan", "analyze"])
+def test_out_under_a_regular_file(gol16_path, tmp_path, capsys, monkeypatch, command):
+    _no_analysis(monkeypatch)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "sub"
+    assert invoke(command, str(gol16_path), "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"validation error: --out {out}: Not a directory\n"
+
+
+@pytest.mark.parametrize("command, dump", [("plan", "plan.txt"), ("analyze", "deps.txt")])
+def test_out_dump_write_fails(gol16_path, tmp_path, capsys, command, dump):
+    (tmp_path / dump).mkdir()
+    assert invoke(command, str(gol16_path), "--iters", "1", "--out", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err == f"validation error: --out {tmp_path}: cannot write {dump}: Is a directory\n"
+
+
+@pytest.mark.parametrize(
+    "command, dump, kind", [("analyze", "dep", "dep"), ("verify", "trace,bogus", "bogus")]
+)
+def test_unknown_dump_kind(gol16_path, tmp_path, capsys, monkeypatch, command, dump, kind):
+    _no_analysis(monkeypatch)
+    out = tmp_path / "out"
+    assert invoke(command, str(gol16_path), "--dump", dump, "--out", str(out)) == 2
+    assert capsys.readouterr().err == (
+        f"validation error: unknown --dump kind {kind!r} "
+        "(expected deps,place,chunk,plan,trace)\n"
+    )
+    assert not out.exists()
+
+
 def test_verify_pass(gol16_path, capsys):
     assert invoke("verify", str(gol16_path), "--seed", "42", "--grid", "2x2") == 0
     assert "PASS" in capsys.readouterr().out

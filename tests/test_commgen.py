@@ -12,12 +12,11 @@ from polydist.commgen import (
     buffer_rank,
     compile_plan,
     dump_plan,
-    emit_protocol,
     group_chunks,
     parse_plan,
 )
 from polydist.deps import EPILOGUE, PROLOGUE, add_virtual_statements, compute_flow
-from polydist.errors import OutOfHull, ParseError, ScatterCollision
+from polydist.errors import OutOfHull, ParseError
 from polydist.isets import (
     AffineExpr,
     IntSet,
@@ -31,6 +30,7 @@ from polydist.isets import (
     subtract,
     union,
 )
+from polydist.pipeline import override_grid, plan_scop
 from polydist.placement import StmtPlacement, block_distribute, place_statements
 from polydist.scop import isolate_accesses
 from polydist.scopio import parse_scop, parse_scop_file
@@ -368,52 +368,68 @@ def test_storage_writes_only_for_epilogue_flowing(gol16_ctx):
                 assert ev.stmt in retained
 
 
-def test_scatter_collision_without_dilation():
-    # undilated, the send lands one step after the last producer, exactly
-    # where statement H sits; dilation keeps inserted calls on odd slots
-    doc = {
-        "name": "collide",
-        "grid": [2],
-        "scatter_arity": 2,
-        "fields": [{"name": "a", "type": "int64", "extents": [8]},
-                   {"name": "b", "type": "int64", "extents": [8]}],
-        "functions": {},
-        "statements": [
-            {
-                "id": "G",
-                "domain": "{ [x] : 0 <= x < 4 }",
-                "schedule": "{ [x] -> [0,x] }",
-                "accesses": [{"field": "a", "kind": "write", "index": ["x"]}],
-                "body": ["int", 1],
-            },
-            {
-                "id": "H",
-                "domain": "{ [x] : 0 <= x < 4 }",
-                "schedule": "{ [x] -> [0,x+4] }",
-                "accesses": [{"field": "b", "kind": "write", "index": ["x"]}],
-                "body": ["int", 2],
-            },
-            {
-                "id": "C",
-                "domain": "{ [x] : 0 <= x < 4 }",
-                "schedule": "{ [x] -> [1,x] }",
-                "accesses": [{"field": "a", "kind": "read", "index": ["x"]}],
-                "body": ["access", 0],
-                "scalar_writes": ["v"],
-            },
-        ],
-    }
-    scop = parse_scop(json.dumps(doc))
-    virt = add_virtual_statements(scop)
-    dep = compute_flow(virt)
-    fp = block_distribute(virt.fields, virt.grid)
-    sp = place_statements(virt, dep, fp)
-    chunks = chunk_all(dep)
-    transfers = build_transfers(dep, sp, fp, chunks)
-    grouped = group_chunks(transfers)
-    with pytest.raises(ScatterCollision):
-        emit_protocol(virt, dep, fp, sp, grouped, dilation=1)
-    emit_protocol(virt, dep, fp, sp, grouped, dilation=2)  # no collision
+# Undilated, G's send lands one step after G's last execution, exactly
+# where H's first execution sits on the same node.
+COLLIDE = {
+    "name": "collide",
+    "grid": [2],
+    "scatter_arity": 2,
+    "fields": [{"name": "a", "type": "int64", "extents": [8]},
+               {"name": "b", "type": "int64", "extents": [8]}],
+    "functions": {},
+    "statements": [
+        {
+            "id": "G",
+            "domain": "{ [x] : 0 <= x < 4 }",
+            "schedule": "{ [x] -> [0,x] }",
+            "accesses": [{"field": "a", "kind": "write", "index": ["x"]}],
+            "body": ["int", 1],
+        },
+        {
+            "id": "H",
+            "domain": "{ [x] : 0 <= x < 4 }",
+            "schedule": "{ [x] -> [0,x+4] }",
+            "accesses": [{"field": "b", "kind": "write", "index": ["x"]}],
+            "body": ["int", 2],
+        },
+        {
+            "id": "C",
+            "domain": "{ [x] : 0 <= x < 4 }",
+            "schedule": "{ [x] -> [1,x] }",
+            "accesses": [{"field": "a", "kind": "read", "index": ["x"]}],
+            "body": ["access", 0],
+            "scalar_writes": ["v"],
+        },
+    ],
+}
+
+CHANNEL_CALLS = ("send_wait", "send", "recv_wait", "recv")
+
+
+@pytest.mark.parametrize("source", ["collide", "gol16", "gol16_fused"])
+def test_channel_calls_on_odd_scatters(scops_dir, source):
+    # statement scatters are dilated to even last coordinates and every
+    # channel call sits one step off one, so the two can never collide
+    if source == "collide":
+        # planned without isolation, which would append a constant scatter
+        # coordinate; each statement holds a single field access anyway
+        virt = add_virtual_statements(parse_scop(json.dumps(COLLIDE)))
+        dep = compute_flow(virt)
+        fp = block_distribute(virt.fields, virt.grid)
+        plan = compile_plan(virt, dep, fp, place_statements(virt, dep, fp), chunk_all(dep))
+    else:
+        _, plan = plan_scop(override_grid(parse_scop_file(scops_dir / f"{source}.scop"), (2, 2)))
+    calls = 0
+    for node, evs in plan.events.items():
+        computes = {ev.scatter for ev in evs if ev.kind == "compute"}
+        for ev in evs:
+            if ev.kind == "compute":
+                assert ev.scatter[-1] % 2 == 0, (node, ev)
+            elif ev.kind in CHANNEL_CALLS:
+                calls += 1
+                assert ev.scatter[-1] % 2 == 1, (node, ev)
+                assert ev.scatter not in computes, (node, ev)
+    assert calls
 
 
 def test_loopback_channels_marked(gol16_ctx):

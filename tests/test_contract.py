@@ -1,4 +1,4 @@
-"""The output contract: plan, trace and final contents of two shipped
+"""The output contract: plan, trace and final contents of three shipped
 configurations, pinned by sha256.  A change to any of them must say why."""
 
 import hashlib
@@ -11,6 +11,11 @@ EXPECTED = {
     ("gol16", "2x2"): {
         "plan.txt": "4fd625f96d32d4f8448a15c7db946ebbfae23808025c617370369db6120ca277",
         "trace.txt": "7790f0e07275a685a8b131d773376486627fce14ced92a897fe5b94b4bfe8adf",
+        "fields.txt": "8720dc71e6251c2ce067a8b9a4fdb5755e7571421572ff3d56a9528dea2dac82",
+    },
+    ("gol16", "4x4"): {
+        "plan.txt": "0b7de626fcb452808841b15a59f360f8e6f66d0209fa708393eb3f8a57675088",
+        "trace.txt": "1debe2df5320f44d891f40529cb3ac8decd4f35511d785cb10fe4076011390a1",
         "fields.txt": "8720dc71e6251c2ce067a8b9a4fdb5755e7571421572ff3d56a9528dea2dac82",
     },
     ("gol16_fused", "8x8"): {
