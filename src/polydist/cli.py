@@ -54,15 +54,21 @@ def _load(args):
 
 
 def _check_outputs(args):
-    """Reject unknown dump kinds and make the output directory, before any
-    analysis runs."""
+    """Reject dump kinds and an ``--out`` that the subcommand would ignore,
+    and make the output directory, before any analysis runs."""
     if args.dump:
         for kind in args.dump.split(","):
             if kind not in DUMPS:
                 raise ValidationError(
                     f"unknown --dump kind {kind!r} (expected {','.join(DUMPS)})"
                 )
+            if kind not in args.dumps:
+                writes = ",".join(args.dumps) or "none"
+                raise ValidationError(f"{args.command} writes no {kind} dump (it writes: {writes})")
     if args.out:
+        # simulate always writes fields.txt
+        if args.command != "simulate" and not any(_wanted(args, k) for k in args.dumps):
+            raise ValidationError(f"--out {args.out}: this {args.command} run writes no file")
         try:
             Path(args.out).mkdir(parents=True, exist_ok=True)
         except OSError as e:
@@ -171,12 +177,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Polyhedral communication planner and SPMD simulator",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (
-        ("analyze", cmd_analyze),
-        ("plan", cmd_plan),
-        ("simulate", cmd_simulate),
-        ("verify", cmd_verify),
-        ("print", cmd_print),
+    for name, fn, dumps in (
+        ("analyze", cmd_analyze, ("deps", "place", "chunk")),
+        ("plan", cmd_plan, ("plan",)),
+        ("simulate", cmd_simulate, ("plan", "trace")),
+        ("verify", cmd_verify, ("trace",)),
+        ("print", cmd_print, ()),
     ):
         p = sub.add_parser(name)
         p.add_argument("input", help="scop document (JSON)")
@@ -184,10 +190,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--iters", type=int, help="cap on the leading loop dimension")
         p.add_argument("--seed", type=int, default=0, help="PRNG seed for initial contents")
         p.add_argument("--out", help="output directory (default: stdout)")
-        p.add_argument("--dump", help=f"comma list of {','.join(DUMPS)}")
+        p.add_argument("--dump", help=f"comma list of dumps: {','.join(dumps) or 'none'}")
         p.add_argument("--init", help="initial field contents file")
         p.add_argument("--plan", help="run a previously dumped plan file")
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, dumps=dumps)
     return parser
 
 

@@ -32,7 +32,7 @@ from typing import Optional
 from .deps import EPILOGUE, PROLOGUE, DepGraph, FlowFamily
 from .errors import AnalysisError, OutOfHull, ParseError, ValidationError
 from .placement import FieldPlacement, StmtPlacement, block_distribute, block_home
-from .scop import ClusterGrid, FieldDecl, Scop, evaluate_rows
+from .scop import ClusterGrid, FieldDecl, Scop
 from .syntax import format_map
 
 __all__ = [
@@ -172,11 +172,11 @@ def build_transfers(dep: DepGraph, sp: StmtPlacement, fp: FieldPlacement, chunki
         tuples = []
         for ig, ic, k in fam.pairs():
             if fam.producer == PROLOGUE:
-                prod_nodes = fp.homes(fam.ref, k)
+                prod_nodes = [block_home(k, fp.block_extents[fam.ref])]
             else:
                 prod_nodes = exec_nodes[fam.producer][ig]
             if fam.consumer == EPILOGUE:
-                cons_nodes = fp.homes(fam.ref, k)
+                cons_nodes = [block_home(k, fp.block_extents[fam.ref])]
             else:
                 cons_nodes = exec_nodes[fam.consumer][ic]
             rep = () if single_chunk else phi.apply_point(ic)
@@ -297,10 +297,8 @@ def emit_protocol(
         reads = bool(s.reads())
         homes = None
         if s.id in retained:
-            _, acc = s.writes()[0]
-            blocks = fp.block_extents[acc.field]
-            homes = [block_home(k, blocks)
-                     for k in evaluate_rows(acc.index_exprs, s.instances).tolist()]
+            j, acc = s.writes()[0]
+            homes = [block_home(k, fp.block_extents[acc.field]) for k in s.subscripts[j]]
         for row, (inst, scatter) in enumerate(zip(s.rows, dilated[s.id])):
             for node in placed.get(inst, ()):
                 read_from = None

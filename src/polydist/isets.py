@@ -221,17 +221,6 @@ class AffineExpr:
             tuple((dt.coeff, dt.div, dt.inner.key()) for dt in self.divs),
         )
 
-    # -- evaluation ---------------------------------------------------------
-
-    def evaluate(self, point: Sequence[int]) -> int:
-        total = self.const
-        for c, v in zip(self.coeffs, point):
-            if c:
-                total += c * v
-        for dt in self.divs:
-            total += dt.coeff * _fdiv(dt.inner.evaluate(point), dt.div)
-        return total
-
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "AffineExpr") -> "AffineExpr":

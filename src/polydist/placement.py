@@ -1,12 +1,13 @@
 """Data and computation placement: block distribution plus owner-computes.
 
 Field elements get home nodes by block distribution.  Statement instances
-get executing nodes in three passes: statements whose writes reach the
-epilogue are pinned to the written element's home (owner computes);
-scalar co-location then propagates consumer nodes into producers until a
-fixpoint; statements still unplaced are seeded at the homes of the
-elements they read from the prologue, and as a last resort adopt the
-lexicographically smallest node any dependence neighbor runs on.
+get executing nodes in passes: statements whose writes reach the epilogue
+run at the written element's home (owner computes); scalar co-location
+then propagates consumer nodes into producers until a fixpoint;
+statements still unplaced are seeded at the homes of the elements they
+read from the prologue.  Instances still without a node adopt the
+lexicographically smallest node any dependence neighbor runs on, and as a
+last resort run on node 0, so every instance gets a node.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import IndivisibleExtent, UnsatisfiablePlacement, ValidationError
-from .deps import DepGraph, FlowFamily
+from .deps import DepGraph
 from .isets import (
     AffineExpr,
     DivTerm,
@@ -54,9 +55,6 @@ class FieldPlacement:
 
     maps: dict  # field name -> IntMap (indexset -> grid)
     block_extents: dict  # field name -> tuple of block sizes
-
-    def homes(self, field: str, index) -> list[tuple[int, ...]]:
-        return [block_home(index, self.block_extents[field])]
 
 
 def block_home(index, blocks) -> tuple[int, ...]:
@@ -142,18 +140,14 @@ def _full_node_map(s: Statement, grid: ClusterGrid) -> IntMap:
 def place_statements(scop: Scop, dep: DepGraph, fp: FieldPlacement) -> StmtPlacement:
     grid = scop.grid
     placements: dict[str, IntMap] = {}
-    pinned: set[str] = set()
 
     epilogue_writers = {f.producer for f in dep.epilogue_families()}
     for s in scop.statements:
         if s.is_virtual:
             placements[s.id] = _full_node_map(s, grid)
-            pinned.add(s.id)
-            continue
-        if s.id in epilogue_writers and s.writes():
+        elif s.id in epilogue_writers and s.writes():
             _, acc = s.writes()[0]
             placements[s.id] = _access_to_grid(scop, s, acc, fp)
-            pinned.add(s.id)
 
     # scalar co-location: producers run wherever their consumers run
     scalar_fams = dep.scalar_families()
@@ -185,7 +179,6 @@ def place_statements(scop: Scop, dep: DepGraph, fp: FieldPlacement) -> StmtPlace
             _, acc = s.reads()[0]
             placements[s.id] = _access_to_grid(scop, s, acc, fp)
 
-    # neighbor adoption for still-unplaced instances, lexmin node per instance
     def missing_of(s):
         current = placements.get(s.id)
         if current is None:
@@ -193,16 +186,19 @@ def place_statements(scop: Scop, dep: DepGraph, fp: FieldPlacement) -> StmtPlace
         dom = IntSet(s.domain.space, map_domain(current).pieces)
         return subtract(s.domain, dom)
 
+    # instances without a node; from here on only adoption changes them
+    missing = {s.id: missing_of(s) for s in scop.statements}
+
+    # neighbor adoption for still-unplaced instances, lexmin node per instance
     for _ in range(len(scop.statements) + 1):
         progressed = False
         for s in scop.statements:
-            missing = missing_of(s)
-            if is_empty(missing):
+            if is_empty(missing[s.id]):
                 continue
             candidates = None
             for fam in dep.families:
                 if fam.consumer == s.id and fam.producer in placements:
-                    got = compose(placements[fam.producer], _reverse_map(fam))
+                    got = compose(placements[fam.producer], inverse(fam.as_map()))
                 elif fam.producer == s.id and fam.consumer in placements:
                     got = compose(placements[fam.consumer], fam.as_map())
                 else:
@@ -210,42 +206,30 @@ def place_statements(scop: Scop, dep: DepGraph, fp: FieldPlacement) -> StmtPlace
                 candidates = got if candidates is None else map_union(candidates, got)
             if candidates is None:
                 continue
-            candidates = restrict_domain(candidates, missing)
+            candidates = restrict_domain(candidates, missing[s.id])
             if map_is_empty(candidates):
                 continue
             chosen = select_lex_extreme(candidates.as_set(), s.arity, maximize=False)
             add = IntMap(candidates.dom, candidates.ran, chosen.pieces)
             current = placements.get(s.id)
             placements[s.id] = add if current is None else map_union(current, add)
+            missing[s.id] = missing_of(s)
             progressed = True
         if not progressed:
             break
 
-    # last resort: the smallest node, for instances no dependence reaches
+    # last resort: node 0 for exactly the instances no dependence reaches
     # (an empty domain gets an empty placement)
     for s in scop.statements:
-        missing = missing_of(s)
-        if s.id in placements and is_empty(missing):
+        if s.id in placements and is_empty(missing[s.id]):
             continue
         zero = [AffineExpr.constant(s.arity, 0) for _ in range(grid.arity)]
         fallback = restrict_domain(
-            IntMap.from_exprs(s.space, grid.space, zero, check=False), missing
+            IntMap.from_exprs(s.space, grid.space, zero, check=False), missing[s.id]
         )
         current = placements.get(s.id)
         placements[s.id] = fallback if current is None else map_union(current, fallback)
-
-    # totality check
-    for s in scop.statements:
-        missing = missing_of(s)
-        if not is_empty(missing):
-            raise UnsatisfiablePlacement(
-                f"{s.id}: instances without a node, e.g. {enumerate_set(missing)[:3]}"
-            )
     return StmtPlacement(maps=placements)
-
-
-def _reverse_map(fam: FlowFamily) -> IntMap:
-    return inverse(fam.as_map())
 
 
 def dump_placements(scop: Scop, fp: FieldPlacement, sp: StmtPlacement) -> str:

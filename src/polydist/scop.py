@@ -143,6 +143,16 @@ class Statement:
         """The scatter of every instance, row for row."""
         return list(map(tuple, evaluate_rows(self.schedule_exprs, self.instances).tolist()))
 
+    @cached_property
+    def subscripts(self) -> tuple:
+        """Per access, the element every instance touches, row for row;
+        None for the whole-field accesses of the virtual statements."""
+        return tuple(
+            None if a.index_exprs is None
+            else list(map(tuple, evaluate_rows(a.index_exprs, self.instances).tolist()))
+            for a in self.accesses
+        )
+
     def reads(self) -> list[tuple[int, AccessRef]]:
         return [(j, a) for j, a in enumerate(self.accesses) if a.kind == "read"]
 
@@ -454,29 +464,25 @@ def sequential_execute(scop: Scop, init: FieldContents) -> FieldContents:
         fields[f.name] = arr
     timeline = []
     for s in scop.real_statements():
-        timeline.extend((t, s, point) for point, t in zip(s.rows, s.scatters))
+        timeline.extend((t, s, row) for row, t in enumerate(s.scatters))
     timeline.sort(key=lambda item: item[0])
     scalars: dict[str, object] = {}
-    for _, s, point in timeline:
-        execute_instance(scop, s, point, scalars, fields)
+    for _, s, row in timeline:
+        execute_instance(scop, s, row, scalars, fields)
     return fields
 
 
-def execute_instance(scop: Scop, s: Statement, point, scalars, fields) -> None:
-    """Evaluate one statement instance against the given memories."""
+def execute_instance(scop: Scop, s: Statement, row: int, scalars, fields) -> None:
+    """Evaluate the statement instance in one row against the given memories."""
 
     def access(j: int):
         acc = s.accesses[j]
-        fld = scop.field(acc.field)
-        idx = tuple(e.evaluate(point) for e in acc.index_exprs)
-        return _from_np(fields[acc.field][idx], fld)
+        return _from_np(fields[acc.field][s.subscripts[j][row]], scop.field(acc.field))
 
     value = eval_expr(s.body, scalars, access, scop.functions)
     writes = s.writes()
     if writes:
-        _, acc = writes[0]
-        fld = scop.field(acc.field)
-        idx = tuple(e.evaluate(point) for e in acc.index_exprs)
-        fields[acc.field][idx] = _check_store(value, fld)
+        j, acc = writes[0]
+        fields[acc.field][s.subscripts[j][row]] = _check_store(value, scop.field(acc.field))
     for name in s.scalar_writes:
         scalars[name] = value

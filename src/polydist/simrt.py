@@ -140,12 +140,11 @@ def _digest(values) -> str:
     return h[:12]
 
 
-def run(sim: SimState, scop: Scop = None):
+def run(sim: SimState, scop: Scop):
     """Execute the plan; returns (field contents, trace).  Every compute
-    event must name a statement of the scop."""
+    event must name a statement of the scop and one of its instances."""
     plan = sim.plan
-    functions = scop.functions if scop is not None else {}
-    stmts = {s.id: s for s in scop.statements} if scop is not None else {}
+    stmts = {s.id: s for s in scop.statements}
 
     node_events = {coord: plan.events.get(coord, []) for coord in sim.nodes}
     pending = {coord for coord, evs in node_events.items() if evs}
@@ -155,6 +154,11 @@ def run(sim: SimState, scop: Scop = None):
                 raise GeometryMismatch(
                     f"compute event on node {coord} names statement {ev.stmt}, "
                     "which the scop does not have"
+                )
+            if ev.kind == "compute" and ev.instance not in stmts[ev.stmt].rows:
+                raise GeometryMismatch(
+                    f"compute event on node {coord} names {ev.stmt}{ev.instance}, "
+                    f"which is not an instance of {ev.stmt}"
                 )
 
     def deliver(ch: ChannelState):
@@ -232,12 +236,11 @@ def run(sim: SimState, scop: Scop = None):
                     )
                 return value
 
-            value = eval_expr(s.body, node.scalars, access, functions)
+            value = eval_expr(s.body, node.scalars, access, scop.functions)
             if s.writes():
-                _, acc = s.writes()[0]
-                fld = sim.fields[acc.field]
-                _check_store(value, fld)
-                k = tuple(e.evaluate(ev.instance) for e in acc.index_exprs)
+                j, acc = s.writes()[0]
+                _check_store(value, sim.fields[acc.field])
+                k = s.subscripts[j][s.rows[ev.instance]]
                 for w in ev.writes:
                     if w[0] == "storage":
                         node.storage[acc.field][sim._offset(node, acc.field, k)] = value

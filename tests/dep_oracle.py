@@ -11,10 +11,12 @@ from polydist.deps import EPILOGUE, PROLOGUE
 from polydist.isets import enumerate_set
 from polydist.scop import Scop
 
+from oracle import evaluate_point
+
 
 def scatter_of(s, point) -> tuple:
     """One instance's scatter, evaluated point by point."""
-    return tuple(e.evaluate(point) for e in s.schedule_exprs)
+    return tuple(evaluate_point(e, point) for e in s.schedule_exprs)
 
 
 def brute_force_flows(scop: Scop) -> set:
@@ -37,7 +39,7 @@ def brute_force_flows(scop: Scop) -> set:
                     for idx in enumerate_set(scop.field(acc.field).indexset)
                 ]
             else:
-                elements = [tuple(e.evaluate(point) for e in acc.index_exprs)]
+                elements = [tuple(evaluate_point(e, point) for e in acc.index_exprs)]
             for idx in elements:
                 writer = field_writer.get((acc.field, idx))
                 assert writer is not None, f"uncovered read {s.id}{point} of {acc.field}{idx}"
@@ -51,7 +53,7 @@ def brute_force_flows(scop: Scop) -> set:
                 for idx in enumerate_set(scop.field(acc.field).indexset):
                     field_writer[(acc.field, idx)] = (s.id, point)
             else:
-                idx = tuple(e.evaluate(point) for e in acc.index_exprs)
+                idx = tuple(evaluate_point(e, point) for e in acc.index_exprs)
                 field_writer[(acc.field, idx)] = (s.id, point)
         for name in s.scalar_writes:
             scalar_writer[name] = (s.id, point)

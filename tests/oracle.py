@@ -170,6 +170,15 @@ def random_functional_map(rng: random.Random, dom: Space, ran: Space) -> IntMap:
 # -- reference semantics on enumerated points --------------------------------
 
 
+def evaluate_point(expr: AffineExpr, point) -> int:
+    """One expression at one point, floor divisions included: the pointwise
+    reference for ``scop.evaluate_rows``."""
+    total = expr.const + sum(c * v for c, v in zip(expr.coeffs, point))
+    for dt in expr.divs:
+        total += dt.coeff * (evaluate_point(dt.inner, point) // dt.div)
+    return total
+
+
 def run_algebra_case(seed: int) -> None:
     """One randomized algebra case; raises AssertionError on divergence.
 

@@ -110,6 +110,29 @@ def test_unknown_dump_kind(gol16_path, tmp_path, capsys, monkeypatch, command, d
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, dump, message",
+    [
+        ("plan", "deps", "plan writes no deps dump (it writes: plan)"),
+        ("analyze", "plan", "analyze writes no plan dump (it writes: deps,place,chunk)"),
+        ("verify", "plan", "verify writes no plan dump (it writes: trace)"),
+        ("print", "deps", "print writes no deps dump (it writes: none)"),
+        ("print", None, "--out {out}: this print run writes no file"),
+        ("verify", None, "--out {out}: this verify run writes no file"),
+    ],
+    ids=["plan-deps", "analyze-plan", "verify-plan", "print-deps", "print-out", "verify-out"],
+)
+def test_dump_or_out_the_subcommand_ignores(
+    gol16_path, tmp_path, capsys, monkeypatch, command, dump, message
+):
+    _no_analysis(monkeypatch)
+    out = tmp_path / "out"
+    options = ["--dump", dump] if dump else []
+    assert invoke(command, str(gol16_path), *options, "--out", str(out)) == 2
+    assert capsys.readouterr() == ("", f"validation error: {message.format(out=out)}\n")
+    assert not out.exists()
+
+
 def test_verify_pass(gol16_path, capsys):
     assert invoke("verify", str(gol16_path), "--seed", "42", "--grid", "2x2") == 0
     assert "PASS" in capsys.readouterr().out
@@ -195,6 +218,22 @@ def test_verify_plan_with_unknown_statement(gol16_path, tmp_path, capsys):
     assert rc == 2
     assert "names statement S9.9" in err
     assert err.count("\n") == 1
+
+
+def test_verify_plan_with_out_of_domain_instance(gol16_path, tmp_path, capsys):
+    # a compute event for a point outside its statement's domain (i <= 2) is
+    # a validation error, not a run of an instance that does not exist
+    invoke("plan", str(gol16_path), "--out", str(tmp_path))
+    text = (tmp_path / "plan.txt").read_text()
+    assert " stmt=S2.2 i=(0,1,1) " in text
+    plan_file = tmp_path / "outside.txt"
+    plan_file.write_text(text.replace(" stmt=S2.2 i=(0,1,1) ", " stmt=S2.2 i=(7,1,1) ", 1))
+    rc = invoke("verify", str(gol16_path), "--plan", str(plan_file))
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "validation error: compute event on node (0, 0) names S2.2(7, 1, 1), "
+        "which is not an instance of S2.2\n"
+    )
 
 
 def _faulty_plan(gol16_path, tmp_path, kind):
@@ -289,9 +328,10 @@ def test_empty_domains_every_subcommand(gol16_path, tmp_path, capsys):
     init = dump_contents(scop, random_contents(scop, 5))
     init_file = tmp_path / "init.txt"
     init_file.write_text(init)
-    for cmd in ("analyze", "plan", "simulate", "verify"):
+    for cmd, dump in (("analyze", []), ("plan", []), ("simulate", []),
+                      ("verify", ["--dump", "trace"])):
         rc = invoke(cmd, str(gol16_path), "--iters", "0", "--init", str(init_file),
-                    "--out", str(tmp_path / cmd))
+                    "--out", str(tmp_path / cmd), *dump)
         assert rc == 0, cmd
     assert "verify: PASS" in capsys.readouterr().out
     assert (tmp_path / "simulate" / "fields.txt").read_text() == init

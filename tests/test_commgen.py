@@ -31,7 +31,7 @@ from polydist.isets import (
     union,
 )
 from polydist.pipeline import override_grid, plan_scop
-from polydist.placement import StmtPlacement, block_distribute, place_statements
+from polydist.placement import StmtPlacement, block_distribute, block_home, place_statements
 from polydist.scop import isolate_accesses
 from polydist.scopio import parse_scop, parse_scop_file
 from polydist.syntax import parse_map
@@ -59,11 +59,11 @@ def brute_force_transfers(dep, sp, fp):
         rows = set()
         for ig, ic, k in fam.pairs():
             if fam.producer == PROLOGUE:
-                prod_nodes = [tuple(h) for h in fp.homes(fam.ref, k)]
+                prod_nodes = [block_home(k, fp.block_extents[fam.ref])]
             else:
                 prod_nodes = stmt_nodes(sp, fam.producer, ig)
             if fam.consumer == EPILOGUE:
-                cons_nodes = [tuple(h) for h in fp.homes(fam.ref, k)]
+                cons_nodes = [block_home(k, fp.block_extents[fam.ref])]
             else:
                 cons_nodes = stmt_nodes(sp, fam.consumer, ic)
             for pc in cons_nodes:

@@ -1,5 +1,5 @@
-"""The output contract: plan, trace and final contents of three shipped
-configurations, pinned by sha256.  A change to any of them must say why."""
+"""The output contract: plan, trace and final contents of the shipped
+configurations below, pinned by sha256.  A change to any of them must say why."""
 
 import hashlib
 
@@ -21,6 +21,11 @@ EXPECTED = {
     ("gol16_fused", "8x8"): {
         "plan.txt": "2f1cc752c3eac75b6a7d7a15b10be4ad1f1cea53c4055d2d0a4c4c627f93a76f",
         "trace.txt": "148485c1e9014cfd0179f7880cdbd426bed70ad69f7355c290c4be70bd882a5f",
+    },
+    ("gol32", "2x2"): {
+        "plan.txt": "a76534b7e7ec4f915372b9cb0e4fb55f7858b5ffc9aee78b7dc3a295a48c7898",
+        "trace.txt": "3896b206d31afdf279bee3e3b2c7b3a9605d2b1ea4016919110facd33aa921b0",
+        "fields.txt": "819ade320055e4b61c6d130a1f7d7274dec4410805a51ba3931f4c6a1743c2aa",
     },
 }
 

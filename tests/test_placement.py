@@ -1,6 +1,9 @@
+import json
+
 import pytest
 
 from oracle import maps_equal, sets_equal
+from polydist.cli import main
 from polydist.deps import add_virtual_statements, compute_flow
 from polydist.errors import IndivisibleExtent
 from polydist.isets import (
@@ -10,9 +13,10 @@ from polydist.isets import (
     map_domain,
     restrict_domain,
 )
-from polydist.placement import block_distribute, place_statements, dump_placements
+from polydist.placement import block_distribute, block_home, place_statements, dump_placements
+from polydist.pipeline import cap_iterations, override_grid
 from polydist.scop import ClusterGrid, FieldDecl, isolate_accesses
-from polydist.scopio import parse_scop_file
+from polydist.scopio import parse_scop, parse_scop_file
 
 
 @pytest.fixture(scope="module")
@@ -29,20 +33,20 @@ def test_block_distribute_large_scale():
     f = FieldDecl("f", "bool", (1024, 1024))
     fp = block_distribute([f], ClusterGrid((8, 8)))
     assert fp.block_extents["f"] == (128, 128)
-    assert fp.homes("f", (130, 5)) == [(1, 0)]
+    assert block_home((130, 5), fp.block_extents["f"]) == (1, 0)
 
 
 def test_block_distribute_small():
     f = FieldDecl("f", "bool", (16, 16))
     fp = block_distribute([f], ClusterGrid((2, 2)))
-    assert fp.homes("f", (7, 8)) == [(0, 1)]
+    assert block_home((7, 8), fp.block_extents["f"]) == (0, 1)
 
 
 def test_block_distribute_single_node():
     f = FieldDecl("f", "bool", (16, 16))
     fp = block_distribute([f], ClusterGrid((1, 1)))
     for idx in [(0, 0), (7, 9), (15, 15)]:
-        assert fp.homes("f", idx) == [(0, 0)]
+        assert block_home(idx, fp.block_extents["f"]) == (0, 0)
 
 
 def test_block_distribute_indivisible():
@@ -92,9 +96,7 @@ def test_owner_computes_invariant(gol16_pipeline):
         s = virt.statement(fam.producer)
         _, acc = s.writes()[0]
         for ig, _, k in fam.pairs():
-            homes = set(fp.homes(fam.ref, k))
-            nodes = set(sp.nodes(fam.producer, ig))
-            assert homes <= nodes
+            assert block_home(k, fp.block_extents[fam.ref]) in sp.nodes(fam.producer, ig)
 
 
 def test_every_instance_placed(gol16_pipeline):
@@ -113,10 +115,6 @@ def test_placement_fixpoint(gol16_pipeline):
 
 
 def test_single_node_grid_trivial(gol16_path):
-    import json
-
-    from polydist.scopio import parse_scop
-
     doc = json.loads(gol16_path.read_text())
     doc["grid"] = [1, 1]
     scop = parse_scop(json.dumps(doc))
@@ -135,3 +133,62 @@ def test_dump_shape(gol16_pipeline):
     assert "pi front = { front[k0, k1] -> P[floor(k0/8), floor(k1/8)]" in text
     assert "pi S1.7 = { S1.7[i, x, y] -> P[floor(x/8), floor(y/8)]" in text
     assert text == dump_placements(virt, fp, sp)
+
+
+# S reads f into a scalar nobody reads, so only prologue seeding places it;
+# U has no accesses and no dependences, so only the last resort places it
+UNREAD = {
+    "name": "unread", "grid": [2], "scatter_arity": 2,
+    "fields": [{"name": "f", "type": "int64", "extents": [8]}],
+    "functions": {},
+    "statements": [
+        {"id": "S", "domain": "{ [x] : 0 <= x <= 7 }", "schedule": "{ [x] -> [0, x] }",
+         "accesses": [{"field": "f", "kind": "read", "index": ["x"]}],
+         "body": ["access", 0], "scalar_writes": ["t"]},
+        {"id": "U", "domain": "{ [x] : 0 <= x <= 3 }", "schedule": "{ [x] -> [1, x] }",
+         "body": ["int", 1], "scalar_writes": ["u"]},
+    ],
+}
+
+
+def _scop(scops_dir, case):
+    if case == "unread":
+        return parse_scop(json.dumps(UNREAD))
+    name, grid = case.split("-")
+    scop = parse_scop_file(scops_dir / f"{name}.scop")
+    if grid == "empty":
+        return cap_iterations(scop, 0)
+    return override_grid(scop, tuple(int(g) for g in grid.split("x")))
+
+
+@pytest.mark.parametrize("case", ["unread", "gol16-2x2", "gol16_fused-8x8", "gol16-empty"])
+def test_placement_covers_every_instance(scops_dir, monkeypatch, case):
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return map_domain(m)
+
+    monkeypatch.setattr("polydist.placement.map_domain", counted)
+    virt = add_virtual_statements(isolate_accesses(_scop(scops_dir, case)))
+    dep = compute_flow(virt)
+    sp = place_statements(virt, dep, block_distribute(virt.fields, virt.grid))
+    for s in virt.statements:
+        assert set(sp.table[s.id]) == set(s.rows), s.id
+    # each statement's missing instances are derived once (no adoption here)
+    assert len(calls) <= len(virt.statements)
+
+
+def test_unread_statements_placed(tmp_path, capsys):
+    path = tmp_path / "unread.scop"
+    path.write_text(json.dumps(UNREAD))
+    assert main(["analyze", str(path), "--dump", "place", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "placements.txt").read_text() == (
+        "pi f = { f[k0] -> P[floor(k0/4)] : 0 <= k0 <= 7 }\n"
+        "pi S = { S[x] -> P[floor(x/4)] : 0 <= x <= 7 }\n"
+        "pi U = { U[x] -> P[0] : 0 <= x <= 3 }\n"
+        "pi Prologue = { Prologue[] -> P[p0] : 0 <= p0 <= 1 }\n"
+        "pi Epilogue = { Epilogue[] -> P[p0] : 0 <= p0 <= 1 }\n"
+    )
+    assert main(["verify", str(path)]) == 0
+    assert capsys.readouterr().out == "verify: PASS (grid=2, seed=0)\n"

@@ -9,6 +9,8 @@ from polydist.isets import AffineExpr, DivTerm, enumerate_set
 from polydist.scop import evaluate_rows, isolate_accesses, point_table, sequential_execute
 from polydist.scopio import parse_scop, parse_scop_file, print_scop
 
+from oracle import evaluate_point
+
 
 @pytest.fixture(scope="module")
 def gol16(gol16_path):
@@ -47,7 +49,7 @@ def test_gol16_access_elements(gol16):
             assert not s.accesses
             continue
         acc = s.accesses[0]
-        idx = tuple(e.evaluate(point) for e in acc.index_exprs)
+        idx = tuple(evaluate_point(e, point) for e in acc.index_exprs)
         assert (acc.field, idx) == expect[s.id]
 
 
@@ -101,7 +103,7 @@ def test_evaluate_rows_matches_pointwise(scale):
         AffineExpr((0, scale), 1, (DivTerm(-1, y, scale),)),
     ]
     got = evaluate_rows(exprs, point_table(points, 2))
-    assert got.tolist() == [[e.evaluate(p) for e in exprs] for p in points]
+    assert got.tolist() == [[evaluate_point(e, p) for e in exprs] for p in points]
     assert evaluate_rows(exprs, point_table([], 2)).shape == (0, 3)
 
 
@@ -237,8 +239,8 @@ def test_isolation_structure_matches_split_form(gol16_fused, gol16):
             continue
         a, b = mine.accesses[0], ship.accesses[0]
         assert (a.field, a.kind) == (b.field, b.kind)
-        assert tuple(e.evaluate(point) for e in a.index_exprs) == tuple(
-            e.evaluate(point) for e in b.index_exprs
+        assert tuple(evaluate_point(e, point) for e in a.index_exprs) == tuple(
+            evaluate_point(e, point) for e in b.index_exprs
         )
 
 

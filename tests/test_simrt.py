@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -202,6 +203,22 @@ def test_unknown_statement_rejected_before_first_step(gol16_built):
     bad = dataclasses.replace(plan, events={**plan.events, node: bad_evs})
     sim = init_runtime(bad, virt.grid, random_contents(scop, 3))
     with pytest.raises(GeometryMismatch, match=r"node \(0, 0\) names statement S9.9"):
+        run(sim, virt)
+    assert sim.step == 0 and not sim.trace.entries
+
+
+def test_out_of_domain_instance_rejected_before_first_step(gol16_built):
+    # gol16's leading dimension i runs to 2, so i=7 is no instance
+    scop, virt, plan = gol16_built
+    node, evs = next((n, evs) for n, evs in plan.events.items() if evs)
+    i = next(i for i, ev in enumerate(evs) if ev.kind == "compute")
+    outside = (7,) + evs[i].instance[1:]
+    bad_evs = list(evs)
+    bad_evs[i] = dataclasses.replace(evs[i], instance=outside)
+    bad = dataclasses.replace(plan, events={**plan.events, node: bad_evs})
+    sim = init_runtime(bad, virt.grid, random_contents(scop, 3))
+    message = f"node (0, 0) names {evs[i].stmt}{outside}, which is not an instance of {evs[i].stmt}"
+    with pytest.raises(GeometryMismatch, match=re.escape(message)):
         run(sim, virt)
     assert sim.step == 0 and not sim.trace.entries
 

@@ -6,7 +6,15 @@ from polydist.errors import ParseError
 from polydist.isets import Space, apply, enumerate_set
 from polydist.syntax import format_map, format_set, parse_expr, parse_map, parse_set
 
-from oracle import maps_equal, random_map, random_set, random_space, set_from_points, sets_equal
+from oracle import (
+    evaluate_point,
+    maps_equal,
+    random_map,
+    random_set,
+    random_space,
+    set_from_points,
+    sets_equal,
+)
 
 
 def test_parse_simple_box():
@@ -57,9 +65,9 @@ def test_parse_errors_have_position():
 def test_parse_expr_over_space():
     sp = Space("D", ("i", "x", "y"))
     e = parse_expr("x - 1", sp)
-    assert e.evaluate((0, 5, 7)) == 4
+    assert evaluate_point(e, (0, 5, 7)) == 4
     e2 = parse_expr("2*i + floor(y/4)", sp)
-    assert e2.evaluate((3, 0, 9)) == 8
+    assert evaluate_point(e2, (3, 0, 9)) == 8
 
 
 def test_roundtrip_random_sets():
