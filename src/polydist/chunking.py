@@ -61,7 +61,7 @@ class ChunkingFn:
                 exprs.append(AffineExpr.var(n, d))
             else:
                 exprs.append(AffineExpr.constant(n, 0))
-        return IntMap.from_exprs(self.space, self.space.renamed(self.consumer), exprs, check=False)
+        return IntMap.from_exprs(self.space, self.space.renamed(self.consumer), exprs)
 
 
 # ---------------------------------------------------------------------------
@@ -119,11 +119,6 @@ def _order_summary(scop: Scop, fam: FlowFamily) -> tuple[float, bool]:
     else:
         deepest = int(first.max())
     return deepest, max(map(tuple, tg.tolist())) < min(map(tuple, tc.tolist()))
-
-
-def _strict_prefix_holds(scop: Scop, fam: FlowFamily, level: int) -> bool:
-    """Every family pair: producer scatter prefix strictly below consumer's."""
-    return level > _order_summary(scop, fam)[0]
 
 
 def _kept_dims(cons: Statement, level: int) -> tuple[int, ...]:

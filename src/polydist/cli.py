@@ -45,7 +45,6 @@ def _load(args):
     scop = parse_scop_file(args.input)
     if args.grid:
         scop = override_grid(scop, _parse_grid(args.grid))
-        scop.validate()
     if args.iters is not None:
         if args.iters < 0:
             raise ValidationError("--iters must be >= 0")

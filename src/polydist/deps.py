@@ -40,6 +40,7 @@ from .isets import (
     subtract,
     union,
     _expr_interval,
+    _merge_dim_names,
     piece_box,
 )
 from .scop import AccessRef, Scop, Statement, point_table
@@ -101,7 +102,7 @@ def access_relation(scop: Scop, s: Statement, acc: AccessRef) -> IntSet:
     fld = scop.field(acc.field)
     n_i, n_k = s.arity, fld.arity
     arity = n_i + n_k
-    space = Space(f"{s.id}@{fld.name}", _merge(s.space.dims, fld.space.dims))
+    space = Space(f"{s.id}@{fld.name}", _merge_dim_names(s.space.dims, fld.space.dims))
     pieces = embed_pieces(s.domain.pieces, list(range(n_i)), arity)
     cons = []
     if acc.index_exprs is None:
@@ -114,17 +115,7 @@ def access_relation(scop: Scop, s: Statement, acc: AccessRef) -> IntSet:
             kv = AffineExpr.var(arity, n_i + d)
             cons.append(eq0(kv - e.remap(list(range(n_i)), arity)))
     combined = [p + tuple(cons) for p in pieces]
-    return IntSet.make(space, combined, check=False)
-
-
-def _merge(a, b):
-    out = list(a)
-    for d in b:
-        cand = d
-        while cand in out:
-            cand += "'"
-        out.append(cand)
-    return tuple(out)
+    return IntSet.make(space, combined)
 
 
 @dataclass(frozen=True)
@@ -174,7 +165,7 @@ class FlowFamily:
         m = self.as_map()
         primed = Space(
             self.consumer,
-            _merge(self.prod_space.dims, self.cons_space.dims)[self.n_prod :],
+            _merge_dim_names(self.prod_space.dims, self.cons_space.dims)[self.n_prod :],
         )
         return IntMap(m.dom, primed, m.pieces)
 
@@ -324,7 +315,7 @@ def _resolve_reader(
     families: list[FlowFamily],
 ):
     n_c = reader.arity
-    uncovered = IntSet.make(read_space, read_pieces, check=False)
+    uncovered = IntSet.make(read_space, read_pieces)
     n_t = scop.scatter_arity
     for level in range(n_t - 1, -1, -1):
         if is_empty(uncovered):
@@ -337,9 +328,9 @@ def _resolve_reader(
             )
             space = Space(
                 f"cand:{w_stmt.id}->{reader.id}",
-                _merge(read_space.dims, w_stmt.space.dims),
+                _merge_dim_names(read_space.dims, w_stmt.space.dims),
             )
-            cand = IntSet.make(space, pieces, check=False)
+            cand = IntSet.make(space, pieces)
             if not is_empty(cand):
                 cands.append((w_stmt, cand))
         if not cands:
@@ -367,11 +358,11 @@ def _resolve_reader(
             )
             fam_space = Space(
                 f"{g_stmt.id}->{reader.id}",
-                _merge(_merge(g_stmt.space.dims, reader.space.dims), read_space.dims[n_c:]),
+                _merge_dim_names(
+                    _merge_dim_names(g_stmt.space.dims, reader.space.dims), read_space.dims[n_c:]
+                ),
             )
-            fam_rel = IntSet.make(
-                fam_space, embed_pieces(final.pieces, remap, arity_g), check=False
-            )
+            fam_rel = IntSet.make(fam_space, embed_pieces(final.pieces, remap, arity_g))
             families.append(
                 FlowFamily(
                     producer=g_stmt.id,

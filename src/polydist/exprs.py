@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 from .errors import EvaluationError, ValidationError
 
-__all__ = ["PureFunction", "validate_expr", "eval_expr", "expr_scalar_reads", "expr_access_reads"]
+__all__ = ["PureFunction", "validate_expr", "eval_expr", "expr_reads"]
 
 _ARITH = {"add", "sub", "mul"}
 _CMP = {"lt", "le", "gt", "ge", "eq", "ne"}
@@ -170,33 +170,20 @@ def _no_access(_ordinal):
     raise EvaluationError("pure functions cannot access fields")
 
 
-def expr_scalar_reads(node, acc: set[str]):
-    op = node[0]
-    if op == "var":
-        acc.add(node[1])
-    elif op in ("int", "float", "bool", "access"):
-        pass
-    elif op == "call":
-        for child in node[2:]:
-            expr_scalar_reads(child, acc)
-    else:
-        for child in node[1:]:
-            if isinstance(child, (list, tuple)):
-                expr_scalar_reads(child, acc)
-    return acc
+def expr_reads(node) -> tuple[set[str], set[int]]:
+    """The scalar names and the access ordinals an expression reads."""
+    scalars: set[str] = set()
+    accesses: set[int] = set()
 
+    def walk(n):
+        if n[0] == "var":
+            scalars.add(n[1])
+        elif n[0] == "access":
+            accesses.add(n[1])
+        else:
+            for child in n[1:]:
+                if isinstance(child, (list, tuple)):
+                    walk(child)
 
-def expr_access_reads(node, acc: set[int]):
-    op = node[0]
-    if op == "access":
-        acc.add(node[1])
-    elif op in ("int", "float", "bool", "var"):
-        pass
-    elif op == "call":
-        for child in node[2:]:
-            expr_access_reads(child, acc)
-    else:
-        for child in node[1:]:
-            if isinstance(child, (list, tuple)):
-                expr_access_reads(child, acc)
-    return acc
+    walk(node)
+    return scalars, accesses

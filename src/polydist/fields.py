@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ParseError, ValidationError
 from .scop import FieldDecl, Scop
 
-__all__ = ["splitmix64", "random_contents", "zero_contents", "dump_contents", "load_contents", "contents_equal"]
+__all__ = ["splitmix64", "random_contents", "dump_contents", "load_contents", "first_divergence"]
 
 _MASK = (1 << 64) - 1
 
@@ -57,10 +57,6 @@ def random_contents(scop: Scop, seed: int) -> dict:
             flat[i] = _value_for(f, next(gen))
         out[f.name] = arr
     return out
-
-
-def zero_contents(scop: Scop) -> dict:
-    return {f.name: np.zeros(f.extents, dtype=f.dtype) for f in scop.fields}
 
 
 def _fmt(field: FieldDecl, v) -> str:
@@ -118,12 +114,6 @@ def load_contents(scop: Scop, text: str) -> dict:
         if f.name not in out:
             raise ValidationError(f"missing contents for field {f.name}")
     return out
-
-
-def contents_equal(a: dict, b: dict) -> bool:
-    if set(a) != set(b):
-        return False
-    return all(np.array_equal(a[k], b[k]) for k in a)
 
 
 def first_divergence(a: dict, b: dict):

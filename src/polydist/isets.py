@@ -8,11 +8,14 @@ generation) is phrased in terms of the two value types defined here:
 * ``IntMap``   -- a binary relation between two spaces, stored as an
   ``IntSet``-style piece list over the concatenated dimensions.
 
-Sets must be finite: construction fails with ``UnboundedSet`` unless
-interval propagation can derive a lower and upper bound for every
-dimension of every piece.  Finiteness is what licenses the enumeration
-oracle used throughout the test suite, and the splitting fallback that
-keeps integer projection exact.
+Sets must be finite.  ``syntax.parse_set``, where sets enter from text,
+rejects a set with ``UnboundedSet`` unless interval propagation derives
+a lower and upper bound for every dimension of every piece; the
+operations here derive finite sets from finite ones, and enumeration
+(``enumerate_set``, ``lexmin``, ``lexmax``, ``is_empty``) raises
+``UnboundedSet`` on an unbounded piece.  Finiteness is what licenses the
+enumeration oracle used throughout the test suite, and the splitting
+fallback that keeps integer projection exact.
 
 Affine expressions may contain floor divisions by positive constants,
 nested at most two deep (enough for block placements like floor(x/8)).
@@ -1144,7 +1147,7 @@ class IntSet:
     pieces: tuple[Piece, ...] = ()
 
     @staticmethod
-    def make(space: Space, pieces: Iterable[Iterable[Constraint]], check: bool = True) -> "IntSet":
+    def make(space: Space, pieces: Iterable[Iterable[Constraint]]) -> "IntSet":
         norm = []
         for p in pieces:
             np_ = normalize_piece(tuple(p))
@@ -1153,11 +1156,7 @@ class IntSet:
             if propagate(space.arity, np_) is None:
                 continue
             norm.append(np_)
-        norm = coalesce_pieces(space.arity, norm)
-        if check:
-            for p in norm:
-                piece_box(space.arity, p)  # raises UnboundedSet
-        return IntSet(space, tuple(norm))
+        return IntSet(space, tuple(coalesce_pieces(space.arity, norm)))
 
     @staticmethod
     def from_box(space: Space, bounds: Sequence[tuple[int, int]]) -> "IntSet":
@@ -1184,12 +1183,12 @@ def intersect(a: IntSet, b: IntSet) -> IntSet:
     for p in a.pieces:
         for q in b.pieces:
             pieces.append(p + q)
-    return IntSet.make(a.space, pieces, check=False)
+    return IntSet.make(a.space, pieces)
 
 
 def union(a: IntSet, b: IntSet) -> IntSet:
     _require_same_space(a, b)
-    return IntSet.make(a.space, list(a.pieces) + list(b.pieces), check=False)
+    return IntSet.make(a.space, list(a.pieces) + list(b.pieces))
 
 
 def _subtract_pieces(arity: int, base: list[Piece], minus: Piece) -> list[Piece]:
@@ -1221,7 +1220,7 @@ def subtract(a: IntSet, b: IntSet) -> IntSet:
     for q in b.pieces:
         pieces = _subtract_pieces(a.arity, pieces, q)
     pieces = [p for p in pieces if not piece_is_empty(a.arity, p)]
-    return IntSet.make(a.space, pieces, check=False)
+    return IntSet.make(a.space, pieces)
 
 
 def is_empty(a: IntSet) -> bool:
@@ -1236,26 +1235,19 @@ def enumerate_set(a: IntSet) -> list[tuple[int, ...]]:
     return sorted(points)
 
 
+def _lex_extreme(a: IntSet, maximize: bool) -> tuple[int, ...]:
+    found = [got for p in a.pieces if (got := _solve_piece(a.arity, p, maximize)) is not None]
+    if not found:
+        raise EmptySet(f"{'lexmax' if maximize else 'lexmin'} of empty set")
+    return max(found) if maximize else min(found)
+
+
 def lexmin(a: IntSet) -> tuple[int, ...]:
-    best = None
-    for p in a.pieces:
-        got = _solve_piece(a.arity, p, False)
-        if got is not None and (best is None or got < best):
-            best = got
-    if best is None:
-        raise EmptySet("lexmin of empty set")
-    return best
+    return _lex_extreme(a, False)
 
 
 def lexmax(a: IntSet) -> tuple[int, ...]:
-    best = None
-    for p in a.pieces:
-        got = _solve_piece(a.arity, p, True)
-        if got is not None and (best is None or got > best):
-            best = got
-    if best is None:
-        raise EmptySet("lexmax of empty set")
-    return best
+    return _lex_extreme(a, True)
 
 
 # ---------------------------------------------------------------------------
@@ -1271,8 +1263,8 @@ class IntMap:
     pieces: tuple[Piece, ...] = ()
 
     @staticmethod
-    def make(dom: Space, ran: Space, pieces, check: bool = True) -> "IntMap":
-        s = IntSet.make(product_space(dom, ran), pieces, check=check)
+    def make(dom: Space, ran: Space, pieces) -> "IntMap":
+        s = IntSet.make(product_space(dom, ran), pieces)
         return IntMap(dom, ran, s.pieces)
 
     @staticmethod
@@ -1281,7 +1273,6 @@ class IntMap:
         ran: Space,
         exprs: Sequence[AffineExpr],
         guards: Iterable[Constraint] = (),
-        check: bool = True,
     ) -> "IntMap":
         """Functional construction: out_j == exprs[j](in), under guards on in."""
         n_in, n_out = dom.arity, ran.arity
@@ -1295,7 +1286,7 @@ class IntMap:
         for j, e in enumerate(exprs):
             lhs = AffineExpr.var(arity, n_in + j)
             cons.append(eq0(lhs - e.remap(mapping, arity)))
-        return IntMap.make(dom, ran, [cons], check=check)
+        return IntMap.make(dom, ran, [cons])
 
     @property
     def n_in(self) -> int:
@@ -1343,12 +1334,12 @@ def apply(m: IntMap, s: IntSet) -> IntSet:
         for mp in m.pieces:
             combined.append(sp_w + mp)
     pieces = project_pieces(arity, combined, list(range(n_in)))
-    return IntSet.make(m.ran, pieces, check=False)
+    return IntSet.make(m.ran, pieces)
 
 
 def map_domain(m: IntMap) -> IntSet:
     pieces = project_pieces(m.n_in + m.n_out, m.pieces, list(range(m.n_in, m.n_in + m.n_out)))
-    return IntSet.make(m.dom, pieces, check=False)
+    return IntSet.make(m.dom, pieces)
 
 
 def compose(g: IntMap, f: IntMap) -> IntMap:
@@ -1377,7 +1368,7 @@ def inverse(m: IntMap) -> IntMap:
         pieces.append(
             tuple(Constraint(c.expr.remap(mapping, n_in + n_out), c.is_eq) for c in p)
         )
-    return IntMap.make(m.ran, m.dom, pieces, check=False)
+    return IntMap.make(m.ran, m.dom, pieces)
 
 
 def restrict_domain(m: IntMap, s: IntSet) -> IntMap:
@@ -1390,7 +1381,7 @@ def restrict_domain(m: IntMap, s: IntSet) -> IntMap:
         sp_w = tuple(Constraint(c.expr.remap(mapping, arity), c.is_eq) for c in sp)
         for mp in m.pieces:
             pieces.append(mp + sp_w)
-    return IntMap.make(m.dom, m.ran, pieces, check=False)
+    return IntMap.make(m.dom, m.ran, pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -1444,5 +1435,5 @@ def select_lex_extreme(s: IntSet, n_group: int, maximize: bool) -> IntSet:
             for alt in lex_alts:
                 combined.append(p_w + q_w + tuple(alt))
     dominated_pieces = project_pieces(arity, combined, list(range(n, arity)))
-    dominated = IntSet.make(s.space, dominated_pieces, check=False)
+    dominated = IntSet.make(s.space, dominated_pieces)
     return subtract(s, dominated)

@@ -73,6 +73,6 @@ def cap_iterations(scop: Scop, iters: int) -> Scop:
             statements.append(s)
             continue
         cap = ge0(AffineExpr.var(s.arity, 0, -1).plus_const(iters - 1))
-        dom = IntSet.make(s.space, [p + (cap,) for p in s.domain.pieces], check=False)
+        dom = IntSet.make(s.space, [p + (cap,) for p in s.domain.pieces])
         statements.append(replace(s, domain=dom))
     return replace(scop, statements=tuple(statements))

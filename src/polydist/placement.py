@@ -84,9 +84,6 @@ class StmtPlacement:
             out[sid] = rows
         return out
 
-    def nodes(self, stmt: str, point) -> list[tuple[int, ...]]:
-        return self.table[stmt].get(tuple(point), [])
-
 
 def block_distribute(fields, grid: ClusterGrid) -> FieldPlacement:
     """pi(k) = floor(k_d / B_d) per dimension with B_d = extent_d / grid_d."""
@@ -113,7 +110,7 @@ def block_distribute(fields, grid: ClusterGrid) -> FieldPlacement:
         for p in f.indexset.pieces:
             guards = list(p)
             break
-        maps[f.name] = IntMap.from_exprs(f.space, grid.space, exprs, guards, check=False)
+        maps[f.name] = IntMap.from_exprs(f.space, grid.space, exprs, guards)
         blocks[f.name] = tuple(bs)
     return FieldPlacement(maps=maps, block_extents=blocks)
 
@@ -123,7 +120,7 @@ def _access_to_grid(scop: Scop, s: Statement, acc, fp: FieldPlacement) -> IntMap
     fld = scop.field(acc.field)
     if acc.index_exprs is None:
         raise ValidationError("virtual accesses have no single placement map")
-    access_map = IntMap.from_exprs(s.space, fld.space, list(acc.index_exprs), check=False)
+    access_map = IntMap.from_exprs(s.space, fld.space, list(acc.index_exprs))
     access_map = restrict_domain(access_map, s.domain)
     return compose(fp.maps[acc.field], access_map)
 
@@ -134,7 +131,7 @@ def _full_node_map(s: Statement, grid: ClusterGrid) -> IntMap:
     pieces = embed_pieces(s.domain.pieces, list(range(n_i)), arity)
     box = embed_pieces(grid.node_set.pieces, [n_i + i for i in range(n_p)], arity)
     combined = [p + q for p in pieces for q in box]
-    return IntMap.make(s.space, grid.space, combined, check=False)
+    return IntMap.make(s.space, grid.space, combined)
 
 
 def place_statements(scop: Scop, dep: DepGraph, fp: FieldPlacement) -> StmtPlacement:
@@ -225,7 +222,7 @@ def place_statements(scop: Scop, dep: DepGraph, fp: FieldPlacement) -> StmtPlace
             continue
         zero = [AffineExpr.constant(s.arity, 0) for _ in range(grid.arity)]
         fallback = restrict_domain(
-            IntMap.from_exprs(s.space, grid.space, zero, check=False), missing[s.id]
+            IntMap.from_exprs(s.space, grid.space, zero), missing[s.id]
         )
         current = placements.get(s.id)
         placements[s.id] = fallback if current is None else map_union(current, fallback)

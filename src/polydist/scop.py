@@ -8,6 +8,7 @@ distributed simulator is verified against.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Optional, Sequence
@@ -18,11 +19,10 @@ from .errors import EvaluationError, ValidationError
 from .exprs import (
     PureFunction,
     eval_expr,
-    expr_access_reads,
-    expr_scalar_reads,
+    expr_reads,
     validate_expr,
 )
-from .isets import AffineExpr, IntMap, IntSet, Space, enumerate_set
+from .isets import AffineExpr, IntSet, Space, enumerate_set
 
 __all__ = [
     "FieldDecl",
@@ -124,9 +124,6 @@ class Statement:
     def arity(self) -> int:
         return self.domain.arity
 
-    def schedule(self, scatter_space: Space) -> IntMap:
-        return IntMap.from_exprs(self.space, scatter_space, self.schedule_exprs, check=False)
-
     @cached_property
     def instances(self) -> np.ndarray:
         """The domain's points in lexicographic order, one row each; an
@@ -173,21 +170,13 @@ class ClusterGrid:
         return len(self.extents)
 
     @property
-    def node_count(self) -> int:
-        n = 1
-        for e in self.extents:
-            n *= e
-        return n
-
-    @property
     def space(self) -> Space:
         return Space("P", tuple(f"p{i}" for i in range(self.arity)))
 
     @property
     def nodes(self) -> list[tuple[int, ...]]:
-        import itertools
-
-        return sorted(itertools.product(*[range(e) for e in self.extents]))
+        """Every node coordinate, in lexicographic order."""
+        return list(itertools.product(*[range(e) for e in self.extents]))
 
     @property
     def node_set(self) -> IntSet:
@@ -202,10 +191,6 @@ class Scop:
     scatter_arity: int
     grid: ClusterGrid
     functions: dict[str, PureFunction] = field(default_factory=dict)
-
-    @property
-    def scatter_space(self) -> Space:
-        return Space("T", tuple(f"t{i}" for i in range(self.scatter_arity)))
 
     def field(self, name: str) -> FieldDecl:
         for f in self.fields:
@@ -252,7 +237,7 @@ class Scop:
         writes = s.writes()
         if len(writes) > 1:
             raise ValidationError(f"{s.id}: more than one write access")
-        for acc in s.accesses:
+        for j, acc in enumerate(s.accesses):
             try:
                 fld = self.field(acc.field)
             except KeyError:
@@ -268,25 +253,23 @@ class Scop:
                 )
             if any(e.divs for e in acc.index_exprs):
                 raise ValidationError(f"{s.id}: access index expressions must be affine")
-            self._check_in_bounds(s, acc, fld)
+            self._check_in_bounds(s, j, fld)
         if s.body is not None:
             scalars = set(s.scalar_reads) | set(s.scalar_writes)
             validate_expr(s.body, scalars, len(s.accesses), self.functions)
-            actual_reads = expr_scalar_reads(s.body, set())
-            bad = actual_reads - set(s.scalar_reads) - set(s.scalar_writes)
+            scalar_reads, access_reads = expr_reads(s.body)
+            bad = scalar_reads - set(s.scalar_reads) - set(s.scalar_writes)
             if bad:
                 raise ValidationError(f"{s.id}: body reads undeclared scalars {sorted(bad)}")
-            for j in expr_access_reads(s.body, set()):
+            for j in access_reads:
                 if s.accesses[j].kind != "read":
                     raise ValidationError(f"{s.id}: body references write access {j}")
         elif not s.is_virtual and (s.writes() or s.scalar_writes):
             raise ValidationError(f"{s.id}: writing statement has no body")
 
-    def _check_in_bounds(self, s: Statement, acc: AccessRef, fld: FieldDecl) -> None:
-        index = evaluate_rows(acc.index_exprs, s.instances)
-        for d, extent in enumerate(fld.extents):
-            values = index[:, d].tolist()
-            if values and (min(values) < 0 or max(values) >= extent):
+    def _check_in_bounds(self, s: Statement, j: int, fld: FieldDecl) -> None:
+        for d, (values, extent) in enumerate(zip(zip(*s.subscripts[j]), fld.extents)):
+            if min(values) < 0 or max(values) >= extent:
                 raise ValidationError(
                     f"{s.id}: access {fld.name}[dim {d}] out of bounds "
                     f"(range [{min(values)}, {max(values)}], extent {extent})"
@@ -317,7 +300,9 @@ def isolate_accesses(scop: Scop) -> Scop:
     Values flowing between the split parts become fresh scalars named
     ``<id>.v<n>``.  Schedules gain one trailing ordinal dimension: the
     1-based child position for split statements, 0 for statements that
-    were already isolated. Sequential semantics are unchanged.
+    were already isolated. Sequential semantics are unchanged.  The
+    result is valid when the input is: domains and subscripts are kept,
+    and the ordinal keeps the schedule injective.
     """
     out: list[Statement] = []
     existing_ids = {s.id for s in scop.statements}
@@ -347,7 +332,7 @@ def isolate_accesses(scop: Scop) -> Scop:
                 )
             )
         body = _rewrite_accesses(s.body, renames)
-        body_reads = tuple(sorted(expr_scalar_reads(body, set())))
+        body_reads = tuple(sorted(expr_reads(body)[0]))
         if writes:
             _, wacc = writes[0]
             if _is_atomic(body):
@@ -413,16 +398,7 @@ def isolate_accesses(scop: Scop) -> Scop:
                     + (AffineExpr.constant(s.arity, pos),),
                 )
             )
-    result = Scop(
-        name=scop.name,
-        fields=scop.fields,
-        statements=tuple(out),
-        scatter_arity=scop.scatter_arity + 1,
-        grid=scop.grid,
-        functions=scop.functions,
-    )
-    result.validate()
-    return result
+    return replace(scop, statements=tuple(out), scatter_arity=scop.scatter_arity + 1)
 
 
 # ---------------------------------------------------------------------------

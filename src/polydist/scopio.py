@@ -9,118 +9,142 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Optional
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, UnboundedSet, ValidationError
 from .exprs import PureFunction
 from .isets import AffineExpr, IntSet, Space
 from .scop import AccessRef, ClusterGrid, FieldDecl, Scop, Statement
-from .syntax import format_expr, format_set, parse_expr, parse_set, _parse_body
+from .syntax import _solve_block, format_expr, format_set, parse_expr, parse_map, parse_set
 
 __all__ = ["parse_scop", "parse_scop_file", "print_scop", "read_input"]
 
 
 def _schedule_exprs(text: str, dom: Space) -> tuple[AffineExpr, ...]:
-    """Parse a schedule string '{ [dims] -> [expr, ...] }' into output exprs."""
-    (_, _), dims_in, dims_out, pieces = _parse_body(text, want_map=True)
-    if len(pieces) != 1:
+    """The output expressions of a schedule '{ [dims] -> [expr, ...] }'."""
+    m = parse_map(text)
+    if len(m.pieces) != 1:
         raise ValidationError("schedules must be single-piece functional maps")
-    if tuple(dims_in) != dom.dims:
+    if m.dom.dims != dom.dims:
         raise ValidationError(
-            f"schedule domain dims {dims_in} do not match statement domain {list(dom.dims)}"
+            f"schedule domain dims {list(m.dom.dims)} do not match statement domain "
+            f"{list(dom.dims)}"
         )
-    n_in, n_out = len(dims_in), len(dims_out)
-    arity = n_in + n_out
-    exprs: list[Optional[AffineExpr]] = [None] * n_out
-    others: list = []
-    for c in pieces[0]:
-        hit = None
-        for j in range(n_out):
-            pos = n_in + j
-            if (
-                c.is_eq
-                and exprs[j] is None
-                and abs(c.expr.coeffs[pos]) == 1
-                and not c.expr.dim_in_div(pos)
-                and not any(c.expr.uses_dim(n_in + i) for i in range(n_out) if i != j)
-            ):
-                hit = (j, pos)
-                break
-        if hit is None:
-            others.append(c)
-            continue
-        j, pos = hit
-        rest = AffineExpr(
-            tuple(0 if i == pos else v for i, v in enumerate(c.expr.coeffs)),
-            c.expr.const,
-            c.expr.divs,
-        )
-        exprs[j] = rest.scale(-c.expr.coeffs[pos]).remap(list(range(n_in)) + [-1] * n_out, n_in)
-    if others or any(e is None for e in exprs):
+    n_in, arity = m.n_in, m.n_in + m.n_out
+    solved = _solve_block(m.pieces[0], arity, range(n_in, arity), range(n_in))
+    if solved is None or len(solved[1]) != len(m.pieces[0]):
         raise ValidationError(f"schedule is not functional: {text}")
+    exprs = [solved[0][pos] for pos in range(n_in, arity)]
     if any(e.divs for e in exprs):
         raise ValidationError("schedule expressions must be affine (no floordiv)")
-    return tuple(exprs)
+    return tuple(e.remap(list(range(n_in)) + [-1] * m.n_out, n_in) for e in exprs)
+
+
+_REQUIRED = object()
+_KINDS = {
+    dict: ("an object", "objects"),
+    str: ("a string", "strings"),
+    int: ("an integer", "integers"),
+}
+
+
+def _is(value, kind) -> bool:
+    return isinstance(value, kind) and not (kind is int and isinstance(value, bool))
+
+
+def _entry(doc: dict, key: str, kind, where: str, default=_REQUIRED):
+    """doc[key] if it is a `kind`, `default` if it is absent; otherwise a
+    ParseError naming `where`, the key and the expected type."""
+    if key not in doc:
+        if default is _REQUIRED:
+            raise ParseError(f"{where}: missing key {key!r}")
+        return default
+    if not _is(doc[key], kind):
+        raise ParseError(f"{where}: {key!r} must be {_KINDS[kind][0]}")
+    return doc[key]
+
+
+def _items(doc: dict, key: str, kind, where: str, default=_REQUIRED) -> list:
+    """doc[key] as a list of `kind` values, checked like ``_entry``."""
+    items = _entry(doc, key, object, where, default)
+    if not isinstance(items, list) or not all(_is(v, kind) for v in items):
+        raise ParseError(f"{where}: {key!r} must be a list of {_KINDS[kind][1]}")
+    return items
+
+
+def _parse_statement(sd: dict, pos: int) -> Statement:
+    sid = _entry(sd, "id", str, f"statement {pos}")
+    where = f"statement {sid}"
+    domain_text = _entry(sd, "domain", str, where)
+    schedule_text = _entry(sd, "schedule", str, where)
+    try:
+        domain = parse_set(domain_text)
+    except ParseError as e:
+        raise ParseError(f"{where}: bad domain: {e}")
+    except UnboundedSet as e:
+        raise ValidationError(f"{where}: unbounded domain: {e}")
+    domain = IntSet(Space(sid, domain.space.dims), domain.pieces)
+    try:
+        sched = _schedule_exprs(schedule_text, domain.space)
+    except ParseError as e:
+        raise ParseError(f"{where}: bad schedule: {e}")
+    accesses = []
+    for j, ad in enumerate(_items(sd, "accesses", dict, where, [])):
+        at = f"{where} access {j}"
+        index_texts = _items(ad, "index", str, at)
+        try:
+            idx = tuple(parse_expr(t, domain.space) for t in index_texts)
+        except ParseError as e:
+            raise ParseError(f"{at}: bad index: {e}")
+        field, kind = _entry(ad, "field", str, at), _entry(ad, "kind", str, at)
+        accesses.append(AccessRef(field=field, kind=kind, index_exprs=idx))
+    return Statement(
+        id=sid,
+        domain=domain,
+        schedule_exprs=sched,
+        accesses=tuple(accesses),
+        body=sd.get("body"),
+        scalar_reads=tuple(_items(sd, "scalar_reads", str, where, [])),
+        scalar_writes=tuple(_items(sd, "scalar_writes", str, where, [])),
+    )
 
 
 def parse_scop(text: str, name: str = "scop") -> Scop:
+    """The scop a JSON document describes, checked once, here: ParseError
+    for a document of the wrong shape, ValidationError for a documented
+    invariant it breaks."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON: {e.msg}", e.lineno, e.colno)
     if not isinstance(doc, dict):
         raise ParseError("scop document must be a JSON object")
-    for key in ("fields", "grid", "scatter_arity", "statements"):
-        if key not in doc:
-            raise ParseError(f"missing top-level key {key!r}")
-
     fields = []
-    for fd in doc["fields"]:
+    for pos, fd in enumerate(_items(doc, "fields", dict, "scop")):
+        where = f"field {_entry(fd, 'name', str, f'field {pos}')}"
         fields.append(
             FieldDecl(
                 name=fd["name"],
-                element_type=fd["type"],
-                extents=tuple(int(e) for e in fd["extents"]),
+                element_type=_entry(fd, "type", str, where),
+                extents=tuple(_items(fd, "extents", int, where)),
             )
         )
-    grid = ClusterGrid(tuple(int(e) for e in doc["grid"]))
-    scatter_arity = int(doc["scatter_arity"])
+    grid = ClusterGrid(tuple(_items(doc, "grid", int, "scop")))
     functions = {}
-    for fname, fdoc in doc.get("functions", {}).items():
-        functions[fname] = PureFunction(fname, fdoc["params"], fdoc["body"])
-
-    statements = []
-    for sd in doc["statements"]:
-        sid = sd["id"]
-        try:
-            domain = parse_set(sd["domain"])
-        except ParseError as e:
-            raise ParseError(f"statement {sid}: bad domain: {e}")
-        domain = IntSet(Space(sid, domain.space.dims), domain.pieces)
-        try:
-            sched = _schedule_exprs(sd["schedule"], domain.space)
-        except ParseError as e:
-            raise ParseError(f"statement {sid}: bad schedule: {e}")
-        accesses = []
-        for ad in sd.get("accesses", []):
-            idx = tuple(parse_expr(t, domain.space) for t in ad["index"])
-            accesses.append(AccessRef(field=ad["field"], kind=ad["kind"], index_exprs=idx))
-        statements.append(
-            Statement(
-                id=sid,
-                domain=domain,
-                schedule_exprs=sched,
-                accesses=tuple(accesses),
-                body=sd.get("body"),
-                scalar_reads=tuple(sd.get("scalar_reads", ())),
-                scalar_writes=tuple(sd.get("scalar_writes", ())),
-            )
+    for fname, fdoc in _entry(doc, "functions", dict, "scop", {}).items():
+        where = f"function {fname}"
+        if not isinstance(fdoc, dict):
+            raise ParseError(f"{where}: must be an object")
+        functions[fname] = PureFunction(
+            fname, _items(fdoc, "params", str, where), _entry(fdoc, "body", object, where)
         )
     scop = Scop(
-        name=doc.get("name", name),
+        name=_entry(doc, "name", str, "scop", name),
         fields=tuple(fields),
-        statements=tuple(statements),
-        scatter_arity=scatter_arity,
+        statements=tuple(
+            _parse_statement(sd, pos)
+            for pos, sd in enumerate(_items(doc, "statements", dict, "scop"))
+        ),
+        scatter_arity=_entry(doc, "scatter_arity", int, "scop"),
         grid=grid,
         functions=functions,
     )

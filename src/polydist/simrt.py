@@ -2,23 +2,21 @@
 
 Each node owns the storage for its home block of every field, a private
 scalar environment, and a cursor into its event list.  Channels are
-persistent point-to-point buffers with a four-state lifecycle:
+persistent point-to-point buffers with a three-state lifecycle:
 
-    IDLE -(send_wait)-> FILLING -(send)-> SENT -(delivery)-> DELIVERED
-    DELIVERED -(recv)-> IDLE
+    IDLE -(send_wait)-> FILLING -(send)-> SENT -(recv)-> IDLE
 
 ``send_wait`` blocks while the previous message has not been released by
-the receiver's ``recv``; ``recv_wait`` blocks until delivery.  Delivery
-happens strictly after the send's global step.  The scheduler always
-executes the lowest pending (scatter, node) event that is not blocked,
-which makes runs bit-reproducible; when nothing can run and nothing can
-be delivered, the run aborts with DeadlockDetected.
+the receiver's ``recv``; ``recv_wait`` blocks until the send.  One event
+runs per step, so a payload is readable from the step after its send
+on.  The scheduler always executes the lowest pending (scatter, node)
+event that is not blocked, which makes runs bit-reproducible; when
+nothing can run, the run aborts with DeadlockDetected.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,12 +29,12 @@ from .errors import (
     NotLocal,
 )
 from .placement import block_box
-from .scop import FieldDecl, Scop, _check_store, _from_np
+from .scop import ClusterGrid, FieldDecl, Scop, _check_store, _from_np
 from .exprs import eval_expr
 
 __all__ = ["NodeState", "ChannelState", "Trace", "SimState", "init_runtime", "run"]
 
-IDLE, FILLING, SENT, DELIVERED = "idle", "filling", "sent", "delivered"
+IDLE, FILLING, SENT = "idle", "filling", "sent"
 
 
 @dataclass
@@ -53,7 +51,6 @@ class ChannelState:
     state: str = IDLE
     send_buf: list = field(default_factory=list)
     payload: tuple = ()
-    sent_at: int = -1
 
 
 @dataclass
@@ -99,14 +96,13 @@ class SimState:
         return out
 
 
-def init_runtime(plan: CommPlan, grid, init: dict) -> SimState:
+def init_runtime(plan: CommPlan, grid: ClusterGrid, init: dict) -> SimState:
     """Build nodes and channels; abort on geometry mismatch.  The plan's
     fields must be the contents' fields, with the same element types and
     extents.  Each node stores the block of every field that block
     distribution homes on it."""
-    grid_extents = tuple(grid.extents) if hasattr(grid, "extents") else tuple(grid)
-    if grid_extents != tuple(plan.grid):
-        raise GeometryMismatch(f"plan compiled for {plan.grid}, running on {grid_extents}")
+    if grid.extents != tuple(plan.grid):
+        raise GeometryMismatch(f"plan compiled for {plan.grid}, running on {grid.extents}")
     fields = {n: FieldDecl(name=n, element_type=t, extents=tuple(e)) for n, t, e in plan.fields}
     for name, fld in fields.items():
         if name not in init:
@@ -121,7 +117,7 @@ def init_runtime(plan: CommPlan, grid, init: dict) -> SimState:
         if name not in fields:
             raise GeometryMismatch(f"field {name} of the contents is missing from the plan")
     nodes = {}
-    for coord in itertools.product(*[range(e) for e in grid_extents]):
+    for coord in grid.nodes:
         storage = {}
         boxes = {}
         for name, fld in fields.items():
@@ -161,17 +157,11 @@ def run(sim: SimState, scop: Scop):
                     f"which is not an instance of {ev.stmt}"
                 )
 
-    def deliver(ch: ChannelState):
-        if ch.state == SENT and ch.sent_at < sim.step:
-            ch.state = DELIVERED
-
     def executable(ev) -> bool:
-        ch = sim.channels.get(ev.cid)
         if ev.kind == "send_wait":
-            return ch.state == IDLE
+            return sim.channels[ev.cid].state == IDLE
         if ev.kind == "recv_wait":
-            deliver(ch)
-            return ch.state == DELIVERED
+            return sim.channels[ev.cid].state == SENT
         return True
 
     def run_event(node: "NodeState", ev):
@@ -186,14 +176,11 @@ def run(sim: SimState, scop: Scop):
                 raise BufferStateViolation(f"send on channel {ev.cid} in state {ch.state}")
             ch.payload = tuple(ch.send_buf)
             ch.state = SENT
-            ch.sent_at = sim.step
             digest = _digest(ch.payload)
         elif ev.kind == "recv_wait":
-            if ch.state != DELIVERED:
-                raise BufferStateViolation(f"recv_wait passed in state {ch.state}")
+            pass  # ran only once the channel was SENT
         elif ev.kind == "recv":
-            deliver(ch)
-            if ch.state != DELIVERED:
+            if ch.state != SENT:
                 raise BufferStateViolation(f"recv on channel {ev.cid} in state {ch.state}")
             digest = _digest(ch.payload)
             ch.payload = ()
@@ -209,8 +196,7 @@ def run(sim: SimState, scop: Scop):
             )
             ch.send_buf[ev.rank] = value
         elif ev.kind == "buffer_drain":
-            deliver(ch)
-            if ch.state != DELIVERED:
+            if ch.state != SENT:
                 raise BufferStateViolation(f"buffer drain in state {ch.state}")
             chan = plan.channels[ev.cid]
             node.storage[chan.layout.fieldname][
@@ -224,8 +210,7 @@ def run(sim: SimState, scop: Scop):
                     raise BufferStateViolation(f"{ev.stmt}{ev.instance}: unbound field read")
                 cid, rank = ev.read_from
                 rch = sim.channels[cid]
-                deliver(rch)
-                if rch.state != DELIVERED:
+                if rch.state != SENT:
                     raise BufferStateViolation(
                         f"{ev.stmt}{ev.instance}: buffer read on channel {cid} in state {rch.state}"
                     )
@@ -271,8 +256,7 @@ def run(sim: SimState, scop: Scop):
             ev = node_events[coord][node.cursor]
             key = (ev.scatter, coord)
             if (best is None or key < best[0]) and executable(ev):
-                if best is None or key < best[0]:
-                    best = (key, coord, ev)
+                best = (key, coord, ev)
         if best is None:
             blocked = {
                 coord: node_events[coord][sim.nodes[coord].cursor].kind for coord in sorted(pending)

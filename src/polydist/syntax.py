@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from typing import Optional, Sequence
 
-from .errors import ParseError
+from .errors import ParseError, UnboundedSet
 from .isets import (
     AffineExpr,
     Constraint,
@@ -29,6 +29,7 @@ from .isets import (
     eq0,
     ge0,
     normalize_piece,
+    propagate,
 )
 
 __all__ = ["parse_set", "parse_map", "parse_expr", "format_set", "format_map", "format_expr"]
@@ -146,7 +147,10 @@ def _parse_factor(tk: _Tokens, env: dict[str, int], arity: int) -> AffineExpr:
             if knd != "num":
                 tk._fail(0, "floor divisor must be a positive integer")
             tk.expect(")")
-            return AffineExpr((0,) * arity, 0, (DivTerm(1, inner, int(div)),))
+            try:
+                return AffineExpr((0,) * arity, 0, (DivTerm(1, inner, int(div)),))
+            except ValueError as e:  # a zero divisor or nesting too deep
+                tk._fail(0, str(e))
         if value not in env:
             tk._fail(0, f"unknown variable {value!r}")
         return AffineExpr.var(arity, env[value])
@@ -330,11 +334,18 @@ def _parse_body(text: str, want_map: bool):
 
 
 def parse_set(text: str, space: Optional[Space] = None) -> IntSet:
+    """The set a text denotes; UnboundedSet names a dimension that some
+    piece leaves without a lower or an upper bound."""
     (name, _), dims_in, _, pieces = _parse_body(text, want_map=False)
     sp = space or Space(name or "set", tuple(dims_in))
     if sp.arity != len(dims_in):
         raise ParseError(f"expected arity {sp.arity}, found {len(dims_in)}")
-    return IntSet.make(sp, pieces)
+    s = IntSet.make(sp, pieces)
+    for piece in s.pieces:
+        for dim, (lo, hi) in zip(sp.dims, propagate(sp.arity, piece)):
+            if lo is None or hi is None:
+                raise UnboundedSet(f"dimension {dim} is unbounded")
+    return s
 
 
 def parse_map(text: str, dom: Optional[Space] = None, ran: Optional[Space] = None) -> IntMap:
@@ -343,7 +354,7 @@ def parse_map(text: str, dom: Optional[Space] = None, ran: Optional[Space] = Non
     rsp = ran or Space(out_name or "ran", tuple(dims_out))
     if dsp.arity != len(dims_in) or rsp.arity != len(dims_out):
         raise ParseError("tuple arity does not match the provided spaces")
-    return IntMap.make(dsp, rsp, pieces, check=False)
+    return IntMap.make(dsp, rsp, pieces)
 
 
 def parse_expr(text: str, space: Space) -> AffineExpr:

@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
+
+from polydist.chunking import _order_summary
 from polydist.errors import IterationCapExceeded, SpaceMismatch
 from polydist.isets import (
     AffineExpr,
@@ -55,7 +58,7 @@ def set_from_points(space: Space, points) -> IntSet:
 
 def identity_map(space: Space) -> IntMap:
     exprs = [AffineExpr.var(space.arity, i) for i in range(space.arity)]
-    return IntMap.from_exprs(space, space.renamed(space.name), exprs, check=False)
+    return IntMap.from_exprs(space, space.renamed(space.name), exprs)
 
 
 def sets_equal(a: IntSet, b: IntSet) -> bool:
@@ -92,7 +95,7 @@ def hull_box(s: IntSet):
 
 def map_range(m: IntMap) -> IntSet:
     pieces = project_pieces(m.n_in + m.n_out, m.pieces, list(range(m.n_in)))
-    return IntSet.make(m.ran, pieces, check=False)
+    return IntSet.make(m.ran, pieces)
 
 
 def transitive_closure(r: IntMap) -> IntMap:
@@ -164,7 +167,7 @@ def random_map(rng: random.Random, dom: Space, ran: Space, max_extent: int = 8) 
 
 def random_functional_map(rng: random.Random, dom: Space, ran: Space) -> IntMap:
     exprs = [random_expr(rng, dom.arity, allow_div=rng.random() < 0.3) for _ in range(ran.arity)]
-    return IntMap.from_exprs(dom, ran, exprs, check=False)
+    return IntMap.from_exprs(dom, ran, exprs)
 
 
 # -- reference semantics on enumerated points --------------------------------
@@ -344,7 +347,7 @@ def strict_prefix_holds_symbolic(scop, fam, level: int) -> bool:
         violation_alternatives.append(alt)
     for piece in fam.rel.pieces:
         for alt in violation_alternatives:
-            bad = IntSet.make(fam.rel.space, [tuple(piece) + tuple(alt)], check=False)
+            bad = IntSet.make(fam.rel.space, [tuple(piece) + tuple(alt)])
             if not is_empty(bad):
                 return False
     return True
@@ -362,13 +365,40 @@ def global_order_holds_symbolic(scop, fam) -> bool:
         fam.rel.pieces,
         list(range(fam.n_prod)) + list(range(fam.n_prod + fam.n_cons, arity)),
     )
-    sched = scop.scatter_space
-    tg = apply(prod.schedule(sched), IntSet.make(prod.space, prod_pieces, check=False))
-    tc = apply(cons.schedule(sched), IntSet.make(cons.space, cons_pieces, check=False))
+    tg = apply(schedule_map(scop, prod), IntSet.make(prod.space, prod_pieces))
+    tc = apply(schedule_map(scop, cons), IntSet.make(cons.space, cons_pieces))
     return lexmax(tg) < lexmin(tc)
+
+
+def schedule_map(scop, s) -> IntMap:
+    """A statement's schedule as a map into the scop's scatter space."""
+    scatter = Space("T", tuple(f"t{i}" for i in range(scop.scatter_arity)))
+    return IntMap.from_exprs(s.space, scatter, s.schedule_exprs)
+
+
+def strict_prefix_holds(scop, fam, level: int) -> bool:
+    """The strict-prefix condition at a level, from chunking's one pass
+    over the family's pair table."""
+    return level > _order_summary(scop, fam)[0]
+
+
+def placement_nodes(sp, stmt: str, point) -> list:
+    """Executing nodes of one instance, read from the enumerated placement."""
+    return sp.table[stmt].get(tuple(point), [])
 
 
 def stmt_nodes(sp, stmt: str, point) -> list:
     """Executing nodes of one instance by applying its placement map."""
     m = sp.maps[stmt]
     return enumerate_set(apply(m, set_from_points(m.dom, [tuple(point)])))
+
+
+# -- field contents -----------------------------------------------------------
+
+
+def zero_contents(scop) -> dict:
+    return {f.name: np.zeros(f.extents, dtype=f.dtype) for f in scop.fields}
+
+
+def contents_equal(a: dict, b: dict) -> bool:
+    return set(a) == set(b) and all(np.array_equal(a[k], b[k]) for k in a)

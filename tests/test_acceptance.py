@@ -11,7 +11,7 @@ import pytest
 from polydist.chunking import ChunkingFn
 from polydist.commgen import build_transfers, compile_plan
 from polydist.deps import EPILOGUE, PROLOGUE
-from polydist.fields import contents_equal, random_contents
+from polydist.fields import random_contents
 from polydist.isets import IntMap, compose, restrict_domain
 from polydist.pipeline import analyze_scop, plan_scop
 from polydist.scop import sequential_execute
@@ -19,7 +19,14 @@ from polydist.scopio import parse_scop, parse_scop_file
 from polydist.simrt import init_runtime, run
 
 from dep_oracle import brute_force_flows
-from oracle import maps_equal, run_algebra_case, validate_chunking
+from oracle import (
+    contents_equal,
+    maps_equal,
+    placement_nodes,
+    run_algebra_case,
+    strict_prefix_holds,
+    validate_chunking,
+)
 
 
 def report(number: int, label: str, failures: list):
@@ -108,9 +115,7 @@ def test_criterion_2_placement_match(gol16_analysis):
 
         s = scop.statement(sid)
         fld = scop.field(fieldname)
-        sel = IntMap.from_exprs(
-            s.space, fld.space, [AffineExpr.var(3, 1), AffineExpr.var(3, 2)], check=False
-        )
+        sel = IntMap.from_exprs(s.space, fld.space, [AffineExpr.var(3, 1), AffineExpr.var(3, 2)])
         return compose(fp.maps[fieldname], restrict_domain(sel, s.domain))
 
     for sid in ("S1.1", "S1.2", "S1.3", "S1.4", "S1.5", "S1.6", "S1.7"):
@@ -137,11 +142,11 @@ def test_criterion_3_chunking(gol16_analysis):
     if not validate_chunking(phi, dep):
         failures.append("chosen chunking is not valid")
     # minimality: level 1 must fail one of the two conditions
-    from polydist.chunking import _collapsed_has_cycle, _strict_prefix_holds
+    from polydist.chunking import _collapsed_has_cycle
 
     cons = dep.scop.statement("S1.1")
     phi1 = ChunkingFn(consumer="S1.1", level=1, kept_dims=(), space=cons.space)
-    if _strict_prefix_holds(dep.scop, fam, 1) and not _collapsed_has_cycle(dep, phi1):
+    if strict_prefix_holds(dep.scop, fam, 1) and not _collapsed_has_cycle(dep, phi1):
         failures.append("level 1 unexpectedly qualifies; heuristic not minimal")
     report(3, "chunking level 2 with per-iteration representatives", failures)
 
@@ -164,8 +169,8 @@ def test_criterion_4_transfer_counts(gol16_analysis):
         f for f in dep.intra_field_families() if (f.producer, f.consumer) == ("S2.2", "S1.1")
     )
     for ig, ic, k in fam.pairs():
-        prod_nodes = [tuple(p) for p in sp.nodes("S2.2", ig)]
-        for pc in (tuple(p) for p in sp.nodes("S1.1", ic)):
+        prod_nodes = [tuple(p) for p in placement_nodes(sp, "S2.2", ig)]
+        for pc in (tuple(p) for p in placement_nodes(sp, "S1.1", ic)):
             pg = pc if pc in prod_nodes else min(prod_nodes)
             if pg != pc:
                 oracle.setdefault((pg, pc), set()).add(k)

@@ -6,6 +6,7 @@ import pytest
 from oracle import (
     collapsed_has_cycle,
     global_order_holds_symbolic,
+    strict_prefix_holds,
     strict_prefix_holds_symbolic,
     transitive_closure,
     validate_chunking,
@@ -15,7 +16,6 @@ from polydist.chunking import (
     _collapsed_has_cycle,
     _kept_dims,
     _order_summary,
-    _strict_prefix_holds,
     chunk_all,
     chunk_heuristic,
     dump_chunks,
@@ -193,7 +193,7 @@ def test_stencil_family_minimality(gol16_dep):
     from polydist.chunking import _collapsed_has_cycle
 
     cons = gol16_dep.scop.statement("S1.1")
-    level1_ok = _strict_prefix_holds(gol16_dep.scop, fam, 1)
+    level1_ok = strict_prefix_holds(gol16_dep.scop, fam, 1)
     phi1 = ChunkingFn(consumer="S1.1", level=1, kept_dims=(), space=cons.space)
     assert not level1_ok or _collapsed_has_cycle(gol16_dep, phi1)
 
@@ -346,7 +346,7 @@ def test_order_checks_match_symbolic(name, scops_dir):
         _, ordered = _order_summary(scop, fam)
         assert ordered == global_order_holds_symbolic(scop, fam), where
         for level in range(scop.scatter_arity):
-            assert _strict_prefix_holds(scop, fam, level) == strict_prefix_holds_symbolic(
+            assert strict_prefix_holds(scop, fam, level) == strict_prefix_holds_symbolic(
                 scop, fam, level
             ), (where, level)
 

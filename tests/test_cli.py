@@ -406,3 +406,61 @@ def test_scatters_stay_exact_beyond_int64(tmp_path, capsys, offset, coeff):
         assert (int(t0), int(t1)) == (0 if stmt == "W" else 2, 2 * coeff * int(i)), stmt
     first = 2 * coeff * offset
     assert f"node=(0) t=(0,{first},-1) kind=send_wait chunk=flow:W->R.1:b" in text
+
+
+def _gol16_doc(gol16_path, edit):
+    doc = json.loads(gol16_path.read_text())
+    edit(doc)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d["statements"][0].pop("domain"), "statement S1.1: missing key 'domain'"),
+        (lambda d: d["fields"][1].pop("extents"), "field back: missing key 'extents'"),
+        (lambda d: d.update(grid="2x2"), "scop: 'grid' must be a list of integers"),
+        (
+            lambda d: d["statements"][0]["accesses"][0].update(index=5),
+            "statement S1.1 access 0: 'index' must be a list of strings",
+        ),
+        (lambda d: d.update(statements={}), "scop: 'statements' must be a list of objects"),
+        (
+            lambda d: d["statements"][0]["accesses"][0].update(index=["floor(x/0)", "y"]),
+            "statement S1.1 access 0: bad index: floordiv divisor must be positive "
+            "(line 1, column 1)",
+        ),
+    ],
+    ids=["no-domain", "no-extents", "grid-string", "index-int", "statements-object", "index-div0"],
+)
+def test_malformed_scop_is_a_parse_error(gol16_path, tmp_path, edit, message):
+    path = tmp_path / "bad.scop"
+    path.write_text(json.dumps(_gol16_doc(gol16_path, edit)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "polydist.cli", "print", str(path)], capture_output=True, text=True
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == f"parse error: {message}\n"
+
+
+def test_unbounded_domain_is_a_validation_error(gol16_path, tmp_path, capsys):
+    def unbound(doc):
+        doc["statements"][1]["domain"] = "{ [i,x,y] : i >= 0 and 1 <= x < 15 and 1 <= y < 15 }"
+
+    path = tmp_path / "unbounded.scop"
+    path.write_text(json.dumps(_gol16_doc(gol16_path, unbound)))
+    assert invoke("print", str(path)) == 2
+    assert capsys.readouterr().err == (
+        "validation error: statement S1.2: unbounded domain: dimension i is unbounded\n"
+    )
+
+
+def test_scop_validated_once_per_run(gol16_path, capsys, monkeypatch):
+    from polydist.scop import Scop
+
+    runs = []
+    real = Scop.validate
+    monkeypatch.setattr(Scop, "validate", lambda self: runs.append(self) or real(self))
+    assert invoke("verify", str(gol16_path), "--grid", "2x2", "--seed", "3") == 0
+    assert "verify: PASS" in capsys.readouterr().out
+    assert len(runs) == 1

@@ -95,7 +95,7 @@ def exec_relation(fam, sp, fp) -> IntSet:
     prod_pieces = embed_pieces(prod_rel.pieces, gmap, arity)
     combined = [a + b + c for a in pieces for b in cons_pieces for c in prod_pieces]
     space = Space(f"T:{_family_key(fam)}", tuple(f"d{i}" for i in range(arity)))
-    return IntSet.make(space, combined, check=False)
+    return IntSet.make(space, combined)
 
 
 def select_producer_node(t: IntSet, n_p: int) -> IntSet:
@@ -108,13 +108,13 @@ def select_producer_node(t: IntSet, n_p: int) -> IntSet:
         eq0(AffineExpr.var(arity, pc_base + d) - AffineExpr.var(arity, pg_base + d))
         for d in range(n_p)
     )
-    t_same = IntSet.make(t.space, [p + same_cons for p in t.pieces], check=False)
+    t_same = IntSet.make(t.space, [p + same_cons for p in t.pieces])
     if is_empty(t_same):
         rest = t
     else:
         covered = project_pieces(arity, t_same.pieces, list(range(pg_base, arity)))
         covered_w = embed_pieces(covered, list(range(pg_base)), arity)
-        rest = subtract(t, IntSet.make(t.space, covered_w, check=False))
+        rest = subtract(t, IntSet.make(t.space, covered_w))
     if is_empty(rest):
         return t_same
     return union(t_same, select_lex_extreme(rest, pg_base, maximize=False))

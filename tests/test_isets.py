@@ -206,4 +206,4 @@ def _pair_map(a, b):
         cons.append(eq0(AffineExpr.var(2 * n, i).plus_const(-v)))
     for i, v in enumerate(b):
         cons.append(eq0(AffineExpr.var(2 * n, n + i).plus_const(-v)))
-    return IntMap.make(sp, sp, [cons], check=False)
+    return IntMap.make(sp, sp, [cons])

@@ -116,7 +116,7 @@ def test_floor_div_equality_is_scanned(monkeypatch):
 def test_unbounded_piece_raises(extra, query):
     space = Space("u", ("x0", "x1"))
     piece = (ge0(AffineExpr((1, 0))), ge0(AffineExpr((-1, 1)))) + extra
-    s = IntSet.make(space, [piece], check=False)
+    s = IntSet.make(space, [piece])
     assert isets._scan_program(2, s.pieces[0]) is None
     with pytest.raises(UnboundedSet):
         query(s)

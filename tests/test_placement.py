@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from oracle import maps_equal, sets_equal
+from oracle import maps_equal, placement_nodes, sets_equal
 from polydist.cli import main
 from polydist.deps import add_virtual_statements, compute_flow
 from polydist.errors import IndivisibleExtent
@@ -71,12 +71,7 @@ def _home_of_xy(scop, fp, sid, field):
 
     s = scop.statement(sid)
     fld = scop.field(field)
-    sel = IntMap.from_exprs(
-        s.space,
-        fld.space,
-        [AffineExpr.var(3, 1), AffineExpr.var(3, 2)],
-        check=False,
-    )
+    sel = IntMap.from_exprs(s.space, fld.space, [AffineExpr.var(3, 1), AffineExpr.var(3, 2)])
     sel = restrict_domain(sel, s.domain)
     return compose(fp.maps[field], sel)
 
@@ -85,8 +80,8 @@ def test_scalar_safety(gol16_pipeline):
     virt, dep, fp, sp = gol16_pipeline
     for fam in dep.scalar_families():
         for ig, ic, _ in fam.pairs():
-            prod_nodes = set(sp.nodes(fam.producer, ig))
-            cons_nodes = set(sp.nodes(fam.consumer, ic))
+            prod_nodes = set(placement_nodes(sp, fam.producer, ig))
+            cons_nodes = set(placement_nodes(sp, fam.consumer, ic))
             assert cons_nodes <= prod_nodes, (fam.producer, fam.consumer, ig, ic)
 
 
@@ -96,7 +91,8 @@ def test_owner_computes_invariant(gol16_pipeline):
         s = virt.statement(fam.producer)
         _, acc = s.writes()[0]
         for ig, _, k in fam.pairs():
-            assert block_home(k, fp.block_extents[fam.ref]) in sp.nodes(fam.producer, ig)
+            home = block_home(k, fp.block_extents[fam.ref])
+            assert home in placement_nodes(sp, fam.producer, ig)
 
 
 def test_every_instance_placed(gol16_pipeline):
@@ -124,7 +120,7 @@ def test_single_node_grid_trivial(gol16_path):
     sp = place_statements(virt, dep, fp)
     for s in virt.real_statements():
         for point in [(0, 1, 1), (2, 14, 14)]:
-            assert sp.nodes(s.id, point) == [(0, 0)]
+            assert placement_nodes(sp, s.id, point) == [(0, 0)]
 
 
 def test_dump_shape(gol16_pipeline):

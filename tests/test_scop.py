@@ -1,15 +1,19 @@
+import collections
 import json
 
 import numpy as np
 import pytest
 
 from polydist.errors import ParseError, ValidationError
-from polydist.fields import contents_equal, random_contents, zero_contents
+from polydist.fields import random_contents
 from polydist.isets import AffineExpr, DivTerm, enumerate_set
+from polydist import scop as scop_module
+from polydist.pipeline import plan_scop
 from polydist.scop import evaluate_rows, isolate_accesses, point_table, sequential_execute
 from polydist.scopio import parse_scop, parse_scop_file, print_scop
+from polydist.simrt import init_runtime, run
 
-from oracle import evaluate_point
+from oracle import contents_equal, evaluate_point, zero_contents
 
 
 @pytest.fixture(scope="module")
@@ -56,7 +60,7 @@ def test_gol16_access_elements(gol16):
 def test_empty_scop_valid(scops_dir):
     scop = parse_scop_file(scops_dir / "empty.scop")
     assert scop.statements == ()
-    assert scop.grid.node_count == 1
+    assert scop.grid.nodes == [(0,)]
 
 
 def test_out_of_bounds_access_rejected(gol16_path):
@@ -112,6 +116,58 @@ def test_non_injective_schedule_rejected(gol16_path):
     doc["statements"][1]["schedule"] = doc["statements"][0]["schedule"]
     with pytest.raises(ValidationError):
         parse_scop(json.dumps(doc))
+
+
+def _with_schedule(gol16_path, schedule):
+    doc = json.loads(gol16_path.read_text())
+    doc["statements"][0]["schedule"] = schedule
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "schedule, message",
+    [
+        ("{ [i,x,y] -> [0,i,0,x,0,y,1] : i >= 1 }", "schedule is not functional"),
+        ("{ [i,x,y] -> [0,floor(i/2),0,x,0,y,1] }", "must be affine (no floordiv)"),
+        (
+            "{ [i,x,y] -> [0,i,0,x,0,y,1]; [i,x,y] -> [2,i,0,x,0,y,1] }",
+            "schedules must be single-piece functional maps",
+        ),
+        (
+            "{ [a,x,y] -> [0,a,0,x,0,y,1] }",
+            "schedule domain dims ['a', 'x', 'y'] do not match statement domain ['i', 'x', 'y']",
+        ),
+    ],
+    ids=["guarded", "floordiv", "two-piece", "renamed"],
+)
+def test_schedule_rejected(gol16_path, schedule, message):
+    with pytest.raises(ValidationError) as ei:
+        parse_scop(_with_schedule(gol16_path, schedule))
+    assert message in str(ei.value)
+
+
+def test_subscripts_evaluated_once_per_statement(gol16_path, monkeypatch):
+    # every instance table (a Statement object's rows) is evaluated at most
+    # once per expression list: validation reads the cached subscripts
+    calls = collections.Counter()
+    real = scop_module.evaluate_rows
+
+    def counting(exprs, rows):
+        calls[id(rows), tuple(exprs)] += 1
+        return real(exprs, rows)
+
+    monkeypatch.setattr(scop_module, "evaluate_rows", counting)
+    scop = parse_scop_file(gol16_path)
+    analysis, plan = plan_scop(scop)
+    init = random_contents(scop, 3)
+    expected = sequential_execute(scop, init)
+    final, _ = run(init_runtime(plan, analysis.scop.grid, init), analysis.scop)
+    assert contents_equal(final, expected)
+    # the parsed statements' subscripts are evaluated by validation and
+    # read again by sequential execution; the isolated ones at most once
+    parsed = [(id(s.instances), a.index_exprs) for s in scop.statements for a in s.accesses]
+    assert [calls[key] for key in parsed] == [1] * 8
+    assert max(calls.values()) == 1
 
 
 def test_malformed_json_position():

@@ -17,11 +17,13 @@ from polydist.errors import (
     ParseError,
     SimulationFault,
 )
-from polydist.fields import contents_equal, random_contents, zero_contents
+from polydist.fields import random_contents
 from polydist.placement import block_distribute, place_statements
 from polydist.scop import ClusterGrid, isolate_accesses, sequential_execute
 from polydist.scopio import parse_scop
 from polydist.simrt import init_runtime, run
+
+from oracle import contents_equal, zero_contents
 
 
 def build(gol16_path, grid=None):

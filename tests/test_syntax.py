@@ -53,6 +53,12 @@ def test_parse_multi_piece():
     assert enumerate_set(s) == [(0,), (2,), (3,), (4,)]
 
 
+@pytest.mark.parametrize("text", ["floor(x/0)", "floor(floor(floor(x/2)/2)/2)"])
+def test_unsupported_floor_is_a_parse_error(text):
+    with pytest.raises(ParseError):
+        parse_expr(text, Space("s", ("x",)))
+
+
 def test_parse_errors_have_position():
     with pytest.raises(ParseError):
         parse_set("{ [i] : 0 <= ")
