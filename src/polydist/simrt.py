@@ -9,14 +9,24 @@ persistent point-to-point buffers with a three-state lifecycle:
 ``send_wait`` blocks while the previous message has not been released by
 the receiver's ``recv``; ``recv_wait`` blocks until the send.  One event
 runs per step, so a payload is readable from the step after its send
-on.  The scheduler always executes the lowest pending (scatter, node)
-event that is not blocked, which makes runs bit-reproducible; when
-nothing can run, the run aborts with DeadlockDetected.
+on.  Every step runs the lowest (scatter, node) head event that is not
+blocked, which makes runs bit-reproducible.
+
+The scheduler keeps the node heads in a heap keyed by (scatter, node)
+and checks a head when it pops it.  A blocked head parks its node on the
+channel it waits for, and the next ``send`` or ``recv`` on that channel
+pushes the parked nodes back (a ``send_wait`` leaves the channel FILLING,
+which no head waits for).  A parked node stays blocked until then, so
+the first runnable head popped is the lowest of all, and a step costs a
+few heap operations instead of a scan of every node.  An empty heap
+with nodes still parked is a deadlock: the run aborts with
+DeadlockDetected, naming every parked node and its head event's kind.
 """
 
 from __future__ import annotations
 
 import hashlib
+import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +45,7 @@ from .exprs import eval_expr
 __all__ = ["NodeState", "ChannelState", "Trace", "SimState", "init_runtime", "run"]
 
 IDLE, FILLING, SENT = "idle", "filling", "sent"
+WAITS_FOR = {"send_wait": IDLE, "recv_wait": SENT}  # blocking kind -> state it needs
 
 
 @dataclass
@@ -143,7 +154,6 @@ def run(sim: SimState, scop: Scop):
     stmts = {s.id: s for s in scop.statements}
 
     node_events = {coord: plan.events.get(coord, []) for coord in sim.nodes}
-    pending = {coord for coord, evs in node_events.items() if evs}
     for coord, evs in sorted(node_events.items()):
         for ev in evs:
             if ev.kind == "compute" and ev.stmt not in stmts:
@@ -156,13 +166,6 @@ def run(sim: SimState, scop: Scop):
                     f"compute event on node {coord} names {ev.stmt}{ev.instance}, "
                     f"which is not an instance of {ev.stmt}"
                 )
-
-    def executable(ev) -> bool:
-        if ev.kind == "send_wait":
-            return sim.channels[ev.cid].state == IDLE
-        if ev.kind == "recv_wait":
-            return sim.channels[ev.cid].state == SENT
-        return True
 
     def run_event(node: "NodeState", ev):
         ch = sim.channels.get(ev.cid)
@@ -249,23 +252,26 @@ def run(sim: SimState, scop: Scop):
         sim.trace.log(sim.step, node.coord, ev.kind, chunk, tag, digest)
         sim.step += 1
 
-    while pending:
-        best = None
-        for coord in sorted(pending):
-            node = sim.nodes[coord]
-            ev = node_events[coord][node.cursor]
-            key = (ev.scatter, coord)
-            if (best is None or key < best[0]) and executable(ev):
-                best = (key, coord, ev)
-        if best is None:
-            blocked = {
-                coord: node_events[coord][sim.nodes[coord].cursor].kind for coord in sorted(pending)
-            }
-            raise DeadlockDetected(f"all nodes blocked: {blocked}")
-        _, coord, ev = best
+    heap = [(evs[0].scatter, coord) for coord, evs in node_events.items() if evs]
+    heapq.heapify(heap)
+    parked: dict = {}  # cid -> nodes whose head waits on that channel
+    while heap:
+        _, coord = heapq.heappop(heap)
         node = sim.nodes[coord]
+        evs = node_events[coord]
+        ev = evs[node.cursor]
+        if ev.kind in WAITS_FOR and sim.channels[ev.cid].state != WAITS_FOR[ev.kind]:
+            parked.setdefault(ev.cid, []).append(coord)
+            continue
         run_event(node, ev)
+        if ev.kind in ("send", "recv"):  # the states a parked head waits for
+            for c in parked.pop(ev.cid, ()):
+                heapq.heappush(heap, (node_events[c][sim.nodes[c].cursor].scatter, c))
         node.cursor += 1
-        if node.cursor >= len(node_events[coord]):
-            pending.discard(coord)
+        if node.cursor < len(evs):
+            heapq.heappush(heap, (evs[node.cursor].scatter, coord))
+    if parked:
+        blocked = sorted(c for cs in parked.values() for c in cs)
+        heads = {c: node_events[c][sim.nodes[c].cursor].kind for c in blocked}
+        raise DeadlockDetected(f"all nodes blocked: {heads}")
     return sim.gather(), sim.trace

@@ -66,6 +66,14 @@ class _Tokens:
         col = pos - (self.text.rfind("\n", 0, pos) + 1) + 1
         raise ParseError(message, line, col)
 
+    def here(self) -> int:
+        """Offset of the next token, or the end of the text."""
+        return self.toks[self.i][2] if self.i < len(self.toks) else len(self.text)
+
+    def last(self) -> int:
+        """Offset of the token next() returned last."""
+        return self.toks[self.i - 1][2]
+
     def peek(self) -> Optional[tuple[str, str]]:
         if self.i < len(self.toks):
             kind, value, _ = self.toks[self.i]
@@ -82,8 +90,7 @@ class _Tokens:
     def expect(self, value: str):
         tok = self.peek()
         if tok is None or tok[1] != value:
-            pos = self.toks[self.i][2] if self.i < len(self.toks) else len(self.text)
-            self._fail(pos, f"expected {value!r}")
+            self._fail(self.here(), f"expected {value!r}")
         self.next()
 
     def accept(self, value: str) -> bool:
@@ -119,13 +126,14 @@ def _parse_term(tk: _Tokens, env: dict[str, int], arity: int) -> AffineExpr:
         if tok is None or tok[1] != "*":
             return factor
         tk.next()
+        star = tk.last()
         rhs = _parse_factor(tk, env, arity)
         if factor.is_constant():
             factor = rhs.scale(factor.const)
         elif rhs.is_constant():
             factor = factor.scale(rhs.const)
         else:
-            tk._fail(0, "products of two variables are not affine")
+            tk._fail(star, "products of two variables are not affine")
 
 
 def _parse_factor(tk: _Tokens, env: dict[str, int], arity: int) -> AffineExpr:
@@ -144,17 +152,18 @@ def _parse_factor(tk: _Tokens, env: dict[str, int], arity: int) -> AffineExpr:
             inner = _parse_expr(tk, env, arity)
             tk.expect("/")
             knd, div = tk.next()
+            at = tk.last()
             if knd != "num":
-                tk._fail(0, "floor divisor must be a positive integer")
+                tk._fail(at, "floor divisor must be a positive integer")
             tk.expect(")")
             try:
                 return AffineExpr((0,) * arity, 0, (DivTerm(1, inner, int(div)),))
             except ValueError as e:  # a zero divisor or nesting too deep
-                tk._fail(0, str(e))
+                tk._fail(at, str(e))
         if value not in env:
-            tk._fail(0, f"unknown variable {value!r}")
+            tk._fail(tk.last(), f"unknown variable {value!r}")
         return AffineExpr.var(arity, env[value])
-    tk._fail(0, f"unexpected token {value!r}")
+    tk._fail(tk.last(), f"unexpected token {value!r}")
     raise AssertionError
 
 
@@ -255,14 +264,16 @@ def _parse_body(text: str, want_map: bool):
     dims_in: Optional[list[str]] = None
     dims_out: Optional[list[str]] = None
     while True:
+        piece_at = tk.here()
         in_name, in_entries = _parse_tuple(tk)
         out_name, out_entries = (None, None)
+        arrow = tk.here()
         if tk.accept("->"):
             out_name, out_entries = _parse_tuple(tk)
         if want_map and out_entries is None:
-            tk._fail(0, "expected '->' in map syntax")
+            tk._fail(arrow, "expected '->' in map syntax")
         if not want_map and out_entries is not None:
-            tk._fail(0, "unexpected '->' in set syntax")
+            tk._fail(arrow, "unexpected '->' in set syntax")
         cond_slice = None
         if tk.accept(":"):
             start = tk.i
@@ -277,7 +288,7 @@ def _parse_body(text: str, want_map: bool):
                     break
                 tk.next()
             cond_slice = (start, tk.i)
-        pieces_raw.append((in_name, in_entries, out_name, out_entries, cond_slice))
+        pieces_raw.append((piece_at, in_name, in_entries, out_name, out_entries, cond_slice))
         if tk.accept(";"):
             continue
         tk.expect("}")
@@ -288,18 +299,18 @@ def _parse_body(text: str, want_map: bool):
     # Establish spaces from the first piece.
     first = pieces_raw[0]
     taken: set[str] = set()
-    in_dims = _fresh_names("d", first[1], taken)
-    out_dims = _fresh_names("o", first[3], taken) if want_map else []
-    space_names = (first[0] or "", first[2] or "" if want_map else None)
+    in_dims = _fresh_names("d", first[2], taken)
+    out_dims = _fresh_names("o", first[4], taken) if want_map else []
+    space_names = (first[1] or "", first[3] or "" if want_map else None)
     dims_in, dims_out = in_dims, out_dims
 
     arity = len(dims_in) + len(dims_out)
     pieces = []
-    for in_name, in_entries, out_name, out_entries, cond_slice in pieces_raw:
+    for piece_at, in_name, in_entries, out_name, out_entries, cond_slice in pieces_raw:
         if (in_name or "") != space_names[0] or (want_map and (out_name or "") != space_names[1]):
-            tk._fail(0, "pieces must share the same space names")
+            tk._fail(piece_at, "pieces must share the same space names")
         if len(in_entries) != len(dims_in) or (want_map and len(out_entries) != len(dims_out)):
-            tk._fail(0, "pieces must share tuple arities")
+            tk._fail(piece_at, "pieces must share tuple arities")
         env: dict[str, int] = {}
         all_entries = list(enumerate(in_entries))
         if want_map:

@@ -393,6 +393,43 @@ def stmt_nodes(sp, stmt: str, point) -> list:
     return enumerate_set(apply(m, set_from_points(m.dom, [tuple(point)])))
 
 
+# -- scheduling oracle --------------------------------------------------------
+
+
+def scan_order(plan, nodes):
+    """The order in which a plan's events run on the given nodes, by the
+    per-step scan the simulator's heap replaces: every step runs the lowest
+    (scatter, node) head whose channel is in the state it waits for.  Only
+    the channel states are replayed.  Returns the [(node, event index)]
+    order, or on deadlock the {node: head kind} dict of the unfinished
+    nodes in sorted order."""
+    events = {coord: plan.events.get(coord, []) for coord in nodes}
+    cursor = dict.fromkeys(events, 0)
+    state = {ch.cid: "idle" for ch in plan.channels}
+    waits_for = {"send_wait": "idle", "recv_wait": "sent"}
+    moves_to = {"send_wait": "filling", "send": "sent", "recv": "idle"}
+    pending = {coord for coord, evs in events.items() if evs}
+    order = []
+    while pending:
+        best = None
+        for coord in sorted(pending):
+            ev = events[coord][cursor[coord]]
+            key = (ev.scatter, coord)
+            ready = ev.kind not in waits_for or state[ev.cid] == waits_for[ev.kind]
+            if (best is None or key < best[0]) and ready:
+                best = (key, coord, ev)
+        if best is None:
+            return {coord: events[coord][cursor[coord]].kind for coord in sorted(pending)}
+        _, coord, ev = best
+        order.append((coord, cursor[coord]))
+        if ev.kind in moves_to:
+            state[ev.cid] = moves_to[ev.kind]
+        cursor[coord] += 1
+        if cursor[coord] == len(events[coord]):
+            pending.discard(coord)
+    return order
+
+
 # -- field contents -----------------------------------------------------------
 
 

@@ -428,7 +428,7 @@ def _gol16_doc(gol16_path, edit):
         (
             lambda d: d["statements"][0]["accesses"][0].update(index=["floor(x/0)", "y"]),
             "statement S1.1 access 0: bad index: floordiv divisor must be positive "
-            "(line 1, column 1)",
+            "(line 1, column 9)",
         ),
     ],
     ids=["no-domain", "no-extents", "grid-string", "index-int", "statements-object", "index-div0"],

@@ -22,6 +22,11 @@ EXPECTED = {
         "plan.txt": "2f1cc752c3eac75b6a7d7a15b10be4ad1f1cea53c4055d2d0a4c4c627f93a76f",
         "trace.txt": "148485c1e9014cfd0179f7880cdbd426bed70ad69f7355c290c4be70bd882a5f",
     },
+    ("gol16_fused", "16x16"): {
+        "plan.txt": "f97b70a5fdf2b1c05c8560d765306210bcb928be401719bf2498830e46f83eba",
+        "trace.txt": "364729817d1e097c25230e03a4431da22610ad5008bcc7a8e12d2f3ee4536f9f",
+        "fields.txt": "8720dc71e6251c2ce067a8b9a4fdb5755e7571421572ff3d56a9528dea2dac82",
+    },
     ("gol32", "2x2"): {
         "plan.txt": "a76534b7e7ec4f915372b9cb0e4fb55f7858b5ffc9aee78b7dc3a295a48c7898",
         "trace.txt": "3896b206d31afdf279bee3e3b2c7b3a9605d2b1ea4016919110facd33aa921b0",

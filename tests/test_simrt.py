@@ -23,7 +23,7 @@ from polydist.scop import ClusterGrid, isolate_accesses, sequential_execute
 from polydist.scopio import parse_scop
 from polydist.simrt import init_runtime, run
 
-from oracle import contents_equal, zero_contents
+from oracle import contents_equal, scan_order, zero_contents
 
 
 def build(gol16_path, grid=None):
@@ -141,8 +141,97 @@ def test_deadlock_on_reordered_recv_wait(gol16_built):
         out.sort(key=type(out[0]).sort_key)
         events[node] = out
     bad = dataclasses.replace(plan, events=events)
-    with pytest.raises(DeadlockDetected):
+    with pytest.raises(DeadlockDetected) as exc:
         run(init_runtime(bad, virt.grid, random_contents(scop, 3)), virt)
+    blocked = scan_order(bad, virt.grid.nodes)
+    assert isinstance(blocked, dict) and blocked
+    assert str(exc.value) == f"all nodes blocked: {blocked}"
+
+
+def scan_kinds(plan, nodes):
+    """(node, kind) of every event in the order the scan oracle runs them."""
+    order = scan_order(plan, nodes)
+    assert isinstance(order, list)
+    return [(coord, plan.events[coord][i].kind) for coord, i in order]
+
+
+def trace_kinds(trace):
+    return [(node, kind) for _, node, kind, *_ in trace.entries]
+
+
+@pytest.mark.parametrize(
+    "name, grid",
+    [
+        ("gol16", (2, 2)),
+        ("gol16", (4, 4)),
+        ("gol16_fused", (2, 2)),
+        ("gol16_fused", (4, 4)),
+        ("gol16_fused", (8, 8)),
+    ],
+)
+def test_heap_order_matches_scan(scops_dir, name, grid):
+    # the heap runs the lowest (scatter, node) unblocked head every step,
+    # exactly as a scan over all nodes does
+    scop, virt, plan = build(scops_dir / f"{name}.scop", grid=grid)
+    _, trace = run(init_runtime(plan, virt.grid, random_contents(scop, 7)), virt)
+    assert trace_kinds(trace) == scan_kinds(plan, virt.grid.nodes)
+
+
+def test_late_release_wakes_the_parked_send_wait(gol16_built):
+    # the consumer releases the first message only just before it waits for
+    # the second, so the producer's second send_wait parks until that recv
+    scop, virt, plan = gol16_built
+    ch = next(c for c in plan.channels if not c.loopback and c.family.startswith("flow:"))
+    evs = list(plan.events[ch.dst])
+    recvs = [i for i, ev in enumerate(evs) if ev.kind == "recv" and ev.cid == ch.cid]
+    waits = [ev for ev in evs if ev.kind == "recv_wait" and ev.cid == ch.cid]
+    evs[recvs[0]] = dataclasses.replace(evs[recvs[0]], scatter=waits[1].scatter)
+    evs.sort(key=type(evs[0]).sort_key)
+    late = dataclasses.replace(plan, events={**plan.events, ch.dst: evs})
+    init = random_contents(scop, 5)
+    final, trace = run(init_runtime(late, virt.grid, init), virt)
+    assert contents_equal(final, sequential_execute(scop, init))
+    assert trace_kinds(trace) == scan_kinds(late, virt.grid.nodes)
+    steps = {}
+    for step, node, kind, _, tag, _ in trace.entries:
+        if tag == ch.tag and (node, kind) in ((ch.src, "send_wait"), (ch.dst, "recv")):
+            steps.setdefault(kind, []).append(step)
+    assert steps["recv"][0] + 1 == steps["send_wait"][1]
+
+
+def drop_send(plan, family, src, dst, which):
+    """The plan without the which-th send on the channel (family, src, dst)."""
+    ch = next(c for c in plan.channels if (c.family, c.src, c.dst) == (family, src, dst))
+    sends = [i for i, ev in enumerate(plan.events[src]) if ev.kind == "send" and ev.cid == ch.cid]
+    evs = [ev for i, ev in enumerate(plan.events[src]) if i != sends[which]]
+    return dataclasses.replace(plan, events={**plan.events, src: evs}), ch.cid
+
+
+def test_deadlock_names_every_unfinished_node(gol16_path):
+    # Without the first send on (0,0)->(1,0), the producer stalls on its next
+    # send_wait and the stall spreads to neighbours.  Without the last send
+    # on (3,3)->(3,2), (3,3) finishes and (3,2) waits on a channel that
+    # never changes state again.  Nodes far from both finish.
+    scop, virt, plan = build(gol16_path, grid=(4, 4))
+    bad, _ = drop_send(plan, "flow:S2.2->S1.1:front", (0, 0), (1, 0), 0)
+    bad, starved = drop_send(bad, "flow:S2.2->S1.2:front", (3, 3), (3, 2), -1)
+    sim = init_runtime(bad, virt.grid, random_contents(scop, 3))
+    with pytest.raises(DeadlockDetected) as exc:
+        run(sim, virt)
+    events = {c: bad.events.get(c, []) for c in virt.grid.nodes}
+    unfinished = {
+        c: events[c][sim.nodes[c].cursor].kind
+        for c in sorted(events)
+        if sim.nodes[c].cursor < len(events[c])
+    }
+    assert str(exc.value) == f"all nodes blocked: {unfinished}"
+    assert 0 < len(unfinished) < len(events)
+    assert set(unfinished.values()) == {"send_wait", "recv_wait"}
+    channels = {events[c][sim.nodes[c].cursor].cid for c in unfinished}
+    assert len(channels) > 2
+    # (3, 2) parked on a channel whose producer has finished
+    assert unfinished[(3, 2)] == "recv_wait" and (3, 3) not in unfinished
+    assert events[(3, 2)][sim.nodes[(3, 2)].cursor].cid == starved
 
 
 def test_dropped_recv_fails_or_deadlocks(gol16_built):

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -66,6 +67,27 @@ def test_parse_errors_have_position():
         parse_set("{ [i] ! }")
     with pytest.raises(ParseError):
         parse_set("{ [i] : q >= 0 }")
+
+
+# parser, text, message start, (line, column) of the offending token
+ERROR_POSITIONS = [
+    (parse_set, "{ [i] : 0 <= i and i <= 10 and 0 <= qq }", "unknown variable 'qq'", (1, 37)),
+    (parse_set, "{ [i, j] : 0 <= i <= 2 and 0 <= j <= 2 and i*j <= 4 }", "products of two", (1, 45)),
+    (parse_map, "{ [i] -> [floor(i/j)] : 0 <= i <= 4 }", "floor divisor", (1, 19)),
+    (parse_map, "{ [i] -> [floor(i/0)] : 0 <= i <= 4 }", "floordiv divisor", (1, 19)),
+    (parse_set, "{ [i] : 0 <= i <= 3 and * 2 >= 0 }", "unexpected token '*'", (1, 25)),
+    (parse_map, "{ [i] : 0 <= i <= 3 }", "expected '->'", (1, 7)),
+    (parse_set, "{ [i] -> [j] : 0 <= i, j <= 3 }", "unexpected '->'", (1, 7)),
+    (parse_set, "{ A[i] : 0 <= i <= 3; B[i] : 0 <= i <= 3 }", "pieces must share the same", (1, 23)),
+    (parse_set, "{ [i] : 0 <= i <= 3;\n  [i, j] : 0 <= i, j <= 3 }", "pieces must share tuple", (2, 3)),
+]
+
+
+@pytest.mark.parametrize("parse, text, message, position", ERROR_POSITIONS)
+def test_parse_errors_point_at_the_offending_token(parse, text, message, position):
+    with pytest.raises(ParseError, match="^" + re.escape(message)) as exc:
+        parse(text)
+    assert (exc.value.line, exc.value.column) == position
 
 
 def test_parse_expr_over_space():
