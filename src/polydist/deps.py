@@ -26,10 +26,10 @@ import numpy as np
 from .errors import UncoveredRead, ValidationError
 from .isets import (
     AffineExpr,
-    Constraint,
     IntMap,
     IntSet,
     Space,
+    conjoin,
     embed_pieces,
     enumerate_set,
     eq0,
@@ -39,9 +39,7 @@ from .isets import (
     project_pieces,
     subtract,
     union,
-    _expr_interval,
     _merge_dim_names,
-    piece_box,
 )
 from .scop import AccessRef, Scop, Statement, point_table
 from .syntax import format_map
@@ -58,15 +56,8 @@ def add_virtual_statements(scop: Scop) -> Scop:
     ids = {s.id for s in scop.statements}
     if PROLOGUE in ids or EPILOGUE in ids:
         raise ValidationError("scop already carries virtual statements")
-    lo, hi = 0, 0
-    for s in scop.statements:
-        expr = s.schedule_exprs[0]
-        for piece in s.domain.pieces:
-            box = piece_box(s.arity, piece)
-            if box is None:
-                continue
-            elo, ehi = _expr_interval(expr, box)
-            lo, hi = min(lo, elo), max(hi, ehi)
+    firsts = {t[0] for s in scop.statements for t in s.scatters} | {0}
+    lo, hi = min(firsts), max(firsts)
     n = scop.scatter_arity
     zeros = tuple(AffineExpr.constant(0, 0) for _ in range(n - 1))
     prologue = Statement(
@@ -114,8 +105,7 @@ def access_relation(scop: Scop, s: Statement, acc: AccessRef) -> IntSet:
         for d, e in enumerate(acc.index_exprs):
             kv = AffineExpr.var(arity, n_i + d)
             cons.append(eq0(kv - e.remap(list(range(n_i)), arity)))
-    combined = [p + tuple(cons) for p in pieces]
-    return IntSet.make(space, combined)
+    return IntSet.make(space, [conjoin(p, cons) for p in pieces])
 
 
 @dataclass(frozen=True)
@@ -258,10 +248,8 @@ def _candidates_at_level(
     g_map = [n_c + n_k + i for i in range(n_g)]
     theta_c = [e.remap(c_map, arity_out) for e in reader.schedule_exprs]
     theta_g = [e.remap(g_map, arity_out) for e in writer.schedule_exprs]
-    cons: list[Constraint] = []
-    for t in range(level):
-        cons.append(eq0(theta_g[t] - theta_c[t]))
-    cons.append(ge0(theta_c[level] - theta_g[level].plus_const(1)))
+    cons = conjoin([eq0(theta_g[t] - theta_c[t]) for t in range(level)]
+                   + [ge0(theta_c[level] - theta_g[level].plus_const(1))])
     read_pieces = embed_pieces(base_read, list(range(n_c + n_k)), arity_out)
     if writer_rel is not None:
         # writer rel dims are (i_G ++ k): i_G to the tail block, k shared
@@ -269,11 +257,7 @@ def _candidates_at_level(
         w_pieces = embed_pieces(writer_rel.pieces, w_map, arity_out)
     else:
         w_pieces = embed_pieces(writer.domain.pieces, [n_c + i for i in range(n_g)], arity_out)
-    out = []
-    for rp in read_pieces:
-        for wp in w_pieces:
-            out.append(rp + wp + tuple(cons))
-    return out
+    return [conjoin(rp, wp, cons) for rp in read_pieces for wp in w_pieces]
 
 
 def _dominated(
@@ -295,11 +279,7 @@ def _dominated(
     theta_g = [e.remap([n_c + n_k + i for i in range(n_g)], wide) for e in g_stmt.schedule_exprs]
     theta_h = [e.remap([arity_g + i for i in range(n_h)], wide) for e in h_stmt.schedule_exprs]
     alts = lex_lt_pieces(theta_g, theta_h)  # theta_g < theta_h: h later
-    combined = []
-    for gp in g_wide:
-        for hp in h_wide:
-            for alt in alts:
-                combined.append(gp + hp + tuple(alt))
+    combined = [conjoin(gp, hp, alt) for gp in g_wide for hp in h_wide for alt in alts]
     return project_pieces(wide, combined, list(range(arity_g, wide)))
 
 

@@ -17,10 +17,18 @@ operations here derive finite sets from finite ones, and enumeration
 enumeration oracle used throughout the test suite, and the splitting
 fallback that keeps integer projection exact.
 
-Affine expressions may contain floor divisions by positive constants,
-nested at most two deep (enough for block placements like floor(x/8)).
-All symbolic operations are exact; none of them fall back to enumerating
-the operand sets.
+Constraints are written as ``AffineExpr``s, whose floor divisions by
+positive constants may nest, and ``IntSet.make`` lifts them once into a
+``Piece`` of integer rows.  A row holds a constraint's coefficients over
+the piece's columns and then its constant.  The columns are the space's
+dimensions followed by the piece's division columns: each division column
+q is floor(e/d) of a row e over earlier columns, bounded by the two
+ordinary rows d*q <= e <= d*q + d - 1.  Normalisation, propagation,
+scanning, projection and coalescing work on these rows and have no case
+of their own for divisions; a division whose definition uses a projected
+dimension becomes one more dimension to project.  All symbolic
+operations are exact; none of them fall back to enumerating the operand
+sets.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -44,6 +53,7 @@ __all__ = [
     "AffineExpr",
     "DivTerm",
     "Constraint",
+    "Piece",
     "IntSet",
     "IntMap",
     "intersect",
@@ -58,8 +68,6 @@ __all__ = [
     "lexmax",
     "select_lex_extreme",
 ]
-
-MAX_DIV_DEPTH = 2
 
 
 # ---------------------------------------------------------------------------
@@ -101,11 +109,7 @@ def product_space(a: Space, b: Space, name: Optional[str] = None) -> Space:
 
 
 # ---------------------------------------------------------------------------
-# Affine expressions
-
-
-def _fdiv(a: int, b: int) -> int:
-    return a // b
+# Affine expressions: how constraints are written
 
 
 def _cdiv(a: int, b: int) -> int:
@@ -119,14 +123,6 @@ class DivTerm:
     coeff: int
     inner: "AffineExpr"
     div: int
-
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.coeff, self.inner, self.div))
-            object.__setattr__(self, "_hash", h)
-            return h
 
 
 @dataclass(frozen=True)
@@ -149,7 +145,7 @@ class AffineExpr:
             if dt.coeff == 0:
                 continue
             if dt.inner.is_constant():
-                const += dt.coeff * _fdiv(dt.inner.const, dt.div)
+                const += dt.coeff * (dt.inner.const // dt.div)
                 continue
             divs.append(dt)
         merged: dict[tuple, DivTerm] = {}
@@ -166,18 +162,8 @@ class AffineExpr:
                 key=lambda dt: (dt.div, dt.inner.key(), dt.coeff),
             )
         )
-        if self.depth_of(final) > MAX_DIV_DEPTH:
-            raise ValueError("floordiv nesting deeper than supported")
         object.__setattr__(self, "divs", final)
         object.__setattr__(self, "const", const)
-
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.coeffs, self.const, self.divs))
-            object.__setattr__(self, "_hash", h)
-            return h
 
     # -- constructors -------------------------------------------------------
 
@@ -193,29 +179,8 @@ class AffineExpr:
 
     # -- queries ------------------------------------------------------------
 
-    @property
-    def arity(self) -> int:
-        return len(self.coeffs)
-
-    @staticmethod
-    def depth_of(divs: tuple[DivTerm, ...]) -> int:
-        if not divs:
-            return 0
-        return 1 + max(AffineExpr.depth_of(dt.inner.divs) for dt in divs)
-
-    def depth(self) -> int:
-        return self.depth_of(self.divs)
-
     def is_constant(self) -> bool:
         return not self.divs and all(c == 0 for c in self.coeffs)
-
-    def uses_dim(self, k: int) -> bool:
-        if self.coeffs[k] != 0:
-            return True
-        return any(dt.inner.uses_dim(k) for dt in self.divs)
-
-    def dim_in_div(self, k: int) -> bool:
-        return any(dt.inner.uses_dim(k) for dt in self.divs)
 
     def key(self):
         return (
@@ -249,8 +214,6 @@ class AffineExpr:
     def plus_const(self, k: int) -> "AffineExpr":
         return AffineExpr(self.coeffs, self.const + k, self.divs)
 
-    # -- structural rewrites -------------------------------------------------
-
     def remap(self, mapping: Sequence[int], new_arity: int) -> "AffineExpr":
         """Move dim i to position mapping[i]; mapping[i] < 0 requires coeff 0."""
         coeffs = [0] * new_arity
@@ -266,42 +229,6 @@ class AffineExpr:
         )
         return AffineExpr(tuple(coeffs), self.const, divs)
 
-    def substitute(self, args: Sequence["AffineExpr"]) -> "AffineExpr":
-        """Replace dim i by args[i]; args share one target arity."""
-        arity = args[0].arity if args else 0
-        out = AffineExpr.constant(arity, self.const)
-        for c, a in zip(self.coeffs, args):
-            if c:
-                out = out + a.scale(c)
-        for dt in self.divs:
-            out = out + AffineExpr(
-                (0,) * arity, 0, (DivTerm(dt.coeff, dt.inner.substitute(args), dt.div),)
-            )
-        return out
-
-    def substitute_dim(self, k: int, repl: "AffineExpr") -> "AffineExpr":
-        """Replace dim k by an expression of the same arity."""
-        if repl.is_constant():
-            return self.assign_dim(k, repl.const)
-        args = [AffineExpr.var(self.arity, i) for i in range(self.arity)]
-        args[k] = repl
-        return self.substitute(args)
-
-    def assign_dim(self, k: int, value: int) -> "AffineExpr":
-        """Replace dim k by a constant (cheap path for enumeration)."""
-        if self.coeffs[k] == 0 and not any(dt.inner.uses_dim(k) for dt in self.divs):
-            return self
-        coeffs = tuple(0 if i == k else c for i, c in enumerate(self.coeffs))
-        const = self.const + self.coeffs[k] * value
-        divs = tuple(
-            DivTerm(dt.coeff, dt.inner.assign_dim(k, value), dt.div) for dt in self.divs
-        )
-        return AffineExpr(coeffs, const, divs)
-
-
-# ---------------------------------------------------------------------------
-# Constraints and pieces
-
 
 @dataclass(frozen=True)
 class Constraint:
@@ -309,17 +236,6 @@ class Constraint:
 
     expr: AffineExpr
     is_eq: bool = False
-
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.expr, self.is_eq))
-            object.__setattr__(self, "_hash", h)
-            return h
-
-    def key(self):
-        return (self.is_eq, self.expr.key())
 
 
 def ge0(expr: AffineExpr) -> Constraint:
@@ -330,120 +246,291 @@ def eq0(expr: AffineExpr) -> Constraint:
     return Constraint(expr, True)
 
 
-Piece = tuple[Constraint, ...]
+# ---------------------------------------------------------------------------
+# Pieces: integer rows over dims ++ division columns
 
 
-def _gcd_list(values: Iterable[int]) -> int:
-    g = 0
-    for v in values:
-        g = _gcd(g, abs(v))
-    return g
+class Piece:
+    """A conjunction of integer rows over the columns dims ++ divisions.
+
+    A row (is_eq, c_0, ..., c_{m-1}, const) states
+    sum(c_j * col_j) + const >= 0, or == 0 when is_eq is 1.  Division
+    column n + j is floor((sum(c_i * col_i) + const) / d) for
+    divs[j] = (d, c_0, ..., c_{m-1}, const); in a normalized piece each
+    definition uses earlier columns only.  ``a + b`` is ``conjoin(a, b)``.
+    """
+
+    __slots__ = ("divs", "rows", "_hash")
+
+    def __init__(self, divs: tuple = (), rows: tuple = ()):
+        self.divs = divs
+        self.rows = rows
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Piece) and self.rows == other.rows and self.divs == other.divs
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash((self.divs, self.rows))
+            return self._hash
+
+    def __add__(self, other) -> "Piece":
+        return conjoin(self, other)
+
+    def __repr__(self) -> str:
+        return f"Piece(divs={self.divs!r}, rows={self.rows!r})"
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+def _lift(constraints: Iterable[Constraint]) -> Piece:
+    """Constraints as rows, with one division column per distinct floor term."""
+    constraints = list(constraints)
+    if not constraints:
+        return Piece()
+    n = len(constraints[0].expr.coeffs)
+    divs: list[tuple] = []  # (d, sorted (col, coeff) items, const)
+    cols: dict[tuple, int] = {}
+
+    def terms(expr: AffineExpr) -> tuple[dict, int]:
+        row = {i: c for i, c in enumerate(expr.coeffs) if c}
+        for dt in expr.divs:
+            inner, const = terms(dt.inner)
+            key = (dt.div, tuple(sorted(inner.items())), const)
+            if key not in cols:
+                cols[key] = n + len(divs)
+                divs.append(key)
+            j = cols[key]
+            row[j] = row.get(j, 0) + dt.coeff
+        return row, expr.const
+
+    sparse = [(int(c.is_eq),) + terms(c.expr) for c in constraints]
+    m = n + len(divs)
+
+    def dense(head: int, row: dict, const: int) -> tuple:
+        return (head, *(row.get(j, 0) for j in range(m)), const)
+
+    return Piece(
+        tuple(dense(d, dict(items), const) for d, items, const in divs),
+        tuple(dense(*s) for s in sparse),
+    )
 
 
-def _all_coeffs(expr: AffineExpr) -> list[int]:
-    out = [c for c in expr.coeffs if c]
-    out.extend(dt.coeff for dt in expr.divs)
-    return out
+def conjoin(*parts) -> Piece:
+    """The conjunction of pieces and constraint sequences over one set of
+    dims; each part's division columns follow those of the parts before it."""
+    pieces = [p if isinstance(p, Piece) else _lift(p) for p in parts]
+    total = sum(len(p.divs) for p in pieces)
+    if not total:
+        return Piece((), tuple(itertools.chain.from_iterable(p.rows for p in pieces)))
+    divs, rows, offset = [], [], 0
+    for p in pieces:
+        if not (p.rows or p.divs):
+            continue
+        k = len(p.divs)
+        n = len((p.rows or p.divs)[0]) - 2 - k
+        before, after = (0,) * offset, (0,) * (total - offset - k)
+
+        def widen(r: tuple) -> tuple:
+            return r[: n + 1] + before + r[n + 1 : -1] + after + r[-1:]
+
+        divs.extend(map(widen, p.divs))
+        rows.extend(map(widen, p.rows))
+        offset += k
+    return Piece(tuple(divs), tuple(rows))
 
 
-def _normalize_constraint(c: Constraint) -> Optional[Constraint]:
-    """Canonical form; None means trivially true; FALSE means trivially false."""
-    expr = c.expr
-    coeffs = _all_coeffs(expr)
-    if not coeffs:
-        ok = expr.const == 0 if c.is_eq else expr.const >= 0
-        return None if ok else FALSE
-    g = _gcd_list(coeffs)
-    if g > 1:
-        if c.is_eq:
-            if expr.const % g != 0:
-                return FALSE
-            expr = AffineExpr(
-                tuple(x // g for x in expr.coeffs),
-                expr.const // g,
-                tuple(DivTerm(dt.coeff // g, dt.inner, dt.div) for dt in expr.divs),
-            )
+def _ndims(divs: tuple) -> int:
+    """Number of dims in front of the division columns `divs` define."""
+    return len(divs[0]) - 2 - len(divs) if divs else 0
+
+
+def _div_rows(divs: tuple) -> tuple:
+    """The two rows bounding each division column q = floor(e/d):
+    e - d*q >= 0 and d*q - e + d - 1 >= 0."""
+    out = []
+    n = _ndims(divs)
+    for j, dv in enumerate(divs):
+        d, body, const = dv[0], list(dv[1:-1]), dv[-1]
+        body[n + j] = -d
+        out.append((0, *body, const))
+        out.append((0, *(-c for c in body), d - 1 - const))
+    return tuple(out)
+
+
+def _rewrite(row: tuple, fixed: dict, twins: dict) -> tuple:
+    """row with each column in `fixed` replaced by its value and each column
+    in `twins` by its twin column."""
+    out = list(row)
+    for c, v in fixed.items():
+        if out[1 + c]:
+            out[-1] += out[1 + c] * v
+            out[1 + c] = 0
+    for c, t in twins.items():
+        if out[1 + c]:
+            out[1 + t] += out[1 + c]
+            out[1 + c] = 0
+    return tuple(out)
+
+
+def _expr_key(coeffs: tuple, const: int, n: int, keys: Sequence) -> tuple:
+    """Sort key of an expression with n dims: its dim coefficients, its
+    constant, then (coeff, divisor, definition key) of its division terms
+    in the order of (divisor, definition key)."""
+    terms = sorted((k, c) for c, k in zip(coeffs[n:], keys) if c)
+    return (coeffs[:n], const, tuple((c,) + k for k, c in terms))
+
+
+@lru_cache(maxsize=10_000)
+def _div_keys(divs: tuple) -> tuple:
+    """Per division column: (divisor, key of its definition)."""
+    keys: list = []
+    n = _ndims(divs)
+    for dv in divs:
+        keys.append((dv[0], _expr_key(dv[1:-1], dv[-1], n, keys)))
+    return tuple(keys)
+
+
+def _row_key(n: int, keys: Sequence):
+    return lambda r: (r[0],) + _expr_key(r[1:-1], r[-1], n, keys)
+
+
+def _canonical_divs(divs: tuple, rows: Sequence[tuple]) -> tuple[tuple, list]:
+    """Canonical division columns of a piece.
+
+    Columns with a constant definition are replaced by their value,
+    columns equal to an earlier one by that column, and columns no row
+    uses are dropped.  The rest are ordered by their keys, each after the
+    columns its definition uses.
+    """
+    nd = len(divs)
+    n = _ndims(divs)
+
+    def uses(dv) -> list[int]:
+        return [n + j for j in range(nd) if dv[1 + n + j]]
+
+    fixed: dict = {}
+    twins: dict = {}
+    seen: dict = {}
+    keys: list = [None] * nd
+    defs = list(divs)
+    pending = list(range(nd))
+    while pending:  # definitions before their users, whatever the layout
+        j = next(j for j in pending if all(c - n not in pending for c in uses(divs[j])))
+        pending.remove(j)
+        dv = defs[j] = _rewrite(divs[j], fixed, twins)
+        if not any(dv[1:-1]):
+            fixed[n + j] = dv[-1] // dv[0]
+        elif dv in seen:
+            twins[n + j] = seen[dv]
         else:
-            expr = AffineExpr(
-                tuple(x // g for x in expr.coeffs),
-                _fdiv(expr.const, g),
-                tuple(DivTerm(dt.coeff // g, dt.inner, dt.div) for dt in expr.divs),
-            )
-    if c.is_eq:
-        lead = next(iter(_all_coeffs(expr)), 0)
-        if lead < 0:
-            expr = expr.scale(-1)
-    return Constraint(expr, c.is_eq)
+            seen[dv] = n + j
+            keys[j] = (dv[0], _expr_key(dv[1:-1], dv[-1], n, keys))
+    if fixed or twins:
+        rows = [_rewrite(r, fixed, twins) for r in rows]
+    used: set = set()
+    stack = [c for c in seen.values() if any(r[1 + c] for r in rows)]
+    while stack:
+        c = stack.pop()
+        if c not in used:
+            used.add(c)
+            stack.extend(uses(defs[c - n]))
+    order: list[int] = []
+    ready = sorted(used, key=lambda c: keys[c - n])
+    while ready:
+        c = next(c for c in ready if all(u in order for u in uses(defs[c - n])))
+        ready.remove(c)
+        order.append(c)
+    cols = list(range(n)) + order
+
+    def perm(r: tuple) -> tuple:
+        return (r[0], *(r[1 + c] for c in cols), r[-1])
+
+    return tuple(perm(defs[c - n]) for c in order), [perm(r) for r in rows]
 
 
-FALSE = Constraint(AffineExpr((), -1), False)  # sentinel: unsatisfiable
+# ---------------------------------------------------------------------------
+# Normalisation
 
 
-def _interval_groups(constraints: Iterable[Constraint]) -> list[list]:
-    """Fold constraints sharing one linear part into 'lo <= canon <= hi'.
+def _interval_groups(rows: Iterable[tuple]) -> list[list]:
+    """Fold rows sharing one linear part into 'lo <= canon <= hi'.
 
-    canon is the part without its constant, signed so that its leading
-    coefficient is positive.  One [canon, lo, hi, members] per linear part,
-    in order of first appearance, with lo/hi None when that side is
-    unconstrained.
+    canon is the coefficient tuple without the constant, signed so that
+    its leading coefficient is positive.  One [canon, lo, hi, members] per
+    linear part, in order of first appearance, with lo/hi None when that
+    side is unconstrained.
     """
     groups: dict[tuple, list] = {}
-    for c in constraints:
-        base = AffineExpr(c.expr.coeffs, 0, c.expr.divs)
-        sign = 1 if next(iter(_all_coeffs(base)), 0) > 0 else -1
-        canon = base if sign > 0 else base.scale(-1)
-        key = canon.key()
-        entry = groups.get(key)
+    for row in rows:
+        body = row[1:-1]
+        sign = 1 if next((c for c in body if c), 0) > 0 else -1
+        canon = body if sign > 0 else tuple(-c for c in body)
+        entry = groups.get(canon)
         if entry is None:
-            entry = groups[key] = [canon, None, None, []]
-        v = -c.expr.const * sign  # c.expr == sign * (canon - v)
-        if c.is_eq or sign > 0:  # canon >= v
+            entry = groups[canon] = [canon, None, None, []]
+        v = -row[-1] * sign  # row == sign * (canon - v)
+        if row[0] or sign > 0:  # canon >= v
             entry[1] = v if entry[1] is None else max(entry[1], v)
-        if c.is_eq or sign < 0:  # canon <= v
+        if row[0] or sign < 0:  # canon <= v
             entry[2] = v if entry[2] is None else min(entry[2], v)
-        entry[3].append(c)
+        entry[3].append(row)
     return list(groups.values())
 
 
-def _interval_constraints(canon: AffineExpr, lo, hi) -> list[Constraint]:
-    """lo <= canon <= hi as constraints: one equality when lo == hi."""
+def _interval_rows(canon: tuple, lo, hi) -> list[tuple]:
+    """lo <= canon <= hi as rows: one equality when lo == hi."""
     if lo is not None and lo == hi:
-        return [eq0(canon.plus_const(-lo))]
+        return [(1, *canon, -lo)]
     out = []
     if lo is not None:
-        out.append(ge0(canon.plus_const(-lo)))
+        out.append((0, *canon, -lo))
     if hi is not None:
-        out.append(ge0(canon.scale(-1).plus_const(hi)))
+        out.append((0, *(-c for c in canon), hi))
     return out
 
 
-def normalize_piece(constraints: Iterable[Constraint]) -> Optional[Piece]:
+def normalize_piece(piece: Piece) -> Optional[Piece]:
     """Canonicalize a conjunction; None when it is syntactically false.
 
-    Constraints sharing one linear part are folded into a single interval:
-    opposite inequalities become an equality, dominated bounds are
-    dropped, and contradictions are detected here.
+    Division columns are made canonical (see ``_canonical_divs``).  Each
+    row is divided by the gcd of its coefficients, and rows sharing one
+    linear part are folded into a single interval: opposite inequalities
+    become an equality, dominated bounds are dropped, and contradictions
+    are detected here.  Rows are sorted by the key of their expression.
     """
-    normalized = []
-    for c in constraints:
-        n = _normalize_constraint(c)
-        if n is FALSE:
-            return None
-        if n is not None:
-            normalized.append(n)
-    out = {}
-    for canon, lo, hi, _ in _interval_groups(normalized):
+    divs, rows = piece.divs, piece.rows
+    if divs:
+        divs, rows = _canonical_divs(divs, rows)
+    reduced = []
+    for row in rows:
+        g = gcd(*row[1:-1])
+        const = row[-1]
+        if g == 0:
+            if const != 0 if row[0] else const < 0:
+                return None
+            continue
+        if g > 1:
+            if row[0] and const % g:
+                return None
+            row = (row[0], *(c // g for c in row[1:-1]), const // g)
+        reduced.append(row)
+    out = []
+    for canon, lo, hi, _ in _interval_groups(reduced):
         if lo is not None and hi is not None and lo > hi:
             return None
-        for c in _interval_constraints(canon, lo, hi):
-            out[c.key()] = c
-    return tuple(out[k] for k in sorted(out))
+        out.extend(_interval_rows(canon, lo, hi))
+    if divs:
+        out.sort(key=_row_key(_ndims(divs), _div_keys(divs)))
+    else:
+        out.sort()
+    return Piece(divs, tuple(out))
+
+
+def _piece_key(arity: int, piece: Piece):
+    """Sort key of a piece: the keys of its rows, in order."""
+    keys = _div_keys(piece.divs)
+    return tuple(map(_row_key(arity, keys), piece.rows))
 
 
 # ---------------------------------------------------------------------------
@@ -452,124 +539,57 @@ def normalize_piece(constraints: Iterable[Constraint]) -> Optional[Piece]:
 _PROP_ROUND_CAP = 10_000  # bounds use None for +/- infinity
 
 
-def _add_b(a, b):
-    if a is None or b is None:
-        return None
-    return a + b
-
-
-def _mul_iv(k: int, lo, hi):
-    if k == 0:
-        return 0, 0
-    if k > 0:
-        return (None if lo is None else k * lo, None if hi is None else k * hi)
-    return (None if hi is None else k * hi, None if lo is None else k * lo)
-
-
-def _expr_interval(expr: AffineExpr, bounds, skip_dim: int = -1):
-    """Interval of expr given per-dim bounds; skip_dim's linear term omitted."""
-    lo = hi = expr.const
-    for i, c in enumerate(expr.coeffs):
-        if c == 0 or i == skip_dim:
-            continue
-        tlo, thi = _mul_iv(c, bounds[i][0], bounds[i][1])
-        lo = _add_b(lo, tlo)
-        hi = _add_b(hi, thi)
-        if lo is None and hi is None:
-            break
-    for dt in expr.divs:
-        ilo, ihi = _expr_interval(dt.inner, bounds)
-        dlo = None if ilo is None else _fdiv(ilo, dt.div)
-        dhi = None if ihi is None else _fdiv(ihi, dt.div)
-        tlo, thi = _mul_iv(dt.coeff, dlo, dhi)
-        lo = _add_b(lo, tlo)
-        hi = _add_b(hi, thi)
-    return lo, hi
-
-
 class _Infeasible(Exception):
     pass
 
 
-def _iv_meet(a, b):
-    """Intersection of two intervals with None as +/- infinity."""
-    lo = a[0] if b[0] is None else (b[0] if a[0] is None else max(a[0], b[0]))
-    hi = a[1] if b[1] is None else (b[1] if a[1] is None else min(a[1], b[1]))
-    if lo is not None and hi is not None and lo > hi:
-        raise _Infeasible
-    return lo, hi
+def _tighten(row: tuple, bounds: list) -> bool:
+    """Narrow the column bounds to what `row` allows; True when one moved.
 
-
-def _iv_sub(a, b):
-    """Interval of x - y for x in a, y in b."""
-    lo = None if a[0] is None or b[1] is None else a[0] - b[1]
-    hi = None if a[1] is None or b[0] is None else a[1] - b[0]
-    return lo, hi
-
-
-def _div_coeff_solve(coeff: int, tlo, thi):
-    """Interval of v given coeff*v in [tlo, thi]."""
-    if coeff > 0:
-        lo = None if tlo is None else _cdiv(tlo, coeff)
-        hi = None if thi is None else _fdiv(thi, coeff)
-    else:
-        lo = None if thi is None else _cdiv(thi, coeff)
-        hi = None if tlo is None else _fdiv(tlo, coeff)
-    return lo, hi
-
-
-def _tighten_expr(expr: AffineExpr, req, bounds, state):
-    """Require expr's value to lie within `req`; tighten dim bounds in place."""
-    terms = []  # (kind, payload, (lo, hi))
-    for i, c in enumerate(expr.coeffs):
-        if c:
-            terms.append(("dim", (i, c), _mul_iv(c, bounds[i][0], bounds[i][1])))
-    for dt in expr.divs:
-        ilo, ihi = _expr_interval(dt.inner, bounds)
-        dlo = None if ilo is None else _fdiv(ilo, dt.div)
-        dhi = None if ihi is None else _fdiv(ihi, dt.div)
-        terms.append(("div", dt, _mul_iv(dt.coeff, dlo, dhi)))
-    n = len(terms)
-    # prefix[i] / suffix[i]: interval sum of terms before / from index i
-    prefix = [(expr.const, expr.const)]
-    for _, _, iv in terms:
-        last = prefix[-1]
-        prefix.append((_add_b(last[0], iv[0]), _add_b(last[1], iv[1])))
-    suffix = [(0, 0)] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        iv = terms[i][2]
-        nxt = suffix[i + 1]
-        suffix[i] = (_add_b(nxt[0], iv[0]), _add_b(nxt[1], iv[1]))
-    total = prefix[n]
-    # feasibility
-    if req[0] is not None and total[1] is not None and total[1] < req[0]:
-        raise _Infeasible
-    if req[1] is not None and total[0] is not None and total[0] > req[1]:
-        raise _Infeasible
-    for idx in range(n):
-        kind, payload, _ = terms[idx]
-        a, b = prefix[idx]
-        c2, d2 = suffix[idx + 1]
-        rest = (_add_b(a, c2), _add_b(b, d2))
-        need = _iv_sub(req, rest)  # required interval for this term's value
-        if need == (None, None):
+    Each term must lie within the requirement (0 for an equality, >= 0
+    otherwise) minus the interval of the rest of the row.
+    """
+    is_eq = row[0]
+    terms = []
+    lo_sum = hi_sum = row[-1]
+    lo_inf = hi_inf = 0
+    for i, c in enumerate(row[1:-1]):
+        if not c:
             continue
-        if kind == "dim":
-            k, coeff = payload
-            lo, hi = _div_coeff_solve(coeff, need[0], need[1])
-            new = _iv_meet(bounds[k], (lo, hi))
-            if new != bounds[k]:
-                bounds[k] = new
-                state["changed"] = True
+        blo, bhi = bounds[i] if c > 0 else bounds[i][::-1]
+        tlo = None if blo is None else c * blo
+        thi = None if bhi is None else c * bhi
+        if tlo is None:
+            lo_inf += 1
         else:
-            dt = payload
-            flo, fhi = _div_coeff_solve(dt.coeff, need[0], need[1])
-            inner_req = (
-                None if flo is None else flo * dt.div,
-                None if fhi is None else fhi * dt.div + dt.div - 1,
-            )
-            if inner_req != (None, None):
-                _tighten_expr(dt.inner, inner_req, bounds, state)
+            lo_sum += tlo
+        if thi is None:
+            hi_inf += 1
+        else:
+            hi_sum += thi
+        terms.append((i, c, tlo, thi))
+    if not hi_inf and hi_sum < 0:
+        raise _Infeasible
+    if is_eq and not lo_inf and lo_sum > 0:
+        raise _Infeasible
+    changed = False
+    for i, c, tlo, thi in terms:
+        # need_lo <= c*x_i <= need_hi, with the rest of the row within
+        # [lo_sum - tlo, hi_sum - thi] when those sums are finite
+        need_lo = None if hi_inf > (thi is None) else (thi or 0) - hi_sum
+        need_hi = None if not is_eq or lo_inf > (tlo is None) else (tlo or 0) - lo_sum
+        lo, hi = (need_lo, need_hi) if c > 0 else (need_hi, need_lo)
+        lo = None if lo is None else _cdiv(lo, c)
+        hi = None if hi is None else hi // c
+        blo, bhi = bounds[i]
+        nlo = blo if lo is None or (blo is not None and blo >= lo) else lo
+        nhi = bhi if hi is None or (bhi is not None and bhi <= hi) else hi
+        if nlo is not None and nhi is not None and nlo > nhi:
+            raise _Infeasible
+        if nlo != blo or nhi != bhi:
+            bounds[i] = (nlo, nhi)
+            changed = True
+    return changed
 
 
 @lru_cache(maxsize=200_000)
@@ -578,58 +598,21 @@ def propagate(arity: int, piece: Piece):
 
     Sound in both directions: a returned box over-approximates the piece,
     and an 'empty' verdict is always correct.  Bounds entries are
-    (lo, hi) with None for unbounded sides.  Requirements are pushed
-    through floor-division terms, so dims occurring only inside divs
-    still receive bounds.
+    (lo, hi) with None for unbounded sides.  The two rows bounding each
+    division column take part like any other row, so dims occurring only
+    inside floor divisions still receive bounds.
     """
-    # single-variable linear pieces settle in one pass
-    single = []
-    for c in piece:
-        if c.expr.divs:
-            single = None
-            break
-        dim = -1
-        for i, v in enumerate(c.expr.coeffs):
-            if v:
-                if dim >= 0:
-                    dim = -2
-                    break
-                dim = i
-        if dim == -2:
-            single = None
-            break
-        single.append((c, dim))
-    if single is not None:
-        bounds = [(None, None)] * arity
-        for c, dim in single:
-            const = c.expr.const
-            if dim < 0:
-                if const != 0 if c.is_eq else const < 0:
-                    return None
-                continue
-            a = c.expr.coeffs[dim]
-            lo, hi = _div_coeff_solve(a, -const, -const if c.is_eq else None)
-            cur = bounds[dim]
-            nlo = lo if cur[0] is None else (lo if lo is not None and lo > cur[0] else cur[0])
-            nhi = hi if cur[1] is None else (hi if hi is not None and hi < cur[1] else cur[1])
-            if nlo is not None and nhi is not None and nlo > nhi:
-                return None
-            bounds[dim] = (nlo, nhi)
-        return tuple(bounds)
-    bounds = [(None, None)] * arity
+    rows = piece.rows + _div_rows(piece.divs)
+    bounds = [(None, None)] * (arity + len(piece.divs))
     try:
         for _ in range(_PROP_ROUND_CAP):
-            state = {"changed": False}
-            for c in piece:
-                req = (0, 0) if c.is_eq else (0, None)
-                _tighten_expr(c.expr, req, bounds, state)
-            if not state["changed"]:
+            if not any([_tighten(row, bounds) for row in rows]):  # a round without a move
                 break
         else:
             raise IterationCapExceeded("interval propagation did not converge")
     except _Infeasible:
         return None
-    return tuple(bounds)
+    return tuple(bounds[:arity])
 
 
 def piece_box(arity: int, piece: Piece):
@@ -656,13 +639,12 @@ _INT64_SAFE = 1 << 62  # every value the scan computes stays below this in magni
 class _ScanProgram:
     """Column program that scans one piece.
 
-    Columns 0..arity-1 hold the dimensions and each distinct floor
-    division gets a column after them.  Free dimensions come from the box
-    (flat index -> index // stride % extent + lo, so ravel order is
-    lexicographic).  Each stage (cols, rows, consts, divs) then fills its
-    columns at once with (y @ rows + consts) // divs, and a point is kept
-    when y @ checks + bases >= 0 in every column (an equality appears as
-    two opposite inequalities).
+    The columns are the piece's: dimensions, then division columns.  Free
+    dimensions come from the box (flat index -> index // stride % extent +
+    lo, so ravel order is lexicographic).  Each stage (cols, rows, consts,
+    divs) then fills its columns at once with (y @ rows + consts) // divs,
+    and a point is kept when y @ checks + bases >= 0 in every column (an
+    equality appears as two opposite inequalities).
     """
 
     volume: int
@@ -676,35 +658,26 @@ class _ScanProgram:
     bases: np.ndarray
 
 
+def _sparse(row: tuple) -> dict:
+    return {j: c for j, c in enumerate(row[1:-1]) if c}
+
+
 @lru_cache(maxsize=10_000)
 def _scan_program(arity: int, piece: Piece) -> Optional[_ScanProgram]:
     """How to scan a non-empty piece, or None when the scan does not apply.
 
-    Each equality with a unit coefficient on a dimension outside its floor
-    divisions defines that dimension from the others (the highest such
-    dimension that closes no cycle).  The remaining free dimensions span
-    the box to scan; every other constraint, floor divisions included, is
-    checked point by point.  None when a dimension is unbounded (the search
-    reports that) or when int64 evaluation could overflow.
+    Division columns are computed from their definitions.  Each equality
+    with a unit coefficient on a dimension defines that dimension from the
+    other columns (the highest such dimension that closes no cycle).  The
+    remaining free dimensions span the box to scan; every other row is
+    checked point by point.  None when a dimension is unbounded (the
+    search reports that) or when int64 evaluation could overflow.
     """
     bounds = propagate(arity, piece)
     if any(lo is None or hi is None for lo, hi in bounds):
         return None
-    steps: dict[int, tuple[dict, int, int]] = {}  # computed col -> (row, const, div)
-    div_cols: dict[tuple, int] = {}
-
-    def lift(expr: AffineExpr) -> tuple[dict, int]:
-        """expr as a row {col: coeff} plus a constant."""
-        row = {i: c for i, c in enumerate(expr.coeffs) if c}
-        for dt in expr.divs:
-            key = (dt.inner.key(), dt.div)
-            if key not in div_cols:
-                inner_row, inner_const = lift(dt.inner)
-                div_cols[key] = arity + len(div_cols)
-                steps[div_cols[key]] = (inner_row, inner_const, dt.div)
-            j = div_cols[key]
-            row[j] = row.get(j, 0) + dt.coeff
-        return row, expr.const
+    # computed col -> (row, const, div)
+    steps = {arity + j: (_sparse(dv), dv[-1], dv[0]) for j, dv in enumerate(piece.divs)}
 
     def reaches(cols: Iterable[int], k: int) -> bool:
         stack, seen = list(cols), set()
@@ -718,9 +691,9 @@ def _scan_program(arity: int, piece: Piece) -> Optional[_ScanProgram]:
         return False
 
     rows, bases = [], []
-    for c in piece:
-        row, const = lift(c.expr)
-        if c.is_eq:
+    for r in piece.rows:
+        row, const = _sparse(r), r[-1]
+        if r[0]:
             for k in sorted((j for j in row if j < arity and abs(row[j]) == 1), reverse=True):
                 rest = {j: v for j, v in row.items() if j != k}
                 if k not in steps and not reaches(rest, k):
@@ -758,7 +731,7 @@ def _scan_program(arity: int, piece: Piece) -> Optional[_ScanProgram]:
     ):
         return None
 
-    ncols = arity + len(div_cols)
+    ncols = arity + len(piece.divs)
 
     def dense(rows):
         out = np.zeros((ncols, len(rows)), dtype=np.int64)
@@ -814,15 +787,43 @@ def _scan_piece(arity: int, piece: Piece, cap: int):
     return np.concatenate(found)
 
 
+def _assign(piece: Piece, col: int, value: int) -> Optional[Piece]:
+    """The piece with column `col` fixed to `value`, and each division
+    column whose definition becomes constant fixed in turn; None when a
+    row becomes false.  Rows that become trivially true are dropped."""
+    divs, rows = list(piece.divs), piece.rows
+    n = _ndims(divs)
+    todo = [(col, value)]
+    while todo:
+        col, value = todo.pop()
+        i = col + 1
+        kept = []
+        for r in rows:
+            if r[i]:
+                r = r[:i] + (0,) + r[i + 1 : -1] + (r[-1] + r[i] * value,)
+                if not any(r[1:-1]):
+                    if r[-1] != 0 if r[0] else r[-1] < 0:
+                        return None
+                    continue
+            kept.append(r)
+        rows = kept
+        for j, dv in enumerate(divs):
+            if dv[i]:
+                dv = divs[j] = dv[:i] + (0,) + dv[i + 1 : -1] + (dv[-1] + dv[i] * value,)
+                if not any(dv[1:-1]):
+                    todo.append((n + j, dv[-1] // dv[0]))
+    return Piece(tuple(divs), tuple(rows))
+
+
 def _search_piece(arity: int, piece: Piece, descending: bool):
     """Points of a piece in lexicographic order, descending when asked.
 
     Backtracking over the dimensions in order: each value is substituted
-    into the constraints, and interval propagation prunes empty subtrees.
-    Once every remaining constraint is linear in a single dimension, the
-    propagated bounds are exact and independent, so the rest of the
-    subtree is a box and is emitted wholesale.  Raises UnboundedSet when a
-    dimension to branch on or emit is unbounded.
+    into the rows, and interval propagation prunes empty subtrees.  Once
+    every remaining row is linear in a single dimension, the propagated
+    bounds are exact and independent, so the rest of the subtree is a box
+    and is emitted wholesale.  Raises UnboundedSet when a dimension to
+    branch on or emit is unbounded.
     """
     point = [0] * arity
 
@@ -836,23 +837,17 @@ def _search_piece(arity: int, piece: Piece, descending: bool):
         bounds = propagate(arity, cons)
         if bounds is None:
             return
-        if all(not c.expr.divs and sum(1 for x in c.expr.coeffs if x) <= 1 for c in cons):
+        coeffs = [r[1:-1] for r in cons.rows]
+        if all(sum(map(bool, c)) <= 1 and not any(c[arity:]) for c in coeffs):
             for tail in itertools.product(*(values(bounds, k) for k in range(d, arity))):
                 point[d:] = tail
                 yield tuple(point)
             return
         for v in values(bounds, d):
-            nxt = []
-            for c in cons:
-                e = c.expr.assign_dim(d, v)
-                if not e.divs and not any(e.coeffs):
-                    if e.const != 0 if c.is_eq else e.const < 0:
-                        break
-                    continue  # trivially true after substitution
-                nxt.append(c if e is c.expr else Constraint(e, c.is_eq))
-            else:
+            nxt = _assign(cons, d, v)
+            if nxt is not None:
                 point[d] = v
-                yield from rec(tuple(nxt), d + 1)
+                yield from rec(nxt, d + 1)
 
     return rec(piece, 0)
 
@@ -893,132 +888,95 @@ def _enumerate_piece(arity: int, piece: Piece) -> list[tuple[int, ...]]:
 # Exact projection
 
 
-def _replace_div(expr: AffineExpr, target: DivTerm, q: int) -> AffineExpr:
-    """Replace floor(target.inner / target.div) by dim q, recursively."""
-    divs = []
-    extra = AffineExpr.constant(expr.arity, 0)
-    for dt in expr.divs:
-        inner = _replace_div(dt.inner, target, q)
-        if inner.key() == target.inner.key() and dt.div == target.div:
-            extra = extra + AffineExpr.var(expr.arity, q, dt.coeff)
-        else:
-            divs.append(DivTerm(dt.coeff, inner, dt.div))
-    base = AffineExpr(expr.coeffs, expr.const, tuple(divs))
-    return base + extra
+def _drop_col(piece: Piece, k: int) -> Piece:
+    """The piece without column k, which no row or definition uses."""
+    i = k + 1
+    return Piece(
+        tuple(d[:i] + d[i + 1 :] for d in piece.divs),
+        tuple(r[:i] + r[i + 1 :] for r in piece.rows),
+    )
 
 
-def _find_div_with_dim(expr: AffineExpr, k: int) -> Optional[DivTerm]:
-    """An innermost div term whose inner uses dim k."""
-    for dt in expr.divs:
-        nested = _find_div_with_dim(dt.inner, k)
-        if nested is not None:
-            return nested
-        if dt.inner.uses_dim(k):
-            return dt
-    return None
+def _div_to_dim(arity: int, piece: Piece, q: int) -> Piece:
+    """Division column q as a new last dim, bounded by its two rows."""
+    j = q - arity
+    cols = [*range(arity), q, *(c for c in range(arity, arity + len(piece.divs)) if c != q)]
+
+    def perm(r: tuple) -> tuple:
+        return (r[0], *(r[1 + c] for c in cols), r[-1])
+
+    bounding = _div_rows(piece.divs)[2 * j : 2 * j + 2]
+    return Piece(
+        tuple(perm(d) for i, d in enumerate(piece.divs) if i != j),
+        tuple(map(perm, piece.rows + bounding)),
+    )
 
 
-def _drop_dim(piece: Piece, k: int, arity: int) -> Piece:
-    mapping = [i if i < k else i - 1 for i in range(arity)]
-    mapping[k] = -1
-    out = []
-    for c in piece:
-        out.append(Constraint(c.expr.remap(mapping, arity - 1), c.is_eq))
-    return tuple(out)
+def _project_dim(arity: int, piece: Piece, k: int) -> list[Piece]:
+    """Exact integer projection of dim k out of one piece, as pieces over
+    arity-1 dims.  A division column whose definition uses k becomes one
+    more dim, projected out after k."""
+    piece = normalize_piece(piece)
+    if piece is None:
+        return []
+    for j, dv in enumerate(piece.divs):
+        if dv[k + 1]:
+            wide = _div_to_dim(arity, piece, arity + j)
+            out = _project_dim(arity + 1, wide, k)
+            return [q for p in out for q in _project_dim(arity, p, arity - 1)]
+    return _eliminate_dim(arity, piece, k)
 
 
 def _eliminate_dim(arity: int, piece: Piece, k: int) -> list[Piece]:
-    """Exact integer projection of one dimension out of one piece.
+    """Exact integer projection of dim k out of a normalized piece whose
+    division columns do not use it.
 
-    Strategy: substitute through unit-coefficient equalities, elaborate
-    floor divisions over fresh dimensions, use Fourier-Motzkin when every
-    lower/upper pair has a unit side, and otherwise split on the finite
-    value range of the dimension.  Returns pieces over arity-1 dims.
+    Substitute through a unit-coefficient equality, use Fourier-Motzkin
+    when every lower/upper pair has a unit side, and otherwise split on
+    the finite value range of the dimension.
     """
-    piece_n = normalize_piece(piece)
-    if piece_n is None:
-        return []
-    piece = piece_n
+    i = k + 1
+    used = [r for r in piece.rows if r[i]]
+    if not used:
+        return [_drop_col(piece, k)]
 
-    used_lin = [c for c in piece if c.expr.coeffs[k] != 0]
-    used_div = [c for c in piece if c.expr.dim_in_div(k)]
-    if not used_lin and not used_div:
-        return [_drop_dim(piece, k, arity)]
-
-    # Elaborate a floordiv that mentions dim k behind a fresh dimension.
-    if used_div:
-        target = None
-        for c in used_div:
-            target = _find_div_with_dim(c.expr, k)
-            if target is not None:
-                break
-        assert target is not None
-        q = arity
-        mapping = list(range(arity))
-        widened = []
-        for c in piece:
-            expr = c.expr.remap(mapping, arity + 1)
-            widened.append(Constraint(_replace_div(expr, _widen_div(target, arity + 1), q), c.is_eq))
-        inner = target.inner.remap(mapping, arity + 1)
-        qv = AffineExpr.var(arity + 1, q)
-        widened.append(ge0(inner - qv.scale(target.div)))
-        widened.append(ge0(qv.scale(target.div) - inner + AffineExpr.constant(arity + 1, target.div - 1)))
-        out = []
-        for p1 in _eliminate_dim(arity + 1, tuple(widened), k):
-            out.extend(_eliminate_dim(arity, p1, arity - 1))
-        return out
-
-    # Unit-coefficient equality: substitute.
-    for c in used_lin:
-        if c.is_eq and abs(c.expr.coeffs[k]) == 1 and not c.expr.dim_in_div(k):
-            a = c.expr.coeffs[k]
-            # a*x_k + E == 0  =>  x_k = -E/a
-            rest = AffineExpr(
-                tuple(0 if i == k else v for i, v in enumerate(c.expr.coeffs)),
-                c.expr.const,
-                c.expr.divs,
+    # Unit-coefficient equality a*x_k + E == 0: substitute x_k = -a*E.
+    for c in used:
+        if c[0] and abs(c[i]) == 1:
+            rows = tuple(
+                (r[0], *(x - r[i] * c[i] * y for x, y in zip(r[1:], c[1:]))) if r[i] else r
+                for r in piece.rows
+                if r is not c
             )
-            repl = rest.scale(-a)  # a in {1,-1}
-            out = []
-            for other in piece:
-                if other is c:
-                    continue
-                out.append(Constraint(other.expr.substitute_dim(k, repl), other.is_eq))
-            result = normalize_piece(out)
-            return [] if result is None else [_drop_dim(result, k, arity)]
+            result = normalize_piece(Piece(piece.divs, rows))
+            return [] if result is None else [_drop_col(result, k)]
 
     # Fourier-Motzkin over inequalities (equalities as two inequalities).
     # Non-unit equalities fall through to here and, when FM would be inexact,
     # to the finite splitting below; introducing divisibility floor terms
-    # instead can ping-pong with div elaboration and never terminate.
-    lowers, uppers, rest_cons = [], [], []
-    for c in piece:
-        a = c.expr.coeffs[k]
-        if a == 0:
-            rest_cons.append(c)
+    # instead can ping-pong with division elimination and never terminate.
+    lowers, uppers, out = [], [], []
+    for r in piece.rows:
+        if not r[i]:
+            out.append(r)
             continue
-        exprs = [c.expr]
-        if c.is_eq:
-            exprs.append(c.expr.scale(-1))
-        for e in exprs:
-            a = e.coeffs[k]
-            rest = AffineExpr(
-                tuple(0 if i == k else v for i, v in enumerate(e.coeffs)), e.const, e.divs
-            )
-            if a > 0:
-                lowers.append((a, rest))  # a*x_k >= -rest
-            elif a < 0:
-                uppers.append((-a, rest))  # (-a)*x_k <= rest
+        sides = [r[1:]]
+        if r[0]:
+            sides.append(tuple(-x for x in r[1:]))
+        for e in sides:
+            rest = e[:k] + (0,) + e[k + 1 :]
+            if e[k] > 0:
+                lowers.append((e[k], rest))  # a*x_k >= -rest
+            else:
+                uppers.append((-e[k], rest))  # (-a)*x_k <= rest
 
-    exact_fm = all(a == 1 or b == 1 for a, _ in lowers for b, _ in uppers)
-    if exact_fm:
-        out = list(rest_cons)
+    if all(a == 1 or b == 1 for a, _ in lowers for b, _ in uppers):
         for a, el in lowers:
             for b, eu in uppers:
                 # a*x >= -el and b*x <= eu  =>  a*eu + b*el >= 0
-                out.append(ge0(eu.scale(a) + el.scale(b)))
-        result = normalize_piece(out)
-        return [] if result is None else [_drop_dim(result, k, arity)]
+                out.append((0, *(a * u + b * v for u, v in zip(eu, el))))
+        result = normalize_piece(Piece(piece.divs, tuple(out)))
+        return [] if result is None else [_drop_col(result, k)]
 
     # Splitting fallback over the finite range of dim k.
     box = piece_box(arity, piece)
@@ -1027,20 +985,11 @@ def _eliminate_dim(arity: int, piece: Piece, k: int) -> list[Piece]:
     lo, hi = box[k]
     out = []
     for v in range(lo, hi + 1):
-        sub = []
-        for c in piece:
-            sub.append(
-                Constraint(c.expr.substitute_dim(k, AffineExpr.constant(arity, v)), c.is_eq)
-            )
-        result = normalize_piece(sub)
+        sub = _assign(piece, k, v)
+        result = None if sub is None else normalize_piece(sub)
         if result is not None and propagate(arity, result) is not None:
-            out.append(_drop_dim(result, k, arity))
+            out.append(_drop_col(result, k))
     return out
-
-
-def _widen_div(dt: DivTerm, new_arity: int) -> DivTerm:
-    mapping = list(range(dt.inner.arity))
-    return DivTerm(dt.coeff, dt.inner.remap(mapping, new_arity), dt.div)
 
 
 def project_pieces(arity: int, pieces: Iterable[Piece], drop: Sequence[int]) -> list[Piece]:
@@ -1049,7 +998,7 @@ def project_pieces(arity: int, pieces: Iterable[Piece], drop: Sequence[int]) -> 
     for k in sorted(drop, reverse=True):
         nxt = []
         for ar, p in current:
-            for q in _eliminate_dim(ar, p, k):
+            for q in _project_dim(ar, p, k):
                 if propagate(ar - 1, q) is not None:
                     nxt.append((ar - 1, q))
         current = nxt
@@ -1063,12 +1012,11 @@ def project_pieces(arity: int, pieces: Iterable[Piece], drop: Sequence[int]) -> 
 @lru_cache(maxsize=100_000)
 def _interval_signatures(piece: Piece):
     """All decompositions of a piece as 'others AND lo <= e <= hi' for one
-    sign-canonical expression e.  Yields (others, canon, lo, hi); lo/hi may
-    be None when that side is unconstrained within the piece."""
+    sign-canonical coefficient tuple e.  Yields (others, canon, lo, hi);
+    lo/hi may be None when that side is unconstrained within the piece."""
     out = []
-    for canon, lo, hi, members in _interval_groups(piece):
-        ids = {id(c) for c in members}
-        others = tuple(c for c in piece if id(c) not in ids)
+    for canon, lo, hi, members in _interval_groups(piece.rows):
+        others = tuple(r for r in piece.rows if r not in members)
         out.append((others, canon, lo, hi))
     return tuple(out)
 
@@ -1092,12 +1040,10 @@ def coalesce_pieces(arity: int, pieces: Iterable[Piece]) -> list[Piece]:
             for others, canon, lo, hi in _interval_signatures(p):
                 if lo is None or hi is None:
                     continue
-                buckets.setdefault((others, canon.key()), []).append(
-                    (lo, hi, idx, canon, others)
-                )
+                buckets.setdefault((p.divs, others, canon), []).append((lo, hi, idx))
         consumed: set[int] = set()
         merged_pieces: list[Piece] = []
-        for entries in buckets.values():
+        for (divs, others, canon), entries in buckets.items():
             if len(entries) < 2 or any(e[2] in consumed for e in entries):
                 continue
             entries.sort(key=lambda e: (e[0], e[1]))
@@ -1116,8 +1062,7 @@ def coalesce_pieces(arity: int, pieces: Iterable[Piece]) -> list[Piece]:
                 idxs = {e[2] for e in grun}
                 if len(idxs) < 2:
                     continue
-                _, _, _, canon, others = grun[0]
-                mp = normalize_piece(others + tuple(_interval_constraints(canon, glo, ghi)))
+                mp = normalize_piece(Piece(divs, others + tuple(_interval_rows(canon, glo, ghi))))
                 if mp is None:
                     continue
                 consumed.update(idxs)
@@ -1128,11 +1073,7 @@ def coalesce_pieces(arity: int, pieces: Iterable[Piece]) -> list[Piece]:
         for mp in merged_pieces:
             if mp not in work:
                 work.append(mp)
-    return sorted(set(work), key=_piece_key)
-
-
-def _piece_key(piece: Piece):
-    return tuple(c.key() for c in piece)
+    return sorted(set(work), key=lambda p: _piece_key(arity, p))
 
 
 # ---------------------------------------------------------------------------
@@ -1147,15 +1088,14 @@ class IntSet:
     pieces: tuple[Piece, ...] = ()
 
     @staticmethod
-    def make(space: Space, pieces: Iterable[Iterable[Constraint]]) -> "IntSet":
+    def make(space: Space, pieces: Iterable) -> "IntSet":
+        """The set of the given pieces; a piece may also be given as a
+        sequence of constraints."""
         norm = []
         for p in pieces:
-            np_ = normalize_piece(tuple(p))
-            if np_ is None:
-                continue
-            if propagate(space.arity, np_) is None:
-                continue
-            norm.append(np_)
+            p = normalize_piece(p if isinstance(p, Piece) else _lift(p))
+            if p is not None and propagate(space.arity, p) is not None:
+                norm.append(p)
         return IntSet(space, tuple(coalesce_pieces(space.arity, norm)))
 
     @staticmethod
@@ -1179,11 +1119,7 @@ def _require_same_space(a: IntSet, b: IntSet):
 
 def intersect(a: IntSet, b: IntSet) -> IntSet:
     _require_same_space(a, b)
-    pieces = []
-    for p in a.pieces:
-        for q in b.pieces:
-            pieces.append(p + q)
-    return IntSet.make(a.space, pieces)
+    return IntSet.make(a.space, [conjoin(p, q) for p in a.pieces for q in b.pieces])
 
 
 def union(a: IntSet, b: IntSet) -> IntSet:
@@ -1194,23 +1130,18 @@ def union(a: IntSet, b: IntSet) -> IntSet:
 def _subtract_pieces(arity: int, base: list[Piece], minus: Piece) -> list[Piece]:
     out = []
     for p in base:
-        merged = normalize_piece(p + minus)
+        merged = normalize_piece(conjoin(p, minus))
         if merged is None or propagate(arity, merged) is None:
             out.append(p)  # disjoint: survives whole
             continue
-        prefix: list[Constraint] = []
-        for c in minus:
-            negs = []
-            if c.is_eq:
-                negs.append(ge0(c.expr.plus_const(-1)))
-                negs.append(ge0(c.expr.scale(-1).plus_const(-1)))
-            else:
-                negs.append(ge0(c.expr.scale(-1).plus_const(-1)))
+        for idx, r in enumerate(minus.rows):
+            negs = [(0, *(-x for x in r[1:-1]), -r[-1] - 1)]  # -e - 1 >= 0
+            if r[0]:
+                negs.insert(0, (0, *r[1:-1], r[-1] - 1))  # e - 1 >= 0
             for neg in negs:
-                cand = normalize_piece(p + tuple(prefix) + (neg,))
+                cand = normalize_piece(conjoin(p, Piece(minus.divs, minus.rows[:idx] + (neg,))))
                 if cand is not None and propagate(arity, cand) is not None:
                     out.append(cand)
-            prefix.append(c)
     return out
 
 
@@ -1268,21 +1199,14 @@ class IntMap:
         return IntMap(dom, ran, s.pieces)
 
     @staticmethod
-    def from_exprs(
-        dom: Space,
-        ran: Space,
-        exprs: Sequence[AffineExpr],
-        guards: Iterable[Constraint] = (),
-    ) -> "IntMap":
-        """Functional construction: out_j == exprs[j](in), under guards on in."""
+    def from_exprs(dom: Space, ran: Space, exprs: Sequence[AffineExpr]) -> "IntMap":
+        """Functional construction: out_j == exprs[j](in)."""
         n_in, n_out = dom.arity, ran.arity
         if len(exprs) != n_out:
             raise ValueError("one expression per output dimension required")
         arity = n_in + n_out
         mapping = list(range(n_in))
         cons = []
-        for c in guards:
-            cons.append(Constraint(c.expr.remap(mapping, arity), c.is_eq))
         for j, e in enumerate(exprs):
             lhs = AffineExpr.var(arity, n_in + j)
             cons.append(eq0(lhs - e.remap(mapping, arity)))
@@ -1327,12 +1251,8 @@ def apply(m: IntMap, s: IntSet) -> IntSet:
         raise SpaceMismatch(f"map domain {m.dom.name} does not match set space {s.space.name}")
     n_in, n_out = m.n_in, m.n_out
     arity = n_in + n_out
-    mapping = list(range(n_in))
-    combined = []
-    for sp in s.pieces:
-        sp_w = tuple(Constraint(c.expr.remap(mapping, arity), c.is_eq) for c in sp)
-        for mp in m.pieces:
-            combined.append(sp_w + mp)
+    wide = embed_pieces(s.pieces, range(n_in), arity)
+    combined = [conjoin(sp, mp) for sp in wide for mp in m.pieces]
     pieces = project_pieces(arity, combined, list(range(n_in)))
     return IntSet.make(m.ran, pieces)
 
@@ -1348,14 +1268,9 @@ def compose(g: IntMap, f: IntMap) -> IntMap:
         raise SpaceMismatch(f"cannot compose {g.dom.name}<-... with ...->{f.ran.name}")
     na, nb, nc = f.n_in, f.n_out, g.n_out
     arity = na + nb + nc
-    f_map = list(range(na + nb))
-    g_map = [na + i for i in range(nb + nc)]
-    combined = []
-    for fp in f.pieces:
-        fp_w = tuple(Constraint(c.expr.remap(f_map, arity), c.is_eq) for c in fp)
-        for gp in g.pieces:
-            gp_w = tuple(Constraint(c.expr.remap(g_map, arity), c.is_eq) for c in gp)
-            combined.append(fp_w + gp_w)
+    f_wide = embed_pieces(f.pieces, range(na + nb), arity)
+    g_wide = embed_pieces(g.pieces, range(na, arity), arity)
+    combined = [conjoin(fp, gp) for fp in f_wide for gp in g_wide]
     pieces = project_pieces(arity, combined, list(range(na, na + nb)))
     return IntMap(f.dom, g.ran, tuple(pieces))
 
@@ -1363,52 +1278,46 @@ def compose(g: IntMap, f: IntMap) -> IntMap:
 def inverse(m: IntMap) -> IntMap:
     n_in, n_out = m.n_in, m.n_out
     mapping = [n_out + i for i in range(n_in)] + list(range(n_out))
-    pieces = []
-    for p in m.pieces:
-        pieces.append(
-            tuple(Constraint(c.expr.remap(mapping, n_in + n_out), c.is_eq) for c in p)
-        )
-    return IntMap.make(m.ran, m.dom, pieces)
+    return IntMap.make(m.ran, m.dom, embed_pieces(m.pieces, mapping, n_in + n_out))
 
 
 def restrict_domain(m: IntMap, s: IntSet) -> IntMap:
     if m.dom.arity != s.space.arity:
         raise SpaceMismatch("restriction set arity mismatch")
-    arity = m.n_in + m.n_out
-    mapping = list(range(m.n_in))
-    pieces = []
-    for sp in s.pieces:
-        sp_w = tuple(Constraint(c.expr.remap(mapping, arity), c.is_eq) for c in sp)
-        for mp in m.pieces:
-            pieces.append(mp + sp_w)
-    return IntMap.make(m.dom, m.ran, pieces)
+    wide = embed_pieces(s.pieces, range(m.n_in), m.n_in + m.n_out)
+    return IntMap.make(m.dom, m.ran, [conjoin(mp, sp) for sp in wide for mp in m.pieces])
 
 
 # ---------------------------------------------------------------------------
-# Lexicographic helpers shared by the analyses
+# Helpers shared by the analyses and the printer
 
 
 def embed_pieces(pieces: Iterable[Piece], mapping: Sequence[int], new_arity: int) -> list[Piece]:
-    """Reindex every piece's dims through `mapping` into a wider layout."""
+    """Reindex every piece's dims through `mapping` into a wider layout;
+    division columns follow the new dims in their order."""
     out = []
     for p in pieces:
-        out.append(tuple(Constraint(c.expr.remap(mapping, new_arity), c.is_eq) for c in p))
+        cols = [*mapping, *range(new_arity, new_arity + len(p.divs))]
+        width = new_arity + len(p.divs)
+
+        def move(r: tuple) -> tuple:
+            body = [0] * width
+            for c, v in zip(cols, r[1:-1]):
+                body[c] += v
+            return (r[0], *body, r[-1])
+
+        out.append(Piece(tuple(map(move, p.divs)), tuple(map(move, p.rows))))
     return out
 
 
-def lex_lt_pieces(
-    a_exprs: Sequence[AffineExpr], b_exprs: Sequence[AffineExpr]
-) -> list[list[Constraint]]:
-    """Constraint alternatives for (a_exprs) <_lex (b_exprs); both same arity."""
-    alts = []
-    n = min(len(a_exprs), len(b_exprs))
-    for level in range(n):
-        cons = []
-        for t in range(level):
-            cons.append(eq0(a_exprs[t] - b_exprs[t]))
-        cons.append(ge0(b_exprs[level] - a_exprs[level].plus_const(1)))
-        alts.append(cons)
-    return alts
+def lex_lt_pieces(a_exprs: Sequence[AffineExpr], b_exprs: Sequence[AffineExpr]) -> list[Piece]:
+    """Pieces for (a_exprs) <_lex (b_exprs), one per first differing
+    position; both sides share one arity."""
+    return [
+        _lift([eq0(a_exprs[t] - b_exprs[t]) for t in range(level)]
+              + [ge0(b_exprs[level] - a_exprs[level].plus_const(1))])
+        for level in range(min(len(a_exprs), len(b_exprs)))
+    ]
 
 
 def select_lex_extreme(s: IntSet, n_group: int, maximize: bool) -> IntSet:
@@ -1419,7 +1328,6 @@ def select_lex_extreme(s: IntSet, n_group: int, maximize: bool) -> IntSet:
     if n_val == 0:
         return s
     arity = n + n_val
-    base_map = list(range(n))
     shadow_map = list(range(n_group)) + [n + i for i in range(n_val)]
     val = [AffineExpr.var(arity, n_group + i) for i in range(n_val)]
     val_shadow = [AffineExpr.var(arity, n + i) for i in range(n_val)]
@@ -1427,13 +1335,88 @@ def select_lex_extreme(s: IntSet, n_group: int, maximize: bool) -> IntSet:
         lex_alts = lex_lt_pieces(val, val_shadow)  # exists strictly greater
     else:
         lex_alts = lex_lt_pieces(val_shadow, val)  # exists strictly smaller
-    combined = []
-    for p in s.pieces:
-        p_w = tuple(Constraint(c.expr.remap(base_map, arity), c.is_eq) for c in p)
-        for q in s.pieces:
-            q_w = tuple(Constraint(c.expr.remap(shadow_map, arity), c.is_eq) for c in q)
-            for alt in lex_alts:
-                combined.append(p_w + q_w + tuple(alt))
+    base = embed_pieces(s.pieces, range(n), arity)
+    shadow = embed_pieces(s.pieces, shadow_map, arity)
+    combined = [conjoin(p, q, alt) for p in base for q in shadow for alt in lex_alts]
     dominated_pieces = project_pieces(arity, combined, list(range(n, arity)))
     dominated = IntSet.make(s.space, dominated_pieces)
     return subtract(s, dominated)
+
+
+def row_expr(arity: int, piece: Piece, coeffs: Sequence[int], const: int = 0) -> AffineExpr:
+    """Coefficients over the piece's columns as an AffineExpr over its
+    dims, each division column turned back into a floor term."""
+    terms = tuple(
+        DivTerm(c, row_expr(arity, piece, dv[1:-1], dv[-1]), dv[0])
+        for c, dv in zip(coeffs[arity:], piece.divs)
+        if c
+    )
+    return AffineExpr(tuple(coeffs[:arity]), const, terms)
+
+
+def solve_block(arity: int, piece: Piece, block: Sequence[int], free: Sequence[int]):
+    """Express each dim in `block` by the piece's rows over `free` dims
+    only: either a unit-coefficient equality, or an interval pair
+    0 <= e - d*pos <= d-1, which pins pos = floor(e/d).
+
+    Returns the expressions keyed by block position and the piece's other
+    rows with the block substituted away (normalized, None when false),
+    or None if some block dim cannot be expressed.
+    """
+    nd = len(piece.divs)
+    div_dims: list[set] = []  # dims each division column uses, nested ones included
+    for dv in piece.divs:
+        nested = (div_dims[j] for j in range(len(div_dims)) if dv[1 + arity + j])
+        div_dims.append({i for i in range(arity) if dv[1 + i]}.union(*nested))
+
+    def only_free(coeffs, pos) -> bool:
+        """Uses no dim outside `free` but pos, and pos in no division."""
+        in_divs = set().union(*(div_dims[j] for j in range(nd) if coeffs[arity + j]))
+        used = {i for i in range(arity) if coeffs[i] and i != pos} | in_divs
+        return pos not in in_divs and used <= set(free)
+
+    exprs: dict[int, tuple[dict, int]] = {}  # pos -> ({column: coeff}, const)
+    extra: list[tuple[int, dict]] = []  # recovered floor divisions, after the piece's own
+    consumed: set = set()
+    for pos in block:
+        for r in piece.rows:
+            if r[0] and abs(r[1 + pos]) == 1 and r not in consumed and only_free(r[1:-1], pos):
+                a = r[1 + pos]
+                exprs[pos] = ({j: -a * v for j, v in _sparse(r).items() if j != pos}, -a * r[-1])
+                consumed.add(r)
+                break
+        else:
+            for others, canon, lo, hi in _interval_signatures(piece):
+                d, sign = -canon[pos], 1
+                if d < 0:  # the interval of -canon
+                    d, sign = -d, -1
+                    lo, hi = (None if hi is None else -hi), (None if lo is None else -lo)
+                if (lo, hi) != (0, d - 1) or not only_free(canon, pos):
+                    continue
+                members = [r for r in piece.rows if r not in others]
+                if consumed.intersection(members):
+                    continue
+                extra.append((d, {j: sign * v for j, v in enumerate(canon) if v and j != pos}))
+                exprs[pos] = ({arity + nd + len(extra) - 1: 1}, 0)
+                consumed.update(members)
+                break
+            else:
+                return None
+    width = arity + nd + len(extra)
+
+    def substitute(head: int, coeffs: Sequence[int], const: int) -> tuple:
+        body = [*coeffs, *(0,) * (width - len(coeffs))]
+        for pos, (sub, c) in exprs.items():
+            a, body[pos] = body[pos], 0
+            for j, v in sub.items():
+                body[j] += a * v
+            const += a * c
+        return (head, *body, const)
+
+    divs = tuple(substitute(dv[0], dv[1:-1], dv[-1]) for dv in piece.divs)
+    divs += tuple(substitute(d, [e.get(j, 0) for j in range(width)], 0) for d, e in extra)
+    rows = tuple(substitute(r[0], r[1:-1], r[-1]) for r in piece.rows if r not in consumed)
+    wide = Piece(divs)
+    out = {pos: row_expr(arity, wide, [sub.get(j, 0) for j in range(width)], c)
+           for pos, (sub, c) in exprs.items()}
+    return out, normalize_piece(Piece(divs, rows))

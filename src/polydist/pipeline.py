@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 from .chunking import chunk_all, dump_chunks
 from .commgen import CommPlan, compile_plan
 from .deps import DepGraph, add_virtual_statements, compute_flow, dump_deps
-from .isets import AffineExpr, IntSet, ge0
+from .isets import AffineExpr, IntSet, ge0, intersect
 from .placement import (
     FieldPlacement,
     StmtPlacement,
@@ -73,6 +73,6 @@ def cap_iterations(scop: Scop, iters: int) -> Scop:
             statements.append(s)
             continue
         cap = ge0(AffineExpr.var(s.arity, 0, -1).plus_const(iters - 1))
-        dom = IntSet.make(s.space, [p + (cap,) for p in s.domain.pieces])
+        dom = intersect(s.domain, IntSet.make(s.space, [[cap]]))
         statements.append(replace(s, domain=dom))
     return replace(scop, statements=tuple(statements))

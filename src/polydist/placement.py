@@ -22,8 +22,9 @@ from .isets import (
     DivTerm,
     IntMap,
     IntSet,
-    embed_pieces,
     compose,
+    conjoin,
+    embed_pieces,
     enumerate_set,
     inverse,
     is_empty,
@@ -106,11 +107,7 @@ def block_distribute(fields, grid: ClusterGrid) -> FieldPlacement:
             AffineExpr((0,) * n, 0, (DivTerm(1, AffineExpr.var(n, d), bs[d]),))
             for d in range(n)
         ]
-        guards = []
-        for p in f.indexset.pieces:
-            guards = list(p)
-            break
-        maps[f.name] = IntMap.from_exprs(f.space, grid.space, exprs, guards)
+        maps[f.name] = restrict_domain(IntMap.from_exprs(f.space, grid.space, exprs), f.indexset)
         blocks[f.name] = tuple(bs)
     return FieldPlacement(maps=maps, block_extents=blocks)
 
@@ -130,7 +127,7 @@ def _full_node_map(s: Statement, grid: ClusterGrid) -> IntMap:
     arity = n_i + n_p
     pieces = embed_pieces(s.domain.pieces, list(range(n_i)), arity)
     box = embed_pieces(grid.node_set.pieces, [n_i + i for i in range(n_p)], arity)
-    combined = [p + q for p in pieces for q in box]
+    combined = [conjoin(p, q) for p in pieces for q in box]
     return IntMap.make(s.space, grid.space, combined)
 
 

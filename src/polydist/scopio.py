@@ -12,9 +12,9 @@ from pathlib import Path
 
 from .errors import ParseError, UnboundedSet, ValidationError
 from .exprs import PureFunction
-from .isets import AffineExpr, IntSet, Space
+from .isets import AffineExpr, IntSet, Space, solve_block
 from .scop import AccessRef, ClusterGrid, FieldDecl, Scop, Statement
-from .syntax import _solve_block, format_expr, format_set, parse_expr, parse_map, parse_set
+from .syntax import format_expr, format_set, parse_expr, parse_map, parse_set
 
 __all__ = ["parse_scop", "parse_scop_file", "print_scop", "read_input"]
 
@@ -30,8 +30,8 @@ def _schedule_exprs(text: str, dom: Space) -> tuple[AffineExpr, ...]:
             f"{list(dom.dims)}"
         )
     n_in, arity = m.n_in, m.n_in + m.n_out
-    solved = _solve_block(m.pieces[0], arity, range(n_in, arity), range(n_in))
-    if solved is None or len(solved[1]) != len(m.pieces[0]):
+    solved = solve_block(arity, m.pieces[0], range(n_in, arity), range(n_in))
+    if solved is None or solved[1] is None or solved[1].rows:
         raise ValidationError(f"schedule is not functional: {text}")
     exprs = [solved[0][pos] for pos in range(n_in, arity)]
     if any(e.divs for e in exprs):

@@ -25,11 +25,14 @@ from .isets import (
     DivTerm,
     IntMap,
     IntSet,
+    Piece,
     Space,
+    _interval_signatures,
     eq0,
     ge0,
-    normalize_piece,
     propagate,
+    row_expr,
+    solve_block,
 )
 
 __all__ = ["parse_set", "parse_map", "parse_expr", "format_set", "format_map", "format_expr"]
@@ -60,6 +63,7 @@ class _Tokens:
                 self.toks.append(("op", m.group("op"), m.start("op")))
             pos = m.end()
         self.i = 0
+        self.end = len(self.toks)  # tokens from this index on are out of reach
 
     def _fail(self, pos: int, message: str):
         line = self.text.count("\n", 0, pos) + 1
@@ -75,13 +79,15 @@ class _Tokens:
         return self.toks[self.i - 1][2]
 
     def peek(self) -> Optional[tuple[str, str]]:
-        if self.i < len(self.toks):
+        if self.i < self.end:
             kind, value, _ = self.toks[self.i]
             return kind, value
         return None
 
     def next(self) -> tuple[str, str]:
-        if self.i >= len(self.toks):
+        if self.i >= self.end:
+            if self.i < len(self.toks):
+                self._fail(self.here(), f"unexpected token {self.toks[self.i][1]!r}")
             self._fail(len(self.text), "unexpected end of input")
         kind, value, _ = self.toks[self.i]
         self.i += 1
@@ -101,7 +107,30 @@ class _Tokens:
         return False
 
     def done(self) -> bool:
-        return self.i >= len(self.toks)
+        return self.i >= self.end
+
+    def bracketed(self, stops: tuple[str, ...]) -> tuple[int, int]:
+        """Skip tokens up to one of `stops` or up to a closing bracket that
+        has no opening one; (start, end) of the run."""
+        start, depth = self.i, 0
+        while self.i < self.end:
+            v = self.toks[self.i][1]
+            if v in stops or (depth == 0 and v in (")", "]")):
+                break
+            depth += (v in ("(", "[")) - (v in (")", "]"))
+            self.i += 1
+        return start, self.i
+
+    def parse_run(self, run: tuple[int, int], parse, what: str):
+        """parse(self) over the tokens of one run; a parse that stops short
+        fails with `what` at the token where it stopped."""
+        saved = self.i, self.end
+        self.i, self.end = run
+        out = parse(self)
+        if not self.done():
+            self._fail(self.here(), what)
+        self.i, self.end = saved
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +187,7 @@ def _parse_factor(tk: _Tokens, env: dict[str, int], arity: int) -> AffineExpr:
             tk.expect(")")
             try:
                 return AffineExpr((0,) * arity, 0, (DivTerm(1, inner, int(div)),))
-            except ValueError as e:  # a zero divisor or nesting too deep
+            except ValueError as e:  # a divisor below 1
                 tk._fail(at, str(e))
         if value not in env:
             tk._fail(tk.last(), f"unknown variable {value!r}")
@@ -201,7 +230,7 @@ def _parse_condition(tk: _Tokens, env: dict[str, int], arity: int) -> list[Const
 
 def _parse_tuple(tk: _Tokens):
     """Returns (space_name or None, entries) where each entry is either
-    ('name', ident) or ('expr', token-slice start index)."""
+    ('name', ident) or ('expr', (start, end) of its token run)."""
     name = None
     tok = tk.peek()
     if tok is not None and tok[0] == "name":
@@ -210,30 +239,12 @@ def _parse_tuple(tk: _Tokens):
     entries = []
     if not tk.accept("]"):
         while True:
-            start = tk.i
-            depth = 0
-            only_name = None
-            kind, value = tk.toks[tk.i][0], tk.toks[tk.i][1]
+            start, end = run = tk.bracketed((",", "]"))
+            kind, value, _ = tk.toks[start] if end == start + 1 else (None, None, None)
             if kind == "name" and value != "floor":
-                nxt = tk.toks[tk.i + 1][1] if tk.i + 1 < len(tk.toks) else None
-                if nxt in (",", "]"):
-                    only_name = value
-            if only_name is not None:
-                tk.next()
-                entries.append(("name", only_name))
+                entries.append(("name", value))
             else:
-                while tk.i < len(tk.toks):
-                    v = tk.toks[tk.i][1]
-                    if v == "(" or v == "[":
-                        depth += 1
-                    elif v == ")" or v == "]":
-                        if v == "]" and depth == 0:
-                            break
-                        depth -= 1
-                    elif v == "," and depth == 0:
-                        break
-                    tk.next()
-                entries.append(("expr", (start, tk.i)))
+                entries.append(("expr", run))
             if tk.accept(","):
                 continue
             tk.expect("]")
@@ -274,20 +285,7 @@ def _parse_body(text: str, want_map: bool):
             tk._fail(arrow, "expected '->' in map syntax")
         if not want_map and out_entries is not None:
             tk._fail(arrow, "unexpected '->' in set syntax")
-        cond_slice = None
-        if tk.accept(":"):
-            start = tk.i
-            depth = 0
-            while tk.i < len(tk.toks):
-                v = tk.toks[tk.i][1]
-                if v in ("(", "["):
-                    depth += 1
-                elif v in (")", "]"):
-                    depth -= 1
-                elif v in (";", "}") and depth == 0:
-                    break
-                tk.next()
-            cond_slice = (start, tk.i)
+        cond_slice = tk.bracketed((";", "}")) if tk.accept(":") else None
         pieces_raw.append((piece_at, in_name, in_entries, out_name, out_entries, cond_slice))
         if tk.accept(";"):
             continue
@@ -324,22 +322,14 @@ def _parse_body(text: str, want_map: bool):
                 if env[e[1]] != pos:
                     cons.append(eq0(AffineExpr.var(arity, pos) - AffineExpr.var(arity, env[e[1]])))
             else:
-                sub = _Tokens("")
-                sub.text = tk.text
-                sub.toks = tk.toks[e[1][0] : e[1][1]]
-                sub.i = 0
-                expr = _parse_expr(sub, env, arity)
-                if not sub.done():
-                    tk._fail(tk.toks[e[1][0]][2], "bad tuple entry expression")
+                expr = tk.parse_run(
+                    e[1], lambda t: _parse_expr(t, env, arity), "bad tuple entry expression"
+                )
                 cons.append(eq0(AffineExpr.var(arity, pos) - expr))
         if cond_slice is not None and cond_slice[0] != cond_slice[1]:
-            sub = _Tokens("")
-            sub.text = tk.text
-            sub.toks = tk.toks[cond_slice[0] : cond_slice[1]]
-            sub.i = 0
-            cons.extend(_parse_condition(sub, env, arity))
-            if not sub.done():
-                tk._fail(tk.toks[cond_slice[0]][2], "bad condition")
+            cons.extend(
+                tk.parse_run(cond_slice, lambda t: _parse_condition(t, env, arity), "bad condition")
+            )
         pieces.append(cons)
     return space_names, dims_in, dims_out, pieces
 
@@ -425,26 +415,23 @@ def _split_signed(expr: AffineExpr, names: Sequence[str]):
     return format_expr(pos, names), format_expr(neg, names)
 
 
-def _format_piece_condition(piece, names: Sequence[str]) -> str:
-    from .isets import _interval_signatures  # local helper
-
+def _format_piece_condition(arity: int, piece: Piece, names: Sequence[str]) -> str:
     rendered: list[str] = []
     used: set = set()
     # Interval chains first: lo <= e <= hi for groups on one expression.
-    for others, canon, lo, hi in _interval_signatures(tuple(piece)):
+    for others, canon, lo, hi in _interval_signatures(piece):
         if lo is None or hi is None or lo == hi:
             continue
-        others_set = set(others)
-        members = [c for c in piece if c not in others_set]
-        if len(members) < 2 or any(c in used for c in members):
+        members = [r for r in piece.rows if r not in others]
+        if len(members) < 2 or any(r in used for r in members):
             continue
-        rendered.append(f"{lo} <= {format_expr(canon, names)} <= {hi}")
+        rendered.append(f"{lo} <= {format_expr(row_expr(arity, piece, canon), names)} <= {hi}")
         used.update(members)
-    for c in piece:
-        if c in used:
+    for r in piece.rows:
+        if r in used:
             continue
-        lhs, rhs = _split_signed(c.expr, names)
-        rendered.append(f"{lhs} = {rhs}" if c.is_eq else f"{lhs} >= {rhs}")
+        lhs, rhs = _split_signed(row_expr(arity, piece, r[1:-1], r[-1]), names)
+        rendered.append(f"{lhs} = {rhs}" if r[0] else f"{lhs} >= {rhs}")
     return " and ".join(rendered)
 
 
@@ -456,84 +443,10 @@ def format_set(s: IntSet) -> str:
         return "{ " + body + " }"
     parts = []
     for piece in s.pieces:
-        cond = _format_piece_condition(piece, names)
+        cond = _format_piece_condition(s.arity, piece, names)
         tup = f"{prefix}[{', '.join(names)}]"
         parts.append(f"{tup} : {cond}" if cond else tup)
     return "{ " + "; ".join(parts) + " }"
-
-
-def _solve_block(piece, arity: int, block: Sequence[int], free: Sequence[int]):
-    """Express each dim in `block` via the piece's constraints over `free`
-    dims only: either a unit-coefficient equality, or an interval pair
-    0 <= e - d*pos <= d-1 which pins pos = floor(e/d).
-
-    Returns (exprs keyed by block position, ids of the consumed
-    constraints) or None if some block dim cannot be expressed.
-    """
-    from .isets import _interval_signatures
-
-    exprs: dict[int, AffineExpr] = {}
-    consumed: set[int] = set()
-    free_set = set(free)
-    for pos in block:
-        found = False
-        for c in piece:
-            if id(c) in consumed or not c.is_eq:
-                continue
-            coeff = c.expr.coeffs[pos]
-            if abs(coeff) != 1 or c.expr.dim_in_div(pos):
-                continue
-            bad = any(
-                (c.expr.uses_dim(i) and i not in free_set)
-                for i in range(arity)
-                if i != pos
-            )
-            if bad:
-                continue
-            rest = AffineExpr(
-                tuple(0 if i == pos else v for i, v in enumerate(c.expr.coeffs)),
-                c.expr.const,
-                c.expr.divs,
-            )
-            exprs[pos] = rest.scale(-coeff)
-            consumed.add(id(c))
-            found = True
-            break
-        if not found:
-            # floordiv recovery: 0 <= e - d*pos <= d-1  pins  pos = floor(e/d)
-            for others, canon, lo, hi in _interval_signatures(tuple(piece)):
-                d = -canon.coeffs[pos]
-                sign = 1
-                if d < 0:
-                    d, sign, lo, hi = -d, -1, None if hi is None else -hi, None if lo is None else -lo
-                if d <= 0 or (lo, hi) != (0, d - 1) or canon.dim_in_div(pos):
-                    continue
-                canon_n = canon.scale(sign)
-                if any(
-                    canon_n.uses_dim(i) and i not in free_set
-                    for i in range(arity)
-                    if i != pos
-                ):
-                    continue
-                others_set = set(others)
-                members = [c for c in piece if c not in others_set]
-                if any(id(c) in consumed for c in members):
-                    continue
-                e = AffineExpr(
-                    tuple(0 if i == pos else v for i, v in enumerate(canon_n.coeffs)),
-                    canon_n.const,
-                    canon_n.divs,
-                )
-                try:
-                    exprs[pos] = AffineExpr((0,) * arity, 0, (DivTerm(1, e, d),))
-                except ValueError:
-                    continue  # would exceed div nesting
-                consumed.update(id(c) for c in members)
-                found = True
-                break
-        if not found:
-            return None
-    return exprs, consumed
 
 
 def format_map(m: IntMap, solve_side: str = "out") -> str:
@@ -560,20 +473,10 @@ def format_map(m: IntMap, solve_side: str = "out") -> str:
         free = list(range(n_in))
     parts = []
     for piece in m.pieces:
-        solved = _solve_block(piece, arity, block, free)
+        solved = solve_block(arity, piece, block, free)
         if solved is not None:
-            exprs, consumed = solved
-            subst = [AffineExpr.var(arity, i) for i in range(arity)]
-            for pos, e in exprs.items():
-                subst[pos] = e
-            remaining = normalize_piece(
-                Constraint(c.expr.substitute(subst), c.is_eq)
-                for c in piece
-                if id(c) not in consumed
-            )
-            if remaining is None:
-                remaining = ()
-            cond = _format_piece_condition(remaining, all_names)
+            exprs, remaining = solved
+            cond = _format_piece_condition(arity, remaining or Piece(), all_names)
             if solve_side == "in":
                 in_tuple = ", ".join(format_expr(exprs[i], all_names) for i in block)
                 tup = f"{dom_prefix}[{in_tuple}] -> {ran_prefix}[{', '.join(out_names)}]"
@@ -581,7 +484,7 @@ def format_map(m: IntMap, solve_side: str = "out") -> str:
                 out_tuple = ", ".join(format_expr(exprs[i], all_names) for i in block)
                 tup = f"{dom_prefix}[{', '.join(in_names)}] -> {ran_prefix}[{out_tuple}]"
         else:
-            cond = _format_piece_condition(piece, all_names)
+            cond = _format_piece_condition(arity, piece, all_names)
             tup = (
                 f"{dom_prefix}[{', '.join(in_names)}] -> "
                 f"{ran_prefix}[{', '.join(out_names)}]"

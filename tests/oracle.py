@@ -24,6 +24,7 @@ from polydist.isets import (
     _map_same_shape,
     apply,
     compose,
+    conjoin,
     enumerate_set,
     eq0,
     ge0,
@@ -347,7 +348,7 @@ def strict_prefix_holds_symbolic(scop, fam, level: int) -> bool:
         violation_alternatives.append(alt)
     for piece in fam.rel.pieces:
         for alt in violation_alternatives:
-            bad = IntSet.make(fam.rel.space, [tuple(piece) + tuple(alt)])
+            bad = IntSet.make(fam.rel.space, [conjoin(piece, alt)])
             if not is_empty(bad):
                 return False
     return True

@@ -1,5 +1,6 @@
 """The output contract: plan, trace and final contents of the shipped
-configurations below, pinned by sha256.  A change to any of them must say why."""
+configurations below, and the analysis dumps of two of them, pinned by
+sha256.  A change to any of them must say why."""
 
 import hashlib
 
@@ -41,4 +42,29 @@ def test_simulate_outputs_pinned(scops_dir, tmp_path, scop, grid):
             "--dump", "plan,trace", "--seed", "7", "--out", str(tmp_path)]
     assert main(argv) == 0
     for name, digest in EXPECTED[(scop, grid)].items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+# gol16's dumps are golden files; these two configurations print the
+# floor(k0/2) and floor(k0/16) placement maps and their own dependence splits.
+ANALYSIS = {
+    ("gol16_fused", "8x8"): {
+        "deps.txt": "d33d7d1a5256e4799f0d236d6ac5b7a7464f59035cc2a45223925a658881cc8b",
+        "placements.txt": "50a6e5975b5decf7bea021014b6bfbef59ab3f08ef94a2a8a0e91fd59192dd99",
+        "chunks.txt": "4d9996f9d0cf5882095e77c58a5bd9b6f73aad09ae9d0b95c97606d961abc90a",
+    },
+    ("gol32", "2x2"): {
+        "deps.txt": "9af5c7dfb665400ae8a63bbfb4c608fe56cdfd3968dc8658b45542b8660f6166",
+        "placements.txt": "e48340ad0eabfa874847009de52dddad8c66da36ac6af282bf0cdbee810083db",
+        "chunks.txt": "4d9996f9d0cf5882095e77c58a5bd9b6f73aad09ae9d0b95c97606d961abc90a",
+    },
+}
+
+
+@pytest.mark.parametrize("scop, grid", sorted(ANALYSIS))
+def test_analysis_dumps_pinned(scops_dir, tmp_path, scop, grid):
+    argv = ["analyze", str(scops_dir / f"{scop}.scop"), "--grid", grid,
+            "--dump", "deps,place,chunk", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    for name, digest in ANALYSIS[(scop, grid)].items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name

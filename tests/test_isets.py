@@ -14,16 +14,20 @@ from polydist.isets import (
     lexmax,
     lexmin,
     map_union,
+    restrict_domain,
     select_lex_extreme,
     subtract,
     union,
 )
-from polydist.syntax import parse_map, parse_set
+from polydist.syntax import format_map, parse_expr, parse_map, parse_set
 
 from oracle import (
+    evaluate_point,
     identity_map,
     is_single_valued,
     maps_equal,
+    ref_apply,
+    ref_compose,
     set_from_points,
     sets_equal,
     transitive_closure,
@@ -207,3 +211,19 @@ def _pair_map(a, b):
     for i, v in enumerate(b):
         cons.append(eq0(AffineExpr.var(2 * n, n + i).plus_const(-v)))
     return IntMap.make(sp, sp, [cons])
+
+
+def test_floor_nested_three_deep_against_oracle():
+    """A map through floor(floor(floor(x/2)/3)/2): each floor is one more
+    division column, so apply and compose project it like any other."""
+    X, Y, Z = Space("X", ("x",)), Space("Y", ("a", "b")), Space("Z", ("c",))
+    exprs = [parse_expr(t, X) for t in ("floor(floor(floor(x/2)/3)/2)", "x - 4*floor(x/4)")]
+    f = restrict_domain(IntMap.from_exprs(X, Y, exprs), setp("{ [x] : 0 <= x <= 40 }", X))
+    pairs = enumerate_set(f.as_set())
+    assert pairs == [(x,) + tuple(evaluate_point(e, (x,)) for e in exprs) for x in range(41)]
+    assert maps_equal(parse_map(format_map(f), dom=X, ran=Y), f)
+    s = setp("{ [x] : 5 <= x <= 30 and floor(x/3) = 2*floor(x/6) }", X)
+    assert enumerate_set(apply(f, s)) == ref_apply(pairs, enumerate_set(s), 1)
+    g = parse_map("{ [a, b] -> [floor((a + floor(b/2))/2)] : 0 <= a <= 5 and 0 <= b <= 3 }", Y, Z)
+    got = enumerate_set(compose(g, f).as_set())
+    assert got == ref_compose(pairs, enumerate_set(g.as_set()), 1, 2)
