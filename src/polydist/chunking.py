@@ -13,10 +13,11 @@ every value travels alone.
 
 All three conditions are checked on enumerated instances.  The two order
 conditions come from one pass over the family's pair table, and
-collapsing is a quotient of the numbered instance graph, where cycle
-detection is exact on these finite scops.  The symbolic order checks, the
-symbolic transitive closure and a depth-first cycle search in
-``tests/oracle.py`` are the test-side cross-checks.
+collapsing is a quotient of the numbered instance graph, where Kahn's
+algorithm peels numpy frontiers of source nodes; on these finite scops
+the cycle check is exact.  The symbolic order checks, the symbolic
+transitive closure and a depth-first cycle search in ``tests/oracle.py``
+are the test-side cross-checks.
 """
 
 from __future__ import annotations
@@ -53,6 +54,14 @@ class ChunkingFn:
             return tuple(point)
         return tuple(v if d in self.kept_dims else 0 for d, v in enumerate(point))
 
+    def apply_rows(self, points: np.ndarray) -> np.ndarray:
+        """apply_point on every row of a point table: the non-kept columns zeroed."""
+        if self.level is None:
+            return points
+        out = np.zeros_like(points)
+        out[:, self.kept_dims] = points[:, self.kept_dims]
+        return out
+
     def as_map(self) -> IntMap:
         n = self.space.arity
         exprs = []
@@ -72,26 +81,29 @@ def _collapsed_has_cycle(dep: DepGraph, phi: ChunkingFn) -> bool:
     """Cycle in the instance graph after merging each chunk of phi into one
     node.  Each consumer instance is renumbered to the first instance of
     its chunk, so an edge inside one chunk becomes a self-loop.  Kahn's
-    algorithm then removes nodes without predecessors; what is left lies
-    on or behind a cycle."""
+    algorithm then removes whole frontiers of nodes without predecessors
+    at once, with numpy, reading successors from the edges sorted by
+    producer (CSR); what is left lies on or behind a cycle."""
     cons = dep.scop.statement(phi.consumer)
     base, first = dep.offsets[phi.consumer], {}
-    merged = {base + r: base + first.setdefault(phi.apply_point(p), r)
-              for r, p in enumerate(cons.rows)}
-    src, dst = ([merged.get(v, v) for v in ends.tolist()] for ends in dep.edges)
-    n = max(src + dst, default=-1) + 1
-    succ: list = [[] for _ in range(n)]
-    indegree = [0] * n
-    for a, b in zip(src, dst):
-        succ[a].append(b)
-        indegree[b] += 1
-    ready = [v for v in range(n) if not indegree[v]]
-    for v in ready:
-        for w in succ[v]:
-            indegree[w] -= 1
-            if not indegree[w]:
-                ready.append(w)
-    return len(ready) < n
+    reps = map(tuple, phi.apply_rows(cons.instances).tolist())
+    lead = np.array([first.setdefault(p, r) for r, p in enumerate(reps)], dtype=np.int64)
+    n = sum(len(s.instances) for s in dep.scop.statements)
+    renumber = np.arange(n)
+    renumber[base : base + len(lead)] = base + lead
+    src, dst = (renumber[ends] for ends in dep.edges)
+    order = np.argsort(src, kind="stable")
+    succ, start = dst[order], np.searchsorted(src[order], np.arange(n + 1))
+    indegree = np.bincount(dst, minlength=n)
+    frontier = np.flatnonzero(indegree == 0)
+    while len(frontier):
+        lo, count = start[frontier], start[frontier + 1] - start[frontier]
+        ends = np.cumsum(count)
+        hit, times = np.unique(succ[np.arange(ends[-1]) + np.repeat(lo - ends + count, count)],
+                               return_counts=True)
+        indegree[hit] -= times
+        frontier = hit[indegree[hit] == 0]
+    return bool(indegree.any())  # a node never peeled keeps a predecessor
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Communication plan generation.
 
 Resolves the transfers (which producer execution, on which node, feeds
-which consumer execution with which field element), groups them into
-chunks via the chunking functions, and emits the six-call protocol per
-chunk and (source, destination) pair:
+which consumer execution with which field element) row by row from the
+family pair tables, groups them into chunks via the chunking functions,
+and emits the six-call protocol per chunk and (source, destination) pair:
 
     send_wait   one step before the chunk's first producer execution
     buffer writes   at the producer executions (replacing local stores)
@@ -26,7 +26,9 @@ from buffers only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
+from operator import itemgetter
 from typing import Optional
 
 from .deps import EPILOGUE, PROLOGUE, DepGraph, FlowFamily
@@ -65,6 +67,8 @@ class TransferTuple:
     consumer_node: tuple
     fieldname: str
     element: tuple
+    producer_row: int  # the instances' rows in Statement.instances
+    consumer_row: int
 
 
 @dataclass(frozen=True)
@@ -109,7 +113,10 @@ class Channel:
         return self.src == self.dst
 
 
-@dataclass(frozen=True)
+_PHASE = {"recv": 0, "send": 1, "recv_wait": 2, "send_wait": 3}
+
+
+@dataclass(slots=True)
 class Event:
     node: tuple
     scatter: tuple
@@ -124,8 +131,7 @@ class Event:
     rank: int = -1
 
     def sort_key(self):
-        phase = {"recv": 0, "send": 1, "recv_wait": 2, "send_wait": 3}.get(self.kind, 4)
-        return (self.scatter, phase, self.cid, self.rank, self.stmt, self.instance)
+        return (self.scatter, _PHASE.get(self.kind, 4), self.cid, self.rank, self.stmt, self.instance)
 
 
 @dataclass
@@ -159,43 +165,33 @@ def build_transfers(dep: DepGraph, sp: StmtPlacement, fp: FieldPlacement, chunki
     consumer's own node when the producer runs there, else the smallest
     node the producer runs on.  For the virtual prologue the producer
     nodes are the element's homes; for the virtual epilogue the consumer
-    nodes are.
+    nodes are.  Nodes are looked up by instance row, element homes and
+    chunk representatives are taken column-wise from the family table.
     """
-    exec_nodes = sp.table
+    nodes = {s.id: [sp.table[s.id].get(p, []) for p in s.rows] for s in dep.scop.statements}
     out: dict = {}
-    for fam in dep.field_families():
+    for fam, (prod_rows, cons_rows) in zip(dep.families, dep.pair_rows):
+        if fam.kind != "field":
+            continue
         key = _family_key(fam)
         phi = chunkings.get((fam.producer, fam.consumer, fam.ref))
         single_chunk = fam.producer == PROLOGUE or fam.consumer == EPILOGUE
         if phi is None and not single_chunk:
             raise AnalysisError(f"no chunking function for family {key}")
-        tuples = []
-        for ig, ic, k in fam.pairs():
-            if fam.producer == PROLOGUE:
-                prod_nodes = [block_home(k, fp.block_extents[fam.ref])]
-            else:
-                prod_nodes = exec_nodes[fam.producer][ig]
-            if fam.consumer == EPILOGUE:
-                cons_nodes = [block_home(k, fp.block_extents[fam.ref])]
-            else:
-                cons_nodes = exec_nodes[fam.consumer][ic]
-            rep = () if single_chunk else phi.apply_point(ic)
-            for pc in cons_nodes:
-                pg = pc if pc in prod_nodes else min(prod_nodes)
-                tuples.append(
-                    TransferTuple(
-                        representative=rep,
-                        producer=fam.producer,
-                        producer_instance=ig,
-                        producer_node=pg,
-                        consumer=fam.consumer,
-                        consumer_instance=ic,
-                        consumer_node=pc,
-                        fieldname=fam.ref,
-                        element=k,
-                    )
-                )
-        out[key] = tuples
+        pairs, prod_rows, cons_rows = fam.pairs(), prod_rows.tolist(), cons_rows.tolist()
+        if single_chunk:
+            homes = [[block_home(k, fp.block_extents[fam.ref])] for _, _, k in pairs]
+            reps = [()] * len(pairs)
+        else:
+            reps = map(tuple, phi.apply_rows(fam.table[:, fam.n_prod : fam.n_prod + fam.n_cons]).tolist())
+        prod = homes if fam.producer == PROLOGUE else [nodes[fam.producer][r] for r in prod_rows]
+        cons = homes if fam.consumer == EPILOGUE else [nodes[fam.consumer][r] for r in cons_rows]
+        out[key] = [
+            TransferTuple(rep, fam.producer, ig, pc if pc in pn else pn[0], fam.consumer, ic, pc,
+                          fam.ref, k, rg, rc)
+            for (ig, ic, k), pn, cn, rep, rg, rc in zip(pairs, prod, cons, reps, prod_rows, cons_rows)
+            for pc in cn
+        ]
     return out
 
 
@@ -225,12 +221,9 @@ def emit_protocol(
     sp: StmtPlacement,
     chunked: dict,
 ) -> CommPlan:
-    """Assemble the per-node event lists from grouped transfers."""
-    stmts = {s.id: s for s in scop.statements}
+    """Assemble the per-node event lists from grouped transfers; scatters
+    and buffer bindings go by instance row."""
     dilated = {s.id: [tuple(2 * v for v in sc) for sc in s.scatters] for s in scop.statements}
-
-    def dil(sid, point):
-        return dilated[sid][stmts[sid].rows[point]]
 
     # one channel per (family, src, dst) in order of first appearance, its
     # transfers grouped by chunk representative
@@ -242,12 +235,9 @@ def emit_protocol(
                 by_channel.setdefault(ck, {}).setdefault(rep, []).append(t)
 
     channels: list = []
-    read_bindings: dict = {}  # (consumer, instance, node) -> (cid, rank)
-    write_bindings: dict = {}  # (producer, instance, node) -> [(cid, rank)]
+    read_bindings: dict = {}  # (consumer, row, node) -> (cid, rank)
+    write_bindings: dict = {}  # (producer, row, node) -> [(cid, rank)]
     events: dict = {}
-
-    def emit(node, ev: Event):
-        events.setdefault(node, []).append(ev)
 
     for cid, ((key, src, dst), chunks) in enumerate(by_channel.items()):
         first = next(iter(chunks.values()))[0]
@@ -258,36 +248,35 @@ def emit_protocol(
         layout = BufferLayout(fieldname=fld.name, box=box)
         channels.append(Channel(cid=cid, family=key, src=src, dst=dst, tag=cid,
                                 layout=layout, element_type=fld.element_type))
+        at_src, at_dst = events.setdefault(src, []), events.setdefault(dst, [])
+        prod_scatters, cons_scatters = dilated[first.producer], dilated[first.consumer]
         for rep, group in chunks.items():
             chunk = f"{key}@{_fmt_tuple(rep)}"
-            ranked = sorted(((buffer_rank(layout, t.element), t) for t in group),
-                            key=lambda rt: rt[0])
-            prod = [dil(t.producer, t.producer_instance) for t in group]
-            cons = [dil(t.consumer, t.consumer_instance) for t in group]
-            for node, kind, scatter in (
-                (src, "send_wait", _offset_last(min(prod), -1)),
-                (src, "send", _offset_last(max(prod), +1)),
-                (dst, "recv_wait", _offset_last(min(cons), -1)),
-                (dst, "recv", _offset_last(max(cons), +1)),
-            ):
-                emit(node, Event(node=node, scatter=scatter, kind=kind, chunk=chunk, cid=cid))
+            ranked = sorted(((buffer_rank(layout, t.element), t) for t in group), key=itemgetter(0))
+            prod = [prod_scatters[t.producer_row] for t in group]
+            cons = [cons_scatters[t.consumer_row] for t in group]
+            at_src.append(Event(src, _offset_last(min(prod), -1), "send_wait", chunk=chunk, cid=cid))
+            at_src.append(Event(src, _offset_last(max(prod), +1), "send", chunk=chunk, cid=cid))
+            at_dst.append(Event(dst, _offset_last(min(cons), -1), "recv_wait", chunk=chunk, cid=cid))
+            at_dst.append(Event(dst, _offset_last(max(cons), +1), "recv", chunk=chunk, cid=cid))
             filled = set()
             for rank, t in ranked:
                 if fills:
                     if rank not in filled:
                         filled.add(rank)
-                        emit(src, Event(node=src, scatter=prod[0], kind="buffer_fill",
-                                        chunk=chunk, cid=cid, element=t.element, rank=rank))
+                        at_src.append(Event(src, prod[0], "buffer_fill", chunk=chunk, cid=cid,
+                                            element=t.element, rank=rank))
                 else:
-                    wkey = (t.producer, t.producer_instance, src)
+                    wkey = (t.producer, t.producer_row, src)
                     write_bindings.setdefault(wkey, []).append((cid, rank))
                 if drains:
-                    emit(dst, Event(node=dst, scatter=cons[0], kind="buffer_drain",
-                                    chunk=chunk, cid=cid, element=t.element, rank=rank))
+                    at_dst.append(Event(dst, cons[0], "buffer_drain", chunk=chunk, cid=cid,
+                                        element=t.element, rank=rank))
                 else:
-                    rkey = (t.consumer, t.consumer_instance, dst)
+                    rkey = (t.consumer, t.consumer_row, dst)
                     if rkey in read_bindings:
-                        raise AnalysisError(f"double read binding for {rkey}")
+                        raise AnalysisError(
+                            f"double read binding for {(t.consumer, t.consumer_instance, dst)}")
                     read_bindings[rkey] = (cid, rank)
 
     # compute events for every execution of every real statement, row by row
@@ -303,17 +292,19 @@ def emit_protocol(
             for node in placed.get(inst, ()):
                 read_from = None
                 if reads:
-                    read_from = read_bindings.get((s.id, inst, node))
+                    read_from = read_bindings.get((s.id, row, node))
                     if read_from is None:
                         raise AnalysisError(f"unbound read for {s.id}{inst} on {node}")
                 writes = [("storage",)] if homes is not None and homes[row] == node else []
-                for cid, rank in sorted(set(write_bindings.get((s.id, inst, node), []))):
-                    writes.append(("buffer", cid, rank))
-                emit(node, Event(node=node, scatter=scatter, kind="compute", stmt=s.id,
-                                 instance=inst, read_from=read_from, writes=tuple(writes)))
+                bound = write_bindings.get((s.id, row, node))
+                if bound:
+                    writes += [("buffer", cid, rank) for cid, rank in sorted(set(bound))]
+                events.setdefault(node, []).append(Event(
+                    node, scatter, "compute", stmt=s.id, instance=inst, read_from=read_from,
+                    writes=tuple(writes)))
 
-    for node in events:
-        events[node].sort(key=Event.sort_key)
+    for evs in events.values():
+        evs.sort(key=Event.sort_key)
 
     return CommPlan(
         name=scop.name,
@@ -337,7 +328,7 @@ def compile_plan(scop: Scop, dep: DepGraph, fp: FieldPlacement, sp: StmtPlacemen
 
 
 def _fmt_tuple(t) -> str:
-    return "(" + ",".join(str(v) for v in t) + ")"
+    return "(" + ",".join(map(str, t)) + ")"
 
 
 def _parse_tuple(text: str) -> tuple:
@@ -395,7 +386,8 @@ def _parse_writes(text: str, channels: list):
 
 
 def dump_plan(plan: CommPlan) -> str:
-    lines = [f"plan {plan.name} grid={_fmt_tuple(plan.grid)} scatter_arity={plan.scatter_arity}"]
+    fmt = lru_cache(maxsize=None)(_fmt_tuple)  # each distinct tuple formatted once
+    lines = [f"plan {plan.name} grid={fmt(plan.grid)} scatter_arity={plan.scatter_arity}"]
     decls = [FieldDecl(name=n, element_type=t, extents=e) for n, t, e in plan.fields]
     homes = block_distribute(decls, ClusterGrid(plan.grid)).maps
     for name, etype, extents in plan.fields:
@@ -404,33 +396,31 @@ def dump_plan(plan: CommPlan) -> str:
             f"field {name} {etype} extents={_fmt_tuple(extents)} block={_fmt_tuple(block)}"
         )
         lines.append(f"fieldmap {name} {format_map(homes[name])}")
+    ends = []  # per channel, the tail of its send and recv lines
     for ch in plan.channels:
         box = ";".join(f"{lo}:{hi}" for lo, hi in ch.layout.box)
+        ends.append(f"src={fmt(ch.src)} dst={fmt(ch.dst)} tag={ch.tag} size={ch.layout.size}")
         lines.append(
-            f"channel cid={ch.cid} family={ch.family} src={_fmt_tuple(ch.src)} "
-            f"dst={_fmt_tuple(ch.dst)} tag={ch.tag} size={ch.layout.size} "
+            f"channel cid={ch.cid} family={ch.family} {ends[-1]} "
             f"elem={ch.element_type} box=[{box}]"
             + (" loopback" if ch.loopback else "")
         )
     for node in sorted(plan.events):
+        at = f"node={fmt(node)} t="
         for ev in plan.events[node]:
-            base = f"node={_fmt_tuple(node)} t={_fmt_tuple(ev.scatter)} kind={ev.kind}"
+            base = f"{at}{fmt(ev.scatter)} kind={ev.kind}"
             if ev.kind == "compute":
                 read = "storage" if ev.read_from is None else f"buf:{ev.read_from[0]}@{ev.read_from[1]}"
                 lines.append(
-                    f"{base} stmt={ev.stmt} i={_fmt_tuple(ev.instance)} "
+                    f"{base} stmt={ev.stmt} i={fmt(ev.instance)} "
                     f"read={read} write={_fmt_writes(ev.writes)}"
                 )
             elif ev.kind in ("buffer_fill", "buffer_drain"):
                 lines.append(
-                    f"{base} chunk={ev.chunk} cid={ev.cid} elem={_fmt_tuple(ev.element)} rank={ev.rank}"
+                    f"{base} chunk={ev.chunk} cid={ev.cid} elem={fmt(ev.element)} rank={ev.rank}"
                 )
             else:
-                ch = plan.channels[ev.cid]
-                lines.append(
-                    f"{base} chunk={ev.chunk} src={_fmt_tuple(ch.src)} dst={_fmt_tuple(ch.dst)} "
-                    f"tag={ch.tag} size={ch.layout.size}"
-                )
+                lines.append(f"{base} chunk={ev.chunk} {ends[ev.cid]}")
     return "\n".join(lines) + "\n"
 
 

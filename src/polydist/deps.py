@@ -192,16 +192,26 @@ class DepGraph:
         return {s.id: int(n) for s, n in zip(self.scop.statements, sizes)}
 
     @cached_property
+    def pair_rows(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per family, in ``families`` order, the producer's and consumer's
+        rows in ``Statement.instances``, one per pair in table order."""
+        out = []
+        for fam in self.families:
+            cols = np.split(fam.table, [fam.n_prod, fam.n_prod + fam.n_cons], axis=1)
+            stmts = (self.scop.statement(fam.producer), self.scop.statement(fam.consumer))
+            out.append(tuple(np.array([s.rows[p] for p in map(tuple, c.tolist())], dtype=np.int64)
+                             for s, c in zip(stmts, cols)))
+        return out
+
+    @cached_property
     def edges(self) -> tuple[np.ndarray, np.ndarray]:
         """The pairs of every family, field and scalar, as (producer number,
         consumer number) arrays."""
-        ends: tuple = ([], [])
-        for fam in self.families:
-            cols = np.split(fam.table, [fam.n_prod, fam.n_prod + fam.n_cons], axis=1)
-            for out, sid, points in zip(ends, (fam.producer, fam.consumer), cols):
-                rows, base = self.scop.statement(sid).rows, self.offsets[sid]
-                out += (base + rows[p] for p in map(tuple, points.tolist()))
-        return np.array(ends[0], dtype=np.int64), np.array(ends[1], dtype=np.int64)
+        ends: tuple = ([np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)])
+        for fam, rows in zip(self.families, self.pair_rows):
+            for out, sid, r in zip(ends, (fam.producer, fam.consumer), rows):
+                out.append(self.offsets[sid] + r)
+        return np.concatenate(ends[0]), np.concatenate(ends[1])
 
 
 # ---------------------------------------------------------------------------

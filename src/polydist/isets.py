@@ -37,6 +37,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
+from operator import neg
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -615,17 +616,6 @@ def propagate(arity: int, piece: Piece):
     return tuple(bounds[:arity])
 
 
-def piece_box(arity: int, piece: Piece):
-    """Finite bounding box of a piece; None if empty; raises if unbounded."""
-    bounds = propagate(arity, piece)
-    if bounds is None:
-        return None
-    for k, (lo, hi) in enumerate(bounds):
-        if lo is None or hi is None:
-            raise UnboundedSet(f"dimension {k} is unbounded")
-    return bounds
-
-
 # ---------------------------------------------------------------------------
 # Box scanning (polyhedral scanning of a finite box, evaluated with numpy)
 
@@ -642,9 +632,10 @@ class _ScanProgram:
     The columns are the piece's: dimensions, then division columns.  Free
     dimensions come from the box (flat index -> index // stride % extent +
     lo, so ravel order is lexicographic).  Each stage (cols, rows, consts,
-    divs) then fills its columns at once with (y @ rows + consts) // divs,
-    and a point is kept when y @ checks + bases >= 0 in every column (an
-    equality appears as two opposite inequalities).
+    divs) then computes columns at once as (y @ rows + consts) // divs:
+    division columns, and dims that equalities or block bounds define.  A
+    point is kept when y @ checks + bases >= 0 in every column (an equality
+    appears as two opposite inequalities).
     """
 
     volume: int
@@ -667,11 +658,12 @@ def _scan_program(arity: int, piece: Piece) -> Optional[_ScanProgram]:
     """How to scan a non-empty piece, or None when the scan does not apply.
 
     Division columns are computed from their definitions.  Each equality
-    with a unit coefficient on a dimension defines that dimension from the
-    other columns (the highest such dimension that closes no cycle).  The
-    remaining free dimensions span the box to scan; every other row is
-    checked point by point.  None when a dimension is unbounded (the
-    search reports that) or when int64 evaluation could overflow.
+    with a unit coefficient on a dimension, and each block-bounded
+    dimension d*x <= e <= d*x + d - 1 (how block maps hold node dims),
+    defines that dimension from the other columns (the highest one that
+    closes no cycle).  The remaining free dimensions span the box to scan;
+    every other row is checked point by point.  None when a dimension is
+    unbounded (the search reports that) or int64 evaluation could overflow.
     """
     bounds = propagate(arity, piece)
     if any(lo is None or hi is None for lo, hi in bounds):
@@ -690,24 +682,40 @@ def _scan_program(arity: int, piece: Piece) -> Optional[_ScanProgram]:
                 stack.extend(steps[j][0])
         return False
 
+    def computes(k: int, rest: dict, const: int, d: int) -> bool:
+        """Compute dim k as floor((rest + const) / d) unless that closes a cycle."""
+        if k in steps or reaches(rest, k):
+            return False
+        steps[k] = (rest, const, d)
+        return True
+
     rows, bases = [], []
     for r in piece.rows:
         row, const = _sparse(r), r[-1]
         if r[0]:
             for k in sorted((j for j in row if j < arity and abs(row[j]) == 1), reverse=True):
-                rest = {j: v for j, v in row.items() if j != k}
-                if k not in steps and not reaches(rest, k):
-                    a = row[k]  # a*x_k + rest + const == 0 with a in {1, -1}
-                    steps[k] = ({j: -a * v for j, v in rest.items()}, -a * const, 1)
+                a = row[k]  # a*x_k + rest + const == 0 with a in {1, -1}
+                if computes(k, {j: -a * v for j, v in row.items() if j != k}, -a * const, 1):
                     break
             else:
-                rows.append({j: -v for j, v in row.items()})
-                bases.append(-const)
-                rows.append(row)
-                bases.append(const)
+                rows += [{j: -v for j, v in row.items()}, row]
+                bases += [-const, const]
             continue
         rows.append(row)
         bases.append(const)
+
+    # Rows e - d*x >= 0 and d*x - e + d - 1 >= 0 (negated coefficients,
+    # constants summing to d - 1 >= 1) compute x = floor(e/d), staying checks
+    uppers = [r for r in piece.rows if not r[0] and min(r[1 : arity + 1], default=0) < -1]
+    partners: dict = {}
+    for r in piece.rows if uppers else ():
+        partners.setdefault(r[1:-1], []).append(r[-1])
+    for r in uppers:
+        row = _sparse(r)
+        for d in [r[-1] + b + 1 for b in partners.get(tuple(map(neg, r[1:-1])), ())]:
+            dims = sorted((j for j in row if j < arity and row[j] == -d), reverse=True)
+            if any(computes(k, {j: v for j, v in row.items() if j != k}, r[-1], d) for k in dims):
+                break
 
     free = [d for d in range(arity) if d not in steps]
     level = {d: 0 for d in free}
@@ -822,15 +830,13 @@ def _search_piece(arity: int, piece: Piece, descending: bool):
     into the rows, and interval propagation prunes empty subtrees.  Once
     every remaining row is linear in a single dimension, the propagated
     bounds are exact and independent, so the rest of the subtree is a box
-    and is emitted wholesale.  Raises UnboundedSet when a dimension to
-    branch on or emit is unbounded.
+    and is emitted wholesale.  ``_dim_range`` ranges each dimension and
+    raises UnboundedSet for an unbounded one.
     """
     point = [0] * arity
 
-    def values(bounds, d):
-        lo, hi = bounds[d]
-        if lo is None or hi is None:
-            raise UnboundedSet(f"dimension {d} is unbounded")
+    def values(cons, bounds, d):
+        lo, hi = _dim_range(arity, cons, d, bounds) or (0, -1)
         return range(hi, lo - 1, -1) if descending else range(lo, hi + 1)
 
     def rec(cons: Piece, d: int):
@@ -839,11 +845,11 @@ def _search_piece(arity: int, piece: Piece, descending: bool):
             return
         coeffs = [r[1:-1] for r in cons.rows]
         if all(sum(map(bool, c)) <= 1 and not any(c[arity:]) for c in coeffs):
-            for tail in itertools.product(*(values(bounds, k) for k in range(d, arity))):
+            for tail in itertools.product(*(values(cons, bounds, k) for k in range(d, arity))):
                 point[d:] = tail
                 yield tuple(point)
             return
-        for v in values(bounds, d):
+        for v in values(cons, bounds, d):
             nxt = _assign(cons, d, v)
             if nxt is not None:
                 point[d] = v
@@ -955,34 +961,16 @@ def _eliminate_dim(arity: int, piece: Piece, k: int) -> list[Piece]:
     # Non-unit equalities fall through to here and, when FM would be inexact,
     # to the finite splitting below; introducing divisibility floor terms
     # instead can ping-pong with division elimination and never terminate.
-    lowers, uppers, out = [], [], []
-    for r in piece.rows:
-        if not r[i]:
-            out.append(r)
-            continue
-        sides = [r[1:]]
-        if r[0]:
-            sides.append(tuple(-x for x in r[1:]))
-        for e in sides:
-            rest = e[:k] + (0,) + e[k + 1 :]
-            if e[k] > 0:
-                lowers.append((e[k], rest))  # a*x_k >= -rest
-            else:
-                uppers.append((-e[k], rest))  # (-a)*x_k <= rest
-
-    if all(a == 1 or b == 1 for a, _ in lowers for b, _ in uppers):
-        for a, el in lowers:
-            for b, eu in uppers:
-                # a*x >= -el and b*x <= eu  =>  a*eu + b*el >= 0
-                out.append((0, *(a * u + b * v for u, v in zip(eu, el))))
-        result = normalize_piece(Piece(piece.divs, tuple(out)))
+    rows, exact = _fourier_motzkin(piece.rows, k)
+    if exact:
+        result = normalize_piece(Piece(piece.divs, tuple(rows)))
         return [] if result is None else [_drop_col(result, k)]
 
     # Splitting fallback over the finite range of dim k.
-    box = piece_box(arity, piece)
-    if box is None:
+    span = _dim_range(arity, piece, k, propagate(arity, piece))
+    if span is None:
         return []
-    lo, hi = box[k]
+    lo, hi = span
     out = []
     for v in range(lo, hi + 1):
         sub = _assign(piece, k, v)
@@ -990,6 +978,46 @@ def _eliminate_dim(arity: int, piece: Piece, k: int) -> list[Piece]:
         if result is not None and propagate(arity, result) is not None:
             out.append(_drop_col(result, k))
     return out
+
+
+def _fourier_motzkin(rows: Iterable[tuple], k: int) -> tuple[list, bool]:
+    """Rows with column k eliminated: the rows without it, and each lower
+    bound a*x_k >= -el combined with each upper bound b*x_k <= eu into
+    a*eu + b*el >= 0 (equalities as two inequalities).  Exact over the
+    integers when every pair has a unit side, which the bool says."""
+    lowers, uppers, out = [], [], []
+    for r in rows:
+        if not r[k + 1]:
+            out.append(r)
+            continue
+        for e in (r[1:], tuple(map(neg, r[1:]))) if r[0] else (r[1:],):
+            (lowers if e[k] > 0 else uppers).append((abs(e[k]), e[:k] + (0,) + e[k + 1 :]))
+    out += [(0, *(a * u + b * v for u, v in zip(eu, el))) for a, el in lowers for b, eu in uppers]
+    return out, all(a == 1 or b == 1 for a, _ in lowers for b, _ in uppers)
+
+
+def _dim_range(arity: int, piece: Piece, k: int, bounds):
+    """Finite (lo, hi) range of dim k, or None when the piece is empty.
+    Where the propagated `bounds` stay open (rows coupling two dims),
+    Fourier-Motzkin eliminates every other column, cheapest first, from the
+    rational relaxation: every integer point satisfies the combined rows.
+    Raises UnboundedSet when dim k is unbounded."""
+    if bounds is not None and None in bounds[k]:
+        rows, todo = piece.rows + _div_rows(piece.divs), list(range(arity + len(piece.divs)))
+        todo.remove(k)
+        while rows is not None and todo:
+            combined = [_fourier_motzkin(rows, c)[0] for c in todo]
+            j = min(range(len(todo)), key=lambda j: len(combined[j]))
+            del todo[j]
+            relaxed = normalize_piece(Piece((), tuple(combined[j])))
+            rows = None if relaxed is None else relaxed.rows
+        bounds = None if rows is None else propagate(arity + len(piece.divs), Piece((), rows))
+    if bounds is None:
+        return None
+    lo, hi = bounds[k]
+    if lo is None or hi is None:
+        raise UnboundedSet(f"dimension {k} is unbounded")
+    return lo, hi
 
 
 def project_pieces(arity: int, pieces: Iterable[Piece], drop: Sequence[int]) -> list[Piece]:

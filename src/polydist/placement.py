@@ -74,14 +74,14 @@ class StmtPlacement:
 
     @cached_property
     def table(self) -> dict:
-        """Statement id -> instance -> sorted executing nodes, enumerated once."""
+        """Statement id -> instance -> sorted executing nodes, enumerated once
+        (points come in lexicographic order, so each node list is sorted)."""
         out: dict = {}
         for sid, m in self.maps.items():
             rows: dict = {}
+            n = m.n_in
             for pt in enumerate_set(m.as_set()):
-                rows.setdefault(pt[: m.n_in], []).append(pt[m.n_in :])
-            for nodes in rows.values():
-                nodes.sort()
+                rows.setdefault(pt[:n], []).append(pt[n:])
             out[sid] = rows
         return out
 

@@ -13,7 +13,7 @@ import random
 import numpy as np
 
 from polydist.chunking import _order_summary
-from polydist.errors import IterationCapExceeded, SpaceMismatch
+from polydist.errors import IterationCapExceeded, SpaceMismatch, UnboundedSet
 from polydist.isets import (
     AffineExpr,
     Constraint,
@@ -37,7 +37,7 @@ from polydist.isets import (
     map_is_empty,
     map_subtract,
     map_union,
-    piece_box,
+    propagate,
     project_pieces,
     subtract,
     union,
@@ -79,6 +79,18 @@ def is_single_valued(m: IntMap) -> bool:
         if seen.setdefault(key, val) != val:
             return False
     return True
+
+
+def piece_box(arity: int, piece):
+    """Finite bounding box of a piece from interval propagation; None if
+    empty; raises if a dim is left unbounded."""
+    bounds = propagate(arity, piece)
+    if bounds is None:
+        return None
+    for k, (lo, hi) in enumerate(bounds):
+        if lo is None or hi is None:
+            raise UnboundedSet(f"dimension {k} is unbounded")
+    return bounds
 
 
 def hull_box(s: IntSet):
@@ -166,9 +178,13 @@ def random_map(rng: random.Random, dom: Space, ran: Space, max_extent: int = 8) 
     return IntMap(dom, ran, base.pieces)
 
 
+def random_functional_exprs(rng: random.Random, arity: int, n: int) -> list[AffineExpr]:
+    """The output expressions of a random functional map, some with a floor division."""
+    return [random_expr(rng, arity, allow_div=rng.random() < 0.3) for _ in range(n)]
+
+
 def random_functional_map(rng: random.Random, dom: Space, ran: Space) -> IntMap:
-    exprs = [random_expr(rng, dom.arity, allow_div=rng.random() < 0.3) for _ in range(ran.arity)]
-    return IntMap.from_exprs(dom, ran, exprs)
+    return IntMap.from_exprs(dom, ran, random_functional_exprs(rng, dom.arity, ran.arity))
 
 
 # -- reference semantics on enumerated points --------------------------------

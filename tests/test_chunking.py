@@ -163,7 +163,88 @@ ACC = {
     ],
 }
 
-SYNTHETIC = {"chain": CHAIN, "straight": STRAIGHT, "two": TWO, "mixed": MIXED, "acc": ACC}
+
+# C[i, j, k] lies on i + j = 2, so level 1 keeps (i, j) and merges each
+# C[i, *, *] into one chunk c_i.  C[i, k] feeds C[i+1, k+1] through a, and R
+# carries C[2, k] back to C[0, k+1]: at level 1 the quotient's only cycles
+# run c_0 -> c_1 -> c_2 -> R -> c_0, through three chunks, with no self-loop
+RING = {
+    "name": "ring",
+    "grid": [1],
+    "scatter_arity": 3,
+    "fields": [{"name": "a", "type": "int64", "extents": [5, 8]}],
+    "functions": {},
+    "statements": [
+        {
+            "id": "C",
+            "domain": "{ [i,j,k] : 0 <= i <= 2 and i + j = 2 and 1 <= k <= 4 }",
+            "schedule": "{ [i,j,k] -> [i+j,k,i] }",
+            "accesses": [
+                {"field": "a", "kind": "read", "index": ["k-1", "i"]},
+                {"field": "a", "kind": "read", "index": ["k-1", "i+4"]},
+                {"field": "a", "kind": "write", "index": ["k", "i+1"]},
+            ],
+            "body": ["add", ["access", 0], ["access", 1]],
+        },
+        {
+            "id": "R",
+            "domain": "{ [k] : 1 <= k <= 4 }",
+            "schedule": "{ [k] -> [2,k,3] }",
+            "accesses": [
+                {"field": "a", "kind": "read", "index": ["k", "3"]},
+                {"field": "a", "kind": "write", "index": ["k", "4"]},
+            ],
+            "body": ["access", 0],
+        },
+    ],
+}
+
+
+# W[x] -> V[x] -> W[x+1] -> ...: a chain 2 * 299 instances deep, so Kahn's
+# algorithm peels one frontier per instance; merging all of V (or W) at
+# level 0 closes a cycle through the other statement, not a self-loop
+LONG = {
+    "name": "long",
+    "grid": [1],
+    "scatter_arity": 2,
+    "fields": [
+        {"name": "a", "type": "int64", "extents": [300]},
+        {"name": "b", "type": "int64", "extents": [300]},
+    ],
+    "functions": {},
+    "statements": [
+        {
+            "id": "W",
+            "domain": "{ [x] : 1 <= x < 300 }",
+            "schedule": "{ [x] -> [x,0] }",
+            "accesses": [
+                {"field": "b", "kind": "read", "index": ["x-1"]},
+                {"field": "a", "kind": "write", "index": ["x"]},
+            ],
+            "body": ["access", 0],
+        },
+        {
+            "id": "V",
+            "domain": "{ [x] : 1 <= x < 300 }",
+            "schedule": "{ [x] -> [x,1] }",
+            "accesses": [
+                {"field": "a", "kind": "read", "index": ["x"]},
+                {"field": "b", "kind": "write", "index": ["x"]},
+            ],
+            "body": ["access", 0],
+        },
+    ],
+}
+
+SYNTHETIC = {
+    "chain": CHAIN,
+    "straight": STRAIGHT,
+    "two": TWO,
+    "mixed": MIXED,
+    "acc": ACC,
+    "ring": RING,
+    "long": LONG,
+}
 
 
 @pytest.fixture(scope="module")
@@ -357,7 +438,7 @@ def _phi_at(dep, consumer, level):
 
 
 @pytest.mark.parametrize(
-    "name", ["gol16", "gol16_fused", "chain", "straight", "two", "mixed", "acc"]
+    "name", ["gol16", "gol16_fused", "chain", "straight", "two", "mixed", "acc", "ring", "long"]
 )
 def test_collapsed_cycle_matches_dfs(name, scops_dir):
     # Kahn's algorithm over the numbered instance graph agrees with the
@@ -381,3 +462,25 @@ def test_scalar_self_loop_is_a_cycle():
         False,
     ]
     assert chunk_all(dep)[("W", "S", "a")].level == 2
+
+
+def test_cycle_through_three_chunks():
+    dep = _synthetic_dep(RING)
+    phi = _phi_at(dep, "C", 1)
+    assert phi.kept_dims == (0, 1)
+    fam = next(f for f in dep.intra_field_families() if (f.producer, f.consumer) == ("C", "C"))
+    chunk_edges = {(phi.apply_point(ig)[0], phi.apply_point(ic)[0]) for ig, ic, _ in fam.pairs()}
+    assert chunk_edges == {(0, 1), (1, 2)}  # no self-loop; R closes the ring
+    assert [_collapsed_has_cycle(dep, _phi_at(dep, "C", lv)) for lv in range(3)] == [
+        True,
+        True,
+        False,
+    ]
+
+
+def test_long_chain_peels_every_frontier():
+    dep = _synthetic_dep(LONG)
+    assert len(dep.edges[0]) > 2 * 298
+    for consumer in ("W", "V"):
+        assert _collapsed_has_cycle(dep, _phi_at(dep, consumer, 0))
+        assert not _collapsed_has_cycle(dep, _phi_at(dep, consumer, 1))

@@ -544,3 +544,44 @@ def test_parse_plan_rejects_empty():
     with pytest.raises(ParseError) as exc:
         parse_plan("\n  \n")
     assert exc.value.line == 1
+
+
+# remote sends of (flow families, prologue families); their sums are the
+# plan's message counts (perfbench's plan_messages on gol16_fused 8x8 and
+# gol32 2x2)
+PLAN_QUALITY = {
+    ("gol16", "2x2"): (16, 8),
+    ("gol16", "4x4"): (96, 48),
+    ("gol16_fused", "8x8"): (448, 224),
+    ("gol32", "2x2"): (16, 8),
+}
+
+
+@pytest.mark.parametrize("scop, grid", sorted(PLAN_QUALITY))
+def test_plan_quality_on_shipped_inputs(scops_dir, scop, grid):
+    extents = map(int, grid.split("x"))
+    analysis, plan = plan_scop(override_grid(parse_scop_file(scops_dir / f"{scop}.scop"), extents))
+    sends = {"flow": 0, "pro": 0}
+    for evs in plan.events.values():
+        for ev in evs:
+            ch = plan.channels[ev.cid] if ev.kind == "send" else None
+            if ch is not None and not ch.loopback:
+                sends[ch.family.split(":")[0]] += 1
+    assert (sends["flow"], sends["pro"]) == PLAN_QUALITY[(scop, grid)]
+
+    transfers = build_transfers(
+        analysis.dep, analysis.stmt_placement, analysis.field_placement, analysis.chunkings
+    )
+    remote = [(key, t) for key, ts in transfers.items() for t in ts
+              if t.producer_node != t.consumer_node]
+    # one message per (producer, field, node pair, outer iteration): each node
+    # pair is served by one flow family per iteration
+    outer = {(t.producer, t.fieldname, t.producer_node, t.consumer_node, t.consumer_instance[0])
+             for key, t in remote if key.startswith("flow:")}
+    assert len(outer) == sends["flow"]
+    # no element crosses one node pair twice for one producer instance
+    carriers: dict = {}
+    for key, t in remote:
+        value = (t.producer, t.producer_instance, t.element, t.producer_node, t.consumer_node)
+        carriers.setdefault(value, set()).add((key, t.representative))
+    assert all(len(c) == 1 for c in carriers.values())

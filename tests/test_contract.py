@@ -19,6 +19,11 @@ EXPECTED = {
         "trace.txt": "1debe2df5320f44d891f40529cb3ac8decd4f35511d785cb10fe4076011390a1",
         "fields.txt": "8720dc71e6251c2ce067a8b9a4fdb5755e7571421572ff3d56a9528dea2dac82",
     },
+    ("gol16_fused", "2x2"): {
+        "plan.txt": "42ef8a1e07c76fcc0d3adc037b6536864daa9aa0e8e3bcda8bf6807b984e0d1a",
+        "trace.txt": "7790f0e07275a685a8b131d773376486627fce14ced92a897fe5b94b4bfe8adf",
+        "fields.txt": "8720dc71e6251c2ce067a8b9a4fdb5755e7571421572ff3d56a9528dea2dac82",
+    },
     ("gol16_fused", "8x8"): {
         "plan.txt": "2f1cc752c3eac75b6a7d7a15b10be4ad1f1cea53c4055d2d0a4c4c627f93a76f",
         "trace.txt": "148485c1e9014cfd0179f7880cdbd426bed70ad69f7355c290c4be70bd882a5f",
@@ -31,6 +36,11 @@ EXPECTED = {
     ("gol32", "2x2"): {
         "plan.txt": "a76534b7e7ec4f915372b9cb0e4fb55f7858b5ffc9aee78b7dc3a295a48c7898",
         "trace.txt": "3896b206d31afdf279bee3e3b2c7b3a9605d2b1ea4016919110facd33aa921b0",
+        "fields.txt": "819ade320055e4b61c6d130a1f7d7274dec4410805a51ba3931f4c6a1743c2aa",
+    },
+    ("gol32", "4x4"): {
+        "plan.txt": "cb2eb737bd67dca719c67c935e33c14e9e382c71ed9b5ecb7c1937724582bde3",
+        "trace.txt": "ea595ff3ef31ac9d8752b0aff1e5d0528a18f9676e30eb20e22867dabd64e86f",
         "fields.txt": "819ade320055e4b61c6d130a1f7d7274dec4410805a51ba3931f4c6a1743c2aa",
     },
 }

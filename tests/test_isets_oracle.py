@@ -29,8 +29,13 @@ from polydist.isets import (
     lexmax,
     lexmin,
 )
+from polydist.pipeline import analyze_scop, override_grid
+from polydist.scopio import parse_scop_file
+from polydist.syntax import parse_map, parse_set
 
 from oracle import (
+    evaluate_point,
+    random_functional_exprs,
     random_map,
     random_set,
     random_space,
@@ -38,6 +43,7 @@ from oracle import (
     run_algebra_case,
     transitive_closure,
 )
+from test_contract import EXPECTED as CONTRACT
 
 
 def run_closure_case(seed: int) -> None:
@@ -145,3 +151,85 @@ def test_compose_apply_associativity_random():
         lhs = apply(compose(g, f), s)
         rhs = apply(g, apply(f, s))
         assert set(enumerate_set(lhs)) == set(enumerate_set(rhs)), f"trial {trial}"
+
+
+def _image(exprs, points) -> list:
+    return sorted({tuple(evaluate_point(e, p) for e in exprs) for p in points})
+
+
+def test_apply_floor_map_on_coupled_rows():
+    """Once the division is a dim and s0 is gone, the rows 4q - 1 <= r0 <=
+    4q + 3 and 2 <= q - r0 <= 12 bound q only together with r0, so the
+    splitting fallback takes q's range from the rational relaxation."""
+    m = parse_map("{ [s0] -> [-s0 + floor((-s0 - 1)/3) - 4] }")
+    s = parse_set("{ [s0] : -2 <= s0 <= 8 }")
+    expected = sorted({(-v + (-v - 1) // 3 - 4,) for v in range(-2, 9)})
+    assert enumerate_set(apply(m, s)) == expected
+
+
+def test_functional_map_images_match_brute_force():
+    """Random functional maps, a third with a floor division, applied to
+    random sets: the image is every point's value, with no UnboundedSet."""
+    for seed in range(500):
+        rng = random.Random(seed + 10000)
+        dom = random_space(rng, "s", max_dims=3)
+        ran = random_space(rng, "r", max_dims=2)
+        exprs = random_functional_exprs(rng, dom.arity, ran.arity)
+        s = random_set(rng, dom)
+        image = apply(IntMap.from_exprs(dom, ran, exprs), s)
+        assert enumerate_set(image) == _image(exprs, enumerate_set(s)), seed
+
+
+@pytest.fixture(scope="module")
+def contract_placements(scops_dir):
+    out = {}
+    for name, grid in sorted(CONTRACT):
+        scop = override_grid(parse_scop_file(scops_dir / f"{name}.scop"), map(int, grid.split("x")))
+        out[(name, grid)] = analyze_scop(scop).stmt_placement
+    return out
+
+
+@pytest.mark.parametrize("config", sorted(CONTRACT), ids="-".join)
+def test_placement_scan_counts_only_points(contract_placements, config):
+    """Node dims bounded by block rows 2p <= x <= 2p + 1 are computed, not
+    scanned: the scanned volume is the number of points (not a timing)."""
+    for sid, m in contract_placements[config].maps.items():
+        arity = m.n_in + m.n_out
+        volume = sum(isets._scan_program(arity, p).volume for p in m.pieces)
+        assert volume == len(enumerate_set(m.as_set())), sid
+
+
+PAIR_CASES = ["negative", "unit", "division", "defined"]
+
+
+def _pair_piece(rng, case):
+    """A box over x0, x1 and x2 = floor(e/d) stated as the two rows
+    d*x2 <= e <= d*x2 + d - 1, with e over x0, x1 (and a floor division)."""
+    n = 3
+    los = [rng.randint(-6, 2) for _ in range(2)]
+    box = [(lo, lo + rng.randint(0, 6)) for lo in los]
+    d = 1 if case == "unit" else rng.choice([2, 3, 4, 5])
+    const = rng.randint(-12, -4) if case == "negative" else rng.randint(-3, 3)
+    divs = ()
+    if case == "division":
+        divs = (DivTerm(rng.choice([-1, 1]), AffineExpr((1, rng.choice([-1, 1]), 0)), 3),)
+    e = AffineExpr((rng.choice([-2, -1, 1, 3]), rng.choice([-1, 0, 1, 2]), 0), const, divs)
+    x2 = AffineExpr.var(n, 2)
+    cons = [ge0(e - x2.scale(d)), ge0(x2.scale(d) - e + AffineExpr.constant(n, d - 1))]
+    for k, (lo, hi) in enumerate(box):
+        cons += [ge0(AffineExpr.var(n, k).plus_const(-lo)), ge0(AffineExpr.var(n, k, -1).plus_const(hi))]
+    if case == "defined":
+        cons.append(eq0(x2 - AffineExpr.var(n, 0).plus_const(rng.randint(-2, 2))))
+    return IntSet.make(Space("b", ("x0", "x1", "x2")), [cons])
+
+
+@pytest.mark.parametrize("case", PAIR_CASES)
+@pytest.mark.parametrize("seed", range(25))
+def test_block_pair_scan_matches_search(case, seed):
+    s = _pair_piece(random.Random(seed * 31 + PAIR_CASES.index(case)), case)
+    for piece in s.pieces:
+        prog = isets._scan_program(3, piece)
+        assert prog is not None and len(prog.free) <= 2  # x2 (or x1) computed
+        scanned = list(map(tuple, isets._scan_piece(3, piece, 1 << 20).tolist()))
+        searched = list(isets._search_piece(3, piece, False))
+        assert sorted(scanned) == searched
