@@ -6,7 +6,6 @@ from .commgen import (
     Channel,
     CommPlan,
     TransferTuple,
-    buffer_rank,
     build_transfers,
     compile_plan,
     dump_plan,
@@ -64,7 +63,6 @@ __all__ = [
     "analyze_scop",
     "apply",
     "block_distribute",
-    "buffer_rank",
     "build_transfers",
     "chunk_all",
     "chunk_heuristic",

@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .deps import DepGraph, FlowFamily
-from .isets import AffineExpr, IntMap, Space
+from .isets import AffineExpr, IntMap, Space, lex_extreme_row, unique_rows
 from .scop import Scop, Statement, evaluate_rows
 from .syntax import format_map
 
@@ -85,9 +85,9 @@ def _collapsed_has_cycle(dep: DepGraph, phi: ChunkingFn) -> bool:
     at once, with numpy, reading successors from the edges sorted by
     producer (CSR); what is left lies on or behind a cycle."""
     cons = dep.scop.statement(phi.consumer)
-    base, first = dep.offsets[phi.consumer], {}
-    reps = map(tuple, phi.apply_rows(cons.instances).tolist())
-    lead = np.array([first.setdefault(p, r) for r, p in enumerate(reps)], dtype=np.int64)
+    base = dep.offsets[phi.consumer]
+    _, chunk, first = unique_rows(phi.apply_rows(cons.instances))
+    lead = first[chunk]
     n = sum(len(s.instances) for s in dep.scop.statements)
     renumber = np.arange(n)
     renumber[base : base + len(lead)] = base + lead
@@ -130,7 +130,7 @@ def _order_summary(scop: Scop, fam: FlowFamily) -> tuple[float, bool]:
         deepest: float = math.inf
     else:
         deepest = int(first.max())
-    return deepest, max(map(tuple, tg.tolist())) < min(map(tuple, tc.tolist()))
+    return deepest, lex_extreme_row(tg, True) < lex_extreme_row(tc, False)
 
 
 def _kept_dims(cons: Statement, level: int) -> tuple[int, ...]:

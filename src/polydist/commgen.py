@@ -1,7 +1,7 @@
 """Communication plan generation.
 
 Resolves the transfers (which producer execution, on which node, feeds
-which consumer execution with which field element) row by row from the
+which consumer execution with which field element) as columns over the
 family pair tables, groups them into chunks via the chunking functions,
 and emits the six-call protocol per chunk and (source, destination) pair:
 
@@ -22,23 +22,32 @@ and epilogue consumers drain it back, each family as a single chunk.
 Producers whose values also reach the epilogue keep their local store;
 all other original stores are dropped, so consumers read intra-scop values
 from buffers only.
+
+Transfers, channel boxes, buffer ranks and buffer bindings stay numpy
+columns indexed by instance row and node position; Python objects are
+made for the plan's channels and events, and for the TransferTuple views
+that iterating a family's transfers yields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, replace
 from functools import lru_cache
-from operator import itemgetter
 from typing import Optional
 
+import numpy as np
+
 from .deps import EPILOGUE, PROLOGUE, DepGraph, FlowFamily
-from .errors import AnalysisError, OutOfHull, ParseError, ValidationError
-from .placement import FieldPlacement, StmtPlacement, block_distribute, block_home
+from .errors import AnalysisError, ParseError, ValidationError
+from .isets import row_major_strides, unique_rows
+from .placement import FieldPlacement, StmtPlacement, block_distribute
 from .scop import ClusterGrid, FieldDecl, Scop
 from .syntax import format_map
 
 __all__ = [
     "TransferTuple",
+    "Transfers",
     "BufferLayout",
     "Channel",
     "Event",
@@ -46,29 +55,20 @@ __all__ = [
     "build_transfers",
     "group_chunks",
     "emit_protocol",
-    "buffer_rank",
     "compile_plan",
     "dump_plan",
     "parse_plan",
 ]
 
 
-@dataclass(frozen=True)
-class TransferTuple:
-    """One resolved transfer: the producer execution feeding one consumer
-    execution with one field element, tagged by its chunk representative."""
-
-    representative: tuple
-    producer: str
-    producer_instance: tuple
-    producer_node: tuple
-    consumer: str
-    consumer_instance: tuple
-    consumer_node: tuple
-    fieldname: str
-    element: tuple
-    producer_row: int  # the instances' rows in Statement.instances
-    consumer_row: int
+# One resolved transfer, as ``Transfers`` yields it: the producer execution
+# feeding one consumer execution with one field element, tagged by its chunk
+# representative; the rows are the instances' rows in Statement.instances.
+TransferTuple = namedtuple(
+    "TransferTuple",
+    "representative producer producer_instance producer_node consumer consumer_instance "
+    "consumer_node fieldname element producer_row consumer_row",
+)
 
 
 @dataclass(frozen=True)
@@ -84,18 +84,6 @@ class BufferLayout:
         for lo, hi in self.box:
             n *= hi - lo + 1
         return n
-
-
-def buffer_rank(layout: BufferLayout, index) -> int:
-    """Row-major rank of an element inside the hull box, zero-based."""
-    if len(index) != len(layout.box):
-        raise OutOfHull(f"index arity {len(index)} != box arity {len(layout.box)}")
-    rank = 0
-    for v, (lo, hi) in zip(index, layout.box):
-        if not lo <= v <= hi:
-            raise OutOfHull(f"index {tuple(index)} outside hull box {layout.box}")
-        rank = rank * (hi - lo + 1) + (v - lo)
-    return rank
 
 
 @dataclass(frozen=True)
@@ -149,6 +137,40 @@ class CommPlan:
 # Transfers
 
 
+_COLUMNS = ("pair", "producer_row", "consumer_row", "producer_node", "consumer_node", "chunk")
+
+
+@dataclass(frozen=True)
+class Transfers:
+    """The resolved transfers of one family as columns, one entry per
+    transfer: every pair of the family table once per consumer node.
+    Iterating yields each transfer as a TransferTuple."""
+
+    family: FlowFamily
+    nodes: list  # ClusterGrid.nodes, which the node columns index
+    reps: np.ndarray  # the distinct chunk representatives, in lexicographic order
+    pair: np.ndarray  # the pair's row in family.table
+    producer_row: np.ndarray  # the instances' rows in Statement.instances
+    consumer_row: np.ndarray
+    producer_node: np.ndarray
+    consumer_node: np.ndarray
+    chunk: np.ndarray  # the representative's row in reps
+
+    def __len__(self) -> int:
+        return len(self.pair)
+
+    def take(self, index) -> "Transfers":
+        return replace(self, **{c: getattr(self, c)[index] for c in _COLUMNS})
+
+    def __iter__(self):
+        fam, reps = self.family, list(map(tuple, self.reps.tolist()))
+        a, b = fam.n_prod, fam.n_prod + fam.n_cons
+        cols = (getattr(self, c).tolist() for c in _COLUMNS[1:])
+        for p, rg, rc, pg, pc, c in zip(fam.table[self.pair].tolist(), *cols):
+            yield TransferTuple(reps[c], fam.producer, tuple(p[:a]), self.nodes[pg], fam.consumer,
+                                tuple(p[a:b]), self.nodes[pc], fam.ref, tuple(p[b:]), rg, rc)
+
+
 def _family_key(fam: FlowFamily) -> str:
     if fam.producer == PROLOGUE:
         return f"pro:{fam.consumer}:{fam.ref}"
@@ -158,51 +180,62 @@ def _family_key(fam: FlowFamily) -> str:
 
 
 def build_transfers(dep: DepGraph, sp: StmtPlacement, fp: FieldPlacement, chunkings: dict) -> dict:
-    """Resolved transfer tuples per family key.
+    """Resolved transfers per family key, as ``Transfers`` columns.
 
     Every (producer execution, consumer execution, element) pair of a
     family is resolved once per consumer node: the producer node is the
     consumer's own node when the producer runs there, else the smallest
     node the producer runs on.  For the virtual prologue the producer
     nodes are the element's homes; for the virtual epilogue the consumer
-    nodes are.  Nodes are looked up by instance row, element homes and
-    chunk representatives are taken column-wise from the family table.
+    nodes are.  Nodes come from the placement's node tables by instance
+    row; element homes and chunk representatives are computed column-wise
+    from the family table.
     """
-    nodes = {s.id: [sp.table[s.id].get(p, []) for p in s.rows] for s in dep.scop.statements}
+    grid = dep.scop.grid
+    n = len(grid.nodes)
+    placed = {s.id: sp.node_rows(s, grid) for s in dep.scop.statements}
     out: dict = {}
     for fam, (prod_rows, cons_rows) in zip(dep.families, dep.pair_rows):
         if fam.kind != "field":
             continue
         key = _family_key(fam)
         phi = chunkings.get((fam.producer, fam.consumer, fam.ref))
-        single_chunk = fam.producer == PROLOGUE or fam.consumer == EPILOGUE
-        if phi is None and not single_chunk:
+        a, b = fam.n_prod, fam.n_prod + fam.n_cons
+        if fam.producer == PROLOGUE or fam.consumer == EPILOGUE:  # a single chunk
+            homes = fp.homes(fam.ref, fam.table[:, b:], grid)
+            reps, chunk = np.zeros((1, 0), dtype=np.int64), np.zeros(len(fam.table), dtype=np.intp)
+        elif phi is None:
             raise AnalysisError(f"no chunking function for family {key}")
-        pairs, prod_rows, cons_rows = fam.pairs(), prod_rows.tolist(), cons_rows.tolist()
-        if single_chunk:
-            homes = [[block_home(k, fp.block_extents[fam.ref])] for _, _, k in pairs]
-            reps = [()] * len(pairs)
         else:
-            reps = map(tuple, phi.apply_rows(fam.table[:, fam.n_prod : fam.n_prod + fam.n_cons]).tolist())
-        prod = homes if fam.producer == PROLOGUE else [nodes[fam.producer][r] for r in prod_rows]
-        cons = homes if fam.consumer == EPILOGUE else [nodes[fam.consumer][r] for r in cons_rows]
-        out[key] = [
-            TransferTuple(rep, fam.producer, ig, pc if pc in pn else pn[0], fam.consumer, ic, pc,
-                          fam.ref, k, rg, rc)
-            for (ig, ic, k), pn, cn, rep, rg, rc in zip(pairs, prod, cons, reps, prod_rows, cons_rows)
-            for pc in cn
-        ]
+            reps, chunk, _ = unique_rows(phi.apply_rows(fam.table[:, a:b]))
+        if fam.consumer == EPILOGUE:
+            pair, cons = np.arange(len(fam.table)), homes
+        else:  # each pair once per node its consumer runs on
+            at, where = placed[fam.consumer]
+            start = np.searchsorted(at, cons_rows)
+            count = np.searchsorted(at, cons_rows, side="right") - start
+            pair = np.repeat(np.arange(len(cons_rows)), count)
+            cons = where[np.arange(len(pair)) + np.repeat(start - np.cumsum(count) + count, count)]
+        if fam.producer == PROLOGUE:
+            prod = homes[pair]
+        else:
+            at, where = placed[fam.producer]
+            here = np.isin(prod_rows[pair] * n + cons, at * n + where)
+            prod = np.where(here, cons, where[np.searchsorted(at, prod_rows[pair])])
+        out[key] = Transfers(fam, grid.nodes, reps, pair, prod_rows[pair], cons_rows[pair],
+                             prod, cons, chunk[pair])
     return out
 
 
 def group_chunks(transfers: dict) -> dict:
-    """family key -> representative -> transfer list, representatives sorted."""
+    """family key -> representative -> that chunk's transfers in family
+    order, representatives sorted."""
     out: dict = {}
-    for key, tuples in transfers.items():
-        chunks: dict = {}
-        for t in tuples:
-            chunks.setdefault(t.representative, []).append(t)
-        out[key] = dict(sorted(chunks.items()))
+    for key, ts in transfers.items():
+        order = np.argsort(ts.chunk, kind="stable")
+        ids, starts = np.unique(ts.chunk[order], return_index=True)
+        out[key] = {tuple(ts.reps[c].tolist()): ts.take(index)
+                    for c, index in zip(ids.tolist(), np.split(order, starts[1:]))}
     return out
 
 
@@ -221,87 +254,108 @@ def emit_protocol(
     sp: StmtPlacement,
     chunked: dict,
 ) -> CommPlan:
-    """Assemble the per-node event lists from grouped transfers; scatters
-    and buffer bindings go by instance row."""
-    dilated = {s.id: [tuple(2 * v for v in sc) for sc in s.scatters] for s in scop.statements}
-
-    # one channel per (family, src, dst) in order of first appearance, its
-    # transfers grouped by chunk representative
-    by_channel: dict = {}
-    for key, chunks in chunked.items():
-        for rep, tuples in chunks.items():
-            for t in tuples:
-                ck = (key, t.producer_node, t.consumer_node)
-                by_channel.setdefault(ck, {}).setdefault(rep, []).append(t)
-
+    """Assemble the per-node event lists from grouped transfers.  Channel
+    boxes, buffer ranks, scatter extremes and the buffer bindings of the
+    compute events are computed on the transfer columns; Python objects
+    are made for the channels and events only."""
+    nodes, n = scop.grid.nodes, len(scop.grid.nodes)
+    dilated = {s.id: 2 * s.scatters for s in scop.statements}
+    tuples = {sid: list(map(tuple, t.tolist())) for sid, t in dilated.items()}
     channels: list = []
-    read_bindings: dict = {}  # (consumer, row, node) -> (cid, rank)
-    write_bindings: dict = {}  # (producer, row, node) -> [(cid, rank)]
     events: dict = {}
+    # the buffer slots compute events write ("buffer_fill") and read
+    # ("buffer_drain"), by statement, as blocks of (key, cid, rank) columns
+    bindings: dict = {}
 
-    for cid, ((key, src, dst), chunks) in enumerate(by_channel.items()):
-        first = next(iter(chunks.values()))[0]
-        fills, drains = first.producer == PROLOGUE, first.consumer == EPILOGUE
-        fld = scop.field(first.fieldname)
-        elems = [t.element for group in chunks.values() for t in group]
-        box = tuple((min(e[d] for e in elems), max(e[d] for e in elems)) for d in range(fld.arity))
-        layout = BufferLayout(fieldname=fld.name, box=box)
-        channels.append(Channel(cid=cid, family=key, src=src, dst=dst, tag=cid,
-                                layout=layout, element_type=fld.element_type))
-        at_src, at_dst = events.setdefault(src, []), events.setdefault(dst, [])
-        prod_scatters, cons_scatters = dilated[first.producer], dilated[first.consumer]
-        for rep, group in chunks.items():
-            chunk = f"{key}@{_fmt_tuple(rep)}"
-            ranked = sorted(((buffer_rank(layout, t.element), t) for t in group), key=itemgetter(0))
-            prod = [prod_scatters[t.producer_row] for t in group]
-            cons = [cons_scatters[t.consumer_row] for t in group]
-            at_src.append(Event(src, _offset_last(min(prod), -1), "send_wait", chunk=chunk, cid=cid))
-            at_src.append(Event(src, _offset_last(max(prod), +1), "send", chunk=chunk, cid=cid))
-            at_dst.append(Event(dst, _offset_last(min(cons), -1), "recv_wait", chunk=chunk, cid=cid))
-            at_dst.append(Event(dst, _offset_last(max(cons), +1), "recv", chunk=chunk, cid=cid))
-            filled = set()
-            for rank, t in ranked:
-                if fills:
-                    if rank not in filled:
-                        filled.add(rank)
-                        at_src.append(Event(src, prod[0], "buffer_fill", chunk=chunk, cid=cid,
-                                            element=t.element, rank=rank))
-                else:
-                    wkey = (t.producer, t.producer_row, src)
-                    write_bindings.setdefault(wkey, []).append((cid, rank))
-                if drains:
-                    at_dst.append(Event(dst, cons[0], "buffer_drain", chunk=chunk, cid=cid,
-                                        element=t.element, rank=rank))
-                else:
-                    rkey = (t.consumer, t.consumer_row, dst)
-                    if rkey in read_bindings:
-                        raise AnalysisError(
-                            f"double read binding for {(t.consumer, t.consumer_instance, dst)}")
-                    read_bindings[rkey] = (cid, rank)
+    def bound(sid: str, kind: str) -> list:
+        blocks = bindings.get((sid, kind)) or [(np.zeros(0, dtype=np.int64),) * 3]
+        return [np.concatenate(c) for c in zip(*blocks)]
+
+    for key, chunks in chunked.items():
+        if not chunks:
+            continue
+        groups = list(chunks.values())
+        ts = replace(groups[0], **{c: np.concatenate([getattr(g, c) for g in groups])
+                                   for c in _COLUMNS})
+        fam, fld = ts.family, scop.field(ts.family.ref)
+        # one channel per (src, dst) in order of first appearance, its
+        # transfers by chunk and then in order
+        _, link, first = unique_rows((ts.producer_node * n + ts.consumer_node)[:, None])
+        channel = np.argsort(np.argsort(first))[link]
+        ts, channel = ts.take(np.argsort(channel, kind="stable")), np.sort(channel)
+        cut = np.diff(channel, prepend=-1) != 0
+        elem = fam.table[ts.pair, fam.n_prod + fam.n_cons :]
+        lo, hi = (f.reduceat(elem, np.flatnonzero(cut)) for f in (np.minimum, np.maximum))
+        rank = ((elem - lo[channel]) * row_major_strides(hi - lo + 1)[channel]).sum(axis=1)
+        cid = len(channels) + channel
+        for s, box in zip(np.flatnonzero(cut).tolist(), zip(lo.tolist(), hi.tolist())):
+            src, dst = nodes[ts.producer_node[s]], nodes[ts.consumer_node[s]]
+            channels.append(Channel(len(channels), key, src, dst, len(channels),
+                                    BufferLayout(fld.name, tuple(zip(*box))), fld.element_type))
+
+        # the four channel calls of every chunk on every channel, around
+        # the chunk's first and last scatter at either end
+        cut |= np.diff(ts.chunk, prepend=-1) != 0
+        group, starts = np.cumsum(cut) - 1, np.flatnonzero(cut)
+        ends = np.append(starts[1:], len(ts)) - 1
+        src, dst = ([nodes[i] for i in col[starts].tolist()]
+                    for col in (ts.producer_node, ts.consumer_node))
+        names = [f"{key}@{_fmt_tuple(rep)}" for rep in ts.reps[ts.chunk[starts]].tolist()]
+        cids = cid[starts].tolist()
+        spans = []
+        for rows, sid in ((ts.producer_row, fam.producer), (ts.consumer_row, fam.consumer)):
+            sc = dilated[sid][rows]
+            order = np.lexsort((*sc.T[::-1], group))
+            spans += [list(map(tuple, sc[order[i]].tolist())) for i in (starts, ends)]
+        calls = list(zip(("send_wait", "send", "recv_wait", "recv"), (-1, 1, -1, 1), spans,
+                         (src, src, dst, dst)))
+        for g, (name, c) in enumerate(zip(names, cids)):
+            for kind, delta, span, at in calls:
+                event = Event(at[g], _offset_last(span[g], delta), kind, chunk=name, cid=c)
+                events.setdefault(at[g], []).append(event)
+
+        # every chunk's elements in rank order: the prologue fills each rank
+        # once and the epilogue drains it; the other ends bind compute events
+        order = np.lexsort((rank, group))
+        ranked, g, r = ts.take(order), group[order], rank[order]
+        once = np.flatnonzero((np.diff(g, prepend=-1) != 0) | (np.diff(r, prepend=-1) != 0))
+        for sid, virtual, at, rows, where, kind in (
+            (fam.producer, PROLOGUE, src, ranked.producer_row, ranked.producer_node, "buffer_fill"),
+            (fam.consumer, EPILOGUE, dst, ranked.consumer_row, ranked.consumer_node, "buffer_drain"),
+        ):
+            if sid != virtual:
+                bindings.setdefault((sid, kind), []).append((rows * n + where, cid[order], r))
+                continue
+            for gi, e, k in zip(g[once].tolist(), elem[order][once].tolist(), r[once].tolist()):
+                events[at[gi]].append(Event(at[gi], tuples[sid][0], kind, chunk=names[gi],
+                                            cid=cids[gi], element=tuple(e), rank=k))
 
     # compute events for every execution of every real statement, row by row
     retained = {f.producer for f in dep.epilogue_families()}
     for s in scop.real_statements():
-        placed = sp.table[s.id]
-        reads = bool(s.reads())
-        homes = None
+        rows, where = sp.node_rows(s, scop.grid)
+        keys = rows * n + where
+        inst = list(map(tuple, s.instances.tolist()))
+        read_from = [None] * len(keys)
+        if s.reads():
+            # one binding per execution: the keys sorted are the executions' keys
+            reads, cid, rank = bound(s.id, "buffer_drain")
+            order = np.argsort(reads)
+            if len(reads) != len(keys) or (reads[order] != keys).any():
+                raise AnalysisError(f"read bindings of {s.id} do not match its executions one to one")
+            read_from = list(zip(cid[order].tolist(), rank[order].tolist()))
+        stored = np.zeros(len(keys), dtype=bool)
         if s.id in retained:
             j, acc = s.writes()[0]
-            homes = [block_home(k, fp.block_extents[acc.field]) for k in s.subscripts[j]]
-        for row, (inst, scatter) in enumerate(zip(s.rows, dilated[s.id])):
-            for node in placed.get(inst, ()):
-                read_from = None
-                if reads:
-                    read_from = read_bindings.get((s.id, row, node))
-                    if read_from is None:
-                        raise AnalysisError(f"unbound read for {s.id}{inst} on {node}")
-                writes = [("storage",)] if homes is not None and homes[row] == node else []
-                bound = write_bindings.get((s.id, row, node))
-                if bound:
-                    writes += [("buffer", cid, rank) for cid, rank in sorted(set(bound))]
-                events.setdefault(node, []).append(Event(
-                    node, scatter, "compute", stmt=s.id, instance=inst, read_from=read_from,
-                    writes=tuple(writes)))
+            stored = fp.homes(acc.field, s.subscripts[j], scop.grid)[rows] == where
+        writes = unique_rows(np.stack(bound(s.id, "buffer_fill"), axis=1))[0]
+        lo, hi = (np.searchsorted(writes[:, 0], keys, side=side).tolist() for side in ("left", "right"))
+        buffers = [("buffer", c, k) for c, k in writes[:, 1:].tolist()]
+        scat = tuples[s.id]
+        for r, w, rf, st, a, z in zip(rows.tolist(), where.tolist(), read_from, stored.tolist(), lo, hi):
+            event = Event(nodes[w], scat[r], "compute", s.id, inst[r], rf,
+                          (("storage",),) * st + tuple(buffers[a:z]))
+            events.setdefault(nodes[w], []).append(event)
 
     for evs in events.values():
         evs.sort(key=Event.sort_key)

@@ -13,10 +13,16 @@ always later than one sharing a shorter prefix, so reads claimed at a
 deep level are removed before shallower levels are examined; competition
 then only remains between same-level candidates and is resolved by an
 exact symbolic domination subtraction.
+
+The families are then enumerated once each, into int64 tables of
+producer ++ consumer ++ element rows (``FlowFamily.table``), and every
+pair endpoint is located in its statement's instance table by a binary
+search over linearised instance keys (``DepGraph.pair_rows``).
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -32,6 +38,7 @@ from .isets import (
     conjoin,
     embed_pieces,
     enumerate_set,
+    enumerate_table,
     eq0,
     ge0,
     is_empty,
@@ -41,7 +48,7 @@ from .isets import (
     union,
     _merge_dim_names,
 )
-from .scop import AccessRef, Scop, Statement, point_table
+from .scop import AccessRef, Scop, Statement
 from .syntax import format_map
 
 __all__ = ["PROLOGUE", "EPILOGUE", "FlowFamily", "DepGraph", "add_virtual_statements", "compute_flow", "dump_deps"]
@@ -56,8 +63,8 @@ def add_virtual_statements(scop: Scop) -> Scop:
     ids = {s.id for s in scop.statements}
     if PROLOGUE in ids or EPILOGUE in ids:
         raise ValidationError("scop already carries virtual statements")
-    firsts = {t[0] for s in scop.statements for t in s.scatters} | {0}
-    lo, hi = min(firsts), max(firsts)
+    firsts = np.concatenate([[0]] + [s.scatters[:, 0] for s in scop.statements])
+    lo, hi = int(firsts.min()), int(firsts.max())
     n = scop.scatter_arity
     zeros = tuple(AffineExpr.constant(0, 0) for _ in range(n - 1))
     prologue = Statement(
@@ -133,14 +140,14 @@ class FlowFamily:
 
     @cached_property
     def table(self) -> np.ndarray:
-        """Every pair, enumerated once: one row of producer ++ consumer ++
-        element columns per pair, in lexicographic order."""
-        return point_table(enumerate_set(self.rel), self.rel.arity)
+        """Every pair, enumerated once (``enumerate_table``): one row of
+        producer ++ consumer ++ element columns per pair, in lexicographic
+        order, int64 unless exactness needs Python ints."""
+        return enumerate_table(self.rel)
 
-    def pairs(self) -> list[tuple[tuple, tuple, tuple]]:
+    def pairs(self) -> "PairView":
         """The table as (producer, consumer, element) tuples, row for row."""
-        a, b = self.n_prod, self.n_prod + self.n_cons
-        return [(p[:a], p[a:b], p[b:]) for p in map(tuple, self.table.tolist())]
+        return PairView(self.table, self.n_prod, self.n_prod + self.n_cons)
 
     def as_map(self) -> IntMap:
         """Producer instances -> consumer instances (element dims dropped)."""
@@ -158,6 +165,21 @@ class FlowFamily:
             _merge_dim_names(self.prod_space.dims, self.cons_space.dims)[self.n_prod :],
         )
         return IntMap(m.dom, primed, m.pieces)
+
+
+class PairView(Sequence):
+    """A family table read as (producer, consumer, element) tuples, each
+    made when read."""
+
+    def __init__(self, table: np.ndarray, a: int, b: int):
+        self.table, self.a, self.b = table, a, b
+
+    def __len__(self) -> int:
+        return len(self.table)
+
+    def __getitem__(self, i: int) -> tuple:
+        p = self.table[i].tolist()
+        return tuple(p[: self.a]), tuple(p[self.a : self.b]), tuple(p[self.b :])
 
 
 @dataclass
@@ -194,14 +216,11 @@ class DepGraph:
     @cached_property
     def pair_rows(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per family, in ``families`` order, the producer's and consumer's
-        rows in ``Statement.instances``, one per pair in table order."""
-        out = []
-        for fam in self.families:
-            cols = np.split(fam.table, [fam.n_prod, fam.n_prod + fam.n_cons], axis=1)
-            stmts = (self.scop.statement(fam.producer), self.scop.statement(fam.consumer))
-            out.append(tuple(np.array([s.rows[p] for p in map(tuple, c.tolist())], dtype=np.int64)
-                             for s, c in zip(stmts, cols)))
-        return out
+        rows in ``Statement.instances``, one per pair in table order: each
+        column block is searched at once (``Statement.find_rows``)."""
+        return [(self.scop.statement(f.producer).find_rows(f.table[:, : f.n_prod]),
+                 self.scop.statement(f.consumer).find_rows(f.table[:, f.n_prod : f.n_prod + f.n_cons]))
+                for f in self.families]
 
     @cached_property
     def edges(self) -> tuple[np.ndarray, np.ndarray]:

@@ -36,7 +36,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 from operator import neg
 from typing import Iterable, Optional, Sequence
 
@@ -62,6 +62,7 @@ __all__ = [
     "subtract",
     "is_empty",
     "enumerate_set",
+    "enumerate_table",
     "apply",
     "compose",
     "inverse",
@@ -620,7 +621,7 @@ def propagate(arity: int, piece: Piece):
 # Box scanning (polyhedral scanning of a finite box, evaluated with numpy)
 
 _SCAN_BLOCK = 1 << 14  # points evaluated per numpy pass; bounds the scan's memory
-_ENUM_SCAN_CAP = 1 << 20  # largest free box that _enumerate_piece scans
+_ENUM_SCAN_CAP = 1 << 20  # largest free box that _piece_points scans
 _SOLVE_SCAN_CAP = 1 << 12  # largest free box that _solve_piece scans
 _INT64_SAFE = 1 << 62  # every value the scan computes stays below this in magnitude
 
@@ -867,27 +868,59 @@ def _solve_piece(arity: int, piece: Piece, maximize: bool) -> Optional[tuple[int
     points = _scan_piece(arity, piece, _SOLVE_SCAN_CAP)
     if points is None:
         return next(_search_piece(arity, piece, maximize), None)
-    if not len(points):
-        return None
-    for d in range(arity):
-        col = points[:, d]
-        points = points[col == (col.max() if maximize else col.min())]
-    return tuple(points[0].tolist())
+    return lex_extreme_row(points, maximize) if len(points) else None
 
 
 def piece_is_empty(arity: int, piece: Piece) -> bool:
     return _solve_piece(arity, piece, False) is None
 
 
-def _enumerate_piece(arity: int, piece: Piece) -> list[tuple[int, ...]]:
-    """All points of a piece: scanned when the box is small enough (see
-    _scan_program), else searched."""
+def _piece_points(arity: int, piece: Piece) -> np.ndarray:
+    """All points of a piece as a table: int64 when the box is small enough
+    to scan (see _scan_program), else the search's Python ints."""
     if propagate(arity, piece) is None:
-        return []
+        return np.zeros((0, arity), dtype=np.int64)
     points = _scan_piece(arity, piece, _ENUM_SCAN_CAP)
-    if points is None:
-        return list(_search_piece(arity, piece, False))
-    return list(map(tuple, points.tolist()))
+    return point_table(list(_search_piece(arity, piece, False)), arity) if points is None else points
+
+
+def point_table(points: Sequence[tuple[int, ...]], arity: int) -> np.ndarray:
+    """Points as an (n, arity) table of Python ints (exact, unlike int64), one row each."""
+    return np.array(points, dtype=object).reshape(len(points), arity)
+
+
+def exact_table(table: np.ndarray, bound: int) -> np.ndarray:
+    """The table as Python ints when values computed from it may reach
+    ``bound`` >= _INT64_SAFE in magnitude: the guard of int64 arithmetic."""
+    return table.astype(object) if bound >= _INT64_SAFE else table
+
+
+def unique_rows(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct rows of a table in lexicographic order, every row's
+    index among them, and every distinct row's first row in the table."""
+    order = np.lexsort(table.T[::-1]) if table.shape[1] else np.arange(len(table))
+    new = np.ones(len(table), dtype=bool)
+    new[1:] = (table[order[1:]] != table[order[:-1]]).any(axis=1)
+    inverse = np.empty(len(table), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return table[order[new]], inverse, order[new]
+
+
+def row_major_strides(ext: np.ndarray) -> np.ndarray:
+    """Row-major strides in boxes of the given extents, one box per row;
+    exact (``exact_table``) by the size of the largest box."""
+    stride = exact_table(np.ones_like(ext), max(map(prod, ext.tolist()), default=0))
+    for d in range(ext.shape[1] - 2, -1, -1):
+        stride[:, d] = stride[:, d + 1] * ext[:, d + 1]
+    return stride
+
+
+def lex_extreme_row(points: np.ndarray, maximize: bool) -> tuple[int, ...]:
+    """The lexicographically smallest (largest) row of a non-empty table."""
+    for d in range(points.shape[1]):
+        col = points[:, d]
+        points = points[col == (col.max() if maximize else col.min())]
+    return tuple(points[0].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -1190,8 +1223,16 @@ def enumerate_set(a: IntSet) -> list[tuple[int, ...]]:
     """All points, in lexicographic order."""
     points = set()
     for p in a.pieces:
-        points.update(_enumerate_piece(a.arity, p))
+        points.update(map(tuple, _piece_points(a.arity, p).tolist()))
     return sorted(points)
+
+
+def enumerate_table(a: IntSet) -> np.ndarray:
+    """All points as a table, one row each in lexicographic order: int64
+    when every piece was scanned (the scan keeps every value below
+    _INT64_SAFE), Python ints when some piece needed the search."""
+    blocks = [_piece_points(a.arity, p) for p in a.pieces] or [np.zeros((0, a.arity), dtype=np.int64)]
+    return unique_rows(np.concatenate(blocks))[0]
 
 
 def _lex_extreme(a: IntSet, maximize: bool) -> tuple[int, ...]:

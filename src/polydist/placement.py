@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from .errors import IndivisibleExtent, UnsatisfiablePlacement, ValidationError
 from .deps import DepGraph
 from .isets import (
@@ -25,7 +27,7 @@ from .isets import (
     compose,
     conjoin,
     embed_pieces,
-    enumerate_set,
+    enumerate_table,
     inverse,
     is_empty,
     map_domain,
@@ -43,7 +45,6 @@ __all__ = [
     "FieldPlacement",
     "StmtPlacement",
     "block_distribute",
-    "block_home",
     "block_box",
     "place_statements",
     "dump_placements",
@@ -57,10 +58,10 @@ class FieldPlacement:
     maps: dict  # field name -> IntMap (indexset -> grid)
     block_extents: dict  # field name -> tuple of block sizes
 
-
-def block_home(index, blocks) -> tuple[int, ...]:
-    """The one home node of an element: its block coordinate."""
-    return tuple(v // b for v, b in zip(index, blocks))
+    def homes(self, name: str, elements: np.ndarray, grid: ClusterGrid) -> np.ndarray:
+        """The home of every element of a table, its block coordinate, as a
+        position in ``grid.nodes``."""
+        return grid.index(elements // np.array(self.block_extents[name]))
 
 
 def block_box(node, blocks) -> tuple[tuple[int, int], ...]:
@@ -74,16 +75,18 @@ class StmtPlacement:
 
     @cached_property
     def table(self) -> dict:
-        """Statement id -> instance -> sorted executing nodes, enumerated once
-        (points come in lexicographic order, so each node list is sorted)."""
-        out: dict = {}
-        for sid, m in self.maps.items():
-            rows: dict = {}
-            n = m.n_in
-            for pt in enumerate_set(m.as_set()):
-                rows.setdefault(pt[:n], []).append(pt[n:])
-            out[sid] = rows
-        return out
+        """Statement id -> its map's points, enumerated once: one row of
+        instance ++ node columns per executing node, in lexicographic order."""
+        return {sid: enumerate_table(m.as_set()) for sid, m in self.maps.items()}
+
+    def node_rows(self, s: Statement, grid: ClusterGrid) -> tuple[np.ndarray, np.ndarray]:
+        """Where the instances of s run: per table row, the instance's row
+        in ``s.instances`` and the node's position in ``grid.nodes``,
+        ascending by row and then node.  Points off the domain are dropped."""
+        t = self.table[s.id]
+        rows = s.find_rows(t[:, : s.arity])
+        keep = rows >= 0
+        return rows[keep], grid.index(t[keep, s.arity :])
 
 
 def block_distribute(fields, grid: ClusterGrid) -> FieldPlacement:

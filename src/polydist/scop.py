@@ -22,7 +22,8 @@ from .exprs import (
     expr_reads,
     validate_expr,
 )
-from .isets import AffineExpr, IntSet, Space, enumerate_set
+from .isets import (AffineExpr, IntSet, Space, enumerate_table, exact_table, point_table,
+                    row_major_strides, unique_rows)
 
 __all__ = [
     "FieldDecl",
@@ -39,17 +40,21 @@ __all__ = [
 ELEMENT_DTYPES = {"bool": np.bool_, "int64": np.int64, "float64": np.float64}
 
 
-def point_table(points: Sequence[tuple[int, ...]], arity: int) -> np.ndarray:
-    """Points as an (n, arity) table of Python ints (exact, unlike int64), one row each."""
-    return np.array(points, dtype=object).reshape(len(points), arity)
-
-
 def evaluate_rows(exprs: Sequence[AffineExpr], rows: np.ndarray) -> np.ndarray:
     """Every expression at every row of a point table, as an (n, len(exprs))
-    table of exact Python ints; floor-division terms are floor divisions."""
+    table; floor-division terms are floor divisions.  Exact: the rows turn
+    into Python ints when a value or partial sum could reach the int64
+    guard (``exact_table``), bounded from the columns' largest magnitudes."""
+    mag = np.abs(rows).max(axis=0).tolist() if len(rows) else [0] * rows.shape[1]
+
+    def bound(e: AffineExpr) -> int:
+        return (abs(e.const) + sum(abs(c) * m for c, m in zip(e.coeffs, mag))
+                + sum(abs(dt.coeff) * bound(dt.inner) for dt in e.divs))
+
+    rows = exact_table(rows, max(map(bound, exprs), default=0))
 
     def value(e: AffineExpr) -> np.ndarray:
-        out = np.full(len(rows), e.const, dtype=object)
+        out = np.full(len(rows), e.const, dtype=rows.dtype)
         for d, c in enumerate(e.coeffs):
             if c:
                 out += c * rows[:, d]
@@ -128,27 +133,45 @@ class Statement:
     def instances(self) -> np.ndarray:
         """The domain's points in lexicographic order, one row each; an
         instance's row number is its identity within the statement."""
-        return point_table(enumerate_set(self.domain), self.arity)
+        return enumerate_table(self.domain)
 
     @cached_property
     def rows(self) -> dict:
         """Instance tuple -> its row in ``instances``, in row order."""
         return {p: r for r, p in enumerate(map(tuple, self.instances.tolist()))}
 
+    def find_rows(self, points: np.ndarray) -> np.ndarray:
+        """The row in ``instances`` of every point of a table, by binary
+        search over row-major keys in the instances' bounding box (they
+        ascend like the rows); -1 for a point that is no instance."""
+        inst = self.instances
+        if not len(inst):
+            return np.full(len(points), -1)
+        lo, ext = inst.min(axis=0), inst.max(axis=0) - inst.min(axis=0) + 1
+        stride = row_major_strides(ext[None])[0]
+        keys, want = (((t - lo) * stride).sum(axis=1) for t in (inst, points))
+        rows = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+        hit = ((points >= lo) & (points < lo + ext)).all(axis=1) & (keys[rows] == want)
+        return np.where(hit, rows, -1)
+
     @cached_property
-    def scatters(self) -> list[tuple[int, ...]]:
+    def scatters(self) -> np.ndarray:
         """The scatter of every instance, row for row."""
-        return list(map(tuple, evaluate_rows(self.schedule_exprs, self.instances).tolist()))
+        return evaluate_rows(self.schedule_exprs, self.instances)
 
     @cached_property
     def subscripts(self) -> tuple:
-        """Per access, the element every instance touches, row for row;
-        None for the whole-field accesses of the virtual statements."""
+        """Per access, the element every instance touches as a table, row
+        for row; None for the whole-field accesses of the virtual statements."""
         return tuple(
-            None if a.index_exprs is None
-            else list(map(tuple, evaluate_rows(a.index_exprs, self.instances).tolist()))
+            None if a.index_exprs is None else evaluate_rows(a.index_exprs, self.instances)
             for a in self.accesses
         )
+
+    @cached_property
+    def elements(self) -> tuple:
+        """``subscripts`` as lists of tuples, which index field arrays."""
+        return tuple(None if t is None else list(map(tuple, t.tolist())) for t in self.subscripts)
 
     def reads(self) -> list[tuple[int, AccessRef]]:
         return [(j, a) for j, a in enumerate(self.accesses) if a.kind == "read"]
@@ -181,6 +204,10 @@ class ClusterGrid:
     @property
     def node_set(self) -> IntSet:
         return IntSet.from_box(self.space, [(0, e - 1) for e in self.extents])
+
+    def index(self, coords: np.ndarray) -> np.ndarray:
+        """The position in ``nodes`` of every node coordinate of a table."""
+        return np.ravel_multi_index(tuple(coords.T.astype(np.intp)), self.extents)
 
 
 @dataclass(frozen=True)
@@ -216,17 +243,9 @@ class Scop:
             raise ValidationError("duplicate statement ids")
         for fn in self.functions.values():
             validate_expr(fn.body, set(fn.params), 0, self.functions)
-        seen_scatter: dict[tuple[int, ...], tuple[str, tuple[int, ...]]] = {}
         for s in self.statements:
             self._validate_statement(s)
-            for point, t in zip(s.rows, s.scatters):
-                if t in seen_scatter:
-                    other = seen_scatter[t]
-                    raise ValidationError(
-                        f"schedule not injective: {s.id}{point} and "
-                        f"{other[0]}{other[1]} share scatter {t}"
-                    )
-                seen_scatter[t] = (s.id, point)
+        scatter_order(self.statements)
 
     def _validate_statement(self, s: Statement) -> None:
         if len(s.schedule_exprs) != self.scatter_arity:
@@ -268,11 +287,15 @@ class Scop:
             raise ValidationError(f"{s.id}: writing statement has no body")
 
     def _check_in_bounds(self, s: Statement, j: int, fld: FieldDecl) -> None:
-        for d, (values, extent) in enumerate(zip(zip(*s.subscripts[j]), fld.extents)):
-            if min(values) < 0 or max(values) >= extent:
+        values = s.subscripts[j]
+        if not len(values):
+            return
+        ranges = zip(values.min(axis=0).tolist(), values.max(axis=0).tolist(), fld.extents)
+        for d, (lo, hi, extent) in enumerate(ranges):
+            if lo < 0 or hi >= extent:
                 raise ValidationError(
                     f"{s.id}: access {fld.name}[dim {d}] out of bounds "
-                    f"(range [{min(values)}, {max(values)}], extent {extent})"
+                    f"(range [{lo}, {hi}], extent {extent})"
                 )
 
 
@@ -438,27 +461,49 @@ def sequential_execute(scop: Scop, init: FieldContents) -> FieldContents:
         if arr.shape != f.extents:
             raise EvaluationError(f"initial contents for {f.name} have shape {arr.shape}")
         fields[f.name] = arr
-    timeline = []
-    for s in scop.real_statements():
-        timeline.extend((t, s, row) for row, t in enumerate(s.scatters))
-    timeline.sort(key=lambda item: item[0])
+    stmts = scop.real_statements()
+    runs = [instance_runner(scop, s) for s in stmts]
     scalars: dict[str, object] = {}
-    for _, s, row in timeline:
-        execute_instance(scop, s, row, scalars, fields)
+    for o, r in zip(*(a.tolist() for a in scatter_order(stmts))):
+        runs[o](r, scalars, fields)
     return fields
 
 
-def execute_instance(scop: Scop, s: Statement, row: int, scalars, fields) -> None:
-    """Evaluate the statement instance in one row against the given memories."""
+def scatter_order(statements) -> tuple[np.ndarray, np.ndarray]:
+    """Every instance of the statements as (statement index, row) columns,
+    in ascending scatter order.  A shared scatter raises ValidationError,
+    naming the first instance, in statement and then row order, whose
+    scatter an earlier one holds."""
+    sizes = [len(s.scatters) for s in statements]
+    owner = np.repeat(np.arange(len(statements)), sizes)
+    row = np.arange(len(owner)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    stacked = np.concatenate([s.scatters for s in statements] or [np.zeros((0, 1))])
+    _, inverse, first = unique_rows(stacked)
+    clash = np.flatnonzero(first[inverse] != np.arange(len(stacked)))
+    if len(clash):
+        (s, p), (o, q) = ((statements[owner[g]], row[g]) for g in (clash[0], first[inverse[clash[0]]]))
+        raise ValidationError(
+            f"schedule not injective: {s.id}{tuple(s.instances[p].tolist())} and "
+            f"{o.id}{tuple(o.instances[q].tolist())} share scatter {tuple(stacked[clash[0]].tolist())}"
+        )
+    return owner[first], row[first]  # distinct scatters come in lexicographic order
 
-    def access(j: int):
-        acc = s.accesses[j]
-        return _from_np(fields[acc.field][s.subscripts[j][row]], scop.field(acc.field))
 
-    value = eval_expr(s.body, scalars, access, scop.functions)
-    writes = s.writes()
-    if writes:
-        j, acc = writes[0]
-        fields[acc.field][s.subscripts[j][row]] = _check_store(value, scop.field(acc.field))
-    for name in s.scalar_writes:
-        scalars[name] = value
+def instance_runner(scop: Scop, s: Statement):
+    """A function evaluating the instance of s in a given row against given
+    memories; the statement's accesses are resolved once."""
+    decls = [scop.field(a.field) for a in s.accesses]
+    elements, writes = s.elements, s.writes()
+    write = writes[0][0] if writes else None
+
+    def run(row: int, scalars, fields) -> None:
+        def access(j: int):
+            return _from_np(fields[decls[j].name][elements[j][row]], decls[j])
+
+        value = eval_expr(s.body, scalars, access, scop.functions)
+        if write is not None:
+            fields[decls[write].name][elements[write][row]] = _check_store(value, decls[write])
+        for name in s.scalar_writes:
+            scalars[name] = value
+
+    return run

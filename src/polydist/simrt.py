@@ -152,6 +152,10 @@ def run(sim: SimState, scop: Scop):
     event must name a statement of the scop and one of its instances."""
     plan = sim.plan
     stmts = {s.id: s for s in scop.statements}
+    written = {}  # statement id -> (field, its FieldDecl, element per row), resolved once
+    for s in scop.real_statements():
+        for j, acc in s.writes():
+            written[s.id] = (acc.field, sim.fields[acc.field], s.elements[j])
 
     node_events = {coord: plan.events.get(coord, []) for coord in sim.nodes}
     for coord, evs in sorted(node_events.items()):
@@ -225,13 +229,13 @@ def run(sim: SimState, scop: Scop):
                 return value
 
             value = eval_expr(s.body, node.scalars, access, scop.functions)
-            if s.writes():
-                j, acc = s.writes()[0]
-                _check_store(value, sim.fields[acc.field])
-                k = s.subscripts[j][s.rows[ev.instance]]
+            if ev.stmt in written:
+                name, fld, elements = written[ev.stmt]
+                _check_store(value, fld)
+                k = elements[s.rows[ev.instance]]
                 for w in ev.writes:
                     if w[0] == "storage":
-                        node.storage[acc.field][sim._offset(node, acc.field, k)] = value
+                        node.storage[name][sim._offset(node, name, k)] = value
                     else:
                         _, cid, rank = w
                         wch = sim.channels[cid]

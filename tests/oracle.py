@@ -13,7 +13,7 @@ import random
 import numpy as np
 
 from polydist.chunking import _order_summary
-from polydist.errors import IterationCapExceeded, SpaceMismatch, UnboundedSet
+from polydist.errors import IterationCapExceeded, OutOfHull, SpaceMismatch, UnboundedSet
 from polydist.isets import (
     AffineExpr,
     Constraint,
@@ -399,9 +399,40 @@ def strict_prefix_holds(scop, fam, level: int) -> bool:
     return level > _order_summary(scop, fam)[0]
 
 
+def pair_rows_by_lookup(dep) -> list:
+    """Per family, the producer's and consumer's rows looked up pair by
+    pair in ``Statement.rows``: the reference for ``DepGraph.pair_rows``."""
+    out = []
+    for fam in dep.families:
+        cols = np.split(fam.table, [fam.n_prod, fam.n_prod + fam.n_cons], axis=1)
+        stmts = (dep.scop.statement(fam.producer), dep.scop.statement(fam.consumer))
+        out.append(tuple(np.array([s.rows[p] for p in map(tuple, c.tolist())], dtype=np.int64)
+                         for s, c in zip(stmts, cols)))
+    return out
+
+
+def block_home(index, blocks) -> tuple[int, ...]:
+    """The one home node of an element: its block coordinate."""
+    return tuple(v // b for v, b in zip(index, blocks))
+
+
+def buffer_rank(layout, index) -> int:
+    """Row-major rank of an element inside a channel's hull box, zero-based:
+    the pointwise reference of the ranks ``emit_protocol`` computes."""
+    if len(index) != len(layout.box):
+        raise OutOfHull(f"index arity {len(index)} != box arity {len(layout.box)}")
+    rank = 0
+    for v, (lo, hi) in zip(index, layout.box):
+        if not lo <= v <= hi:
+            raise OutOfHull(f"index {tuple(index)} outside hull box {layout.box}")
+        rank = rank * (hi - lo + 1) + (v - lo)
+    return rank
+
+
 def placement_nodes(sp, stmt: str, point) -> list:
     """Executing nodes of one instance, read from the enumerated placement."""
-    return sp.table[stmt].get(tuple(point), [])
+    table, n = sp.table[stmt], len(point)
+    return [tuple(r[n:]) for r in table[(table[:, :n] == tuple(point)).all(axis=1)].tolist()]
 
 
 def stmt_nodes(sp, stmt: str, point) -> list:

@@ -1,21 +1,22 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
-from oracle import stmt_nodes
+from oracle import block_home, buffer_rank, stmt_nodes
 from polydist.chunking import chunk_all
 from polydist.commgen import (
     BufferLayout,
     _family_key,
     build_transfers,
-    buffer_rank,
     compile_plan,
     dump_plan,
     group_chunks,
     parse_plan,
 )
 from polydist.deps import EPILOGUE, PROLOGUE, add_virtual_statements, compute_flow
+from polydist import isets
 from polydist.errors import OutOfHull, ParseError
 from polydist.isets import (
     AffineExpr,
@@ -31,7 +32,7 @@ from polydist.isets import (
     union,
 )
 from polydist.pipeline import override_grid, plan_scop
-from polydist.placement import StmtPlacement, block_distribute, block_home, place_statements
+from polydist.placement import StmtPlacement, block_distribute, place_statements
 from polydist.scop import isolate_accesses
 from polydist.scopio import parse_scop, parse_scop_file
 from polydist.syntax import parse_map
@@ -182,8 +183,10 @@ def test_group_chunks_per_iteration(gol16_ctx):
     assert sorted(pro) == [()]  # single chunk
 
 
-def test_group_chunks_trivial_cases():
-    assert group_chunks({"f": []}) == {"f": {}}
+def test_group_chunks_trivial_cases(gol16_ctx):
+    empty = gol16_ctx[-1]["pro:S1.1:front"].take(np.zeros(0, dtype=np.intp))
+    assert group_chunks({}) == {}
+    assert group_chunks({"f": empty}) == {"f": {}}
 
 
 def test_boundary_buffer_size_seven(gol16_ctx):
@@ -585,3 +588,36 @@ def test_plan_quality_on_shipped_inputs(scops_dir, scop, grid):
         value = (t.producer, t.producer_instance, t.element, t.producer_node, t.consumer_node)
         carriers.setdefault(value, set()).add((key, t.representative))
     assert all(len(c) == 1 for c in carriers.values())
+
+
+@pytest.mark.parametrize("case", ["gol16-2x2", "wide-2^70"])
+def test_plan_numbers_are_python_ints(gol16_path, case):
+    """Tables may be int64, but every number a plan holds is a Python int:
+    numpy 2 prints np.int64(5) in repr, and trace digests hash reprs, so a
+    leaked numpy scalar would change dumps or traces without an error.
+    Fill and drain ranks agree with the pointwise buffer_rank."""
+    from test_cli import _wide_scop
+
+    doc = gol16_path.read_text() if case == "gol16-2x2" else json.dumps(_wide_scop(2**70, 1))
+    _, plan = plan_scop(parse_scop(doc))
+    for ch in plan.channels:
+        values = [*ch.src, *ch.dst, ch.cid, ch.tag, *(v for pair in ch.layout.box for v in pair)]
+        assert all(type(v) is int for v in values), ch
+    for evs in plan.events.values():
+        for ev in evs:
+            values = [*ev.scatter, *ev.instance, *ev.element, *(ev.read_from or ()), ev.cid, ev.rank]
+            values += [v for w in ev.writes for v in w[1:]]
+            assert all(type(v) is int for v in values), ev
+            if ev.kind in ("buffer_fill", "buffer_drain"):
+                assert ev.rank == buffer_rank(plan.channels[ev.cid].layout, ev.element), ev
+
+
+def test_plan_identical_with_every_table_searched(gol16_path, monkeypatch):
+    """With box scanning off every enumerated table holds Python ints, and
+    transfers and emission run on that dtype: the plan is the same."""
+    _, plan = plan_scop(parse_scop_file(gol16_path))
+    monkeypatch.setattr(isets, "_ENUM_SCAN_CAP", 0)
+    monkeypatch.setattr(isets, "_SOLVE_SCAN_CAP", 0)
+    analysis, searched = plan_scop(parse_scop_file(gol16_path))
+    assert analysis.dep.families[0].table.dtype == object
+    assert dump_plan(searched) == dump_plan(plan)

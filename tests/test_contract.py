@@ -3,10 +3,15 @@ configurations below, and the analysis dumps of two of them, pinned by
 sha256.  A change to any of them must say why."""
 
 import hashlib
+import importlib.util
 
 import pytest
 
+from conftest import REPO_ROOT
 from polydist.cli import main
+from polydist.commgen import dump_plan
+from polydist.pipeline import cap_iterations, override_grid, plan_scop
+from polydist.scopio import parse_scop_file
 
 EXPECTED = {
     ("gol16", "2x2"): {
@@ -78,3 +83,34 @@ def test_analysis_dumps_pinned(scops_dir, tmp_path, scop, grid):
     assert main(argv) == 0
     for name, digest in ANALYSIS[(scop, grid)].items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+def _perfbench(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", REPO_ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class _Probe:
+    """Stands in for perfbench's SpeedProbe: wall time at reference speed."""
+
+    def scaled(self, t0: float, t1: float) -> float:
+        return t1 - t0
+
+    def speed(self, *_) -> float:
+        return 1.0
+
+
+def test_perfbench_pipeline_runs(scops_dir):
+    """perfbench/sample.py plans through the stage functions themselves
+    (FlowFamily.pairs, build_transfers, len() of each transfers value,
+    group_chunks, emit_protocol): it must run on them and plan what
+    plan_scop plans."""
+    sample, spans = _perfbench("sample"), _perfbench("spans")
+    cfg = {"scop": "scops/gol16.scop", "grid": [2, 2], "iters": 1, "contents_seeds": [1]}
+    out = sample.run_pipeline(cfg, REPO_ROOT, spans.NullRecorder(), _Probe())
+    assert out["failures"] == []
+    scop = cap_iterations(override_grid(parse_scop_file(scops_dir / "gol16.scop"), (2, 2)), 1)
+    expected = hashlib.sha256(dump_plan(plan_scop(scop)[1]).encode()).hexdigest()
+    assert out["counts"]["plan_sha256"] == expected

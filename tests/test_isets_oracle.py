@@ -8,6 +8,7 @@ on enumerations.
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,18 +24,26 @@ from polydist.isets import (
     apply,
     compose,
     enumerate_set,
+    enumerate_table,
     eq0,
     ge0,
     is_empty,
     lexmax,
     lexmin,
+    point_table,
+    propagate,
+    subtract,
+    union,
 )
+from polydist.deps import add_virtual_statements, compute_flow
 from polydist.pipeline import analyze_scop, override_grid
+from polydist.scop import isolate_accesses
 from polydist.scopio import parse_scop_file
 from polydist.syntax import parse_map, parse_set
 
 from oracle import (
     evaluate_point,
+    pair_rows_by_lookup,
     random_functional_exprs,
     random_map,
     random_set,
@@ -233,3 +242,50 @@ def test_block_pair_scan_matches_search(case, seed):
         scanned = list(map(tuple, isets._scan_piece(3, piece, 1 << 20).tolist()))
         searched = list(isets._search_piece(3, piece, False))
         assert sorted(scanned) == searched
+
+
+def _table_case(seed: int) -> IntSet:
+    """A random set; every third one a union, every third a difference of
+    two, whose pieces overlap or carry the negated rows of a subtraction."""
+    rng = random.Random(seed + 20000)
+    space = random_space(rng, "t")
+    a, b = random_set(rng, space), random_set(rng, space)
+    return (a, union(a, b), subtract(a, b))[seed % 3]
+
+
+@pytest.mark.parametrize("search", [False, True], ids=["scan", "search"])
+def test_enumerate_table_matches_enumerated_points(search, monkeypatch):
+    """On 200 random sets the table builder gives the enumerated points row
+    for row; it is int64 unless some piece was searched."""
+    if search:
+        monkeypatch.setattr(isets, "_ENUM_SCAN_CAP", 0)
+    for seed in range(200):
+        s = _table_case(seed)
+        table = enumerate_table(s)
+        expected = point_table(enumerate_set(s), s.arity)
+        assert table.shape == expected.shape and table.tolist() == expected.tolist(), seed
+        searched = search and any(propagate(s.arity, p) is not None for p in s.pieces)
+        assert table.dtype == (object if searched else np.int64), seed
+
+
+@pytest.mark.parametrize("base", [1 << 62, 1 << 70], ids=["2^62", "2^70"])
+def test_enumerate_table_stays_exact_at_huge_bounds(base):
+    """The half-sum set of test_huge_bounds_stay_exact, which the scan hands
+    to the search: its table holds Python ints."""
+    space = Space("h", ("x0", "x1"))
+    half_sum = AffineExpr((0, 0), -base - 1, (DivTerm(1, AffineExpr((1, 1)), 2),))
+    box = IntSet.from_box(space, [(base, base + 3), (base, base + 3)])
+    s = IntSet.make(space, [box.pieces[0] + (ge0(half_sum),)])
+    table = enumerate_table(s)
+    assert table.dtype == object and all(type(v) is int for v in table.ravel())
+    assert table.tolist() == point_table(enumerate_set(s), 2).tolist()
+
+
+@pytest.mark.parametrize("name", ["empty", "gol16", "gol16_fused", "gol32"])
+def test_pair_rows_match_lookup(scops_dir, name):
+    """The searched pair rows of every family of the shipped SCoPs equal
+    the pair-by-pair lookup in Statement.rows."""
+    scop = parse_scop_file(scops_dir / f"{name}.scop")
+    dep = compute_flow(add_virtual_statements(isolate_accesses(scop)))
+    for fam, got, want in zip(dep.families, dep.pair_rows, pair_rows_by_lookup(dep)):
+        assert got[0].tolist() == want[0].tolist() and got[1].tolist() == want[1].tolist(), fam.rel.space

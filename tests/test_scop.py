@@ -118,6 +118,24 @@ def test_non_injective_schedule_rejected(gol16_path):
         parse_scop(json.dumps(doc))
 
 
+def test_non_injective_schedule_names_first_instance_in_statement_order():
+    # B(0) and C(0), C(1) each land on a scatter of A.  In scatter order the
+    # first clash is C(0) on (0, 2); in statement and then row order it is
+    # B(0) on A(3)'s (0, 3), and that is the pair named.
+    def stmt(sid, schedule):
+        return {"id": sid, "domain": "{ [x] : 0 <= x < 4 }", "schedule": schedule, "accesses": []}
+
+    doc = {
+        "name": "clash", "grid": [1], "scatter_arity": 2,
+        "fields": [{"name": "f", "type": "int64", "extents": [4]}], "functions": {},
+        "statements": [stmt("A", "{ [x] -> [0, x] }"), stmt("B", "{ [x] -> [0, x + 3] }"),
+                       stmt("C", "{ [x] -> [0, x + 2] }")],
+    }
+    with pytest.raises(ValidationError) as ei:
+        parse_scop(json.dumps(doc))
+    assert str(ei.value) == "schedule not injective: B(0,) and A(3,) share scatter (0, 3)"
+
+
 def _with_schedule(gol16_path, schedule):
     doc = json.loads(gol16_path.read_text())
     doc["statements"][0]["schedule"] = schedule
