@@ -101,7 +101,9 @@ class Channel:
         return self.src == self.dst
 
 
-_PHASE = {"recv": 0, "send": 1, "recv_wait": 2, "send_wait": 3}
+# the order of events at one scatter: channel calls, then the rest
+_PHASE = {"recv": 0, "send": 1, "recv_wait": 2, "send_wait": 3, "compute": 4, "buffer_fill": 4,
+          "buffer_drain": 4}
 
 
 @dataclass(slots=True)
@@ -117,9 +119,6 @@ class Event:
     cid: int = -1
     element: tuple = ()  # for fill/drain events
     rank: int = -1
-
-    def sort_key(self):
-        return (self.scatter, _PHASE.get(self.kind, 4), self.cid, self.rank, self.stmt, self.instance)
 
 
 @dataclass
@@ -243,10 +242,6 @@ def group_chunks(transfers: dict) -> dict:
 # Protocol emission
 
 
-def _offset_last(t: tuple, delta: int) -> tuple:
-    return t[:-1] + (t[-1] + delta,)
-
-
 def emit_protocol(
     scop: Scop,
     dep: DepGraph,
@@ -257,12 +252,24 @@ def emit_protocol(
     """Assemble the per-node event lists from grouped transfers.  Channel
     boxes, buffer ranks, scatter extremes and the buffer bindings of the
     compute events are computed on the transfer columns; Python objects
-    are made for the channels and events only."""
+    are made for the channels and events only.  Each node's events are in
+    order of (scatter, phase, cid, rank, statement, instance), found by
+    one lexsort over those columns of every event."""
     nodes, n = scop.grid.nodes, len(scop.grid.nodes)
     dilated = {s.id: 2 * s.scatters for s in scop.statements}
     tuples = {sid: list(map(tuple, t.tolist())) for sid, t in dilated.items()}
+    stmt_key = {sid: k for k, sid in enumerate(sorted(dilated), start=1)}  # "" is 0
     channels: list = []
-    events: dict = {}
+    made: list = []  # every event, in the order made
+    # per block of events in `made`: node index, scatter rows, then the
+    # phase, cid, rank, statement and instance keys (an instance by its row)
+    order_keys: list = []
+
+    def add_keys(node, scatter, phase, cid=-1, rank=-1, stmt=0, inst=0):
+        rest = (np.broadcast_to(v, len(node)) for v in (phase, cid, rank, stmt, inst))
+        order_keys.append((node, scatter, *rest))
+
+    add_keys(np.zeros(0, dtype=np.intp), np.zeros((0, scop.scatter_arity), dtype=np.int64), 0)  # no events
     # the buffer slots compute events write ("buffer_fill") and read
     # ("buffer_drain"), by statement, as blocks of (key, cid, rank) columns
     bindings: dict = {}
@@ -298,37 +305,47 @@ def emit_protocol(
         cut |= np.diff(ts.chunk, prepend=-1) != 0
         group, starts = np.cumsum(cut) - 1, np.flatnonzero(cut)
         ends = np.append(starts[1:], len(ts)) - 1
-        src, dst = ([nodes[i] for i in col[starts].tolist()]
-                    for col in (ts.producer_node, ts.consumer_node))
+        ends_at = (ts.producer_node[starts], ts.consumer_node[starts])
+        src, dst = ([nodes[i] for i in col.tolist()] for col in ends_at)
         names = [f"{key}@{_fmt_tuple(rep)}" for rep in ts.reps[ts.chunk[starts]].tolist()]
         cids = cid[starts].tolist()
         spans = []
         for rows, sid in ((ts.producer_row, fam.producer), (ts.consumer_row, fam.consumer)):
             sc = dilated[sid][rows]
             order = np.lexsort((*sc.T[::-1], group))
-            spans += [list(map(tuple, sc[order[i]].tolist())) for i in (starts, ends)]
-        calls = list(zip(("send_wait", "send", "recv_wait", "recv"), (-1, 1, -1, 1), spans,
-                         (src, src, dst, dst)))
+            spans += [sc[order[i]] for i in (starts, ends)]
+        # chunk by chunk: send_wait before the first scatter at the source,
+        # send after its last, recv_wait and recv likewise at the destination
+        kinds = ("send_wait", "send", "recv_wait", "recv")
+        scatter = np.stack(spans, axis=1)
+        scatter[:, :, -1] += (-1, 1, -1, 1)
+        scatter = scatter.reshape(-1, scatter.shape[-1])
+        add_keys(np.repeat(np.stack(ends_at, axis=1), 2, axis=1).ravel(), scatter,
+                 np.tile([_PHASE[k] for k in kinds], len(starts)), np.repeat(cid[starts], 4))
+        spans = iter(map(tuple, scatter.tolist()))
         for g, (name, c) in enumerate(zip(names, cids)):
-            for kind, delta, span, at in calls:
-                event = Event(at[g], _offset_last(span[g], delta), kind, chunk=name, cid=c)
-                events.setdefault(at[g], []).append(event)
+            for kind, at in zip(kinds, (src, src, dst, dst)):
+                made.append(Event(at[g], next(spans), kind, chunk=name, cid=c))
 
         # every chunk's elements in rank order: the prologue fills each rank
         # once and the epilogue drains it; the other ends bind compute events
         order = np.lexsort((rank, group))
         ranked, g, r = ts.take(order), group[order], rank[order]
         once = np.flatnonzero((np.diff(g, prepend=-1) != 0) | (np.diff(r, prepend=-1) != 0))
-        for sid, virtual, at, rows, where, kind in (
-            (fam.producer, PROLOGUE, src, ranked.producer_row, ranked.producer_node, "buffer_fill"),
-            (fam.consumer, EPILOGUE, dst, ranked.consumer_row, ranked.consumer_node, "buffer_drain"),
+        for sid, virtual, at, node, rows, where, kind in (
+            (fam.producer, PROLOGUE, src, ends_at[0], ranked.producer_row, ranked.producer_node,
+             "buffer_fill"),
+            (fam.consumer, EPILOGUE, dst, ends_at[1], ranked.consumer_row, ranked.consumer_node,
+             "buffer_drain"),
         ):
             if sid != virtual:
                 bindings.setdefault((sid, kind), []).append((rows * n + where, cid[order], r))
                 continue
+            add_keys(node[g[once]], np.broadcast_to(dilated[sid][0], (len(once), scop.scatter_arity)),
+                     _PHASE[kind], cid[starts][g[once]], r[once])
             for gi, e, k in zip(g[once].tolist(), elem[order][once].tolist(), r[once].tolist()):
-                events[at[gi]].append(Event(at[gi], tuples[sid][0], kind, chunk=names[gi],
-                                            cid=cids[gi], element=tuple(e), rank=k))
+                made.append(Event(at[gi], tuples[sid][0], kind, chunk=names[gi],
+                                  cid=cids[gi], element=tuple(e), rank=k))
 
     # compute events for every execution of every real statement, row by row
     retained = {f.producer for f in dep.epilogue_families()}
@@ -352,14 +369,16 @@ def emit_protocol(
         lo, hi = (np.searchsorted(writes[:, 0], keys, side=side).tolist() for side in ("left", "right"))
         buffers = [("buffer", c, k) for c, k in writes[:, 1:].tolist()]
         scat = tuples[s.id]
+        add_keys(where, dilated[s.id][rows], _PHASE["compute"], stmt=stmt_key[s.id], inst=rows)
         for r, w, rf, st, a, z in zip(rows.tolist(), where.tolist(), read_from, stored.tolist(), lo, hi):
-            event = Event(nodes[w], scat[r], "compute", s.id, inst[r], rf,
-                          (("storage",),) * st + tuple(buffers[a:z]))
-            events.setdefault(nodes[w], []).append(event)
+            made.append(Event(nodes[w], scat[r], "compute", s.id, inst[r], rf,
+                              (("storage",),) * st + tuple(buffers[a:z])))
 
-    for evs in events.values():
-        evs.sort(key=Event.sort_key)
-
+    node, scatter, *rest = (np.concatenate(c) for c in zip(*order_keys))
+    order = np.lexsort((*rest[::-1], *scatter.T[::-1], node))
+    made, node = [made[i] for i in order.tolist()], node[order]
+    cuts = np.flatnonzero(np.diff(node, prepend=-1)).tolist()
+    events = {nodes[node[a]]: made[a:b] for a, b in zip(cuts, cuts[1:] + [len(made)])}
     return CommPlan(
         name=scop.name,
         grid=scop.grid.extents,
@@ -367,7 +386,7 @@ def emit_protocol(
         fields=tuple((f.name, f.element_type, f.extents) for f in scop.fields),
         block_extents=dict(fp.block_extents),
         channels=channels,
-        events={node: evs for node, evs in sorted(events.items())},
+        events=events,
     )
 
 

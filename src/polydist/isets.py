@@ -621,8 +621,9 @@ def propagate(arity: int, piece: Piece):
 # Box scanning (polyhedral scanning of a finite box, evaluated with numpy)
 
 _SCAN_BLOCK = 1 << 14  # points evaluated per numpy pass; bounds the scan's memory
+_FIRST_BLOCK = 1 << 6  # points in the first pass of an emptiness scan
 _ENUM_SCAN_CAP = 1 << 20  # largest free box that _piece_points scans
-_SOLVE_SCAN_CAP = 1 << 12  # largest free box that _solve_piece scans
+_SOLVE_SCAN_CAP = 1 << 12  # largest free box that _solve_piece and piece_is_empty scan
 _INT64_SAFE = 1 << 62  # every value the scan computes stays below this in magnitude
 
 
@@ -777,23 +778,30 @@ def _scan_program(arity: int, piece: Piece) -> Optional[_ScanProgram]:
     )
 
 
-def _scan_piece(arity: int, piece: Piece, cap: int):
-    """Points of a non-empty piece as an int64 array, one row per point in
+def _scan_piece(arity: int, piece: Piece, cap: int, first: int = _SCAN_BLOCK):
+    """Points of a non-empty piece as int64 blocks, one row per point in
     lexicographic order of the free dimensions; None when the scan does not
-    apply or the free box holds more than `cap` points."""
+    apply or the free box holds more than `cap` points.  The blocks are
+    made as they are taken and cover `first` points of the box, then four
+    times more each, up to _SCAN_BLOCK: a caller that needs one point
+    starts small and stops after the first block that keeps one."""
     prog = _scan_program(arity, piece)
     if prog is None or prog.volume > cap:
         return None
-    found = []
-    for start in range(0, prog.volume, _SCAN_BLOCK):
-        idx = np.arange(start, min(prog.volume, start + _SCAN_BLOCK), dtype=np.int64)
-        y = np.zeros((len(idx), prog.ncols), dtype=np.int64)
-        y[:, prog.free] = idx[:, None] // prog.strides % prog.extents + prog.los
-        for cols, rows, consts, divs in prog.stages:
-            y[:, cols] = (y @ rows + consts) // divs
-        keep = (y @ prog.checks + prog.bases >= 0).all(axis=1)
-        found.append(y[keep, :arity])
-    return np.concatenate(found)
+
+    def blocks():
+        start, size = 0, first
+        while start < prog.volume:
+            idx = np.arange(start, min(prog.volume, start + size), dtype=np.int64)
+            y = np.zeros((len(idx), prog.ncols), dtype=np.int64)
+            y[:, prog.free] = idx[:, None] // prog.strides % prog.extents + prog.los
+            for cols, rows, consts, divs in prog.stages:
+                y[:, cols] = (y @ rows + consts) // divs
+            keep = (y @ prog.checks + prog.bases >= 0).all(axis=1)
+            yield y[keep, :arity]
+            start, size = start + len(idx), min(4 * size, _SCAN_BLOCK)
+
+    return blocks()
 
 
 def _assign(piece: Piece, col: int, value: int) -> Optional[Piece]:
@@ -861,18 +869,29 @@ def _search_piece(arity: int, piece: Piece, descending: bool):
 
 def _solve_piece(arity: int, piece: Piece, maximize: bool) -> Optional[tuple[int, ...]]:
     """Lexicographic extreme point of a piece, or None when empty: the
-    extreme of the scanned points when the box is small, else the first
-    point of the search."""
+    extreme of all scanned points when the box is small, else the first
+    point of the search.  Only ``lexmin``/``lexmax`` need it; emptiness is
+    ``piece_is_empty``."""
     if propagate(arity, piece) is None:
         return None
-    points = _scan_piece(arity, piece, _SOLVE_SCAN_CAP)
-    if points is None:
+    blocks = _scan_piece(arity, piece, _SOLVE_SCAN_CAP)
+    if blocks is None:
         return next(_search_piece(arity, piece, maximize), None)
+    points = np.concatenate(list(blocks))
     return lex_extreme_row(points, maximize) if len(points) else None
 
 
+@lru_cache(maxsize=10_000)
 def piece_is_empty(arity: int, piece: Piece) -> bool:
-    return _solve_piece(arity, piece, False) is None
+    """Whether a piece has no integer point, answered once per piece.  The
+    scan stops at the first block that keeps a point; a box larger than
+    _SOLVE_SCAN_CAP takes the search, which stops at its first point."""
+    if propagate(arity, piece) is None:
+        return True
+    blocks = _scan_piece(arity, piece, _SOLVE_SCAN_CAP, _FIRST_BLOCK)
+    if blocks is None:
+        return next(_search_piece(arity, piece, False), None) is None
+    return not any(len(b) for b in blocks)
 
 
 def _piece_points(arity: int, piece: Piece) -> np.ndarray:
@@ -880,8 +899,10 @@ def _piece_points(arity: int, piece: Piece) -> np.ndarray:
     to scan (see _scan_program), else the search's Python ints."""
     if propagate(arity, piece) is None:
         return np.zeros((0, arity), dtype=np.int64)
-    points = _scan_piece(arity, piece, _ENUM_SCAN_CAP)
-    return point_table(list(_search_piece(arity, piece, False)), arity) if points is None else points
+    blocks = _scan_piece(arity, piece, _ENUM_SCAN_CAP)
+    if blocks is None:
+        return point_table(list(_search_piece(arity, piece, False)), arity)
+    return np.concatenate(list(blocks))
 
 
 def point_table(points: Sequence[tuple[int, ...]], arity: int) -> np.ndarray:
@@ -951,19 +972,21 @@ def _div_to_dim(arity: int, piece: Piece, q: int) -> Piece:
     )
 
 
-def _project_dim(arity: int, piece: Piece, k: int) -> list[Piece]:
-    """Exact integer projection of dim k out of one piece, as pieces over
-    arity-1 dims.  A division column whose definition uses k becomes one
-    more dim, projected out after k."""
+@lru_cache(maxsize=10_000)
+def _project_dim(arity: int, piece: Piece, k: int) -> tuple[Piece, ...]:
+    """Exact integer projection of dim k out of one piece, as normalized
+    pieces over arity-1 dims.  A division column whose definition uses k
+    becomes one more dim, projected out after k.  Memoised: placement
+    projects the same pieces again and again."""
     piece = normalize_piece(piece)
     if piece is None:
-        return []
+        return ()
     for j, dv in enumerate(piece.divs):
         if dv[k + 1]:
             wide = _div_to_dim(arity, piece, arity + j)
             out = _project_dim(arity + 1, wide, k)
-            return [q for p in out for q in _project_dim(arity, p, arity - 1)]
-    return _eliminate_dim(arity, piece, k)
+            return tuple(q for p in out for q in _project_dim(arity, p, arity - 1))
+    return tuple(_eliminate_dim(arity, piece, k))
 
 
 def _eliminate_dim(arity: int, piece: Piece, k: int) -> list[Piece]:
@@ -1054,7 +1077,12 @@ def _dim_range(arity: int, piece: Piece, k: int, bounds):
 
 
 def project_pieces(arity: int, pieces: Iterable[Piece], drop: Sequence[int]) -> list[Piece]:
-    """Project the given dimensions out of every piece (exact)."""
+    """Project the given dimensions out of every piece (exact).  Every
+    piece returned is normalized and passes propagation, also when
+    nothing is dropped."""
+    if not drop:  # normalized and filtered, as a projection leaves its pieces
+        pieces = [q for p in pieces if (q := normalize_piece(p)) is not None
+                  and propagate(arity, q) is not None]
     current = [(arity, p) for p in pieces]
     for k in sorted(drop, reverse=True):
         nxt = []
@@ -1188,18 +1216,57 @@ def union(a: IntSet, b: IntSet) -> IntSet:
     return IntSet.make(a.space, list(a.pieces) + list(b.pieces))
 
 
+def _excluded(arity: int, row: tuple, box, spans: dict) -> bool:
+    """Whether the inequality `row`, over dims only, is false on every
+    point of the piece with propagated `box` and `spans`, the intervals
+    of its dims-only linear parts: the row is negative on the box, or its
+    gcd-reduced form contradicts the interval of its linear part.  These
+    are rows normalize_piece or propagate reject beside the piece's rows."""
+    body, const = row[1:-1], row[-1]
+    if any(body[arity:]):
+        return False
+    body = body[:arity]
+    if box is not None:
+        terms = [(c, hi if c > 0 else lo) for c, (lo, hi) in zip(body, box) if c]
+        if None not in (e for _, e in terms) and const + sum(c * e for c, e in terms) < 0:
+            return True
+    g = gcd(*body)
+    if not g:
+        return False
+    sign = 1 if next(c for c in body if c) > 0 else -1
+    lo, hi = spans.get(tuple(sign * c // g for c in body), (None, None))
+    if sign > 0:  # canon >= -const // g
+        return hi is not None and hi < -(const // g)
+    return lo is not None and lo > const // g  # canon <= const // g
+
+
 def _subtract_pieces(arity: int, base: list[Piece], minus: Piece) -> list[Piece]:
+    """The pieces of `base` minus one piece.  A base piece p disjoint from
+    `minus` survives whole; otherwise p splits into the non-empty pieces
+    p and r_0 and ... and r_{i-1} and not r_i over the rows r_i of `minus`
+    (both sides of an equality).  A candidate is dropped before it is
+    built when r_i repeats an earlier row or not r_i is ``_excluded`` by
+    p; normalize_piece or propagate would reject it, so the pieces kept
+    and their order are those of building every candidate (the reference
+    in tests/oracle.py)."""
     out = []
     for p in base:
         merged = normalize_piece(conjoin(p, minus))
         if merged is None or propagate(arity, merged) is None:
             out.append(p)  # disjoint: survives whole
             continue
+        box = propagate(arity, p)
+        spans = {canon[:arity]: (lo, hi) for _, canon, lo, hi in _interval_signatures(p)
+                 if not any(canon[arity:])}
         for idx, r in enumerate(minus.rows):
+            if r in minus.rows[:idx]:
+                continue  # the prefix holds r
             negs = [(0, *(-x for x in r[1:-1]), -r[-1] - 1)]  # -e - 1 >= 0
             if r[0]:
                 negs.insert(0, (0, *r[1:-1], r[-1] - 1))  # e - 1 >= 0
             for neg in negs:
+                if _excluded(arity, neg, box, spans):
+                    continue
                 cand = normalize_piece(conjoin(p, Piece(minus.divs, minus.rows[:idx] + (neg,))))
                 if cand is not None and propagate(arity, cand) is not None:
                     out.append(cand)

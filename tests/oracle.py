@@ -12,7 +12,9 @@ import random
 
 import numpy as np
 
+from polydist import isets
 from polydist.chunking import _order_summary
+from polydist.commgen import _PHASE
 from polydist.errors import IterationCapExceeded, OutOfHull, SpaceMismatch, UnboundedSet
 from polydist.isets import (
     AffineExpr,
@@ -20,6 +22,7 @@ from polydist.isets import (
     DivTerm,
     IntMap,
     IntSet,
+    Piece,
     Space,
     _map_same_shape,
     apply,
@@ -37,6 +40,7 @@ from polydist.isets import (
     map_is_empty,
     map_subtract,
     map_union,
+    normalize_piece,
     propagate,
     project_pieces,
     subtract,
@@ -130,6 +134,50 @@ def transitive_closure(r: IntMap) -> IntMap:
         closure = map_union(closure, new)
         delta = new
     raise IterationCapExceeded("transitive closure fixpoint exceeded universe size")
+
+
+def piece_is_empty_by_extreme(arity: int, piece) -> bool:
+    """Emptiness as the lexicographic minimum answers it: the extreme of a
+    whole scanned box, or the search's first point.  The reference for
+    ``isets.piece_is_empty``, which stops at the first point it scans."""
+    return isets._solve_piece(arity, piece, False) is None
+
+
+def subtract_pieces_unfiltered(arity: int, base: list, minus) -> list:
+    """``isets._subtract_pieces`` building and testing every candidate
+    p and r_0 and ... and not r_i: the reference for its refutations."""
+    out = []
+    for p in base:
+        merged = normalize_piece(conjoin(p, minus))
+        if merged is None or propagate(arity, merged) is None:
+            out.append(p)  # disjoint: survives whole
+            continue
+        for idx, r in enumerate(minus.rows):
+            negs = [(0, *(-x for x in r[1:-1]), -r[-1] - 1)]  # -e - 1 >= 0
+            if r[0]:
+                negs.insert(0, (0, *r[1:-1], r[-1] - 1))  # e - 1 >= 0
+            for neg in negs:
+                cand = normalize_piece(conjoin(p, Piece(minus.divs, minus.rows[:idx] + (neg,))))
+                if cand is not None and propagate(arity, cand) is not None:
+                    out.append(cand)
+    return out
+
+
+def subtract_unfiltered(a: IntSet, b: IntSet) -> IntSet:
+    """``isets.subtract`` through the two references above."""
+    pieces = list(a.pieces)
+    for q in b.pieces:
+        pieces = subtract_pieces_unfiltered(a.arity, pieces, q)
+    pieces = [p for p in pieces if not piece_is_empty_by_extreme(a.arity, p)]
+    return IntSet.make(a.space, pieces)
+
+
+def search_only(monkeypatch) -> None:
+    """Box scanning off: every enumeration, lexicographic extreme and
+    emptiness answer comes from the search (memoised answers dropped)."""
+    monkeypatch.setattr(isets, "_ENUM_SCAN_CAP", 0)
+    monkeypatch.setattr(isets, "_SOLVE_SCAN_CAP", 0)
+    isets.piece_is_empty.cache_clear()
 
 
 def random_space(rng: random.Random, name: str, max_dims: int = 4) -> Space:
@@ -442,6 +490,12 @@ def stmt_nodes(sp, stmt: str, point) -> list:
 
 
 # -- scheduling oracle --------------------------------------------------------
+
+
+def event_key(ev) -> tuple:
+    """Where an event stands in its node's list: the reference for the
+    order ``emit_protocol`` gives by lexsort."""
+    return (ev.scatter, _PHASE[ev.kind], ev.cid, ev.rank, ev.stmt, ev.instance)
 
 
 def scan_order(plan, nodes):

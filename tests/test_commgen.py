@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from oracle import block_home, buffer_rank, stmt_nodes
+from oracle import block_home, buffer_rank, event_key, search_only, stmt_nodes
 from polydist.chunking import chunk_all
 from polydist.commgen import (
     BufferLayout,
@@ -612,12 +612,27 @@ def test_plan_numbers_are_python_ints(gol16_path, case):
                 assert ev.rank == buffer_rank(plan.channels[ev.cid].layout, ev.element), ev
 
 
+@pytest.mark.parametrize("case", ["gol16-2x2", "wide-2^70"])
+def test_events_in_reference_order(gol16_path, case):
+    """Emission orders the events by one lexsort over their key columns
+    (int64, or Python ints at 2^70): each node's list is in the order of
+    the reference key, and the nodes come in grid order."""
+    from test_cli import _wide_scop
+
+    doc = gol16_path.read_text() if case == "gol16-2x2" else json.dumps(_wide_scop(2**70, 1))
+    _, plan = plan_scop(parse_scop(doc))
+    assert list(plan.events) == sorted(plan.events)
+    for node, evs in plan.events.items():
+        assert evs and all(ev.node == node for ev in evs)
+        keys = [event_key(ev) for ev in evs]
+        assert keys == sorted(keys), node
+
+
 def test_plan_identical_with_every_table_searched(gol16_path, monkeypatch):
     """With box scanning off every enumerated table holds Python ints, and
     transfers and emission run on that dtype: the plan is the same."""
     _, plan = plan_scop(parse_scop_file(gol16_path))
-    monkeypatch.setattr(isets, "_ENUM_SCAN_CAP", 0)
-    monkeypatch.setattr(isets, "_SOLVE_SCAN_CAP", 0)
+    search_only(monkeypatch)
     analysis, searched = plan_scop(parse_scop_file(gol16_path))
     assert analysis.dep.families[0].table.dtype == object
     assert dump_plan(searched) == dump_plan(plan)

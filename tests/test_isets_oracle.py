@@ -7,13 +7,14 @@ on enumerations.
 
 import itertools
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polydist import isets
+from polydist import deps, isets, placement
 from polydist.errors import UnboundedSet
 from polydist.isets import (
     AffineExpr,
@@ -23,13 +24,16 @@ from polydist.isets import (
     Space,
     apply,
     compose,
+    conjoin,
     enumerate_set,
     enumerate_table,
     eq0,
     ge0,
+    intersect,
     is_empty,
     lexmax,
     lexmin,
+    normalize_piece,
     point_table,
     propagate,
     subtract,
@@ -37,12 +41,14 @@ from polydist.isets import (
 )
 from polydist.deps import add_virtual_statements, compute_flow
 from polydist.pipeline import analyze_scop, override_grid
+from polydist.placement import block_distribute, place_statements
 from polydist.scop import isolate_accesses
 from polydist.scopio import parse_scop_file
 from polydist.syntax import parse_map, parse_set
 
 from oracle import (
     evaluate_point,
+    piece_is_empty_by_extreme,
     pair_rows_by_lookup,
     random_functional_exprs,
     random_map,
@@ -50,6 +56,9 @@ from oracle import (
     random_space,
     ref_closure,
     run_algebra_case,
+    search_only,
+    subtract_pieces_unfiltered,
+    subtract_unfiltered,
     transitive_closure,
 )
 from test_contract import EXPECTED as CONTRACT
@@ -76,8 +85,7 @@ def test_algebra_oracle(seed):
 def test_algebra_oracle_search_path(seed, monkeypatch):
     """The same cases with box scanning off, so every enumeration and
     lexicographic extreme takes the backtracking search."""
-    monkeypatch.setattr(isets, "_ENUM_SCAN_CAP", 0)
-    monkeypatch.setattr(isets, "_SOLVE_SCAN_CAP", 0)
+    search_only(monkeypatch)
     run_algebra_case(seed)
 
 
@@ -114,8 +122,7 @@ def test_floor_div_equality_is_scanned(monkeypatch):
     assert expected == [(0, 0), (0, 1), (3, 4), (3, 5), (6, 8), (6, 9)]
     scanned = (enumerate_set(s), lexmin(s), lexmax(s))
     assert scanned == (expected, expected[0], expected[-1])
-    monkeypatch.setattr(isets, "_ENUM_SCAN_CAP", 0)
-    monkeypatch.setattr(isets, "_SOLVE_SCAN_CAP", 0)
+    search_only(monkeypatch)
     assert (enumerate_set(s), lexmin(s), lexmax(s)) == scanned
 
 
@@ -239,7 +246,7 @@ def test_block_pair_scan_matches_search(case, seed):
     for piece in s.pieces:
         prog = isets._scan_program(3, piece)
         assert prog is not None and len(prog.free) <= 2  # x2 (or x1) computed
-        scanned = list(map(tuple, isets._scan_piece(3, piece, 1 << 20).tolist()))
+        scanned = list(map(tuple, np.concatenate(list(isets._scan_piece(3, piece, 1 << 20))).tolist()))
         searched = list(isets._search_piece(3, piece, False))
         assert sorted(scanned) == searched
 
@@ -289,3 +296,143 @@ def test_pair_rows_match_lookup(scops_dir, name):
     dep = compute_flow(add_virtual_statements(isolate_accesses(scop)))
     for fam, got, want in zip(dep.families, dep.pair_rows, pair_rows_by_lookup(dep)):
         assert got[0].tolist() == want[0].tolist() and got[1].tolist() == want[1].tolist(), fam.rel.space
+
+
+def _algebra_sets(seed: int) -> tuple[IntSet, IntSet]:
+    """The two random sets run_algebra_case(seed) starts from."""
+    rng = random.Random(seed)
+    space = random_space(rng, "s")
+    return random_set(rng, space), random_set(rng, space)
+
+
+def _late_piece(seed: int):
+    """A piece over a 3-dim box with one to three coupled rows that
+    interval propagation cannot fold into the box, so its first point (if
+    any) may lie far into the scanned box."""
+    rng = random.Random(seed + 30000)
+    space = Space("l", ("l0", "l1", "l2"))
+    ext = [rng.randint(4, 12), rng.randint(4, 12), rng.randint(16, 28)]
+    rows = []
+    for _ in range(rng.randint(1, 3)):
+        e = AffineExpr(tuple(rng.choice([-5, -3, -2, 0, 2, 3, 5]) for _ in range(3)), rng.randint(-30, 30))
+        rows.append(eq0(e) if rng.random() < 0.3 else ge0(e))
+    box = IntSet.from_box(space, [(0, e - 1) for e in ext])
+    return IntSet.make(space, [box.pieces[0] + tuple(rows)]).pieces
+
+
+def _first_point_index(arity: int, piece):
+    """Position in the scanned box of a piece's first point (the scan
+    visits the box in order), or None for an empty piece."""
+    prog = isets._scan_program(arity, piece)
+    points = isets._piece_points(arity, piece)
+    return int(((points[0, prog.free] - prog.los) * prog.strides).sum()) if len(points) else None
+
+
+def test_piece_is_empty_matches_reference(monkeypatch):
+    """The memoised emptiness that stops at its first scanned point answers
+    as the lexicographic minimum does: on the pieces of the 500 random
+    algebra cases, the conjunctions of their pieces and their unfiltered
+    difference candidates (many of these empty), and on pieces whose only
+    points lie past the first scanned block; then with scanning off."""
+    cases = []
+    for seed in range(500):
+        a, b = _algebra_sets(seed)
+        cases += [(a.arity, p) for p in a.pieces + b.pieces + intersect(a, b).pieces]
+        cases += [(a.arity, conjoin(p, q)) for p in a.pieces for q in b.pieces]
+        for q in b.pieces:
+            cases += [(a.arity, p) for p in subtract_pieces_unfiltered(a.arity, list(a.pieces), q)]
+    late = Counter()
+    first, second = isets._FIRST_BLOCK, 5 * isets._FIRST_BLOCK  # the first two blocks' ends
+    for seed in range(2000):
+        for piece in _late_piece(seed):
+            at = _first_point_index(3, piece)
+            big = isets._scan_program(3, piece).volume > first
+            kind = "empty" if at is None and big else "second" if at is not None and at >= second else (
+                "first" if at is not None and at >= first else None)
+            if kind:
+                late[kind] += 1
+                cases.append((3, piece))
+    assert late["first"] >= 20 and late["second"] >= 3 and late["empty"] >= 3, late
+    want = [piece_is_empty_by_extreme(arity, p) for arity, p in cases]
+    assert 0 < sum(want) < len(want)
+    isets.piece_is_empty.cache_clear()
+    assert [isets.piece_is_empty(arity, p) for arity, p in cases] == want
+    search_only(monkeypatch)
+    assert [isets.piece_is_empty(arity, p) for arity, p in cases] == want
+
+
+@pytest.fixture(scope="module")
+def kernel_calls(scops_dir):
+    """Every subtract and project_pieces call (arguments and result) that
+    compute_flow and place_statements make on the four shipped SCoPs, and
+    the first 60 random algebra cases make."""
+    calls = {"subtract": [], "project": []}
+
+    def recorded(name, f):
+        def call(*args):
+            out = f(*args)
+            calls[name].append((args, out))
+            return out
+        return call
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (isets, deps, placement):
+            mp.setattr(module, "subtract", recorded("subtract", isets.subtract))
+        for module in (isets, deps):
+            mp.setattr(module, "project_pieces", recorded("project", isets.project_pieces))
+        for name in ("empty", "gol16", "gol16_fused", "gol32"):
+            virt = add_virtual_statements(isolate_accesses(parse_scop_file(scops_dir / f"{name}.scop")))
+            dep = compute_flow(virt)
+            place_statements(virt, dep, block_distribute(virt.fields, virt.grid))
+        for seed in range(60):
+            run_algebra_case(seed)
+    assert len(calls["subtract"]) > 100 and len(calls["project"]) > 100
+    return calls
+
+
+def test_subtract_matches_unfiltered_reference(kernel_calls, monkeypatch):
+    """Refuting candidates before they are built keeps exactly the pieces,
+    in order, of building and testing every candidate: step by step and as
+    the final set, on the 500 random algebra cases, on 100 of them with
+    every subtrahend row repeated, and on every recorded subtract call."""
+    refuted = Counter()
+    excluded = isets._excluded
+    monkeypatch.setattr(isets, "_excluded", lambda *a: refuted.update([excluded(*a)]) or excluded(*a))
+    cases = [_algebra_sets(seed) for seed in range(500)]
+    cases += [(a, IntSet(b.space, tuple(isets.Piece(q.divs, q.rows + q.rows) for q in b.pieces)))
+              for a, b in cases[:100]]
+    cases += [args for args, _ in kernel_calls["subtract"]]
+    for a, b in cases:
+        pieces = list(a.pieces)
+        for q in b.pieces:
+            want = subtract_pieces_unfiltered(a.arity, pieces, q)
+            assert isets._subtract_pieces(a.arity, pieces, q) == want
+            pieces = want
+        assert subtract(a, b).pieces == subtract_unfiltered(a, b).pieces
+    assert refuted[True] > 100, refuted
+
+
+def test_project_pieces_returns_normalized_pieces(kernel_calls):
+    """Every piece project_pieces returns is normalized and passes
+    propagation, also when it drops no dim (dominance against the 0-dim
+    prologue)."""
+    assert any(not drop for (_, _, drop), _ in kernel_calls["project"])
+    for (arity, _, drop), out in kernel_calls["project"]:
+        for q in out:
+            assert normalize_piece(q) == q and propagate(arity - len(set(drop)), q) is not None
+
+
+def test_flow_scans_each_piece_once(scops_dir, monkeypatch):
+    """Work guard: one compute_flow of gol32 2x2 asks whether 38 distinct
+    pieces are empty, 211 times; each is scanned once."""
+    virt = add_virtual_statements(isolate_accesses(
+        override_grid(parse_scop_file(scops_dir / "gol32.scop"), (2, 2))))
+    scanned = []
+    scan = isets._scan_piece
+    monkeypatch.setattr(isets, "_scan_piece", lambda arity, piece, *sizes: (
+        scanned.append((arity, piece, sizes)) or scan(arity, piece, *sizes)))
+    isets.piece_is_empty.cache_clear()
+    compute_flow(virt)
+    emptiness = [(arity, piece) for arity, piece, sizes in scanned
+                 if sizes == (isets._SOLVE_SCAN_CAP, isets._FIRST_BLOCK)]
+    assert len(emptiness) == len(set(emptiness)) <= 38

@@ -23,7 +23,7 @@ from polydist.scop import ClusterGrid, isolate_accesses, sequential_execute
 from polydist.scopio import parse_scop
 from polydist.simrt import init_runtime, run
 
-from oracle import contents_equal, scan_order, zero_contents
+from oracle import contents_equal, event_key, scan_order, zero_contents
 
 
 def build(gol16_path, grid=None):
@@ -138,7 +138,7 @@ def test_deadlock_on_reordered_recv_wait(gol16_built):
             if ev.kind == "recv_wait" and ev.cid == victim.cid:
                 ev = dataclasses.replace(ev, scatter=(-99,) * len(ev.scatter))
             out.append(ev)
-        out.sort(key=type(out[0]).sort_key)
+        out.sort(key=event_key)
         events[node] = out
     bad = dataclasses.replace(plan, events=events)
     with pytest.raises(DeadlockDetected) as exc:
@@ -186,7 +186,7 @@ def test_late_release_wakes_the_parked_send_wait(gol16_built):
     recvs = [i for i, ev in enumerate(evs) if ev.kind == "recv" and ev.cid == ch.cid]
     waits = [ev for ev in evs if ev.kind == "recv_wait" and ev.cid == ch.cid]
     evs[recvs[0]] = dataclasses.replace(evs[recvs[0]], scatter=waits[1].scatter)
-    evs.sort(key=type(evs[0]).sort_key)
+    evs.sort(key=event_key)
     late = dataclasses.replace(plan, events={**plan.events, ch.dst: evs})
     init = random_contents(scop, 5)
     final, trace = run(init_runtime(late, virt.grid, init), virt)
@@ -272,7 +272,7 @@ def test_violation_on_early_buffer_fill(gol16_built):
                 ev = dataclasses.replace(ev, scatter=(-99,) * len(ev.scatter))
                 moved[0] = True
             out.append(ev)
-        out.sort(key=type(out[0]).sort_key)
+        out.sort(key=event_key)
         events[node] = out
     assert moved[0]
     bad = dataclasses.replace(plan, events=events)
