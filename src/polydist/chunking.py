@@ -49,13 +49,9 @@ class ChunkingFn:
     def is_identity(self) -> bool:
         return self.level is None or len(self.kept_dims) == self.space.arity
 
-    def apply_point(self, point) -> tuple[int, ...]:
-        if self.level is None:
-            return tuple(point)
-        return tuple(v if d in self.kept_dims else 0 for d, v in enumerate(point))
-
     def apply_rows(self, points: np.ndarray) -> np.ndarray:
-        """apply_point on every row of a point table: the non-kept columns zeroed."""
+        """Every row of a point table mapped to its representative: the
+        non-kept columns zeroed."""
         if self.level is None:
             return points
         out = np.zeros_like(points)

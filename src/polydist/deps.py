@@ -2,17 +2,30 @@
 
 For every read of a field element or scalar, find the unique statement
 instance whose write is scatter-lexicographically last among all writes
-preceding the read.  Field and scalar flows are kept separate; the
-virtual prologue writes everything before the scop and the epilogue
-reads everything after it, so field reads are always covered.
+preceding the read (Feautrier's last-writer problem).  Field and scalar
+flows are kept separate; the virtual prologue writes everything before
+the scop and the epilogue reads everything after it, so field reads are
+always covered.
 
-The resolver walks scatter levels from the innermost out: a candidate at
-level L agrees with the reader's scatter prefix of length L and is
-strictly smaller at position L.  A candidate sharing a longer prefix is
-always later than one sharing a shorter prefix, so reads claimed at a
-deep level are removed before shallower levels are examined; competition
-then only remains between same-level candidates and is resolved by an
-exact symbolic domination subtraction.
+Levels.  A write precedes a read at level L when their scatters agree on
+the first L positions and the write's is smaller at position L.  A write
+preceding at a deeper level is always later than one preceding at a
+shallower level, so the resolver walks the levels from the innermost out
+and removes the reads claimed at one level before it looks at the next;
+only candidates of the same level compete.
+
+One domination primitive.  A candidate is dropped where a candidate of
+the same level, of any writer and its own included, has a later scatter:
+``isets.lex_dominated``, the conjunction with a shadow copy under a
+lexicographic order and the projection of the shadow, which placement's
+``select_lex_extreme`` uses too.  Each scatter order (a writer's before
+the reader's, one candidate's before another's) is built once per
+statement pair and column layout within one ``compute_flow``.
+
+One family per writer.  A writer's surviving pieces are gathered over all
+levels into one ``FlowFamily`` per (writer, reader, field or scalar): a
+relation over producer instance ++ consumer instance ++ element.  Reads
+of one field by one statement are resolved together.
 
 The families are then enumerated once each, into int64 tables of
 producer ++ consumer ++ element rows (``FlowFamily.table``), and every
@@ -42,6 +55,7 @@ from .isets import (
     eq0,
     ge0,
     is_empty,
+    lex_dominated,
     lex_lt_pieces,
     project_pieces,
     subtract,
@@ -238,12 +252,16 @@ class DepGraph:
 
 
 def _reader_relations(scop: Scop):
-    """Field reads as (stmt, field, relation); scalar reads as (stmt, name)."""
+    """Field reads as (stmt, field, relation), one per field a statement
+    reads, the union of its reads of it; scalar reads as (stmt, name)."""
     field_reads = []
     scalar_reads = []
     for s in scop.statements:
+        rels: dict[str, IntSet] = {}
         for _, acc in s.reads():
-            field_reads.append((s, scop.field(acc.field), access_relation(scop, s, acc)))
+            rel = access_relation(scop, s, acc)
+            rels[acc.field] = union(rels[acc.field], rel) if acc.field in rels else rel
+        field_reads += [(s, scop.field(name), rel) for name, rel in rels.items()]
         for name in s.scalar_reads:
             scalar_reads.append((s, name))
     return field_reads, scalar_reads
@@ -260,140 +278,86 @@ def _writer_relations(scop: Scop):
     return by_field, by_scalar
 
 
-def _candidates_at_level(
-    reader: Statement,
-    n_k: int,
-    base_read,  # pieces over (i_C ++ k)
-    writer: Statement,
-    writer_rel: Optional[IntSet],  # over (i_G ++ k); None for scalars
-    level: int,
-    arity_out: int,
-) -> list:
-    """Pieces over (i_C ++ k ++ i_G) where the writer instance writes the
-    read element with scatter prefix equal up to `level` and strictly
-    smaller at position `level`."""
-    n_c, n_g = reader.arity, writer.arity
-    c_map = list(range(n_c))
-    g_map = [n_c + n_k + i for i in range(n_g)]
-    theta_c = [e.remap(c_map, arity_out) for e in reader.schedule_exprs]
-    theta_g = [e.remap(g_map, arity_out) for e in writer.schedule_exprs]
-    cons = conjoin([eq0(theta_g[t] - theta_c[t]) for t in range(level)]
-                   + [ge0(theta_c[level] - theta_g[level].plus_const(1))])
-    read_pieces = embed_pieces(base_read, list(range(n_c + n_k)), arity_out)
-    if writer_rel is not None:
-        # writer rel dims are (i_G ++ k): i_G to the tail block, k shared
-        w_map = [n_c + n_k + i for i in range(n_g)] + [n_c + i for i in range(n_k)]
-        w_pieces = embed_pieces(writer_rel.pieces, w_map, arity_out)
-    else:
-        w_pieces = embed_pieces(writer.domain.pieces, [n_c + i for i in range(n_g)], arity_out)
-    return [conjoin(rp, wp, cons) for rp in read_pieces for wp in w_pieces]
-
-
-def _dominated(
-    reader: Statement,
-    n_k: int,
-    cand_g,  # (writer G, pieces over (i_C ++ k ++ i_G))
-    cand_h,
-    arity_g: int,
-) -> list:
-    """Pieces of cand_g dominated by some cand_h instance with a later
-    scatter suffix (prefixes at this level are equal by construction)."""
-    (g_stmt, g_pieces) = cand_g
-    (h_stmt, h_pieces) = cand_h
-    n_c, n_g, n_h = reader.arity, g_stmt.arity, h_stmt.arity
-    wide = arity_g + n_h
-    g_wide = embed_pieces(g_pieces, list(range(arity_g)), wide)
-    h_map = list(range(n_c + n_k)) + [arity_g + i for i in range(n_h)]
-    h_wide = embed_pieces(h_pieces, h_map, wide)
-    theta_g = [e.remap([n_c + n_k + i for i in range(n_g)], wide) for e in g_stmt.schedule_exprs]
-    theta_h = [e.remap([arity_g + i for i in range(n_h)], wide) for e in h_stmt.schedule_exprs]
-    alts = lex_lt_pieces(theta_g, theta_h)  # theta_g < theta_h: h later
-    combined = [conjoin(gp, hp, alt) for gp in g_wide for hp in h_wide for alt in alts]
-    return project_pieces(wide, combined, list(range(arity_g, wide)))
+def _scatter_order(orders: dict, a: Statement, a_at: int, b: Statement, b_at: int,
+                   arity: int) -> list:
+    """Where b's scatter is lexicographically later than a's, one piece per
+    level (``lex_lt_pieces``), over `arity` columns that hold a's instance
+    dims from column a_at and b's from b_at; built once per layout in
+    `orders`, which lives for one ``compute_flow``."""
+    key = (a.id, a_at, b.id, b_at, arity)
+    if key not in orders:
+        thetas = ([e.remap(range(at, at + s.arity), arity) for e in s.schedule_exprs]
+                  for s, at in ((a, a_at), (b, b_at)))
+        orders[key] = lex_lt_pieces(*thetas)
+    return orders[key]
 
 
 def _resolve_reader(
-    scop: Scop,
     reader: Statement,
     n_k: int,
-    read_pieces,
-    read_space: Space,
-    writers: list[tuple[Statement, Optional[IntSet]]],
+    read: IntSet,  # over (i_C ++ k)
+    writers: list[tuple[Statement, Optional[IntSet]]],  # rel over (i_G ++ k); None for scalars
     kind: str,
     ref: str,
-    families: list[FlowFamily],
-):
-    n_c = reader.arity
-    uncovered = IntSet.make(read_space, read_pieces)
-    n_t = scop.scatter_arity
-    for level in range(n_t - 1, -1, -1):
+    orders: dict,
+) -> list[FlowFamily]:
+    """One family per writer that is last for some point of `read`."""
+    n_c, n_r = reader.arity, reader.arity + n_k
+    layouts = []  # per writer: its candidates' space over (i_C ++ k ++ i_G), its pieces there
+    for w, rel in writers:
+        space = Space(f"cand:{w.id}->{reader.id}", _merge_dim_names(read.space.dims, w.space.dims))
+        tail = range(n_r, space.arity)
+        if rel is None:
+            w_pieces = embed_pieces(w.domain.pieces, tail, space.arity)
+        else:  # i_G to the tail block, k shared
+            w_pieces = embed_pieces(rel.pieces, [*tail, *range(n_c, n_r)], space.arity)
+        layouts.append((w, space, w_pieces))
+    found: dict[str, list] = {w.id: [] for w, _ in writers}
+    uncovered = read
+    for level in range(len(reader.schedule_exprs) - 1, -1, -1):
         if is_empty(uncovered):
             break
         cands = []
-        for w_stmt, w_rel in writers:
-            arity_out = n_c + n_k + w_stmt.arity
-            pieces = _candidates_at_level(
-                reader, n_k, uncovered.pieces, w_stmt, w_rel, level, arity_out
-            )
-            space = Space(
-                f"cand:{w_stmt.id}->{reader.id}",
-                _merge_dim_names(read_space.dims, w_stmt.space.dims),
-            )
-            cand = IntSet.make(space, pieces)
+        for w, space, w_pieces in layouts:
+            before = _scatter_order(orders, w, n_r, reader, 0, space.arity)[level]
+            read_pieces = embed_pieces(uncovered.pieces, range(n_r), space.arity)
+            cand = IntSet.make(space, [conjoin(rp, wp, before)
+                                       for rp in read_pieces for wp in w_pieces])
             if not is_empty(cand):
-                cands.append((w_stmt, cand))
-        if not cands:
-            continue
-        covered_pieces = []
-        for g_stmt, g_set in cands:
-            arity_g = n_c + n_k + g_stmt.arity
-            final = g_set
-            for h_stmt, h_set in cands:
-                dom_pieces = _dominated(
-                    reader, n_k, (g_stmt, final.pieces), (h_stmt, h_set.pieces), arity_g
-                )
-                if dom_pieces:
-                    final = subtract(final, IntSet(final.space, tuple(dom_pieces)))
+                cands.append((w, cand))
+        covered = []
+        for g, final in cands:
+            arity_g = final.arity
+            for h, h_set in cands:
+                wide = arity_g + h.arity
+                pieces = embed_pieces(final.pieces, range(arity_g), wide)
+                shadow = embed_pieces(h_set.pieces, [*range(n_r), *range(arity_g, wide)], wide)
+                later = _scatter_order(orders, g, n_r, h, arity_g, wide)
+                dominated = lex_dominated(wide, pieces, shadow, later, range(arity_g, wide))
+                if dominated:
+                    final = subtract(final, IntSet(final.space, tuple(dominated)))
                 if is_empty(final):
                     break
-            if is_empty(final):
-                continue
-            # reorder (i_C ++ k ++ i_G) -> (i_G ++ i_C ++ k)
-            n_g = g_stmt.arity
-            remap = (
-                [n_g + i for i in range(n_c)]
-                + [n_g + n_c + i for i in range(n_k)]
-                + list(range(n_g))
-            )
-            fam_space = Space(
-                f"{g_stmt.id}->{reader.id}",
-                _merge_dim_names(
-                    _merge_dim_names(g_stmt.space.dims, reader.space.dims), read_space.dims[n_c:]
-                ),
-            )
-            fam_rel = IntSet.make(fam_space, embed_pieces(final.pieces, remap, arity_g))
-            families.append(
-                FlowFamily(
-                    producer=g_stmt.id,
-                    consumer=reader.id,
-                    kind=kind,
-                    ref=ref,
-                    rel=fam_rel,
-                    prod_space=g_stmt.space,
-                    cons_space=reader.space,
-                    n_elem=n_k,
-                )
-            )
-            covered_pieces.extend(
-                project_pieces(arity_g, final.pieces, list(range(n_c + n_k, arity_g)))
-            )
-        if covered_pieces:
-            uncovered = subtract(uncovered, IntSet(read_space, tuple(covered_pieces)))
+            if not is_empty(final):
+                found[g.id] += final.pieces
+                covered += project_pieces(arity_g, final.pieces, range(n_r, arity_g))
+        if covered:
+            uncovered = subtract(uncovered, IntSet(read.space, tuple(covered)))
     if not is_empty(uncovered):
         raise UncoveredRead(
             f"{reader.id}: read of {ref} has no producing write for "
             f"{enumerate_set(uncovered)[:3]}..."
         )
+    families = []
+    for w, _ in writers:
+        if found[w.id]:
+            dims = _merge_dim_names(w.space.dims, reader.space.dims)
+            space = Space(f"{w.id}->{reader.id}", _merge_dim_names(dims, read.space.dims[n_c:]))
+            # (i_C ++ k ++ i_G) -> (i_G ++ i_C ++ k)
+            order = [*range(w.arity, w.arity + n_r), *range(w.arity)]
+            rel = IntSet.make(space, embed_pieces(found[w.id], order, n_r + w.arity))
+            families.append(FlowFamily(w.id, reader.id, kind, ref, rel, w.space, reader.space, n_k))
+    return families
 
 
 def compute_flow(scop: Scop) -> DepGraph:
@@ -403,59 +367,20 @@ def compute_flow(scop: Scop) -> DepGraph:
         raise UncoveredRead("scop lacks virtual statements; run add_virtual_statements first")
     field_reads, scalar_reads = _reader_relations(scop)
     by_field, by_scalar = _writer_relations(scop)
-    raw_families: list[FlowFamily] = []
+    orders: dict = {}
+    families: list[FlowFamily] = []
     for reader, fld, rel in field_reads:
-        writers = [(s, r) for s, r in by_field.get(fld.name, [])]
-        _resolve_reader(
-            scop,
-            reader,
-            fld.arity,
-            rel.pieces,
-            rel.space,
-            writers,
-            "field",
-            fld.name,
-            raw_families,
-        )
+        writers = by_field.get(fld.name, [])
+        families += _resolve_reader(reader, fld.arity, rel, writers, "field", fld.name, orders)
     for reader, name in scalar_reads:
         writers = [(s, None) for s in by_scalar.get(name, [])]
         if not writers:
             raise UncoveredRead(f"{reader.id}: scalar {name} is never written")
-        space = Space(f"{reader.id}?{name}", reader.space.dims)
-        _resolve_reader(
-            scop,
-            reader,
-            0,
-            reader.domain.pieces,
-            space,
-            writers,
-            "scalar",
-            name,
-            raw_families,
-        )
-    # merge family fragments found at different levels; drop prologue->epilogue
-    merged: dict[tuple, FlowFamily] = {}
-    for fam in raw_families:
-        if fam.producer == PROLOGUE and fam.consumer == EPILOGUE:
-            continue
-        key = (fam.producer, fam.consumer, fam.kind, fam.ref)
-        if key in merged:
-            prev = merged[key]
-            merged[key] = FlowFamily(
-                producer=fam.producer,
-                consumer=fam.consumer,
-                kind=fam.kind,
-                ref=fam.ref,
-                rel=union(prev.rel, IntSet(prev.rel.space, fam.rel.pieces)),
-                prod_space=fam.prod_space,
-                cons_space=fam.cons_space,
-                n_elem=fam.n_elem,
-            )
-        else:
-            merged[key] = fam
+        read = IntSet.make(Space(f"{reader.id}?{name}", reader.space.dims), reader.domain.pieces)
+        families += _resolve_reader(reader, 0, read, writers, "scalar", name, orders)
     order = {s.id: n for n, s in enumerate(scop.statements)}
     families = sorted(
-        merged.values(),
+        (f for f in families if (f.producer, f.consumer) != (PROLOGUE, EPILOGUE)),
         key=lambda f: (f.kind, order[f.producer], order[f.consumer], f.ref),
     )
     return DepGraph(scop=scop, families=families)

@@ -1287,11 +1287,9 @@ def is_empty(a: IntSet) -> bool:
 
 
 def enumerate_set(a: IntSet) -> list[tuple[int, ...]]:
-    """All points, in lexicographic order."""
-    points = set()
-    for p in a.pieces:
-        points.update(map(tuple, _piece_points(a.arity, p).tolist()))
-    return sorted(points)
+    """All points, in lexicographic order: the rows of ``enumerate_table``
+    as tuples."""
+    return list(map(tuple, enumerate_table(a).tolist()))
 
 
 def enumerate_table(a: IntSet) -> np.ndarray:
@@ -1299,7 +1297,8 @@ def enumerate_table(a: IntSet) -> np.ndarray:
     when every piece was scanned (the scan keeps every value below
     _INT64_SAFE), Python ints when some piece needed the search."""
     blocks = [_piece_points(a.arity, p) for p in a.pieces] or [np.zeros((0, a.arity), dtype=np.int64)]
-    return unique_rows(np.concatenate(blocks))[0]
+    table = np.concatenate(blocks)
+    return table if len(table) < 2 else unique_rows(table)[0]
 
 
 def _lex_extreme(a: IntSet, maximize: bool) -> tuple[int, ...]:
@@ -1449,11 +1448,20 @@ def embed_pieces(pieces: Iterable[Piece], mapping: Sequence[int], new_arity: int
 def lex_lt_pieces(a_exprs: Sequence[AffineExpr], b_exprs: Sequence[AffineExpr]) -> list[Piece]:
     """Pieces for (a_exprs) <_lex (b_exprs), one per first differing
     position; both sides share one arity."""
-    return [
-        _lift([eq0(a_exprs[t] - b_exprs[t]) for t in range(level)]
-              + [ge0(b_exprs[level] - a_exprs[level].plus_const(1))])
-        for level in range(min(len(a_exprs), len(b_exprs)))
-    ]
+    same = [eq0(a - b) for a, b in zip(a_exprs, b_exprs)]
+    return [_lift(same[:level] + [ge0(b_exprs[level] - a_exprs[level].plus_const(1))])
+            for level in range(len(same))]
+
+
+def lex_dominated(arity: int, pieces: Iterable[Piece], shadow: Sequence[Piece],
+                  later: Sequence[Piece], drop: Sequence[int]) -> list[Piece]:
+    """The points of `pieces` that some point of `shadow` dominates, with the
+    shadow's own columns `drop` projected out.  All three piece lists are
+    over the same `arity` columns; `later` is the order, one piece per first
+    differing position (``lex_lt_pieces``), under which the shadow point
+    comes lexicographically later."""
+    combined = [conjoin(p, q, alt) for p in pieces for q in shadow for alt in later]
+    return project_pieces(arity, combined, drop)
 
 
 def select_lex_extreme(s: IntSet, n_group: int, maximize: bool) -> IntSet:
@@ -1467,16 +1475,12 @@ def select_lex_extreme(s: IntSet, n_group: int, maximize: bool) -> IntSet:
     shadow_map = list(range(n_group)) + [n + i for i in range(n_val)]
     val = [AffineExpr.var(arity, n_group + i) for i in range(n_val)]
     val_shadow = [AffineExpr.var(arity, n + i) for i in range(n_val)]
-    if maximize:
-        lex_alts = lex_lt_pieces(val, val_shadow)  # exists strictly greater
-    else:
-        lex_alts = lex_lt_pieces(val_shadow, val)  # exists strictly smaller
+    # the shadow is later when it holds a strictly greater (smaller) value
+    later = lex_lt_pieces(val, val_shadow) if maximize else lex_lt_pieces(val_shadow, val)
     base = embed_pieces(s.pieces, range(n), arity)
     shadow = embed_pieces(s.pieces, shadow_map, arity)
-    combined = [conjoin(p, q, alt) for p in base for q in shadow for alt in lex_alts]
-    dominated_pieces = project_pieces(arity, combined, list(range(n, arity)))
-    dominated = IntSet.make(s.space, dominated_pieces)
-    return subtract(s, dominated)
+    dominated = lex_dominated(arity, base, shadow, later, range(n, arity))
+    return subtract(s, IntSet.make(s.space, dominated))
 
 
 def row_expr(arity: int, piece: Piece, coeffs: Sequence[int], const: int = 0) -> AffineExpr:

@@ -172,6 +172,15 @@ def subtract_unfiltered(a: IntSet, b: IntSet) -> IntSet:
     return IntSet.make(a.space, pieces)
 
 
+def enumerate_by_pieces(a: IntSet) -> list:
+    """Each piece's points gathered into one Python set and sorted: the
+    reference for ``isets.enumerate_table``, which deduplicates by lexsort."""
+    points = set()
+    for p in a.pieces:
+        points.update(map(tuple, isets._piece_points(a.arity, p).tolist()))
+    return sorted(points)
+
+
 def search_only(monkeypatch) -> None:
     """Box scanning off: every enumeration, lexicographic extreme and
     emptiness answer comes from the search (memoised answers dropped)."""
@@ -304,6 +313,18 @@ def ref_compose(f_pairs, g_pairs, na, nb):
     return sorted(out)
 
 
+def ref_lex_extreme(points, n_group: int, maximize: bool) -> list:
+    """The points whose value part (after the first n_group coordinates) is
+    the lexicographic extreme of their group: the reference for
+    ``isets.select_lex_extreme``."""
+    best: dict = {}
+    for p in points:
+        group, value = p[:n_group], p[n_group:]
+        if group not in best or (value > best[group] if maximize else value < best[group]):
+            best[group] = value
+    return sorted(g + v for g, v in best.items())
+
+
 def ref_closure(pairs, n):
     pairs = {(p[:n], p[n:]) for p in pairs}
     closure = set(pairs)
@@ -315,6 +336,14 @@ def ref_closure(pairs, n):
 
 
 # -- analysis oracles ---------------------------------------------------------
+
+
+def apply_point(phi, point) -> tuple:
+    """A chunking function on one instance: the reference for
+    ``ChunkingFn.apply_rows``."""
+    if phi.level is None:
+        return tuple(point)
+    return tuple(v if d in phi.kept_dims else 0 for d, v in enumerate(point))
 
 
 def instance_graph(dep) -> dict:
@@ -334,7 +363,7 @@ def collapsed_has_cycle(dep, phi) -> bool:
 
     def node_of(sid, pt):
         if sid == phi.consumer:
-            return (sid, phi.apply_point(pt))
+            return (sid, apply_point(phi, pt))
         return (sid, pt)
 
     quotient: dict = {}
@@ -374,7 +403,7 @@ def validate_chunking(phi, dep) -> bool:
     adj = instance_graph(dep)
     chunks: dict = {}
     for pt in enumerate_set(dep.scop.statement(phi.consumer).domain):
-        chunks.setdefault(phi.apply_point(pt), set()).add(pt)
+        chunks.setdefault(apply_point(phi, pt), set()).add(pt)
     for members in chunks.values():
         # any path of length >= 1 from a member to a member invalidates phi
         frontier = []

@@ -20,6 +20,7 @@ from polydist.simrt import init_runtime, run
 
 from dep_oracle import brute_force_flows
 from oracle import (
+    apply_point,
     contents_equal,
     maps_equal,
     placement_nodes,
@@ -137,7 +138,7 @@ def test_criterion_3_chunking(gol16_analysis):
     phi = analysis.chunkings[("S2.2", "S1.1", "front")]
     if phi.level != 2:
         failures.append(f"heuristic level {phi.level}, expected 2")
-    if phi.apply_point((2, 9, 4)) != (2, 0, 0):
+    if apply_point(phi, (2, 9, 4)) != (2, 0, 0):
         failures.append("phi does not fix i and zero x,y")
     if not validate_chunking(phi, dep):
         failures.append("chosen chunking is not valid")

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from oracle import (
+    apply_point,
     collapsed_has_cycle,
     global_order_holds_symbolic,
     strict_prefix_holds,
@@ -263,8 +264,8 @@ def test_stencil_family_level_two(gol16_dep):
     fam = fam_of(gol16_dep, "S2.2", "S1.1")
     phi = chunk_heuristic(fam, gol16_dep)
     assert phi.level == 2
-    assert phi.apply_point((1, 7, 9)) == (1, 0, 0)
-    assert phi.apply_point((2, 3, 3)) == (2, 0, 0)
+    assert apply_point(phi, (1, 7, 9)) == (1, 0, 0)
+    assert apply_point(phi, (2, 3, 3)) == (2, 0, 0)
     assert validate_chunking(phi, gol16_dep)
 
 
@@ -282,7 +283,7 @@ def test_stencil_family_minimality(gol16_dep):
 def test_chunk_count_matches_iterations(gol16_dep):
     fam = fam_of(gol16_dep, "S2.2", "S1.1")
     phi = chunk_heuristic(fam, gol16_dep)
-    reprs = {phi.apply_point(ic) for _, ic, _ in fam.pairs()}
+    reprs = {apply_point(phi, ic) for _, ic, _ in fam.pairs()}
     assert reprs == {(1, 0, 0), (2, 0, 0)}  # iterations - 1 chunks
 
 
@@ -291,7 +292,15 @@ def test_phi_idempotent(gol16_dep):
     for (_, consumer, _), phi in chunks.items():
         dom = gol16_dep.scop.statement(consumer).domain
         for pt in enumerate_set(dom):
-            assert phi.apply_point(phi.apply_point(pt)) == phi.apply_point(pt)
+            assert apply_point(phi, apply_point(phi, pt)) == apply_point(phi, pt)
+
+
+def test_apply_rows_matches_pointwise(gol16_dep):
+    """Every chunking maps its consumer's instance table row for row as the
+    pointwise reference does."""
+    for (_, consumer, _), phi in chunk_all(gol16_dep).items():
+        rows = gol16_dep.scop.statement(consumer).instances
+        assert phi.apply_rows(rows).tolist() == [list(apply_point(phi, pt)) for pt in rows.tolist()]
 
 
 def test_all_returned_chunkings_valid(gol16_dep):
@@ -314,7 +323,7 @@ def test_identity_on_self_feeding_loop():
     assert (fam.producer, fam.consumer) == ("W", "W")
     phi = chunk_heuristic(fam, dep)
     assert phi.level is None  # identity fallback
-    assert phi.apply_point((5,)) == (5,)
+    assert apply_point(phi, (5,)) == (5,)
     assert validate_chunking(phi, dep)
     # a full collapse of W would create a cycle
     bad = ChunkingFn(consumer="W", level=0, kept_dims=(), space=scop.statement("W").space)
@@ -328,7 +337,7 @@ def test_straight_line_level_zero():
     fam = next(f for f in dep.intra_field_families())
     phi = chunk_heuristic(fam, dep)
     assert phi.level == 0
-    reprs = {phi.apply_point(ic) for _, ic, _ in fam.pairs()}
+    reprs = {apply_point(phi, ic) for _, ic, _ in fam.pairs()}
     assert len(reprs) == 1  # one chunk
 
 
@@ -372,7 +381,7 @@ def test_validity_against_symbolic_closure():
         # symbolic check: collapse both sides of the closure, look for fixpoints
         reflexive = False
         for a, b in ((pt[:1], pt[1:]) for pt in enumerate_set(closure.as_set())):
-            if phi.apply_point(a) == phi.apply_point(b):
+            if apply_point(phi, a) == apply_point(phi, b):
                 reflexive = True
                 break
         assert got == (not reflexive) == expected
@@ -469,7 +478,7 @@ def test_cycle_through_three_chunks():
     phi = _phi_at(dep, "C", 1)
     assert phi.kept_dims == (0, 1)
     fam = next(f for f in dep.intra_field_families() if (f.producer, f.consumer) == ("C", "C"))
-    chunk_edges = {(phi.apply_point(ig)[0], phi.apply_point(ic)[0]) for ig, ic, _ in fam.pairs()}
+    chunk_edges = {(apply_point(phi, ig)[0], apply_point(phi, ic)[0]) for ig, ic, _ in fam.pairs()}
     assert chunk_edges == {(0, 1), (1, 2)}  # no self-loop; R closes the ring
     assert [_collapsed_has_cycle(dep, _phi_at(dep, "C", lv)) for lv in range(3)] == [
         True,

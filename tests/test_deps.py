@@ -1,3 +1,4 @@
+import copy
 import json
 import random
 
@@ -9,6 +10,7 @@ from polydist.deps import (
     add_virtual_statements,
     compute_flow,
     dump_deps,
+    family_map_text,
 )
 from polydist.errors import UncoveredRead, ValidationError
 from polydist.isets import enumerate_set
@@ -179,6 +181,67 @@ def random_scop_doc(rng: random.Random) -> dict:
         doc["statements"][0]["schedule"] = "{ [i,x] -> [0,i,0,x] }"
         doc["statements"][1]["schedule"] = "{ [i,x] -> [0,i,1,x] }"
     return doc
+
+
+# W writes a[x] and R reads a[7 - x] right after it: reads with x <= 3 are
+# fed by the previous iteration (scatter level 1), reads with x >= 4 by the
+# same one (level 2).
+TWO_LEVELS = {
+    "name": "two_levels",
+    "grid": [1],
+    "scatter_arity": 4,
+    "fields": [
+        {"name": "a", "type": "int64", "extents": [8]},
+        {"name": "b", "type": "int64", "extents": [8]},
+    ],
+    "functions": {},
+    "statements": [
+        {
+            "id": "W",
+            "domain": "{ [i,x] : 0 <= i < 3 and 0 <= x <= 7 }",
+            "schedule": "{ [i,x] -> [0,i,x,0] }",
+            "accesses": [{"field": "a", "kind": "write", "index": ["x"]}],
+            "body": ["int", 1],
+        },
+        {
+            "id": "R",
+            "domain": "{ [i,x] : 0 <= i < 3 and 0 <= x <= 7 }",
+            "schedule": "{ [i,x] -> [0,i,x,1] }",
+            "accesses": [
+                {"field": "a", "kind": "read", "index": ["7-x"]},
+                {"field": "b", "kind": "write", "index": ["x"]},
+            ],
+            "body": ["add", ["access", 0], ["int", 1]],
+        },
+    ],
+}
+
+
+def test_writer_found_at_two_levels():
+    """A writer last at two scatter levels makes one family."""
+    virt = add_virtual_statements(isolate_accesses(parse_scop(json.dumps(TWO_LEVELS))))
+    dep = compute_flow(virt)
+    assert flows_of_depgraph(dep) == brute_force_flows(virt)
+    fams = [f for f in dep.families if (f.producer, f.consumer) == ("W", "R.1")]
+    assert [family_map_text(f) for f in fams] == [
+        "{ W[i' - 1, -x' + 7] -> R.1[i', x'] : 1 <= i' <= 2 and 0 <= x' <= 3; "
+        "W[i', -x' + 7] -> R.1[i', x'] : 0 <= i' <= 2 and 4 <= x' <= 7 }"
+    ]
+
+
+def test_two_reads_of_one_field_make_one_family():
+    """A statement left unisolated that reads one field twice is resolved
+    once for that field: one family per writer, holding the pairs of both
+    reads."""
+    doc = copy.deepcopy(TWO_LEVELS)
+    reader = doc["statements"][1]
+    reader["accesses"].insert(1, {"field": "a", "kind": "read", "index": ["x"]})
+    reader["body"] = ["add", ["access", 0], ["access", 1]]
+    virt = add_virtual_statements(parse_scop(json.dumps(doc)))
+    dep = compute_flow(virt)
+    assert flows_of_depgraph(dep) == brute_force_flows(virt)
+    keys = [(f.producer, f.consumer, f.kind, f.ref) for f in dep.families]
+    assert len(keys) == len(set(keys)) and ("W", "R", "field", "a") in keys
 
 
 @pytest.mark.parametrize("seed", range(30))

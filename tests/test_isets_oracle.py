@@ -36,6 +36,7 @@ from polydist.isets import (
     normalize_piece,
     point_table,
     propagate,
+    select_lex_extreme,
     subtract,
     union,
 )
@@ -47,6 +48,7 @@ from polydist.scopio import parse_scop_file
 from polydist.syntax import parse_map, parse_set
 
 from oracle import (
+    enumerate_by_pieces,
     evaluate_point,
     piece_is_empty_by_extreme,
     pair_rows_by_lookup,
@@ -55,6 +57,7 @@ from oracle import (
     random_set,
     random_space,
     ref_closure,
+    ref_lex_extreme,
     run_algebra_case,
     search_only,
     subtract_pieces_unfiltered,
@@ -262,15 +265,18 @@ def _table_case(seed: int) -> IntSet:
 
 @pytest.mark.parametrize("search", [False, True], ids=["scan", "search"])
 def test_enumerate_table_matches_enumerated_points(search, monkeypatch):
-    """On 200 random sets the table builder gives the enumerated points row
-    for row; it is int64 unless some piece was searched."""
+    """On 200 random sets the table builder gives the points of the
+    set-and-sort reference row for row, and enumerate_set the same points as
+    tuples; the table is int64 unless some piece was searched."""
     if search:
         monkeypatch.setattr(isets, "_ENUM_SCAN_CAP", 0)
     for seed in range(200):
         s = _table_case(seed)
         table = enumerate_table(s)
-        expected = point_table(enumerate_set(s), s.arity)
+        points = enumerate_by_pieces(s)
+        expected = point_table(points, s.arity)
         assert table.shape == expected.shape and table.tolist() == expected.tolist(), seed
+        assert enumerate_set(s) == points, seed
         searched = search and any(propagate(s.arity, p) is not None for p in s.pieces)
         assert table.dtype == (object if searched else np.int64), seed
 
@@ -285,7 +291,25 @@ def test_enumerate_table_stays_exact_at_huge_bounds(base):
     s = IntSet.make(space, [box.pieces[0] + (ge0(half_sum),)])
     table = enumerate_table(s)
     assert table.dtype == object and all(type(v) is int for v in table.ravel())
-    assert table.tolist() == point_table(enumerate_set(s), 2).tolist()
+    assert table.tolist() == point_table(enumerate_by_pieces(s), 2).tolist()
+
+
+@pytest.mark.parametrize("maximize", [False, True], ids=["min", "max"])
+def test_select_lex_extreme_matches_brute_force(maximize):
+    """On a set, a union or a difference from each of the first 150 random
+    algebra cases, floor divisions included, select_lex_extreme keeps the
+    per-group extreme of the enumerated points, for every group width."""
+    divided, widths = 0, set()
+    for seed in range(150):
+        a, b = _algebra_sets(seed)
+        s = (a, union(a, b), subtract(a, b))[seed % 3]
+        divided += any(p.divs for p in s.pieces)
+        points = enumerate_set(s)
+        for n_group in range(s.arity + 1):
+            got = enumerate_set(select_lex_extreme(s, n_group, maximize))
+            assert got == ref_lex_extreme(points, n_group, maximize), (seed, n_group)
+            widths.add((s.arity, n_group))
+    assert divided >= 15 and len(widths) == 14, (divided, widths)
 
 
 @pytest.mark.parametrize("name", ["empty", "gol16", "gol16_fused", "gol32"])
@@ -436,3 +460,17 @@ def test_flow_scans_each_piece_once(scops_dir, monkeypatch):
     emptiness = [(arity, piece) for arity, piece, sizes in scanned
                  if sizes == (isets._SOLVE_SCAN_CAP, isets._FIRST_BLOCK)]
     assert len(emptiness) == len(set(emptiness)) <= 38
+
+
+def test_flow_builds_each_scatter_order_once(scops_dir, monkeypatch):
+    """Work guard: one compute_flow of gol32 2x2 builds each of its 60
+    scatter orders (a writer's scatter before its reader's, or one
+    candidate's before another's, in one column layout) once."""
+    virt = add_virtual_statements(isolate_accesses(
+        override_grid(parse_scop_file(scops_dir / "gol32.scop"), (2, 2))))
+    built = []
+    order = isets.lex_lt_pieces
+    monkeypatch.setattr(deps, "lex_lt_pieces", lambda a, b: (
+        built.append(tuple(e.key() for e in a + b)) or order(a, b)))
+    compute_flow(virt)
+    assert len(built) == len(set(built)) == 60
