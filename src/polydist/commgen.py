@@ -40,7 +40,7 @@ import numpy as np
 
 from .deps import EPILOGUE, PROLOGUE, DepGraph, FlowFamily
 from .errors import AnalysisError, ParseError, ValidationError
-from .isets import row_major_strides, unique_rows
+from .isets import distinct_rows, row_major_strides, unique_rows
 from .placement import FieldPlacement, StmtPlacement, block_distribute
 from .scop import ClusterGrid, FieldDecl, Scop
 from .syntax import format_map
@@ -365,7 +365,7 @@ def emit_protocol(
         if s.id in retained:
             j, acc = s.writes()[0]
             stored = fp.homes(acc.field, s.subscripts[j], scop.grid)[rows] == where
-        writes = unique_rows(np.stack(bound(s.id, "buffer_fill"), axis=1))[0]
+        writes = distinct_rows(np.stack(bound(s.id, "buffer_fill"), axis=1))
         lo, hi = (np.searchsorted(writes[:, 0], keys, side=side).tolist() for side in ("left", "right"))
         buffers = [("buffer", c, k) for c, k in writes[:, 1:].tolist()]
         scat = tuples[s.id]

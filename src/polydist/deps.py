@@ -16,16 +16,17 @@ only candidates of the same level compete.
 
 One domination primitive.  A candidate is dropped where a candidate of
 the same level, of any writer and its own included, has a later scatter:
-``isets.lex_dominated``, the conjunction with a shadow copy under a
-lexicographic order and the projection of the shadow, which placement's
-``select_lex_extreme`` uses too.  Each scatter order (a writer's before
-the reader's, one candidate's before another's) is built once per
-statement pair and column layout within one ``compute_flow``.
+``isets.drop_dominated`` conjoins it with a shadow copy under a
+lexicographic order, projects the shadow out and subtracts the result;
+placement's ``select_lex_extreme`` calls it too.  Each scatter order (a
+writer's before the reader's, one candidate's before another's) is built
+once per statement pair and column layout within one ``compute_flow``.
 
 One family per writer.  A writer's surviving pieces are gathered over all
 levels into one ``FlowFamily`` per (writer, reader, field or scalar): a
 relation over producer instance ++ consumer instance ++ element.  Reads
-of one field by one statement are resolved together.
+of one field by one statement are resolved together, and so are repeated
+reads of one scalar.
 
 The families are then enumerated once each, into int64 tables of
 producer ++ consumer ++ element rows (``FlowFamily.table``), and every
@@ -38,7 +39,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
@@ -49,13 +49,13 @@ from .isets import (
     IntSet,
     Space,
     conjoin,
+    drop_dominated,
     embed_pieces,
     enumerate_set,
     enumerate_table,
     eq0,
     ge0,
     is_empty,
-    lex_dominated,
     lex_lt_pieces,
     project_pieces,
     subtract,
@@ -251,31 +251,33 @@ class DepGraph:
 # Last-writer resolution
 
 
-def _reader_relations(scop: Scop):
-    """Field reads as (stmt, field, relation), one per field a statement
-    reads, the union of its reads of it; scalar reads as (stmt, name)."""
-    field_reads = []
-    scalar_reads = []
+def _reader_relations(scop: Scop) -> list[tuple[Statement, str, str, int, IntSet]]:
+    """Reads as (stmt, kind, field or scalar name, element arity, relation
+    over instance ++ element): first one per field a statement reads, the
+    union of its reads of it, then one per scalar a statement reads."""
+    field_reads, scalar_reads = [], []
     for s in scop.statements:
         rels: dict[str, IntSet] = {}
         for _, acc in s.reads():
             rel = access_relation(scop, s, acc)
             rels[acc.field] = union(rels[acc.field], rel) if acc.field in rels else rel
-        field_reads += [(s, scop.field(name), rel) for name, rel in rels.items()]
-        for name in s.scalar_reads:
-            scalar_reads.append((s, name))
-    return field_reads, scalar_reads
+        field_reads += [(s, "field", name, scop.field(name).arity, rel) for name, rel in rels.items()]
+        for name in dict.fromkeys(s.scalar_reads):
+            read = IntSet.make(Space(f"{s.id}?{name}", s.space.dims), s.domain.pieces)
+            scalar_reads.append((s, "scalar", name, 0, read))
+    return field_reads + scalar_reads
 
 
-def _writer_relations(scop: Scop):
-    by_field: dict[str, list[tuple[Statement, IntSet]]] = {}
-    by_scalar: dict[str, list[Statement]] = {}
+def _writer_relations(scop: Scop) -> dict[tuple[str, str], list[tuple[Statement, IntSet]]]:
+    """Writers per (kind, field or scalar name), each with the relation of
+    its write over instance ++ element: for a scalar, its domain."""
+    writers: dict[tuple[str, str], list[tuple[Statement, IntSet]]] = {}
     for s in scop.statements:
         for _, acc in s.writes():
-            by_field.setdefault(acc.field, []).append((s, access_relation(scop, s, acc)))
+            writers.setdefault(("field", acc.field), []).append((s, access_relation(scop, s, acc)))
         for name in s.scalar_writes:
-            by_scalar.setdefault(name, []).append(s)
-    return by_field, by_scalar
+            writers.setdefault(("scalar", name), []).append((s, s.domain))
+    return writers
 
 
 def _scatter_order(orders: dict, a: Statement, a_at: int, b: Statement, b_at: int,
@@ -296,7 +298,7 @@ def _resolve_reader(
     reader: Statement,
     n_k: int,
     read: IntSet,  # over (i_C ++ k)
-    writers: list[tuple[Statement, Optional[IntSet]]],  # rel over (i_G ++ k); None for scalars
+    writers: list[tuple[Statement, IntSet]],  # rel over (i_G ++ k); the domain for scalars
     kind: str,
     ref: str,
     orders: dict,
@@ -306,11 +308,8 @@ def _resolve_reader(
     layouts = []  # per writer: its candidates' space over (i_C ++ k ++ i_G), its pieces there
     for w, rel in writers:
         space = Space(f"cand:{w.id}->{reader.id}", _merge_dim_names(read.space.dims, w.space.dims))
-        tail = range(n_r, space.arity)
-        if rel is None:
-            w_pieces = embed_pieces(w.domain.pieces, tail, space.arity)
-        else:  # i_G to the tail block, k shared
-            w_pieces = embed_pieces(rel.pieces, [*tail, *range(n_c, n_r)], space.arity)
+        # i_G to the tail block, k shared
+        w_pieces = embed_pieces(rel.pieces, [*range(n_r, space.arity), *range(n_c, n_r)], space.arity)
         layouts.append((w, space, w_pieces))
     found: dict[str, list] = {w.id: [] for w, _ in writers}
     uncovered = read
@@ -330,12 +329,8 @@ def _resolve_reader(
             arity_g = final.arity
             for h, h_set in cands:
                 wide = arity_g + h.arity
-                pieces = embed_pieces(final.pieces, range(arity_g), wide)
-                shadow = embed_pieces(h_set.pieces, [*range(n_r), *range(arity_g, wide)], wide)
                 later = _scatter_order(orders, g, n_r, h, arity_g, wide)
-                dominated = lex_dominated(wide, pieces, shadow, later, range(arity_g, wide))
-                if dominated:
-                    final = subtract(final, IntSet(final.space, tuple(dominated)))
+                final = drop_dominated(final, h_set, [*range(n_r), *range(arity_g, wide)], later)
                 if is_empty(final):
                     break
             if not is_empty(final):
@@ -356,7 +351,16 @@ def _resolve_reader(
             # (i_C ++ k ++ i_G) -> (i_G ++ i_C ++ k)
             order = [*range(w.arity, w.arity + n_r), *range(w.arity)]
             rel = IntSet.make(space, embed_pieces(found[w.id], order, n_r + w.arity))
-            families.append(FlowFamily(w.id, reader.id, kind, ref, rel, w.space, reader.space, n_k))
+            families.append(FlowFamily(
+                producer=w.id,
+                consumer=reader.id,
+                kind=kind,
+                ref=ref,
+                rel=rel,
+                prod_space=w.space,
+                cons_space=reader.space,
+                n_elem=n_k,
+            ))
     return families
 
 
@@ -365,19 +369,13 @@ def compute_flow(scop: Scop) -> DepGraph:
     ids = {s.id for s in scop.statements}
     if PROLOGUE not in ids or EPILOGUE not in ids:
         raise UncoveredRead("scop lacks virtual statements; run add_virtual_statements first")
-    field_reads, scalar_reads = _reader_relations(scop)
-    by_field, by_scalar = _writer_relations(scop)
+    writers = _writer_relations(scop)
     orders: dict = {}
     families: list[FlowFamily] = []
-    for reader, fld, rel in field_reads:
-        writers = by_field.get(fld.name, [])
-        families += _resolve_reader(reader, fld.arity, rel, writers, "field", fld.name, orders)
-    for reader, name in scalar_reads:
-        writers = [(s, None) for s in by_scalar.get(name, [])]
-        if not writers:
-            raise UncoveredRead(f"{reader.id}: scalar {name} is never written")
-        read = IntSet.make(Space(f"{reader.id}?{name}", reader.space.dims), reader.domain.pieces)
-        families += _resolve_reader(reader, 0, read, writers, "scalar", name, orders)
+    for reader, kind, ref, n_k, read in _reader_relations(scop):
+        if (kind, ref) not in writers:
+            raise UncoveredRead(f"{reader.id}: {kind} {ref} is never written")
+        families += _resolve_reader(reader, n_k, read, writers[kind, ref], kind, ref, orders)
     order = {s.id: n for n, s in enumerate(scop.statements)}
     families = sorted(
         (f for f in families if (f.producer, f.consumer) != (PROLOGUE, EPILOGUE)),

@@ -916,15 +916,29 @@ def exact_table(table: np.ndarray, bound: int) -> np.ndarray:
     return table.astype(object) if bound >= _INT64_SAFE else table
 
 
+def _sorted_runs(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The order that sorts a table's rows lexicographically, the sorted
+    rows, and per sorted row whether it differs from the row before."""
+    order = np.lexsort(table.T[::-1]) if table.shape[1] else np.arange(len(table))
+    rows = table[order]
+    new = np.ones(len(table), dtype=bool)
+    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return order, rows, new
+
+
+def distinct_rows(table: np.ndarray) -> np.ndarray:
+    """The distinct rows of a table in lexicographic order."""
+    _, rows, new = _sorted_runs(table)
+    return rows[new]
+
+
 def unique_rows(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The distinct rows of a table in lexicographic order, every row's
     index among them, and every distinct row's first row in the table."""
-    order = np.lexsort(table.T[::-1]) if table.shape[1] else np.arange(len(table))
-    new = np.ones(len(table), dtype=bool)
-    new[1:] = (table[order[1:]] != table[order[:-1]]).any(axis=1)
+    order, rows, new = _sorted_runs(table)
     inverse = np.empty(len(table), dtype=np.intp)
     inverse[order] = np.cumsum(new) - 1
-    return table[order[new]], inverse, order[new]
+    return rows[new], inverse, order[new]
 
 
 def row_major_strides(ext: np.ndarray) -> np.ndarray:
@@ -1297,8 +1311,7 @@ def enumerate_table(a: IntSet) -> np.ndarray:
     when every piece was scanned (the scan keeps every value below
     _INT64_SAFE), Python ints when some piece needed the search."""
     blocks = [_piece_points(a.arity, p) for p in a.pieces] or [np.zeros((0, a.arity), dtype=np.int64)]
-    table = np.concatenate(blocks)
-    return table if len(table) < 2 else unique_rows(table)[0]
+    return distinct_rows(np.concatenate(blocks))
 
 
 def _lex_extreme(a: IntSet, maximize: bool) -> tuple[int, ...]:
@@ -1453,15 +1466,23 @@ def lex_lt_pieces(a_exprs: Sequence[AffineExpr], b_exprs: Sequence[AffineExpr]) 
             for level in range(len(same))]
 
 
-def lex_dominated(arity: int, pieces: Iterable[Piece], shadow: Sequence[Piece],
-                  later: Sequence[Piece], drop: Sequence[int]) -> list[Piece]:
-    """The points of `pieces` that some point of `shadow` dominates, with the
-    shadow's own columns `drop` projected out.  All three piece lists are
-    over the same `arity` columns; `later` is the order, one piece per first
-    differing position (``lex_lt_pieces``), under which the shadow point
-    comes lexicographically later."""
-    combined = [conjoin(p, q, alt) for p in pieces for q in shadow for alt in later]
-    return project_pieces(arity, combined, drop)
+def drop_dominated(s: IntSet, shadow: IntSet, shadow_map: Sequence[int],
+                   later: Sequence[Piece]) -> IntSet:
+    """The points of `s` that no point of `shadow` dominates.  Both sets are
+    embedded in one layout: s's dims first, then the shadow's own dims;
+    `shadow_map` gives each shadow dim its column, so a shadow dim mapped
+    below s.arity is shared with s.  `later` is the order over that layout,
+    one piece per first differing position (``lex_lt_pieces``), under
+    which the shadow point comes lexicographically later.  The dominated
+    points, with the shadow's own dims projected out, are subtracted
+    from s."""
+    n = s.arity
+    arity = n + sum(c >= n for c in shadow_map)
+    base = embed_pieces(s.pieces, range(n), arity)
+    wide = embed_pieces(shadow.pieces, shadow_map, arity)
+    dominated = project_pieces(arity, [conjoin(p, q, alt) for p in base for q in wide for alt in later],
+                               range(n, arity))
+    return subtract(s, IntSet(s.space, tuple(dominated))) if dominated else s
 
 
 def select_lex_extreme(s: IntSet, n_group: int, maximize: bool) -> IntSet:
@@ -1472,15 +1493,11 @@ def select_lex_extreme(s: IntSet, n_group: int, maximize: bool) -> IntSet:
     if n_val == 0:
         return s
     arity = n + n_val
-    shadow_map = list(range(n_group)) + [n + i for i in range(n_val)]
     val = [AffineExpr.var(arity, n_group + i) for i in range(n_val)]
     val_shadow = [AffineExpr.var(arity, n + i) for i in range(n_val)]
     # the shadow is later when it holds a strictly greater (smaller) value
     later = lex_lt_pieces(val, val_shadow) if maximize else lex_lt_pieces(val_shadow, val)
-    base = embed_pieces(s.pieces, range(n), arity)
-    shadow = embed_pieces(s.pieces, shadow_map, arity)
-    dominated = lex_dominated(arity, base, shadow, later, range(n, arity))
-    return subtract(s, IntSet.make(s.space, dominated))
+    return drop_dominated(s, s, [*range(n_group), *range(n, arity)], later)
 
 
 def row_expr(arity: int, piece: Piece, coeffs: Sequence[int], const: int = 0) -> AffineExpr:

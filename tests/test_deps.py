@@ -230,18 +230,21 @@ def test_writer_found_at_two_levels():
 
 
 def test_two_reads_of_one_field_make_one_family():
-    """A statement left unisolated that reads one field twice is resolved
-    once for that field: one family per writer, holding the pairs of both
-    reads."""
+    """A statement left unisolated that reads one field twice, or lists one
+    scalar read twice, is resolved once for that field or scalar: one
+    family per writer, holding the pairs of both reads."""
     doc = copy.deepcopy(TWO_LEVELS)
-    reader = doc["statements"][1]
+    writer, reader = doc["statements"]
     reader["accesses"].insert(1, {"field": "a", "kind": "read", "index": ["x"]})
-    reader["body"] = ["add", ["access", 0], ["access", 1]]
+    reader["body"] = ["add", ["access", 0], ["add", ["access", 1], ["var", "t"]]]
+    reader["scalar_reads"] = ["t", "t"]
+    writer["scalar_writes"] = ["t"]
     virt = add_virtual_statements(parse_scop(json.dumps(doc)))
     dep = compute_flow(virt)
     assert flows_of_depgraph(dep) == brute_force_flows(virt)
     keys = [(f.producer, f.consumer, f.kind, f.ref) for f in dep.families]
-    assert len(keys) == len(set(keys)) and ("W", "R", "field", "a") in keys
+    assert len(keys) == len(set(keys))
+    assert {("W", "R", "field", "a"), ("W", "R", "scalar", "t")} <= set(keys)
 
 
 @pytest.mark.parametrize("seed", range(30))
