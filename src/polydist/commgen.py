@@ -127,7 +127,7 @@ class CommPlan:
     grid: tuple
     scatter_arity: int
     fields: tuple  # (name, element_type, extents)
-    block_extents: dict
+    field_placement: FieldPlacement
     channels: list
     events: dict  # node -> sorted list[Event]
 
@@ -384,7 +384,7 @@ def emit_protocol(
         grid=scop.grid.extents,
         scatter_arity=scop.scatter_arity,
         fields=tuple((f.name, f.element_type, f.extents) for f in scop.fields),
-        block_extents=dict(fp.block_extents),
+        field_placement=fp,
         channels=channels,
         events=events,
     )
@@ -415,6 +415,14 @@ def _parse_tuple(text: str) -> tuple:
         return tuple(int(x) for x in inner.split(","))
     except ValueError:
         raise ValueError(f"bad tuple {text!r}") from None
+
+
+def _within(key: str, text: str, extents, where: str) -> tuple:
+    """A tuple entry that must be a point of the zero-based box of extents."""
+    point = _parse_tuple(text)
+    if len(point) != len(extents) or not all(0 <= v < e for v, e in zip(point, extents)):
+        raise ValueError(f"{key}={_fmt_tuple(point)} outside {where} {_fmt_tuple(extents)}")
+    return point
 
 
 def _fmt_writes(writes) -> str:
@@ -461,14 +469,12 @@ def _parse_writes(text: str, channels: list):
 def dump_plan(plan: CommPlan) -> str:
     fmt = lru_cache(maxsize=None)(_fmt_tuple)  # each distinct tuple formatted once
     lines = [f"plan {plan.name} grid={fmt(plan.grid)} scatter_arity={plan.scatter_arity}"]
-    decls = [FieldDecl(name=n, element_type=t, extents=e) for n, t, e in plan.fields]
-    homes = block_distribute(decls, ClusterGrid(plan.grid)).maps
     for name, etype, extents in plan.fields:
-        block = plan.block_extents[name]
+        block = tuple(e // g for e, g in zip(extents, plan.grid))  # text only
         lines.append(
             f"field {name} {etype} extents={_fmt_tuple(extents)} block={_fmt_tuple(block)}"
         )
-        lines.append(f"fieldmap {name} {format_map(homes[name])}")
+        lines.append(f"fieldmap {name} {format_map(plan.field_placement.maps[name])}")
     ends = []  # per channel, the tail of its send and recv lines
     for ch in plan.channels:
         box = ";".join(f"{lo}:{hi}" for lo, hi in ch.layout.box)
@@ -503,27 +509,20 @@ def parse_plan(text: str) -> CommPlan:
     The field placement is rebuilt by block distribution of each field's
     extents over the grid, and every ``block=`` and ``fieldmap`` entry must
     match it, so a parsed plan homes each element on exactly one node.
-    Channels must be numbered in order and name a declared field, and every
-    event's channel and buffer rank must exist.  Every event node and
-    channel end must lie in the grid.  Malformed input raises ParseError
-    with the 1-based line number."""
+    Channels must be numbered in order and name a declared field, with its
+    element type and as many box dims as it has.  Every event's channel
+    and buffer rank must exist, and its ``t=`` must have scatter_arity
+    entries.  Every event node and channel end must lie in the grid, and
+    every fill or drain element in its channel's field.  Malformed input
+    raises ParseError with the 1-based line number."""
     numbered = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not numbered:
         raise ParseError("empty plan file", line=1)
-    fields = []
-    block_extents = {}
+    decls = {}
     homes = {}
     channels = []
     events: dict = {}
     cid_by_tag: dict = {}
-
-    def on_grid(key: str, text: str) -> tuple:
-        node = _parse_tuple(text)
-        if len(node) != len(grid.extents) or not all(
-            0 <= v < e for v, e in zip(node, grid.extents)
-        ):
-            raise ValueError(f"{key}={_fmt_tuple(node)} outside grid {_fmt_tuple(grid.extents)}")
-        return node
 
     for i, (no, ln) in enumerate(numbered):
         parts = ln.split()
@@ -538,17 +537,15 @@ def parse_plan(text: str) -> CommPlan:
             elif parts[0] == "field":
                 decl = FieldDecl(name=parts[1], element_type=parts[2],
                                  extents=_parse_tuple(kv["extents"]))
-                fp = block_distribute([decl], grid)
+                homes.update(block_distribute([decl], grid).maps)
                 block = _parse_tuple(kv["block"])
-                if block != fp.block_extents[decl.name]:
+                if block != tuple(e // g for e, g in zip(decl.extents, grid.extents)):
                     raise ParseError(
                         f"field {decl.name}: block={_fmt_tuple(block)} differs from "
                         f"block distribution over grid {_fmt_tuple(grid.extents)}",
                         line=no,
                     )
-                fields.append((decl.name, decl.element_type, decl.extents))
-                block_extents.update(fp.block_extents)
-                homes.update(fp.maps)
+                decls[decl.name] = decl
             elif parts[0] == "fieldmap":
                 if parts[1] not in homes:
                     raise ParseError(f"fieldmap for undeclared field {parts[1]}", line=no)
@@ -568,13 +565,20 @@ def parse_plan(text: str) -> CommPlan:
                     raise ParseError(f"channel cid={cid} out of order, expected {len(channels)}",
                                      line=no)
                 fieldname = kv["family"].rsplit(":", 1)[-1]
-                if fieldname not in block_extents:
+                if fieldname not in decls:
                     raise ParseError(f"channel for undeclared field {fieldname}", line=no)
+                decl = decls[fieldname]
+                if len(box) != decl.arity:
+                    raise ParseError(f"channel cid={cid} box has {len(box)} dims, "
+                                     f"field {fieldname} has {decl.arity}", line=no)
+                if kv["elem"] != decl.element_type:
+                    raise ParseError(f"channel cid={cid} elem={kv['elem']} differs from "
+                                     f"field {fieldname}'s {decl.element_type}", line=no)
                 ch = Channel(
                     cid=cid,
                     family=kv["family"],
-                    src=on_grid("src", kv["src"]),
-                    dst=on_grid("dst", kv["dst"]),
+                    src=_within("src", kv["src"], grid.extents, "grid"),
+                    dst=_within("dst", kv["dst"], grid.extents, "grid"),
                     tag=int(kv["tag"]),
                     layout=BufferLayout(fieldname=fieldname, box=box),
                     element_type=kv["elem"],
@@ -582,8 +586,11 @@ def parse_plan(text: str) -> CommPlan:
                 channels.append(ch)
                 cid_by_tag[ch.tag] = ch.cid
             elif parts[0].startswith("node="):
-                node = on_grid("node", parts[0].split("=", 1)[1])
+                node = _within("node", parts[0].split("=", 1)[1], grid.extents, "grid")
                 scatter = _parse_tuple(kv["t"])
+                if len(scatter) != scatter_arity:
+                    raise ParseError(f"t={_fmt_tuple(scatter)} has {len(scatter)} entries, "
+                                     f"scatter_arity is {scatter_arity}", line=no)
                 kind = kv["kind"]
                 if kind == "compute":
                     read = None
@@ -594,8 +601,10 @@ def parse_plan(text: str) -> CommPlan:
                                writes=_parse_writes(kv["write"], channels))
                 elif kind in ("buffer_fill", "buffer_drain"):
                     cid, rank = _check_slot(channels, int(kv["cid"]), int(kv["rank"]))
+                    decl = decls[channels[cid].layout.fieldname]
+                    element = _within("elem", kv["elem"], decl.extents, f"field {decl.name}")
                     ev = Event(node=node, scatter=scatter, kind=kind, chunk=kv["chunk"],
-                               cid=cid, element=_parse_tuple(kv["elem"]), rank=rank)
+                               cid=cid, element=element, rank=rank)
                 else:
                     tag = int(kv["tag"])
                     if tag not in cid_by_tag:
@@ -615,8 +624,8 @@ def parse_plan(text: str) -> CommPlan:
         name=name,
         grid=grid.extents,
         scatter_arity=scatter_arity,
-        fields=tuple(fields),
-        block_extents=block_extents,
+        fields=tuple((d.name, d.element_type, d.extents) for d in decls.values()),
+        field_placement=FieldPlacement(homes),
         channels=channels,
         events={node: evs for node, evs in sorted(events.items())},
     )

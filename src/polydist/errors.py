@@ -78,7 +78,7 @@ class BufferStateViolation(SimulationFault):
 
 
 class NotLocal(SimulationFault):
-    """A node accessed a field element outside its home box."""
+    """A node accessed a field element that is not one of its home elements."""
 
 
 class OutOfHull(PolydistError):

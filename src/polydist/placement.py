@@ -1,13 +1,14 @@
 """Data and computation placement: block distribution plus owner-computes.
 
-Field elements get home nodes by block distribution.  Statement instances
-get executing nodes in passes: statements whose writes reach the epilogue
-run at the written element's home (owner computes); scalar co-location
-then propagates consumer nodes into producers until a fixpoint;
-statements still unplaced are seeded at the homes of the elements they
-read from the prologue.  Instances still without a node adopt the
-lexicographically smallest node any dependence neighbor runs on, and as a
-last resort run on node 0, so every instance gets a node.
+Field elements get home nodes by block distribution, one home map per
+field that every other module asks where an element lives.  Statement
+instances get executing nodes in passes: statements whose writes reach
+the epilogue run at the written element's home (owner computes); scalar
+co-location then propagates consumer nodes into producers until a
+fixpoint; statements still unplaced are seeded at the homes of the
+elements they read from the prologue.  Instances still without a node
+adopt the lexicographically smallest node any dependence neighbor runs
+on, and as a last resort run on node 0, so every instance gets a node.
 """
 
 from __future__ import annotations
@@ -36,16 +37,16 @@ from .isets import (
     map_union,
     restrict_domain,
     select_lex_extreme,
+    solve_block,
     subtract,
 )
-from .scop import ClusterGrid, Scop, Statement
+from .scop import ClusterGrid, Scop, Statement, evaluate_rows
 from .syntax import format_map
 
 __all__ = [
     "FieldPlacement",
     "StmtPlacement",
     "block_distribute",
-    "block_box",
     "place_statements",
     "dump_placements",
 ]
@@ -53,20 +54,24 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FieldPlacement:
-    """Home location map per field, plus the block shape that produced it."""
+    """The home map of every field."""
 
     maps: dict  # field name -> IntMap (indexset -> grid)
-    block_extents: dict  # field name -> tuple of block sizes
+
+    @cached_property
+    def _home_exprs(self) -> dict:
+        """Field name -> its one-piece map's grid dims as expressions of the element."""
+        out = {}
+        for name, m in self.maps.items():
+            (piece,), arity = m.pieces, m.n_in + m.n_out
+            exprs, _ = solve_block(arity, piece, range(m.n_in, arity), range(m.n_in))
+            out[name] = [exprs[d] for d in range(m.n_in, arity)]
+        return out
 
     def homes(self, name: str, elements: np.ndarray, grid: ClusterGrid) -> np.ndarray:
-        """The home of every element of a table, its block coordinate, as a
-        position in ``grid.nodes``."""
-        return grid.index(elements // np.array(self.block_extents[name]))
-
-
-def block_box(node, blocks) -> tuple[tuple[int, int], ...]:
-    """The inclusive index box a node homes: its block."""
-    return tuple((c * b, (c + 1) * b - 1) for c, b in zip(node, blocks))
+        """The home of every element of a table, the field's map at that
+        element, as a position in ``grid.nodes``."""
+        return grid.index(evaluate_rows(self._home_exprs[name], elements))
 
 
 @dataclass(frozen=True)
@@ -92,7 +97,6 @@ class StmtPlacement:
 def block_distribute(fields, grid: ClusterGrid) -> FieldPlacement:
     """pi(k) = floor(k_d / B_d) per dimension with B_d = extent_d / grid_d."""
     maps = {}
-    blocks = {}
     for f in fields:
         if f.arity != grid.arity:
             raise ValidationError(
@@ -111,8 +115,7 @@ def block_distribute(fields, grid: ClusterGrid) -> FieldPlacement:
             for d in range(n)
         ]
         maps[f.name] = restrict_domain(IntMap.from_exprs(f.space, grid.space, exprs), f.indexset)
-        blocks[f.name] = tuple(bs)
-    return FieldPlacement(maps=maps, block_extents=blocks)
+    return FieldPlacement(maps=maps)
 
 
 def _access_to_grid(scop: Scop, s: Statement, acc, fp: FieldPlacement) -> IntMap:

@@ -1,8 +1,8 @@
 """Deterministic in-process simulation of a node grid executing a plan.
 
-Each node owns the storage for its home block of every field, a private
-scalar environment, and a cursor into its event list.  Channels are
-persistent point-to-point buffers with a three-state lifecycle:
+Each node owns the storage for its home elements of every field, a
+private scalar environment, and a cursor into its event list.  Channels
+are persistent point-to-point buffers with a three-state lifecycle:
 
     IDLE -(send_wait)-> FILLING -(send)-> SENT -(recv)-> IDLE
 
@@ -38,7 +38,6 @@ from .errors import (
     GeometryMismatch,
     NotLocal,
 )
-from .placement import block_box
 from .scop import ClusterGrid, FieldDecl, Scop, _check_store, _from_np
 from .exprs import eval_expr
 
@@ -51,8 +50,8 @@ WAITS_FOR = {"send_wait": IDLE, "recv_wait": SENT}  # blocking kind -> state it 
 @dataclass
 class NodeState:
     coord: tuple
-    storage: dict  # field -> numpy array over the home box
-    boxes: dict  # field -> ((lo, hi), ...) home box
+    position: int  # in ClusterGrid.nodes
+    storage: dict  # field -> 1-D numpy array over the home elements, row-major
     scalars: dict = field(default_factory=dict)
     cursor: int = 0
 
@@ -80,29 +79,29 @@ class Trace:
 
 
 class SimState:
-    def __init__(self, plan: CommPlan, fields: dict, nodes, channels, trace):
+    def __init__(self, plan: CommPlan, fields: dict, homes: dict, nodes, channels, trace):
         self.plan = plan
         self.fields = fields  # field name -> FieldDecl
+        self.homes = homes  # field name -> per-element (home position, storage slot) tables
         self.nodes = nodes
         self.channels = channels
         self.trace = trace
         self.step = 0
 
-    def _offset(self, node: NodeState, fieldname: str, index) -> tuple:
-        box = node.boxes[fieldname]
-        off = tuple(v - lo for v, (lo, _) in zip(index, box))
-        for o, (lo, hi) in zip(off, box):
-            if o < 0 or o > hi - lo:
-                raise NotLocal(f"{fieldname}{tuple(index)} outside home box of {node.coord}")
-        return off
+    def _offset(self, node: NodeState, fieldname: str, index: tuple) -> int:
+        """The element's slot in the node's storage; NotLocal unless the node homes it."""
+        owner, slot = self.homes[fieldname]
+        if (len(index) != owner.ndim or not all(0 <= v < e for v, e in zip(index, owner.shape))
+                or owner[index] != node.position):
+            raise NotLocal(f"{fieldname}{index} is not a home element of {node.coord}")
+        return slot[index]
 
     def gather(self) -> dict:
         out = {}
         for name, fld in self.fields.items():
             arr = np.zeros(fld.extents, dtype=fld.dtype)
             for node in self.nodes.values():
-                slices = tuple(slice(lo, hi + 1) for lo, hi in node.boxes[name])
-                arr[slices] = node.storage[name]
+                arr[self.homes[name][0] == node.position] = node.storage[name]
             out[name] = arr
         return out
 
@@ -110,8 +109,8 @@ class SimState:
 def init_runtime(plan: CommPlan, grid: ClusterGrid, init: dict) -> SimState:
     """Build nodes and channels; abort on geometry mismatch.  The plan's
     fields must be the contents' fields, with the same element types and
-    extents.  Each node stores the block of every field that block
-    distribution homes on it."""
+    extents.  Each node stores the elements of every field that the
+    plan's home map places on it."""
     if grid.extents != tuple(plan.grid):
         raise GeometryMismatch(f"plan compiled for {plan.grid}, running on {grid.extents}")
     fields = {n: FieldDecl(name=n, element_type=t, extents=tuple(e)) for n, t, e in plan.fields}
@@ -127,19 +126,19 @@ def init_runtime(plan: CommPlan, grid: ClusterGrid, init: dict) -> SimState:
     for name in init:
         if name not in fields:
             raise GeometryMismatch(f"field {name} of the contents is missing from the plan")
-    nodes = {}
-    for coord in grid.nodes:
-        storage = {}
-        boxes = {}
-        for name, fld in fields.items():
-            box = block_box(coord, plan.block_extents[name])
-            boxes[name] = box
-            storage[name] = np.array(
-                init[name][tuple(slice(lo, hi + 1) for lo, hi in box)], dtype=fld.dtype
-            )
-        nodes[coord] = NodeState(coord=coord, storage=storage, boxes=boxes)
+    nodes = {coord: NodeState(coord, position, {}) for position, coord in enumerate(grid.nodes)}
+    homes = {}
+    for name, fld in fields.items():
+        every = np.indices(fld.extents).reshape(fld.arity, -1).T
+        owner = plan.field_placement.homes(name, every, grid).reshape(fld.extents)
+        slot = np.zeros(fld.extents, dtype=np.intp)
+        for node in nodes.values():
+            mine = owner == node.position
+            slot[mine] = np.arange(np.count_nonzero(mine))
+            node.storage[name] = init[name][mine]
+        homes[name] = owner, slot
     channels = {ch.cid: ChannelState() for ch in plan.channels}
-    return SimState(plan, fields, nodes, channels, Trace())
+    return SimState(plan, fields, homes, nodes, channels, Trace())
 
 
 def _digest(values) -> str:

@@ -493,6 +493,11 @@ def block_home(index, blocks) -> tuple[int, ...]:
     return tuple(v // b for v, b in zip(index, blocks))
 
 
+def block_sizes(extents, grid) -> tuple[int, ...]:
+    """Block distribution's block sizes: each field extent over its grid extent."""
+    return tuple(e // g for e, g in zip(extents, grid))
+
+
 def buffer_rank(layout, index) -> int:
     """Row-major rank of an element inside a channel's hull box, zero-based:
     the pointwise reference of the ranks ``emit_protocol`` computes."""

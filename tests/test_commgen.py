@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from oracle import block_home, buffer_rank, event_key, search_only, stmt_nodes
+from oracle import block_home, block_sizes, buffer_rank, event_key, search_only, stmt_nodes
 from polydist.chunking import chunk_all
 from polydist.commgen import (
     BufferLayout,
@@ -50,21 +50,22 @@ def gol16_ctx(gol16_path):
     return scop, virt, dep, fp, sp, chunks, transfers
 
 
-def brute_force_transfers(dep, sp, fp):
+def brute_force_transfers(dep, sp):
     """Pointwise oracle for the resolved transfer relation: for every flow
     pair and consumer execution, the producer node is the consumer's node
     when the producer executed there, else the smallest producer node."""
     out = {}
     for fam in dep.field_families():
         key = (fam.producer, fam.consumer, fam.ref)
+        blocks = block_sizes(dep.scop.field(fam.ref).extents, dep.scop.grid.extents)
         rows = set()
         for ig, ic, k in fam.pairs():
             if fam.producer == PROLOGUE:
-                prod_nodes = [block_home(k, fp.block_extents[fam.ref])]
+                prod_nodes = [block_home(k, blocks)]
             else:
                 prod_nodes = stmt_nodes(sp, fam.producer, ig)
             if fam.consumer == EPILOGUE:
-                cons_nodes = [block_home(k, fp.block_extents[fam.ref])]
+                cons_nodes = [block_home(k, blocks)]
             else:
                 cons_nodes = stmt_nodes(sp, fam.consumer, ic)
             for pc in cons_nodes:
@@ -139,7 +140,7 @@ def test_symbolic_selection_matches_transfers(gol16_ctx):
 
 def test_transfers_match_pointwise_oracle(gol16_ctx):
     scop, virt, dep, fp, sp, chunks, transfers = gol16_ctx
-    oracle = brute_force_transfers(dep, sp, fp)
+    oracle = brute_force_transfers(dep, sp)
 
     for fam in dep.field_families():
         got = {
@@ -527,6 +528,46 @@ MALFORMED_PLANS = {
         lambda ln: ln.startswith("field front"),
         lambda ln: ln.replace("block=(8,8)", "block=(16,8)"),
         "block=(16,8) differs from block distribution",
+    ),
+    "fill_elem_short": (
+        lambda ln: " kind=buffer_fill " in ln,
+        lambda ln: re.sub(r" elem=\(\d+,\d+\)", " elem=(3)", ln),
+        "elem=(3) outside field front (16,16)",
+    ),
+    "fill_elem_long": (
+        lambda ln: " kind=buffer_fill " in ln,
+        lambda ln: re.sub(r" elem=\(\d+,\d+\)", " elem=(3,3,3)", ln),
+        "elem=(3,3,3) outside field front (16,16)",
+    ),
+    "fill_elem_off_field": (
+        lambda ln: " kind=buffer_fill " in ln,
+        lambda ln: re.sub(r" elem=\(\d+,\d+\)", " elem=(-1,0)", ln),
+        "elem=(-1,0) outside field front (16,16)",
+    ),
+    "drain_elem_short": (
+        lambda ln: " kind=buffer_drain " in ln,
+        lambda ln: re.sub(r" elem=\(\d+,\d+\)", " elem=(3)", ln),
+        "elem=(3) outside field back (16,16)",
+    ),
+    "drain_elem_off_field": (
+        lambda ln: " kind=buffer_drain " in ln,
+        lambda ln: re.sub(r" elem=\(\d+,\d+\)", " elem=(16,0)", ln),
+        "elem=(16,0) outside field back (16,16)",
+    ),
+    "compute_t_short": (
+        lambda ln: " kind=compute " in ln,
+        lambda ln: re.sub(r" t=\([-\d,]+\)", " t=(0)", ln),
+        "t=(0) has 1 entries, scatter_arity is 8",
+    ),
+    "channel_box_arity": (
+        lambda ln: ln.startswith("channel"),
+        lambda ln: re.sub(r" box=\[[^]]*\]", " box=[1:7]", ln),
+        "channel cid=0 box has 1 dims, field back has 2",
+    ),
+    "channel_elem_type": (
+        lambda ln: ln.startswith("channel"),
+        lambda ln: ln.replace(" elem=bool ", " elem=float64 "),
+        "channel cid=0 elem=float64 differs from field back's bool",
     ),
 }
 

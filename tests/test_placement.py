@@ -1,11 +1,16 @@
 import json
 
+import numpy as np
 import pytest
 
-from oracle import block_home, maps_equal, placement_nodes, sets_equal
+from conftest import SCOPS
+from oracle import block_home, block_sizes, maps_equal, placement_nodes, sets_equal
+from test_contract import EXPECTED
 from polydist.cli import main
+from polydist.commgen import CommPlan
 from polydist.deps import add_virtual_statements, compute_flow
 from polydist.errors import IndivisibleExtent
+from polydist.fields import random_contents
 from polydist.isets import (
     IntMap,
     IntSet,
@@ -17,6 +22,7 @@ from polydist.placement import block_distribute, place_statements, dump_placemen
 from polydist.pipeline import cap_iterations, override_grid
 from polydist.scop import ClusterGrid, FieldDecl, isolate_accesses
 from polydist.scopio import parse_scop, parse_scop_file
+from polydist.simrt import init_runtime
 
 
 @pytest.fixture(scope="module")
@@ -28,31 +34,70 @@ def gol16_pipeline(gol16_path):
     return virt, dep, fp, sp
 
 
+def home_of(fp, name, index, grid):
+    """The node the field's home map places one element on."""
+    return grid.nodes[fp.homes(name, np.array([index]), grid)[0]]
+
+
 def test_block_distribute_large_scale():
     # 1024 extent on an 8-node axis: 128-sized tiles
     f = FieldDecl("f", "bool", (1024, 1024))
-    fp = block_distribute([f], ClusterGrid((8, 8)))
-    assert fp.block_extents["f"] == (128, 128)
-    assert block_home((130, 5), fp.block_extents["f"]) == (1, 0)
+    grid = ClusterGrid((8, 8))
+    fp = block_distribute([f], grid)
+    blocks = block_sizes(f.extents, grid.extents)
+    assert blocks == (128, 128)
+    assert block_home((130, 5), blocks) == (1, 0)
+    assert home_of(fp, "f", (130, 5), grid) == (1, 0)
 
 
 def test_block_distribute_small():
     f = FieldDecl("f", "bool", (16, 16))
-    fp = block_distribute([f], ClusterGrid((2, 2)))
-    assert block_home((7, 8), fp.block_extents["f"]) == (0, 1)
+    grid = ClusterGrid((2, 2))
+    fp = block_distribute([f], grid)
+    assert block_home((7, 8), block_sizes(f.extents, grid.extents)) == (0, 1)
+    assert home_of(fp, "f", (7, 8), grid) == (0, 1)
 
 
 def test_block_distribute_single_node():
     f = FieldDecl("f", "bool", (16, 16))
-    fp = block_distribute([f], ClusterGrid((1, 1)))
+    grid = ClusterGrid((1, 1))
+    fp = block_distribute([f], grid)
     for idx in [(0, 0), (7, 9), (15, 15)]:
-        assert block_home(idx, fp.block_extents["f"]) == (0, 0)
+        assert block_home(idx, block_sizes(f.extents, grid.extents)) == (0, 0)
+        assert home_of(fp, "f", idx, grid) == (0, 0)
 
 
 def test_block_distribute_indivisible():
     f = FieldDecl("f", "bool", (16, 16))
     with pytest.raises(IndivisibleExtent):
         block_distribute([f], ClusterGrid((3, 3)))
+
+
+@pytest.mark.parametrize("grid", sorted({grid for _, grid in EXPECTED}))
+@pytest.mark.parametrize("path", sorted(SCOPS.glob("*.scop")), ids=lambda p: p.stem)
+def test_homes_are_blocks(path, grid):
+    """Every element's home, by its field's map and in the simulator's
+    storage, is its block: each node stores exactly its block's elements,
+    in row-major order, so the nodes' home elements partition the field."""
+    scop = override_grid(parse_scop_file(path), tuple(int(g) for g in grid.split("x")))
+    g = scop.grid
+    fp = block_distribute(scop.fields, g)
+    fields = tuple((f.name, f.element_type, f.extents) for f in scop.fields)
+    init = random_contents(scop, 1)
+    sim = init_runtime(CommPlan(scop.name, g.extents, scop.scatter_arity, fields, fp, [], {}), g, init)
+    for f in scop.fields:
+        every = list(np.ndindex(*f.extents))
+        blocks = block_sizes(f.extents, g.extents)
+        expected = [block_home(e, blocks) for e in every]
+        assert [g.nodes[i] for i in fp.homes(f.name, np.array(every), g).tolist()] == expected
+        block_of = {coord: [] for coord in g.nodes}
+        for e, home in zip(every, expected):
+            block_of[home].append(e)
+        for coord, node in sim.nodes.items():
+            mine = block_of[coord]
+            assert [sim._offset(node, f.name, e) for e in mine] == list(range(len(mine)))
+            assert node.storage[f.name].tolist() == [init[f.name][e] for e in mine]
+        assert (sim.gather()[f.name] == init[f.name]).all()
 
 
 def test_owner_computes_placement(gol16_pipeline):
@@ -90,8 +135,9 @@ def test_owner_computes_invariant(gol16_pipeline):
     for fam in dep.epilogue_families():
         s = virt.statement(fam.producer)
         _, acc = s.writes()[0]
+        blocks = block_sizes(virt.field(fam.ref).extents, virt.grid.extents)
         for ig, _, k in fam.pairs():
-            home = block_home(k, fp.block_extents[fam.ref])
+            home = block_home(k, blocks)
             assert home in placement_nodes(sp, fam.producer, ig)
 
 

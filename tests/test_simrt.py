@@ -19,7 +19,7 @@ from polydist.errors import (
 )
 from polydist.fields import random_contents
 from polydist.placement import block_distribute, place_statements
-from polydist.scop import ClusterGrid, isolate_accesses, sequential_execute
+from polydist.scop import ClusterGrid, FieldDecl, isolate_accesses, sequential_execute
 from polydist.scopio import parse_scop
 from polydist.simrt import init_runtime, run
 
@@ -280,6 +280,21 @@ def test_violation_on_early_buffer_fill(gol16_built):
         run(init_runtime(bad, virt.grid, random_contents(scop, 3)), virt)
 
 
+# (-1, 0) wraps to (15, 0) under negative indexing, an element that node
+# (1, 0) homes: its fill and drain catch a lookup that wraps
+@pytest.mark.parametrize("kind", ["buffer_fill", "buffer_drain"])
+@pytest.mark.parametrize("element", [(-1, 0), (16, 0), (0, 0)])
+def test_fill_and_drain_touch_only_home_elements(gol16_built, kind, element):
+    scop, virt, plan = gol16_built
+    node = (1, 0)
+    evs = list(plan.events[node])
+    i = next(i for i, ev in enumerate(evs) if ev.kind == kind)
+    evs[i] = dataclasses.replace(evs[i], element=element)
+    bad = dataclasses.replace(plan, events={**plan.events, node: evs})
+    with pytest.raises(NotLocal, match=re.escape(f"{element} is not a home element of {node}")):
+        run(init_runtime(bad, virt.grid, random_contents(scop, 3)), virt)
+
+
 def test_simulation_faults_share_a_base():
     for fault in (DeadlockDetected, BufferStateViolation, NotLocal):
         assert issubclass(fault, SimulationFault)
@@ -331,7 +346,7 @@ def test_multi_home_plan_rejected(tmp_path, capsys):
         grid=(2,),
         scatter_arity=1,
         fields=(("f", "int64", (4,)),),
-        block_extents={"f": (2,)},
+        field_placement=block_distribute([FieldDecl("f", "int64", (4,))], ClusterGrid((2,))),
         channels=[],
         events={},
     )
