@@ -53,8 +53,12 @@ def _load(args):
 
 
 def _check_outputs(args):
-    """Reject dump kinds and an ``--out`` that the subcommand would ignore,
-    and make the output directory, before any analysis runs."""
+    """Reject dump kinds, an ``--out`` and the input options that the
+    subcommand would ignore, and make the output directory, before any
+    analysis runs."""
+    for option in ("seed", "init", "plan"):
+        if getattr(args, option) is not None and not args.runs:
+            raise ValidationError(f"{args.command} takes no --{option} (only simulate and verify do)")
     if args.dump:
         for kind in args.dump.split(","):
             if kind not in DUMPS:
@@ -125,7 +129,7 @@ def _build_or_load_plan(args, scop):
 def _initial_contents(args, scop):
     if args.init:
         return load_contents(scop, read_input(args.init))
-    return random_contents(scop, args.seed)
+    return random_contents(scop, args.seed or 0)
 
 
 def cmd_simulate(args) -> int:
@@ -157,7 +161,7 @@ def cmd_verify(args) -> int:
         _emit(args, "trace.txt", trace.to_text())
     div = first_divergence(expected, final)
     if div is None:
-        print(f"verify: PASS (grid={'x'.join(map(str, virt.grid.extents))}, seed={args.seed})")
+        print(f"verify: PASS (grid={'x'.join(map(str, virt.grid.extents))}, seed={args.seed or 0})")
         return 0
     name, idx, want, got = div
     print(f"verify: FAIL first divergence field={name} index={idx} expected={want} got={got}")
@@ -176,23 +180,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Polyhedral communication planner and SPMD simulator",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn, dumps in (
-        ("analyze", cmd_analyze, ("deps", "place", "chunk")),
-        ("plan", cmd_plan, ("plan",)),
-        ("simulate", cmd_simulate, ("plan", "trace")),
-        ("verify", cmd_verify, ("trace",)),
-        ("print", cmd_print, ()),
+    for name, fn, dumps, runs in (
+        ("analyze", cmd_analyze, ("deps", "place", "chunk"), False),
+        ("plan", cmd_plan, ("plan",), False),
+        ("simulate", cmd_simulate, ("plan", "trace"), True),
+        ("verify", cmd_verify, ("trace",), True),
+        ("print", cmd_print, (), False),
     ):
         p = sub.add_parser(name)
         p.add_argument("input", help="scop document (JSON)")
         p.add_argument("--grid", help="node grid override, e.g. 2x2")
         p.add_argument("--iters", type=int, help="cap on the leading loop dimension")
-        p.add_argument("--seed", type=int, default=0, help="PRNG seed for initial contents")
+        p.add_argument("--seed", type=int, help="PRNG seed for initial contents (default 0)")
         p.add_argument("--out", help="output directory (default: stdout)")
         p.add_argument("--dump", help=f"comma list of dumps: {','.join(dumps) or 'none'}")
         p.add_argument("--init", help="initial field contents file")
         p.add_argument("--plan", help="run a previously dumped plan file")
-        p.set_defaults(fn=fn, dumps=dumps)
+        p.set_defaults(fn=fn, dumps=dumps, runs=runs)
     return parser
 
 

@@ -39,7 +39,7 @@ from typing import Optional
 import numpy as np
 
 from .deps import EPILOGUE, PROLOGUE, DepGraph, FlowFamily
-from .errors import AnalysisError, ParseError, ValidationError
+from .errors import AnalysisError, GeometryMismatch, ParseError, ValidationError
 from .isets import distinct_rows, row_major_strides, unique_rows
 from .placement import FieldPlacement, StmtPlacement, block_distribute
 from .scop import ClusterGrid, FieldDecl, Scop
@@ -52,6 +52,8 @@ __all__ = [
     "Channel",
     "Event",
     "CommPlan",
+    "CHANNEL_END",
+    "check_channel_ends",
     "build_transfers",
     "group_chunks",
     "emit_protocol",
@@ -104,6 +106,9 @@ class Channel:
 # the order of events at one scatter: channel calls, then the rest
 _PHASE = {"recv": 0, "send": 1, "recv_wait": 2, "send_wait": 3, "compute": 4, "buffer_fill": 4,
           "buffer_drain": 4}
+# the end of its channel each channel call runs at
+CHANNEL_END = {"send_wait": "src", "send": "src", "buffer_fill": "src",
+               "recv_wait": "dst", "recv": "dst", "buffer_drain": "dst"}
 
 
 @dataclass(slots=True)
@@ -119,6 +124,27 @@ class Event:
     cid: int = -1
     element: tuple = ()  # for fill/drain events
     rank: int = -1
+
+
+def check_channel_ends(channels: list, ev: Event, node: tuple) -> None:
+    """GeometryMismatch unless the event, run on the node, uses each
+    channel at the end that holds its buffer there: a channel call at its
+    ``CHANNEL_END``, a compute event's buffer read at the destination and
+    its buffer writes at the source."""
+    if ev.kind in CHANNEL_END:
+        _check_end(channels[ev.cid], CHANNEL_END[ev.kind], node, ev.kind)
+        return
+    if ev.read_from is not None:
+        _check_end(channels[ev.read_from[0]], "dst", node, "compute read")
+    for w in ev.writes:
+        if w[0] == "buffer":
+            _check_end(channels[w[1]], "src", node, "compute write")
+
+
+def _check_end(ch: Channel, end: str, node: tuple, what: str) -> None:
+    if getattr(ch, end) != node:
+        raise GeometryMismatch(f"{what} on node {node} uses channel {ch.cid}, "
+                               f"which runs from {ch.src} to {ch.dst}")
 
 
 @dataclass
@@ -513,8 +539,11 @@ def parse_plan(text: str) -> CommPlan:
     element type and as many box dims as it has.  Every event's channel
     and buffer rank must exist, and its ``t=`` must have scatter_arity
     entries.  Every event node and channel end must lie in the grid, and
-    every fill or drain element in its channel's field.  Malformed input
-    raises ParseError with the 1-based line number."""
+    every fill or drain element in its channel's field.  A channel's
+    ``size=`` and the ``src=``, ``dst=`` and ``size=`` its call lines
+    repeat must be the channel's, and every event must use its channels
+    at the ends ``check_channel_ends`` requires.  Malformed input raises
+    ParseError with the 1-based line number."""
     numbered = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not numbered:
         raise ParseError("empty plan file", line=1)
@@ -583,6 +612,9 @@ def parse_plan(text: str) -> CommPlan:
                     layout=BufferLayout(fieldname=fieldname, box=box),
                     element_type=kv["elem"],
                 )
+                if int(kv["size"]) != ch.layout.size:
+                    raise ParseError(f"channel cid={cid} size={kv['size']} differs from the "
+                                     f"{ch.layout.size} slots of its box", line=no)
                 channels.append(ch)
                 cid_by_tag[ch.tag] = ch.cid
             elif parts[0].startswith("node="):
@@ -605,12 +637,20 @@ def parse_plan(text: str) -> CommPlan:
                     element = _within("elem", kv["elem"], decl.extents, f"field {decl.name}")
                     ev = Event(node=node, scatter=scatter, kind=kind, chunk=kv["chunk"],
                                cid=cid, element=element, rank=rank)
-                else:
+                elif kind in CHANNEL_END:
                     tag = int(kv["tag"])
                     if tag not in cid_by_tag:
                         raise ParseError(f"unknown tag {tag}", line=no)
-                    ev = Event(node=node, scatter=scatter, kind=kind, chunk=kv["chunk"],
-                               cid=cid_by_tag[tag])
+                    ch = channels[cid_by_tag[tag]]
+                    for key, want in (("src", _fmt_tuple(ch.src)), ("dst", _fmt_tuple(ch.dst)),
+                                      ("size", str(ch.layout.size))):
+                        if kv[key] != want:
+                            raise ParseError(f"{key}={kv[key]} differs from channel {ch.cid}'s "
+                                             f"{key}={want}", line=no)
+                    ev = Event(node=node, scatter=scatter, kind=kind, chunk=kv["chunk"], cid=ch.cid)
+                else:
+                    raise ParseError(f"unknown event kind {kind}", line=no)
+                check_channel_ends(channels, ev, node)
                 events.setdefault(node, []).append(ev)
             else:
                 raise ParseError(f"unknown plan line {ln!r}", line=no)
@@ -618,7 +658,7 @@ def parse_plan(text: str) -> CommPlan:
             raise ParseError(f"missing {e.args[0]}=", line=no) from None
         except IndexError:
             raise ParseError(f"incomplete line {ln!r}", line=no) from None
-        except (ValueError, ValidationError) as e:
+        except (ValueError, ValidationError, GeometryMismatch) as e:
             raise ParseError(str(e), line=no) from None
     return CommPlan(
         name=name,

@@ -11,86 +11,34 @@ Node forms:
     ["b2i", e]                                  bool -> int conversion
     ["neg", e]; ["add"|"sub"|"mul", a, b]       integer/float arithmetic
     ["lt"|"le"|"gt"|"ge"|"eq"|"ne", a, b]       comparisons -> bool
-    ["and"|"or", a, b]; ["not", e]              strict boolean logic
+    ["and"|"or", a, b]; ["not", e]              short-circuit boolean logic
     ["if", c, t, f]                             conditional expression
     ["call", fname, args...]                    pure function call
 
-Evaluation is strict about types: boolean operands are not silently
-treated as integers (use ``b2i``), which keeps the simulator's semantics
-unambiguous across nodes.
+``compile_expr`` defines the language: one walk checks a tree and builds
+the closure that evaluates it.  Evaluation is strict about types: boolean
+operands are not silently treated as integers (use ``b2i``), which keeps
+the simulator's semantics unambiguous across nodes.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+import operator
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence
 
 from .errors import EvaluationError, ValidationError
 
-__all__ = ["PureFunction", "validate_expr", "eval_expr", "expr_reads"]
-
-_ARITH = {"add", "sub", "mul"}
-_CMP = {"lt", "le", "gt", "ge", "eq", "ne"}
-_BOOL2 = {"and", "or"}
+__all__ = ["PureFunction", "compile_expr", "compile_functions", "expr_reads"]
 
 
+@dataclass(frozen=True)
 class PureFunction:
     """A named side-effect-free function: parameter names plus a body tree."""
 
-    def __init__(self, name: str, params: Sequence[str], body):
-        self.name = name
-        self.params = tuple(params)
-        self.body = body
-
-    def __repr__(self):
-        return f"PureFunction({self.name}, params={self.params})"
-
-
-def validate_expr(node, scalars: set[str], n_accesses: int, functions: dict[str, PureFunction]):
-    """Structural validation; raises ValidationError on bad references."""
-    if not isinstance(node, (list, tuple)) or not node:
-        raise ValidationError(f"malformed expression node: {node!r}")
-    op = node[0]
-    if op == "int":
-        if len(node) != 2 or not isinstance(node[1], int) or isinstance(node[1], bool):
-            raise ValidationError(f"bad int literal: {node!r}")
-    elif op == "float":
-        if len(node) != 2 or not isinstance(node[1], (int, float)) or isinstance(node[1], bool):
-            raise ValidationError(f"bad float literal: {node!r}")
-    elif op == "bool":
-        if len(node) != 2 or not isinstance(node[1], bool):
-            raise ValidationError(f"bad bool literal: {node!r}")
-    elif op == "var":
-        if len(node) != 2 or node[1] not in scalars:
-            raise ValidationError(f"unknown scalar in body: {node!r}")
-    elif op == "access":
-        if len(node) != 2 or not isinstance(node[1], int) or not 0 <= node[1] < n_accesses:
-            raise ValidationError(f"bad access reference: {node!r}")
-    elif op in ("b2i", "neg", "not"):
-        if len(node) != 2:
-            raise ValidationError(f"{op} takes one operand")
-        validate_expr(node[1], scalars, n_accesses, functions)
-    elif op in _ARITH or op in _CMP or op in _BOOL2:
-        if len(node) != 3:
-            raise ValidationError(f"{op} takes two operands")
-        validate_expr(node[1], scalars, n_accesses, functions)
-        validate_expr(node[2], scalars, n_accesses, functions)
-    elif op == "if":
-        if len(node) != 4:
-            raise ValidationError("if takes condition, then, else")
-        for child in node[1:]:
-            validate_expr(child, scalars, n_accesses, functions)
-    elif op == "call":
-        if len(node) < 2 or node[1] not in functions:
-            raise ValidationError(f"call to unknown function: {node!r}")
-        fn = functions[node[1]]
-        if len(node) - 2 != len(fn.params):
-            raise ValidationError(
-                f"{fn.name} expects {len(fn.params)} arguments, got {len(node) - 2}"
-            )
-        for child in node[2:]:
-            validate_expr(child, scalars, n_accesses, functions)
-    else:
-        raise ValidationError(f"unknown expression operator: {op!r}")
+    name: str
+    params: Sequence[str]
+    body: object
 
 
 def _need_bool(v, op):
@@ -105,85 +53,135 @@ def _need_num(v, op):
     return v
 
 
-def eval_expr(node, scalars: dict, access: Callable[[int], object], functions: dict[str, PureFunction]):
-    op = node[0]
-    if op == "int" or op == "float" or op == "bool":
-        return node[1]
-    if op == "var":
-        if node[1] not in scalars:
-            raise EvaluationError(f"scalar {node[1]!r} read before any write")
-        return scalars[node[1]]
-    if op == "access":
-        return access(node[1])
-    if op == "b2i":
-        return int(_need_bool(eval_expr(node[1], scalars, access, functions), "b2i"))
-    if op == "neg":
-        return -_need_num(eval_expr(node[1], scalars, access, functions), "neg")
-    if op in _ARITH:
-        a = _need_num(eval_expr(node[1], scalars, access, functions), op)
-        b = _need_num(eval_expr(node[2], scalars, access, functions), op)
-        if op == "add":
-            return a + b
-        if op == "sub":
-            return a - b
-        return a * b
-    if op in _CMP:
-        a = eval_expr(node[1], scalars, access, functions)
-        b = eval_expr(node[2], scalars, access, functions)
-        if op in ("eq", "ne"):
-            if isinstance(a, bool) != isinstance(b, bool):
-                raise EvaluationError("eq/ne operands must have matching types")
-        else:
-            _need_num(a, op)
-            _need_num(b, op)
-        if op == "lt":
-            return a < b
-        if op == "le":
-            return a <= b
-        if op == "gt":
-            return a > b
-        if op == "ge":
-            return a >= b
-        if op == "eq":
-            return a == b
-        return a != b
-    if op in _BOOL2:
-        a = _need_bool(eval_expr(node[1], scalars, access, functions), op)
-        if op == "and":
-            return a and _need_bool(eval_expr(node[2], scalars, access, functions), op)
-        return a or _need_bool(eval_expr(node[2], scalars, access, functions), op)
-    if op == "not":
-        return not _need_bool(eval_expr(node[1], scalars, access, functions), op)
-    if op == "if":
-        cond = _need_bool(eval_expr(node[1], scalars, access, functions), "if")
-        branch = node[2] if cond else node[3]
-        return eval_expr(branch, scalars, access, functions)
-    if op == "call":
-        fn = functions[node[1]]
-        args = [eval_expr(a, scalars, access, functions) for a in node[2:]]
-        env = dict(zip(fn.params, args))
-        return eval_expr(fn.body, env, _no_access, functions)
-    raise EvaluationError(f"unknown operator {op!r}")
+def _numbers(x, y, op):
+    return _need_num(x, op), _need_num(y, op)
 
 
-def _no_access(_ordinal):
-    raise EvaluationError("pure functions cannot access fields")
+def _same_kind(x, y, op):
+    if isinstance(x, bool) != isinstance(y, bool):
+        raise EvaluationError("eq/ne operands must have matching types")
+    return x, y
 
 
-def expr_reads(node) -> tuple[set[str], set[int]]:
-    """The scalar names and the access ordinals an expression reads."""
-    scalars: set[str] = set()
-    accesses: set[int] = set()
+def _unwritten(name):
+    raise EvaluationError(f"scalar {name!r} read before any write")
+
+
+_LITERALS = {"int": int, "float": (int, float), "bool": bool}
+_UNARY = {"b2i": lambda v: int(_need_bool(v, "b2i")), "neg": lambda v: -_need_num(v, "neg"),
+          "not": lambda v: not _need_bool(v, "not")}
+_ARITH = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
+# comparison -> (operator, check of both operands once both are evaluated)
+_COMPARE = {"lt": (operator.lt, _numbers), "le": (operator.le, _numbers),
+            "gt": (operator.gt, _numbers), "ge": (operator.ge, _numbers),
+            "eq": (operator.eq, _same_kind), "ne": (operator.ne, _same_kind)}
+
+
+def compile_expr(node, scalars, accesses: Optional[Sequence[str]],
+                 function: Callable[[str], Optional[tuple]], where: str) -> Callable:
+    """Check a body tree and compile it into ``f(scalars, access)``, which
+    evaluates it against a scalar environment and an accessor of access
+    ordinals.  ``scalars`` are the names it may read, ``accesses`` the
+    statement's access kinds (None in a function body, which may access no
+    field) and ``function(name)`` a callee's (parameters, compiled body) or
+    None.  A bad tree raises ValidationError prefixed with ``where``."""
+
+    def fail(message):
+        raise ValidationError(f"{where}: {message}")
 
     def walk(n):
-        if n[0] == "var":
-            scalars.add(n[1])
-        elif n[0] == "access":
-            accesses.add(n[1])
-        else:
-            for child in n[1:]:
-                if isinstance(child, (list, tuple)):
-                    walk(child)
+        if not isinstance(n, (list, tuple)) or not n:
+            fail(f"malformed expression node: {n!r}")
+        op = n[0]
+        if not isinstance(op, str):
+            fail(f"unknown expression operator: {op!r}")
+        if op in _LITERALS:
+            v = n[1] if len(n) == 2 else None
+            if not isinstance(v, _LITERALS[op]) or (op != "bool" and isinstance(v, bool)):
+                fail(f"bad {op} literal: {n!r}")
+            if op == "float":
+                try:
+                    v = float(v)
+                except OverflowError:
+                    fail(f"bad float literal: {n!r}")
+            return lambda sc, acc: v
+        if op == "var":
+            name = n[1] if len(n) == 2 else None
+            if not isinstance(name, str) or name not in scalars:
+                fail(f"unknown scalar in body: {n!r}")
+            return lambda sc, acc: sc[name] if name in sc else _unwritten(name)
+        if op == "access":
+            if accesses is None:
+                fail("pure functions cannot access fields")
+            j = n[1] if len(n) == 2 else None
+            if not isinstance(j, int) or not 0 <= j < len(accesses):
+                fail(f"bad access reference: {n!r}")
+            if accesses[j] != "read":
+                fail(f"body references write access {j}")
+            return lambda sc, acc: acc(j)
+        if op in _UNARY:
+            if len(n) != 2:
+                fail(f"{op} takes one operand")
+            f, a = _UNARY[op], walk(n[1])
+            return lambda sc, acc: f(a(sc, acc))
+        if op in _ARITH or op in _COMPARE or op in ("and", "or"):
+            if len(n) != 3:
+                fail(f"{op} takes two operands")
+            a, b = walk(n[1]), walk(n[2])
+            if op in ("and", "or"):
+                decided = op == "or"  # the first operand's value that decides the result
+                return lambda sc, acc: (decided if _need_bool(a(sc, acc), op) == decided
+                                        else _need_bool(b(sc, acc), op))
+            if op in _ARITH:  # each operand checked as it comes
+                f = _ARITH[op]
+                return lambda sc, acc: f(_need_num(a(sc, acc), op), _need_num(b(sc, acc), op))
+            f, check = _COMPARE[op]
+            return lambda sc, acc: f(*check(a(sc, acc), b(sc, acc), op))
+        if op == "if":
+            if len(n) != 4:
+                fail("if takes condition, then, else")
+            c, t, e = map(walk, n[1:])
+            return lambda sc, acc: t(sc, acc) if _need_bool(c(sc, acc), op) else e(sc, acc)
+        if op == "call":
+            fn = function(n[1]) if len(n) >= 2 and isinstance(n[1], str) else None
+            if fn is None:
+                fail(f"call to unknown function: {n!r}")
+            params, body = fn
+            if len(n) - 2 != len(params):
+                fail(f"{n[1]} expects {len(params)} arguments, got {len(n) - 2}")
+            args = [walk(x) for x in n[2:]]
+            return lambda sc, acc: body(dict(zip(params, [x(sc, acc) for x in args])), None)
+        fail(f"unknown expression operator: {op!r}")
 
-    walk(node)
-    return scalars, accesses
+    return walk(node)
+
+
+def compile_functions(functions: dict[str, PureFunction]) -> dict[str, tuple]:
+    """Every function's (parameters, compiled body), each body compiled
+    once and its callees before it; a direct or mutual call cycle is a
+    ValidationError naming the function whose call closes it."""
+    compiled: dict[str, tuple] = {}
+    calling: list[str] = []  # the functions being compiled, outermost first
+
+    def resolve(name: str) -> Optional[tuple]:
+        if name in calling:
+            cycle = " -> ".join(calling[calling.index(name):] + [name])
+            raise ValidationError(f"function {calling[-1]}: call cycle {cycle}")
+        if name in functions and name not in compiled:
+            fn = functions[name]
+            calling.append(name)
+            compiled[name] = fn.params, compile_expr(fn.body, fn.params, None, resolve,
+                                                     f"function {name}")
+            calling.pop()
+        return compiled.get(name)
+
+    for name in functions:
+        resolve(name)
+    return compiled
+
+
+def expr_reads(node) -> set[str]:
+    """The scalar names an expression reads."""
+    if node[0] == "var":
+        return {node[1]}
+    return set().union(*(expr_reads(c) for c in node[1:] if isinstance(c, (list, tuple))))

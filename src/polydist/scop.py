@@ -16,12 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import EvaluationError, ValidationError
-from .exprs import (
-    PureFunction,
-    eval_expr,
-    expr_reads,
-    validate_expr,
-)
+from .exprs import PureFunction, compile_expr, compile_functions, expr_reads
 from .isets import (AffineExpr, IntSet, Space, enumerate_table, exact_table, point_table,
                     row_major_strides, unique_rows)
 
@@ -241,8 +236,7 @@ class Scop:
         ids = [s.id for s in self.statements]
         if len(set(ids)) != len(ids):
             raise ValidationError("duplicate statement ids")
-        for fn in self.functions.values():
-            validate_expr(fn.body, set(fn.params), 0, self.functions)
+        self.function_bodies  # compiles every function body
         for s in self.statements:
             self._validate_statement(s)
         scatter_order(self.statements)
@@ -273,18 +267,24 @@ class Scop:
             if any(e.divs for e in acc.index_exprs):
                 raise ValidationError(f"{s.id}: access index expressions must be affine")
             self._check_in_bounds(s, j, fld)
-        if s.body is not None:
-            scalars = set(s.scalar_reads) | set(s.scalar_writes)
-            validate_expr(s.body, scalars, len(s.accesses), self.functions)
-            scalar_reads, access_reads = expr_reads(s.body)
-            bad = scalar_reads - set(s.scalar_reads) - set(s.scalar_writes)
-            if bad:
-                raise ValidationError(f"{s.id}: body reads undeclared scalars {sorted(bad)}")
-            for j in access_reads:
-                if s.accesses[j].kind != "read":
-                    raise ValidationError(f"{s.id}: body references write access {j}")
-        elif not s.is_virtual and (s.writes() or s.scalar_writes):
+        if s.body is None and not s.is_virtual and (s.writes() or s.scalar_writes):
             raise ValidationError(f"{s.id}: writing statement has no body")
+        self.compile_body(s)
+
+    @cached_property
+    def function_bodies(self) -> dict:
+        """Every function's (parameters, compiled body), compiled once per scop."""
+        return compile_functions(self.functions)
+
+    def compile_body(self, s: Statement):
+        """The statement's body as a function of (scalars, accessor), checked
+        against its scalars, its readable accesses and the scop's functions;
+        a statement without a body does nothing and yields None."""
+        if s.body is None:
+            return lambda scalars, access: None
+        scalars = {*s.scalar_reads, *s.scalar_writes}
+        return compile_expr(s.body, scalars, [a.kind for a in s.accesses],
+                            self.function_bodies.get, s.id)
 
     def _check_in_bounds(self, s: Statement, j: int, fld: FieldDecl) -> None:
         values = s.subscripts[j]
@@ -310,11 +310,7 @@ def _is_atomic(body) -> bool:
 def _rewrite_accesses(node, renames: dict[int, str]):
     if node[0] == "access" and node[1] in renames:
         return ["var", renames[node[1]]]
-    if node[0] in ("int", "float", "bool", "var", "access"):
-        return list(node)
-    if node[0] == "call":
-        return [node[0], node[1]] + [_rewrite_accesses(c, renames) for c in node[2:]]
-    return [node[0]] + [_rewrite_accesses(c, renames) for c in node[1:]]
+    return [_rewrite_accesses(c, renames) if isinstance(c, (list, tuple)) else c for c in node]
 
 
 def isolate_accesses(scop: Scop) -> Scop:
@@ -354,8 +350,9 @@ def isolate_accesses(scop: Scop) -> Scop:
                     scalar_writes=(vname,),
                 )
             )
-        body = _rewrite_accesses(s.body, renames)
-        body_reads = tuple(sorted(expr_reads(body)[0]))
+        if s.body is not None:  # else the statement writes nothing: its reads are all it does
+            body = _rewrite_accesses(s.body, renames)
+            body_reads = tuple(sorted(expr_reads(body)))
         if writes:
             _, wacc = writes[0]
             if _is_atomic(body):
@@ -395,7 +392,7 @@ def isolate_accesses(scop: Scop) -> Scop:
                         scalar_writes=(),
                     )
                 )
-        else:
+        elif s.body is not None:
             children.append(
                 Statement(
                     id="",
@@ -491,16 +488,17 @@ def scatter_order(statements) -> tuple[np.ndarray, np.ndarray]:
 
 def instance_runner(scop: Scop, s: Statement):
     """A function evaluating the instance of s in a given row against given
-    memories; the statement's accesses are resolved once."""
+    memories; the statement's body is compiled and its accesses resolved once."""
     decls = [scop.field(a.field) for a in s.accesses]
     elements, writes = s.elements, s.writes()
     write = writes[0][0] if writes else None
+    body = scop.compile_body(s)
 
     def run(row: int, scalars, fields) -> None:
         def access(j: int):
             return _from_np(fields[decls[j].name][elements[j][row]], decls[j])
 
-        value = eval_expr(s.body, scalars, access, scop.functions)
+        value = body(scalars, access)
         if write is not None:
             fields[decls[write].name][elements[write][row]] = _check_store(value, decls[write])
         for name in s.scalar_writes:

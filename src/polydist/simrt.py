@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .commgen import CommPlan
+from .commgen import CommPlan, check_channel_ends
 from .errors import (
     BufferStateViolation,
     DeadlockDetected,
@@ -39,12 +39,14 @@ from .errors import (
     NotLocal,
 )
 from .scop import ClusterGrid, FieldDecl, Scop, _check_store, _from_np
-from .exprs import eval_expr
 
 __all__ = ["NodeState", "ChannelState", "Trace", "SimState", "init_runtime", "run"]
 
 IDLE, FILLING, SENT = "idle", "filling", "sent"
-WAITS_FOR = {"send_wait": IDLE, "recv_wait": SENT}  # blocking kind -> state it needs
+# the channel state each channel call needs: send_wait and recv_wait wait
+# for it, and for the other calls any other state is a fault
+NEEDS = {"send_wait": IDLE, "send": FILLING, "buffer_fill": FILLING,
+         "recv_wait": SENT, "recv": SENT, "buffer_drain": SENT}
 
 
 @dataclass
@@ -148,9 +150,12 @@ def _digest(values) -> str:
 
 def run(sim: SimState, scop: Scop):
     """Execute the plan; returns (field contents, trace).  Every compute
-    event must name a statement of the scop and one of its instances."""
+    event must name a statement of the scop and one of its instances, and
+    every event must use its channels at the ends ``check_channel_ends``
+    requires; each statement body is compiled once per run."""
     plan = sim.plan
     stmts = {s.id: s for s in scop.statements}
+    bodies = {s.id: scop.compile_body(s) for s in scop.statements}
     written = {}  # statement id -> (field, its FieldDecl, element per row), resolved once
     for s in scop.real_statements():
         for j, acc in s.writes():
@@ -169,31 +174,28 @@ def run(sim: SimState, scop: Scop):
                     f"compute event on node {coord} names {ev.stmt}{ev.instance}, "
                     f"which is not an instance of {ev.stmt}"
                 )
+            check_channel_ends(plan.channels, ev, coord)
 
     def run_event(node: "NodeState", ev):
         ch = sim.channels.get(ev.cid)
         digest = "-"
+        if ev.kind in NEEDS and ch.state != NEEDS[ev.kind]:
+            raise BufferStateViolation(f"{ev.kind} on channel {ev.cid} in state {ch.state}")
         if ev.kind == "send_wait":
             chan = plan.channels[ev.cid]
             ch.state = FILLING
             ch.send_buf = [None] * chan.layout.size
         elif ev.kind == "send":
-            if ch.state != FILLING:
-                raise BufferStateViolation(f"send on channel {ev.cid} in state {ch.state}")
             ch.payload = tuple(ch.send_buf)
             ch.state = SENT
             digest = _digest(ch.payload)
         elif ev.kind == "recv_wait":
             pass  # ran only once the channel was SENT
         elif ev.kind == "recv":
-            if ch.state != SENT:
-                raise BufferStateViolation(f"recv on channel {ev.cid} in state {ch.state}")
             digest = _digest(ch.payload)
             ch.payload = ()
             ch.state = IDLE
         elif ev.kind == "buffer_fill":
-            if ch.state != FILLING:
-                raise BufferStateViolation(f"buffer fill in state {ch.state}")
             chan = plan.channels[ev.cid]
             fld = sim.fields[chan.layout.fieldname]
             value = _from_np(
@@ -202,8 +204,6 @@ def run(sim: SimState, scop: Scop):
             )
             ch.send_buf[ev.rank] = value
         elif ev.kind == "buffer_drain":
-            if ch.state != SENT:
-                raise BufferStateViolation(f"buffer drain in state {ch.state}")
             chan = plan.channels[ev.cid]
             node.storage[chan.layout.fieldname][
                 sim._offset(node, chan.layout.fieldname, ev.element)
@@ -227,7 +227,7 @@ def run(sim: SimState, scop: Scop):
                     )
                 return value
 
-            value = eval_expr(s.body, node.scalars, access, scop.functions)
+            value = bodies[ev.stmt](node.scalars, access)
             if ev.stmt in written:
                 name, fld, elements = written[ev.stmt]
                 _check_store(value, fld)
@@ -263,7 +263,7 @@ def run(sim: SimState, scop: Scop):
         node = sim.nodes[coord]
         evs = node_events[coord]
         ev = evs[node.cursor]
-        if ev.kind in WAITS_FOR and sim.channels[ev.cid].state != WAITS_FOR[ev.kind]:
+        if ev.kind in ("send_wait", "recv_wait") and sim.channels[ev.cid].state != NEEDS[ev.kind]:
             parked.setdefault(ev.cid, []).append(coord)
             continue
         run_event(node, ev)

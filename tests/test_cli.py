@@ -133,6 +133,19 @@ def test_dump_or_out_the_subcommand_ignores(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["analyze", "plan", "print"])
+@pytest.mark.parametrize("option, value", [("seed", "5"), ("init", "/nonexistent"),
+                                           ("plan", "/nonexistent")])
+def test_input_option_the_subcommand_ignores(
+    gol16_path, capsys, monkeypatch, command, option, value
+):
+    _no_analysis(monkeypatch)
+    assert invoke(command, str(gol16_path), f"--{option}", value) == 2
+    assert capsys.readouterr() == (
+        "", f"validation error: {command} takes no --{option} (only simulate and verify do)\n"
+    )
+
+
 def test_verify_pass(gol16_path, capsys):
     assert invoke("verify", str(gol16_path), "--seed", "42", "--grid", "2x2") == 0
     assert "PASS" in capsys.readouterr().out
@@ -328,10 +341,10 @@ def test_empty_domains_every_subcommand(gol16_path, tmp_path, capsys):
     init = dump_contents(scop, random_contents(scop, 5))
     init_file = tmp_path / "init.txt"
     init_file.write_text(init)
-    for cmd, dump in (("analyze", []), ("plan", []), ("simulate", []),
-                      ("verify", ["--dump", "trace"])):
-        rc = invoke(cmd, str(gol16_path), "--iters", "0", "--init", str(init_file),
-                    "--out", str(tmp_path / cmd), *dump)
+    for cmd, extra in (("analyze", []), ("plan", []),
+                       ("simulate", ["--init", str(init_file)]),
+                       ("verify", ["--init", str(init_file), "--dump", "trace"])):
+        rc = invoke(cmd, str(gol16_path), "--iters", "0", "--out", str(tmp_path / cmd), *extra)
         assert rc == 0, cmd
     assert "verify: PASS" in capsys.readouterr().out
     assert (tmp_path / "simulate" / "fields.txt").read_text() == init

@@ -569,6 +569,73 @@ MALFORMED_PLANS = {
         lambda ln: ln.replace(" elem=bool ", " elem=float64 "),
         "channel cid=0 elem=float64 differs from field back's bool",
     ),
+    # channel 42 runs from (0,0) to (1,0); channels 1 and 4 are loopbacks on
+    # (0,1) and (0,0)
+    "send_off_src": (
+        lambda ln: " kind=send " in ln and " tag=42 " in ln,
+        lambda ln: ln.replace("node=(0,0)", "node=(1,1)"),
+        "send on node (1, 1) uses channel 42, which runs from (0, 0) to (1, 0)",
+    ),
+    "send_wait_off_src": (
+        lambda ln: " kind=send_wait " in ln and " tag=42 " in ln,
+        lambda ln: ln.replace("node=(0,0)", "node=(0,1)"),
+        "send_wait on node (0, 1) uses channel 42, which runs from (0, 0) to (1, 0)",
+    ),
+    "recv_off_dst": (
+        lambda ln: " kind=recv " in ln and " tag=42 " in ln,
+        lambda ln: ln.replace("node=(1,0)", "node=(1,1)"),
+        "recv on node (1, 1) uses channel 42, which runs from (0, 0) to (1, 0)",
+    ),
+    "recv_wait_off_dst": (
+        lambda ln: " kind=recv_wait " in ln and " tag=42 " in ln,
+        lambda ln: ln.replace("node=(1,0)", "node=(0,0)"),
+        "recv_wait on node (0, 0) uses channel 42, which runs from (0, 0) to (1, 0)",
+    ),
+    "fill_off_src": (
+        lambda ln: " kind=buffer_fill " in ln and " cid=42 " in ln,
+        lambda ln: ln.replace("node=(0,0)", "node=(0,1)"),
+        "buffer_fill on node (0, 1) uses channel 42, which runs from (0, 0) to (1, 0)",
+    ),
+    "drain_off_dst": (
+        lambda ln: " kind=buffer_drain " in ln and " cid=4 " in ln,
+        lambda ln: ln.replace("node=(0,0)", "node=(0,1)"),
+        "buffer_drain on node (0, 1) uses channel 4, which runs from (0, 0) to (0, 0)",
+    ),
+    "compute_read_off_dst": (
+        lambda ln: ln.startswith("node=(0,0)") and " read=buf:" in ln,
+        lambda ln: re.sub(r" read=buf:\d+@\d+", " read=buf:42@0", ln),
+        "compute read on node (0, 0) uses channel 42, which runs from (0, 0) to (1, 0)",
+    ),
+    "compute_write_off_src": (
+        lambda ln: ln.startswith("node=(0,0)") and "+buf:" in ln,
+        lambda ln: re.sub(r"\+buf:\d+@\d+", "+buf:1@0", ln, count=1),
+        "compute write on node (0, 0) uses channel 1, which runs from (0, 1) to (0, 1)",
+    ),
+    "channel_size": (
+        lambda ln: ln.startswith("channel cid=42 "),
+        lambda ln: ln.replace(" size=7 ", " size=5 "),
+        "channel cid=42 size=5 differs from the 7 slots of its box",
+    ),
+    "call_src": (
+        lambda ln: " kind=send " in ln and " tag=42 " in ln,
+        lambda ln: ln.replace(" src=(0,0) ", " src=(0,1) "),
+        "src=(0,1) differs from channel 42's src=(0,0)",
+    ),
+    "call_dst": (
+        lambda ln: " kind=recv " in ln and " tag=42 " in ln,
+        lambda ln: ln.replace(" dst=(1,0) ", " dst=(1,1) "),
+        "dst=(1,1) differs from channel 42's dst=(1,0)",
+    ),
+    "call_size": (
+        lambda ln: " kind=send_wait " in ln and " tag=42 " in ln,
+        lambda ln: ln.replace(" size=7", " size=49"),
+        "size=49 differs from channel 42's size=7",
+    ),
+    "unknown_kind": (
+        lambda ln: " kind=send " in ln,
+        lambda ln: ln.replace(" kind=send ", " kind=sned "),
+        "unknown event kind sned",
+    ),
 }
 
 

@@ -329,6 +329,22 @@ def test_out_of_domain_instance_rejected_before_first_step(gol16_built):
     assert sim.step == 0 and not sim.trace.entries
 
 
+def test_channel_call_off_its_end_rejected_before_first_step(gol16_built):
+    # the source's send moved to a node that holds no buffer of the channel
+    scop, virt, plan = gol16_built
+    ch = next(c for c in plan.channels if (c.src, c.dst) == ((0, 0), (1, 0)))
+    evs = plan.events[(0, 0)]
+    i = next(i for i, ev in enumerate(evs) if ev.kind == "send" and ev.cid == ch.cid)
+    moved = sorted(plan.events[(1, 1)] + [dataclasses.replace(evs[i], node=(1, 1))], key=event_key)
+    bad = dataclasses.replace(plan, events={**plan.events, (0, 0): evs[:i] + evs[i + 1:],
+                                            (1, 1): moved})
+    sim = init_runtime(bad, virt.grid, random_contents(scop, 3))
+    message = f"send on node (1, 1) uses channel {ch.cid}, which runs from (0, 0) to (1, 0)"
+    with pytest.raises(GeometryMismatch, match=re.escape(message)):
+        run(sim, virt)
+    assert sim.step == 0 and not sim.trace.entries
+
+
 def test_multi_home_plan_rejected(tmp_path, capsys):
     # a plan whose fieldmap line homes f on both nodes of a 1-d grid while
     # block distribution homes each element on one: a plan file cannot carry
