@@ -59,6 +59,8 @@ def _check_outputs(args):
     for option in ("seed", "init", "plan"):
         if getattr(args, option) is not None and not args.runs:
             raise ValidationError(f"{args.command} takes no --{option} (only simulate and verify do)")
+    if args.init is not None and args.seed is not None:
+        raise ValidationError("--init and --seed cannot be given together")
     if args.dump:
         for kind in args.dump.split(","):
             if kind not in DUMPS:
@@ -134,8 +136,8 @@ def _initial_contents(args, scop):
 
 def cmd_simulate(args) -> int:
     scop = _load(args)
-    virt, plan = _build_or_load_plan(args, scop)
     init = _initial_contents(args, scop)
+    virt, plan = _build_or_load_plan(args, scop)
     sim = init_runtime(plan, virt.grid, init)
     final, trace = run(sim, virt)
     if _wanted(args, "plan"):
@@ -148,8 +150,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify(args) -> int:
     scop = _load(args)
-    virt, plan = _build_or_load_plan(args, scop)
     init = _initial_contents(args, scop)
+    virt, plan = _build_or_load_plan(args, scop)
     expected = sequential_execute(scop, init)
     try:
         sim = init_runtime(plan, virt.grid, init)
@@ -161,7 +163,8 @@ def cmd_verify(args) -> int:
         _emit(args, "trace.txt", trace.to_text())
     div = first_divergence(expected, final)
     if div is None:
-        print(f"verify: PASS (grid={'x'.join(map(str, virt.grid.extents))}, seed={args.seed or 0})")
+        source = f"init={args.init}" if args.init else f"seed={args.seed or 0}"
+        print(f"verify: PASS (grid={'x'.join(map(str, virt.grid.extents))}, {source})")
         return 0
     name, idx, want, got = div
     print(f"verify: FAIL first divergence field={name} index={idx} expected={want} got={got}")

@@ -29,7 +29,7 @@ from typing import Callable, Optional, Sequence
 
 from .errors import EvaluationError, ValidationError
 
-__all__ = ["PureFunction", "compile_expr", "compile_functions", "expr_reads"]
+__all__ = ["PureFunction", "compile_expr", "compile_functions"]
 
 
 @dataclass(frozen=True)
@@ -179,9 +179,3 @@ def compile_functions(functions: dict[str, PureFunction]) -> dict[str, tuple]:
         resolve(name)
     return compiled
 
-
-def expr_reads(node) -> set[str]:
-    """The scalar names an expression reads."""
-    if node[0] == "var":
-        return {node[1]}
-    return set().union(*(expr_reads(c) for c in node[1:] if isinstance(c, (list, tuple))))

@@ -78,38 +78,60 @@ def dump_contents(scop: Scop, contents: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _value(etype: str, word: str):
+    """One element of a contents file; ValueError unless it is a valid
+    value of the element type."""
+    if etype == "bool":
+        if word not in ("0", "1"):
+            raise ValueError
+        return word == "1"
+    if etype == "float64":
+        return float(word)
+    value = int(word)
+    if not -(1 << 63) <= value < 1 << 63:
+        raise ValueError
+    return value
+
+
 def load_contents(scop: Scop, text: str) -> dict:
+    """Field contents from the flat text ``dump_contents`` writes.  A line
+    that cannot be read is a ParseError at its 1-based number, and so is an
+    unknown or repeated field; a header whose type or extents differ from
+    the field's declaration, or a missing field, is a ValidationError."""
     out = {}
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [(n, ln.split()) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     i = 0
     while i < len(lines):
-        head = lines[i].split()
-        if head[0] != "field":
-            raise ParseError(f"expected 'field' header, got {lines[i]!r}")
+        n, head = lines[i]
+        if head[0] != "field" or len(head) < 4:
+            raise ParseError(f"expected 'field NAME TYPE EXTENTS...', got {' '.join(head)!r}", n)
         name, etype = head[1], head[2]
-        extents = tuple(int(x) for x in head[3:])
-        fld = scop.field(name)
+        try:
+            extents = tuple(int(x) for x in head[3:])
+            fld = scop.field(name)
+        except ValueError:
+            raise ParseError(f"field {name}: extents must be integers", n) from None
+        except KeyError:
+            raise ParseError(f"unknown field {name!r}", n) from None
+        if name in out:
+            raise ParseError(f"field {name} given twice", n)
         if fld.element_type != etype or fld.extents != extents:
             raise ValidationError(f"field {name} header does not match declaration")
         rows = extents[0] if len(extents) > 1 else 1
-        per_row = 1
-        for e in (extents[1:] if len(extents) > 1 else extents):
-            per_row *= e
+        per_row = int(np.prod(extents)) // rows
+        if i + rows >= len(lines):
+            raise ParseError(f"field {name}: {rows} rows expected, {len(lines) - i - 1} given", n)
         values = []
-        for r in range(rows):
-            i += 1
-            parts = lines[i].split()
+        for r, (n, parts) in enumerate(lines[i + 1:i + 1 + rows]):
             if len(parts) != per_row:
-                raise ParseError(f"field {name}: row {r} has {len(parts)} values")
-            values.extend(parts)
-        i += 1
-        if etype == "bool":
-            arr = np.array([v == "1" for v in values], dtype=np.bool_)
-        elif etype == "int64":
-            arr = np.array([int(v) for v in values], dtype=np.int64)
-        else:
-            arr = np.array([float(v) for v in values], dtype=np.float64)
-        out[name] = arr.reshape(extents)
+                raise ParseError(f"field {name}: row {r} has {len(parts)} values, not {per_row}", n)
+            for word in parts:
+                try:
+                    values.append(_value(etype, word))
+                except ValueError:
+                    raise ParseError(f"field {name}: bad {etype} value {word!r}", n) from None
+        i += 1 + rows
+        out[name] = np.array(values, dtype=fld.dtype).reshape(extents)
     for f in scop.fields:
         if f.name not in out:
             raise ValidationError(f"missing contents for field {f.name}")

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import EvaluationError, ValidationError
-from .exprs import PureFunction, compile_expr, compile_functions, expr_reads
+from .exprs import PureFunction, compile_expr, compile_functions
 from .isets import (AffineExpr, IntSet, Space, enumerate_table, exact_table, point_table,
                     row_major_strides, unique_rows)
 
@@ -307,10 +307,40 @@ def _is_atomic(body) -> bool:
     return body[0] in ("var", "int", "float", "bool", "access")
 
 
-def _rewrite_accesses(node, renames: dict[int, str]):
+def _rewrite_accesses(node, renames: dict[int, str], reads: set):
+    """The tree with each access in ``renames`` replaced by a read of its
+    scalar; adds every scalar the new tree reads to ``reads``."""
     if node[0] == "access" and node[1] in renames:
-        return ["var", renames[node[1]]]
-    return [_rewrite_accesses(c, renames) if isinstance(c, (list, tuple)) else c for c in node]
+        node = ["var", renames[node[1]]]
+    if node[0] == "var":
+        reads.add(node[1])
+    return [_rewrite_accesses(c, renames, reads) if isinstance(c, (list, tuple)) else c
+            for c in node]
+
+
+def _split(s: Statement) -> list[tuple]:
+    """The children of a multi-access statement, each as (accesses, body,
+    scalar reads, scalar writes): one per read access, assigning a fresh
+    scalar; then the body, rewritten to read those scalars, stored directly
+    when it is atomic and else computed into one more scalar that a store
+    child writes.  Without a write the body's child carries the statement's
+    scalar writes; without a body the reads are all the statement does."""
+    fresh = (f"{s.id}.v{n}" for n in itertools.count(1))
+    renames = {j: next(fresh) for j, _ in s.reads()}
+    parts = [((acc,), ["access", 0], (), (renames[j],)) for j, acc in s.reads()]
+    if s.body is None:
+        return parts
+    reads: set = set()
+    body = _rewrite_accesses(s.body, renames, reads)
+    reads = tuple(sorted(reads))
+    if not s.writes():
+        return parts + [((), body, reads, s.scalar_writes)]
+    store = (s.writes()[0][1],)
+    if _is_atomic(body):
+        return parts + [(store, body, reads, s.scalar_writes)]
+    value = next(fresh)
+    return parts + [((), body, reads, (value,) + s.scalar_writes),
+                    (store, ["var", value], (value,), ())]
 
 
 def isolate_accesses(scop: Scop) -> Scop:
@@ -326,98 +356,16 @@ def isolate_accesses(scop: Scop) -> Scop:
     out: list[Statement] = []
     existing_ids = {s.id for s in scop.statements}
     for s in scop.statements:
-        pad_zero = s.schedule_exprs + (AffineExpr.constant(s.arity, 0),)
         if s.is_virtual or len(s.accesses) <= 1:
-            out.append(replace(s, schedule_exprs=pad_zero))
+            out.append(replace(s, schedule_exprs=s.schedule_exprs
+                               + (AffineExpr.constant(s.arity, 0),)))
             continue
-        reads = s.reads()
-        writes = s.writes()
-        children: list[Statement] = []
-        renames: dict[int, str] = {}
-        fresh_n = 0
-        for j, acc in reads:
-            fresh_n += 1
-            vname = f"{s.id}.v{fresh_n}"
-            renames[j] = vname
-            children.append(
-                Statement(
-                    id="",
-                    domain=s.domain,
-                    schedule_exprs=s.schedule_exprs,
-                    accesses=(acc,),
-                    body=["access", 0],
-                    scalar_reads=(),
-                    scalar_writes=(vname,),
-                )
-            )
-        if s.body is not None:  # else the statement writes nothing: its reads are all it does
-            body = _rewrite_accesses(s.body, renames)
-            body_reads = tuple(sorted(expr_reads(body)))
-        if writes:
-            _, wacc = writes[0]
-            if _is_atomic(body):
-                children.append(
-                    Statement(
-                        id="",
-                        domain=s.domain,
-                        schedule_exprs=s.schedule_exprs,
-                        accesses=(wacc,),
-                        body=body,
-                        scalar_reads=body_reads,
-                        scalar_writes=s.scalar_writes,
-                    )
-                )
-            else:
-                fresh_n += 1
-                vname = f"{s.id}.v{fresh_n}"
-                children.append(
-                    Statement(
-                        id="",
-                        domain=s.domain,
-                        schedule_exprs=s.schedule_exprs,
-                        accesses=(),
-                        body=body,
-                        scalar_reads=body_reads,
-                        scalar_writes=(vname,) + s.scalar_writes,
-                    )
-                )
-                children.append(
-                    Statement(
-                        id="",
-                        domain=s.domain,
-                        schedule_exprs=s.schedule_exprs,
-                        accesses=(wacc,),
-                        body=["var", vname],
-                        scalar_reads=(vname,),
-                        scalar_writes=(),
-                    )
-                )
-        elif s.body is not None:
-            children.append(
-                Statement(
-                    id="",
-                    domain=s.domain,
-                    schedule_exprs=s.schedule_exprs,
-                    accesses=(),
-                    body=body,
-                    scalar_reads=body_reads,
-                    scalar_writes=s.scalar_writes,
-                )
-            )
-        for pos, child in enumerate(children, start=1):
+        for pos, part in enumerate(_split(s), start=1):
             cid = f"{s.id}.{pos}"
             if cid in existing_ids:
                 raise ValidationError(f"isolation id collision: {cid}")
-            dom = IntSet(Space(cid, s.space.dims), child.domain.pieces)
-            out.append(
-                replace(
-                    child,
-                    id=cid,
-                    domain=dom,
-                    schedule_exprs=child.schedule_exprs
-                    + (AffineExpr.constant(s.arity, pos),),
-                )
-            )
+            out.append(Statement(cid, IntSet(Space(cid, s.space.dims), s.domain.pieces),
+                                 s.schedule_exprs + (AffineExpr.constant(s.arity, pos),), *part))
     return replace(scop, statements=tuple(out), scatter_arity=scop.scatter_arity + 1)
 
 
@@ -442,6 +390,8 @@ def _check_store(value, fld: FieldDecl):
     elif fld.element_type == "int64":
         if isinstance(value, bool) or not isinstance(value, int):
             raise EvaluationError(f"field {fld.name} stores int64, got {type(value).__name__}")
+        if not -(1 << 63) <= value < 1 << 63:
+            raise EvaluationError(f"field {fld.name} stores int64, got {value}, out of range")
     else:
         if not isinstance(value, float):
             raise EvaluationError(f"field {fld.name} stores float64, got {type(value).__name__}")

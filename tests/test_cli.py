@@ -477,3 +477,114 @@ def test_scop_validated_once_per_run(gol16_path, capsys, monkeypatch):
     assert invoke("verify", str(gol16_path), "--grid", "2x2", "--seed", "3") == 0
     assert "verify: PASS" in capsys.readouterr().out
     assert len(runs) == 1
+
+
+def _replace_line(n, text):
+    return lambda lines: lines[:n - 1] + [text] + lines[n:]
+
+
+# Mutations of a dumped gol16 contents file (front on lines 1-17, back on
+# lines 18-34) and the message each must end in.
+BAD_INIT = {
+    "unknown-field": (_replace_line(1, "field ghost bool 16 16"), "unknown field 'ghost' (line 1)"),
+    "bare-header": (lambda lines: lines + ["field"],
+                    "expected 'field NAME TYPE EXTENTS...', got 'field' (line 35)"),
+    "no-extents": (_replace_line(18, "field back bool"),
+                   "expected 'field NAME TYPE EXTENTS...', got 'field back bool' (line 18)"),
+    "text-extent": (_replace_line(1, "field front bool 16 x"),
+                    "field front: extents must be integers (line 1)"),
+    "cut-at-end": (lambda lines: lines[:-1], "field back: 16 rows expected, 15 given (line 18)"),
+    "cut-in-middle": (lambda lines: lines[:16] + lines[17:],
+                      "field front: row 15 has 5 values, not 16 (line 17)"),
+    "bool-2": (lambda lines: lines[:1] + ["2" + lines[1][1:]] + lines[2:],
+               "field front: bad bool value '2' (line 2)"),
+    "bool-x0": (lambda lines: lines[:19] + [lines[19][:-1] + "x0"] + lines[20:],
+                "field back: bad bool value 'x0' (line 20)"),
+    "given-twice": (_replace_line(18, "field front bool 16 16"), "field front given twice (line 18)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INIT))
+def test_bad_init_file_is_a_parse_error(gol16_path, tmp_path, capsys, case):
+    mutate, message = BAD_INIT[case]
+    scop = parse_scop_file(gol16_path)
+    init = tmp_path / "init.txt"
+    init.write_text("\n".join(mutate(dump_contents(scop, random_contents(scop, 5)).splitlines())))
+    assert invoke("verify", str(gol16_path), "--init", str(init)) == 1
+    assert capsys.readouterr() == ("", f"parse error: {message}\n")
+
+
+@pytest.mark.parametrize("header", ["field front int64 16 16", "field front bool 16 8"])
+def test_init_header_unlike_the_declaration(gol16_path, tmp_path, capsys, header):
+    scop = parse_scop_file(gol16_path)
+    init = tmp_path / "init.txt"
+    init.write_text("\n".join(_replace_line(1, header)(
+        dump_contents(scop, random_contents(scop, 5)).splitlines())))
+    assert invoke("verify", str(gol16_path), "--init", str(init)) == 2
+    assert capsys.readouterr() == (
+        "", "validation error: field front header does not match declaration\n")
+
+
+NUMBERS_SCOP = {
+    "name": "numbers", "grid": [2], "scatter_arity": 2,
+    "fields": [{"name": "a", "type": "int64", "extents": [4]},
+               {"name": "f", "type": "float64", "extents": [4]}],
+    "functions": {},
+    "statements": [{
+        "id": "S", "domain": "{ [x] : 0 <= x < 4 }", "schedule": "{ [x] -> [0,x] }",
+        "accesses": [{"field": "a", "kind": "read", "index": ["x"]},
+                     {"field": "a", "kind": "write", "index": ["x"]}],
+        "body": ["sub", ["access", 0], ["int", 1]]}],
+}
+NUMBERS_INIT = ["field a int64 4", "1 -9223372036854775807 9223372036854775807 0",
+                "field f float64 4", "0.5 -0.0 1e300 inf"]
+
+
+@pytest.mark.parametrize("line, word, message", [
+    (2, "9223372036854775808", "field a: bad int64 value '9223372036854775808' (line 2)"),
+    (2, "-9223372036854775809", "field a: bad int64 value '-9223372036854775809' (line 2)"),
+    (2, "1.5", "field a: bad int64 value '1.5' (line 2)"),
+    (4, "1e", "field f: bad float64 value '1e' (line 4)"),
+    (4, "true", "field f: bad float64 value 'true' (line 4)"),
+])
+def test_bad_number_in_init_file(tmp_path, capsys, line, word, message):
+    path = tmp_path / "numbers.scop"
+    path.write_text(json.dumps(NUMBERS_SCOP))
+    lines = list(NUMBERS_INIT)
+    lines[line - 1] = word + lines[line - 1][lines[line - 1].index(" "):]
+    init = tmp_path / "init.txt"
+    init.write_text("\n".join(lines) + "\n")
+    assert invoke("verify", str(path), "--init", str(init)) == 1
+    assert capsys.readouterr() == ("", f"parse error: {message}\n")
+
+
+def test_init_file_of_int64_and_float64(tmp_path, capsys):
+    path, init = tmp_path / "numbers.scop", tmp_path / "init.txt"
+    path.write_text(json.dumps(NUMBERS_SCOP))
+    init.write_text("\n".join(NUMBERS_INIT) + "\n")
+    assert invoke("verify", str(path), "--init", str(init)) == 0
+    assert capsys.readouterr() == (f"verify: PASS (grid=2, init={init})\n", "")
+    assert invoke("simulate", str(path), "--init", str(init), "--out", str(tmp_path)) == 0
+    assert (tmp_path / "fields.txt").read_text().splitlines() == [
+        "field a int64 4", "0 -9223372036854775808 9223372036854775806 -1",
+        "field f float64 4", "0.5 -0.0 1e+300 inf"]
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_init_and_seed_together_rejected(gol16_path, tmp_path, capsys, monkeypatch, command):
+    _no_analysis(monkeypatch)
+    init = tmp_path / "init.txt"
+    assert invoke(command, str(gol16_path), "--init", str(init), "--seed", "3") == 2
+    assert capsys.readouterr() == (
+        "", "validation error: --init and --seed cannot be given together\n")
+
+
+def test_int64_store_out_of_range_exits_3(tmp_path, capsys):
+    doc = dict(NUMBERS_SCOP, statements=[dict(
+        NUMBERS_SCOP["statements"][0], accesses=NUMBERS_SCOP["statements"][0]["accesses"][1:],
+        body=["mul", ["int", 4611686018427387904], ["int", 4]])])
+    path = tmp_path / "overflow.scop"
+    path.write_text(json.dumps(doc))
+    assert invoke("verify", str(path)) == 3
+    assert capsys.readouterr() == (
+        "", "analysis error: field a stores int64, got 18446744073709551616, out of range\n")

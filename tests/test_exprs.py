@@ -125,16 +125,18 @@ def _both(scop):
     return sequential_execute(scop, init), final
 
 
-def _errors(scop) -> list:
+def _errors(scop, skip=("T",)) -> list:
     """The EvaluationError messages of the sequential executor and of the
-    simulator, both without T, so W reads t before any write."""
+    simulator, both without the statements in ``skip``; without T, W reads
+    t before any write."""
     analysis, plan = plan_scop(scop)
     plan = dataclasses.replace(plan, events={
-        node: [ev for ev in evs if ev.stmt != "T"] for node, evs in plan.events.items()})
+        node: [ev for ev in evs if ev.stmt not in skip] for node, evs in plan.events.items()})
     init = random_contents(scop, 1)
+    kept = dataclasses.replace(scop, statements=tuple(s for s in scop.statements
+                                                      if s.id not in skip))
     messages = []
-    for go in (lambda: sequential_execute(dataclasses.replace(scop, statements=scop.statements[1:]),
-                                          init),
+    for go in (lambda: sequential_execute(kept, init),
                lambda: run(init_runtime(plan, analysis.scop.grid, init), analysis.scop)):
         with pytest.raises(EvaluationError) as exc:
             go()
@@ -252,3 +254,26 @@ def test_bodies_compiled_once_per_scop(gol16_path, monkeypatch):
     bodies = [s.id for s in analysis.scop.statements if s.body is not None]
     assert compiled == ["function hasLife"] + bodies
     assert all(np.array_equal(final[f], expected[f]) for f in final)
+
+
+_2_62 = ["int", 1 << 62]
+
+
+@pytest.mark.parametrize("body, value", [
+    (["mul", _2_62, ["int", 4]], 1 << 64),
+    (["add", ["mul", _2_62, ["int", 2]], ["int", 0]], 1 << 63),
+    (["sub", ["mul", _2_62, ["int", -2]], ["int", 1]], -(1 << 63) - 1),
+])
+def test_int64_store_out_of_range(body, value):
+    """Both executors refuse to store an int64 outside [-2^63, 2^63) with
+    the same message."""
+    assert _errors(_tiny(body), skip=()) == [f"field a stores int64, got {value}, out of range"] * 2
+
+
+@pytest.mark.parametrize("body, value", [
+    (["mul", _2_62, ["int", -2]], -(1 << 63)),
+    (["sub", ["mul", _2_62, ["int", 2]], ["int", 1]], (1 << 63) - 1),
+])
+def test_int64_store_at_the_range_ends(body, value):
+    for final in _both(_tiny(body)):
+        assert final["a"].tolist() == [value] * 4

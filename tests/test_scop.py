@@ -388,3 +388,92 @@ def test_isolation_preserves_semantics_random(seed):
         "b": (np.arange(n, dtype=np.int64) * 13 + 3 * seed) % 89,
     }
     assert contents_equal(sequential_execute(scop, init), sequential_execute(iso, init))
+
+
+def _branch_statement(sid, k, accesses, body=None, reads=(), writes=()):
+    sd = {"id": sid, "domain": "{ [x] : 1 <= x <= 4 }", "schedule": f"{{ [x] -> [{k},x] }}",
+          "accesses": [{"field": f, "kind": kind, "index": [index]} for f, kind, index in accesses]}
+    if body is not None:
+        sd["body"] = body
+    if reads:
+        sd["scalar_reads"] = list(reads)
+    if writes:
+        sd["scalar_writes"] = list(writes)
+    return sd
+
+
+# One statement per case of the split rule, in the order P (no access),
+# Q (one access), A (two reads, a non-atomic body, a write between them and a
+# scalar write), B (two reads, an atomic body and a write), C (two reads and
+# a body without a write), D (two reads, no body) and E (one write).
+ISOLATION_BRANCHES = {
+    "name": "branches",
+    "grid": [1],
+    "scatter_arity": 2,
+    "fields": [{"name": f, "type": "int64", "extents": [6]} for f in "abc"],
+    "functions": {},
+    "statements": [
+        _branch_statement("P", 0, [], ["int", 2], writes=["t"]),
+        _branch_statement("Q", 1, [("a", "read", "x")], ["access", 0], writes=["u"]),
+        _branch_statement("A", 2, [("a", "read", "x-1"), ("c", "write", "x"), ("b", "read", "x+1")],
+                          ["add", ["access", 0], ["mul", ["access", 2], ["var", "t"]]],
+                          reads=["t"], writes=["w"]),
+        _branch_statement("B", 3, [("a", "read", "x"), ("b", "read", "x"), ("a", "write", "x")],
+                          ["access", 1]),
+        _branch_statement("C", 4, [("c", "read", "x"), ("a", "read", "x+1")],
+                          ["sub", ["access", 0], ["access", 1]], writes=["z"]),
+        _branch_statement("D", 5, [("a", "read", "x"), ("b", "read", "x-1")]),
+        _branch_statement("E", 6, [("b", "write", "x")], ["add", ["var", "z"], ["var", "w"]],
+                          reads=["z", "w"]),
+    ],
+}
+
+
+def test_isolation_branches_pinned():
+    """Every child of every case of the split rule: id, accessed field and
+    kind, body, scalar reads, scalar writes and trailing ordinal."""
+    iso = isolate_accesses(parse_scop(json.dumps(ISOLATION_BRANCHES)))
+    got = [(s.id, [(a.field, a.kind) for a in s.accesses], s.body, s.scalar_reads,
+            s.scalar_writes, s.schedule_exprs[-1].const) for s in iso.statements]
+    assert got == [
+        ("P", [], ["int", 2], (), ("t",), 0),
+        ("Q", [("a", "read")], ["access", 0], (), ("u",), 0),
+        ("A.1", [("a", "read")], ["access", 0], (), ("A.v1",), 1),
+        ("A.2", [("b", "read")], ["access", 0], (), ("A.v2",), 2),
+        ("A.3", [], ["add", ["var", "A.v1"], ["mul", ["var", "A.v2"], ["var", "t"]]],
+         ("A.v1", "A.v2", "t"), ("A.v3", "w"), 3),
+        ("A.4", [("c", "write")], ["var", "A.v3"], ("A.v3",), (), 4),
+        ("B.1", [("a", "read")], ["access", 0], (), ("B.v1",), 1),
+        ("B.2", [("b", "read")], ["access", 0], (), ("B.v2",), 2),
+        ("B.3", [("a", "write")], ["var", "B.v2"], ("B.v2",), (), 3),
+        ("C.1", [("c", "read")], ["access", 0], (), ("C.v1",), 1),
+        ("C.2", [("a", "read")], ["access", 0], (), ("C.v2",), 2),
+        ("C.3", [], ["sub", ["var", "C.v1"], ["var", "C.v2"]], ("C.v1", "C.v2"), ("z",), 3),
+        ("D.1", [("a", "read")], ["access", 0], (), ("D.v1",), 1),
+        ("D.2", [("b", "read")], ["access", 0], (), ("D.v2",), 2),
+        ("E", [("b", "write")], ["add", ["var", "z"], ["var", "w"]], ("z", "w"), (), 0),
+    ]
+    assert iso.scatter_arity == 3
+    assert all(s.domain.space.name == s.id for s in iso.statements)
+    a = parse_scop(json.dumps(ISOLATION_BRANCHES)).statement("A")
+    assert iso.statement("A.2").accesses == a.accesses[2:]
+    assert iso.statement("A.4").schedule_exprs[:2] == a.schedule_exprs
+
+
+def test_isolation_branches_preserve_semantics():
+    scop = parse_scop(json.dumps(ISOLATION_BRANCHES))
+    iso = isolate_accesses(scop)
+    iso.validate()
+    init = {f: (np.arange(6, dtype=np.int64) * m + 1) % 17 for f, m in zip("abc", (3, 5, 7))}
+    assert contents_equal(sequential_execute(scop, init), sequential_execute(iso, init))
+
+
+def test_isolation_id_collision():
+    doc = {"name": "collide", "grid": [1], "scatter_arity": 2,
+           "fields": [{"name": "a", "type": "int64", "extents": [6]}], "functions": {},
+           "statements": [
+               _branch_statement("S", 0, [("a", "read", "x"), ("a", "write", "x")], ["access", 0]),
+               _branch_statement("S.1", 1, [("a", "write", "x")], ["int", 0]),
+           ]}
+    with pytest.raises(ValidationError, match=r"isolation id collision: S\.1"):
+        isolate_accesses(parse_scop(json.dumps(doc)))
