@@ -90,13 +90,11 @@ class BufferLayout:
 
 @dataclass(frozen=True)
 class Channel:
-    cid: int
+    cid: int  # also the tag of its messages
     family: str  # e.g. "flow:S2.2->S1.1:front", "pro:S1.1:front", "epi:S1.7:back"
     src: tuple
     dst: tuple
-    tag: int
-    layout: BufferLayout
-    element_type: str
+    layout: BufferLayout  # the field's element type is the plan's fields entry
 
     @property
     def loopback(self) -> bool:
@@ -113,7 +111,6 @@ CHANNEL_END = {"send_wait": "src", "send": "src", "buffer_fill": "src",
 
 @dataclass(slots=True)
 class Event:
-    node: tuple
     scatter: tuple
     kind: str  # compute | send_wait | send | recv_wait | recv | buffer_fill | buffer_drain
     stmt: str = ""
@@ -155,7 +152,7 @@ class CommPlan:
     fields: tuple  # (name, element_type, extents)
     field_placement: FieldPlacement
     channels: list
-    events: dict  # node -> sorted list[Event]
+    events: dict  # node -> sorted list[Event]; an event's node is its key
 
 
 # ---------------------------------------------------------------------------
@@ -253,15 +250,9 @@ def build_transfers(dep: DepGraph, sp: StmtPlacement, fp: FieldPlacement, chunki
 
 
 def group_chunks(transfers: dict) -> dict:
-    """family key -> representative -> that chunk's transfers in family
-    order, representatives sorted."""
-    out: dict = {}
-    for key, ts in transfers.items():
-        order = np.argsort(ts.chunk, kind="stable")
-        ids, starts = np.unique(ts.chunk[order], return_index=True)
-        out[key] = {tuple(ts.reps[c].tolist()): ts.take(index)
-                    for c, index in zip(ids.tolist(), np.split(order, starts[1:]))}
-    return out
+    """family key -> that family's transfers by chunk (representatives in
+    lexicographic order), each chunk's in family order."""
+    return {key: ts.take(np.argsort(ts.chunk, kind="stable")) for key, ts in transfers.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -275,25 +266,26 @@ def emit_protocol(
     sp: StmtPlacement,
     chunked: dict,
 ) -> CommPlan:
-    """Assemble the per-node event lists from grouped transfers.  Channel
-    boxes, buffer ranks, scatter extremes and the buffer bindings of the
-    compute events are computed on the transfer columns; Python objects
-    are made for the channels and events only.  Each node's events are in
-    order of (scatter, phase, cid, rank, statement, instance), found by
-    one lexsort over those columns of every event."""
+    """Assemble the per-node event lists from transfers grouped by chunk.
+    Channel boxes, buffer ranks, scatter extremes and the buffer bindings
+    of the compute events are computed on the transfer columns; Python
+    objects are made for the channels and events only.  Each node's
+    events are in order of (scatter, phase, cid, rank), found by one
+    lexsort over those columns of every event.  No two events on a node
+    tie: only compute events lack a cid, and a node's compute events have
+    distinct scatters, since ``scatter_order`` rejects a schedule that is
+    not injective."""
     nodes, n = scop.grid.nodes, len(scop.grid.nodes)
     dilated = {s.id: 2 * s.scatters for s in scop.statements}
     tuples = {sid: list(map(tuple, t.tolist())) for sid, t in dilated.items()}
-    stmt_key = {sid: k for k, sid in enumerate(sorted(dilated), start=1)}  # "" is 0
     channels: list = []
     made: list = []  # every event, in the order made
     # per block of events in `made`: node index, scatter rows, then the
-    # phase, cid, rank, statement and instance keys (an instance by its row)
+    # phase, cid and rank keys
     order_keys: list = []
 
-    def add_keys(node, scatter, phase, cid=-1, rank=-1, stmt=0, inst=0):
-        rest = (np.broadcast_to(v, len(node)) for v in (phase, cid, rank, stmt, inst))
-        order_keys.append((node, scatter, *rest))
+    def add_keys(node, scatter, phase, cid=-1, rank=-1):
+        order_keys.append((node, scatter, *(np.broadcast_to(v, len(node)) for v in (phase, cid, rank))))
 
     add_keys(np.zeros(0, dtype=np.intp), np.zeros((0, scop.scatter_arity), dtype=np.int64), 0)  # no events
     # the buffer slots compute events write ("buffer_fill") and read
@@ -304,12 +296,9 @@ def emit_protocol(
         blocks = bindings.get((sid, kind)) or [(np.zeros(0, dtype=np.int64),) * 3]
         return [np.concatenate(c) for c in zip(*blocks)]
 
-    for key, chunks in chunked.items():
-        if not chunks:
+    for key, ts in chunked.items():
+        if not len(ts):
             continue
-        groups = list(chunks.values())
-        ts = replace(groups[0], **{c: np.concatenate([getattr(g, c) for g in groups])
-                                   for c in _COLUMNS})
         fam, fld = ts.family, scop.field(ts.family.ref)
         # one channel per (src, dst) in order of first appearance, its
         # transfers by chunk and then in order
@@ -322,9 +311,8 @@ def emit_protocol(
         rank = ((elem - lo[channel]) * row_major_strides(hi - lo + 1)[channel]).sum(axis=1)
         cid = len(channels) + channel
         for s, box in zip(np.flatnonzero(cut).tolist(), zip(lo.tolist(), hi.tolist())):
-            src, dst = nodes[ts.producer_node[s]], nodes[ts.consumer_node[s]]
-            channels.append(Channel(len(channels), key, src, dst, len(channels),
-                                    BufferLayout(fld.name, tuple(zip(*box))), fld.element_type))
+            channels.append(Channel(len(channels), key, nodes[ts.producer_node[s]],
+                                    nodes[ts.consumer_node[s]], BufferLayout(fld.name, tuple(zip(*box)))))
 
         # the four channel calls of every chunk on every channel, around
         # the chunk's first and last scatter at either end
@@ -332,7 +320,6 @@ def emit_protocol(
         group, starts = np.cumsum(cut) - 1, np.flatnonzero(cut)
         ends = np.append(starts[1:], len(ts)) - 1
         ends_at = (ts.producer_node[starts], ts.consumer_node[starts])
-        src, dst = ([nodes[i] for i in col.tolist()] for col in ends_at)
         names = [f"{key}@{_fmt_tuple(rep)}" for rep in ts.reps[ts.chunk[starts]].tolist()]
         cids = cid[starts].tolist()
         spans = []
@@ -349,20 +336,17 @@ def emit_protocol(
         add_keys(np.repeat(np.stack(ends_at, axis=1), 2, axis=1).ravel(), scatter,
                  np.tile([_PHASE[k] for k in kinds], len(starts)), np.repeat(cid[starts], 4))
         spans = iter(map(tuple, scatter.tolist()))
-        for g, (name, c) in enumerate(zip(names, cids)):
-            for kind, at in zip(kinds, (src, src, dst, dst)):
-                made.append(Event(at[g], next(spans), kind, chunk=name, cid=c))
+        for name, c in zip(names, cids):
+            made += (Event(next(spans), kind, chunk=name, cid=c) for kind in kinds)
 
         # every chunk's elements in rank order: the prologue fills each rank
         # once and the epilogue drains it; the other ends bind compute events
         order = np.lexsort((rank, group))
         ranked, g, r = ts.take(order), group[order], rank[order]
         once = np.flatnonzero((np.diff(g, prepend=-1) != 0) | (np.diff(r, prepend=-1) != 0))
-        for sid, virtual, at, node, rows, where, kind in (
-            (fam.producer, PROLOGUE, src, ends_at[0], ranked.producer_row, ranked.producer_node,
-             "buffer_fill"),
-            (fam.consumer, EPILOGUE, dst, ends_at[1], ranked.consumer_row, ranked.consumer_node,
-             "buffer_drain"),
+        for sid, virtual, node, rows, where, kind in (
+            (fam.producer, PROLOGUE, ends_at[0], ranked.producer_row, ranked.producer_node, "buffer_fill"),
+            (fam.consumer, EPILOGUE, ends_at[1], ranked.consumer_row, ranked.consumer_node, "buffer_drain"),
         ):
             if sid != virtual:
                 bindings.setdefault((sid, kind), []).append((rows * n + where, cid[order], r))
@@ -370,8 +354,8 @@ def emit_protocol(
             add_keys(node[g[once]], np.broadcast_to(dilated[sid][0], (len(once), scop.scatter_arity)),
                      _PHASE[kind], cid[starts][g[once]], r[once])
             for gi, e, k in zip(g[once].tolist(), elem[order][once].tolist(), r[once].tolist()):
-                made.append(Event(at[gi], tuples[sid][0], kind, chunk=names[gi],
-                                  cid=cids[gi], element=tuple(e), rank=k))
+                made.append(Event(tuples[sid][0], kind, chunk=names[gi], cid=cids[gi], element=tuple(e),
+                                  rank=k))
 
     # compute events for every execution of every real statement, row by row
     retained = {f.producer for f in dep.epilogue_families()}
@@ -395,9 +379,9 @@ def emit_protocol(
         lo, hi = (np.searchsorted(writes[:, 0], keys, side=side).tolist() for side in ("left", "right"))
         buffers = [("buffer", c, k) for c, k in writes[:, 1:].tolist()]
         scat = tuples[s.id]
-        add_keys(where, dilated[s.id][rows], _PHASE["compute"], stmt=stmt_key[s.id], inst=rows)
-        for r, w, rf, st, a, z in zip(rows.tolist(), where.tolist(), read_from, stored.tolist(), lo, hi):
-            made.append(Event(nodes[w], scat[r], "compute", s.id, inst[r], rf,
+        add_keys(where, dilated[s.id][rows], _PHASE["compute"])
+        for r, rf, st, a, z in zip(rows.tolist(), read_from, stored.tolist(), lo, hi):
+            made.append(Event(scat[r], "compute", s.id, inst[r], rf,
                               (("storage",),) * st + tuple(buffers[a:z])))
 
     node, scatter, *rest = (np.concatenate(c) for c in zip(*order_keys))
@@ -501,13 +485,14 @@ def dump_plan(plan: CommPlan) -> str:
             f"field {name} {etype} extents={_fmt_tuple(extents)} block={_fmt_tuple(block)}"
         )
         lines.append(f"fieldmap {name} {format_map(plan.field_placement.maps[name])}")
+    etype = {name: t for name, t, _ in plan.fields}
     ends = []  # per channel, the tail of its send and recv lines
     for ch in plan.channels:
         box = ";".join(f"{lo}:{hi}" for lo, hi in ch.layout.box)
-        ends.append(f"src={fmt(ch.src)} dst={fmt(ch.dst)} tag={ch.tag} size={ch.layout.size}")
+        ends.append(f"src={fmt(ch.src)} dst={fmt(ch.dst)} tag={ch.cid} size={ch.layout.size}")
         lines.append(
             f"channel cid={ch.cid} family={ch.family} {ends[-1]} "
-            f"elem={ch.element_type} box=[{box}]"
+            f"elem={etype[ch.layout.fieldname]} box=[{box}]"
             + (" loopback" if ch.loopback else "")
         )
     for node in sorted(plan.events):
@@ -535,8 +520,9 @@ def parse_plan(text: str) -> CommPlan:
     The field placement is rebuilt by block distribution of each field's
     extents over the grid, and every ``block=`` and ``fieldmap`` entry must
     match it, so a parsed plan homes each element on exactly one node.
-    Channels must be numbered in order and name a declared field, with its
-    element type and as many box dims as it has.  Every event's channel
+    Channels must be numbered in order, each with its cid as its tag, and
+    name a declared field, with its element type and as many box dims as
+    it has; a call line's tag names its channel.  Every event's channel
     and buffer rank must exist, and its ``t=`` must have scatter_arity
     entries.  Every event node and channel end must lie in the grid, and
     every fill or drain element in its channel's field.  A channel's
@@ -551,7 +537,6 @@ def parse_plan(text: str) -> CommPlan:
     homes = {}
     channels = []
     events: dict = {}
-    cid_by_tag: dict = {}
 
     for i, (no, ln) in enumerate(numbered):
         parts = ln.split()
@@ -593,6 +578,8 @@ def parse_plan(text: str) -> CommPlan:
                 if cid != len(channels):
                     raise ParseError(f"channel cid={cid} out of order, expected {len(channels)}",
                                      line=no)
+                if kv["tag"] != str(cid):
+                    raise ParseError(f"channel cid={cid} tag={kv['tag']} differs from its cid", line=no)
                 fieldname = kv["family"].rsplit(":", 1)[-1]
                 if fieldname not in decls:
                     raise ParseError(f"channel for undeclared field {fieldname}", line=no)
@@ -608,15 +595,12 @@ def parse_plan(text: str) -> CommPlan:
                     family=kv["family"],
                     src=_within("src", kv["src"], grid.extents, "grid"),
                     dst=_within("dst", kv["dst"], grid.extents, "grid"),
-                    tag=int(kv["tag"]),
                     layout=BufferLayout(fieldname=fieldname, box=box),
-                    element_type=kv["elem"],
                 )
                 if int(kv["size"]) != ch.layout.size:
                     raise ParseError(f"channel cid={cid} size={kv['size']} differs from the "
                                      f"{ch.layout.size} slots of its box", line=no)
                 channels.append(ch)
-                cid_by_tag[ch.tag] = ch.cid
             elif parts[0].startswith("node="):
                 node = _within("node", parts[0].split("=", 1)[1], grid.extents, "grid")
                 scatter = _parse_tuple(kv["t"])
@@ -628,26 +612,26 @@ def parse_plan(text: str) -> CommPlan:
                     read = None
                     if kv["read"] != "storage":
                         read = _parse_buffer_ref(kv["read"], channels)
-                    ev = Event(node=node, scatter=scatter, kind=kind, stmt=kv["stmt"],
+                    ev = Event(scatter=scatter, kind=kind, stmt=kv["stmt"],
                                instance=_parse_tuple(kv["i"]), read_from=read,
                                writes=_parse_writes(kv["write"], channels))
                 elif kind in ("buffer_fill", "buffer_drain"):
                     cid, rank = _check_slot(channels, int(kv["cid"]), int(kv["rank"]))
                     decl = decls[channels[cid].layout.fieldname]
                     element = _within("elem", kv["elem"], decl.extents, f"field {decl.name}")
-                    ev = Event(node=node, scatter=scatter, kind=kind, chunk=kv["chunk"],
-                               cid=cid, element=element, rank=rank)
+                    ev = Event(scatter=scatter, kind=kind, chunk=kv["chunk"], cid=cid, element=element,
+                               rank=rank)
                 elif kind in CHANNEL_END:
                     tag = int(kv["tag"])
-                    if tag not in cid_by_tag:
+                    if not 0 <= tag < len(channels):
                         raise ParseError(f"unknown tag {tag}", line=no)
-                    ch = channels[cid_by_tag[tag]]
+                    ch = channels[tag]
                     for key, want in (("src", _fmt_tuple(ch.src)), ("dst", _fmt_tuple(ch.dst)),
                                       ("size", str(ch.layout.size))):
                         if kv[key] != want:
                             raise ParseError(f"{key}={kv[key]} differs from channel {ch.cid}'s "
                                              f"{key}={want}", line=no)
-                    ev = Event(node=node, scatter=scatter, kind=kind, chunk=kv["chunk"], cid=ch.cid)
+                    ev = Event(scatter=scatter, kind=kind, chunk=kv["chunk"], cid=tag)
                 else:
                     raise ParseError(f"unknown event kind {kind}", line=no)
                 check_channel_ends(channels, ev, node)

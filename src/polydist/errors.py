@@ -79,7 +79,3 @@ class BufferStateViolation(SimulationFault):
 
 class NotLocal(SimulationFault):
     """A node accessed a field element that is not one of its home elements."""
-
-
-class OutOfHull(PolydistError):
-    """A buffer-rank query for an element outside the buffer's hull box."""

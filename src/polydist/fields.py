@@ -139,13 +139,19 @@ def load_contents(scop: Scop, text: str) -> dict:
 
 
 def first_divergence(a: dict, b: dict):
-    """(field, index, expected, got) of the first mismatch, or None."""
+    """(field, index, expected, got) of the first mismatch, or None.
+    Elements compare bit for bit: float64 by its bit pattern, so nan
+    matches the same nan and 0.0 differs from -0.0."""
     for name in sorted(a):
         av, bv = np.asarray(a[name]), np.asarray(b[name])
         if av.shape != bv.shape:
             return (name, None, av.shape, bv.shape)
-        diff = av != bv
+        diff = _bits(av) != _bits(bv)
         if diff.any():
             idx = tuple(int(x) for x in np.argwhere(diff)[0])
             return (name, idx, av[idx], bv[idx])
     return None
+
+
+def _bits(arr: np.ndarray) -> np.ndarray:
+    return arr.view(np.int64) if arr.dtype == np.float64 else arr

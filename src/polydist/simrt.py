@@ -61,8 +61,7 @@ class NodeState:
 @dataclass
 class ChannelState:
     state: str = IDLE
-    send_buf: list = field(default_factory=list)
-    payload: tuple = ()
+    slots: list = field(default_factory=list)  # written while FILLING, read while SENT
 
 
 @dataclass
@@ -182,18 +181,15 @@ def run(sim: SimState, scop: Scop):
         if ev.kind in NEEDS and ch.state != NEEDS[ev.kind]:
             raise BufferStateViolation(f"{ev.kind} on channel {ev.cid} in state {ch.state}")
         if ev.kind == "send_wait":
-            chan = plan.channels[ev.cid]
             ch.state = FILLING
-            ch.send_buf = [None] * chan.layout.size
+            ch.slots = [None] * plan.channels[ev.cid].layout.size
         elif ev.kind == "send":
-            ch.payload = tuple(ch.send_buf)
             ch.state = SENT
-            digest = _digest(ch.payload)
+            digest = _digest(tuple(ch.slots))
         elif ev.kind == "recv_wait":
             pass  # ran only once the channel was SENT
         elif ev.kind == "recv":
-            digest = _digest(ch.payload)
-            ch.payload = ()
+            digest = _digest(tuple(ch.slots))
             ch.state = IDLE
         elif ev.kind == "buffer_fill":
             chan = plan.channels[ev.cid]
@@ -202,12 +198,12 @@ def run(sim: SimState, scop: Scop):
                 node.storage[chan.layout.fieldname][sim._offset(node, chan.layout.fieldname, ev.element)],
                 fld,
             )
-            ch.send_buf[ev.rank] = value
+            ch.slots[ev.rank] = value
         elif ev.kind == "buffer_drain":
             chan = plan.channels[ev.cid]
             node.storage[chan.layout.fieldname][
                 sim._offset(node, chan.layout.fieldname, ev.element)
-            ] = ch.payload[ev.rank]
+            ] = ch.slots[ev.rank]
         elif ev.kind == "compute":
             s = stmts[ev.stmt]
 
@@ -220,7 +216,7 @@ def run(sim: SimState, scop: Scop):
                     raise BufferStateViolation(
                         f"{ev.stmt}{ev.instance}: buffer read on channel {cid} in state {rch.state}"
                     )
-                value = rch.payload[rank]
+                value = rch.slots[rank]
                 if value is None:
                     raise BufferStateViolation(
                         f"{ev.stmt}{ev.instance}: reading unwritten buffer slot"
@@ -243,16 +239,15 @@ def run(sim: SimState, scop: Scop):
                                 f"{ev.stmt}{ev.instance}: buffer write on channel {cid} "
                                 f"in state {wch.state}"
                             )
-                        wch.send_buf[rank] = value
+                        wch.slots[rank] = value
             for name in s.scalar_writes:
                 node.scalars[name] = value
         else:
             raise BufferStateViolation(f"unknown event kind {ev.kind}")
         chunk = ev.chunk
-        tag = plan.channels[ev.cid].tag if ev.cid >= 0 else -1
         if ev.kind == "compute":
             chunk = f"{ev.stmt}{ '(' + ','.join(map(str, ev.instance)) + ')' }"
-        sim.trace.log(sim.step, node.coord, ev.kind, chunk, tag, digest)
+        sim.trace.log(sim.step, node.coord, ev.kind, chunk, ev.cid, digest)
         sim.step += 1
 
     heap = [(evs[0].scatter, coord) for coord, evs in node_events.items() if evs]

@@ -15,7 +15,7 @@ import numpy as np
 from polydist import isets
 from polydist.chunking import _order_summary
 from polydist.commgen import _PHASE
-from polydist.errors import IterationCapExceeded, OutOfHull, SpaceMismatch, UnboundedSet
+from polydist.errors import IterationCapExceeded, SpaceMismatch, UnboundedSet
 from polydist.isets import (
     AffineExpr,
     Constraint,
@@ -496,6 +496,10 @@ def block_home(index, blocks) -> tuple[int, ...]:
 def block_sizes(extents, grid) -> tuple[int, ...]:
     """Block distribution's block sizes: each field extent over its grid extent."""
     return tuple(e // g for e, g in zip(extents, grid))
+
+
+class OutOfHull(Exception):
+    """A buffer-rank query for an element outside the buffer's hull box."""
 
 
 def buffer_rank(layout, index) -> int:

@@ -217,7 +217,7 @@ def _flow_message_counts(scop_path, grid):
     analysis, plan = plan_scop(scop)
     init = random_contents(scop, 1)
     _, trace = run(init_runtime(plan, analysis.scop.grid, init), analysis.scop)
-    chan_by_tag = {ch.tag: ch for ch in plan.channels}
+    chan_by_tag = {ch.cid: ch for ch in plan.channels}
     counts: dict = {}
     for step, node, kind, chunk, tag, _ in trace.entries:
         if kind not in ("send", "recv") or not chunk.startswith("flow:"):

@@ -1,13 +1,18 @@
+import io
 import json
 import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polydist.cli import main
-from polydist.fields import dump_contents, random_contents
-from polydist.scopio import parse_scop_file
+from polydist.fields import dump_contents, first_divergence, random_contents
+from polydist.scopio import parse_scop, parse_scop_file
 
 
 def invoke(*argv):
@@ -479,6 +484,20 @@ def test_scop_validated_once_per_run(gol16_path, capsys, monkeypatch):
     assert len(runs) == 1
 
 
+def test_verify_plan_with_shared_tag(gol16_path, tmp_path, capsys):
+    # channel 4 given channel 0's tag on its channel line and its call lines:
+    # a channel's tag is its cid, so the channel line is the parse error
+    invoke("plan", str(gol16_path), "--out", str(tmp_path))
+    lines = (tmp_path / "plan.txt").read_text().splitlines()
+    no = next(i for i, ln in enumerate(lines, 1) if ln.startswith("channel cid=4 "))
+    lines = [ln.replace(" tag=4 ", " tag=0 ") for ln in lines]
+    plan_file = tmp_path / "shared.txt"
+    plan_file.write_text("\n".join(lines) + "\n")
+    assert invoke("verify", str(gol16_path), "--plan", str(plan_file)) == 1
+    assert capsys.readouterr().err == (
+        f"parse error: channel cid=4 tag=0 differs from its cid (line {no})\n")
+
+
 def _replace_line(n, text):
     return lambda lines: lines[:n - 1] + [text] + lines[n:]
 
@@ -588,3 +607,105 @@ def test_int64_store_out_of_range_exits_3(tmp_path, capsys):
     assert invoke("verify", str(path)) == 3
     assert capsys.readouterr() == (
         "", "analysis error: field a stores int64, got 18446744073709551616, out of range\n")
+
+
+def test_verify_is_bit_exact_on_float64(tmp_path, capsys):
+    # a copied by its statement, b never written: nan matches the same nan
+    doc = dict(NUMBERS_SCOP, fields=[{"name": "a", "type": "float64", "extents": [4]},
+                                     {"name": "b", "type": "float64", "extents": [4]}],
+               statements=[dict(NUMBERS_SCOP["statements"][0], body=["access", 0])])
+    path, init = tmp_path / "copy.scop", tmp_path / "init.txt"
+    path.write_text(json.dumps(doc))
+    init.write_text("field a float64 4\n0.5 nan -0.0 1\nfield b float64 4\nnan 0.0 -0.0 inf\n")
+    assert invoke("verify", str(path), "--init", str(init)) == 0
+    assert capsys.readouterr() == (f"verify: PASS (grid=2, init={init})\n", "")
+
+
+def test_first_divergence_tells_zero_from_negative_zero():
+    name, index, want, got = first_divergence({"f": np.array([0.0])}, {"f": np.array([-0.0])})
+    assert (name, index, str(want), str(got)) == ("f", (0,), "0.0", "-0.0")
+
+
+# One field of each element type, each rewritten in place by one statement.
+MIXED_SCOP = dict(NUMBERS_SCOP, name="mixed", fields=[
+    {"name": "p", "type": "bool", "extents": [4]},
+    {"name": "a", "type": "int64", "extents": [4]},
+    {"name": "f", "type": "float64", "extents": [4]},
+], statements=[
+    {"id": sid, "domain": "{ [x] : 0 <= x < 4 }", "schedule": f"{{ [x] -> [{t},x] }}",
+     "accesses": [{"field": name, "kind": kind, "index": ["x"]} for kind in ("read", "write")],
+     "body": body}
+    for t, (sid, name, body) in enumerate((
+        ("P", "p", ["not", ["access", 0]]),
+        ("A", "a", ["sub", ["access", 0], ["int", 1]]),
+        ("F", "f", ["mul", ["access", 0], ["float", 2.0]]),
+    ))
+])
+INIT_WORDS = ("0", "-1", str(2**63), str(-2**63 - 1), "nan", "x")
+
+
+def _edit(draw, items: list, op: str) -> list:
+    """items with one entry deleted, duplicated, swapped with another or
+    replaced by one of INIT_WORDS."""
+    if not items:
+        return items
+    i, j = (draw(st.integers(0, len(items) - 1)) for _ in range(2))
+    items = list(items)
+    if op == "delete":
+        del items[i]
+    elif op == "duplicate":
+        items.insert(i, items[i])
+    elif op == "swap":
+        items[i], items[j] = items[j], items[i]
+    else:
+        items[i] = draw(st.sampled_from(INIT_WORDS))
+    return items
+
+
+@st.composite
+def mutated_init(draw, text: str) -> str:
+    """text with one to three token or line edits, or cut short."""
+    lines = [ln.split() for ln in text.splitlines()]
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(("delete", "duplicate", "swap", "replace", "truncate")))
+        if op == "truncate":
+            text = "\n".join(map(" ".join, lines))
+            lines = [ln.split() for ln in text[:draw(st.integers(0, len(text)))].splitlines()]
+        elif op != "replace" and draw(st.booleans()):
+            lines = _edit(draw, lines, op)
+        elif lines:
+            k = draw(st.integers(0, len(lines) - 1))
+            lines[k] = _edit(draw, lines[k], op)
+    return "\n".join(map(" ".join, lines)) + "\n"
+
+
+@pytest.fixture(scope="module")
+def mixed_scop_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("mixed") / "mixed.scop"
+    path.write_text(json.dumps(MIXED_SCOP))
+    return path
+
+
+def _mixed_init() -> str:
+    scop = parse_scop(json.dumps(MIXED_SCOP))
+    return dump_contents(scop, random_contents(scop, 3))
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(text=mutated_init(_mixed_init()))
+def test_mutated_init_file_fails_cleanly(mixed_scop_path, text):
+    init = mixed_scop_path.with_name("init.txt")
+    init.write_text(text)
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        rc = main(["simulate", str(mixed_scop_path), "--init", str(init)])
+    err = err.getvalue()
+    assert rc in range(5)
+    assert "Traceback" not in err
+    if rc == 0:
+        assert err == ""
+        return
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert err.startswith(("parse error: ", "validation error: ")), err
+    for no in re.findall(r"\(line (\d+)\)", err):
+        assert 1 <= int(no) <= len(text.splitlines()), err

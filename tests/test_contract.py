@@ -114,3 +114,16 @@ def test_perfbench_pipeline_runs(scops_dir):
     scop = cap_iterations(override_grid(parse_scop_file(scops_dir / "gol16.scop"), (2, 2)), 1)
     expected = hashlib.sha256(dump_plan(plan_scop(scop)[1]).encode()).hexdigest()
     assert out["counts"]["plan_sha256"] == expected
+
+
+def test_perfbench_tampered_plan_fails_each_seed():
+    """perfbench's tamper path rebuilds the per-node event lists without
+    one cross-node send, swaps them in with dataclasses.replace and runs
+    simrt on the result: planning succeeds and every contents seed fails
+    verification once."""
+    sample, spans = _perfbench("sample"), _perfbench("spans")
+    cfg = {"scop": "scops/gol16.scop", "grid": [2, 2], "iters": 1, "contents_seeds": [1, 2],
+           "tamper": True}
+    out = sample.run_pipeline(cfg, REPO_ROOT, spans.NullRecorder(), _Probe())
+    assert out["plan_s"] is not None and "counts" in out
+    assert [f["op"] for f in out["failures"]] == ["verify seed 1", "verify seed 2"]

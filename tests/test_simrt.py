@@ -194,7 +194,7 @@ def test_late_release_wakes_the_parked_send_wait(gol16_built):
     assert trace_kinds(trace) == scan_kinds(late, virt.grid.nodes)
     steps = {}
     for step, node, kind, _, tag, _ in trace.entries:
-        if tag == ch.tag and (node, kind) in ((ch.src, "send_wait"), (ch.dst, "recv")):
+        if tag == ch.cid and (node, kind) in ((ch.src, "send_wait"), (ch.dst, "recv")):
             steps.setdefault(kind, []).append(step)
     assert steps["recv"][0] + 1 == steps["send_wait"][1]
 
@@ -335,7 +335,7 @@ def test_channel_call_off_its_end_rejected_before_first_step(gol16_built):
     ch = next(c for c in plan.channels if (c.src, c.dst) == ((0, 0), (1, 0)))
     evs = plan.events[(0, 0)]
     i = next(i for i, ev in enumerate(evs) if ev.kind == "send" and ev.cid == ch.cid)
-    moved = sorted(plan.events[(1, 1)] + [dataclasses.replace(evs[i], node=(1, 1))], key=event_key)
+    moved = sorted(plan.events[(1, 1)] + [evs[i]], key=event_key)
     bad = dataclasses.replace(plan, events={**plan.events, (0, 0): evs[:i] + evs[i + 1:],
                                             (1, 1): moved})
     sim = init_runtime(bad, virt.grid, random_contents(scop, 3))
