@@ -408,11 +408,18 @@ def sequential_execute(scop: Scop, init: FieldContents) -> FieldContents:
         if arr.shape != f.extents:
             raise EvaluationError(f"initial contents for {f.name} have shape {arr.shape}")
         fields[f.name] = arr
+
+    def read(fields, decl, element):
+        return _from_np(fields[decl.name][element], decl)
+
+    def store(fields, decl, element, value):
+        fields[decl.name][element] = value
+
     stmts = scop.real_statements()
     runs = [instance_runner(scop, s) for s in stmts]
     scalars: dict[str, object] = {}
     for o, r in zip(*(a.tolist() for a in scatter_order(stmts))):
-        runs[o](r, scalars, fields)
+        runs[o](r, scalars, read, store, fields)
     return fields
 
 
@@ -437,20 +444,19 @@ def scatter_order(statements) -> tuple[np.ndarray, np.ndarray]:
 
 
 def instance_runner(scop: Scop, s: Statement):
-    """A function evaluating the instance of s in a given row against given
-    memories; the statement's body is compiled and its accesses resolved once."""
+    """``run(row, scalars, read, store, where)`` runs the instance of s in
+    the row: each read access's value comes from ``read(where, decl,
+    element)``, the checked write goes to ``store(where, decl, element,
+    value)``; the body is compiled and the accesses resolved once."""
     decls = [scop.field(a.field) for a in s.accesses]
     elements, writes = s.elements, s.writes()
     write = writes[0][0] if writes else None
     body = scop.compile_body(s)
 
-    def run(row: int, scalars, fields) -> None:
-        def access(j: int):
-            return _from_np(fields[decls[j].name][elements[j][row]], decls[j])
-
-        value = body(scalars, access)
+    def run(row: int, scalars, read, store, where) -> None:
+        value = body(scalars, lambda j: read(where, decls[j], elements[j][row]))
         if write is not None:
-            fields[decls[write].name][elements[write][row]] = _check_store(value, decls[write])
+            store(where, decls[write], elements[write][row], _check_store(value, decls[write]))
         for name in s.scalar_writes:
             scalars[name] = value
 

@@ -38,15 +38,15 @@ from .errors import (
     GeometryMismatch,
     NotLocal,
 )
-from .scop import ClusterGrid, FieldDecl, Scop, _check_store, _from_np
+from .scop import ClusterGrid, FieldDecl, Scop, _from_np, instance_runner
 
 __all__ = ["NodeState", "ChannelState", "Trace", "SimState", "init_runtime", "run"]
 
 IDLE, FILLING, SENT = "idle", "filling", "sent"
-# the channel state each channel call needs: send_wait and recv_wait wait
-# for it, and for the other calls any other state is a fault
-NEEDS = {"send_wait": IDLE, "send": FILLING, "buffer_fill": FILLING,
-         "recv_wait": SENT, "recv": SENT, "buffer_drain": SENT}
+# each channel call's (state it needs, state it leaves): send_wait and recv_wait
+# wait for the state they need, and for the other calls any other is a fault
+CALLS = {"send_wait": (IDLE, FILLING), "send": (FILLING, SENT), "buffer_fill": (FILLING, FILLING),
+         "recv_wait": (SENT, SENT), "recv": (SENT, IDLE), "buffer_drain": (SENT, SENT)}
 
 
 @dataclass
@@ -149,16 +149,12 @@ def _digest(values) -> str:
 
 def run(sim: SimState, scop: Scop):
     """Execute the plan; returns (field contents, trace).  Every compute
-    event must name a statement of the scop and one of its instances, and
-    every event must use its channels at the ends ``check_channel_ends``
-    requires; each statement body is compiled once per run."""
+    event must name a statement of the scop and one of its instances, run
+    by ``instance_runner``, and every event must use its channels at the
+    ends ``check_channel_ends`` requires."""
     plan = sim.plan
     stmts = {s.id: s for s in scop.statements}
-    bodies = {s.id: scop.compile_body(s) for s in scop.statements}
-    written = {}  # statement id -> (field, its FieldDecl, element per row), resolved once
-    for s in scop.real_statements():
-        for j, acc in s.writes():
-            written[s.id] = (acc.field, sim.fields[acc.field], s.elements[j])
+    runs = {s.id: instance_runner(scop, s) for s in scop.real_statements()}
 
     node_events = {coord: plan.events.get(coord, []) for coord in sim.nodes}
     for coord, evs in sorted(node_events.items()):
@@ -175,78 +171,55 @@ def run(sim: SimState, scop: Scop):
                 )
             check_channel_ends(plan.channels, ev, coord)
 
+    def read(where, decl, element):
+        ev = where[1]
+        if ev.read_from is None:
+            raise BufferStateViolation(f"{ev.stmt}{ev.instance}: unbound field read")
+        cid, rank = ev.read_from
+        ch = sim.channels[cid]
+        if ch.state != SENT:
+            raise BufferStateViolation(
+                f"{ev.stmt}{ev.instance}: buffer read on channel {cid} in state {ch.state}")
+        if ch.slots[rank] is None:
+            raise BufferStateViolation(f"{ev.stmt}{ev.instance}: reading unwritten buffer slot")
+        return ch.slots[rank]
+
+    def store(where, decl, element, value):
+        node, ev = where
+        for w in ev.writes:
+            if w[0] == "storage":
+                node.storage[decl.name][sim._offset(node, decl.name, element)] = value
+                continue
+            ch = sim.channels[w[1]]
+            if ch.state != FILLING:
+                raise BufferStateViolation(
+                    f"{ev.stmt}{ev.instance}: buffer write on channel {w[1]} in state {ch.state}")
+            ch.slots[w[2]] = value
+
     def run_event(node: "NodeState", ev):
-        ch = sim.channels.get(ev.cid)
-        digest = "-"
-        if ev.kind in NEEDS and ch.state != NEEDS[ev.kind]:
-            raise BufferStateViolation(f"{ev.kind} on channel {ev.cid} in state {ch.state}")
-        if ev.kind == "send_wait":
-            ch.state = FILLING
-            ch.slots = [None] * plan.channels[ev.cid].layout.size
-        elif ev.kind == "send":
-            ch.state = SENT
-            digest = _digest(tuple(ch.slots))
-        elif ev.kind == "recv_wait":
-            pass  # ran only once the channel was SENT
-        elif ev.kind == "recv":
-            digest = _digest(tuple(ch.slots))
-            ch.state = IDLE
-        elif ev.kind == "buffer_fill":
-            chan = plan.channels[ev.cid]
-            fld = sim.fields[chan.layout.fieldname]
-            value = _from_np(
-                node.storage[chan.layout.fieldname][sim._offset(node, chan.layout.fieldname, ev.element)],
-                fld,
-            )
-            ch.slots[ev.rank] = value
-        elif ev.kind == "buffer_drain":
-            chan = plan.channels[ev.cid]
-            node.storage[chan.layout.fieldname][
-                sim._offset(node, chan.layout.fieldname, ev.element)
-            ] = ch.slots[ev.rank]
-        elif ev.kind == "compute":
-            s = stmts[ev.stmt]
-
-            def access(j):
-                if ev.read_from is None:
-                    raise BufferStateViolation(f"{ev.stmt}{ev.instance}: unbound field read")
-                cid, rank = ev.read_from
-                rch = sim.channels[cid]
-                if rch.state != SENT:
-                    raise BufferStateViolation(
-                        f"{ev.stmt}{ev.instance}: buffer read on channel {cid} in state {rch.state}"
-                    )
-                value = rch.slots[rank]
-                if value is None:
-                    raise BufferStateViolation(
-                        f"{ev.stmt}{ev.instance}: reading unwritten buffer slot"
-                    )
-                return value
-
-            value = bodies[ev.stmt](node.scalars, access)
-            if ev.stmt in written:
-                name, fld, elements = written[ev.stmt]
-                _check_store(value, fld)
-                k = elements[s.rows[ev.instance]]
-                for w in ev.writes:
-                    if w[0] == "storage":
-                        node.storage[name][sim._offset(node, name, k)] = value
-                    else:
-                        _, cid, rank = w
-                        wch = sim.channels[cid]
-                        if wch.state != FILLING:
-                            raise BufferStateViolation(
-                                f"{ev.stmt}{ev.instance}: buffer write on channel {cid} "
-                                f"in state {wch.state}"
-                            )
-                        wch.slots[rank] = value
-            for name in s.scalar_writes:
-                node.scalars[name] = value
+        digest, chunk = "-", ev.chunk
+        if ev.kind == "compute":
+            runs[ev.stmt](stmts[ev.stmt].rows[ev.instance], node.scalars, read, store, (node, ev))
+            chunk = f"{ev.stmt}({','.join(map(str, ev.instance))})"
+        elif ev.kind in CALLS:
+            ch = sim.channels[ev.cid]
+            need, leave = CALLS[ev.kind]
+            if ch.state != need:
+                raise BufferStateViolation(f"{ev.kind} on channel {ev.cid} in state {ch.state}")
+            if ev.kind == "send_wait":
+                ch.slots = [None] * plan.channels[ev.cid].layout.size
+            elif ev.kind in ("send", "recv"):
+                digest = _digest(tuple(ch.slots))
+            elif ev.kind in ("buffer_fill", "buffer_drain"):
+                name = plan.channels[ev.cid].layout.fieldname
+                storage, offset = node.storage[name], sim._offset(node, name, ev.element)
+                if ev.kind == "buffer_fill":
+                    ch.slots[ev.rank] = _from_np(storage[offset], sim.fields[name])
+                else:
+                    storage[offset] = ch.slots[ev.rank]
+            ch.state = leave
         else:
             raise BufferStateViolation(f"unknown event kind {ev.kind}")
-        chunk = ev.chunk
-        if ev.kind == "compute":
-            chunk = f"{ev.stmt}{ '(' + ','.join(map(str, ev.instance)) + ')' }"
         sim.trace.log(sim.step, node.coord, ev.kind, chunk, ev.cid, digest)
         sim.step += 1
 
@@ -258,7 +231,7 @@ def run(sim: SimState, scop: Scop):
         node = sim.nodes[coord]
         evs = node_events[coord]
         ev = evs[node.cursor]
-        if ev.kind in ("send_wait", "recv_wait") and sim.channels[ev.cid].state != NEEDS[ev.kind]:
+        if ev.kind in ("send_wait", "recv_wait") and sim.channels[ev.cid].state != CALLS[ev.kind][0]:
             parked.setdefault(ev.cid, []).append(coord)
             continue
         run_event(node, ev)
