@@ -427,9 +427,10 @@ def _parse_tuple(text: str) -> tuple:
         raise ValueError(f"bad tuple {text!r}") from None
 
 
-def _within(key: str, text: str, extents, where: str) -> tuple:
-    """A tuple entry that must be a point of the zero-based box of extents."""
-    point = _parse_tuple(text)
+def _within(tup, key: str, text: str, extents, where: str) -> tuple:
+    """A tuple entry, parsed by ``tup``, that must be a point of the
+    zero-based box of extents."""
+    point = tup(text)
     if len(point) != len(extents) or not all(0 <= v < e for v, e in zip(point, extents)):
         raise ValueError(f"{key}={_fmt_tuple(point)} outside {where} {_fmt_tuple(extents)}")
     return point
@@ -533,6 +534,7 @@ def parse_plan(text: str) -> CommPlan:
     numbered = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not numbered:
         raise ParseError("empty plan file", line=1)
+    tup = lru_cache(maxsize=None)(_parse_tuple)  # each distinct tuple parsed once
     decls = {}
     homes = {}
     channels = []
@@ -544,31 +546,27 @@ def parse_plan(text: str) -> CommPlan:
         try:
             if i == 0:
                 if parts[0] != "plan":
-                    raise ParseError(f"not a plan file: {ln!r}", line=no)
+                    raise ValueError(f"not a plan file: {ln!r}")
                 name = parts[1]
-                grid = ClusterGrid(_parse_tuple(kv["grid"]))
+                grid = ClusterGrid(tup(kv["grid"]))
                 scatter_arity = int(kv["scatter_arity"])
             elif parts[0] == "field":
                 decl = FieldDecl(name=parts[1], element_type=parts[2],
-                                 extents=_parse_tuple(kv["extents"]))
+                                 extents=tup(kv["extents"]))
                 homes.update(block_distribute([decl], grid).maps)
-                block = _parse_tuple(kv["block"])
+                block = tup(kv["block"])
                 if block != tuple(e // g for e, g in zip(decl.extents, grid.extents)):
-                    raise ParseError(
+                    raise ValueError(
                         f"field {decl.name}: block={_fmt_tuple(block)} differs from "
-                        f"block distribution over grid {_fmt_tuple(grid.extents)}",
-                        line=no,
-                    )
+                        f"block distribution over grid {_fmt_tuple(grid.extents)}")
                 decls[decl.name] = decl
             elif parts[0] == "fieldmap":
                 if parts[1] not in homes:
-                    raise ParseError(f"fieldmap for undeclared field {parts[1]}", line=no)
+                    raise ValueError(f"fieldmap for undeclared field {parts[1]}")
                 if ln.split(None, 2)[2] != format_map(homes[parts[1]]):
-                    raise ParseError(
+                    raise ValueError(
                         f"fieldmap {parts[1]} differs from block distribution over "
-                        f"grid {_fmt_tuple(grid.extents)}",
-                        line=no,
-                    )
+                        f"grid {_fmt_tuple(grid.extents)}")
             elif parts[0] == "channel":
                 box_text = kv["box"][1:-1]
                 box = tuple(
@@ -576,68 +574,67 @@ def parse_plan(text: str) -> CommPlan:
                 ) if box_text else ()
                 cid = int(kv["cid"])
                 if cid != len(channels):
-                    raise ParseError(f"channel cid={cid} out of order, expected {len(channels)}",
-                                     line=no)
+                    raise ValueError(f"channel cid={cid} out of order, expected {len(channels)}")
                 if kv["tag"] != str(cid):
-                    raise ParseError(f"channel cid={cid} tag={kv['tag']} differs from its cid", line=no)
+                    raise ValueError(f"channel cid={cid} tag={kv['tag']} differs from its cid")
                 fieldname = kv["family"].rsplit(":", 1)[-1]
                 if fieldname not in decls:
-                    raise ParseError(f"channel for undeclared field {fieldname}", line=no)
+                    raise ValueError(f"channel for undeclared field {fieldname}")
                 decl = decls[fieldname]
                 if len(box) != decl.arity:
-                    raise ParseError(f"channel cid={cid} box has {len(box)} dims, "
-                                     f"field {fieldname} has {decl.arity}", line=no)
+                    raise ValueError(f"channel cid={cid} box has {len(box)} dims, "
+                                     f"field {fieldname} has {decl.arity}")
                 if kv["elem"] != decl.element_type:
-                    raise ParseError(f"channel cid={cid} elem={kv['elem']} differs from "
-                                     f"field {fieldname}'s {decl.element_type}", line=no)
+                    raise ValueError(f"channel cid={cid} elem={kv['elem']} differs from "
+                                     f"field {fieldname}'s {decl.element_type}")
                 ch = Channel(
                     cid=cid,
                     family=kv["family"],
-                    src=_within("src", kv["src"], grid.extents, "grid"),
-                    dst=_within("dst", kv["dst"], grid.extents, "grid"),
+                    src=_within(tup, "src", kv["src"], grid.extents, "grid"),
+                    dst=_within(tup, "dst", kv["dst"], grid.extents, "grid"),
                     layout=BufferLayout(fieldname=fieldname, box=box),
                 )
                 if int(kv["size"]) != ch.layout.size:
-                    raise ParseError(f"channel cid={cid} size={kv['size']} differs from the "
-                                     f"{ch.layout.size} slots of its box", line=no)
+                    raise ValueError(f"channel cid={cid} size={kv['size']} differs from the "
+                                     f"{ch.layout.size} slots of its box")
                 channels.append(ch)
             elif parts[0].startswith("node="):
-                node = _within("node", parts[0].split("=", 1)[1], grid.extents, "grid")
-                scatter = _parse_tuple(kv["t"])
+                node = _within(tup, "node", parts[0].split("=", 1)[1], grid.extents, "grid")
+                scatter = tup(kv["t"])
                 if len(scatter) != scatter_arity:
-                    raise ParseError(f"t={_fmt_tuple(scatter)} has {len(scatter)} entries, "
-                                     f"scatter_arity is {scatter_arity}", line=no)
+                    raise ValueError(f"t={_fmt_tuple(scatter)} has {len(scatter)} entries, "
+                                     f"scatter_arity is {scatter_arity}")
                 kind = kv["kind"]
                 if kind == "compute":
                     read = None
                     if kv["read"] != "storage":
                         read = _parse_buffer_ref(kv["read"], channels)
                     ev = Event(scatter=scatter, kind=kind, stmt=kv["stmt"],
-                               instance=_parse_tuple(kv["i"]), read_from=read,
+                               instance=tup(kv["i"]), read_from=read,
                                writes=_parse_writes(kv["write"], channels))
                 elif kind in ("buffer_fill", "buffer_drain"):
                     cid, rank = _check_slot(channels, int(kv["cid"]), int(kv["rank"]))
                     decl = decls[channels[cid].layout.fieldname]
-                    element = _within("elem", kv["elem"], decl.extents, f"field {decl.name}")
+                    element = _within(tup, "elem", kv["elem"], decl.extents, f"field {decl.name}")
                     ev = Event(scatter=scatter, kind=kind, chunk=kv["chunk"], cid=cid, element=element,
                                rank=rank)
                 elif kind in CHANNEL_END:
                     tag = int(kv["tag"])
                     if not 0 <= tag < len(channels):
-                        raise ParseError(f"unknown tag {tag}", line=no)
+                        raise ValueError(f"unknown tag {tag}")
                     ch = channels[tag]
                     for key, want in (("src", _fmt_tuple(ch.src)), ("dst", _fmt_tuple(ch.dst)),
                                       ("size", str(ch.layout.size))):
                         if kv[key] != want:
-                            raise ParseError(f"{key}={kv[key]} differs from channel {ch.cid}'s "
-                                             f"{key}={want}", line=no)
+                            raise ValueError(f"{key}={kv[key]} differs from channel {ch.cid}'s "
+                                             f"{key}={want}")
                     ev = Event(scatter=scatter, kind=kind, chunk=kv["chunk"], cid=tag)
                 else:
-                    raise ParseError(f"unknown event kind {kind}", line=no)
+                    raise ValueError(f"unknown event kind {kind}")
                 check_channel_ends(channels, ev, node)
                 events.setdefault(node, []).append(ev)
             else:
-                raise ParseError(f"unknown plan line {ln!r}", line=no)
+                raise ValueError(f"unknown plan line {ln!r}")
         except KeyError as e:
             raise ParseError(f"missing {e.args[0]}=", line=no) from None
         except IndexError:

@@ -28,10 +28,11 @@ from __future__ import annotations
 import hashlib
 import heapq
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from .commgen import CommPlan, check_channel_ends
+from .commgen import CommPlan, _fmt_tuple, check_channel_ends
 from .errors import (
     BufferStateViolation,
     DeadlockDetected,
@@ -147,28 +148,42 @@ def _digest(values) -> str:
     return h[:12]
 
 
+def _check_runnable(stmts: dict, kinds: dict, ev, coord) -> None:
+    """GeometryMismatch unless the compute event names an instance of a real
+    statement of the scop, and binds a field read or write only where the
+    statement has one (``kinds`` holds each statement's access kinds)."""
+    s = stmts.get(ev.stmt)
+    if s is None:
+        fault = f"names statement {ev.stmt}, which the scop does not have"
+    elif ev.instance not in s.rows:
+        fault = f"names {ev.stmt}{ev.instance}, which is not an instance of {ev.stmt}"
+    elif s.is_virtual:
+        fault = f"names {ev.stmt}{ev.instance}, an instance of a virtual statement"
+    elif ev.read_from is not None and "read" not in kinds[ev.stmt]:
+        fault = f"binds a field read for {ev.stmt}{ev.instance}, which reads no field"
+    elif ev.writes and "write" not in kinds[ev.stmt]:
+        fault = f"binds a field write for {ev.stmt}{ev.instance}, which writes no field"
+    else:
+        return
+    raise GeometryMismatch(f"compute event on node {coord} {fault}")
+
+
 def run(sim: SimState, scop: Scop):
     """Execute the plan; returns (field contents, trace).  Every compute
-    event must name a statement of the scop and one of its instances, run
-    by ``instance_runner``, and every event must use its channels at the
-    ends ``check_channel_ends`` requires."""
+    event must be one ``_check_runnable`` accepts, run by
+    ``instance_runner``, and every event must use its channels at the ends
+    ``check_channel_ends`` requires."""
     plan = sim.plan
     stmts = {s.id: s for s in scop.statements}
+    kinds = {s.id: {a.kind for a in s.accesses} for s in scop.statements}
     runs = {s.id: instance_runner(scop, s) for s in scop.real_statements()}
+    fmt = lru_cache(maxsize=None)(_fmt_tuple)  # an instance tuple recurs in each split part
 
     node_events = {coord: plan.events.get(coord, []) for coord in sim.nodes}
     for coord, evs in sorted(node_events.items()):
         for ev in evs:
-            if ev.kind == "compute" and ev.stmt not in stmts:
-                raise GeometryMismatch(
-                    f"compute event on node {coord} names statement {ev.stmt}, "
-                    "which the scop does not have"
-                )
-            if ev.kind == "compute" and ev.instance not in stmts[ev.stmt].rows:
-                raise GeometryMismatch(
-                    f"compute event on node {coord} names {ev.stmt}{ev.instance}, "
-                    f"which is not an instance of {ev.stmt}"
-                )
+            if ev.kind == "compute":
+                _check_runnable(stmts, kinds, ev, coord)
             check_channel_ends(plan.channels, ev, coord)
 
     def read(where, decl, element):
@@ -200,7 +215,7 @@ def run(sim: SimState, scop: Scop):
         digest, chunk = "-", ev.chunk
         if ev.kind == "compute":
             runs[ev.stmt](stmts[ev.stmt].rows[ev.instance], node.scalars, read, store, (node, ev))
-            chunk = f"{ev.stmt}({','.join(map(str, ev.instance))})"
+            chunk = ev.stmt + fmt(ev.instance)
         elif ev.kind in CALLS:
             ch = sim.channels[ev.cid]
             need, leave = CALLS[ev.kind]

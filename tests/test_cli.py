@@ -254,6 +254,54 @@ def test_verify_plan_with_out_of_domain_instance(gol16_path, tmp_path, capsys):
     )
 
 
+def _insert_prologue_compute(text):
+    at = text.index("\nnode=(0,0) ") + 1
+    line = ("node=(0,0) t=(-2,0,0,0,0,0,0,-2) kind=compute stmt=Prologue i=() "
+            "read=storage write=storage\n")
+    return text[:at] + line + text[at:]
+
+
+def _first_line_edit(pick, old, new):
+    def edit(text):
+        at = text.index(pick)
+        end = text.index("\n", at)
+        assert old in text[at:end]
+        return text[:at] + text[at:end].replace(old, new) + text[end:]
+    return edit
+
+
+# edits adding a compute event for a virtual statement, or binding a field
+# read or write that the event's statement does not make; emitted plans
+# hold none, and verify rejects each before the first step
+UNRUNNABLE_COMPUTES = {
+    "virtual_statement": (
+        _insert_prologue_compute,
+        "names Prologue(), an instance of a virtual statement",
+    ),
+    "write_without_field_write": (
+        _first_line_edit(" stmt=S1.1 i=(0,1,1) ", " write=none", " write=storage"),
+        "binds a field write for S1.1(0, 1, 1), which writes no field",
+    ),
+    "read_without_field_read": (
+        _first_line_edit(" stmt=S1.7 i=(0,1,1) ", " read=storage ", " read=buf:40@0 "),
+        "binds a field read for S1.7(0, 1, 1), which reads no field",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNRUNNABLE_COMPUTES))
+def test_verify_plan_with_unrunnable_compute(gol16_path, tmp_path, capsys, case):
+    edit, message = UNRUNNABLE_COMPUTES[case]
+    invoke("plan", str(gol16_path), "--out", str(tmp_path))
+    plan_file = tmp_path / "unrunnable.txt"
+    plan_file.write_text(edit((tmp_path / "plan.txt").read_text()))
+    rc = invoke("verify", str(gol16_path), "--plan", str(plan_file))
+    out = capsys.readouterr()
+    assert rc == 2
+    assert out.out == ""
+    assert out.err == f"validation error: compute event on node (0, 0) {message}\n"
+
+
 def _faulty_plan(gol16_path, tmp_path, kind):
     """A gol16 2x2 plan that faults in the simulator: 'not_local' fills an
     element homed elsewhere, 'deadlock' drops a cross-node send."""

@@ -4,6 +4,8 @@ sha256.  A change to any of them must say why."""
 
 import hashlib
 import importlib.util
+import subprocess
+import sys
 
 import pytest
 
@@ -127,3 +129,12 @@ def test_perfbench_tampered_plan_fails_each_seed():
     out = sample.run_pipeline(cfg, REPO_ROOT, spans.NullRecorder(), _Probe())
     assert out["plan_s"] is not None and "counts" in out
     assert [f["op"] for f in out["failures"]] == ["verify seed 1", "verify seed 2"]
+
+
+def test_perfbench_selftest_passes():
+    """The benchmark's own self-test runs the staged pipeline, simulator
+    included, in fresh processes: an API change that breaks it fails here."""
+    done = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=REPO_ROOT,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "selftest: PASS" in done.stdout

@@ -280,6 +280,124 @@ def test_violation_on_early_buffer_fill(gol16_built):
         run(init_runtime(bad, virt.grid, random_contents(scop, 3)), virt)
 
 
+def first_event(plan, pred):
+    """(node, index, event) of the first event, in node order, that pred holds for."""
+    return next((node, i, ev) for node in sorted(plan.events)
+                for i, ev in enumerate(plan.events[node]) if pred(ev))
+
+
+def with_events(plan, node, evs):
+    return dataclasses.replace(plan, events={**plan.events, node: evs})
+
+
+def run_first(plan, pred):
+    """The plan with a copy of the first event pred holds for run before
+    every other event, while every channel is idle; and that event."""
+    node, _, ev = first_event(plan, pred)
+    early = dataclasses.replace(ev, scatter=(-99,) * len(ev.scatter))
+    return with_events(plan, node, [early] + plan.events[node]), ev
+
+
+def call_before_all(plan, kind):
+    bad, ev = run_first(plan, lambda e: e.kind == kind)
+    return bad, f"{kind} on channel {ev.cid} in state idle"
+
+
+def reads_buffer(ev):
+    return ev.kind == "compute" and ev.read_from is not None
+
+
+def unbound_read(plan):
+    node, i, ev = first_event(plan, reads_buffer)
+    evs = list(plan.events[node])
+    evs[i] = dataclasses.replace(ev, read_from=None)
+    return with_events(plan, node, evs), f"{ev.stmt}{ev.instance}: unbound field read"
+
+
+def read_before_send(plan):
+    bad, ev = run_first(plan, reads_buffer)
+    return bad, f"{ev.stmt}{ev.instance}: buffer read on channel {ev.read_from[0]} in state idle"
+
+
+def unwritten_slot(plan):
+    # the source's first write of the slot that the first buffer read reads is dropped
+    _, _, ev = first_event(plan, reads_buffer)
+    cid, rank = ev.read_from
+    src = plan.channels[cid].src
+    evs = list(plan.events[src])
+    i = next(i for i, w in enumerate(evs)
+             if (w.kind, w.cid, w.rank) == ("buffer_fill", cid, rank)
+             or ("buffer", cid, rank) in w.writes)
+    if evs[i].kind == "buffer_fill":
+        del evs[i]
+    else:
+        evs[i] = dataclasses.replace(
+            evs[i], writes=tuple(w for w in evs[i].writes if w != ("buffer", cid, rank)))
+    return with_events(plan, src, evs), f"{ev.stmt}{ev.instance}: reading unwritten buffer slot"
+
+
+def write_before_send_wait(plan):
+    # the send_wait that opens the first buffer write's message is dropped
+    node, i, ev = first_event(plan, lambda e: e.kind == "compute" and any(
+        w[0] == "buffer" for w in e.writes))
+    cid = next(w[1] for w in ev.writes if w[0] == "buffer")
+    evs = plan.events[node]
+    j = max(j for j in range(i) if (evs[j].kind, evs[j].cid) == ("send_wait", cid))
+    return with_events(plan, node, evs[:j] + evs[j + 1:]), \
+        f"{ev.stmt}{ev.instance}: buffer write on channel {cid} in state idle"
+
+
+def parked_for_good(plan, node, evs, ev):
+    # ev, in node's list evs, parks and never wakes: the run deadlocks with
+    # node blocked on it, as the scan oracle finds
+    bad = with_events(plan, node, evs)
+    blocked = scan_order(bad, sorted(bad.events))
+    assert blocked[node] == ev.kind
+    return bad, f"all nodes blocked: {blocked}"
+
+
+def second_send_wait(plan):
+    # a second send_wait right after the first finds its channel filling
+    node, i, ev = first_event(plan, lambda e: e.kind == "send_wait")
+    evs = plan.events[node]
+    return parked_for_good(plan, node, evs[:i + 1] + [ev] + evs[i + 1:], ev)
+
+
+def recv_wait_after_last_recv(plan):
+    # a recv_wait after its channel's last recv finds it idle
+    node, _, ev = first_event(plan, lambda e: e.kind == "recv_wait")
+    evs = plan.events[node]
+    j = max(j for j, e in enumerate(evs) if (e.kind, e.cid) == ("recv", ev.cid))
+    return parked_for_good(plan, node, evs[:j + 1] + [ev] + evs[j + 1:], ev)
+
+
+# case -> (plan edit returning the edited plan and the message of its fault, fault)
+WRONG_STATE = {
+    "send": (lambda plan: call_before_all(plan, "send"), BufferStateViolation),
+    "recv": (lambda plan: call_before_all(plan, "recv"), BufferStateViolation),
+    "buffer_fill": (lambda plan: call_before_all(plan, "buffer_fill"), BufferStateViolation),
+    "buffer_drain": (lambda plan: call_before_all(plan, "buffer_drain"), BufferStateViolation),
+    "unbound_read": (unbound_read, BufferStateViolation),
+    "read_before_send": (read_before_send, BufferStateViolation),
+    "unwritten_slot": (unwritten_slot, BufferStateViolation),
+    "write_before_send_wait": (write_before_send_wait, BufferStateViolation),
+    "send_wait": (second_send_wait, DeadlockDetected),
+    "recv_wait": (recv_wait_after_last_recv, DeadlockDetected),
+}
+
+
+@pytest.mark.parametrize("case", list(WRONG_STATE))
+def test_channel_call_in_a_wrong_state(gol16_built, case):
+    # a channel call or a compute event's buffer access in a state its
+    # channel is not in faults; send_wait and recv_wait park instead
+    scop, virt, plan = gol16_built
+    edit, fault = WRONG_STATE[case]
+    bad, message = edit(plan)
+    with pytest.raises(fault) as exc:
+        run(init_runtime(bad, virt.grid, random_contents(scop, 3)), virt)
+    assert str(exc.value) == message
+
+
 # (-1, 0) wraps to (15, 0) under negative indexing, an element that node
 # (1, 0) homes: its fill and drain catch a lookup that wraps
 @pytest.mark.parametrize("kind", ["buffer_fill", "buffer_drain"])
