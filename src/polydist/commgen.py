@@ -6,7 +6,7 @@ family pair tables, groups them into chunks via the chunking functions,
 and emits the six-call protocol per chunk and (source, destination) pair:
 
     send_wait   one step before the chunk's first producer execution
-    buffer writes   at the producer executions (replacing local stores)
+    buffer writes   at the producer executions
     send        one step after the last producer execution
     recv_wait   one step before the first consumer execution
     buffer reads    at the consumer executions
@@ -15,13 +15,16 @@ and emits the six-call protocol per chunk and (source, destination) pair:
 All schedules are dilated by two first: every statement scatter then has
 an even last coordinate, and every inserted call, one step before or after
 a dilated scatter, an odd one, so no call lands where a statement instance
-runs.  The virtual prologue and epilogue are statements with one scatter
-each, so their families get the same four channel calls; only the element
-handling differs.  Prologue producers fill the buffer from field storage
-and epilogue consumers drain it back, each family as a single chunk.
-Producers whose values also reach the epilogue keep their local store;
-all other original stores are dropped, so consumers read intra-scop values
-from buffers only.
+runs.  The virtual prologue is a statement with one scatter, so its
+families get the same four channel calls; its producer fills the buffer
+from field storage, each family as a single chunk.
+
+Only values that cross nodes travel.  A transfer whose producer runs on
+the consumer's node, for an element homed there, has no channel: the
+consumer reads the element from its node's storage, where every compute
+event stores each home element it writes.  Every epilogue transfer is of
+that kind (epilogue writers run at the homes of their elements), so the
+epilogue needs no event at all.
 
 Transfers, channel boxes, buffer ranks and buffer bindings stay numpy
 columns indexed by instance row and node position; Python objects are
@@ -91,35 +94,33 @@ class BufferLayout:
 @dataclass(frozen=True)
 class Channel:
     cid: int  # also the tag of its messages
-    family: str  # e.g. "flow:S2.2->S1.1:front", "pro:S1.1:front", "epi:S1.7:back"
+    family: str  # e.g. "flow:S2.2->S1.1:front", "pro:S1.1:front"
     src: tuple
     dst: tuple
     layout: BufferLayout  # the field's element type is the plan's fields entry
 
     @property
-    def loopback(self) -> bool:
+    def loopback(self) -> bool:  # a node sends itself only elements it does not home
         return self.src == self.dst
 
 
 # the order of events at one scatter: channel calls, then the rest
-_PHASE = {"recv": 0, "send": 1, "recv_wait": 2, "send_wait": 3, "compute": 4, "buffer_fill": 4,
-          "buffer_drain": 4}
+_PHASE = {"recv": 0, "send": 1, "recv_wait": 2, "send_wait": 3, "compute": 4, "buffer_fill": 4}
 # the end of its channel each channel call runs at
-CHANNEL_END = {"send_wait": "src", "send": "src", "buffer_fill": "src",
-               "recv_wait": "dst", "recv": "dst", "buffer_drain": "dst"}
+CHANNEL_END = {"send_wait": "src", "send": "src", "buffer_fill": "src", "recv_wait": "dst", "recv": "dst"}
 
 
 @dataclass(slots=True)
 class Event:
     scatter: tuple
-    kind: str  # compute | send_wait | send | recv_wait | recv | buffer_fill | buffer_drain
+    kind: str  # compute | send_wait | send | recv_wait | recv | buffer_fill
     stmt: str = ""
     instance: tuple = ()
-    read_from: Optional[tuple] = None  # (cid, rank) buffer read binding
+    read_from: Optional[tuple] = None  # (cid, rank) buffer read binding; None reads storage
     writes: tuple = ()  # ("storage",) and/or ("buffer", cid, rank) entries
     chunk: str = ""
     cid: int = -1
-    element: tuple = ()  # for fill/drain events
+    element: tuple = ()  # for fill events
     rank: int = -1
 
 
@@ -259,13 +260,7 @@ def group_chunks(transfers: dict) -> dict:
 # Protocol emission
 
 
-def emit_protocol(
-    scop: Scop,
-    dep: DepGraph,
-    fp: FieldPlacement,
-    sp: StmtPlacement,
-    chunked: dict,
-) -> CommPlan:
+def emit_protocol(scop: Scop, dep: DepGraph, fp: FieldPlacement, sp: StmtPlacement, chunked: dict) -> CommPlan:
     """Assemble the per-node event lists from transfers grouped by chunk.
     Channel boxes, buffer ranks, scatter extremes and the buffer bindings
     of the compute events are computed on the transfer columns; Python
@@ -288,18 +283,34 @@ def emit_protocol(
         order_keys.append((node, scatter, *(np.broadcast_to(v, len(node)) for v in (phase, cid, rank))))
 
     add_keys(np.zeros(0, dtype=np.intp), np.zeros((0, scop.scatter_arity), dtype=np.int64), 0)  # no events
-    # the buffer slots compute events write ("buffer_fill") and read
-    # ("buffer_drain"), by statement, as blocks of (key, cid, rank) columns
+    # the sources compute events read ("read") and the buffer slots they write
+    # ("write"), by statement, as blocks of (key, cid, rank) columns; a read
+    # from storage has cid and rank -1
     bindings: dict = {}
+
+    def bind(sid: str, kind: str, rows, where, cid, rank) -> None:
+        keys = rows * n + where
+        bindings.setdefault((sid, kind), []).append((keys, *np.broadcast_arrays(cid, rank, keys)[:2]))
 
     def bound(sid: str, kind: str) -> list:
         blocks = bindings.get((sid, kind)) or [(np.zeros(0, dtype=np.int64),) * 3]
         return [np.concatenate(c) for c in zip(*blocks)]
 
     for key, ts in chunked.items():
+        fam, fld = ts.family, scop.field(ts.family.ref)
+        local = ts.producer_node == ts.consumer_node
+        if fam.consumer == EPILOGUE:
+            if not local.all():
+                raise AnalysisError(f"epilogue family {key} has a transfer between nodes")
+            continue
+        # a value made on the consumer's node for an element homed there is
+        # read from that node's storage
+        homes = fp.homes(fam.ref, fam.table[ts.pair, fam.n_prod + fam.n_cons :], scop.grid)
+        local &= homes == ts.consumer_node
+        bind(fam.consumer, "read", ts.consumer_row[local], ts.consumer_node[local], -1, -1)
+        ts = ts.take(~local)
         if not len(ts):
             continue
-        fam, fld = ts.family, scop.field(ts.family.ref)
         # one channel per (src, dst) in order of first appearance, its
         # transfers by chunk and then in order
         _, link, first = unique_rows((ts.producer_node * n + ts.consumer_node)[:, None])
@@ -339,43 +350,40 @@ def emit_protocol(
         for name, c in zip(names, cids):
             made += (Event(next(spans), kind, chunk=name, cid=c) for kind in kinds)
 
-        # every chunk's elements in rank order: the prologue fills each rank
-        # once and the epilogue drains it; the other ends bind compute events
+        # consumer executions read their slots and producer executions write
+        # them; the prologue fills every chunk's ranks once, in rank order
+        bind(fam.consumer, "read", ts.consumer_row, ts.consumer_node, cid, rank)
+        if fam.producer != PROLOGUE:
+            bind(fam.producer, "write", ts.producer_row, ts.producer_node, cid, rank)
+            continue
         order = np.lexsort((rank, group))
-        ranked, g, r = ts.take(order), group[order], rank[order]
+        g, r = group[order], rank[order]
         once = np.flatnonzero((np.diff(g, prepend=-1) != 0) | (np.diff(r, prepend=-1) != 0))
-        for sid, virtual, node, rows, where, kind in (
-            (fam.producer, PROLOGUE, ends_at[0], ranked.producer_row, ranked.producer_node, "buffer_fill"),
-            (fam.consumer, EPILOGUE, ends_at[1], ranked.consumer_row, ranked.consumer_node, "buffer_drain"),
-        ):
-            if sid != virtual:
-                bindings.setdefault((sid, kind), []).append((rows * n + where, cid[order], r))
-                continue
-            add_keys(node[g[once]], np.broadcast_to(dilated[sid][0], (len(once), scop.scatter_arity)),
-                     _PHASE[kind], cid[starts][g[once]], r[once])
-            for gi, e, k in zip(g[once].tolist(), elem[order][once].tolist(), r[once].tolist()):
-                made.append(Event(tuples[sid][0], kind, chunk=names[gi], cid=cids[gi], element=tuple(e),
-                                  rank=k))
+        add_keys(ends_at[0][g[once]], np.broadcast_to(dilated[PROLOGUE][0], (len(once), scop.scatter_arity)),
+                 _PHASE["buffer_fill"], cid[starts][g[once]], r[once])
+        for gi, e, k in zip(g[once].tolist(), elem[order][once].tolist(), r[once].tolist()):
+            made.append(Event(tuples[PROLOGUE][0], "buffer_fill", chunk=names[gi], cid=cids[gi],
+                              element=tuple(e), rank=k))
 
     # compute events for every execution of every real statement, row by row
-    retained = {f.producer for f in dep.epilogue_families()}
     for s in scop.real_statements():
         rows, where = sp.node_rows(s, scop.grid)
         keys = rows * n + where
         inst = list(map(tuple, s.instances.tolist()))
         read_from = [None] * len(keys)
         if s.reads():
-            # one binding per execution: the keys sorted are the executions' keys
-            reads, cid, rank = bound(s.id, "buffer_drain")
+            # one source per execution: the keys sorted are the executions' keys
+            reads, cid, rank = bound(s.id, "read")
             order = np.argsort(reads)
             if len(reads) != len(keys) or (reads[order] != keys).any():
-                raise AnalysisError(f"read bindings of {s.id} do not match its executions one to one")
-            read_from = list(zip(cid[order].tolist(), rank[order].tolist()))
+                raise AnalysisError(f"read sources of {s.id} do not match its executions one to one")
+            read_from = [None if c < 0 else (c, k) for c, k in zip(cid[order].tolist(), rank[order].tolist())]
+        # an execution stores the element it writes where that is homed
         stored = np.zeros(len(keys), dtype=bool)
-        if s.id in retained:
+        if s.writes():
             j, acc = s.writes()[0]
-            stored = fp.homes(acc.field, s.subscripts[j], scop.grid)[rows] == where
-        writes = distinct_rows(np.stack(bound(s.id, "buffer_fill"), axis=1))
+            stored = fp.homes(acc.field, s.subscripts[j][rows], scop.grid) == where
+        writes = distinct_rows(np.stack(bound(s.id, "write"), axis=1))
         lo, hi = (np.searchsorted(writes[:, 0], keys, side=side).tolist() for side in ("left", "right"))
         buffers = [("buffer", c, k) for c, k in writes[:, 1:].tolist()]
         scat = tuples[s.id]
@@ -437,15 +445,7 @@ def _within(tup, key: str, text: str, extents, where: str) -> tuple:
 
 
 def _fmt_writes(writes) -> str:
-    if not writes:
-        return "none"
-    parts = []
-    for w in writes:
-        if w[0] == "storage":
-            parts.append("storage")
-        else:
-            parts.append(f"buf:{w[1]}@{w[2]}")
-    return "+".join(parts)
+    return "+".join("storage" if w[0] == "storage" else f"buf:{w[1]}@{w[2]}" for w in writes) or "none"
 
 
 def _parse_buffer_ref(text: str, channels: list) -> tuple:
@@ -468,13 +468,8 @@ def _check_slot(channels: list, cid: int, rank: int) -> tuple:
 def _parse_writes(text: str, channels: list):
     if text == "none":
         return ()
-    out = []
-    for part in text.split("+"):
-        if part == "storage":
-            out.append(("storage",))
-        else:
-            out.append(("buffer",) + _parse_buffer_ref(part, channels))
-    return tuple(out)
+    return tuple(("storage",) if part == "storage" else ("buffer",) + _parse_buffer_ref(part, channels)
+                 for part in text.split("+"))
 
 
 def dump_plan(plan: CommPlan) -> str:
@@ -491,11 +486,8 @@ def dump_plan(plan: CommPlan) -> str:
     for ch in plan.channels:
         box = ";".join(f"{lo}:{hi}" for lo, hi in ch.layout.box)
         ends.append(f"src={fmt(ch.src)} dst={fmt(ch.dst)} tag={ch.cid} size={ch.layout.size}")
-        lines.append(
-            f"channel cid={ch.cid} family={ch.family} {ends[-1]} "
-            f"elem={etype[ch.layout.fieldname]} box=[{box}]"
-            + (" loopback" if ch.loopback else "")
-        )
+        lines.append(f"channel cid={ch.cid} family={ch.family} {ends[-1]} "
+                     f"elem={etype[ch.layout.fieldname]} box=[{box}]")
     for node in sorted(plan.events):
         at = f"node={fmt(node)} t="
         for ev in plan.events[node]:
@@ -506,7 +498,7 @@ def dump_plan(plan: CommPlan) -> str:
                     f"{base} stmt={ev.stmt} i={fmt(ev.instance)} "
                     f"read={read} write={_fmt_writes(ev.writes)}"
                 )
-            elif ev.kind in ("buffer_fill", "buffer_drain"):
+            elif ev.kind == "buffer_fill":
                 lines.append(
                     f"{base} chunk={ev.chunk} cid={ev.cid} elem={fmt(ev.element)} rank={ev.rank}"
                 )
@@ -526,7 +518,7 @@ def parse_plan(text: str) -> CommPlan:
     it has; a call line's tag names its channel.  Every event's channel
     and buffer rank must exist, and its ``t=`` must have scatter_arity
     entries.  Every event node and channel end must lie in the grid, and
-    every fill or drain element in its channel's field.  A channel's
+    every fill element in its channel's field.  A channel's
     ``size=`` and the ``src=``, ``dst=`` and ``size=`` its call lines
     repeat must be the channel's, and every event must use its channels
     at the ends ``check_channel_ends`` requires.  Malformed input raises
@@ -612,7 +604,7 @@ def parse_plan(text: str) -> CommPlan:
                     ev = Event(scatter=scatter, kind=kind, stmt=kv["stmt"],
                                instance=tup(kv["i"]), read_from=read,
                                writes=_parse_writes(kv["write"], channels))
-                elif kind in ("buffer_fill", "buffer_drain"):
+                elif kind == "buffer_fill":
                     cid, rank = _check_slot(channels, int(kv["cid"]), int(kv["rank"]))
                     decl = decls[channels[cid].layout.fieldname]
                     element = _within(tup, "elem", kv["elem"], decl.extents, f"field {decl.name}")

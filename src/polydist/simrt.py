@@ -1,8 +1,11 @@
 """Deterministic in-process simulation of a node grid executing a plan.
 
 Each node owns the storage for its home elements of every field, a
-private scalar environment, and a cursor into its event list.  Channels
-are persistent point-to-point buffers with a three-state lifecycle:
+private scalar environment, and a cursor into its event list.  A compute
+event stores the element it writes where its node homes it
+(``write=storage``) and reads a value made on its own node from there
+(``read=storage``); values from other nodes arrive through channels,
+persistent point-to-point buffers with a three-state lifecycle:
 
     IDLE -(send_wait)-> FILLING -(send)-> SENT -(recv)-> IDLE
 
@@ -21,6 +24,8 @@ the first runnable head popped is the lowest of all, and a step costs a
 few heap operations instead of a scan of every node.  An empty heap
 with nodes still parked is a deadlock: the run aborts with
 DeadlockDetected, naming every parked node and its head event's kind.
+A run that ends with a channel not idle left a message unreleased and
+aborts with BufferStateViolation.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ IDLE, FILLING, SENT = "idle", "filling", "sent"
 # each channel call's (state it needs, state it leaves): send_wait and recv_wait
 # wait for the state they need, and for the other calls any other is a fault
 CALLS = {"send_wait": (IDLE, FILLING), "send": (FILLING, SENT), "buffer_fill": (FILLING, FILLING),
-         "recv_wait": (SENT, SENT), "recv": (SENT, IDLE), "buffer_drain": (SENT, SENT)}
+         "recv_wait": (SENT, SENT), "recv": (SENT, IDLE)}
 
 
 @dataclass
@@ -81,10 +86,11 @@ class Trace:
 
 
 class SimState:
-    def __init__(self, plan: CommPlan, fields: dict, homes: dict, nodes, channels, trace):
+    def __init__(self, plan: CommPlan, fields: dict, homes: dict, slots: dict, nodes, channels, trace):
         self.plan = plan
         self.fields = fields  # field name -> FieldDecl
-        self.homes = homes  # field name -> per-element (home position, storage slot) tables
+        self.homes = homes  # field name -> per-element home position table
+        self.slots = slots  # field name -> {element: (home position, storage slot)}
         self.nodes = nodes
         self.channels = channels
         self.trace = trace
@@ -92,18 +98,17 @@ class SimState:
 
     def _offset(self, node: NodeState, fieldname: str, index: tuple) -> int:
         """The element's slot in the node's storage; NotLocal unless the node homes it."""
-        owner, slot = self.homes[fieldname]
-        if (len(index) != owner.ndim or not all(0 <= v < e for v, e in zip(index, owner.shape))
-                or owner[index] != node.position):
+        home = self.slots[fieldname].get(index)
+        if home is None or home[0] != node.position:
             raise NotLocal(f"{fieldname}{index} is not a home element of {node.coord}")
-        return slot[index]
+        return home[1]
 
     def gather(self) -> dict:
         out = {}
         for name, fld in self.fields.items():
             arr = np.zeros(fld.extents, dtype=fld.dtype)
             for node in self.nodes.values():
-                arr[self.homes[name][0] == node.position] = node.storage[name]
+                arr[self.homes[name] == node.position] = node.storage[name]
             out[name] = arr
         return out
 
@@ -129,7 +134,7 @@ def init_runtime(plan: CommPlan, grid: ClusterGrid, init: dict) -> SimState:
         if name not in fields:
             raise GeometryMismatch(f"field {name} of the contents is missing from the plan")
     nodes = {coord: NodeState(coord, position, {}) for position, coord in enumerate(grid.nodes)}
-    homes = {}
+    homes, slots = {}, {}
     for name, fld in fields.items():
         every = np.indices(fld.extents).reshape(fld.arity, -1).T
         owner = plan.field_placement.homes(name, every, grid).reshape(fld.extents)
@@ -138,9 +143,10 @@ def init_runtime(plan: CommPlan, grid: ClusterGrid, init: dict) -> SimState:
             mine = owner == node.position
             slot[mine] = np.arange(np.count_nonzero(mine))
             node.storage[name] = init[name][mine]
-        homes[name] = owner, slot
+        homes[name] = owner
+        slots[name] = dict(zip(map(tuple, every.tolist()), zip(owner.ravel().tolist(), slot.ravel().tolist())))
     channels = {ch.cid: ChannelState() for ch in plan.channels}
-    return SimState(plan, fields, homes, nodes, channels, Trace())
+    return SimState(plan, fields, homes, slots, nodes, channels, Trace())
 
 
 def _digest(values) -> str:
@@ -187,9 +193,9 @@ def run(sim: SimState, scop: Scop):
             check_channel_ends(plan.channels, ev, coord)
 
     def read(where, decl, element):
-        ev = where[1]
-        if ev.read_from is None:
-            raise BufferStateViolation(f"{ev.stmt}{ev.instance}: unbound field read")
+        node, ev = where
+        if ev.read_from is None:  # made on this node, by the element's last writer
+            return _from_np(node.storage[decl.name][sim._offset(node, decl.name, element)], decl)
         cid, rank = ev.read_from
         ch = sim.channels[cid]
         if ch.state != SENT:
@@ -225,13 +231,10 @@ def run(sim: SimState, scop: Scop):
                 ch.slots = [None] * plan.channels[ev.cid].layout.size
             elif ev.kind in ("send", "recv"):
                 digest = _digest(tuple(ch.slots))
-            elif ev.kind in ("buffer_fill", "buffer_drain"):
+            elif ev.kind == "buffer_fill":
                 name = plan.channels[ev.cid].layout.fieldname
-                storage, offset = node.storage[name], sim._offset(node, name, ev.element)
-                if ev.kind == "buffer_fill":
-                    ch.slots[ev.rank] = _from_np(storage[offset], sim.fields[name])
-                else:
-                    storage[offset] = ch.slots[ev.rank]
+                ch.slots[ev.rank] = _from_np(node.storage[name][sim._offset(node, name, ev.element)],
+                                             sim.fields[name])
             ch.state = leave
         else:
             raise BufferStateViolation(f"unknown event kind {ev.kind}")
@@ -260,4 +263,7 @@ def run(sim: SimState, scop: Scop):
         blocked = sorted(c for cs in parked.values() for c in cs)
         heads = {c: node_events[c][sim.nodes[c].cursor].kind for c in blocked}
         raise DeadlockDetected(f"all nodes blocked: {heads}")
+    busy = [f"{cid} {ch.state}" for cid, ch in sim.channels.items() if ch.state != IDLE]
+    if busy:
+        raise BufferStateViolation(f"run ended with channels not idle: {', '.join(busy)}")
     return sim.gather(), sim.trace

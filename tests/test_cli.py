@@ -63,12 +63,12 @@ def test_plan_boundary_channels(gol16_path, tmp_path):
     assert "size=7" in text
 
 
-def test_plan_single_node_loopback_only(gol16_path, tmp_path):
-    invoke("plan", str(gol16_path), "--grid", "1x1", "--out", str(tmp_path))
-    text = (tmp_path / "plan.txt").read_text()
-    for line in text.splitlines():
-        if line.startswith("channel"):
-            assert "loopback" in line
+def test_plan_single_node_has_no_channel(gol16_path, tmp_path):
+    # one node homes every element: every read is a storage read
+    assert invoke("plan", str(gol16_path), "--grid", "1x1", "--out", str(tmp_path)) == 0
+    lines = (tmp_path / "plan.txt").read_text().splitlines()
+    assert not [ln for ln in lines if ln.startswith("channel") or " read=buf:" in ln]
+    assert any(" read=storage " in ln for ln in lines)
 
 
 def test_plan_indivisible_grid(gol16_path, tmp_path):
@@ -172,6 +172,23 @@ def test_verify_tampered_plan(gol16_path, tmp_path, capsys):
     rc = invoke("verify", str(gol16_path), "--plan", str(tmp_path / "tampered.txt"))
     assert rc == 4
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_verify_plan_with_unreleased_message(gol16_path, tmp_path, capsys):
+    # without the first recv on (0,1) -> (0,0), the second recv_wait takes
+    # the first message and the last message is never received: the run
+    # ends with that channel sent, whatever the stale values compute
+    invoke("plan", str(gol16_path), "--out", str(tmp_path))
+    lines = (tmp_path / "plan.txt").read_text().splitlines()
+    tag = next(re.search(r" tag=(\d+) ", ln)[1] for ln in lines
+               if ln.startswith("channel") and " family=flow:S2.2->S1.2:front src=(0,1) dst=(0,0) " in ln)
+    dropped = next(i for i, ln in enumerate(lines) if " kind=recv " in ln and f" tag={tag} " in ln)
+    (tmp_path / "unreleased.txt").write_text("\n".join(lines[:dropped] + lines[dropped + 1:]) + "\n")
+    for seed in ("0", "2"):
+        rc = invoke("verify", str(gol16_path), "--plan", str(tmp_path / "unreleased.txt"), "--seed", seed)
+        assert rc == 4
+        assert capsys.readouterr().out == (
+            f"verify: FAIL (BufferStateViolation: run ended with channels not idle: {tag} sent)\n")
 
 
 def _simulate_with_plan_text(gol16_path, tmp_path, capsys, text):
@@ -283,7 +300,7 @@ UNRUNNABLE_COMPUTES = {
         "binds a field write for S1.1(0, 1, 1), which writes no field",
     ),
     "read_without_field_read": (
-        _first_line_edit(" stmt=S1.7 i=(0,1,1) ", " read=storage ", " read=buf:40@0 "),
+        _first_line_edit(" stmt=S1.7 i=(0,1,1) ", " read=storage ", " read=buf:2@0 "),
         "binds a field read for S1.7(0, 1, 1), which reads no field",
     ),
 }

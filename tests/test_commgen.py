@@ -4,7 +4,16 @@ import re
 import numpy as np
 import pytest
 
-from oracle import OutOfHull, block_home, block_sizes, buffer_rank, event_key, search_only, stmt_nodes
+from oracle import (
+    OutOfHull,
+    block_home,
+    block_sizes,
+    buffer_rank,
+    contents_equal,
+    event_key,
+    search_only,
+    stmt_nodes,
+)
 from polydist.chunking import chunk_all
 from polydist.commgen import (
     BufferLayout,
@@ -17,7 +26,8 @@ from polydist.commgen import (
 )
 from polydist.deps import EPILOGUE, PROLOGUE, add_virtual_statements, compute_flow
 from polydist import isets
-from polydist.errors import ParseError
+from polydist.errors import AnalysisError, ParseError
+from polydist.fields import random_contents
 from polydist.isets import (
     AffineExpr,
     IntSet,
@@ -33,8 +43,9 @@ from polydist.isets import (
 )
 from polydist.pipeline import override_grid, plan_scop
 from polydist.placement import StmtPlacement, block_distribute, place_statements
-from polydist.scop import isolate_accesses
+from polydist.scop import isolate_accesses, sequential_execute
 from polydist.scopio import parse_scop, parse_scop_file
+from polydist.simrt import init_runtime, run
 from polydist.syntax import parse_map
 
 
@@ -286,6 +297,14 @@ def test_placements_of_one_depgraph_resolve_separately(multi_ctx):
     assert len({frozenset(v) for v in producers.values()}) == 3
 
 
+def test_epilogue_transfer_between_nodes_rejected(multi_ctx):
+    # G writes a's final values away from their homes: the final contents
+    # would have to travel, which the plan has no events for
+    virt, dep, fp, placements, chunks = multi_ctx
+    with pytest.raises(AnalysisError, match=r"^epilogue family epi:G:a has a transfer between nodes$"):
+        compile_plan(virt, dep, fp, placements["away"], chunks)
+
+
 def test_buffer_rank_examples():
     # full-scale boundary column with 128-blocks: rank(w, h) = h - 128*b
     layout = BufferLayout(fieldname="f", box=((255, 255), (256, 383)))
@@ -301,6 +320,8 @@ def test_buffer_rank_examples():
 
 
 def test_rank_bijective_on_chunk_elements(gol16_ctx):
+    # every transfer between nodes has its channel, whose ranks are one to
+    # one on each chunk's elements; transfers within a node have none
     scop, virt, dep, fp, sp, chunks, transfers = gol16_ctx
     plan = compile_plan(virt, dep, fp, sp, chunks)
     grouped = group_chunks(transfers)
@@ -314,6 +335,9 @@ def test_rank_bijective_on_chunk_elements(gol16_ctx):
                 (t.producer_node, t.consumer_node), set()).add(t.element)
         for per_pair in per_chunk.values():
             for (src, dst), elems in per_pair.items():
+                if src == dst:
+                    assert (key, src, dst) not in by_key
+                    continue
                 ch = by_key[(key, src, dst)]
                 ranks = {buffer_rank(ch.layout, e) for e in elems}
                 assert len(ranks) == len(elems)
@@ -353,16 +377,6 @@ def test_protocol_event_order(gol16_ctx):
         assert kinds["send_wait"] < kinds["recv"]
 
 
-def test_no_storage_reads_for_intra_flows(gol16_ctx):
-    # all consumer reads are bound to buffers, never to field storage
-    scop, virt, dep, fp, sp, chunks, transfers = gol16_ctx
-    plan = compile_plan(virt, dep, fp, sp, chunks)
-    for node, evs in plan.events.items():
-        for ev in evs:
-            if ev.kind == "compute" and virt.statement(ev.stmt).reads():
-                assert ev.read_from is not None
-
-
 def test_storage_writes_only_for_epilogue_flowing(gol16_ctx):
     scop, virt, dep, fp, sp, chunks, transfers = gol16_ctx
     plan = compile_plan(virt, dep, fp, sp, chunks)
@@ -377,7 +391,8 @@ def test_storage_writes_only_for_epilogue_flowing(gol16_ctx):
 
 
 # Undilated, G's send lands one step after G's last execution, exactly
-# where H's first execution sits on the same node.
+# where H's first execution sits on the same node.  C runs at the home of
+# the b element it writes, the other node, so a crosses nodes.
 COLLIDE = {
     "name": "collide",
     "grid": [2],
@@ -404,9 +419,9 @@ COLLIDE = {
             "id": "C",
             "domain": "{ [x] : 0 <= x < 4 }",
             "schedule": "{ [x] -> [1,x] }",
-            "accesses": [{"field": "a", "kind": "read", "index": ["x"]}],
+            "accesses": [{"field": "a", "kind": "read", "index": ["x"]},
+                         {"field": "b", "kind": "write", "index": ["x+4"]}],
             "body": ["access", 0],
-            "scalar_writes": ["v"],
         },
     ],
 }
@@ -420,7 +435,7 @@ def test_channel_calls_on_odd_scatters(scops_dir, source):
     # channel call sits one step off one, so the two can never collide
     if source == "collide":
         # planned without isolation, which would append a constant scatter
-        # coordinate; each statement holds a single field access anyway
+        # coordinate; C's one read feeds its one write
         virt = add_virtual_statements(parse_scop(json.dumps(COLLIDE)))
         dep = compute_flow(virt)
         fp = block_distribute(virt.fields, virt.grid)
@@ -440,14 +455,49 @@ def test_channel_calls_on_odd_scatters(scops_dir, source):
     assert calls
 
 
-def test_loopback_channels_marked(gol16_ctx):
-    scop, virt, dep, fp, sp, chunks, transfers = gol16_ctx
-    plan = compile_plan(virt, dep, fp, sp, chunks)
-    loop = [ch for ch in plan.channels if ch.loopback]
-    cross = [ch for ch in plan.channels if not ch.loopback]
-    assert loop and cross
-    tags = [ch.cid for ch in plan.channels]
-    assert len(set(tags)) == len(tags)  # unique per (family, src, dst)
+# C(x) writes b[7-x], homed on the other node than a[x], and reads G(x)'s
+# scalar, so G(x) runs on both nodes: G's value of a[x] stays on C's node,
+# which does not home it.
+LOOPBACK = {
+    "name": "loopback",
+    "grid": [2],
+    "scatter_arity": 2,
+    "fields": [{"name": name, "type": "int64", "extents": [8]} for name in "abc"],
+    "functions": {},
+    "statements": [
+        {
+            "id": "G",
+            "domain": "{ [x] : 0 <= x < 8 }",
+            "schedule": "{ [x] -> [x,0] }",
+            "accesses": [{"field": "c", "kind": "read", "index": ["x"]},
+                         {"field": "a", "kind": "write", "index": ["x"]}],
+            "body": ["access", 0],
+            "scalar_writes": ["s"],
+        },
+        {
+            "id": "C",
+            "domain": "{ [x] : 0 <= x < 8 }",
+            "schedule": "{ [x] -> [x,1] }",
+            "accesses": [{"field": "a", "kind": "read", "index": ["x"]},
+                         {"field": "b", "kind": "write", "index": ["7-x"]}],
+            "body": ["if", ["eq", ["var", "s"], ["access", 0]], ["access", 0], ["int", 0]],
+            "scalar_reads": ["s"],
+        },
+    ],
+}
+
+
+def test_loopback_channels_marked():
+    # a value that stays on a node which does not home its element keeps a
+    # channel from that node to itself, and the plan still verifies
+    scop = parse_scop(json.dumps(LOOPBACK))
+    analysis, plan = plan_scop(scop)
+    loop = {(ch.family, ch.src) for ch in plan.channels if ch.loopback}
+    assert loop == {("flow:G.2->C.1:a", (0,)), ("flow:G.2->C.1:a", (1,))}
+    assert all(ch.src != ch.dst for ch in plan.channels if not ch.loopback)
+    init = random_contents(scop, 3)
+    final, _ = run(init_runtime(plan, analysis.scop.grid, init), analysis.scop)
+    assert contents_equal(final, sequential_execute(scop, init))
 
 
 def test_plan_dump_roundtrip(gol16_ctx):
@@ -548,16 +598,6 @@ MALFORMED_PLANS = {
         lambda ln: re.sub(r" elem=\(\d+,\d+\)", " elem=(-1,0)", ln),
         "elem=(-1,0) outside field front (16,16)",
     ),
-    "drain_elem_short": (
-        lambda ln: " kind=buffer_drain " in ln,
-        lambda ln: re.sub(r" elem=\(\d+,\d+\)", " elem=(3)", ln),
-        "elem=(3) outside field back (16,16)",
-    ),
-    "drain_elem_off_field": (
-        lambda ln: " kind=buffer_drain " in ln,
-        lambda ln: re.sub(r" elem=\(\d+,\d+\)", " elem=(16,0)", ln),
-        "elem=(16,0) outside field back (16,16)",
-    ),
     "compute_t_short": (
         lambda ln: " kind=compute " in ln,
         lambda ln: re.sub(r" t=\([-\d,]+\)", " t=(0)", ln),
@@ -566,54 +606,49 @@ MALFORMED_PLANS = {
     "channel_box_arity": (
         lambda ln: ln.startswith("channel"),
         lambda ln: re.sub(r" box=\[[^]]*\]", " box=[1:7]", ln),
-        "channel cid=0 box has 1 dims, field back has 2",
+        "channel cid=0 box has 1 dims, field front has 2",
     ),
     "channel_elem_type": (
         lambda ln: ln.startswith("channel"),
         lambda ln: ln.replace(" elem=bool ", " elem=float64 "),
-        "channel cid=0 elem=float64 differs from field back's bool",
+        "channel cid=0 elem=float64 differs from field front's bool",
     ),
-    # channel 42 runs from (0,0) to (1,0); channels 1 and 4 are loopbacks on
-    # (0,1) and (0,0)
+    # channel 0 runs from (0,0) to (1,0), channel 1 from (0,1) to (1,1), and
+    # channel 8 carries prologue values from (0,0) to (1,0)
     "send_off_src": (
-        lambda ln: " kind=send " in ln and " tag=42 " in ln,
+        lambda ln: " kind=send " in ln and " tag=0 " in ln,
         lambda ln: ln.replace("node=(0,0)", "node=(1,1)"),
-        "send on node (1, 1) uses channel 42, which runs from (0, 0) to (1, 0)",
+        "send on node (1, 1) uses channel 0, which runs from (0, 0) to (1, 0)",
     ),
     "send_wait_off_src": (
-        lambda ln: " kind=send_wait " in ln and " tag=42 " in ln,
+        lambda ln: " kind=send_wait " in ln and " tag=0 " in ln,
         lambda ln: ln.replace("node=(0,0)", "node=(0,1)"),
-        "send_wait on node (0, 1) uses channel 42, which runs from (0, 0) to (1, 0)",
+        "send_wait on node (0, 1) uses channel 0, which runs from (0, 0) to (1, 0)",
     ),
     "recv_off_dst": (
-        lambda ln: " kind=recv " in ln and " tag=42 " in ln,
+        lambda ln: " kind=recv " in ln and " tag=0 " in ln,
         lambda ln: ln.replace("node=(1,0)", "node=(1,1)"),
-        "recv on node (1, 1) uses channel 42, which runs from (0, 0) to (1, 0)",
+        "recv on node (1, 1) uses channel 0, which runs from (0, 0) to (1, 0)",
     ),
     "recv_wait_off_dst": (
-        lambda ln: " kind=recv_wait " in ln and " tag=42 " in ln,
+        lambda ln: " kind=recv_wait " in ln and " tag=0 " in ln,
         lambda ln: ln.replace("node=(1,0)", "node=(0,0)"),
-        "recv_wait on node (0, 0) uses channel 42, which runs from (0, 0) to (1, 0)",
+        "recv_wait on node (0, 0) uses channel 0, which runs from (0, 0) to (1, 0)",
     ),
     "fill_off_src": (
-        lambda ln: " kind=buffer_fill " in ln and " cid=42 " in ln,
+        lambda ln: " kind=buffer_fill " in ln and " cid=8 " in ln,
         lambda ln: ln.replace("node=(0,0)", "node=(0,1)"),
-        "buffer_fill on node (0, 1) uses channel 42, which runs from (0, 0) to (1, 0)",
-    ),
-    "drain_off_dst": (
-        lambda ln: " kind=buffer_drain " in ln and " cid=4 " in ln,
-        lambda ln: ln.replace("node=(0,0)", "node=(0,1)"),
-        "buffer_drain on node (0, 1) uses channel 4, which runs from (0, 0) to (0, 0)",
+        "buffer_fill on node (0, 1) uses channel 8, which runs from (0, 0) to (1, 0)",
     ),
     "compute_read_off_dst": (
         lambda ln: ln.startswith("node=(0,0)") and " read=buf:" in ln,
-        lambda ln: re.sub(r" read=buf:\d+@\d+", " read=buf:42@0", ln),
-        "compute read on node (0, 0) uses channel 42, which runs from (0, 0) to (1, 0)",
+        lambda ln: re.sub(r" read=buf:\d+@\d+", " read=buf:0@0", ln),
+        "compute read on node (0, 0) uses channel 0, which runs from (0, 0) to (1, 0)",
     ),
     "compute_write_off_src": (
         lambda ln: ln.startswith("node=(0,0)") and "+buf:" in ln,
         lambda ln: re.sub(r"\+buf:\d+@\d+", "+buf:1@0", ln, count=1),
-        "compute write on node (0, 0) uses channel 1, which runs from (0, 1) to (0, 1)",
+        "compute write on node (0, 0) uses channel 1, which runs from (0, 1) to (1, 1)",
     ),
     "channel_tag_not_cid": (
         lambda ln: ln.startswith("channel cid=4 "),
@@ -621,29 +656,35 @@ MALFORMED_PLANS = {
         "channel cid=4 tag=0 differs from its cid",
     ),
     "channel_size": (
-        lambda ln: ln.startswith("channel cid=42 "),
+        lambda ln: ln.startswith("channel cid=0 "),
         lambda ln: ln.replace(" size=7 ", " size=5 "),
-        "channel cid=42 size=5 differs from the 7 slots of its box",
+        "channel cid=0 size=5 differs from the 7 slots of its box",
     ),
     "call_src": (
-        lambda ln: " kind=send " in ln and " tag=42 " in ln,
+        lambda ln: " kind=send " in ln and " tag=0 " in ln,
         lambda ln: ln.replace(" src=(0,0) ", " src=(0,1) "),
-        "src=(0,1) differs from channel 42's src=(0,0)",
+        "src=(0,1) differs from channel 0's src=(0,0)",
     ),
     "call_dst": (
-        lambda ln: " kind=recv " in ln and " tag=42 " in ln,
+        lambda ln: " kind=recv " in ln and " tag=0 " in ln,
         lambda ln: ln.replace(" dst=(1,0) ", " dst=(1,1) "),
-        "dst=(1,1) differs from channel 42's dst=(1,0)",
+        "dst=(1,1) differs from channel 0's dst=(1,0)",
     ),
     "call_size": (
-        lambda ln: " kind=send_wait " in ln and " tag=42 " in ln,
+        lambda ln: " kind=send_wait " in ln and " tag=0 " in ln,
         lambda ln: ln.replace(" size=7", " size=49"),
-        "size=49 differs from channel 42's size=7",
+        "size=49 differs from channel 0's size=7",
     ),
     "unknown_kind": (
         lambda ln: " kind=send " in ln,
         lambda ln: ln.replace(" kind=send ", " kind=sned "),
         "unknown event kind sned",
+    ),
+    # the epilogue has no events, so a plan has no drains
+    "drain_kind": (
+        lambda ln: " kind=buffer_fill " in ln,
+        lambda ln: ln.replace(" kind=buffer_fill ", " kind=buffer_drain "),
+        "unknown event kind buffer_drain",
     ),
 }
 
@@ -712,7 +753,7 @@ def test_plan_numbers_are_python_ints(gol16_path, case):
     """Tables may be int64, but every number a plan holds is a Python int:
     numpy 2 prints np.int64(5) in repr, and trace digests hash reprs, so a
     leaked numpy scalar would change dumps or traces without an error.
-    Fill and drain ranks agree with the pointwise buffer_rank."""
+    Fill ranks agree with the pointwise buffer_rank."""
     from test_cli import _wide_scop
 
     doc = gol16_path.read_text() if case == "gol16-2x2" else json.dumps(_wide_scop(2**70, 1))
@@ -725,7 +766,7 @@ def test_plan_numbers_are_python_ints(gol16_path, case):
             values = [*ev.scatter, *ev.instance, *ev.element, *(ev.read_from or ()), ev.cid, ev.rank]
             values += [v for w in ev.writes for v in w[1:]]
             assert all(type(v) is int for v in values), ev
-            if ev.kind in ("buffer_fill", "buffer_drain"):
+            if ev.kind == "buffer_fill":
                 assert ev.rank == buffer_rank(plan.channels[ev.cid].layout, ev.element), ev
 
 

@@ -7,47 +7,51 @@ import importlib.util
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from conftest import REPO_ROOT
+from oracle import block_home, block_sizes
 from polydist.cli import main
-from polydist.commgen import dump_plan
+from polydist.commgen import build_transfers, dump_plan
+from polydist.deps import EPILOGUE
 from polydist.pipeline import cap_iterations, override_grid, plan_scop
 from polydist.scopio import parse_scop_file
 
 EXPECTED = {
     ("gol16", "2x2"): {
-        "plan.txt": "4fd625f96d32d4f8448a15c7db946ebbfae23808025c617370369db6120ca277",
-        "trace.txt": "7790f0e07275a685a8b131d773376486627fce14ced92a897fe5b94b4bfe8adf",
+        "plan.txt": "87418a56081ee2da7f3b532e497363f0cad0fbbb3f793e15b02c78547fbbd5e9",
+        "trace.txt": "a5d5f8a3a9b888b837cd547f2be75360b19ec308cf40204f482af17dd90e9d56",
         "fields.txt": "8720dc71e6251c2ce067a8b9a4fdb5755e7571421572ff3d56a9528dea2dac82",
     },
     ("gol16", "4x4"): {
-        "plan.txt": "0b7de626fcb452808841b15a59f360f8e6f66d0209fa708393eb3f8a57675088",
-        "trace.txt": "1debe2df5320f44d891f40529cb3ac8decd4f35511d785cb10fe4076011390a1",
+        "plan.txt": "cc464de786656477717a9880e6c95c988414a6e9dcde2ac53dd59135151fb985",
+        "trace.txt": "216e9a043bc36825c5a9dede90c3bcbf5da39675287df91fc495eb31203db267",
         "fields.txt": "8720dc71e6251c2ce067a8b9a4fdb5755e7571421572ff3d56a9528dea2dac82",
     },
     ("gol16_fused", "2x2"): {
-        "plan.txt": "42ef8a1e07c76fcc0d3adc037b6536864daa9aa0e8e3bcda8bf6807b984e0d1a",
-        "trace.txt": "7790f0e07275a685a8b131d773376486627fce14ced92a897fe5b94b4bfe8adf",
+        "plan.txt": "fcc63bab852754fea007e8cb3463a215c4a90b2625bfc59430a55071970a6a93",
+        "trace.txt": "a5d5f8a3a9b888b837cd547f2be75360b19ec308cf40204f482af17dd90e9d56",
         "fields.txt": "8720dc71e6251c2ce067a8b9a4fdb5755e7571421572ff3d56a9528dea2dac82",
     },
     ("gol16_fused", "8x8"): {
-        "plan.txt": "2f1cc752c3eac75b6a7d7a15b10be4ad1f1cea53c4055d2d0a4c4c627f93a76f",
-        "trace.txt": "148485c1e9014cfd0179f7880cdbd426bed70ad69f7355c290c4be70bd882a5f",
+        "plan.txt": "dce758085c12f66eec76cff10d92555cfbdc494ba4e238a735492e8c72130a80",
+        "trace.txt": "bf3bbc2b09cfa99afda576764cc7a324f39b2b766b29f95c7a6478c438489464",
+        "fields.txt": "8720dc71e6251c2ce067a8b9a4fdb5755e7571421572ff3d56a9528dea2dac82",
     },
     ("gol16_fused", "16x16"): {
-        "plan.txt": "f97b70a5fdf2b1c05c8560d765306210bcb928be401719bf2498830e46f83eba",
-        "trace.txt": "364729817d1e097c25230e03a4431da22610ad5008bcc7a8e12d2f3ee4536f9f",
+        "plan.txt": "ea872344117d2701e89d4a5ca409a42116e6f0d51f0321c9f97eb7f992896abb",
+        "trace.txt": "7587b6bf8789da454f2d252b667243ae5ee7f1d553e8563988e3787937058de1",
         "fields.txt": "8720dc71e6251c2ce067a8b9a4fdb5755e7571421572ff3d56a9528dea2dac82",
     },
     ("gol32", "2x2"): {
-        "plan.txt": "a76534b7e7ec4f915372b9cb0e4fb55f7858b5ffc9aee78b7dc3a295a48c7898",
-        "trace.txt": "3896b206d31afdf279bee3e3b2c7b3a9605d2b1ea4016919110facd33aa921b0",
+        "plan.txt": "216eddd47432bbfe57c2ab06288a20124289ff284650ccd5c8dbde6d17e3c03f",
+        "trace.txt": "bd5f05d1a85a0cf664445ff770c43ad2ad65c5d0daf83b2d8c3cd6f797c96b73",
         "fields.txt": "819ade320055e4b61c6d130a1f7d7274dec4410805a51ba3931f4c6a1743c2aa",
     },
     ("gol32", "4x4"): {
-        "plan.txt": "cb2eb737bd67dca719c67c935e33c14e9e382c71ed9b5ecb7c1937724582bde3",
-        "trace.txt": "ea595ff3ef31ac9d8752b0aff1e5d0528a18f9676e30eb20e22867dabd64e86f",
+        "plan.txt": "18a7daf1c4d64b619cf26b52a9657c04386061e09fdc5da83533ba8accbadec1",
+        "trace.txt": "738bbfd175b531d73c5bdfc3794835ea565896e98d00a373c1c7e3baea5bf7a1",
         "fields.txt": "819ade320055e4b61c6d130a1f7d7274dec4410805a51ba3931f4c6a1743c2aa",
     },
 }
@@ -60,6 +64,42 @@ def test_simulate_outputs_pinned(scops_dir, tmp_path, scop, grid):
     assert main(argv) == 0
     for name, digest in EXPECTED[(scop, grid)].items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+@pytest.mark.parametrize("scop, grid", sorted(EXPECTED))
+def test_only_values_between_nodes_travel(scops_dir, scop, grid):
+    """Checked against build_transfers' columns and block homes: no channel
+    runs from a node to itself, a compute event reads storage exactly when
+    its transfer stays on one node that homes the element, and it stores
+    exactly when its node homes the element it writes."""
+    extents = tuple(map(int, grid.split("x")))
+    analysis, plan = plan_scop(override_grid(parse_scop_file(scops_dir / f"{scop}.scop"), extents))
+    assert plan.channels and all(ch.src != ch.dst for ch in plan.channels)
+    virt, nodes = analysis.scop, np.array(analysis.scop.grid.nodes)
+    blocks = {f.name: block_sizes(f.extents, extents) for f in virt.fields}
+    local = set()  # (consumer, instance row, node position) of every local, homed transfer
+    for ts in build_transfers(analysis.dep, analysis.stmt_placement, analysis.field_placement,
+                              analysis.chunkings).values():
+        fam = ts.family
+        if fam.consumer == EPILOGUE:
+            continue
+        home = fam.table[ts.pair, fam.n_prod + fam.n_cons :] // np.array(blocks[fam.ref])
+        here = (ts.producer_node == ts.consumer_node) & (home == nodes[ts.consumer_node]).all(axis=1)
+        local.update((fam.consumer, r, c) for r, c in zip(ts.consumer_row[here].tolist(),
+                                                           ts.consumer_node[here].tolist()))
+    position = {c: p for p, c in enumerate(virt.grid.nodes)}
+    reads = stores = 0
+    for node, evs in plan.events.items():
+        for ev in (ev for ev in evs if ev.kind == "compute"):
+            s = virt.statement(ev.stmt)
+            row = s.rows[ev.instance]
+            if s.reads():
+                reads += ev.read_from is None
+                assert (ev.read_from is None) == ((ev.stmt, row, position[node]) in local), (node, ev)
+            homed = any(block_home(s.elements[j][row], blocks[acc.field]) == node for j, acc in s.writes())
+            stores += homed
+            assert (("storage",) in ev.writes) == homed, (node, ev)
+    assert reads and stores
 
 
 # gol16's dumps are golden files; these two configurations print the
@@ -116,6 +156,23 @@ def test_perfbench_pipeline_runs(scops_dir):
     scop = cap_iterations(override_grid(parse_scop_file(scops_dir / "gol16.scop"), (2, 2)), 1)
     expected = hashlib.sha256(dump_plan(plan_scop(scop)[1]).encode()).hexdigest()
     assert out["counts"]["plan_sha256"] == expected
+
+
+# perfbench's workloads: (scop, grid, plan_events, plan_messages)
+PLAN_COUNTS = {
+    "gol16_fused-8x8": ("scops/gol16_fused.scop", [8, 8], 8372, 672),
+    "gol32-2x2": ("scops/gol32.scop", [2, 2], 24516, 24),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(PLAN_COUNTS))
+def test_perfbench_plan_counts_pinned(workload):
+    sample, spans = _perfbench("sample"), _perfbench("spans")
+    scop, grid, events, messages = PLAN_COUNTS[workload]
+    cfg = {"scop": scop, "grid": grid, "iters": None, "contents_seeds": []}
+    out = sample.run_pipeline(cfg, REPO_ROOT, spans.NullRecorder(), _Probe())
+    assert out["failures"] == []
+    assert (out["counts"]["plan_events"], out["counts"]["plan_messages"]) == (events, messages)
 
 
 def test_perfbench_tampered_plan_fails_each_seed():
