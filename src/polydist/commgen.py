@@ -488,20 +488,19 @@ def dump_plan(plan: CommPlan) -> str:
         ends.append(f"src={fmt(ch.src)} dst={fmt(ch.dst)} tag={ch.cid} size={ch.layout.size}")
         lines.append(f"channel cid={ch.cid} family={ch.family} {ends[-1]} "
                      f"elem={etype[ch.layout.fieldname]} box=[{box}]")
+    writes = lru_cache(maxsize=None)(_fmt_writes)  # each distinct writes tuple formatted once
+    t = "(" + ",".join(["%d"] * plan.scatter_arity) + ")"  # a scatter, as _fmt_tuple prints it
     for node in sorted(plan.events):
         at = f"node={fmt(node)} t="
+        compute = f"{at}{t} kind=compute stmt=%s i=%s read=%s write=%s"
         for ev in plan.events[node]:
-            base = f"{at}{fmt(ev.scatter)} kind={ev.kind}"
             if ev.kind == "compute":
-                read = "storage" if ev.read_from is None else f"buf:{ev.read_from[0]}@{ev.read_from[1]}"
-                lines.append(
-                    f"{base} stmt={ev.stmt} i={fmt(ev.instance)} "
-                    f"read={read} write={_fmt_writes(ev.writes)}"
-                )
-            elif ev.kind == "buffer_fill":
-                lines.append(
-                    f"{base} chunk={ev.chunk} cid={ev.cid} elem={fmt(ev.element)} rank={ev.rank}"
-                )
+                read = "storage" if ev.read_from is None else "buf:%d@%d" % ev.read_from
+                lines.append(compute % (*ev.scatter, ev.stmt, fmt(ev.instance), read, writes(ev.writes)))
+                continue
+            base = f"{at}{fmt(ev.scatter)} kind={ev.kind}"
+            if ev.kind == "buffer_fill":
+                lines.append(f"{base} chunk={ev.chunk} cid={ev.cid} elem={fmt(ev.element)} rank={ev.rank}")
             else:
                 lines.append(f"{base} chunk={ev.chunk} {ends[ev.cid]}")
     return "\n".join(lines) + "\n"

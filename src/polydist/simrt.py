@@ -20,8 +20,11 @@ and checks a head when it pops it.  A blocked head parks its node on the
 channel it waits for, and the next ``send`` or ``recv`` on that channel
 pushes the parked nodes back (a ``send_wait`` leaves the channel FILLING,
 which no head waits for).  A parked node stays blocked until then, so
-the first runnable head popped is the lowest of all, and a step costs a
-few heap operations instead of a scan of every node.  An empty heap
+the first runnable head popped is the lowest of all.  The popped node
+keeps running while its next head's key is below the heap's top: that
+head is the one the heap would pop next, so the order is the same, and
+the heap moves only when the lowest head is another node's, perhaps one
+a ``send`` or ``recv`` just woke.  An empty heap
 with nodes still parked is a deadlock: the run aborts with
 DeadlockDetected, naming every parked node and its head event's kind.
 A run that ends with a channel not idle left a message unreleased and
@@ -44,7 +47,7 @@ from .errors import (
     GeometryMismatch,
     NotLocal,
 )
-from .scop import ClusterGrid, FieldDecl, Scop, _from_np, instance_runner
+from .scop import ClusterGrid, FieldDecl, Scop, instance_runner
 
 __all__ = ["NodeState", "ChannelState", "Trace", "SimState", "init_runtime", "run"]
 
@@ -74,15 +77,10 @@ class ChannelState:
 class Trace:
     entries: list = field(default_factory=list)
 
-    def log(self, step, node, kind, chunk, tag, digest):
-        self.entries.append((step, node, kind, chunk, tag, digest))
-
     def to_text(self) -> str:
-        lines = []
-        for step, node, kind, chunk, tag, digest in self.entries:
-            node_s = "(" + ",".join(map(str, node)) + ")"
-            lines.append(f"step={step} node={node_s} kind={kind} chunk={chunk} tag={tag} digest={digest}")
-        return "\n".join(lines) + ("\n" if lines else "")
+        fmt = lru_cache(maxsize=None)(_fmt_tuple)  # each node formatted once
+        line = "step=%s node=%s kind=%s chunk=%s tag=%s digest=%s\n"
+        return "".join([line % (step, fmt(node), *rest) for step, node, *rest in self.entries])
 
 
 class SimState:
@@ -94,7 +92,10 @@ class SimState:
         self.nodes = nodes
         self.channels = channels
         self.trace = trace
-        self.step = 0
+
+    @property
+    def step(self) -> int:  # the events run so far, one trace entry each
+        return len(self.trace.entries)
 
     def _offset(self, node: NodeState, fieldname: str, index: tuple) -> int:
         """The element's slot in the node's storage; NotLocal unless the node homes it."""
@@ -154,14 +155,16 @@ def _digest(values) -> str:
     return h[:12]
 
 
-def _check_runnable(stmts: dict, kinds: dict, ev, coord) -> None:
-    """GeometryMismatch unless the compute event names an instance of a real
+def _check_runnable(stmts: dict, kinds: dict, ev, coord) -> int:
+    """The row of the compute event's instance in its statement.
+    GeometryMismatch unless the event names an instance of a real
     statement of the scop, and binds a field read or write only where the
     statement has one (``kinds`` holds each statement's access kinds)."""
     s = stmts.get(ev.stmt)
+    row = None if s is None else s.rows.get(ev.instance)
     if s is None:
         fault = f"names statement {ev.stmt}, which the scop does not have"
-    elif ev.instance not in s.rows:
+    elif row is None:
         fault = f"names {ev.stmt}{ev.instance}, which is not an instance of {ev.stmt}"
     elif s.is_virtual:
         fault = f"names {ev.stmt}{ev.instance}, an instance of a virtual statement"
@@ -170,7 +173,7 @@ def _check_runnable(stmts: dict, kinds: dict, ev, coord) -> None:
     elif ev.writes and "write" not in kinds[ev.stmt]:
         fault = f"binds a field write for {ev.stmt}{ev.instance}, which writes no field"
     else:
-        return
+        return row
     raise GeometryMismatch(f"compute event on node {coord} {fault}")
 
 
@@ -183,19 +186,19 @@ def run(sim: SimState, scop: Scop):
     stmts = {s.id: s for s in scop.statements}
     kinds = {s.id: {a.kind for a in s.accesses} for s in scop.statements}
     runs = {s.id: instance_runner(scop, s) for s in scop.real_statements()}
-    fmt = lru_cache(maxsize=None)(_fmt_tuple)  # an instance tuple recurs in each split part
+    chunks = {s.id: f"{s.id}({','.join(['%d'] * s.arity)})" for s in scop.statements}  # % an instance
 
     node_events = {coord: plan.events.get(coord, []) for coord in sim.nodes}
+    rows = {}  # node -> per event, a compute event's instance row, else None
     for coord, evs in sorted(node_events.items()):
+        rows[coord] = node_rows = []
         for ev in evs:
-            if ev.kind == "compute":
-                _check_runnable(stmts, kinds, ev, coord)
+            node_rows.append(_check_runnable(stmts, kinds, ev, coord) if ev.kind == "compute" else None)
             check_channel_ends(plan.channels, ev, coord)
 
-    def read(where, decl, element):
-        node, ev = where
+    def read(ev, decl, element):  # ev's read access, on the running node
         if ev.read_from is None:  # made on this node, by the element's last writer
-            return _from_np(node.storage[decl.name][sim._offset(node, decl.name, element)], decl)
+            return node.storage[decl.name].item(sim._offset(node, decl.name, element))
         cid, rank = ev.read_from
         ch = sim.channels[cid]
         if ch.state != SENT:
@@ -205,8 +208,7 @@ def run(sim: SimState, scop: Scop):
             raise BufferStateViolation(f"{ev.stmt}{ev.instance}: reading unwritten buffer slot")
         return ch.slots[rank]
 
-    def store(where, decl, element, value):
-        node, ev = where
+    def store(ev, decl, element, value):
         for w in ev.writes:
             if w[0] == "storage":
                 node.storage[decl.name][sim._offset(node, decl.name, element)] = value
@@ -217,48 +219,46 @@ def run(sim: SimState, scop: Scop):
                     f"{ev.stmt}{ev.instance}: buffer write on channel {w[1]} in state {ch.state}")
             ch.slots[w[2]] = value
 
-    def run_event(node: "NodeState", ev):
-        digest, chunk = "-", ev.chunk
-        if ev.kind == "compute":
-            runs[ev.stmt](stmts[ev.stmt].rows[ev.instance], node.scalars, read, store, (node, ev))
-            chunk = ev.stmt + fmt(ev.instance)
-        elif ev.kind in CALLS:
-            ch = sim.channels[ev.cid]
-            need, leave = CALLS[ev.kind]
-            if ch.state != need:
-                raise BufferStateViolation(f"{ev.kind} on channel {ev.cid} in state {ch.state}")
-            if ev.kind == "send_wait":
-                ch.slots = [None] * plan.channels[ev.cid].layout.size
-            elif ev.kind in ("send", "recv"):
-                digest = _digest(tuple(ch.slots))
-            elif ev.kind == "buffer_fill":
-                name = plan.channels[ev.cid].layout.fieldname
-                ch.slots[ev.rank] = _from_np(node.storage[name][sim._offset(node, name, ev.element)],
-                                             sim.fields[name])
-            ch.state = leave
-        else:
-            raise BufferStateViolation(f"unknown event kind {ev.kind}")
-        sim.trace.log(sim.step, node.coord, ev.kind, chunk, ev.cid, digest)
-        sim.step += 1
-
+    entries = sim.trace.entries
     heap = [(evs[0].scatter, coord) for coord, evs in node_events.items() if evs]
     heapq.heapify(heap)
     parked: dict = {}  # cid -> nodes whose head waits on that channel
     while heap:
         _, coord = heapq.heappop(heap)
-        node = sim.nodes[coord]
-        evs = node_events[coord]
-        ev = evs[node.cursor]
-        if ev.kind in ("send_wait", "recv_wait") and sim.channels[ev.cid].state != CALLS[ev.kind][0]:
-            parked.setdefault(ev.cid, []).append(coord)
-            continue
-        run_event(node, ev)
-        if ev.kind in ("send", "recv"):  # the states a parked head waits for
-            for c in parked.pop(ev.cid, ()):
-                heapq.heappush(heap, (node_events[c][sim.nodes[c].cursor].scatter, c))
-        node.cursor += 1
-        if node.cursor < len(evs):
-            heapq.heappush(heap, (evs[node.cursor].scatter, coord))
+        node, evs, node_rows = sim.nodes[coord], node_events[coord], rows[coord]
+        i = node.cursor
+        while True:  # run the node's heads while each is below every other node's
+            ev, row = evs[i], node_rows[i]
+            if row is not None:
+                runs[ev.stmt](row, node.scalars, read, store, ev)
+                entries.append((len(entries), coord, "compute", chunks[ev.stmt] % ev.instance, ev.cid, "-"))
+            elif ev.kind not in CALLS:
+                raise BufferStateViolation(f"unknown event kind {ev.kind}")
+            elif (ch := sim.channels[ev.cid]).state != CALLS[ev.kind][0]:
+                if ev.kind not in ("send_wait", "recv_wait"):
+                    raise BufferStateViolation(f"{ev.kind} on channel {ev.cid} in state {ch.state}")
+                parked.setdefault(ev.cid, []).append(coord)
+                break
+            else:
+                if ev.kind == "send_wait":
+                    ch.slots = [None] * plan.channels[ev.cid].layout.size
+                elif ev.kind == "buffer_fill":
+                    name = plan.channels[ev.cid].layout.fieldname
+                    ch.slots[ev.rank] = node.storage[name].item(sim._offset(node, name, ev.element))
+                ch.state = CALLS[ev.kind][1]
+                digest = "-"
+                if ev.kind in ("send", "recv"):  # the states a parked head waits for
+                    digest = _digest(tuple(ch.slots))
+                    for c in parked.pop(ev.cid, ()):
+                        heapq.heappush(heap, (node_events[c][sim.nodes[c].cursor].scatter, c))
+                entries.append((len(entries), coord, ev.kind, ev.chunk, ev.cid, digest))
+            node.cursor = i = i + 1
+            if i == len(evs):
+                break
+            key = (evs[i].scatter, coord)
+            if heap and heap[0] < key:  # another node's head, perhaps one just woken, is lower
+                heapq.heappush(heap, key)
+                break
     if parked:
         blocked = sorted(c for cs in parked.values() for c in cs)
         heads = {c: node_events[c][sim.nodes[c].cursor].kind for c in blocked}

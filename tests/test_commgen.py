@@ -377,17 +377,28 @@ def test_protocol_event_order(gol16_ctx):
         assert kinds["send_wait"] < kinds["recv"]
 
 
-def test_storage_writes_only_for_epilogue_flowing(gol16_ctx):
-    scop, virt, dep, fp, sp, chunks, transfers = gol16_ctx
-    plan = compile_plan(virt, dep, fp, sp, chunks)
-    retained = {f.producer for f in dep.epilogue_families()}
+@pytest.mark.parametrize("which", ["gol16", "loopback"])
+def test_storage_writes_exactly_where_homed(gol16_ctx, which):
+    # a compute event stores the element it writes exactly when its node
+    # homes that element; LOOPBACK runs G(x) on the node that does not home
+    # a[x] too, and that execution must not store
+    if which == "gol16":
+        scop, virt, dep, fp, sp, chunks, transfers = gol16_ctx
+        plan = compile_plan(virt, dep, fp, sp, chunks)
+    else:
+        analysis, plan = plan_scop(parse_scop(json.dumps(LOOPBACK)))
+        virt, fp = analysis.scop, analysis.field_placement
+    position = {c: p for p, c in enumerate(virt.grid.nodes)}
+    home = {s.id: fp.homes(acc.field, s.subscripts[j], virt.grid)
+            for s in virt.real_statements() for j, acc in s.writes()}
+    seen = set()
     for node, evs in plan.events.items():
-        for ev in evs:
-            if ev.kind != "compute":
-                continue
-            has_storage = any(w[0] == "storage" for w in ev.writes)
-            if has_storage:
-                assert ev.stmt in retained
+        for ev in (ev for ev in evs if ev.kind == "compute"):
+            homed = ev.stmt in home and home[ev.stmt][virt.statement(ev.stmt).rows[ev.instance]] == position[node]
+            assert (("storage",) in ev.writes) == homed, (node, ev)
+            seen.add((ev.stmt in home, homed))
+    assert (True, True) in seen
+    assert which == "gol16" or (True, False) in seen
 
 
 # Undilated, G's send lands one step after G's last execution, exactly

@@ -1,6 +1,8 @@
 import dataclasses
+import heapq
 import json
 import re
+import types
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from polydist.fields import random_contents
 from polydist.placement import block_distribute, place_statements
 from polydist.scop import ClusterGrid, FieldDecl, isolate_accesses, sequential_execute
 from polydist.scopio import parse_scop
+from polydist import simrt
 from polydist.simrt import init_runtime, run
 
 from oracle import contents_equal, event_key, scan_order, zero_contents
@@ -168,14 +171,39 @@ def trace_kinds(trace):
         ("gol16_fused", (2, 2)),
         ("gol16_fused", (4, 4)),
         ("gol16_fused", (8, 8)),
+        ("gol16_fused", (16, 16)),
+        ("gol32", (2, 2)),
     ],
 )
 def test_heap_order_matches_scan(scops_dir, name, grid):
     # the heap runs the lowest (scatter, node) unblocked head every step,
-    # exactly as a scan over all nodes does
+    # exactly as a scan over all nodes does; gol32 2x2 and gol16_fused
+    # 16x16 hold the longest runs of one node's heads
     scop, virt, plan = build(scops_dir / f"{name}.scop", grid=grid)
     _, trace = run(init_runtime(plan, virt.grid, random_contents(scop, 7)), virt)
     assert trace_kinds(trace) == scan_kinds(plan, virt.grid.nodes)
+
+
+def test_heap_touched_only_when_the_lowest_head_changes_node(scops_dir, monkeypatch):
+    # a node keeps running while its next head is the lowest, so a head goes
+    # back on the heap only when another node's head is lower, which switches
+    # the running node, or when a send or recv wakes the head parked on its
+    # channel; in a run that ends, at most one head waits on a channel at a
+    # time, so the trace's sends and recvs bound the wake-ups
+    scop, virt, plan = build(scops_dir / "gol32.scop", grid=(2, 2))
+    pushes = []
+
+    def heappush(heap, item):
+        pushes.append(item)
+        heapq.heappush(heap, item)
+
+    monkeypatch.setattr(simrt, "heapq", types.SimpleNamespace(
+        heapify=heapq.heapify, heappop=heapq.heappop, heappush=heappush))
+    _, trace = run(init_runtime(plan, virt.grid, random_contents(scop, 7)), virt)
+    nodes = [node for _, node, *_ in trace.entries]
+    switches = sum(a != b for a, b in zip(nodes, nodes[1:]))
+    wakers = sum(kind in ("send", "recv") for _, _, kind, *_ in trace.entries)
+    assert 0 < len(pushes) <= switches + wakers < len(trace.entries) // 50
 
 
 def test_late_release_wakes_the_parked_send_wait(gol16_built):
@@ -198,6 +226,29 @@ def test_late_release_wakes_the_parked_send_wait(gol16_built):
         if tag == ch.cid and (node, kind) in ((ch.src, "send_wait"), (ch.dst, "recv")):
             steps.setdefault(kind, []).append(step)
     assert steps["recv"][0] + 1 == steps["send_wait"][1]
+
+
+def test_woken_head_below_the_running_nodes_next_runs_first(gol16_built):
+    # the consumer releases the first message at the scatter of the producer's
+    # second send_wait, which has parked by then, and has a compute head next:
+    # the woken send_wait is lower, so it runs before that compute
+    scop, virt, plan = gol16_built
+    ch = next(c for c in plan.channels if not c.loopback and c.family.startswith("flow:"))
+    assert ch.src < ch.dst  # the producer's head at a shared scatter runs first
+    send_waits = [ev for ev in plan.events[ch.src] if ev.kind == "send_wait" and ev.cid == ch.cid]
+    evs = list(plan.events[ch.dst])
+    i = next(i for i, ev in enumerate(evs) if ev.kind == "recv" and ev.cid == ch.cid)
+    evs[i] = dataclasses.replace(evs[i], scatter=send_waits[1].scatter)
+    evs.sort(key=event_key)
+    i = next(i for i, ev in enumerate(evs) if ev.kind == "recv" and ev.cid == ch.cid)
+    assert evs[i + 1].kind == "compute"
+    late = dataclasses.replace(plan, events={**plan.events, ch.dst: evs})
+    init = random_contents(scop, 5)
+    final, trace = run(init_runtime(late, virt.grid, init), virt)
+    assert contents_equal(final, sequential_execute(scop, init))
+    assert trace_kinds(trace) == scan_kinds(late, virt.grid.nodes)
+    recv = next(step for step, node, kind, _, tag, _ in trace.entries if (node, kind, tag) == (ch.dst, "recv", ch.cid))
+    assert trace_kinds(trace)[recv + 1] == (ch.src, "send_wait")
 
 
 def drop_send(plan, family, src, dst, which):
