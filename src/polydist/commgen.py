@@ -26,6 +26,10 @@ event stores each home element it writes.  Every epilogue transfer is of
 that kind (epilogue writers run at the homes of their elements), so the
 epilogue needs no event at all.
 
+The plan text (``dump_plan``, ``parse_plan``) states each fact once: a
+channel line gives the channel's family, ends and box, and a channel call
+names its channel by cid, which is also its messages' tag.
+
 Transfers, channel boxes, buffer ranks and buffer bindings stay numpy
 columns indexed by instance row and node position; Python objects are
 made for the plan's channels and events, and for the TransferTuple views
@@ -456,10 +460,14 @@ def _parse_buffer_ref(text: str, channels: list) -> tuple:
     return _check_slot(channels, int(cid), int(rank))
 
 
-def _check_slot(channels: list, cid: int, rank: int) -> tuple:
+def _channel(channels: list, cid: int) -> Channel:
     if not 0 <= cid < len(channels):
         raise ValueError(f"unknown channel cid={cid}")
-    size = channels[cid].layout.size
+    return channels[cid]
+
+
+def _check_slot(channels: list, cid: int, rank: int) -> tuple:
+    size = _channel(channels, cid).layout.size
     if not 0 <= rank < size:
         raise ValueError(f"rank {rank} outside the {size}-slot buffer of channel {cid}")
     return cid, rank
@@ -476,18 +484,11 @@ def dump_plan(plan: CommPlan) -> str:
     fmt = lru_cache(maxsize=None)(_fmt_tuple)  # each distinct tuple formatted once
     lines = [f"plan {plan.name} grid={fmt(plan.grid)} scatter_arity={plan.scatter_arity}"]
     for name, etype, extents in plan.fields:
-        block = tuple(e // g for e, g in zip(extents, plan.grid))  # text only
-        lines.append(
-            f"field {name} {etype} extents={_fmt_tuple(extents)} block={_fmt_tuple(block)}"
-        )
+        lines.append(f"field {name} {etype} extents={_fmt_tuple(extents)}")
         lines.append(f"fieldmap {name} {format_map(plan.field_placement.maps[name])}")
-    etype = {name: t for name, t, _ in plan.fields}
-    ends = []  # per channel, the tail of its send and recv lines
     for ch in plan.channels:
         box = ";".join(f"{lo}:{hi}" for lo, hi in ch.layout.box)
-        ends.append(f"src={fmt(ch.src)} dst={fmt(ch.dst)} tag={ch.cid} size={ch.layout.size}")
-        lines.append(f"channel cid={ch.cid} family={ch.family} {ends[-1]} "
-                     f"elem={etype[ch.layout.fieldname]} box=[{box}]")
+        lines.append(f"channel cid={ch.cid} family={ch.family} src={fmt(ch.src)} dst={fmt(ch.dst)} box=[{box}]")
     writes = lru_cache(maxsize=None)(_fmt_writes)  # each distinct writes tuple formatted once
     t = "(" + ",".join(["%d"] * plan.scatter_arity) + ")"  # a scatter, as _fmt_tuple prints it
     for node in sorted(plan.events):
@@ -498,30 +499,29 @@ def dump_plan(plan: CommPlan) -> str:
                 read = "storage" if ev.read_from is None else "buf:%d@%d" % ev.read_from
                 lines.append(compute % (*ev.scatter, ev.stmt, fmt(ev.instance), read, writes(ev.writes)))
                 continue
-            base = f"{at}{fmt(ev.scatter)} kind={ev.kind}"
+            line = f"{at}{fmt(ev.scatter)} kind={ev.kind} chunk={ev.chunk} cid={ev.cid}"
             if ev.kind == "buffer_fill":
-                lines.append(f"{base} chunk={ev.chunk} cid={ev.cid} elem={fmt(ev.element)} rank={ev.rank}")
-            else:
-                lines.append(f"{base} chunk={ev.chunk} {ends[ev.cid]}")
+                line += f" elem={fmt(ev.element)} rank={ev.rank}"
+            lines.append(line)
     return "\n".join(lines) + "\n"
 
 
 def parse_plan(text: str) -> CommPlan:
-    """Rebuild a plan from its dump; the file is self-contained.
+    """Rebuild a plan from its dump; the file is self-contained and states
+    each fact once.
 
     The field placement is rebuilt by block distribution of each field's
-    extents over the grid, and every ``block=`` and ``fieldmap`` entry must
-    match it, so a parsed plan homes each element on exactly one node.
-    Channels must be numbered in order, each with its cid as its tag, and
-    name a declared field, with its element type and as many box dims as
-    it has; a call line's tag names its channel.  Every event's channel
-    and buffer rank must exist, and its ``t=`` must have scatter_arity
-    entries.  Every event node and channel end must lie in the grid, and
-    every fill element in its channel's field.  A channel's
-    ``size=`` and the ``src=``, ``dst=`` and ``size=`` its call lines
-    repeat must be the channel's, and every event must use its channels
-    at the ends ``check_channel_ends`` requires.  Malformed input raises
-    ParseError with the 1-based line number."""
+    extents over the grid, and every ``fieldmap`` must match it, so a
+    parsed plan homes each element on exactly one node.  A field is
+    declared once.  Channels must be numbered in order and name a declared
+    field, with a box of as many dims as it has, each a non-empty range
+    within the field's extents.  A channel call names its channel by
+    ``cid=``; every event's channel and buffer rank must exist, and its
+    ``t=`` must have scatter_arity entries.  Every event node and channel
+    end must lie in the grid, every fill element in its channel's field,
+    and every event must use its channels at the ends
+    ``check_channel_ends`` requires.  Malformed input raises ParseError
+    with the 1-based line number."""
     numbered = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not numbered:
         raise ParseError("empty plan file", line=1)
@@ -544,12 +544,9 @@ def parse_plan(text: str) -> CommPlan:
             elif parts[0] == "field":
                 decl = FieldDecl(name=parts[1], element_type=parts[2],
                                  extents=tup(kv["extents"]))
+                if decl.name in decls:
+                    raise ValueError(f"field {decl.name} declared twice")
                 homes.update(block_distribute([decl], grid).maps)
-                block = tup(kv["block"])
-                if block != tuple(e // g for e, g in zip(decl.extents, grid.extents)):
-                    raise ValueError(
-                        f"field {decl.name}: block={_fmt_tuple(block)} differs from "
-                        f"block distribution over grid {_fmt_tuple(grid.extents)}")
                 decls[decl.name] = decl
             elif parts[0] == "fieldmap":
                 if parts[1] not in homes:
@@ -566,8 +563,6 @@ def parse_plan(text: str) -> CommPlan:
                 cid = int(kv["cid"])
                 if cid != len(channels):
                     raise ValueError(f"channel cid={cid} out of order, expected {len(channels)}")
-                if kv["tag"] != str(cid):
-                    raise ValueError(f"channel cid={cid} tag={kv['tag']} differs from its cid")
                 fieldname = kv["family"].rsplit(":", 1)[-1]
                 if fieldname not in decls:
                     raise ValueError(f"channel for undeclared field {fieldname}")
@@ -575,20 +570,11 @@ def parse_plan(text: str) -> CommPlan:
                 if len(box) != decl.arity:
                     raise ValueError(f"channel cid={cid} box has {len(box)} dims, "
                                      f"field {fieldname} has {decl.arity}")
-                if kv["elem"] != decl.element_type:
-                    raise ValueError(f"channel cid={cid} elem={kv['elem']} differs from "
-                                     f"field {fieldname}'s {decl.element_type}")
-                ch = Channel(
-                    cid=cid,
-                    family=kv["family"],
-                    src=_within(tup, "src", kv["src"], grid.extents, "grid"),
-                    dst=_within(tup, "dst", kv["dst"], grid.extents, "grid"),
-                    layout=BufferLayout(fieldname=fieldname, box=box),
-                )
-                if int(kv["size"]) != ch.layout.size:
-                    raise ValueError(f"channel cid={cid} size={kv['size']} differs from the "
-                                     f"{ch.layout.size} slots of its box")
-                channels.append(ch)
+                if not all(0 <= lo <= hi < e for (lo, hi), e in zip(box, decl.extents)):
+                    raise ValueError(f"channel cid={cid} box=[{box_text}] is reversed or outside "
+                                     f"field {fieldname} {_fmt_tuple(decl.extents)}")
+                ends = (_within(tup, end, kv[end], grid.extents, "grid") for end in ("src", "dst"))
+                channels.append(Channel(cid, kv["family"], *ends, BufferLayout(fieldname, box)))
             elif parts[0].startswith("node="):
                 node = _within(tup, "node", parts[0].split("=", 1)[1], grid.extents, "grid")
                 scatter = tup(kv["t"])
@@ -603,23 +589,13 @@ def parse_plan(text: str) -> CommPlan:
                     ev = Event(scatter=scatter, kind=kind, stmt=kv["stmt"],
                                instance=tup(kv["i"]), read_from=read,
                                writes=_parse_writes(kv["write"], channels))
-                elif kind == "buffer_fill":
-                    cid, rank = _check_slot(channels, int(kv["cid"]), int(kv["rank"]))
-                    decl = decls[channels[cid].layout.fieldname]
-                    element = _within(tup, "elem", kv["elem"], decl.extents, f"field {decl.name}")
-                    ev = Event(scatter=scatter, kind=kind, chunk=kv["chunk"], cid=cid, element=element,
-                               rank=rank)
                 elif kind in CHANNEL_END:
-                    tag = int(kv["tag"])
-                    if not 0 <= tag < len(channels):
-                        raise ValueError(f"unknown tag {tag}")
-                    ch = channels[tag]
-                    for key, want in (("src", _fmt_tuple(ch.src)), ("dst", _fmt_tuple(ch.dst)),
-                                      ("size", str(ch.layout.size))):
-                        if kv[key] != want:
-                            raise ValueError(f"{key}={kv[key]} differs from channel {ch.cid}'s "
-                                             f"{key}={want}")
-                    ev = Event(scatter=scatter, kind=kind, chunk=kv["chunk"], cid=tag)
+                    ev = Event(scatter=scatter, kind=kind, chunk=kv["chunk"],
+                               cid=_channel(channels, int(kv["cid"])).cid)
+                    if kind == "buffer_fill":
+                        ev.rank = _check_slot(channels, ev.cid, int(kv["rank"]))[1]
+                        decl = decls[channels[ev.cid].layout.fieldname]
+                        ev.element = _within(tup, "elem", kv["elem"], decl.extents, f"field {decl.name}")
                 else:
                     raise ValueError(f"unknown event kind {kind}")
                 check_channel_ends(channels, ev, node)

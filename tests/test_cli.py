@@ -59,8 +59,8 @@ def test_validation_exit_code(gol16_path, tmp_path):
 def test_plan_boundary_channels(gol16_path, tmp_path):
     assert invoke("plan", str(gol16_path), "--grid", "2x2", "--out", str(tmp_path)) == 0
     text = (tmp_path / "plan.txt").read_text()
-    assert "family=flow:S2.2->S1.1:front src=(0,0) dst=(1,0)" in text
-    assert "size=7" in text
+    # a 7-slot box: row 7 of the source block, columns 1-7 inside the border
+    assert "family=flow:S2.2->S1.1:front src=(0,0) dst=(1,0) box=[7:7;1:7]" in text
 
 
 def test_plan_single_node_has_no_channel(gol16_path, tmp_path):
@@ -180,9 +180,9 @@ def test_verify_plan_with_unreleased_message(gol16_path, tmp_path, capsys):
     # ends with that channel sent, whatever the stale values compute
     invoke("plan", str(gol16_path), "--out", str(tmp_path))
     lines = (tmp_path / "plan.txt").read_text().splitlines()
-    tag = next(re.search(r" tag=(\d+) ", ln)[1] for ln in lines
+    tag = next(re.search(r" cid=(\d+) ", ln)[1] for ln in lines
                if ln.startswith("channel") and " family=flow:S2.2->S1.2:front src=(0,1) dst=(0,0) " in ln)
-    dropped = next(i for i, ln in enumerate(lines) if " kind=recv " in ln and f" tag={tag} " in ln)
+    dropped = next(i for i, ln in enumerate(lines) if " kind=recv " in ln and ln.endswith(f" cid={tag}"))
     (tmp_path / "unreleased.txt").write_text("\n".join(lines[:dropped] + lines[dropped + 1:]) + "\n")
     for seed in ("0", "2"):
         rc = invoke("verify", str(gol16_path), "--plan", str(tmp_path / "unreleased.txt"), "--seed", seed)
@@ -328,12 +328,8 @@ def _faulty_plan(gol16_path, tmp_path, kind):
         no = next(i for i, ln in enumerate(lines) if " kind=buffer_fill " in ln)
         lines[no] = re.sub(r" elem=\(\d+,\d+\)", " elem=(15,15)", lines[no])
     else:
-        tag = next(
-            re.search(r" tag=\d+ ", ln)[0]
-            for ln in lines
-            if ln.startswith("channel") and "loopback" not in ln
-        )
-        lines = [ln for ln in lines if not (" kind=send " in ln and tag in ln)]
+        cid = next(re.search(r" cid=\d+", ln)[0] for ln in lines if ln.startswith("channel"))
+        lines = [ln for ln in lines if not (" kind=send " in ln and ln.endswith(cid))]
     plan_file = tmp_path / f"{kind}.txt"
     plan_file.write_text("\n".join(lines) + "\n")
     return plan_file
@@ -549,18 +545,34 @@ def test_scop_validated_once_per_run(gol16_path, capsys, monkeypatch):
     assert len(runs) == 1
 
 
-def test_verify_plan_with_shared_tag(gol16_path, tmp_path, capsys):
-    # channel 4 given channel 0's tag on its channel line and its call lines:
-    # a channel's tag is its cid, so the channel line is the parse error
+def _set_box0(box):
+    return lambda lines: [re.sub(r" box=\[[^]]*\]", f" box={box}", ln) if ln.startswith("channel cid=0 ")
+                          else ln for ln in lines]
+
+
+# edits of the gol16 2x2 plan that must fail to parse: (edit, the line
+# the error names, message)
+BAD_PLANS = {
+    # a box this large would be allocated as the channel's buffer
+    "huge-box": (_set_box0("[0:99999999999;0:99999999999]"), lambda ln: ln.startswith("channel cid=0 "),
+                 "channel cid=0 box=[0:99999999999;0:99999999999] is reversed or outside field front (16,16)"),
+    "box-off-field": (_set_box0("[70:70;1:7]"), lambda ln: ln.startswith("channel cid=0 "),
+                      "channel cid=0 box=[70:70;1:7] is reversed or outside field front (16,16)"),
+    "field-twice": (lambda lines: lines[:1] + ["field front int64 extents=(16,16)"] + lines[1:],
+                    lambda ln: ln.startswith("field front bool "),
+                    "field front declared twice"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PLANS))
+def test_verify_plan_parse_error(gol16_path, tmp_path, capsys, case):
+    edit, at, message = BAD_PLANS[case]
     invoke("plan", str(gol16_path), "--out", str(tmp_path))
-    lines = (tmp_path / "plan.txt").read_text().splitlines()
-    no = next(i for i, ln in enumerate(lines, 1) if ln.startswith("channel cid=4 "))
-    lines = [ln.replace(" tag=4 ", " tag=0 ") for ln in lines]
-    plan_file = tmp_path / "shared.txt"
-    plan_file.write_text("\n".join(lines) + "\n")
-    assert invoke("verify", str(gol16_path), "--plan", str(plan_file)) == 1
-    assert capsys.readouterr().err == (
-        f"parse error: channel cid=4 tag=0 differs from its cid (line {no})\n")
+    lines = edit((tmp_path / "plan.txt").read_text().splitlines())
+    no = next(i for i, ln in enumerate(lines, 1) if at(ln))
+    (tmp_path / "bad.txt").write_text("\n".join(lines) + "\n")
+    assert invoke("verify", str(gol16_path), "--plan", str(tmp_path / "bad.txt")) == 1
+    assert capsys.readouterr().err == f"parse error: {message} (line {no})\n"
 
 
 def _replace_line(n, text):

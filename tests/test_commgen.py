@@ -546,13 +546,13 @@ MALFORMED_PLANS = {
     ),
     "missing_key": (
         lambda ln: " kind=send " in ln,
-        lambda ln: re.sub(r" tag=\d+", "", ln),
-        "missing tag=",
+        lambda ln: re.sub(r" cid=\d+", "", ln),
+        "missing cid=",
     ),
     "unknown_tag": (
         lambda ln: " kind=send " in ln,
-        lambda ln: re.sub(r" tag=\d+", " tag=9999", ln),
-        "unknown tag 9999",
+        lambda ln: re.sub(r" cid=\d+", " cid=9999", ln),
+        "unknown channel cid=9999",
     ),
     "dangling_fill_cid": (
         lambda ln: " kind=buffer_fill " in ln,
@@ -589,10 +589,10 @@ MALFORMED_PLANS = {
         lambda ln: re.sub(r" dst=\(\d+,\d+\)", " dst=(0,0,0)", ln),
         "dst=(0,0,0) outside grid (2,2)",
     ),
-    "edited_block": (
-        lambda ln: ln.startswith("field front"),
-        lambda ln: ln.replace("block=(8,8)", "block=(16,8)"),
-        "block=(16,8) differs from block distribution",
+    "field_declared_twice": (
+        lambda ln: ln.startswith("field back"),
+        lambda ln: "field front int64 extents=(16,16)",
+        "field front declared twice",
     ),
     "fill_elem_short": (
         lambda ln: " kind=buffer_fill " in ln,
@@ -619,30 +619,35 @@ MALFORMED_PLANS = {
         lambda ln: re.sub(r" box=\[[^]]*\]", " box=[1:7]", ln),
         "channel cid=0 box has 1 dims, field front has 2",
     ),
-    "channel_elem_type": (
+    "channel_box_reversed": (
         lambda ln: ln.startswith("channel"),
-        lambda ln: ln.replace(" elem=bool ", " elem=float64 "),
-        "channel cid=0 elem=float64 differs from field front's bool",
+        lambda ln: re.sub(r" box=\[[^]]*\]", " box=[7:7;7:1]", ln),
+        "channel cid=0 box=[7:7;7:1] is reversed or outside field front (16,16)",
+    ),
+    "channel_box_off_field": (
+        lambda ln: ln.startswith("channel"),
+        lambda ln: re.sub(r" box=\[[^]]*\]", " box=[70:70;1:7]", ln),
+        "channel cid=0 box=[70:70;1:7] is reversed or outside field front (16,16)",
     ),
     # channel 0 runs from (0,0) to (1,0), channel 1 from (0,1) to (1,1), and
     # channel 8 carries prologue values from (0,0) to (1,0)
     "send_off_src": (
-        lambda ln: " kind=send " in ln and " tag=0 " in ln,
+        lambda ln: " kind=send " in ln and ln.endswith(" cid=0"),
         lambda ln: ln.replace("node=(0,0)", "node=(1,1)"),
         "send on node (1, 1) uses channel 0, which runs from (0, 0) to (1, 0)",
     ),
     "send_wait_off_src": (
-        lambda ln: " kind=send_wait " in ln and " tag=0 " in ln,
+        lambda ln: " kind=send_wait " in ln and ln.endswith(" cid=0"),
         lambda ln: ln.replace("node=(0,0)", "node=(0,1)"),
         "send_wait on node (0, 1) uses channel 0, which runs from (0, 0) to (1, 0)",
     ),
     "recv_off_dst": (
-        lambda ln: " kind=recv " in ln and " tag=0 " in ln,
+        lambda ln: " kind=recv " in ln and ln.endswith(" cid=0"),
         lambda ln: ln.replace("node=(1,0)", "node=(1,1)"),
         "recv on node (1, 1) uses channel 0, which runs from (0, 0) to (1, 0)",
     ),
     "recv_wait_off_dst": (
-        lambda ln: " kind=recv_wait " in ln and " tag=0 " in ln,
+        lambda ln: " kind=recv_wait " in ln and ln.endswith(" cid=0"),
         lambda ln: ln.replace("node=(1,0)", "node=(0,0)"),
         "recv_wait on node (0, 0) uses channel 0, which runs from (0, 0) to (1, 0)",
     ),
@@ -660,31 +665,6 @@ MALFORMED_PLANS = {
         lambda ln: ln.startswith("node=(0,0)") and "+buf:" in ln,
         lambda ln: re.sub(r"\+buf:\d+@\d+", "+buf:1@0", ln, count=1),
         "compute write on node (0, 0) uses channel 1, which runs from (0, 1) to (1, 1)",
-    ),
-    "channel_tag_not_cid": (
-        lambda ln: ln.startswith("channel cid=4 "),
-        lambda ln: ln.replace(" tag=4 ", " tag=0 "),
-        "channel cid=4 tag=0 differs from its cid",
-    ),
-    "channel_size": (
-        lambda ln: ln.startswith("channel cid=0 "),
-        lambda ln: ln.replace(" size=7 ", " size=5 "),
-        "channel cid=0 size=5 differs from the 7 slots of its box",
-    ),
-    "call_src": (
-        lambda ln: " kind=send " in ln and " tag=0 " in ln,
-        lambda ln: ln.replace(" src=(0,0) ", " src=(0,1) "),
-        "src=(0,1) differs from channel 0's src=(0,0)",
-    ),
-    "call_dst": (
-        lambda ln: " kind=recv " in ln and " tag=0 " in ln,
-        lambda ln: ln.replace(" dst=(1,0) ", " dst=(1,1) "),
-        "dst=(1,1) differs from channel 0's dst=(1,0)",
-    ),
-    "call_size": (
-        lambda ln: " kind=send_wait " in ln and " tag=0 " in ln,
-        lambda ln: ln.replace(" size=7", " size=49"),
-        "size=49 differs from channel 0's size=7",
     ),
     "unknown_kind": (
         lambda ln: " kind=send " in ln,

@@ -13,44 +13,44 @@ import pytest
 from conftest import REPO_ROOT
 from oracle import block_home, block_sizes
 from polydist.cli import main
-from polydist.commgen import build_transfers, dump_plan
+from polydist.commgen import build_transfers, dump_plan, parse_plan
 from polydist.deps import EPILOGUE
 from polydist.pipeline import cap_iterations, override_grid, plan_scop
 from polydist.scopio import parse_scop_file
 
 EXPECTED = {
     ("gol16", "2x2"): {
-        "plan.txt": "87418a56081ee2da7f3b532e497363f0cad0fbbb3f793e15b02c78547fbbd5e9",
+        "plan.txt": "54c0f22ccc4883c8cde64c416316c2708970caac8bf88aaff822bc27fe211717",
         "trace.txt": "a5d5f8a3a9b888b837cd547f2be75360b19ec308cf40204f482af17dd90e9d56",
         "fields.txt": "8720dc71e6251c2ce067a8b9a4fdb5755e7571421572ff3d56a9528dea2dac82",
     },
     ("gol16", "4x4"): {
-        "plan.txt": "cc464de786656477717a9880e6c95c988414a6e9dcde2ac53dd59135151fb985",
+        "plan.txt": "77ad7069227bfab0e32dac7d9a358e843e8203c9c84ad2af3f42057cb8fcd698",
         "trace.txt": "216e9a043bc36825c5a9dede90c3bcbf5da39675287df91fc495eb31203db267",
         "fields.txt": "8720dc71e6251c2ce067a8b9a4fdb5755e7571421572ff3d56a9528dea2dac82",
     },
     ("gol16_fused", "2x2"): {
-        "plan.txt": "fcc63bab852754fea007e8cb3463a215c4a90b2625bfc59430a55071970a6a93",
+        "plan.txt": "90772303fd86dd50f0172096a22a2b76148270f0d29bf82f4bde02f7f420fe58",
         "trace.txt": "a5d5f8a3a9b888b837cd547f2be75360b19ec308cf40204f482af17dd90e9d56",
         "fields.txt": "8720dc71e6251c2ce067a8b9a4fdb5755e7571421572ff3d56a9528dea2dac82",
     },
     ("gol16_fused", "8x8"): {
-        "plan.txt": "dce758085c12f66eec76cff10d92555cfbdc494ba4e238a735492e8c72130a80",
+        "plan.txt": "f76edbcf19b4c7b2d9e36c7e67c00112d29c92e4ffdb5bb9ecb05ebcb9079746",
         "trace.txt": "bf3bbc2b09cfa99afda576764cc7a324f39b2b766b29f95c7a6478c438489464",
         "fields.txt": "8720dc71e6251c2ce067a8b9a4fdb5755e7571421572ff3d56a9528dea2dac82",
     },
     ("gol16_fused", "16x16"): {
-        "plan.txt": "ea872344117d2701e89d4a5ca409a42116e6f0d51f0321c9f97eb7f992896abb",
+        "plan.txt": "5070a8686f6c7fbd7f88c42e71677dfed702992b0ddd81d5a6c6ca3a21cf7caa",
         "trace.txt": "7587b6bf8789da454f2d252b667243ae5ee7f1d553e8563988e3787937058de1",
         "fields.txt": "8720dc71e6251c2ce067a8b9a4fdb5755e7571421572ff3d56a9528dea2dac82",
     },
     ("gol32", "2x2"): {
-        "plan.txt": "216eddd47432bbfe57c2ab06288a20124289ff284650ccd5c8dbde6d17e3c03f",
+        "plan.txt": "33983a6541cfdbb72e76a154760c9cca347fb405cf8f4f271485d10e33f4f1b9",
         "trace.txt": "bd5f05d1a85a0cf664445ff770c43ad2ad65c5d0daf83b2d8c3cd6f797c96b73",
         "fields.txt": "819ade320055e4b61c6d130a1f7d7274dec4410805a51ba3931f4c6a1743c2aa",
     },
     ("gol32", "4x4"): {
-        "plan.txt": "18a7daf1c4d64b619cf26b52a9657c04386061e09fdc5da83533ba8accbadec1",
+        "plan.txt": "02b17ecb1b31a164278608c557360deab80712165af108b4bd816418eeb4d4d0",
         "trace.txt": "738bbfd175b531d73c5bdfc3794835ea565896e98d00a373c1c7e3baea5bf7a1",
         "fields.txt": "819ade320055e4b61c6d130a1f7d7274dec4410805a51ba3931f4c6a1743c2aa",
     },
@@ -64,6 +64,33 @@ def test_simulate_outputs_pinned(scops_dir, tmp_path, scop, grid):
     assert main(argv) == 0
     for name, digest in EXPECTED[(scop, grid)].items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+    text = (tmp_path / "plan.txt").read_text()
+    assert dump_plan(parse_plan(text)) == text
+
+
+# the keys each line kind of a plan states: a fact derived from another
+# entry (a tag, a size, an element type, a block size) is not among them
+PLAN_KEYS = {
+    "field": {"extents"},
+    "channel": {"cid", "family", "src", "dst", "box"},
+    "compute": {"t", "kind", "stmt", "i", "read", "write"},
+    **{call: {"t", "kind", "chunk", "cid"} for call in ("send_wait", "send", "recv_wait", "recv")},
+    "buffer_fill": {"t", "kind", "chunk", "cid", "elem", "rank"},
+}
+
+
+def test_plan_lines_state_each_fact_once(scops_dir, tmp_path):
+    assert main(["plan", str(scops_dir / "gol16.scop"), "--grid", "2x2", "--out", str(tmp_path)]) == 0
+    seen = set()
+    for ln in (tmp_path / "plan.txt").read_text().splitlines()[1:]:
+        head, *rest = ln.split()
+        if head == "fieldmap":
+            continue
+        kv = dict(p.split("=", 1) for p in rest if "=" in p)
+        kind = kv["kind"] if head.startswith("node=") else head
+        assert set(kv) == PLAN_KEYS[kind], ln
+        seen.add(kind)
+    assert seen == set(PLAN_KEYS)
 
 
 @pytest.mark.parametrize("scop, grid", sorted(EXPECTED))
