@@ -30,7 +30,7 @@ from .isets import (
     union,
 )
 from .pipeline import Analysis, analyze_scop, plan_scop
-from .placement import FieldPlacement, StmtPlacement, block_distribute, place_statements
+from .placement import Placement, block_distribute, place_statements
 from .scop import ClusterGrid, FieldDecl, Scop, Statement, isolate_accesses, sequential_execute
 from .scopio import parse_scop, parse_scop_file, print_scop
 from .simrt import SimState, Trace, init_runtime, run
@@ -48,15 +48,14 @@ __all__ = [
     "CommPlan",
     "DepGraph",
     "FieldDecl",
-    "FieldPlacement",
     "FlowFamily",
     "IntMap",
     "IntSet",
+    "Placement",
     "Scop",
     "SimState",
     "Space",
     "Statement",
-    "StmtPlacement",
     "Trace",
     "TransferTuple",
     "add_virtual_statements",

@@ -22,9 +22,9 @@ from field storage, each family as a single chunk.
 Only values that cross nodes travel.  A transfer whose producer runs on
 the consumer's node, for an element homed there, has no channel: the
 consumer reads the element from its node's storage, where every compute
-event stores each home element it writes.  Every epilogue transfer is of
-that kind (epilogue writers run at the homes of their elements), so the
-epilogue needs no event at all.
+event stores each home element it writes.  The epilogue has no transfers
+and no events: its writers run at the homes of the elements they leave,
+which ``emit_protocol`` checks.
 
 The plan text (``dump_plan``, ``parse_plan``) states each fact once: a
 channel line gives the channel's family, ends and box, and a channel call
@@ -48,7 +48,7 @@ import numpy as np
 from .deps import EPILOGUE, PROLOGUE, DepGraph, FlowFamily
 from .errors import AnalysisError, GeometryMismatch, ParseError, ValidationError
 from .isets import distinct_rows, row_major_strides, unique_rows
-from .placement import FieldPlacement, StmtPlacement, block_distribute
+from .placement import Placement, block_distribute
 from .scop import ClusterGrid, FieldDecl, Scop
 from .syntax import format_map
 
@@ -155,7 +155,7 @@ class CommPlan:
     grid: tuple
     scatter_arity: int
     fields: tuple  # (name, element_type, extents)
-    field_placement: FieldPlacement
+    field_placement: Placement
     channels: list
     events: dict  # node -> sorted list[Event]; an event's node is its key
 
@@ -206,45 +206,42 @@ def _family_key(fam: FlowFamily) -> str:
     return f"flow:{fam.producer}->{fam.consumer}:{fam.ref}"
 
 
-def build_transfers(dep: DepGraph, sp: StmtPlacement, fp: FieldPlacement, chunkings: dict) -> dict:
-    """Resolved transfers per family key, as ``Transfers`` columns.
+def build_transfers(dep: DepGraph, sp: Placement, fp: Placement, chunkings: dict) -> dict:
+    """Resolved transfers per family key, as ``Transfers`` columns; the
+    epilogue's families have none.
 
     Every (producer execution, consumer execution, element) pair of a
     family is resolved once per consumer node: the producer node is the
     consumer's own node when the producer runs there, else the smallest
     node the producer runs on.  For the virtual prologue the producer
-    nodes are the element's homes; for the virtual epilogue the consumer
-    nodes are.  Nodes come from the placement's node tables by instance
-    row; element homes and chunk representatives are computed column-wise
-    from the family table.
+    nodes are the element's homes.  Nodes come from the placement's node
+    tables by instance row; element homes and chunk representatives are
+    computed column-wise from the family table.
     """
     grid = dep.scop.grid
     n = len(grid.nodes)
     placed = {s.id: sp.node_rows(s, grid) for s in dep.scop.statements}
     out: dict = {}
     for fam, (prod_rows, cons_rows) in zip(dep.families, dep.pair_rows):
-        if fam.kind != "field":
+        if fam.kind != "field" or fam.consumer == EPILOGUE:
             continue
         key = _family_key(fam)
         phi = chunkings.get((fam.producer, fam.consumer, fam.ref))
         a, b = fam.n_prod, fam.n_prod + fam.n_cons
-        if fam.producer == PROLOGUE or fam.consumer == EPILOGUE:  # a single chunk
-            homes = fp.homes(fam.ref, fam.table[:, b:], grid)
+        if fam.producer == PROLOGUE:  # a single chunk
             reps, chunk = np.zeros((1, 0), dtype=np.int64), np.zeros(len(fam.table), dtype=np.intp)
         elif phi is None:
             raise AnalysisError(f"no chunking function for family {key}")
         else:
             reps, chunk, _ = unique_rows(phi.apply_rows(fam.table[:, a:b]))
-        if fam.consumer == EPILOGUE:
-            pair, cons = np.arange(len(fam.table)), homes
-        else:  # each pair once per node its consumer runs on
-            at, where = placed[fam.consumer]
-            start = np.searchsorted(at, cons_rows)
-            count = np.searchsorted(at, cons_rows, side="right") - start
-            pair = np.repeat(np.arange(len(cons_rows)), count)
-            cons = where[np.arange(len(pair)) + np.repeat(start - np.cumsum(count) + count, count)]
+        # each pair once per node its consumer runs on
+        at, where = placed[fam.consumer]
+        start = np.searchsorted(at, cons_rows)
+        count = np.searchsorted(at, cons_rows, side="right") - start
+        pair = np.repeat(np.arange(len(cons_rows)), count)
+        cons = where[np.arange(len(pair)) + np.repeat(start - np.cumsum(count) + count, count)]
         if fam.producer == PROLOGUE:
-            prod = homes[pair]
+            prod = fp.homes(fam.ref, fam.table[pair, b:], grid)
         else:
             at, where = placed[fam.producer]
             here = np.isin(prod_rows[pair] * n + cons, at * n + where)
@@ -264,7 +261,7 @@ def group_chunks(transfers: dict) -> dict:
 # Protocol emission
 
 
-def emit_protocol(scop: Scop, dep: DepGraph, fp: FieldPlacement, sp: StmtPlacement, chunked: dict) -> CommPlan:
+def emit_protocol(scop: Scop, dep: DepGraph, fp: Placement, sp: Placement, chunked: dict) -> CommPlan:
     """Assemble the per-node event lists from transfers grouped by chunk.
     Channel boxes, buffer ranks, scatter extremes and the buffer bindings
     of the compute events are computed on the transfer columns; Python
@@ -300,17 +297,20 @@ def emit_protocol(scop: Scop, dep: DepGraph, fp: FieldPlacement, sp: StmtPlaceme
         blocks = bindings.get((sid, kind)) or [(np.zeros(0, dtype=np.int64),) * 3]
         return [np.concatenate(c) for c in zip(*blocks)]
 
+    # no epilogue events: each writer instance runs at the home of the element it leaves
+    for fam, (prod_rows, _) in zip(dep.families, dep.pair_rows):
+        if fam.kind == "field" and fam.consumer == EPILOGUE:
+            at, where = sp.node_rows(scop.statement(fam.producer), scop.grid)
+            homes = fp.homes(fam.ref, fam.table[:, fam.n_prod + fam.n_cons :], scop.grid)
+            if not np.isin(prod_rows * n + homes, at * n + where).all():
+                raise AnalysisError(f"epilogue family {_family_key(fam)} has a transfer between nodes")
+
     for key, ts in chunked.items():
         fam, fld = ts.family, scop.field(ts.family.ref)
-        local = ts.producer_node == ts.consumer_node
-        if fam.consumer == EPILOGUE:
-            if not local.all():
-                raise AnalysisError(f"epilogue family {key} has a transfer between nodes")
-            continue
         # a value made on the consumer's node for an element homed there is
         # read from that node's storage
         homes = fp.homes(fam.ref, fam.table[ts.pair, fam.n_prod + fam.n_cons :], scop.grid)
-        local &= homes == ts.consumer_node
+        local = (ts.producer_node == ts.consumer_node) & (homes == ts.consumer_node)
         bind(fam.consumer, "read", ts.consumer_row[local], ts.consumer_node[local], -1, -1)
         ts = ts.take(~local)
         if not len(ts):
@@ -412,7 +412,7 @@ def emit_protocol(scop: Scop, dep: DepGraph, fp: FieldPlacement, sp: StmtPlaceme
     )
 
 
-def compile_plan(scop: Scop, dep: DepGraph, fp: FieldPlacement, sp: StmtPlacement, chunkings: dict) -> CommPlan:
+def compile_plan(scop: Scop, dep: DepGraph, fp: Placement, sp: Placement, chunkings: dict) -> CommPlan:
     transfers = build_transfers(dep, sp, fp, chunkings)
     chunked = group_chunks(transfers)
     return emit_protocol(scop, dep, fp, sp, chunked)
@@ -420,6 +420,15 @@ def compile_plan(scop: Scop, dep: DepGraph, fp: FieldPlacement, sp: StmtPlacemen
 
 # ---------------------------------------------------------------------------
 # Plan text format
+
+
+# the keys each kind of line takes, by its head and by an event's kind; a
+# fieldmap line holds map text instead
+_LINE_KEYS = {"plan": {"grid", "scatter_arity"}, "field": {"extents"},
+              "channel": {"cid", "family", "src", "dst", "box"}}
+_EVENT_KEYS = {"compute": {"t", "kind", "stmt", "i", "read", "write"},
+               "buffer_fill": {"t", "kind", "chunk", "cid", "elem", "rank"},
+               **dict.fromkeys(("send_wait", "send", "recv_wait", "recv"), {"t", "kind", "chunk", "cid"})}
 
 
 def _fmt_tuple(t) -> str:
@@ -508,7 +517,7 @@ def dump_plan(plan: CommPlan) -> str:
 
 def parse_plan(text: str) -> CommPlan:
     """Rebuild a plan from its dump; the file is self-contained and states
-    each fact once.
+    each fact once, and each line only the keys its kind takes, each once.
 
     The field placement is rebuilt by block distribution of each field's
     extents over the grid, and every ``fieldmap`` must match it, so a
@@ -533,8 +542,16 @@ def parse_plan(text: str) -> CommPlan:
 
     for i, (no, ln) in enumerate(numbered):
         parts = ln.split()
-        kv = dict(p.split("=", 1) for p in parts[1:] if "=" in p)
+        pairs = [p.split("=", 1) for p in parts[1:] if "=" in p]
+        kv = dict(pairs)
         try:
+            event = parts[0].startswith("node=")
+            kind = kv["kind"] if event else parts[0]
+            allowed = (_EVENT_KEYS if event else _LINE_KEYS).get(kind)
+            if allowed is not None and (len(kv) < len(pairs) or not kv.keys() <= allowed):
+                # the first key not taken or given twice
+                bad = next(k for j, (k, _) in enumerate(pairs) if k not in allowed or k in dict(pairs[:j]))
+                raise ValueError(f"{bad}= given twice" if bad in allowed else f"{kind} line takes no {bad}=")
             if i == 0:
                 if parts[0] != "plan":
                     raise ValueError(f"not a plan file: {ln!r}")
@@ -542,8 +559,7 @@ def parse_plan(text: str) -> CommPlan:
                 grid = ClusterGrid(tup(kv["grid"]))
                 scatter_arity = int(kv["scatter_arity"])
             elif parts[0] == "field":
-                decl = FieldDecl(name=parts[1], element_type=parts[2],
-                                 extents=tup(kv["extents"]))
+                decl = FieldDecl(name=parts[1], element_type=parts[2], extents=tup(kv["extents"]))
                 if decl.name in decls:
                     raise ValueError(f"field {decl.name} declared twice")
                 homes.update(block_distribute([decl], grid).maps)
@@ -552,9 +568,8 @@ def parse_plan(text: str) -> CommPlan:
                 if parts[1] not in homes:
                     raise ValueError(f"fieldmap for undeclared field {parts[1]}")
                 if ln.split(None, 2)[2] != format_map(homes[parts[1]]):
-                    raise ValueError(
-                        f"fieldmap {parts[1]} differs from block distribution over "
-                        f"grid {_fmt_tuple(grid.extents)}")
+                    raise ValueError(f"fieldmap {parts[1]} differs from block distribution over "
+                                     f"grid {_fmt_tuple(grid.extents)}")
             elif parts[0] == "channel":
                 box_text = kv["box"][1:-1]
                 box = tuple(
@@ -575,17 +590,14 @@ def parse_plan(text: str) -> CommPlan:
                                      f"field {fieldname} {_fmt_tuple(decl.extents)}")
                 ends = (_within(tup, end, kv[end], grid.extents, "grid") for end in ("src", "dst"))
                 channels.append(Channel(cid, kv["family"], *ends, BufferLayout(fieldname, box)))
-            elif parts[0].startswith("node="):
+            elif event:
                 node = _within(tup, "node", parts[0].split("=", 1)[1], grid.extents, "grid")
                 scatter = tup(kv["t"])
                 if len(scatter) != scatter_arity:
                     raise ValueError(f"t={_fmt_tuple(scatter)} has {len(scatter)} entries, "
                                      f"scatter_arity is {scatter_arity}")
-                kind = kv["kind"]
                 if kind == "compute":
-                    read = None
-                    if kv["read"] != "storage":
-                        read = _parse_buffer_ref(kv["read"], channels)
+                    read = None if kv["read"] == "storage" else _parse_buffer_ref(kv["read"], channels)
                     ev = Event(scatter=scatter, kind=kind, stmt=kv["stmt"],
                                instance=tup(kv["i"]), read_from=read,
                                writes=_parse_writes(kv["write"], channels))
@@ -613,7 +625,7 @@ def parse_plan(text: str) -> CommPlan:
         grid=grid.extents,
         scatter_arity=scatter_arity,
         fields=tuple((d.name, d.element_type, d.extents) for d in decls.values()),
-        field_placement=FieldPlacement(homes),
+        field_placement=Placement(homes),
         channels=channels,
         events={node: evs for node, evs in sorted(events.items())},
     )

@@ -54,6 +54,7 @@ from .isets import (
     enumerate_set,
     enumerate_table,
     eq0,
+    find_rows,
     ge0,
     is_empty,
     lex_lt_pieces,
@@ -231,9 +232,10 @@ class DepGraph:
     def pair_rows(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per family, in ``families`` order, the producer's and consumer's
         rows in ``Statement.instances``, one per pair in table order: each
-        column block is searched at once (``Statement.find_rows``)."""
-        return [(self.scop.statement(f.producer).find_rows(f.table[:, : f.n_prod]),
-                 self.scop.statement(f.consumer).find_rows(f.table[:, f.n_prod : f.n_prod + f.n_cons]))
+        column block is searched at once (``isets.find_rows``)."""
+        stmt = self.scop.statement
+        return [(find_rows(stmt(f.producer).instances, f.table[:, : f.n_prod]),
+                 find_rows(stmt(f.consumer).instances, f.table[:, f.n_prod : f.n_prod + f.n_cons]))
                 for f in self.families]
 
     @cached_property

@@ -941,6 +941,20 @@ def unique_rows(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows[new], inverse, order[new]
 
 
+def find_rows(table: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Every point's row in a table of distinct rows in lexicographic order,
+    by binary search over row-major keys in the table's bounding box (they
+    ascend like the rows); -1 for a point that is no row."""
+    if not len(table):
+        return np.full(len(points), -1)
+    lo, ext = table.min(axis=0), table.max(axis=0) - table.min(axis=0) + 1
+    stride = row_major_strides(ext[None])[0]
+    keys, want = (((t - lo) * stride).sum(axis=1) for t in (table, points))
+    rows = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+    hit = ((points >= lo) & (points < lo + ext)).all(axis=1) & (keys[rows] == want)
+    return np.where(hit, rows, -1)
+
+
 def row_major_strides(ext: np.ndarray) -> np.ndarray:
     """Row-major strides in boxes of the given extents, one box per row;
     exact (``exact_table``) by the size of the largest box."""

@@ -8,13 +8,7 @@ from .chunking import chunk_all, dump_chunks
 from .commgen import CommPlan, compile_plan
 from .deps import DepGraph, add_virtual_statements, compute_flow, dump_deps
 from .isets import AffineExpr, IntSet, ge0, intersect
-from .placement import (
-    FieldPlacement,
-    StmtPlacement,
-    block_distribute,
-    dump_placements,
-    place_statements,
-)
+from .placement import Placement, block_distribute, dump_placements, place_statements
 from .scop import ClusterGrid, Scop, isolate_accesses
 
 __all__ = ["Analysis", "analyze_scop", "plan_scop", "override_grid", "cap_iterations"]
@@ -24,8 +18,8 @@ __all__ = ["Analysis", "analyze_scop", "plan_scop", "override_grid", "cap_iterat
 class Analysis:
     scop: Scop  # isolated, with virtual statements
     dep: DepGraph
-    field_placement: FieldPlacement
-    stmt_placement: StmtPlacement
+    field_placement: Placement
+    stmt_placement: Placement
     chunkings: dict
 
     def dump_deps(self) -> str:

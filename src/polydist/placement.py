@@ -9,6 +9,8 @@ fixpoint; statements still unplaced are seeded at the homes of the
 elements they read from the prologue.  Instances still without a node
 adopt the lexicographically smallest node any dependence neighbor runs
 on, and as a last resort run on node 0, so every instance gets a node.
+Both kinds of map are a ``Placement``, read from its enumerated points
+by one row search (``isets.find_rows``) whatever pieces the map has.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import IndivisibleExtent, UnsatisfiablePlacement, ValidationError
+from .errors import AnalysisError, IndivisibleExtent, UnsatisfiablePlacement, ValidationError
 from .deps import DepGraph
 from .isets import (
     AffineExpr,
@@ -29,6 +31,7 @@ from .isets import (
     conjoin,
     embed_pieces,
     enumerate_table,
+    find_rows,
     inverse,
     is_empty,
     map_domain,
@@ -37,15 +40,13 @@ from .isets import (
     map_union,
     restrict_domain,
     select_lex_extreme,
-    solve_block,
     subtract,
 )
-from .scop import ClusterGrid, Scop, Statement, evaluate_rows
+from .scop import ClusterGrid, Scop, Statement
 from .syntax import format_map
 
 __all__ = [
-    "FieldPlacement",
-    "StmtPlacement",
+    "Placement",
     "block_distribute",
     "place_statements",
     "dump_placements",
@@ -53,48 +54,39 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class FieldPlacement:
-    """The home map of every field."""
+class Placement:
+    """Where field elements live or statement instances run: one map per
+    field (element -> home node) or per statement (instance -> executing
+    nodes), each read from its enumerated points."""
 
-    maps: dict  # field name -> IntMap (indexset -> grid)
+    maps: dict  # field name or statement id -> IntMap (to grid)
 
     @cached_property
-    def _home_exprs(self) -> dict:
-        """Field name -> its one-piece map's grid dims as expressions of the element."""
-        out = {}
-        for name, m in self.maps.items():
-            (piece,), arity = m.pieces, m.n_in + m.n_out
-            exprs, _ = solve_block(arity, piece, range(m.n_in, arity), range(m.n_in))
-            out[name] = [exprs[d] for d in range(m.n_in, arity)]
-        return out
+    def table(self) -> dict:
+        """Name -> its map's points, enumerated once: one row of domain
+        point ++ node columns per node, in lexicographic order."""
+        return {name: enumerate_table(m.as_set()) for name, m in self.maps.items()}
 
     def homes(self, name: str, elements: np.ndarray, grid: ClusterGrid) -> np.ndarray:
         """The home of every element of a table, the field's map at that
         element, as a position in ``grid.nodes``."""
-        return grid.index(evaluate_rows(self._home_exprs[name], elements))
-
-
-@dataclass(frozen=True)
-class StmtPlacement:
-    maps: dict  # statement id -> IntMap (domain -> grid)
-
-    @cached_property
-    def table(self) -> dict:
-        """Statement id -> its map's points, enumerated once: one row of
-        instance ++ node columns per executing node, in lexicographic order."""
-        return {sid: enumerate_table(m.as_set()) for sid, m in self.maps.items()}
+        t, n = self.table[name], elements.shape[1]
+        rows = find_rows(t[:, :n], elements)
+        if (rows < 0).any():  # a -1 would read the table's last row
+            raise AnalysisError(f"field {name} has no home for element {tuple(elements[rows < 0][0].tolist())}")
+        return grid.index(t[rows, n:])
 
     def node_rows(self, s: Statement, grid: ClusterGrid) -> tuple[np.ndarray, np.ndarray]:
         """Where the instances of s run: per table row, the instance's row
         in ``s.instances`` and the node's position in ``grid.nodes``,
         ascending by row and then node.  Points off the domain are dropped."""
         t = self.table[s.id]
-        rows = s.find_rows(t[:, : s.arity])
+        rows = find_rows(s.instances, t[:, : s.arity])
         keep = rows >= 0
         return rows[keep], grid.index(t[keep, s.arity :])
 
 
-def block_distribute(fields, grid: ClusterGrid) -> FieldPlacement:
+def block_distribute(fields, grid: ClusterGrid) -> Placement:
     """pi(k) = floor(k_d / B_d) per dimension with B_d = extent_d / grid_d."""
     maps = {}
     for f in fields:
@@ -115,10 +107,10 @@ def block_distribute(fields, grid: ClusterGrid) -> FieldPlacement:
             for d in range(n)
         ]
         maps[f.name] = restrict_domain(IntMap.from_exprs(f.space, grid.space, exprs), f.indexset)
-    return FieldPlacement(maps=maps)
+    return Placement(maps=maps)
 
 
-def _access_to_grid(scop: Scop, s: Statement, acc, fp: FieldPlacement) -> IntMap:
+def _access_to_grid(scop: Scop, s: Statement, acc, fp: Placement) -> IntMap:
     """Map statement instances to the home nodes of the accessed elements."""
     fld = scop.field(acc.field)
     if acc.index_exprs is None:
@@ -137,7 +129,7 @@ def _full_node_map(s: Statement, grid: ClusterGrid) -> IntMap:
     return IntMap.make(s.space, grid.space, combined)
 
 
-def place_statements(scop: Scop, dep: DepGraph, fp: FieldPlacement) -> StmtPlacement:
+def place_statements(scop: Scop, dep: DepGraph, fp: Placement) -> Placement:
     grid = scop.grid
     placements: dict[str, IntMap] = {}
 
@@ -229,10 +221,10 @@ def place_statements(scop: Scop, dep: DepGraph, fp: FieldPlacement) -> StmtPlace
         )
         current = placements.get(s.id)
         placements[s.id] = fallback if current is None else map_union(current, fallback)
-    return StmtPlacement(maps=placements)
+    return Placement(maps=placements)
 
 
-def dump_placements(scop: Scop, fp: FieldPlacement, sp: StmtPlacement) -> str:
+def dump_placements(scop: Scop, fp: Placement, sp: Placement) -> str:
     lines = []
     for f in scop.fields:
         lines.append(f"pi {f.name} = {format_map(fp.maps[f.name])}")

@@ -17,8 +17,7 @@ import numpy as np
 
 from .errors import EvaluationError, ValidationError
 from .exprs import PureFunction, compile_expr, compile_functions
-from .isets import (AffineExpr, IntSet, Space, enumerate_table, exact_table, point_table,
-                    row_major_strides, unique_rows)
+from .isets import AffineExpr, IntSet, Space, enumerate_table, exact_table, point_table, unique_rows
 
 __all__ = [
     "FieldDecl",
@@ -134,20 +133,6 @@ class Statement:
     def rows(self) -> dict:
         """Instance tuple -> its row in ``instances``, in row order."""
         return {p: r for r, p in enumerate(map(tuple, self.instances.tolist()))}
-
-    def find_rows(self, points: np.ndarray) -> np.ndarray:
-        """The row in ``instances`` of every point of a table, by binary
-        search over row-major keys in the instances' bounding box (they
-        ascend like the rows); -1 for a point that is no instance."""
-        inst = self.instances
-        if not len(inst):
-            return np.full(len(points), -1)
-        lo, ext = inst.min(axis=0), inst.max(axis=0) - inst.min(axis=0) + 1
-        stride = row_major_strides(ext[None])[0]
-        keys, want = (((t - lo) * stride).sum(axis=1) for t in (inst, points))
-        rows = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
-        hit = ((points >= lo) & (points < lo + ext)).all(axis=1) & (keys[rows] == want)
-        return np.where(hit, rows, -1)
 
     @cached_property
     def scatters(self) -> np.ndarray:
@@ -375,14 +360,6 @@ def isolate_accesses(scop: Scop) -> Scop:
 FieldContents = dict  # field name -> numpy array
 
 
-def _from_np(value, fld: FieldDecl):
-    if fld.element_type == "bool":
-        return bool(value)
-    if fld.element_type == "int64":
-        return int(value)
-    return float(value)
-
-
 def _check_store(value, fld: FieldDecl):
     if fld.element_type == "bool":
         if not isinstance(value, bool):
@@ -410,7 +387,7 @@ def sequential_execute(scop: Scop, init: FieldContents) -> FieldContents:
         fields[f.name] = arr
 
     def read(fields, decl, element):
-        return _from_np(fields[decl.name][element], decl)
+        return fields[decl.name].item(element)
 
     def store(fields, decl, element, value):
         fields[decl.name][element] = value

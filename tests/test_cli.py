@@ -550,6 +550,13 @@ def _set_box0(box):
                           else ln for ln in lines]
 
 
+def _append_to_first(pick, text):
+    def edit(lines):
+        no = next(i for i, ln in enumerate(lines) if pick(ln))
+        return lines[:no] + [lines[no] + text] + lines[no + 1:]
+    return edit
+
+
 # edits of the gol16 2x2 plan that must fail to parse: (edit, the line
 # the error names, message)
 BAD_PLANS = {
@@ -561,6 +568,12 @@ BAD_PLANS = {
     "field-twice": (lambda lines: lines[:1] + ["field front int64 extents=(16,16)"] + lines[1:],
                     lambda ln: ln.startswith("field front bool "),
                     "field front declared twice"),
+    "channel-derived-keys": (
+        _append_to_first(lambda ln: ln.startswith("channel cid=0 "), " tag=3 size=999 elem=float64 block=(1,1)"),
+        lambda ln: ln.startswith("channel cid=0 "), "channel line takes no tag="),
+    "write-twice": (
+        _append_to_first(lambda ln: ln.endswith(" read=storage write=storage"), " write=none"),
+        lambda ln: ln.endswith(" write=storage write=none"), "write= given twice"),
 }
 
 

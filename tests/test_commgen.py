@@ -42,7 +42,7 @@ from polydist.isets import (
     union,
 )
 from polydist.pipeline import override_grid, plan_scop
-from polydist.placement import StmtPlacement, block_distribute, place_statements
+from polydist.placement import Placement, block_distribute, place_statements
 from polydist.scop import isolate_accesses, sequential_execute
 from polydist.scopio import parse_scop, parse_scop_file
 from polydist.simrt import init_runtime, run
@@ -61,12 +61,17 @@ def gol16_ctx(gol16_path):
     return scop, virt, dep, fp, sp, chunks, transfers
 
 
+def transferred_families(dep):
+    """The field families build_transfers resolves: all but the epilogue's."""
+    return [fam for fam in dep.field_families() if fam.consumer != EPILOGUE]
+
+
 def brute_force_transfers(dep, sp):
     """Pointwise oracle for the resolved transfer relation: for every flow
     pair and consumer execution, the producer node is the consumer's node
     when the producer executed there, else the smallest producer node."""
     out = {}
-    for fam in dep.field_families():
+    for fam in transferred_families(dep):
         key = (fam.producer, fam.consumer, fam.ref)
         blocks = block_sizes(dep.scop.field(fam.ref).extents, dep.scop.grid.extents)
         rows = set()
@@ -75,11 +80,7 @@ def brute_force_transfers(dep, sp):
                 prod_nodes = [block_home(k, blocks)]
             else:
                 prod_nodes = stmt_nodes(sp, fam.producer, ig)
-            if fam.consumer == EPILOGUE:
-                cons_nodes = [block_home(k, blocks)]
-            else:
-                cons_nodes = stmt_nodes(sp, fam.consumer, ic)
-            for pc in cons_nodes:
+            for pc in stmt_nodes(sp, fam.consumer, ic):
                 pg = pc if pc in prod_nodes else min(prod_nodes)
                 rows.add((ig, pg, ic, pc, k))
         out[key] = rows
@@ -90,19 +91,18 @@ def exec_relation(fam, sp, fp) -> IntSet:
     """Relation over (i_G ++ i_C ++ k ++ p_C ++ p_G) of candidate transfers.
 
     For the virtual prologue the producer executions are the element's
-    homes; for the virtual epilogue the consumer executions are."""
+    homes."""
     n_g, n_c, n_k = fam.n_prod, fam.n_cons, fam.n_elem
     prod_by_element = fam.producer == PROLOGUE
-    cons_by_element = fam.consumer == EPILOGUE
     prod_rel = fp.maps[fam.ref] if prod_by_element else sp.maps[fam.producer]
-    cons_rel = fp.maps[fam.ref] if cons_by_element else sp.maps[fam.consumer]
+    cons_rel = sp.maps[fam.consumer]
     n_p = prod_rel.n_out
     arity = n_g + n_c + n_k + 2 * n_p
     k_dims = [n_g + n_c + i for i in range(n_k)]
     pc_dims = [n_g + n_c + n_k + i for i in range(n_p)]
     pg_dims = [n_g + n_c + n_k + n_p + i for i in range(n_p)]
     pieces = embed_pieces(fam.rel.pieces, list(range(n_g + n_c + n_k)), arity)
-    cmap = (k_dims if cons_by_element else [n_g + i for i in range(n_c)]) + pc_dims
+    cmap = [n_g + i for i in range(n_c)] + pc_dims
     gmap = (k_dims if prod_by_element else list(range(n_g))) + pg_dims
     cons_pieces = embed_pieces(cons_rel.pieces, cmap, arity)
     prod_pieces = embed_pieces(prod_rel.pieces, gmap, arity)
@@ -135,7 +135,7 @@ def select_producer_node(t: IntSet, n_p: int) -> IntSet:
 
 def assert_symbolic_selection(dep, sp, fp, transfers, n_p):
     """The selection rule solved on sets picks exactly the resolved tuples."""
-    for fam in dep.field_families():
+    for fam in transferred_families(dep):
         selected = select_producer_node(exec_relation(fam, sp, fp), n_p)
         got = {
             t.producer_instance + t.consumer_instance + t.element + t.consumer_node + t.producer_node
@@ -153,7 +153,7 @@ def test_transfers_match_pointwise_oracle(gol16_ctx):
     scop, virt, dep, fp, sp, chunks, transfers = gol16_ctx
     oracle = brute_force_transfers(dep, sp)
 
-    for fam in dep.field_families():
+    for fam in transferred_families(dep):
         got = {
             (t.producer_instance, t.producer_node, t.consumer_instance, t.consumer_node, t.element)
             for t in transfers[_family_key(fam)]
@@ -262,8 +262,8 @@ def multi_ctx():
     away = parse_map("{ [x] -> [1 - floor(x/4)] : 0 <= x < 8 }", dom=g.space, ran=grid)
     placements = {
         "computed": sp,
-        "redundant": StmtPlacement(maps={**sp.maps, "G": both}),
-        "away": StmtPlacement(maps={**sp.maps, "G": away}),
+        "redundant": Placement(maps={**sp.maps, "G": both}),
+        "away": Placement(maps={**sp.maps, "G": away}),
     }
     return virt, dep, fp, placements, chunk_all(dep)
 
@@ -665,6 +665,17 @@ MALFORMED_PLANS = {
         lambda ln: ln.startswith("node=(0,0)") and "+buf:" in ln,
         lambda ln: re.sub(r"\+buf:\d+@\d+", "+buf:1@0", ln, count=1),
         "compute write on node (0, 0) uses channel 1, which runs from (0, 1) to (1, 1)",
+    ),
+    # a derived entry on a channel line, and a later write= that would win
+    "channel_unknown_keys": (
+        lambda ln: ln.startswith("channel cid=0 "),
+        lambda ln: ln + " tag=3 size=999 elem=float64 block=(1,1)",
+        "channel line takes no tag=",
+    ),
+    "compute_key_twice": (
+        lambda ln: ln.endswith(" read=storage write=storage"),
+        lambda ln: ln + " write=none",
+        "write= given twice",
     ),
     "unknown_kind": (
         lambda ln: " kind=send " in ln,

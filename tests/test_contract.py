@@ -185,21 +185,24 @@ def test_perfbench_pipeline_runs(scops_dir):
     assert out["counts"]["plan_sha256"] == expected
 
 
-# perfbench's workloads: (scop, grid, plan_events, plan_messages)
+# perfbench's workloads: (scop, grid, plan_events, plan_messages, and the
+# per-layer commgen.transfers, which counts no epilogue transfer)
 PLAN_COUNTS = {
-    "gol16_fused-8x8": ("scops/gol16_fused.scop", [8, 8], 8372, 672),
-    "gol32-2x2": ("scops/gol32.scop", [2, 2], 24516, 24),
+    "gol16_fused-8x8": ("scops/gol16_fused.scop", [8, 8], 8372, 672, 3528),
+    "gol32-2x2": ("scops/gol32.scop", [2, 2], 24516, 24, 16200),
 }
 
 
 @pytest.mark.parametrize("workload", sorted(PLAN_COUNTS))
 def test_perfbench_plan_counts_pinned(workload):
     sample, spans = _perfbench("sample"), _perfbench("spans")
-    scop, grid, events, messages = PLAN_COUNTS[workload]
+    scop, grid, events, messages, transfers = PLAN_COUNTS[workload]
     cfg = {"scop": scop, "grid": grid, "iters": None, "contents_seeds": []}
     out = sample.run_pipeline(cfg, REPO_ROOT, spans.NullRecorder(), _Probe())
     assert out["failures"] == []
-    assert (out["counts"]["plan_events"], out["counts"]["plan_messages"]) == (events, messages)
+    counts = out["counts"]
+    assert (counts["plan_events"], counts["plan_messages"], counts["commgen.transfers"]) == (
+        events, messages, transfers)
 
 
 def test_perfbench_tampered_plan_fails_each_seed():

@@ -9,7 +9,7 @@ from test_contract import EXPECTED
 from polydist.cli import main
 from polydist.commgen import CommPlan
 from polydist.deps import add_virtual_statements, compute_flow
-from polydist.errors import IndivisibleExtent
+from polydist.errors import AnalysisError, IndivisibleExtent
 from polydist.fields import random_contents
 from polydist.isets import (
     IntMap,
@@ -18,11 +18,12 @@ from polydist.isets import (
     map_domain,
     restrict_domain,
 )
-from polydist.placement import block_distribute, place_statements, dump_placements
+from polydist.placement import Placement, block_distribute, place_statements, dump_placements
 from polydist.pipeline import cap_iterations, override_grid
 from polydist.scop import ClusterGrid, FieldDecl, isolate_accesses
 from polydist.scopio import parse_scop, parse_scop_file
 from polydist.simrt import init_runtime
+from polydist.syntax import parse_map
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +66,28 @@ def test_block_distribute_single_node():
     for idx in [(0, 0), (7, 9), (15, 15)]:
         assert block_home(idx, block_sizes(f.extents, grid.extents)) == (0, 0)
         assert home_of(fp, "f", idx, grid) == (0, 0)
+
+
+def _pieced(text):
+    """A placement of one 1-D field of 8 elements on a 2-node grid by a map of pieces."""
+    f, grid = FieldDecl("f", "int64", (8,)), ClusterGrid((2,))
+    return Placement({"f": parse_map(text, dom=f.space, ran=grid.space)}), grid
+
+
+def test_homes_of_a_map_of_pieces():
+    # a block-cyclic-like map: one home per element, read from its piece
+    p, grid = _pieced("{ f[k] -> P[0] : 0 <= k <= 1; f[k] -> P[1] : 2 <= k <= 5; "
+                      "f[k] -> P[0] : 6 <= k <= 7 }")
+    assert p.homes("f", np.arange(8)[:, None], grid).tolist() == [0, 0, 1, 1, 1, 1, 0, 0]
+
+
+@pytest.mark.parametrize("element", [2, 3, 8, -1])
+def test_homes_of_an_unplaced_element_rejected(element):
+    # elements in the map's hole and outside its box: no row, and none wraps
+    # to the table's last row
+    p, grid = _pieced("{ f[k] -> P[0] : 0 <= k <= 1; f[k] -> P[1] : 4 <= k <= 7 }")
+    with pytest.raises(AnalysisError, match=rf"^field f has no home for element \({element},\)$"):
+        p.homes("f", np.array([[0], [element], [7]]), grid)
 
 
 def test_block_distribute_indivisible():
