@@ -426,6 +426,7 @@ def compile_plan(scop: Scop, dep: DepGraph, fp: Placement, sp: Placement, chunki
 # fieldmap line holds map text instead
 _LINE_KEYS = {"plan": {"grid", "scatter_arity"}, "field": {"extents"},
               "channel": {"cid", "family", "src", "dst", "box"}}
+_LINE_WORDS = {"plan": 1, "field": 2, "channel": 0}  # bare tokens: the name, a field's type
 _EVENT_KEYS = {"compute": {"t", "kind", "stmt", "i", "read", "write"},
                "buffer_fill": {"t", "kind", "chunk", "cid", "elem", "rank"},
                **dict.fromkeys(("send_wait", "send", "recv_wait", "recv"), {"t", "kind", "chunk", "cid"})}
@@ -517,7 +518,8 @@ def dump_plan(plan: CommPlan) -> str:
 
 def parse_plan(text: str) -> CommPlan:
     """Rebuild a plan from its dump; the file is self-contained and states
-    each fact once, and each line only the keys its kind takes, each once.
+    each fact once, and each line only the keys its kind takes, each once,
+    and only its bare tokens (the header's name, a field's name and type).
 
     The field placement is rebuilt by block distribution of each field's
     extents over the grid, and every ``fieldmap`` must match it, so a
@@ -552,6 +554,10 @@ def parse_plan(text: str) -> CommPlan:
                 # the first key not taken or given twice
                 bad = next(k for j, (k, _) in enumerate(pairs) if k not in allowed or k in dict(pairs[:j]))
                 raise ValueError(f"{bad}= given twice" if bad in allowed else f"{kind} line takes no {bad}=")
+            words = [p for p in parts[1:] if "=" not in p]
+            taken = 0 if event else _LINE_WORDS.get(kind, len(words))  # fieldmap lines are map text
+            if len(words) > taken:
+                raise ValueError(f"{kind} line takes no {words[taken]!r}")
             if i == 0:
                 if parts[0] != "plan":
                     raise ValueError(f"not a plan file: {ln!r}")

@@ -23,7 +23,9 @@ positive constants may nest, and ``IntSet.make`` lifts them once into a
 the piece's columns and then its constant.  The columns are the space's
 dimensions followed by the piece's division columns: each division column
 q is floor(e/d) of a row e over earlier columns, bounded by the two
-ordinary rows d*q <= e <= d*q + d - 1.  Normalisation, propagation,
+ordinary rows d*q <= e <= d*q + d - 1.  An ``AffineExpr`` is kept as
+written, and each of its floor terms gets its own column; only
+``normalize_piece`` makes them canonical.  Normalisation, propagation,
 scanning, projection and coalescing work on these rows and have no case
 of their own for divisions; a division whose definition uses a projected
 dimension becomes one more dimension to project.  All symbolic
@@ -126,46 +128,18 @@ class DivTerm:
     inner: "AffineExpr"
     div: int
 
+    def __post_init__(self):
+        if self.div < 1:
+            raise ValueError("floordiv divisor must be positive")
+
 
 @dataclass(frozen=True)
 class AffineExpr:
-    """sum(coeffs[i] * x_i) + const + sum(div terms), over a fixed arity."""
+    """sum(coeffs[i] * x_i) + const + sum(div terms) over a fixed arity, as written."""
 
     coeffs: tuple[int, ...]
     const: int = 0
     divs: tuple[DivTerm, ...] = ()
-
-    def __post_init__(self):
-        if not self.divs:
-            return
-        # Normalize: fold constant inners, merge identical div terms, drop zeros.
-        divs = []
-        const = self.const
-        for dt in self.divs:
-            if dt.div <= 0:
-                raise ValueError("floordiv divisor must be positive")
-            if dt.coeff == 0:
-                continue
-            if dt.inner.is_constant():
-                const += dt.coeff * (dt.inner.const // dt.div)
-                continue
-            divs.append(dt)
-        merged: dict[tuple, DivTerm] = {}
-        for dt in divs:
-            key = (dt.inner.key(), dt.div)
-            if key in merged:
-                prev = merged[key]
-                merged[key] = DivTerm(prev.coeff + dt.coeff, dt.inner, dt.div)
-            else:
-                merged[key] = dt
-        final = tuple(
-            sorted(
-                (dt for dt in merged.values() if dt.coeff != 0),
-                key=lambda dt: (dt.div, dt.inner.key(), dt.coeff),
-            )
-        )
-        object.__setattr__(self, "divs", final)
-        object.__setattr__(self, "const", const)
 
     # -- constructors -------------------------------------------------------
 
@@ -183,13 +157,6 @@ class AffineExpr:
 
     def is_constant(self) -> bool:
         return not self.divs and all(c == 0 for c in self.coeffs)
-
-    def key(self):
-        return (
-            self.coeffs,
-            self.const,
-            tuple((dt.coeff, dt.div, dt.inner.key()) for dt in self.divs),
-        )
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -286,24 +253,19 @@ class Piece:
 
 
 def _lift(constraints: Iterable[Constraint]) -> Piece:
-    """Constraints as rows, with one division column per distinct floor term."""
+    """Constraints as rows, with one division column per written floor term
+    (``normalize_piece`` merges equal ones)."""
     constraints = list(constraints)
     if not constraints:
         return Piece()
     n = len(constraints[0].expr.coeffs)
-    divs: list[tuple] = []  # (d, sorted (col, coeff) items, const)
-    cols: dict[tuple, int] = {}
+    divs: list[tuple] = []  # (d, {col: coeff}, const)
 
     def terms(expr: AffineExpr) -> tuple[dict, int]:
         row = {i: c for i, c in enumerate(expr.coeffs) if c}
         for dt in expr.divs:
-            inner, const = terms(dt.inner)
-            key = (dt.div, tuple(sorted(inner.items())), const)
-            if key not in cols:
-                cols[key] = n + len(divs)
-                divs.append(key)
-            j = cols[key]
-            row[j] = row.get(j, 0) + dt.coeff
+            divs.append((dt.div, *terms(dt.inner)))
+            row[n + len(divs) - 1] = dt.coeff
         return row, expr.const
 
     sparse = [(int(c.is_eq),) + terms(c.expr) for c in constraints]
@@ -312,10 +274,7 @@ def _lift(constraints: Iterable[Constraint]) -> Piece:
     def dense(head: int, row: dict, const: int) -> tuple:
         return (head, *(row.get(j, 0) for j in range(m)), const)
 
-    return Piece(
-        tuple(dense(d, dict(items), const) for d, items, const in divs),
-        tuple(dense(*s) for s in sparse),
-    )
+    return Piece(tuple(dense(*dv) for dv in divs), tuple(dense(*s) for s in sparse))
 
 
 def conjoin(*parts) -> Piece:
@@ -1514,15 +1473,18 @@ def select_lex_extreme(s: IntSet, n_group: int, maximize: bool) -> IntSet:
     return drop_dominated(s, s, [*range(n_group), *range(n, arity)], later)
 
 
+def _term_key(dt: DivTerm) -> tuple:
+    """Print order of floor terms: by divisor, then by inner expression."""
+    e = dt.inner
+    return (dt.div, e.coeffs, e.const, tuple((t.coeff, *_term_key(t)) for t in e.divs))
+
+
 def row_expr(arity: int, piece: Piece, coeffs: Sequence[int], const: int = 0) -> AffineExpr:
     """Coefficients over the piece's columns as an AffineExpr over its
-    dims, each division column turned back into a floor term."""
-    terms = tuple(
-        DivTerm(c, row_expr(arity, piece, dv[1:-1], dv[-1]), dv[0])
-        for c, dv in zip(coeffs[arity:], piece.divs)
-        if c
-    )
-    return AffineExpr(tuple(coeffs[:arity]), const, terms)
+    dims, each division column turned back into a floor term (in print order)."""
+    terms = sorted((DivTerm(c, row_expr(arity, piece, dv[1:-1], dv[-1]), dv[0])
+                    for c, dv in zip(coeffs[arity:], piece.divs) if c), key=_term_key)
+    return AffineExpr(tuple(coeffs[:arity]), const, tuple(terms))
 
 
 def solve_block(arity: int, piece: Piece, block: Sequence[int], free: Sequence[int]):

@@ -96,7 +96,10 @@ def _parse_statement(sd: dict, pos: int) -> Statement:
         except ParseError as e:
             raise ParseError(f"{at}: bad index: {e}")
         field, kind = _entry(ad, "field", str, at), _entry(ad, "kind", str, at)
-        accesses.append(AccessRef(field=field, kind=kind, index_exprs=idx))
+        try:
+            accesses.append(AccessRef(field=field, kind=kind, index_exprs=idx))
+        except ValidationError as e:
+            raise ValidationError(f"{at}: {e}") from None
     return Statement(
         id=sid,
         domain=domain,

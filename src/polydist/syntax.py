@@ -186,9 +186,12 @@ def _parse_factor(tk: _Tokens, env: dict[str, int], arity: int) -> AffineExpr:
                 tk._fail(at, "floor divisor must be a positive integer")
             tk.expect(")")
             try:
-                return AffineExpr((0,) * arity, 0, (DivTerm(1, inner, int(div)),))
+                term = DivTerm(1, inner, int(div))
             except ValueError as e:  # a divisor below 1
                 tk._fail(at, str(e))
+            if inner.is_constant():
+                return AffineExpr.constant(arity, inner.const // term.div)
+            return AffineExpr((0,) * arity, 0, (term,))
         if value not in env:
             tk._fail(tk.last(), f"unknown variable {value!r}")
         return AffineExpr.var(arity, env[value])

@@ -545,6 +545,116 @@ def test_scop_validated_once_per_run(gol16_path, capsys, monkeypatch):
     assert len(runs) == 1
 
 
+def _access0(**entries):
+    return lambda d: d["statements"][0]["accesses"][0].update(entries)
+
+
+def _domain0_with(condition):
+    return lambda d: d["statements"][0].update(
+        domain="{ [i,x,y] : 0 <= i < 3 and 1 <= x < 15 and 1 <= y < 15 and " + condition + " }")
+
+
+_WRITE_FRONT = {"field": "front", "kind": "write", "index": ["x", "y"]}
+
+# edits of gol16's document and the exit code and single stderr line each
+# must end in: 2 for a documented invariant it breaks, 1 for a wrong shape
+BAD_SCOPS = {
+    "duplicate-field": (lambda d: d["fields"][1].update(name="front"), 2,
+                        "validation error: duplicate field names"),
+    "duplicate-statement": (lambda d: d["statements"][1].update(id="S1.1"), 2,
+                            "validation error: duplicate statement ids"),
+    "schedule-arity": (lambda d: d["statements"][0].update(schedule="{ [i,x,y] -> [0,i,0,x,0,y] }"), 2,
+                       "validation error: S1.1: schedule arity 6 != scatter arity 7"),
+    "two-writes": (lambda d: d["statements"][6]["accesses"].append(_WRITE_FRONT), 2,
+                   "validation error: S1.7: more than one write access"),
+    "undeclared-field": (_access0(field="ghost"), 2,
+                         "validation error: S1.1: access to undeclared field 'ghost'"),
+    "index-count": (_access0(index=["x"]), 2,
+                    "validation error: S1.1: access to front has 1 indexes, field has 2 dimensions"),
+    "index-floor": (_access0(index=["floor(x/2)", "y"]), 2,
+                    "validation error: S1.1: access index expressions must be affine"),
+    # a written floor term is not affine even when its coefficients cancel
+    "index-floor-cancels": (_access0(index=["x + floor(y/2) - floor(y/2)", "y"]), 2,
+                            "validation error: S1.1: access index expressions must be affine"),
+    "index-floor-times-0": (_access0(index=["x + 0*floor(y/2)", "y"]), 2,
+                            "validation error: S1.1: access index expressions must be affine"),
+    "no-body": (lambda d: d["statements"][6].pop("body"), 2,
+                "validation error: S1.7: writing statement has no body"),
+    "element-type": (lambda d: d["fields"][0].update(type="int8"), 2,
+                     "validation error: field front: unknown element type int8"),
+    "extent-0": (lambda d: d["fields"][0].update(extents=[0, 16]), 2,
+                 "validation error: field front: extents must all be >= 1"),
+    "grid-0": (lambda d: d.update(grid=[0, 2]), 2, "validation error: grid extents must all be >= 1"),
+    "access-kind": (_access0(kind="update"), 2,
+                    "validation error: statement S1.1 access 0: access kind must be read or write, got 'update'"),
+    "function-not-object": (lambda d: d["functions"].update(hasLife=5), 1,
+                            "parse error: function hasLife: must be an object"),
+    "bad-domain": (lambda d: d["statements"][0].update(domain="{ [i,x,y] : 0 <= i < }"), 1,
+                   "parse error: statement S1.1: bad domain: unexpected token '}' (line 1, column 22)"),
+    "bad-schedule": (lambda d: d["statements"][0].update(schedule="{ [i,x,y] -> [0,i }"), 1,
+                     "parse error: statement S1.1: bad schedule: expected ']' (line 1, column 20)"),
+    "product-floor-cancels": (_domain0_with("(floor(x/2) - floor(x/2))*y >= 0"), 1,
+                              "parse error: statement S1.1: bad domain: products of two variables are not "
+                              "affine (line 1, column 85)"),
+    "product-floor-times-0": (_domain0_with("0*floor(x/2)*y >= 0"), 1,
+                              "parse error: statement S1.1: bad domain: products of two variables are not "
+                              "affine (line 1, column 72)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SCOPS))
+def test_bad_scop_document(gol16_path, tmp_path, capsys, case):
+    edit, code, message = BAD_SCOPS[case]
+    path = tmp_path / "bad.scop"
+    path.write_text(json.dumps(_gol16_doc(gol16_path, edit)))
+    assert invoke("print", str(path)) == code
+    assert capsys.readouterr().err == message + "\n"
+
+
+def test_scop_document_not_an_object(tmp_path, capsys):
+    path = tmp_path / "list.scop"
+    path.write_text("[]")
+    assert invoke("print", str(path)) == 1
+    assert capsys.readouterr().err == "parse error: scop document must be a JSON object\n"
+
+
+def test_floor_of_a_constant_in_a_subscript_validates(gol16_path, tmp_path, capsys):
+    path = tmp_path / "const-floor.scop"
+    path.write_text(json.dumps(_gol16_doc(gol16_path, _access0(index=["x + 1 - floor(4/2)", "y"]))))
+    assert invoke("print", str(path)) == 0
+    assert json.loads(capsys.readouterr().out)["statements"][0]["accesses"][0]["index"] == ["x - 1", "y"]
+
+
+@pytest.mark.parametrize("options, message", [
+    (["--grid", "2xx"], "bad grid spec '2xx', expected e.g. 2x2"),
+    (["--iters", "-1"], "--iters must be >= 0"),
+    (["--grid", "2x2x2"], "field front has 2 dims, grid has 3"),
+    (["--grid", "3x3"], "field front dim 0: extent 16 not divisible by grid 3"),
+], ids=["grid-spec", "iters", "grid-arity", "grid-indivisible"])
+def test_bad_option_is_a_validation_error(gol16_path, capsys, options, message):
+    assert invoke("verify", str(gol16_path), *options) == 2
+    assert capsys.readouterr().err == f"validation error: {message}\n"
+
+
+def test_verify_reports_the_first_divergence(gol16_path, tmp_path, capsys):
+    """A plan that runs without a fault but drops one store: simulate
+    accepts it, verify names the first element that differs."""
+    invoke("plan", str(gol16_path), "--grid", "2x2", "--out", str(tmp_path))
+    lines = (tmp_path / "plan.txt").read_text().splitlines()
+    no = next(i for i, ln in enumerate(lines) if ln.endswith(" write=storage"))
+    assert lines[no] == ("node=(0,0) t=(0,0,0,2,0,2,14,0) kind=compute stmt=S1.7 i=(0,1,1) "
+                         "read=storage write=storage")
+    lines[no] = lines[no].replace(" write=storage", " write=none")
+    plan_file = tmp_path / "no-store.txt"
+    plan_file.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    argv = (str(gol16_path), "--grid", "2x2", "--seed", "7", "--plan", str(plan_file))
+    assert invoke("verify", *argv) == 4
+    assert capsys.readouterr().out == (
+        "verify: FAIL first divergence field=back index=(1, 1) expected=True got=False\n")
+    assert invoke("simulate", *argv) == 0
+
+
 def _set_box0(box):
     return lambda lines: [re.sub(r" box=\[[^]]*\]", f" box={box}", ln) if ln.startswith("channel cid=0 ")
                           else ln for ln in lines]
@@ -555,6 +665,18 @@ def _append_to_first(pick, text):
         no = next(i for i, ln in enumerate(lines) if pick(ln))
         return lines[:no] + [lines[no] + text] + lines[no + 1:]
     return edit
+
+
+def _replace_in_first(pick, old, new):
+    def edit(lines):
+        no = next(i for i, ln in enumerate(lines) if pick(ln))
+        assert old in lines[no]
+        return lines[:no] + [lines[no].replace(old, new, 1)] + lines[no + 1:]
+    return edit
+
+
+def _is_channel0(ln):
+    return ln.startswith("channel cid=0 ")
 
 
 # edits of the gol16 2x2 plan that must fail to parse: (edit, the line
@@ -574,6 +696,24 @@ BAD_PLANS = {
     "write-twice": (
         _append_to_first(lambda ln: ln.endswith(" read=storage write=storage"), " write=none"),
         lambda ln: ln.endswith(" write=storage write=none"), "write= given twice"),
+    # a bare token beyond the name (header) or the name and type (field)
+    "channel-stray-token": (_append_to_first(_is_channel0, " stray"), _is_channel0,
+                            "channel line takes no 'stray'"),
+    "field-stray-token": (_append_to_first(lambda ln: ln.startswith("field "), " junk"),
+                          lambda ln: ln.endswith(" junk"), "field line takes no 'junk'"),
+    "compute-stray-token": (_append_to_first(lambda ln: " kind=compute " in ln, " extra"),
+                            lambda ln: ln.endswith(" extra"), "compute line takes no 'extra'"),
+    "fieldmap-undeclared": (_replace_in_first(lambda ln: ln.startswith("fieldmap front "), "front", "ghost"),
+                            lambda ln: ln.startswith("fieldmap ghost "), "fieldmap for undeclared field ghost"),
+    "channel-out-of-order": (_replace_in_first(_is_channel0, "cid=0", "cid=1"),
+                             lambda ln: ln.startswith("channel cid=1 family=flow:S2.2->S1.1:"),
+                             "channel cid=1 out of order, expected 0"),
+    "channel-undeclared-field": (_replace_in_first(_is_channel0, ":front ", ":ghost "), _is_channel0,
+                                 "channel for undeclared field ghost"),
+    "bare-field": (lambda lines: lines[:1] + ["field"] + lines[1:], lambda ln: ln == "field",
+                   "incomplete line 'field'"),
+    "bad-buffer-ref": (_replace_in_first(lambda ln: " read=buf:" in ln, "read=buf:", "read=bf:"),
+                       lambda ln: " read=bf:" in ln, "bad buffer reference 'bf:10@0'"),
 }
 
 

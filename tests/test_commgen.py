@@ -677,6 +677,32 @@ MALFORMED_PLANS = {
         lambda ln: ln + " write=none",
         "write= given twice",
     ),
+    # a bare token beyond the ones a line kind takes (header 1, field 2, others 0)
+    "header_stray_token": (
+        lambda ln: ln.startswith("plan "),
+        lambda ln: ln + " again",
+        "plan line takes no 'again'",
+    ),
+    "field_stray_token": (
+        lambda ln: ln.startswith("field "),
+        lambda ln: ln + " junk",
+        "field line takes no 'junk'",
+    ),
+    "channel_stray_token": (
+        lambda ln: ln.startswith("channel cid=0 "),
+        lambda ln: ln + " stray",
+        "channel line takes no 'stray'",
+    ),
+    "compute_stray_token": (
+        lambda ln: " kind=compute " in ln,
+        lambda ln: ln + " extra",
+        "compute line takes no 'extra'",
+    ),
+    "send_stray_token": (
+        lambda ln: " kind=send " in ln,
+        lambda ln: ln.replace(" kind=send ", " kind=send now "),
+        "send line takes no 'now'",
+    ),
     "unknown_kind": (
         lambda ln: " kind=send " in ln,
         lambda ln: ln.replace(" kind=send ", " kind=sned "),

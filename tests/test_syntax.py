@@ -4,7 +4,7 @@ import re
 import pytest
 
 from polydist.errors import ParseError
-from polydist.isets import Space, apply, enumerate_set
+from polydist.isets import AffineExpr, Space, apply, enumerate_set
 from polydist.syntax import format_map, format_set, parse_expr, parse_map, parse_set
 
 from oracle import (
@@ -60,6 +60,29 @@ def test_floor_rows_print_in_expression_key_order():
     printed golden dumps expect, not by their raw column tuples."""
     s = parse_set("{ [x, y] : 0 <= x <= 9 and y = floor(x/2) + 1 and y = 2 }")
     assert format_set(s) == "{ [x, y] : 0 <= x <= 9 and y = 2 and y = floor(x/2) + 1 }"
+
+
+def test_floor_terms_print_by_divisor_then_inner():
+    """A row's floor terms print in the order of (divisor, inner
+    expression), not in column order, where floor(y/3) comes first
+    because the other term uses it."""
+    s = parse_set("{ [x, y] : 0 <= x <= 9 and 0 <= y <= 9 and "
+                  "floor(y/3) + floor((x + floor(y/3))/2) >= 2 }")
+    assert format_set(s).endswith(" and floor((x + floor(y/3))/2) + floor(y/3) >= 2 }")
+
+
+def test_floor_of_a_constant_is_a_constant():
+    assert parse_expr("floor(6/3)*x + floor(-7/2)", Space("s", ("x",))) == AffineExpr((2,), -4)
+
+
+@pytest.mark.parametrize("text, column", [("(floor(x/2) - floor(x/2))*y", 26), ("0*floor(x/2)*y", 13)],
+                         ids=["cancels", "times-0"])
+def test_written_floor_term_times_a_variable_is_rejected(text, column):
+    """A written floor term is not a constant, even when its coefficients
+    cancel or are 0."""
+    with pytest.raises(ParseError, match="^products of two variables are not affine") as exc:
+        parse_expr(text, Space("s", ("x", "y")))
+    assert exc.value.column == column
 
 
 def test_parse_multi_piece():
