@@ -59,8 +59,8 @@ __all__ = [
     "Channel",
     "Event",
     "CommPlan",
-    "CHANNEL_END",
-    "check_channel_ends",
+    "CALLS",
+    "check_windows",
     "build_transfers",
     "group_chunks",
     "emit_protocol",
@@ -108,10 +108,15 @@ class Channel:
         return self.src == self.dst
 
 
-# the order of events at one scatter: channel calls, then the rest
-_PHASE = {"recv": 0, "send": 1, "recv_wait": 2, "send_wait": 3, "compute": 4, "buffer_fill": 4}
-# the end of its channel each channel call runs at
-CHANNEL_END = {"send_wait": "src", "send": "src", "buffer_fill": "src", "recv_wait": "dst", "recv": "dst"}
+IDLE, FILLING, SENT, RECEIVED = "idle", "filling", "sent", "received"  # a channel's states
+# per call: the end it runs at, its phase at a scatter (compute: 4), the state it needs and leaves
+Call = namedtuple("Call", "end phase needs leaves")
+CALLS = {"recv": Call("dst", 0, RECEIVED, IDLE), "send": Call("src", 1, FILLING, SENT),
+         "recv_wait": Call("dst", 2, SENT, RECEIVED), "send_wait": Call("src", 3, IDLE, FILLING),
+         "buffer_fill": Call("src", 4, FILLING, FILLING)}
+# per call: its end, whether it needs the end's window open and whether it leaves it open;
+# a window is open while the end holds the buffer, in FILLING at the src, RECEIVED at the dst
+_WINDOW = {k: (c.end, c.needs in (FILLING, RECEIVED), c.leaves in (FILLING, RECEIVED)) for k, c in CALLS.items()}
 
 
 @dataclass(slots=True)
@@ -128,25 +133,38 @@ class Event:
     rank: int = -1
 
 
-def check_channel_ends(channels: list, ev: Event, node: tuple) -> None:
-    """GeometryMismatch unless the event, run on the node, uses each
-    channel at the end that holds its buffer there: a channel call at its
-    ``CHANNEL_END``, a compute event's buffer read at the destination and
-    its buffer writes at the source."""
-    if ev.kind in CHANNEL_END:
-        _check_end(channels[ev.cid], CHANNEL_END[ev.kind], node, ev.kind)
-        return
-    if ev.read_from is not None:
-        _check_end(channels[ev.read_from[0]], "dst", node, "compute read")
-    for w in ev.writes:
-        if w[0] == "buffer":
-            _check_end(channels[w[1]], "src", node, "compute write")
+def check_windows(channels: list, node: tuple, events, windows: set) -> None:
+    """GeometryMismatch unless each event, run in order on the node, uses its channels at
+    their ends and inside their windows: ``send_wait`` and ``recv_wait`` open their end's
+    window and must find it closed, ``send`` and ``recv`` close it and must find it open,
+    and a fill or buffer write lies in the src window, a buffer read in the dst window.
+    ``windows`` holds the open windows as (cid, end, node) and is updated in place."""
+    for ev in events:
+        kind = ev.kind
+        if kind == "compute":  # a window opened on this node passed the end check
+            if ev.read_from is not None and (ev.read_from[0], "dst", node) not in windows:
+                _outside(channels[ev.read_from[0]], "dst", node, "compute read", True)
+            if ev.writes not in ((), (("storage",),)):  # some write goes to a buffer
+                for w in ev.writes:
+                    if w[0] == "buffer" and (w[1], "src", node) not in windows:
+                        _outside(channels[w[1]], "src", node, "compute write", True)
+        elif kind in _WINDOW:
+            end, was, now = _WINDOW[kind]
+            ch, key = channels[ev.cid], (ev.cid, end, node)
+            if (ch.src if end == "src" else ch.dst) != node or (key in windows) != was:
+                _outside(ch, end, node, kind, was)
+            (windows.add if now else windows.discard)(key)
+        else:
+            raise GeometryMismatch(f"unknown event kind {kind}")
 
 
-def _check_end(ch: Channel, end: str, node: tuple, what: str) -> None:
+def _outside(ch: Channel, end: str, node: tuple, what: str, was: bool) -> None:
+    """GeometryMismatch: off the channel's end, else its window not ``was`` (open if true)."""
     if getattr(ch, end) != node:
         raise GeometryMismatch(f"{what} on node {node} uses channel {ch.cid}, "
                                f"which runs from {ch.src} to {ch.dst}")
+    raise GeometryMismatch(f"{what} on node {node} finds the {end} window of channel {ch.cid} "
+                           f"{'closed' if was else 'open'}")
 
 
 @dataclass
@@ -349,7 +367,7 @@ def emit_protocol(scop: Scop, dep: DepGraph, fp: Placement, sp: Placement, chunk
         scatter[:, :, -1] += (-1, 1, -1, 1)
         scatter = scatter.reshape(-1, scatter.shape[-1])
         add_keys(np.repeat(np.stack(ends_at, axis=1), 2, axis=1).ravel(), scatter,
-                 np.tile([_PHASE[k] for k in kinds], len(starts)), np.repeat(cid[starts], 4))
+                 np.tile([CALLS[k].phase for k in kinds], len(starts)), np.repeat(cid[starts], 4))
         spans = iter(map(tuple, scatter.tolist()))
         for name, c in zip(names, cids):
             made += (Event(next(spans), kind, chunk=name, cid=c) for kind in kinds)
@@ -364,7 +382,7 @@ def emit_protocol(scop: Scop, dep: DepGraph, fp: Placement, sp: Placement, chunk
         g, r = group[order], rank[order]
         once = np.flatnonzero((np.diff(g, prepend=-1) != 0) | (np.diff(r, prepend=-1) != 0))
         add_keys(ends_at[0][g[once]], np.broadcast_to(dilated[PROLOGUE][0], (len(once), scop.scatter_arity)),
-                 _PHASE["buffer_fill"], cid[starts][g[once]], r[once])
+                 CALLS["buffer_fill"].phase, cid[starts][g[once]], r[once])
         for gi, e, k in zip(g[once].tolist(), elem[order][once].tolist(), r[once].tolist()):
             made.append(Event(tuples[PROLOGUE][0], "buffer_fill", chunk=names[gi], cid=cids[gi],
                               element=tuple(e), rank=k))
@@ -391,7 +409,7 @@ def emit_protocol(scop: Scop, dep: DepGraph, fp: Placement, sp: Placement, chunk
         lo, hi = (np.searchsorted(writes[:, 0], keys, side=side).tolist() for side in ("left", "right"))
         buffers = [("buffer", c, k) for c, k in writes[:, 1:].tolist()]
         scat = tuples[s.id]
-        add_keys(where, dilated[s.id][rows], _PHASE["compute"])
+        add_keys(where, dilated[s.id][rows], 4)  # after the scatter's channel calls
         for r, rf, st, a, z in zip(rows.tolist(), read_from, stored.tolist(), lo, hi):
             made.append(Event(scat[r], "compute", s.id, inst[r], rf,
                               (("storage",),) * st + tuple(buffers[a:z])))
@@ -530,9 +548,9 @@ def parse_plan(text: str) -> CommPlan:
     ``cid=``; every event's channel and buffer rank must exist, and its
     ``t=`` must have scatter_arity entries.  Every event node and channel
     end must lie in the grid, every fill element in its channel's field,
-    and every event must use its channels at the ends
-    ``check_channel_ends`` requires.  Malformed input raises ParseError
-    with the 1-based line number."""
+    and every event must pass ``check_windows`` after the earlier events
+    of its node.  Malformed input raises ParseError with the 1-based line
+    number."""
     numbered = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not numbered:
         raise ParseError("empty plan file", line=1)
@@ -540,7 +558,7 @@ def parse_plan(text: str) -> CommPlan:
     decls = {}
     homes = {}
     channels = []
-    events: dict = {}
+    events, windows = {}, set()  # node -> its events; the open windows after the lines so far
 
     for i, (no, ln) in enumerate(numbered):
         parts = ln.split()
@@ -607,7 +625,7 @@ def parse_plan(text: str) -> CommPlan:
                     ev = Event(scatter=scatter, kind=kind, stmt=kv["stmt"],
                                instance=tup(kv["i"]), read_from=read,
                                writes=_parse_writes(kv["write"], channels))
-                elif kind in CHANNEL_END:
+                elif kind in CALLS:
                     ev = Event(scatter=scatter, kind=kind, chunk=kv["chunk"],
                                cid=_channel(channels, int(kv["cid"])).cid)
                     if kind == "buffer_fill":
@@ -616,7 +634,7 @@ def parse_plan(text: str) -> CommPlan:
                         ev.element = _within(tup, "elem", kv["elem"], decl.extents, f"field {decl.name}")
                 else:
                     raise ValueError(f"unknown event kind {kind}")
-                check_channel_ends(channels, ev, node)
+                check_windows(channels, node, (ev,), windows)
                 events.setdefault(node, []).append(ev)
             else:
                 raise ValueError(f"unknown plan line {ln!r}")

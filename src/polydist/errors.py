@@ -37,6 +37,10 @@ class EmptySet(PolydistError):
     """Lexicographic extremum requested on an empty set."""
 
 
+class SetTooLarge(PolydistError):
+    """A set to enumerate holds a box of more points than ``sys.maxsize``."""
+
+
 class IterationCapExceeded(PolydistError):
     """A fixpoint loop failed to converge within its iteration budget."""
 

@@ -36,6 +36,7 @@ sets.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, prod
@@ -47,6 +48,7 @@ import numpy as np
 from .errors import (
     EmptySet,
     IterationCapExceeded,
+    SetTooLarge,
     SpaceMismatch,
     UnboundedSet,
 )
@@ -798,13 +800,13 @@ def _search_piece(arity: int, piece: Piece, descending: bool):
     into the rows, and interval propagation prunes empty subtrees.  Once
     every remaining row is linear in a single dimension, the propagated
     bounds are exact and independent, so the rest of the subtree is a box
-    and is emitted wholesale.  ``_dim_range`` ranges each dimension and
+    and is emitted wholesale, unless it holds more than ``sys.maxsize``
+    points (SetTooLarge).  ``_dim_range`` ranges each dimension and
     raises UnboundedSet for an unbounded one.
     """
     point = [0] * arity
 
-    def values(cons, bounds, d):
-        lo, hi = _dim_range(arity, cons, d, bounds) or (0, -1)
+    def values(lo, hi):
         return range(hi, lo - 1, -1) if descending else range(lo, hi + 1)
 
     def rec(cons: Piece, d: int):
@@ -813,11 +815,14 @@ def _search_piece(arity: int, piece: Piece, descending: bool):
             return
         coeffs = [r[1:-1] for r in cons.rows]
         if all(sum(map(bool, c)) <= 1 and not any(c[arity:]) for c in coeffs):
-            for tail in itertools.product(*(values(cons, bounds, k) for k in range(d, arity))):
+            box = [_dim_range(arity, cons, k, bounds) or (0, -1) for k in range(d, arity)]
+            if (size := prod(max(0, hi - lo + 1) for lo, hi in box)) > sys.maxsize:
+                raise SetTooLarge(f"a box of {size} points to search, more than {sys.maxsize}")
+            for tail in itertools.product(*(values(lo, hi) for lo, hi in box)):
                 point[d:] = tail
                 yield tuple(point)
             return
-        for v in values(cons, bounds, d):
+        for v in values(*(_dim_range(arity, cons, d, bounds) or (0, -1))):
             nxt = _assign(cons, d, v)
             if nxt is not None:
                 point[d] = v
@@ -1283,7 +1288,10 @@ def enumerate_table(a: IntSet) -> np.ndarray:
     """All points as a table, one row each in lexicographic order: int64
     when every piece was scanned (the scan keeps every value below
     _INT64_SAFE), Python ints when some piece needed the search."""
-    blocks = [_piece_points(a.arity, p) for p in a.pieces] or [np.zeros((0, a.arity), dtype=np.int64)]
+    try:
+        blocks = [_piece_points(a.arity, p) for p in a.pieces] or [np.zeros((0, a.arity), dtype=np.int64)]
+    except SetTooLarge as e:
+        raise SetTooLarge(f"{a.space.name}[{', '.join(a.space.dims)}] holds {e}") from None
     return distinct_rows(np.concatenate(blocks))
 
 

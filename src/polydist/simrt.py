@@ -5,30 +5,22 @@ private scalar environment, and a cursor into its event list.  A compute
 event stores the element it writes where its node homes it
 (``write=storage``) and reads a value made on its own node from there
 (``read=storage``); values from other nodes arrive through channels,
-persistent point-to-point buffers with a three-state lifecycle:
+persistent point-to-point buffers whose state each call moves as
+``commgen.CALLS`` says.  ``send_wait`` blocks until the receiver's
+``recv`` has released the last message, ``recv_wait`` until the send.
+``commgen.check_windows`` checks every node's events before the first
+step, so every other call and every buffer access finds the state it
+needs in any interleaving: the states only park and wake nodes.
 
-    IDLE -(send_wait)-> FILLING -(send)-> SENT -(recv)-> IDLE
-
-``send_wait`` blocks while the previous message has not been released by
-the receiver's ``recv``; ``recv_wait`` blocks until the send.  One event
-runs per step, so a payload is readable from the step after its send
-on.  Every step runs the lowest (scatter, node) head event that is not
-blocked, which makes runs bit-reproducible.
-
-The scheduler keeps the node heads in a heap keyed by (scatter, node)
-and checks a head when it pops it.  A blocked head parks its node on the
-channel it waits for, and the next ``send`` or ``recv`` on that channel
-pushes the parked nodes back (a ``send_wait`` leaves the channel FILLING,
-which no head waits for).  A parked node stays blocked until then, so
-the first runnable head popped is the lowest of all.  The popped node
-keeps running while its next head's key is below the heap's top: that
-head is the one the heap would pop next, so the order is the same, and
-the heap moves only when the lowest head is another node's, perhaps one
-a ``send`` or ``recv`` just woke.  An empty heap
-with nodes still parked is a deadlock: the run aborts with
-DeadlockDetected, naming every parked node and its head event's kind.
-A run that ends with a channel not idle left a message unreleased and
-aborts with BufferStateViolation.
+Every step runs the lowest (scatter, node) head event that is not
+blocked, which makes runs bit-reproducible.  The node heads wait in a
+heap keyed by (scatter, node); a blocked head parks its node on its
+channel until the next ``send`` or ``recv`` there pushes it back, and
+the popped node keeps running while its next head is below the heap's
+top.  Nodes still parked when the heap is empty are a deadlock
+(DeadlockDetected names each with its head event's kind).  A read of a
+slot no event wrote, and a channel not idle at the end (a message never
+released), abort with BufferStateViolation.
 """
 
 from __future__ import annotations
@@ -40,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .commgen import CommPlan, _fmt_tuple, check_channel_ends
+from .commgen import CALLS, IDLE, CommPlan, _fmt_tuple, check_windows
 from .errors import (
     BufferStateViolation,
     DeadlockDetected,
@@ -50,12 +42,6 @@ from .errors import (
 from .scop import ClusterGrid, FieldDecl, Scop, instance_runner
 
 __all__ = ["NodeState", "ChannelState", "Trace", "SimState", "init_runtime", "run"]
-
-IDLE, FILLING, SENT = "idle", "filling", "sent"
-# each channel call's (state it needs, state it leaves): send_wait and recv_wait
-# wait for the state they need, and for the other calls any other is a fault
-CALLS = {"send_wait": (IDLE, FILLING), "send": (FILLING, SENT), "buffer_fill": (FILLING, FILLING),
-         "recv_wait": (SENT, SENT), "recv": (SENT, IDLE)}
 
 
 @dataclass
@@ -70,7 +56,7 @@ class NodeState:
 @dataclass
 class ChannelState:
     state: str = IDLE
-    slots: list = field(default_factory=list)  # written while FILLING, read while SENT
+    slots: list = field(default_factory=list)  # written while FILLING, read while RECEIVED
 
 
 @dataclass
@@ -83,15 +69,15 @@ class Trace:
         return "".join([line % (step, fmt(node), *rest) for step, node, *rest in self.entries])
 
 
+@dataclass
 class SimState:
-    def __init__(self, plan: CommPlan, fields: dict, homes: dict, slots: dict, nodes, channels, trace):
-        self.plan = plan
-        self.fields = fields  # field name -> FieldDecl
-        self.homes = homes  # field name -> per-element home position table
-        self.slots = slots  # field name -> {element: (home position, storage slot)}
-        self.nodes = nodes
-        self.channels = channels
-        self.trace = trace
+    plan: CommPlan
+    fields: dict  # field name -> FieldDecl
+    homes: dict  # field name -> per-element home position table
+    slots: dict  # field name -> {element: (home position, storage slot)}
+    nodes: dict  # coord -> NodeState
+    channels: dict  # cid -> ChannelState
+    trace: Trace
 
     @property
     def step(self) -> int:  # the events run so far, one trace entry each
@@ -127,10 +113,8 @@ def init_runtime(plan: CommPlan, grid: ClusterGrid, init: dict) -> SimState:
             raise GeometryMismatch(f"plan field {name} is not a field of the contents")
         arr = init[name]
         if arr.dtype != fld.dtype or arr.shape != fld.extents:
-            raise GeometryMismatch(
-                f"plan field {name} is {fld.element_type} {fld.extents}, "
-                f"the contents' {name} is {arr.dtype} {arr.shape}"
-            )
+            raise GeometryMismatch(f"plan field {name} is {fld.element_type} {fld.extents}, "
+                                   f"the contents' {name} is {arr.dtype} {arr.shape}")
     for name in init:
         if name not in fields:
             raise GeometryMismatch(f"field {name} of the contents is missing from the plan")
@@ -151,73 +135,62 @@ def init_runtime(plan: CommPlan, grid: ClusterGrid, init: dict) -> SimState:
 
 
 def _digest(values) -> str:
-    h = hashlib.sha1(repr(values).encode()).hexdigest()
-    return h[:12]
+    return hashlib.sha1(repr(values).encode()).hexdigest()[:12]
 
 
-def _check_runnable(stmts: dict, kinds: dict, ev, coord) -> int:
-    """The row of the compute event's instance in its statement.
-    GeometryMismatch unless the event names an instance of a real
-    statement of the scop, and binds a field read or write only where the
-    statement has one (``kinds`` holds each statement's access kinds)."""
-    s = stmts.get(ev.stmt)
-    row = None if s is None else s.rows.get(ev.instance)
+def _not_runnable(scop: Scop, ev, coord) -> None:
+    """GeometryMismatch: the event names no real statement's instance, or an access it lacks."""
+    s = next((s for s in scop.statements if s.id == ev.stmt), None)
     if s is None:
         fault = f"names statement {ev.stmt}, which the scop does not have"
-    elif row is None:
+    elif ev.instance not in s.rows:
         fault = f"names {ev.stmt}{ev.instance}, which is not an instance of {ev.stmt}"
     elif s.is_virtual:
         fault = f"names {ev.stmt}{ev.instance}, an instance of a virtual statement"
-    elif ev.read_from is not None and "read" not in kinds[ev.stmt]:
+    elif ev.read_from is not None and not s.reads():
         fault = f"binds a field read for {ev.stmt}{ev.instance}, which reads no field"
-    elif ev.writes and "write" not in kinds[ev.stmt]:
-        fault = f"binds a field write for {ev.stmt}{ev.instance}, which writes no field"
     else:
-        return row
+        fault = f"binds a field write for {ev.stmt}{ev.instance}, which writes no field"
     raise GeometryMismatch(f"compute event on node {coord} {fault}")
 
 
 def run(sim: SimState, scop: Scop):
-    """Execute the plan; returns (field contents, trace).  Every compute
-    event must be one ``_check_runnable`` accepts, run by
-    ``instance_runner``, and every event must use its channels at the ends
-    ``check_channel_ends`` requires."""
+    """Execute the plan; returns (field contents, trace).  Before the first step, every
+    node's events must pass ``check_windows`` and no compute event ``_not_runnable``."""
     plan = sim.plan
-    stmts = {s.id: s for s in scop.statements}
-    kinds = {s.id: {a.kind for a in s.accesses} for s in scop.statements}
     runs = {s.id: instance_runner(scop, s) for s in scop.real_statements()}
     chunks = {s.id: f"{s.id}({','.join(['%d'] * s.arity)})" for s in scop.statements}  # % an instance
-
+    # per real statement: its rows by instance, whether it reads a field and whether it writes one
+    real = {s.id: (s.rows, bool(s.reads()), bool(s.writes())) for s in scop.real_statements()}
     node_events = {coord: plan.events.get(coord, []) for coord in sim.nodes}
     rows = {}  # node -> per event, a compute event's instance row, else None
     for coord, evs in sorted(node_events.items()):
+        check_windows(plan.channels, coord, evs, set())
         rows[coord] = node_rows = []
         for ev in evs:
-            node_rows.append(_check_runnable(stmts, kinds, ev, coord) if ev.kind == "compute" else None)
-            check_channel_ends(plan.channels, ev, coord)
+            row = None
+            if ev.kind == "compute":
+                at, reads, writes = real.get(ev.stmt, ({}, False, False))
+                row = at.get(ev.instance)
+                if row is None or (ev.read_from is not None and not reads) or (ev.writes and not writes):
+                    _not_runnable(scop, ev, coord)
+            node_rows.append(row)
 
     def read(ev, decl, element):  # ev's read access, on the running node
         if ev.read_from is None:  # made on this node, by the element's last writer
             return node.storage[decl.name].item(sim._offset(node, decl.name, element))
         cid, rank = ev.read_from
-        ch = sim.channels[cid]
-        if ch.state != SENT:
-            raise BufferStateViolation(
-                f"{ev.stmt}{ev.instance}: buffer read on channel {cid} in state {ch.state}")
-        if ch.slots[rank] is None:
+        value = sim.channels[cid].slots[rank]
+        if value is None:
             raise BufferStateViolation(f"{ev.stmt}{ev.instance}: reading unwritten buffer slot")
-        return ch.slots[rank]
+        return value
 
     def store(ev, decl, element, value):
         for w in ev.writes:
             if w[0] == "storage":
                 node.storage[decl.name][sim._offset(node, decl.name, element)] = value
                 continue
-            ch = sim.channels[w[1]]
-            if ch.state != FILLING:
-                raise BufferStateViolation(
-                    f"{ev.stmt}{ev.instance}: buffer write on channel {w[1]} in state {ch.state}")
-            ch.slots[w[2]] = value
+            sim.channels[w[1]].slots[w[2]] = value
 
     entries = sim.trace.entries
     heap = [(evs[0].scatter, coord) for coord, evs in node_events.items() if evs]
@@ -232,11 +205,7 @@ def run(sim: SimState, scop: Scop):
             if row is not None:
                 runs[ev.stmt](row, node.scalars, read, store, ev)
                 entries.append((len(entries), coord, "compute", chunks[ev.stmt] % ev.instance, ev.cid, "-"))
-            elif ev.kind not in CALLS:
-                raise BufferStateViolation(f"unknown event kind {ev.kind}")
-            elif (ch := sim.channels[ev.cid]).state != CALLS[ev.kind][0]:
-                if ev.kind not in ("send_wait", "recv_wait"):
-                    raise BufferStateViolation(f"{ev.kind} on channel {ev.cid} in state {ch.state}")
+            elif (ch := sim.channels[ev.cid]).state != (call := CALLS[ev.kind]).needs:  # a wait call
                 parked.setdefault(ev.cid, []).append(coord)
                 break
             else:
@@ -245,7 +214,7 @@ def run(sim: SimState, scop: Scop):
                 elif ev.kind == "buffer_fill":
                     name = plan.channels[ev.cid].layout.fieldname
                     ch.slots[ev.rank] = node.storage[name].item(sim._offset(node, name, ev.element))
-                ch.state = CALLS[ev.kind][1]
+                ch.state = call.leaves
                 digest = "-"
                 if ev.kind in ("send", "recv"):  # the states a parked head waits for
                     digest = _digest(tuple(ch.slots))

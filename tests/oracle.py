@@ -14,8 +14,14 @@ import numpy as np
 
 from polydist import isets
 from polydist.chunking import _order_summary
-from polydist.commgen import _PHASE
-from polydist.errors import IterationCapExceeded, SpaceMismatch, UnboundedSet
+from polydist.commgen import CALLS, FILLING, IDLE, RECEIVED
+from polydist.errors import (
+    BufferStateViolation,
+    DeadlockDetected,
+    IterationCapExceeded,
+    SpaceMismatch,
+    UnboundedSet,
+)
 from polydist.isets import (
     AffineExpr,
     Constraint,
@@ -46,6 +52,8 @@ from polydist.isets import (
     subtract,
     union,
 )
+from polydist.scop import instance_runner
+from polydist.simrt import init_runtime
 
 MAX_POINTS = 250
 
@@ -533,7 +541,8 @@ def stmt_nodes(sp, stmt: str, point) -> list:
 def event_key(ev) -> tuple:
     """Where an event stands in its node's list: the reference for the
     order ``emit_protocol`` gives by lexsort."""
-    return (ev.scatter, _PHASE[ev.kind], ev.cid, ev.rank, ev.stmt, ev.instance)
+    phase = CALLS[ev.kind].phase if ev.kind in CALLS else 4  # compute events last
+    return (ev.scatter, phase, ev.cid, ev.rank, ev.stmt, ev.instance)
 
 
 def scan_order(plan, nodes):
@@ -545,9 +554,7 @@ def scan_order(plan, nodes):
     nodes in sorted order."""
     events = {coord: plan.events.get(coord, []) for coord in nodes}
     cursor = dict.fromkeys(events, 0)
-    state = {ch.cid: "idle" for ch in plan.channels}
-    waits_for = {"send_wait": "idle", "recv_wait": "sent"}
-    moves_to = {"send_wait": "filling", "send": "sent", "recv": "idle"}
+    state = {ch.cid: IDLE for ch in plan.channels}
     pending = {coord for coord, evs in events.items() if evs}
     order = []
     while pending:
@@ -555,19 +562,96 @@ def scan_order(plan, nodes):
         for coord in sorted(pending):
             ev = events[coord][cursor[coord]]
             key = (ev.scatter, coord)
-            ready = ev.kind not in waits_for or state[ev.cid] == waits_for[ev.kind]
+            ready = ev.kind not in ("send_wait", "recv_wait") or state[ev.cid] == CALLS[ev.kind].needs
             if (best is None or key < best[0]) and ready:
                 best = (key, coord, ev)
         if best is None:
             return {coord: events[coord][cursor[coord]].kind for coord in sorted(pending)}
         _, coord, ev = best
         order.append((coord, cursor[coord]))
-        if ev.kind in moves_to:
-            state[ev.cid] = moves_to[ev.kind]
+        if ev.kind in CALLS:
+            state[ev.cid] = CALLS[ev.kind].leaves
         cursor[coord] += 1
         if cursor[coord] == len(events[coord]):
             pending.discard(coord)
     return order
+
+
+def run_any_order(plan, scop, init, seed) -> dict:
+    """The field contents a plan leaves when each step runs the head of a
+    node drawn by a seeded ``random.Random`` from the nodes whose head can
+    run: the any-order reference for ``simrt.run``, sharing only its node
+    storage and ``scop.instance_runner``.  A ``send_wait`` or
+    ``recv_wait`` waits for the state ``CALLS`` says it needs; every other
+    call, and every buffer access, must find its state, an assertion
+    here, where ``simrt`` relies on ``check_windows`` before the run.
+    Faults as ``simrt.run``'s: DeadlockDetected when no head can run,
+    BufferStateViolation for an unwritten slot or a channel not idle at
+    the end, NotLocal for an element its node does not home."""
+    rng = random.Random(seed)
+    sim = init_runtime(plan, scop.grid, init)
+    runs = {s.id: instance_runner(scop, s) for s in scop.real_statements()}
+    rows = {s.id: s.rows for s in scop.statements}
+    events = {coord: plan.events.get(coord, []) for coord in sim.nodes}
+    state = {ch.cid: IDLE for ch in plan.channels}
+    slots: dict = {}  # cid -> the slots of its current message
+    head = dict.fromkeys(events, 0)
+    ready: list = []  # the nodes whose head can run
+    parked: dict = {}  # cid -> the nodes whose head waits on that channel
+
+    def place(coord):  # an unfinished node, on the ready list or parked
+        ev = events[coord][head[coord]]
+        if ev.kind in ("send_wait", "recv_wait") and state[ev.cid] != CALLS[ev.kind].needs:
+            parked.setdefault(ev.cid, []).append(coord)
+        else:
+            ready.append(coord)
+
+    def read(ev, decl, element):
+        if ev.read_from is None:
+            return node.storage[decl.name].item(sim._offset(node, decl.name, element))
+        cid, rank = ev.read_from
+        assert state[cid] == RECEIVED, f"{ev.stmt}{ev.instance} reads channel {cid} {state[cid]}"
+        if slots[cid][rank] is None:
+            raise BufferStateViolation(f"{ev.stmt}{ev.instance}: reading unwritten buffer slot")
+        return slots[cid][rank]
+
+    def store(ev, decl, element, value):
+        for w in ev.writes:
+            if w[0] == "storage":
+                node.storage[decl.name][sim._offset(node, decl.name, element)] = value
+            else:
+                assert state[w[1]] == FILLING, f"{ev.stmt}{ev.instance} writes channel {w[1]} {state[w[1]]}"
+                slots[w[1]][w[2]] = value
+
+    for coord in sorted(events):
+        if events[coord]:
+            place(coord)
+    while ready:
+        coord = ready.pop(rng.randrange(len(ready)))
+        node, ev = sim.nodes[coord], events[coord][head[coord]]
+        if ev.kind == "compute":
+            runs[ev.stmt](rows[ev.stmt][ev.instance], node.scalars, read, store, ev)
+        else:
+            call = CALLS[ev.kind]
+            assert state[ev.cid] == call.needs, f"{ev.kind} on channel {ev.cid} {state[ev.cid]}"
+            if ev.kind == "send_wait":
+                slots[ev.cid] = [None] * plan.channels[ev.cid].layout.size
+            elif ev.kind == "buffer_fill":
+                name = plan.channels[ev.cid].layout.fieldname
+                slots[ev.cid][ev.rank] = node.storage[name].item(sim._offset(node, name, ev.element))
+            state[ev.cid] = call.leaves
+            for c in parked.pop(ev.cid, ()):
+                place(c)
+        head[coord] += 1
+        if head[coord] < len(events[coord]):
+            place(coord)
+    blocked = {c: evs[head[c]].kind for c, evs in sorted(events.items()) if head[c] < len(evs)}
+    if blocked:
+        raise DeadlockDetected(f"all nodes blocked: {blocked}")
+    busy = [f"{cid} {st}" for cid, st in state.items() if st != IDLE]
+    if busy:
+        raise BufferStateViolation(f"run ended with channels not idle: {', '.join(busy)}")
+    return sim.gather()
 
 
 # -- field contents -----------------------------------------------------------

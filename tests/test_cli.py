@@ -56,6 +56,19 @@ def test_validation_exit_code(gol16_path, tmp_path):
     assert invoke("analyze", str(bad), "--out", str(tmp_path)) == 2
 
 
+def test_domain_bound_past_int64(gol16_path, tmp_path, capsys):
+    # y runs past 2^63 in every statement: the domain is too large to
+    # search, an analysis error naming the set and its size
+    text = gol16_path.read_text()
+    assert text.count("1 <= y < 15") == 9
+    wide = tmp_path / "wide.scop"
+    wide.write_text(text.replace("1 <= y < 15", "1 <= y < 9999999999999999999915"))
+    assert invoke("verify", str(wide), "--grid", "2x2", "--iters", "1") == 3
+    assert capsys.readouterr() == ("", (
+        "analysis error: S1.1[i, x, y] holds a box of 419999999999999999996388 points to search, "
+        f"more than {sys.maxsize}\n"))
+
+
 def test_plan_boundary_channels(gol16_path, tmp_path):
     assert invoke("plan", str(gol16_path), "--grid", "2x2", "--out", str(tmp_path)) == 0
     text = (tmp_path / "plan.txt").read_text()
@@ -161,34 +174,81 @@ def test_verify_single_node(gol16_path, capsys):
 
 
 def test_verify_tampered_plan(gol16_path, tmp_path, capsys):
+    # without the first recv of a flow channel, that channel's next
+    # recv_wait finds its window still open: a parse error at that line,
+    # before anything runs
     invoke("plan", str(gol16_path), "--out", str(tmp_path))
     plan_text = (tmp_path / "plan.txt").read_text()
     lines = plan_text.splitlines()
     dropped = next(
         i for i, ln in enumerate(lines) if "kind=recv " in ln and "chunk=flow:" in ln
     )
+    node, cid = lines[dropped].split()[0], lines[dropped].split()[-1]
+    at = next(i for i in range(dropped + 1, len(lines)) if lines[i].startswith(f"{node} ")
+              and " kind=recv_wait " in lines[i] and lines[i].endswith(f" {cid}"))
     tampered = "\n".join(lines[:dropped] + lines[dropped + 1 :]) + "\n"
     (tmp_path / "tampered.txt").write_text(tampered)
     rc = invoke("verify", str(gol16_path), "--plan", str(tmp_path / "tampered.txt"))
-    assert rc == 4
-    assert "FAIL" in capsys.readouterr().out
+    out = capsys.readouterr()
+    assert rc == 1 and out.out == ""
+    coord = node.split("=")[1].replace(",", ", ")
+    assert out.err == (f"parse error: recv_wait on node {coord} finds the dst window of channel "
+                       f"{cid.split('=')[1]} open (line {at})\n")
 
 
 def test_verify_plan_with_unreleased_message(gol16_path, tmp_path, capsys):
-    # without the first recv on (0,1) -> (0,0), the second recv_wait takes
-    # the first message and the last message is never received: the run
-    # ends with that channel sent, whatever the stale values compute
+    # without the last recv on (0,1) -> (0,0), the plan passes the window
+    # check, but the last message is never released: the run ends with that
+    # channel received, whatever the values compute
     invoke("plan", str(gol16_path), "--out", str(tmp_path))
     lines = (tmp_path / "plan.txt").read_text().splitlines()
     tag = next(re.search(r" cid=(\d+) ", ln)[1] for ln in lines
                if ln.startswith("channel") and " family=flow:S2.2->S1.2:front src=(0,1) dst=(0,0) " in ln)
-    dropped = next(i for i, ln in enumerate(lines) if " kind=recv " in ln and ln.endswith(f" cid={tag}"))
+    dropped = max(i for i, ln in enumerate(lines) if " kind=recv " in ln and ln.endswith(f" cid={tag}"))
     (tmp_path / "unreleased.txt").write_text("\n".join(lines[:dropped] + lines[dropped + 1:]) + "\n")
     for seed in ("0", "2"):
         rc = invoke("verify", str(gol16_path), "--plan", str(tmp_path / "unreleased.txt"), "--seed", seed)
         assert rc == 4
         assert capsys.readouterr().out == (
-            f"verify: FAIL (BufferStateViolation: run ended with channels not idle: {tag} sent)\n")
+            f"verify: FAIL (BufferStateViolation: run ended with channels not idle: {tag} received)\n")
+
+
+def _without_lines(text, dropped):
+    lines = text.splitlines()
+    return "\n".join(ln for i, ln in enumerate(lines) if i not in dropped) + "\n"
+
+
+def _recv_wait_lines(text):
+    return [i for i, ln in enumerate(text.splitlines()) if " kind=recv_wait " in ln]
+
+
+@pytest.mark.parametrize("name, grid", [("gol16", "2x2"), ("gol16_fused", "8x8")])
+def test_verify_plan_without_recv_waits(scops_dir, tmp_path, capsys, name, grid):
+    # a buffer read with no recv_wait before it lies outside its window:
+    # a parse error at a line, although the one order the simulator runs
+    # would read each value after its send
+    scop = str(scops_dir / f"{name}.scop")
+    invoke("plan", scop, "--grid", grid, "--out", str(tmp_path))
+    text = (tmp_path / "plan.txt").read_text()
+    (tmp_path / "stripped.txt").write_text(_without_lines(text, set(_recv_wait_lines(text))))
+    capsys.readouterr()
+    assert invoke("verify", scop, "--plan", str(tmp_path / "stripped.txt")) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and re.fullmatch(r"parse error: .* \(line \d+\)\n", out.err)
+
+
+def test_verify_plan_without_one_recv_wait(gol16_path, tmp_path, capsys):
+    # each of gol16 2x2's 24 recv_waits, deleted alone, is a parse error
+    invoke("plan", str(gol16_path), "--out", str(tmp_path))
+    text = (tmp_path / "plan.txt").read_text()
+    waits = _recv_wait_lines(text)
+    assert len(waits) == 24
+    for i in waits:
+        (tmp_path / "cut.txt").write_text(_without_lines(text, {i}))
+        capsys.readouterr()
+        assert invoke("verify", str(gol16_path), "--plan", str(tmp_path / "cut.txt")) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and re.fullmatch(r"parse error: .* \(line \d+\)\n", out.err)
 
 
 def _simulate_with_plan_text(gol16_path, tmp_path, capsys, text):
@@ -300,8 +360,10 @@ UNRUNNABLE_COMPUTES = {
         "binds a field write for S1.1(0, 1, 1), which writes no field",
     ),
     "read_without_field_read": (
-        _first_line_edit(" stmt=S1.7 i=(0,1,1) ", " read=storage ", " read=buf:2@0 "),
-        "binds a field read for S1.7(0, 1, 1), which reads no field",
+        # inside (0,0)'s window of channel 10, from its recv_wait at
+        # t=(0,0,0,2,0,14,4,-1) to the prologue values' last read
+        _first_line_edit(" stmt=S1.7 i=(0,1,7) ", " read=storage ", " read=buf:10@0 "),
+        "binds a field read for S1.7(0, 1, 7), which reads no field",
     ),
 }
 
@@ -321,7 +383,7 @@ def test_verify_plan_with_unrunnable_compute(gol16_path, tmp_path, capsys, case)
 
 def _faulty_plan(gol16_path, tmp_path, kind):
     """A gol16 2x2 plan that faults in the simulator: 'not_local' fills an
-    element homed elsewhere, 'deadlock' drops a cross-node send."""
+    element homed elsewhere, 'deadlock' drops a channel's last send."""
     invoke("plan", str(gol16_path), "--out", str(tmp_path))
     lines = (tmp_path / "plan.txt").read_text().splitlines()
     if kind == "not_local":
@@ -329,7 +391,7 @@ def _faulty_plan(gol16_path, tmp_path, kind):
         lines[no] = re.sub(r" elem=\(\d+,\d+\)", " elem=(15,15)", lines[no])
     else:
         cid = next(re.search(r" cid=\d+", ln)[0] for ln in lines if ln.startswith("channel"))
-        lines = [ln for ln in lines if not (" kind=send " in ln and ln.endswith(cid))]
+        del lines[max(i for i, ln in enumerate(lines) if " kind=send " in ln and ln.endswith(cid))]
     plan_file = tmp_path / f"{kind}.txt"
     plan_file.write_text("\n".join(lines) + "\n")
     return plan_file

@@ -6,10 +6,12 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from polydist.chunking import chunk_all
 from polydist.cli import main
-from polydist.commgen import CommPlan, compile_plan, dump_plan, parse_plan
+from polydist.commgen import CALLS, CommPlan, check_windows, compile_plan, dump_plan, parse_plan
 from polydist.deps import add_virtual_statements, compute_flow
 from polydist.errors import (
     BufferStateViolation,
@@ -26,7 +28,7 @@ from polydist.scopio import parse_scop
 from polydist import simrt
 from polydist.simrt import init_runtime, run
 
-from oracle import contents_equal, event_key, scan_order, zero_contents
+from oracle import contents_equal, event_key, run_any_order, scan_order, zero_contents
 
 
 def build(gol16_path, grid=None):
@@ -131,24 +133,30 @@ def test_send_before_recv_wait(gol16_built):
             assert tag in last_send and last_send[tag] < step
 
 
+def waits_early(plan, a, b, which=0):
+    """The plan with a's and b's which-th recv_wait of each other's channel
+    moved up to just after the previous recv of that channel, or to the
+    front of the list for the first: each waits for the other's send."""
+    events = dict(plan.events)
+    for src, dst in ((a, b), (b, a)):
+        cid = next(c.cid for c in plan.channels if (c.src, c.dst) == (src, dst))
+        evs = events[dst]
+        waits = [i for i, ev in enumerate(evs) if (ev.kind, ev.cid) == ("recv_wait", cid)]
+        i = waits[which]
+        j = max((k + 1 for k in range(i) if (evs[k].kind, evs[k].cid) == ("recv", cid)), default=0)
+        events[dst] = evs[:j] + [evs[i]] + evs[j:i] + evs[i + 1:]
+    return dataclasses.replace(plan, events=events)
+
+
 def test_deadlock_on_reordered_recv_wait(gol16_built):
+    # two nodes each wait first for the other's message: the plan passes the
+    # window check, and the run deadlocks as the scan oracle finds
     scop, virt, plan = gol16_built
-    # move one cross-node recv_wait before the matching send's scatter
-    victim = next(ch for ch in plan.channels if not ch.loopback)
-    events = {}
-    for node, evs in plan.events.items():
-        out = []
-        for ev in evs:
-            if ev.kind == "recv_wait" and ev.cid == victim.cid:
-                ev = dataclasses.replace(ev, scatter=(-99,) * len(ev.scatter))
-            out.append(ev)
-        out.sort(key=event_key)
-        events[node] = out
-    bad = dataclasses.replace(plan, events=events)
+    bad = waits_early(plan, (0, 0), (1, 0))
     with pytest.raises(DeadlockDetected) as exc:
         run(init_runtime(bad, virt.grid, random_contents(scop, 3)), virt)
     blocked = scan_order(bad, virt.grid.nodes)
-    assert isinstance(blocked, dict) and blocked
+    assert isinstance(blocked, dict) and blocked[(0, 0)] == blocked[(1, 0)] == "recv_wait"
     assert str(exc.value) == f"all nodes blocked: {blocked}"
 
 
@@ -260,12 +268,12 @@ def drop_send(plan, family, src, dst, which):
 
 
 def test_deadlock_names_every_unfinished_node(gol16_path):
-    # Without the first send on (0,0)->(1,0), the producer stalls on its next
-    # send_wait and the stall spreads to neighbours.  Without the last send
-    # on (3,3)->(3,2), (3,3) finishes and (3,2) waits on a channel that
-    # never changes state again.  Nodes far from both finish.
+    # (0,0) and (1,0) each wait early for the other's last message, and the
+    # stall spreads to their neighbours.  Without the last send on
+    # (3,3)->(3,2), (3,3) finishes and (3,2) waits on a channel that never
+    # changes state again.  Nodes far from both finish.
     scop, virt, plan = build(gol16_path, grid=(4, 4))
-    bad, _ = drop_send(plan, "flow:S2.2->S1.1:front", (0, 0), (1, 0), 0)
+    bad = waits_early(plan, (0, 0), (1, 0), -1)
     bad, starved = drop_send(bad, "flow:S2.2->S1.2:front", (3, 3), (3, 2), -1)
     sim = init_runtime(bad, virt.grid, random_contents(scop, 3))
     with pytest.raises(DeadlockDetected) as exc:
@@ -286,50 +294,54 @@ def test_deadlock_names_every_unfinished_node(gol16_path):
     assert events[(3, 2)][sim.nodes[(3, 2)].cursor].cid == starved
 
 
+def drop_recv(plan, which):
+    """The plan without the which-th recv of the first cross-node flow
+    channel, and that channel."""
+    ch = next(c for c in plan.channels if not c.loopback and c.family.startswith("flow:"))
+    evs = plan.events[ch.dst]
+    i = [i for i, ev in enumerate(evs) if (ev.kind, ev.cid) == ("recv", ch.cid)][which]
+    return with_events(plan, ch.dst, evs[:i] + evs[i + 1:]), ch
+
+
 def test_dropped_recv_fails_or_deadlocks(gol16_built):
-    # dropping a release either starves a later send_wait or leaves stale
-    # data in the reused buffer; verification must catch it either way
+    # dropping a release fails: before the first step when a later
+    # recv_wait of the channel finds its window open, and at the end of the
+    # run, with the channel still received, when it was the last release
     scop, virt, plan = gol16_built
-    victim = next(
-        ch for ch in plan.channels if not ch.loopback and ch.family.startswith("flow:")
-    )
-    dropped = [False]
-
-    def keep(ev):
-        if ev.kind == "recv" and ev.cid == victim.cid and not dropped[0]:
-            dropped[0] = True
-            return False
-        return True
-
-    events = {node: [ev for ev in evs if keep(ev)] for node, evs in plan.events.items()}
-    assert dropped[0]
-    bad = dataclasses.replace(plan, events=events)
-    init = random_contents(scop, 3)
-    try:
-        final, _ = run(init_runtime(bad, virt.grid, init), virt)
-    except (DeadlockDetected, BufferStateViolation):
-        return
-    assert not contents_equal(final, sequential_execute(scop, init))
+    bad, ch = drop_recv(plan, 0)
+    sim = init_runtime(bad, virt.grid, random_contents(scop, 3))
+    with pytest.raises(GeometryMismatch) as exc:
+        run(sim, virt)
+    assert str(exc.value) == f"recv_wait on node {ch.dst} finds the dst window of channel {ch.cid} open"
+    assert sim.step == 0
+    bad, ch = drop_recv(plan, -1)
+    with pytest.raises(BufferStateViolation) as exc:
+        run(init_runtime(bad, virt.grid, random_contents(scop, 3)), virt)
+    assert str(exc.value) == f"run ended with channels not idle: {ch.cid} received"
 
 
 def test_violation_on_early_buffer_fill(gol16_built):
-    # a fill before its chunk's send_wait trips the buffer state machine
+    # a fill before its chunk's send_wait lies outside the source's window
     scop, virt, plan = gol16_built
     events = {}
-    moved = [False]
+    moved = []
     for node, evs in plan.events.items():
         out = []
         for ev in evs:
-            if not moved[0] and ev.kind == "buffer_fill":
+            if not moved and ev.kind == "buffer_fill":
                 ev = dataclasses.replace(ev, scatter=(-99,) * len(ev.scatter))
-                moved[0] = True
+                moved.append((node, ev.cid))
             out.append(ev)
         out.sort(key=event_key)
         events[node] = out
-    assert moved[0]
+    assert moved
     bad = dataclasses.replace(plan, events=events)
-    with pytest.raises(BufferStateViolation):
-        run(init_runtime(bad, virt.grid, random_contents(scop, 3)), virt)
+    sim = init_runtime(bad, virt.grid, random_contents(scop, 3))
+    with pytest.raises(GeometryMismatch) as exc:
+        run(sim, virt)
+    (node, cid), = moved
+    assert str(exc.value) == f"buffer_fill on node {node} finds the src window of channel {cid} closed"
+    assert sim.step == 0
 
 
 def first_event(plan, pred):
@@ -344,15 +356,20 @@ def with_events(plan, node, evs):
 
 def run_first(plan, pred):
     """The plan with a copy of the first event pred holds for run before
-    every other event, while every channel is idle; and that event."""
+    every other event, while every window is closed; that event's node,
+    and the event."""
     node, _, ev = first_event(plan, pred)
     early = dataclasses.replace(ev, scatter=(-99,) * len(ev.scatter))
-    return with_events(plan, node, [early] + plan.events[node]), ev
+    return with_events(plan, node, [early] + plan.events[node]), node, ev
+
+
+def outside(what, node, end, cid, found="closed"):
+    return f"{what} on node {node} finds the {end} window of channel {cid} {found}"
 
 
 def call_before_all(plan, kind):
-    bad, ev = run_first(plan, lambda e: e.kind == kind)
-    return bad, f"{kind} on channel {ev.cid} in state idle"
+    bad, node, ev = run_first(plan, lambda e: e.kind == kind)
+    return bad, outside(kind, node, "dst" if kind == "recv" else "src", ev.cid)
 
 
 def reads_buffer(ev):
@@ -373,8 +390,8 @@ def unbound_read(plan):
 
 def read_before_send(plan):
     # S1.1's body reads its field before any scalar
-    bad, ev = run_first(plan, lambda e: reads_buffer(e) and e.stmt == "S1.1")
-    return bad, f"{ev.stmt}{ev.instance}: buffer read on channel {ev.read_from[0]} in state idle"
+    bad, node, ev = run_first(plan, lambda e: reads_buffer(e) and e.stmt == "S1.1")
+    return bad, outside("compute read", node, "dst", ev.read_from[0])
 
 
 def unwritten_slot(plan):
@@ -401,8 +418,7 @@ def write_before_send_wait(plan):
     cid = next(w[1] for w in ev.writes if w[0] == "buffer")
     evs = plan.events[node]
     j = max(j for j in range(i) if (evs[j].kind, evs[j].cid) == ("send_wait", cid))
-    return with_events(plan, node, evs[:j] + evs[j + 1:]), \
-        f"{ev.stmt}{ev.instance}: buffer write on channel {cid} in state idle"
+    return with_events(plan, node, evs[:j] + evs[j + 1:]), outside("compute write", node, "src", cid)
 
 
 def parked_for_good(plan, node, evs, ev):
@@ -415,10 +431,11 @@ def parked_for_good(plan, node, evs, ev):
 
 
 def second_send_wait(plan):
-    # a second send_wait right after the first finds its channel filling
+    # a second send_wait right after the first finds its window open
     node, i, ev = first_event(plan, lambda e: e.kind == "send_wait")
     evs = plan.events[node]
-    return parked_for_good(plan, node, evs[:i + 1] + [ev] + evs[i + 1:], ev)
+    return with_events(plan, node, evs[:i + 1] + [ev] + evs[i + 1:]), \
+        outside("send_wait", node, "src", ev.cid, "open")
 
 
 def recv_wait_after_last_recv(plan):
@@ -431,28 +448,32 @@ def recv_wait_after_last_recv(plan):
 
 # case -> (plan edit returning the edited plan and the message of its fault, fault)
 WRONG_STATE = {
-    "send": (lambda plan: call_before_all(plan, "send"), BufferStateViolation),
-    "recv": (lambda plan: call_before_all(plan, "recv"), BufferStateViolation),
-    "buffer_fill": (lambda plan: call_before_all(plan, "buffer_fill"), BufferStateViolation),
+    "send": (lambda plan: call_before_all(plan, "send"), GeometryMismatch),
+    "recv": (lambda plan: call_before_all(plan, "recv"), GeometryMismatch),
+    "buffer_fill": (lambda plan: call_before_all(plan, "buffer_fill"), GeometryMismatch),
     "unbound_read": (unbound_read, NotLocal),
-    "read_before_send": (read_before_send, BufferStateViolation),
+    "read_before_send": (read_before_send, GeometryMismatch),
     "unwritten_slot": (unwritten_slot, BufferStateViolation),
-    "write_before_send_wait": (write_before_send_wait, BufferStateViolation),
-    "send_wait": (second_send_wait, DeadlockDetected),
+    "write_before_send_wait": (write_before_send_wait, GeometryMismatch),
+    "send_wait": (second_send_wait, GeometryMismatch),
     "recv_wait": (recv_wait_after_last_recv, DeadlockDetected),
 }
 
 
 @pytest.mark.parametrize("case", list(WRONG_STATE))
 def test_channel_call_in_a_wrong_state(gol16_built, case):
-    # a channel call or a compute event's buffer access in a state its
-    # channel is not in faults; send_wait and recv_wait park instead
+    # a channel call or a compute event's buffer access that would find its
+    # channel in a wrong state lies outside its window, and is rejected
+    # before the first step; a recv_wait with no message left parks for
+    # good, and an unbound or unwritten read faults when it runs
     scop, virt, plan = gol16_built
     edit, fault = WRONG_STATE[case]
     bad, message = edit(plan)
+    sim = init_runtime(bad, virt.grid, random_contents(scop, 3))
     with pytest.raises(fault) as exc:
-        run(init_runtime(bad, virt.grid, random_contents(scop, 3)), virt)
+        run(sim, virt)
     assert str(exc.value) == message
+    assert (sim.step == 0) == (fault is GeometryMismatch)
 
 
 # (-1, 0) wraps to (15, 0) under negative indexing, an element that node
@@ -505,19 +526,28 @@ def test_out_of_domain_instance_rejected_before_first_step(gol16_built):
 
 
 def test_channel_call_off_its_end_rejected_before_first_step(gol16_built):
-    # the source's send moved to a node that holds no buffer of the channel
+    # a copy of the source's send on a node that holds no buffer of the
+    # channel; every other node's events still pass the check
     scop, virt, plan = gol16_built
     ch = next(c for c in plan.channels if (c.src, c.dst) == ((0, 0), (1, 0)))
-    evs = plan.events[(0, 0)]
-    i = next(i for i, ev in enumerate(evs) if ev.kind == "send" and ev.cid == ch.cid)
-    moved = sorted(plan.events[(1, 1)] + [evs[i]], key=event_key)
-    bad = dataclasses.replace(plan, events={**plan.events, (0, 0): evs[:i] + evs[i + 1:],
-                                            (1, 1): moved})
+    send = next(ev for ev in plan.events[(0, 0)] if ev.kind == "send" and ev.cid == ch.cid)
+    bad = with_events(plan, (1, 1), sorted(plan.events[(1, 1)] + [send], key=event_key))
     sim = init_runtime(bad, virt.grid, random_contents(scop, 3))
     message = f"send on node (1, 1) uses channel {ch.cid}, which runs from (0, 0) to (1, 0)"
     with pytest.raises(GeometryMismatch, match=re.escape(message)):
         run(sim, virt)
     assert sim.step == 0 and not sim.trace.entries
+
+
+def test_unknown_event_kind_rejected_before_first_step(gol16_built):
+    scop, virt, plan = gol16_built
+    node, i, ev = first_event(plan, lambda e: e.kind == "send")
+    evs = list(plan.events[node])
+    evs[i] = dataclasses.replace(ev, kind="sned")
+    sim = init_runtime(with_events(plan, node, evs), virt.grid, random_contents(scop, 3))
+    with pytest.raises(GeometryMismatch, match="unknown event kind sned"):
+        run(sim, virt)
+    assert sim.step == 0
 
 
 def test_multi_home_plan_rejected(tmp_path, capsys):
@@ -585,3 +615,52 @@ def test_trace_text_stable(gol16_built):
     assert text.splitlines()[0].startswith("step=0 ")
     _, trace2 = run(init_runtime(plan, virt.grid, init), virt)
     assert trace2.to_text() == text
+
+
+# the configurations tests/test_contract.py pins
+CONTRACT_CONFIGURATIONS = [("gol16", (2, 2)), ("gol16", (4, 4)), ("gol16_fused", (2, 2)),
+                           ("gol16_fused", (8, 8)), ("gol16_fused", (16, 16)), ("gol32", (2, 2)),
+                           ("gol32", (4, 4))]
+
+
+@pytest.mark.parametrize("name, grid", CONTRACT_CONFIGURATIONS,
+                         ids=[f"{n}-{a}x{b}" for n, (a, b) in CONTRACT_CONFIGURATIONS])
+def test_any_order_gives_the_simulators_contents(scops_dir, name, grid):
+    # an emitted plan passes the window check, so every order of its nodes'
+    # steps reads the same values: seeded random orders end where simrt does
+    scop, virt, plan = build(scops_dir / f"{name}.scop", grid=grid)
+    init = random_contents(scop, 7)
+    final, _ = run(init_runtime(plan, virt.grid, init), virt)
+    for seed in (1, 2, 3):
+        assert contents_equal(run_any_order(plan, virt, init, seed), final)
+
+
+def outcome(plan, virt, init, seed):
+    """The contents of an any-order run, or the kind of its fault."""
+    try:
+        return run_any_order(plan, virt, init, seed)
+    except SimulationFault as fault:
+        return type(fault)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_moved_call_that_passes_the_check_runs_alike_in_any_order(gol16_built, data):
+    # one channel call moved elsewhere on its node: when the window check
+    # accepts the edit, seeded orders agree on the contents or the fault,
+    # and no call or buffer access finds its channel in a wrong state
+    scop, virt, plan = gol16_built
+    node = data.draw(st.sampled_from(sorted(plan.events)))
+    evs = list(plan.events[node])
+    i = data.draw(st.sampled_from([i for i, ev in enumerate(evs) if ev.kind in CALLS]))
+    j = data.draw(st.integers(max(0, i - 40), min(len(evs) - 1, i + 40)).filter(lambda j: j != i))
+    evs.insert(j, evs.pop(i))
+    try:
+        check_windows(plan.channels, node, evs, set())
+    except GeometryMismatch:
+        assume(False)
+    moved = with_events(plan, node, evs)
+    init = random_contents(scop, 3)
+    first, *rest = (outcome(moved, virt, init, seed) for seed in (1, 2, 3))
+    for other in rest:
+        assert (contents_equal(first, other) if isinstance(first, dict) else first is other)
