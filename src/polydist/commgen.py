@@ -21,14 +21,16 @@ from field storage, each family as a single chunk.
 
 Only values that cross nodes travel.  A transfer whose producer runs on
 the consumer's node, for an element homed there, has no channel: the
-consumer reads the element from its node's storage, where every compute
-event stores each home element it writes.  The epilogue has no transfers
+consumer reads the element from its node's storage, where every
+execution stores each home element it writes.  The epilogue has no transfers
 and no events: its writers run at the homes of the elements they leave,
 which ``emit_protocol`` checks.
 
 The plan text (``dump_plan``, ``parse_plan``) states each fact once: a
-channel line gives the channel's family, ends and box, and a channel call
-names its channel by cid, which is also its messages' tag.
+``stmtmap`` line gives the nodes a statement's instances run on, a
+channel line the channel's family, ends and box, a channel call names its
+channel by cid, which is also its messages' tag, and a compute line binds
+only an execution that uses a buffer, by its node and dilated scatter.
 
 Transfers, channel boxes, buffer ranks and buffer bindings stay numpy
 columns indexed by instance row and node position; Python objects are
@@ -40,17 +42,17 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Optional
 
 import numpy as np
 
 from .deps import EPILOGUE, PROLOGUE, DepGraph, FlowFamily
 from .errors import AnalysisError, GeometryMismatch, ParseError, ValidationError
-from .isets import distinct_rows, row_major_strides, unique_rows
+from .isets import distinct_rows, enumerate_table, propagate, row_major_strides, unique_rows
 from .placement import Placement, block_distribute
 from .scop import ClusterGrid, FieldDecl, Scop
-from .syntax import format_map
+from .syntax import format_map, parse_map
 
 __all__ = [
     "TransferTuple",
@@ -122,11 +124,9 @@ _WINDOW = {k: (c.end, c.needs in (FILLING, RECEIVED), c.leaves in (FILLING, RECE
 @dataclass(slots=True)
 class Event:
     scatter: tuple
-    kind: str  # compute | send_wait | send | recv_wait | recv | buffer_fill
-    stmt: str = ""
-    instance: tuple = ()
+    kind: str  # compute (a binding of the execution at the scatter) | send_wait | send | ...
     read_from: Optional[tuple] = None  # (cid, rank) buffer read binding; None reads storage
-    writes: tuple = ()  # ("storage",) and/or ("buffer", cid, rank) entries
+    writes: tuple = ()  # ("buffer", cid, rank) entries
     chunk: str = ""
     cid: int = -1
     element: tuple = ()  # for fill events
@@ -144,10 +144,9 @@ def check_windows(channels: list, node: tuple, events, windows: set) -> None:
         if kind == "compute":  # a window opened on this node passed the end check
             if ev.read_from is not None and (ev.read_from[0], "dst", node) not in windows:
                 _outside(channels[ev.read_from[0]], "dst", node, "compute read", True)
-            if ev.writes not in ((), (("storage",),)):  # some write goes to a buffer
-                for w in ev.writes:
-                    if w[0] == "buffer" and (w[1], "src", node) not in windows:
-                        _outside(channels[w[1]], "src", node, "compute write", True)
+            for w in ev.writes:
+                if (w[1], "src", node) not in windows:
+                    _outside(channels[w[1]], "src", node, "compute write", True)
         elif kind in _WINDOW:
             end, was, now = _WINDOW[kind]
             ch, key = channels[ev.cid], (ev.cid, end, node)
@@ -174,8 +173,9 @@ class CommPlan:
     scatter_arity: int
     fields: tuple  # (name, element_type, extents)
     field_placement: Placement
+    stmt_placement: Placement  # per real statement: instance -> the nodes that run it
     channels: list
-    events: dict  # node -> sorted list[Event]; an event's node is its key
+    events: dict  # node -> list[Event] ascending by (t, phase, cid, rank); an event's node is its key
 
 
 # ---------------------------------------------------------------------------
@@ -282,16 +282,18 @@ def group_chunks(transfers: dict) -> dict:
 def emit_protocol(scop: Scop, dep: DepGraph, fp: Placement, sp: Placement, chunked: dict) -> CommPlan:
     """Assemble the per-node event lists from transfers grouped by chunk.
     Channel boxes, buffer ranks, scatter extremes and the buffer bindings
-    of the compute events are computed on the transfer columns; Python
-    objects are made for the channels and events only.  Each node's
-    events are in order of (scatter, phase, cid, rank), found by one
-    lexsort over those columns of every event.  No two events on a node
-    tie: only compute events lack a cid, and a node's compute events have
-    distinct scatters, since ``scatter_order`` rejects a schedule that is
-    not injective."""
+    of the executions are computed on the transfer columns; Python
+    objects are made for the channels and events only, and a compute
+    event only for an execution that reads or writes a buffer slot.  The
+    plan's statement placement holds the real statements' maps, which say
+    where every other execution runs.  Each node's events are in order of
+    (scatter, phase, cid, rank), found by one lexsort over those columns
+    of every event.  No two events on a node tie: only compute events
+    lack a cid, and a node's compute events have distinct scatters, since
+    ``scatter_order`` rejects a schedule that is not injective."""
     nodes, n = scop.grid.nodes, len(scop.grid.nodes)
     dilated = {s.id: 2 * s.scatters for s in scop.statements}
-    tuples = {sid: list(map(tuple, t.tolist())) for sid, t in dilated.items()}
+    placed = Placement({s.id: sp.maps[s.id] for s in scop.real_statements()})
     channels: list = []
     made: list = []  # every event, in the order made
     # per block of events in `made`: node index, scatter rows, then the
@@ -383,36 +385,30 @@ def emit_protocol(scop: Scop, dep: DepGraph, fp: Placement, sp: Placement, chunk
         once = np.flatnonzero((np.diff(g, prepend=-1) != 0) | (np.diff(r, prepend=-1) != 0))
         add_keys(ends_at[0][g[once]], np.broadcast_to(dilated[PROLOGUE][0], (len(once), scop.scatter_arity)),
                  CALLS["buffer_fill"].phase, cid[starts][g[once]], r[once])
+        fill_at = tuple(dilated[PROLOGUE][0].tolist())
         for gi, e, k in zip(g[once].tolist(), elem[order][once].tolist(), r[once].tolist()):
-            made.append(Event(tuples[PROLOGUE][0], "buffer_fill", chunk=names[gi], cid=cids[gi],
-                              element=tuple(e), rank=k))
+            made.append(Event(fill_at, "buffer_fill", chunk=names[gi], cid=cids[gi], element=tuple(e), rank=k))
 
-    # compute events for every execution of every real statement, row by row
+    # a compute event for every execution of a real statement that uses a buffer slot
     for s in scop.real_statements():
-        rows, where = sp.node_rows(s, scop.grid)
+        rows, where = placed.node_rows(s, scop.grid)
         keys = rows * n + where
-        inst = list(map(tuple, s.instances.tolist()))
-        read_from = [None] * len(keys)
+        cid = rank = np.full(len(keys), -1)
         if s.reads():
             # one source per execution: the keys sorted are the executions' keys
             reads, cid, rank = bound(s.id, "read")
             order = np.argsort(reads)
             if len(reads) != len(keys) or (reads[order] != keys).any():
                 raise AnalysisError(f"read sources of {s.id} do not match its executions one to one")
-            read_from = [None if c < 0 else (c, k) for c, k in zip(cid[order].tolist(), rank[order].tolist())]
-        # an execution stores the element it writes where that is homed
-        stored = np.zeros(len(keys), dtype=bool)
-        if s.writes():
-            j, acc = s.writes()[0]
-            stored = fp.homes(acc.field, s.subscripts[j][rows], scop.grid) == where
+            cid, rank = cid[order], rank[order]
         writes = distinct_rows(np.stack(bound(s.id, "write"), axis=1))
-        lo, hi = (np.searchsorted(writes[:, 0], keys, side=side).tolist() for side in ("left", "right"))
+        lo, hi = (np.searchsorted(writes[:, 0], keys, side=side) for side in ("left", "right"))
         buffers = [("buffer", c, k) for c, k in writes[:, 1:].tolist()]
-        scat = tuples[s.id]
-        add_keys(where, dilated[s.id][rows], 4)  # after the scatter's channel calls
-        for r, rf, st, a, z in zip(rows.tolist(), read_from, stored.tolist(), lo, hi):
-            made.append(Event(scat[r], "compute", s.id, inst[r], rf,
-                              (("storage",),) * st + tuple(buffers[a:z])))
+        use = np.flatnonzero((cid >= 0) | (hi > lo))
+        add_keys(where[use], dilated[s.id][rows[use]], 4)  # after the scatter's channel calls
+        columns = (dilated[s.id][rows[use]], cid[use], rank[use], lo[use], hi[use])
+        for t, c, k, a, z in zip(*(v.tolist() for v in columns)):
+            made.append(Event(tuple(t), "compute", None if c < 0 else (c, k), tuple(buffers[a:z])))
 
     node, scatter, *rest = (np.concatenate(c) for c in zip(*order_keys))
     order = np.lexsort((*rest[::-1], *scatter.T[::-1], node))
@@ -425,6 +421,7 @@ def emit_protocol(scop: Scop, dep: DepGraph, fp: Placement, sp: Placement, chunk
         scatter_arity=scop.scatter_arity,
         fields=tuple((f.name, f.element_type, f.extents) for f in scop.fields),
         field_placement=fp,
+        stmt_placement=placed,
         channels=channels,
         events=events,
     )
@@ -441,11 +438,11 @@ def compile_plan(scop: Scop, dep: DepGraph, fp: Placement, sp: Placement, chunki
 
 
 # the keys each kind of line takes, by its head and by an event's kind; a
-# fieldmap line holds map text instead
+# fieldmap or stmtmap line holds map text instead
 _LINE_KEYS = {"plan": {"grid", "scatter_arity"}, "field": {"extents"},
               "channel": {"cid", "family", "src", "dst", "box"}}
 _LINE_WORDS = {"plan": 1, "field": 2, "channel": 0}  # bare tokens: the name, a field's type
-_EVENT_KEYS = {"compute": {"t", "kind", "stmt", "i", "read", "write"},
+_EVENT_KEYS = {"compute": {"t", "kind", "read", "write"},
                "buffer_fill": {"t", "kind", "chunk", "cid", "elem", "rank"},
                **dict.fromkeys(("send_wait", "send", "recv_wait", "recv"), {"t", "kind", "chunk", "cid"})}
 
@@ -476,10 +473,6 @@ def _within(tup, key: str, text: str, extents, where: str) -> tuple:
     return point
 
 
-def _fmt_writes(writes) -> str:
-    return "+".join("storage" if w[0] == "storage" else f"buf:{w[1]}@{w[2]}" for w in writes) or "none"
-
-
 def _parse_buffer_ref(text: str, channels: list) -> tuple:
     """(cid, rank) from ``buf:CID@RANK``; the slot must exist in a declared channel."""
     if not text.startswith("buf:"):
@@ -501,11 +494,9 @@ def _check_slot(channels: list, cid: int, rank: int) -> tuple:
     return cid, rank
 
 
-def _parse_writes(text: str, channels: list):
-    if text == "none":
-        return ()
-    return tuple(("storage",) if part == "storage" else ("buffer",) + _parse_buffer_ref(part, channels)
-                 for part in text.split("+"))
+def _parse_refs(text: str, channels: list) -> tuple:
+    """The (cid, rank) slots of ``buf:C@R`` references joined by ``+``; none for ``none``."""
+    return () if text == "none" else tuple(_parse_buffer_ref(part, channels) for part in text.split("+"))
 
 
 def dump_plan(plan: CommPlan) -> str:
@@ -514,18 +505,17 @@ def dump_plan(plan: CommPlan) -> str:
     for name, etype, extents in plan.fields:
         lines.append(f"field {name} {etype} extents={_fmt_tuple(extents)}")
         lines.append(f"fieldmap {name} {format_map(plan.field_placement.maps[name])}")
+    lines += [f"stmtmap {sid} {format_map(m)}" for sid, m in plan.stmt_placement.maps.items()]
     for ch in plan.channels:
         box = ";".join(f"{lo}:{hi}" for lo, hi in ch.layout.box)
         lines.append(f"channel cid={ch.cid} family={ch.family} src={fmt(ch.src)} dst={fmt(ch.dst)} box=[{box}]")
-    writes = lru_cache(maxsize=None)(_fmt_writes)  # each distinct writes tuple formatted once
-    t = "(" + ",".join(["%d"] * plan.scatter_arity) + ")"  # a scatter, as _fmt_tuple prints it
     for node in sorted(plan.events):
         at = f"node={fmt(node)} t="
-        compute = f"{at}{t} kind=compute stmt=%s i=%s read=%s write=%s"
         for ev in plan.events[node]:
             if ev.kind == "compute":
-                read = "storage" if ev.read_from is None else "buf:%d@%d" % ev.read_from
-                lines.append(compute % (*ev.scatter, ev.stmt, fmt(ev.instance), read, writes(ev.writes)))
+                refs = [ev.read_from] if ev.read_from else [], [w[1:] for w in ev.writes]
+                read, write = ("+".join("buf:%d@%d" % r for r in rs) or "none" for rs in refs)
+                lines.append(f"{at}{fmt(ev.scatter)} kind=compute read={read} write={write}")
                 continue
             line = f"{at}{fmt(ev.scatter)} kind={ev.kind} chunk={ev.chunk} cid={ev.cid}"
             if ev.kind == "buffer_fill":
@@ -542,23 +532,26 @@ def parse_plan(text: str) -> CommPlan:
     The field placement is rebuilt by block distribution of each field's
     extents over the grid, and every ``fieldmap`` must match it, so a
     parsed plan homes each element on exactly one node.  A field is
-    declared once.  Channels must be numbered in order and name a declared
-    field, with a box of as many dims as it has, each a non-empty range
-    within the field's extents.  A channel call names its channel by
-    ``cid=``; every event's channel and buffer rank must exist, and its
-    ``t=`` must have scatter_arity entries.  Every event node and channel
-    end must lie in the grid, every fill element in its channel's field,
-    and every event must pass ``check_windows`` after the earlier events
-    of its node.  Malformed input raises ParseError with the 1-based line
-    number."""
+    declared once, and so is a statement's ``stmtmap``: a bounded map onto
+    nodes of the grid.  Channels must be numbered in order and name a
+    declared field, with a box of as many dims as it has, each a non-empty
+    range within the field's extents.  A channel call names its channel
+    by ``cid=``; every event's channel and buffer rank must exist, and its
+    ``t=`` must have scatter_arity entries.  A compute line binds a buffer
+    read, buffer writes or both.  Every event node and channel end must
+    lie in the grid, every fill element in its channel's field, each
+    node's events must ascend strictly by (t, phase, cid, rank), and every
+    event must pass ``check_windows`` after the earlier events of its
+    node.  Malformed input raises ParseError with the 1-based line number."""
     numbered = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not numbered:
         raise ParseError("empty plan file", line=1)
     tup = lru_cache(maxsize=None)(_parse_tuple)  # each distinct tuple parsed once
     decls = {}
     homes = {}
-    channels = []
-    events, windows = {}, set()  # node -> its events; the open windows after the lines so far
+    channels, stmt_maps = [], {}
+    # node -> its events and its last event's order key; the open windows after the lines so far
+    events, last, windows = {}, {}, set()
 
     for i, (no, ln) in enumerate(numbered):
         parts = ln.split()
@@ -573,7 +566,7 @@ def parse_plan(text: str) -> CommPlan:
                 bad = next(k for j, (k, _) in enumerate(pairs) if k not in allowed or k in dict(pairs[:j]))
                 raise ValueError(f"{bad}= given twice" if bad in allowed else f"{kind} line takes no {bad}=")
             words = [p for p in parts[1:] if "=" not in p]
-            taken = 0 if event else _LINE_WORDS.get(kind, len(words))  # fieldmap lines are map text
+            taken = 0 if event else _LINE_WORDS.get(kind, len(words))  # map lines are map text
             if len(words) > taken:
                 raise ValueError(f"{kind} line takes no {words[taken]!r}")
             if i == 0:
@@ -594,6 +587,21 @@ def parse_plan(text: str) -> CommPlan:
                 if ln.split(None, 2)[2] != format_map(homes[parts[1]]):
                     raise ValueError(f"fieldmap {parts[1]} differs from block distribution over "
                                      f"grid {_fmt_tuple(grid.extents)}")
+            elif parts[0] == "stmtmap":
+                sid, m = parts[1], parse_map(ln.split(None, 2)[2])
+                if sid in stmt_maps or m.n_out != grid.arity:
+                    raise ValueError(f"stmtmap {sid} given twice" if sid in stmt_maps else
+                                     f"stmtmap {sid} maps to {m.n_out} dims, the grid has {grid.arity}")
+                bounds = [b for b in map(partial(propagate, m.n_in + m.n_out), m.pieces) if b is not None]
+                if any(None in lohi for b in bounds for lohi in b):
+                    raise ValueError(f"stmtmap {sid} is unbounded")
+                if not all(0 <= lo and hi < e for b in bounds for (lo, hi), e in zip(b[m.n_in:], grid.extents)):
+                    nodes = enumerate_table(m.as_set())[:, m.n_in:]  # the bounds may reach beyond the points
+                    off = nodes[((nodes < 0) | (nodes >= grid.extents)).any(axis=1)].tolist()
+                    if off:
+                        raise ValueError(f"stmtmap {sid} places instances on node {_fmt_tuple(off[0])}, "
+                                         f"outside grid {_fmt_tuple(grid.extents)}")
+                stmt_maps[sid] = m
             elif parts[0] == "channel":
                 box_text = kv["box"][1:-1]
                 box = tuple(
@@ -621,10 +629,10 @@ def parse_plan(text: str) -> CommPlan:
                     raise ValueError(f"t={_fmt_tuple(scatter)} has {len(scatter)} entries, "
                                      f"scatter_arity is {scatter_arity}")
                 if kind == "compute":
-                    read = None if kv["read"] == "storage" else _parse_buffer_ref(kv["read"], channels)
-                    ev = Event(scatter=scatter, kind=kind, stmt=kv["stmt"],
-                               instance=tup(kv["i"]), read_from=read,
-                               writes=_parse_writes(kv["write"], channels))
+                    reads, writes = (_parse_refs(kv[k], channels) for k in ("read", "write"))
+                    if len(reads) > 1 or not reads + writes:
+                        raise ValueError("a compute line binds one buffer read, buffer writes or both")
+                    ev = Event(scatter, kind, reads[0] if reads else None, tuple(("buffer", *w) for w in writes))
                 elif kind in CALLS:
                     ev = Event(scatter=scatter, kind=kind, chunk=kv["chunk"],
                                cid=_channel(channels, int(kv["cid"])).cid)
@@ -635,14 +643,19 @@ def parse_plan(text: str) -> CommPlan:
                 else:
                     raise ValueError(f"unknown event kind {kind}")
                 check_windows(channels, node, (ev,), windows)
+                key = (scatter, CALLS[kind].phase if kind in CALLS else 4, ev.cid, ev.rank)
+                if key <= last.get(node, ()):
+                    raise ValueError(f"t={_fmt_tuple(scatter)} kind={kind} is not after the event before it "
+                                     f"on node {_fmt_tuple(node)} in (t, phase, cid, rank) order")
                 events.setdefault(node, []).append(ev)
+                last[node] = key
             else:
                 raise ValueError(f"unknown plan line {ln!r}")
         except KeyError as e:
             raise ParseError(f"missing {e.args[0]}=", line=no) from None
         except IndexError:
             raise ParseError(f"incomplete line {ln!r}", line=no) from None
-        except (ValueError, ValidationError, GeometryMismatch) as e:
+        except (ValueError, ValidationError, GeometryMismatch, ParseError) as e:
             raise ParseError(str(e), line=no) from None
     return CommPlan(
         name=name,
@@ -650,6 +663,7 @@ def parse_plan(text: str) -> CommPlan:
         scatter_arity=scatter_arity,
         fields=tuple((d.name, d.element_type, d.extents) for d in decls.values()),
         field_placement=Placement(homes),
+        stmt_placement=Placement(stmt_maps),
         channels=channels,
         events={node: evs for node, evs in sorted(events.items())},
     )

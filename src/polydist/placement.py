@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import AnalysisError, IndivisibleExtent, UnsatisfiablePlacement, ValidationError
+from .errors import AnalysisError, GeometryMismatch, IndivisibleExtent, UnsatisfiablePlacement, ValidationError
 from .deps import DepGraph
 from .isets import (
     AffineExpr,
@@ -79,11 +79,15 @@ class Placement:
     def node_rows(self, s: Statement, grid: ClusterGrid) -> tuple[np.ndarray, np.ndarray]:
         """Where the instances of s run: per table row, the instance's row
         in ``s.instances`` and the node's position in ``grid.nodes``,
-        ascending by row and then node.  Points off the domain are dropped."""
-        t = self.table[s.id]
-        rows = find_rows(s.instances, t[:, : s.arity])
-        keep = rows >= 0
-        return rows[keep], grid.index(t[keep, s.arity :])
+        ascending by row and then node.  GeometryMismatch for a point that
+        is not an instance of s."""
+        t, n = self.table[s.id], self.table[s.id].shape[1] - grid.arity
+        rows = np.arange(len(t)) if np.array_equal(t[:, :n], s.instances) else (  # one node per instance
+            find_rows(s.instances, t[:, :n]) if n == s.arity else np.full(len(t), -1))
+        if (rows < 0).any():
+            raise GeometryMismatch(f"{s.id}{tuple(t[rows < 0][0, :n].tolist())} is placed, "
+                                   f"but is not an instance of {s.id}")
+        return rows, grid.index(t[:, n:])
 
 
 def block_distribute(fields, grid: ClusterGrid) -> Placement:

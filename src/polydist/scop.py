@@ -130,9 +130,10 @@ class Statement:
         return enumerate_table(self.domain)
 
     @cached_property
-    def rows(self) -> dict:
-        """Instance tuple -> its row in ``instances``, in row order."""
-        return {p: r for r, p in enumerate(map(tuple, self.instances.tolist()))}
+    def labels(self) -> list:
+        """Every instance as a trace names it, ``S1.1(0,1,1)``, row for row."""
+        return (f"{self.id}({','.join(['%d'] * self.arity)})\0" * len(self.instances)
+                % tuple(self.instances.ravel().tolist())).split("\0")[:-1]
 
     @cached_property
     def scatters(self) -> np.ndarray:

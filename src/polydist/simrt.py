@@ -1,26 +1,26 @@
 """Deterministic in-process simulation of a node grid executing a plan.
 
 Each node owns the storage for its home elements of every field, a
-private scalar environment, and a cursor into its event list.  A compute
-event stores the element it writes where its node homes it
-(``write=storage``) and reads a value made on its own node from there
-(``read=storage``); values from other nodes arrive through channels,
-persistent point-to-point buffers whose state each call moves as
-``commgen.CALLS`` says.  ``send_wait`` blocks until the receiver's
+private scalar environment, and a cursor into its steps.  Every
+execution stores each element it writes where its node homes it, and
+reads a value made on its own node from there unless a compute event
+binds it to a buffer slot; values from other nodes arrive through
+channels, persistent point-to-point buffers whose state each call moves
+as ``commgen.CALLS`` says.  ``send_wait`` blocks until the receiver's
 ``recv`` has released the last message, ``recv_wait`` until the send.
 ``commgen.check_windows`` checks every node's events before the first
 step, so every other call and every buffer access finds the state it
 needs in any interleaving: the states only park and wake nodes.
 
-Every step runs the lowest (scatter, node) head event that is not
-blocked, which makes runs bit-reproducible.  The node heads wait in a
-heap keyed by (scatter, node); a blocked head parks its node on its
-channel until the next ``send`` or ``recv`` there pushes it back, and
-the popped node keeps running while its next head is below the heap's
-top.  Nodes still parked when the heap is empty are a deadlock
-(DeadlockDetected names each with its head event's kind).  A read of a
-slot no event wrote, and a channel not idle at the end (a message never
-released), abort with BufferStateViolation.
+Every step runs the lowest (scatter, node) head that is not blocked,
+which makes runs bit-reproducible.  The node heads wait in a heap keyed
+by (scatter, node); a blocked head parks its node on its channel until
+the next ``send`` or ``recv`` there pushes it back, and the popped node
+keeps running while its next head is below the heap's top.  Nodes still
+parked when the heap is empty are a deadlock (DeadlockDetected names
+each with its head event's kind).  A read of a slot no event wrote, and
+a channel not idle at the end (a message never released), abort with
+BufferStateViolation.
 """
 
 from __future__ import annotations
@@ -29,17 +29,19 @@ import hashlib
 import heapq
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import repeat
+from operator import attrgetter
 
 import numpy as np
 
-from .commgen import CALLS, IDLE, CommPlan, _fmt_tuple, check_windows
+from .commgen import CALLS, IDLE, CommPlan, Event, _fmt_tuple, check_windows
 from .errors import (
     BufferStateViolation,
     DeadlockDetected,
     GeometryMismatch,
     NotLocal,
 )
-from .scop import ClusterGrid, FieldDecl, Scop, instance_runner
+from .scop import ClusterGrid, FieldDecl, Scop, Statement, instance_runner, point_table
 
 __all__ = ["NodeState", "ChannelState", "Trace", "SimState", "init_runtime", "run"]
 
@@ -50,7 +52,7 @@ class NodeState:
     position: int  # in ClusterGrid.nodes
     storage: dict  # field -> 1-D numpy array over the home elements, row-major
     scalars: dict = field(default_factory=dict)
-    cursor: int = 0
+    cursor: int = 0  # into the node's steps
 
 
 @dataclass
@@ -138,99 +140,143 @@ def _digest(values) -> str:
     return hashlib.sha1(repr(values).encode()).hexdigest()[:12]
 
 
-def _not_runnable(scop: Scop, ev, coord) -> None:
-    """GeometryMismatch: the event names no real statement's instance, or an access it lacks."""
-    s = next((s for s in scop.statements if s.id == ev.stmt), None)
-    if s is None:
-        fault = f"names statement {ev.stmt}, which the scop does not have"
-    elif ev.instance not in s.rows:
-        fault = f"names {ev.stmt}{ev.instance}, which is not an instance of {ev.stmt}"
-    elif s.is_virtual:
-        fault = f"names {ev.stmt}{ev.instance}, an instance of a virtual statement"
-    elif ev.read_from is not None and not s.reads():
-        fault = f"binds a field read for {ev.stmt}{ev.instance}, which reads no field"
-    else:
-        fault = f"binds a field write for {ev.stmt}{ev.instance}, which writes no field"
-    raise GeometryMismatch(f"compute event on node {coord} {fault}")
+_UNBOUND = Event((), "compute")  # the binding of an execution that uses no buffer slot
+_PHASE = {"compute": 4, **{kind: call.phase for kind, call in CALLS.items()}}
+
+
+def _table(rows: list, width: int) -> np.ndarray:
+    """Rows of ints as an int64 table, or of Python ints when some value needs them."""
+    try:
+        return np.array(rows, dtype=np.int64).reshape(-1, width)
+    except OverflowError:
+        return point_table(rows, width)
+
+
+def _steps(plan: CommPlan, scop: Scop) -> tuple[list, list, tuple, list]:
+    """Per node position, its steps in run order and their heap keys, which
+    order as (t, node) and are the node's position mod the node count; the
+    executions' (runner, row, trace chunk, binding) columns; and the events.
+    The steps are the executions the statement placement gives the node, at
+    their dilated scatters (phase 4), and its events, merged by one lexsort
+    on (t, node, phase, cid, rank); a step is its index in the executions'
+    columns, then the events', and an execution's binding is the compute
+    event at its key.  GeometryMismatch unless the plan places
+    the scop's real statements at instances, each node's events pass
+    ``check_windows`` and ascend strictly by key, and each compute event
+    ties with an execution of a statement that makes the accesses it binds."""
+    grid, real, placed = scop.grid, scop.real_statements(), plan.stmt_placement.maps
+    nodes, arity = grid.nodes, scop.scatter_arity
+    for sid in sorted(placed.keys() ^ {s.id for s in real}):  # the first stray or missing statement
+        known = sid in map(attrgetter("id"), scop.statements)
+        raise GeometryMismatch(f"plan does not place statement {sid}" if sid not in placed else
+                               f"plan places {sid}, {'a virtual statement' if known else 'which the scop lacks'}")
+    if plan.scatter_arity != arity:
+        raise GeometryMismatch(f"plan scatters have {plan.scatter_arity} entries, the scop's {arity}")
+    execs = [plan.stmt_placement.node_rows(s, grid) for s in real]
+    for coord in nodes:
+        check_windows(plan.channels, coord, plan.events.get(coord, ()), set())
+    evs = [ev for coord in nodes for ev in plan.events.get(coord, ())]
+    # the columns hold the executions first, then the events
+    e = sum(len(r) for r, _ in execs)
+    listed = np.repeat(np.arange(len(nodes)), [len(plan.events.get(c, ())) for c in nodes])
+    pos = np.concatenate([w for _, w in execs] + [listed])
+    key = np.concatenate(  # t, phase, cid, rank
+        [np.column_stack((2 * s.scatters[r], np.tile((4, -1, -1), (len(r), 1)))) for s, (r, _) in zip(real, execs)]
+        + [_table([(*ev.scatter, _PHASE[ev.kind], ev.cid, ev.rank) for ev in evs], arity + 3)])
+    order = np.lexsort((np.arange(len(pos)) >= e, *key[:, arity:].T[::-1], pos, *key[:, :arity].T[::-1]))
+    rank = np.empty(len(order), dtype=np.intp)
+    rank[order] = np.arange(len(order))
+    # each event must rank above the one before it on its node and not repeat its key
+    same = pos[e + 1:] == pos[e:-1]
+    down = np.flatnonzero(same & ((rank[e + 1:] < rank[e:-1]) | (key[e + 1:] == key[e:-1]).all(axis=1)))
+    if len(down):
+        ev, coord = evs[down[0] + 1], nodes[pos[e + down[0] + 1]]
+        raise GeometryMismatch(f"{ev.kind} at t={_fmt_tuple(ev.scatter)} on node {coord} is not after "
+                               "the event before it in (t, phase, cid, rank) order")
+    # a compute event binds the execution just below it in the order, on its node at its key
+    bound = e + np.flatnonzero([ev.kind == "compute" for ev in evs])
+    tied = order[rank[bound] - 1]
+    tied[(rank[bound] == 0) | (tied >= e) | (pos[tied] != pos[bound]) | (key[tied] != key[bound]).any(axis=1)] = -1
+    owner = np.repeat(np.arange(len(real)), [len(r) for r, _ in execs])
+    runners = [f for s, (r, _) in zip(real, execs) for f in repeat(instance_runner(scop, s), len(r))]
+    labels = [s.labels[i] for s, (r, _) in zip(real, execs) for i in r.tolist()]
+    rows, bindings = np.concatenate([r for r, _ in execs] or [np.zeros(0, dtype=np.intp)]).tolist(), [_UNBOUND] * e
+    made = [np.array([bool(f(s)) for s in real] + [True])[owner[tied]] for f in (Statement.reads, Statement.writes)]
+    for b, x, reads, writes in zip(bound.tolist(), tied.tolist(), *made):
+        ev = evs[b - e]
+        access = "read" if ev.read_from is not None and not reads else "write" if ev.writes and not writes else ""
+        if x < 0 or access:
+            fault = (f"binds a field {access} for {labels[x]}, which {access}s no field" if x >= 0
+                     else "runs no execution")
+            raise GeometryMismatch(f"compute event on node {nodes[pos[b]]} at t={_fmt_tuple(ev.scatter)} {fault}")
+        bindings[x] = ev
+    keep = np.delete(order, rank[bound])
+    keep = keep[np.argsort(pos[keep], kind="stable")]
+    cuts = np.searchsorted(pos[keep], np.arange(len(nodes) + 1)).tolist()
+    ordered, keys = keep.tolist(), (rank[keep] * len(nodes) + pos[keep]).tolist()
+    return ([ordered[a:b] for a, b in zip(cuts, cuts[1:])], [keys[a:b] for a, b in zip(cuts, cuts[1:])],
+            (runners, rows, labels, bindings), evs)
 
 
 def run(sim: SimState, scop: Scop):
-    """Execute the plan; returns (field contents, trace).  Before the first step, every
-    node's events must pass ``check_windows`` and no compute event ``_not_runnable``."""
-    plan = sim.plan
-    runs = {s.id: instance_runner(scop, s) for s in scop.real_statements()}
-    chunks = {s.id: f"{s.id}({','.join(['%d'] * s.arity)})" for s in scop.statements}  # % an instance
-    # per real statement: its rows by instance, whether it reads a field and whether it writes one
-    real = {s.id: (s.rows, bool(s.reads()), bool(s.writes())) for s in scop.real_statements()}
-    node_events = {coord: plan.events.get(coord, []) for coord in sim.nodes}
-    rows = {}  # node -> per event, a compute event's instance row, else None
-    for coord, evs in sorted(node_events.items()):
-        check_windows(plan.channels, coord, evs, set())
-        rows[coord] = node_rows = []
-        for ev in evs:
-            row = None
-            if ev.kind == "compute":
-                at, reads, writes = real.get(ev.stmt, ({}, False, False))
-                row = at.get(ev.instance)
-                if row is None or (ev.read_from is not None and not reads) or (ev.writes and not writes):
-                    _not_runnable(scop, ev, coord)
-            node_rows.append(row)
+    """Execute the plan; returns (field contents, trace).  The steps come from ``_steps``."""
+    plan, nodes = sim.plan, scop.grid.nodes
+    node_steps, node_keys, (runners, rows, labels, bindings), evs = _steps(plan, scop)
+    n, e, states = len(nodes), len(rows), [sim.nodes[c] for c in nodes]
 
-    def read(ev, decl, element):  # ev's read access, on the running node
+    def read(ev, decl, element):  # the running execution's read access, on its node
         if ev.read_from is None:  # made on this node, by the element's last writer
             return node.storage[decl.name].item(sim._offset(node, decl.name, element))
-        cid, rank = ev.read_from
-        value = sim.channels[cid].slots[rank]
+        value = sim.channels[ev.read_from[0]].slots[ev.read_from[1]]
         if value is None:
-            raise BufferStateViolation(f"{ev.stmt}{ev.instance}: reading unwritten buffer slot")
+            raise BufferStateViolation(f"{labels[j]}: reading unwritten buffer slot")
         return value
 
     def store(ev, decl, element, value):
-        for w in ev.writes:
-            if w[0] == "storage":
-                node.storage[decl.name][sim._offset(node, decl.name, element)] = value
-                continue
-            sim.channels[w[1]].slots[w[2]] = value
+        home = sim.slots[decl.name][element]
+        if home[0] == node.position:
+            node.storage[decl.name][home[1]] = value
+        for _, cid, rank in ev.writes:
+            sim.channels[cid].slots[rank] = value
 
     entries = sim.trace.entries
-    heap = [(evs[0].scatter, coord) for coord, evs in node_events.items() if evs]
+    heap = [keys[0] for keys in node_keys if keys]
     heapq.heapify(heap)
-    parked: dict = {}  # cid -> nodes whose head waits on that channel
+    parked: dict = {}  # cid -> the positions of the nodes whose head waits on that channel
     while heap:
-        _, coord = heapq.heappop(heap)
-        node, evs, node_rows = sim.nodes[coord], node_events[coord], rows[coord]
+        p = heapq.heappop(heap) % n
+        node, steps, keys, coord = states[p], node_steps[p], node_keys[p], nodes[p]
         i = node.cursor
         while True:  # run the node's heads while each is below every other node's
-            ev, row = evs[i], node_rows[i]
-            if row is not None:
-                runs[ev.stmt](row, node.scalars, read, store, ev)
-                entries.append((len(entries), coord, "compute", chunks[ev.stmt] % ev.instance, ev.cid, "-"))
-            elif (ch := sim.channels[ev.cid]).state != (call := CALLS[ev.kind]).needs:  # a wait call
-                parked.setdefault(ev.cid, []).append(coord)
+            j = steps[i]
+            if j < e:  # an execution
+                runners[j](rows[j], node.scalars, read, store, bindings[j])
+                entries.append((len(entries), coord, "compute", labels[j], -1, "-"))
+            elif (ch := sim.channels[(ev := evs[j - e]).cid]).state != (call := CALLS[ev.kind]).needs:  # a wait
+                parked.setdefault(ev.cid, []).append(p)
                 break
             else:
                 if ev.kind == "send_wait":
                     ch.slots = [None] * plan.channels[ev.cid].layout.size
                 elif ev.kind == "buffer_fill":
-                    name = plan.channels[ev.cid].layout.fieldname
-                    ch.slots[ev.rank] = node.storage[name].item(sim._offset(node, name, ev.element))
+                    fieldname = plan.channels[ev.cid].layout.fieldname
+                    ch.slots[ev.rank] = node.storage[fieldname].item(sim._offset(node, fieldname, ev.element))
                 ch.state = call.leaves
                 digest = "-"
                 if ev.kind in ("send", "recv"):  # the states a parked head waits for
                     digest = _digest(tuple(ch.slots))
                     for c in parked.pop(ev.cid, ()):
-                        heapq.heappush(heap, (node_events[c][sim.nodes[c].cursor].scatter, c))
+                        heapq.heappush(heap, node_keys[c][states[c].cursor])
                 entries.append((len(entries), coord, ev.kind, ev.chunk, ev.cid, digest))
             node.cursor = i = i + 1
-            if i == len(evs):
+            if i == len(steps):
                 break
-            key = (evs[i].scatter, coord)
-            if heap and heap[0] < key:  # another node's head, perhaps one just woken, is lower
-                heapq.heappush(heap, key)
+            if heap and heap[0] < keys[i]:  # another node's head, perhaps one just woken, is lower
+                heapq.heappush(heap, keys[i])
                 break
     if parked:
         blocked = sorted(c for cs in parked.values() for c in cs)
-        heads = {c: node_events[c][sim.nodes[c].cursor].kind for c in blocked}
+        heads = {nodes[c]: evs[node_steps[c][states[c].cursor] - e].kind for c in blocked}
         raise DeadlockDetected(f"all nodes blocked: {heads}")
     busy = [f"{cid} {ch.state}" for cid, ch in sim.channels.items() if ch.state != IDLE]
     if busy:

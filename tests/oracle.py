@@ -9,6 +9,7 @@ transitive closure) and the symbolic analysis cross-checks live here too.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -486,13 +487,14 @@ def strict_prefix_holds(scop, fam, level: int) -> bool:
 
 def pair_rows_by_lookup(dep) -> list:
     """Per family, the producer's and consumer's rows looked up pair by
-    pair in ``Statement.rows``: the reference for ``DepGraph.pair_rows``."""
+    pair among ``Statement.instances``: the reference for ``DepGraph.pair_rows``."""
     out = []
     for fam in dep.families:
         cols = np.split(fam.table, [fam.n_prod, fam.n_prod + fam.n_cons], axis=1)
         stmts = (dep.scop.statement(fam.producer), dep.scop.statement(fam.consumer))
-        out.append(tuple(np.array([s.rows[p] for p in map(tuple, c.tolist())], dtype=np.int64)
-                         for s, c in zip(stmts, cols)))
+        rows = [{p: r for r, p in enumerate(map(tuple, s.instances.tolist()))} for s in stmts]
+        out.append(tuple(np.array([at[p] for p in map(tuple, c.tolist())], dtype=np.int64)
+                         for at, c in zip(rows, cols)))
     return out
 
 
@@ -538,21 +540,62 @@ def stmt_nodes(sp, stmt: str, point) -> list:
 # -- scheduling oracle --------------------------------------------------------
 
 
+@dataclass
+class Step:
+    """One entry of a node's expanded event list: a listed event, or an
+    execution as a compute step that names its instance and carries the
+    buffer slots its compute event binds."""
+
+    scatter: tuple
+    kind: str
+    stmt: str = ""
+    instance: tuple = ()
+    read_from: tuple = None
+    writes: tuple = ()
+    chunk: str = ""
+    cid: int = -1
+    element: tuple = ()
+    rank: int = -1
+
+
 def event_key(ev) -> tuple:
     """Where an event stands in its node's list: the reference for the
     order ``emit_protocol`` gives by lexsort."""
     phase = CALLS[ev.kind].phase if ev.kind in CALLS else 4  # compute events last
-    return (ev.scatter, phase, ev.cid, ev.rank, ev.stmt, ev.instance)
+    return (ev.scatter, phase, ev.cid, ev.rank)
 
 
-def scan_order(plan, nodes):
-    """The order in which a plan's events run on the given nodes, by the
+def expand_plan(plan, scop) -> dict:
+    """Every node's full event list: each execution the plan's statement
+    placement gives the node, at its dilated scatter, as a compute step
+    with the slots of the compute event listed at that node and scatter,
+    and each other listed event, merged by Python's sort on ``event_key``;
+    independent of simrt's lexsort.  Every compute event must bind an
+    execution."""
+    out = {coord: [] for coord in scop.grid.nodes}
+    binding = {(node, ev.scatter): ev for node, evs in plan.events.items() for ev in evs if ev.kind == "compute"}
+    for s in scop.real_statements():
+        rows = {p: r for r, p in enumerate(map(tuple, s.instances.tolist()))}
+        for point in map(tuple, plan.stmt_placement.table[s.id].tolist()):
+            instance, node = point[: s.arity], point[s.arity :]
+            scatter = tuple(2 * v for v in s.scatters[rows[instance]].tolist())
+            ev = binding.pop((node, scatter), None)
+            out[node].append(Step(scatter, "compute", s.id, instance, ev and ev.read_from, ev.writes if ev else ()))
+    assert not binding, f"compute events that bind no execution: {sorted(binding)}"
+    for node, evs in plan.events.items():
+        out[node] += [Step(ev.scatter, ev.kind, chunk=ev.chunk, cid=ev.cid, element=ev.element, rank=ev.rank)
+                      for ev in evs if ev.kind != "compute"]
+    return {node: sorted(steps, key=event_key) for node, steps in out.items() if steps}
+
+
+def scan_order(plan, scop):
+    """The order in which a plan's steps (``expand_plan``) run, by the
     per-step scan the simulator's heap replaces: every step runs the lowest
     (scatter, node) head whose channel is in the state it waits for.  Only
-    the channel states are replayed.  Returns the [(node, event index)]
+    the channel states are replayed.  Returns the [(node, step index)]
     order, or on deadlock the {node: head kind} dict of the unfinished
     nodes in sorted order."""
-    events = {coord: plan.events.get(coord, []) for coord in nodes}
+    events = expand_plan(plan, scop)
     cursor = dict.fromkeys(events, 0)
     state = {ch.cid: IDLE for ch in plan.channels}
     pending = {coord for coord, evs in events.items() if evs}
@@ -578,21 +621,25 @@ def scan_order(plan, nodes):
 
 
 def run_any_order(plan, scop, init, seed) -> dict:
-    """The field contents a plan leaves when each step runs the head of a
-    node drawn by a seeded ``random.Random`` from the nodes whose head can
-    run: the any-order reference for ``simrt.run``, sharing only its node
-    storage and ``scop.instance_runner``.  A ``send_wait`` or
-    ``recv_wait`` waits for the state ``CALLS`` says it needs; every other
-    call, and every buffer access, must find its state, an assertion
-    here, where ``simrt`` relies on ``check_windows`` before the run.
-    Faults as ``simrt.run``'s: DeadlockDetected when no head can run,
-    BufferStateViolation for an unwritten slot or a channel not idle at
-    the end, NotLocal for an element its node does not home."""
+    """The field contents a plan leaves when each step of its expansion
+    (``expand_plan``) runs the head of a node drawn by a seeded
+    ``random.Random`` from the nodes whose head can run: the any-order
+    reference for ``simrt.run``, sharing only its node storage and
+    ``scop.instance_runner``.  An execution reads its node's storage
+    unless it reads a buffer slot, and stores each element it writes that
+    its node homes.  A ``send_wait`` or ``recv_wait`` waits for the state
+    ``CALLS`` says it needs; every other call, and every buffer access,
+    must find its state, an assertion here, where ``simrt`` relies on
+    ``check_windows`` before the run.  Faults as ``simrt.run``'s:
+    DeadlockDetected when no head can run, BufferStateViolation for an
+    unwritten slot or a channel not idle at the end, NotLocal for an
+    element its node does not home."""
     rng = random.Random(seed)
     sim = init_runtime(plan, scop.grid, init)
     runs = {s.id: instance_runner(scop, s) for s in scop.real_statements()}
-    rows = {s.id: s.rows for s in scop.statements}
-    events = {coord: plan.events.get(coord, []) for coord in sim.nodes}
+    rows = {s.id: {p: r for r, p in enumerate(map(tuple, s.instances.tolist()))} for s in scop.real_statements()}
+    steps = expand_plan(plan, scop)
+    events = {coord: steps.get(coord, []) for coord in sim.nodes}
     state = {ch.cid: IDLE for ch in plan.channels}
     slots: dict = {}  # cid -> the slots of its current message
     head = dict.fromkeys(events, 0)
@@ -612,16 +659,16 @@ def run_any_order(plan, scop, init, seed) -> dict:
         cid, rank = ev.read_from
         assert state[cid] == RECEIVED, f"{ev.stmt}{ev.instance} reads channel {cid} {state[cid]}"
         if slots[cid][rank] is None:
-            raise BufferStateViolation(f"{ev.stmt}{ev.instance}: reading unwritten buffer slot")
+            label = f"{ev.stmt}({','.join(map(str, ev.instance))})"
+            raise BufferStateViolation(f"{label}: reading unwritten buffer slot")
         return slots[cid][rank]
 
     def store(ev, decl, element, value):
-        for w in ev.writes:
-            if w[0] == "storage":
-                node.storage[decl.name][sim._offset(node, decl.name, element)] = value
-            else:
-                assert state[w[1]] == FILLING, f"{ev.stmt}{ev.instance} writes channel {w[1]} {state[w[1]]}"
-                slots[w[1]][w[2]] = value
+        if sim.slots[decl.name][element][0] == node.position:
+            node.storage[decl.name][sim._offset(node, decl.name, element)] = value
+        for _, cid, rank in ev.writes:
+            assert state[cid] == FILLING, f"{ev.stmt}{ev.instance} writes channel {cid} {state[cid]}"
+            slots[cid][rank] = value
 
     for coord in sorted(events):
         if events[coord]:

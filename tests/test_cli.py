@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import re
@@ -11,8 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polydist.cli import main
+from polydist.commgen import CALLS, Event, dump_plan
 from polydist.fields import dump_contents, first_divergence, random_contents
+from polydist.pipeline import plan_scop
 from polydist.scopio import parse_scop, parse_scop_file
+
+from oracle import event_key, expand_plan
 
 
 def invoke(*argv):
@@ -77,11 +82,12 @@ def test_plan_boundary_channels(gol16_path, tmp_path):
 
 
 def test_plan_single_node_has_no_channel(gol16_path, tmp_path):
-    # one node homes every element: every read is a storage read
+    # one node homes every element: every read is a storage read, so no
+    # execution is bound to a buffer and the plan lists no compute event
     assert invoke("plan", str(gol16_path), "--grid", "1x1", "--out", str(tmp_path)) == 0
     lines = (tmp_path / "plan.txt").read_text().splitlines()
-    assert not [ln for ln in lines if ln.startswith("channel") or " read=buf:" in ln]
-    assert any(" read=storage " in ln for ln in lines)
+    assert not [ln for ln in lines if ln.startswith(("channel", "node="))]
+    assert any(ln.startswith("stmtmap S1.1 ") for ln in lines)
 
 
 def test_plan_indivisible_grid(gol16_path, tmp_path):
@@ -302,83 +308,146 @@ def test_simulate_plan_for_other_fields(gol16_path, tmp_path, capsys):
     assert "plan field fronx is not a field of the contents" in err
 
 
-def test_verify_plan_with_unknown_statement(gol16_path, tmp_path, capsys):
-    # a compute event naming a statement the scop lacks is a validation error
-    invoke("plan", str(gol16_path), "--out", str(tmp_path))
-    text = (tmp_path / "plan.txt").read_text().replace("stmt=S1.1 ", "stmt=S9.9 ", 1)
-    plan_file = tmp_path / "bad.txt"
-    plan_file.write_text(text)
-    rc = invoke("verify", str(gol16_path), "--plan", str(plan_file))
-    err = capsys.readouterr().err
-    assert rc == 2
-    assert "names statement S9.9" in err
-    assert err.count("\n") == 1
-
-
-def test_verify_plan_with_out_of_domain_instance(gol16_path, tmp_path, capsys):
-    # a compute event for a point outside its statement's domain (i <= 2) is
-    # a validation error, not a run of an instance that does not exist
-    invoke("plan", str(gol16_path), "--out", str(tmp_path))
-    text = (tmp_path / "plan.txt").read_text()
-    assert " stmt=S2.2 i=(0,1,1) " in text
-    plan_file = tmp_path / "outside.txt"
-    plan_file.write_text(text.replace(" stmt=S2.2 i=(0,1,1) ", " stmt=S2.2 i=(7,1,1) ", 1))
-    rc = invoke("verify", str(gol16_path), "--plan", str(plan_file))
-    assert rc == 2
-    assert capsys.readouterr().err == (
-        "validation error: compute event on node (0, 0) names S2.2(7, 1, 1), "
-        "which is not an instance of S2.2\n"
-    )
-
-
-def _insert_prologue_compute(text):
-    at = text.index("\nnode=(0,0) ") + 1
-    line = ("node=(0,0) t=(-2,0,0,0,0,0,0,-2) kind=compute stmt=Prologue i=() "
-            "read=storage write=storage\n")
-    return text[:at] + line + text[at:]
-
-
-def _first_line_edit(pick, old, new):
-    def edit(text):
-        at = text.index(pick)
-        end = text.index("\n", at)
-        assert old in text[at:end]
-        return text[:at] + text[at:end].replace(old, new) + text[end:]
+def _line_edit(pick, old, new):
+    """Replace old by new in the first line that starts with pick."""
+    def edit(lines):
+        no = next(i for i, ln in enumerate(lines) if ln.startswith(pick))
+        assert old in lines[no], lines[no]
+        return lines[:no] + [lines[no].replace(old, new, 1)] + lines[no + 1:]
     return edit
 
 
-# edits adding a compute event for a virtual statement, or binding a field
-# read or write that the event's statement does not make; emitted plans
-# hold none, and verify rejects each before the first step
-UNRUNNABLE_COMPUTES = {
-    "virtual_statement": (
-        _insert_prologue_compute,
-        "names Prologue(), an instance of a virtual statement",
-    ),
-    "write_without_field_write": (
-        _first_line_edit(" stmt=S1.1 i=(0,1,1) ", " write=none", " write=storage"),
-        "binds a field write for S1.1(0, 1, 1), which writes no field",
-    ),
-    "read_without_field_read": (
-        # inside (0,0)'s window of channel 10, from its recv_wait at
-        # t=(0,0,0,2,0,14,4,-1) to the prologue values' last read
-        _first_line_edit(" stmt=S1.7 i=(0,1,7) ", " read=storage ", " read=buf:10@0 "),
-        "binds a field read for S1.7(0, 1, 7), which reads no field",
-    ),
+def _add_after(pick, make):
+    """Insert make(line) after the first line that starts with pick."""
+    def edit(lines):
+        no = next(i for i, ln in enumerate(lines) if ln.startswith(pick))
+        return lines[:no + 1] + [make(lines[no])] + lines[no + 1:]
+    return edit
+
+
+def _t_down(lines):
+    """The first buffer-reading compute line one step earlier: an odd t,
+    where no execution runs, still after its recv_wait."""
+    no = next(i for i, ln in enumerate(lines) if " kind=compute read=buf:" in ln)
+    t = re.search(r" t=\(([-\d,]+)\) ", lines[no])[1].split(",")
+    earlier = ",".join(t[:-1] + [str(int(t[-1]) - 1)])
+    return lines[:no] + [lines[no].replace(f" t=({','.join(t)}) ", f" t=({earlier}) ")] + lines[no + 1:]
+
+
+S11 = "stmtmap S1.1 { S1.1[i, x, y] -> P[floor(x/8), floor(y/8)] : 0 <= i <= 2 and 1 <= x <= 14 and 1 <= y <= 14 }"
+PR26_COMPUTE = "node=(0,0) t=(0,0,0,2,0,2,14,0) kind=compute stmt=S1.7 i=(0,1,1) read=storage write=storage"
+
+# edits of the gol16 2x2 plan's stmtmap and compute lines -> (exit code, the
+# start of the line its parse error names, message); validation errors come
+# before the first step
+BAD_PLACEMENTS = {
+    "map-text": (_line_edit("stmtmap S1.1 ", "1 <= y <= 14 }", "1 <= y <= }"), 1, "stmtmap S1.1 ",
+                 "unexpected token '}' (line 1, column 91)"),
+    "stmtmap-twice": (_add_after("stmtmap S1.1 ", lambda ln: ln), 1, "stmtmap S1.1 ", "stmtmap S1.1 given twice"),
+    "range-arity": (_line_edit("stmtmap S1.1 ", "P[floor(x/8), floor(y/8)]", "P[floor(x/8)]"), 1,
+                    "stmtmap S1.1 ", "stmtmap S1.1 maps to 1 dims, the grid has 2"),
+    "node-off-grid": (_line_edit("stmtmap S1.1 ", "P[floor(x/8), floor(y/8)]", "P[floor(x/8), 5]"), 1,
+                      "stmtmap S1.1 ", "stmtmap S1.1 places instances on node (0,5), outside grid (2,2)"),
+    "unbounded": (_line_edit("stmtmap S1.1 ", "0 <= i <= 2", "0 <= i"), 1, "stmtmap S1.1 ",
+                  "stmtmap S1.1 is unbounded"),
+    "binds-nothing": (_line_edit("node=(0,0) t=(0,0,0,2,0,14,4,0) ", "read=buf:10@0", "read=none"), 1,
+                      "node=(0,0) t=(0,0,0,2,0,14,4,0) ", "a compute line binds one buffer read, buffer writes or both"),
+    "old-format": (_add_after("node=(0,0) t=(0,0,0,2,0,14,4,0) ", lambda ln: PR26_COMPUTE), 1, PR26_COMPUTE,
+                   "compute line takes no stmt="),
+    "old-storage-read": (_line_edit("node=(0,0) t=(0,0,0,2,0,14,4,0) ", "read=buf:10@0", "read=storage"), 1,
+                         "node=(0,0) t=(0,0,0,2,0,14,4,0) ", "bad buffer reference 'storage'"),
+    "missing-statement": (lambda lines: [ln for ln in lines if not ln.startswith("stmtmap S2.2 ")], 2, None,
+                          "plan does not place statement S2.2"),
+    "no-execution": (_t_down, 2, None,
+                     "compute event on node (0, 0) at t=(0,0,0,2,0,14,4,-1) runs no execution"),
 }
 
 
-@pytest.mark.parametrize("case", sorted(UNRUNNABLE_COMPUTES))
-def test_verify_plan_with_unrunnable_compute(gol16_path, tmp_path, capsys, case):
-    edit, message = UNRUNNABLE_COMPUTES[case]
+@pytest.mark.parametrize("case", sorted(BAD_PLACEMENTS))
+def test_verify_plan_with_bad_placement_or_binding(gol16_path, tmp_path, capsys, case):
+    edit, code, at, message = BAD_PLACEMENTS[case]
     invoke("plan", str(gol16_path), "--out", str(tmp_path))
-    plan_file = tmp_path / "unrunnable.txt"
-    plan_file.write_text(edit((tmp_path / "plan.txt").read_text()))
-    rc = invoke("verify", str(gol16_path), "--plan", str(plan_file))
+    lines = (tmp_path / "plan.txt").read_text().splitlines()
+    assert S11 in lines
+    lines = edit(lines)
+    (tmp_path / "bad.txt").write_text("\n".join(lines) + "\n")
+    assert invoke("verify", str(gol16_path), "--plan", str(tmp_path / "bad.txt")) == code
     out = capsys.readouterr()
-    assert rc == 2
     assert out.out == ""
-    assert out.err == f"validation error: compute event on node (0, 0) {message}\n"
+    if code == 2:
+        assert out.err == f"validation error: {message}\n"
+        return
+    no = max(i for i, ln in enumerate(lines, 1) if ln.startswith(at))  # the second of a line given twice
+    assert out.err.startswith(f"parse error: {message}") and out.err.endswith(f" (line {no})\n"), out.err
+
+
+def _with_extra_binding(gol16_path, access):
+    """A gol16 2x2 plan with one more compute event: a buffer read
+    (access 'read') or write ('write') bound to an unbound execution of a
+    statement that makes no such field access, while the node holds an
+    open window of a channel at the right end; that node, scatter and
+    execution."""
+    analysis, plan = plan_scop(parse_scop_file(gol16_path))
+    virt, end = analysis.scop, "dst" if access == "read" else "src"
+    for node, steps in sorted(expand_plan(plan, virt).items()):
+        open_at = set()  # the channels whose window at this end is open
+        for st in steps:
+            if st.kind in ("send_wait", "recv_wait") and CALLS[st.kind].end == end:
+                open_at.add(st.cid)
+            elif st.kind in ("send", "recv") and CALLS[st.kind].end == end:
+                open_at.discard(st.cid)
+            elif st.kind == "compute" and open_at and st.read_from is None and not st.writes:
+                s = virt.statement(st.stmt)
+                if not (s.reads() if access == "read" else s.writes()):
+                    cid = min(open_at)
+                    ev = Event(st.scatter, "compute", (cid, 0) if access == "read" else None,
+                               () if access == "read" else (("buffer", cid, 0),))
+                    events = {**plan.events, node: sorted(plan.events[node] + [ev], key=event_key)}
+                    label = f"{st.stmt}({','.join(map(str, st.instance))})"
+                    return dataclasses.replace(plan, events=events), node, st.scatter, label
+    raise AssertionError(f"no execution to bind a {access} to")
+
+
+def _verify_text(gol16_path, tmp_path, capsys, text):
+    (tmp_path / "bad.txt").write_text(text)
+    rc = invoke("verify", str(gol16_path), "--plan", str(tmp_path / "bad.txt"))
+    return rc, capsys.readouterr()
+
+
+def test_verify_plan_with_unknown_statement(gol16_path, tmp_path, capsys):
+    # a stmtmap for a statement the scop lacks is a validation error
+    invoke("plan", str(gol16_path), "--out", str(tmp_path))
+    text = (tmp_path / "plan.txt").read_text()
+    rc, out = _verify_text(gol16_path, tmp_path, capsys, text.replace(S11, S11 + "\n" + S11.replace("S1.1", "S9.9")))
+    assert (rc, out.err) == (2, "validation error: plan places S9.9, which the scop lacks\n")
+
+
+def test_verify_plan_with_out_of_domain_instance(gol16_path, tmp_path, capsys):
+    # a stmtmap placing a point outside its statement's domain (i <= 2) is
+    # a validation error, not a run of an instance that does not exist
+    invoke("plan", str(gol16_path), "--out", str(tmp_path))
+    text = (tmp_path / "plan.txt").read_text()
+    rc, out = _verify_text(gol16_path, tmp_path, capsys, text.replace(S11, S11.replace("0 <= i <= 2", "0 <= i <= 7")))
+    assert (rc, out.err) == (2, "validation error: S1.1(3, 1, 1) is placed, but is not an instance of S1.1\n")
+
+
+@pytest.mark.parametrize("case", ["read_without_field_read", "virtual_statement", "write_without_field_write"])
+def test_verify_plan_with_unrunnable_compute(gol16_path, tmp_path, capsys, case):
+    # an execution placed for a virtual statement, or bound to a buffer read
+    # or write its statement does not make: emitted plans hold none, and
+    # verify rejects each before the first step
+    if case == "virtual_statement":
+        invoke("plan", str(gol16_path), "--out", str(tmp_path))
+        text = (tmp_path / "plan.txt").read_text().replace(S11, S11 + "\nstmtmap Prologue { Prologue[] -> P[0, 0] }")
+        message = "plan places Prologue, a virtual statement"
+    else:
+        access = case.split("_")[0]
+        plan, node, scatter, label = _with_extra_binding(gol16_path, access)
+        text = dump_plan(plan)
+        message = (f"compute event on node {node} at t=({','.join(map(str, scatter))}) binds a field {access} "
+                   f"for {label}, which {access}s no field")
+    rc, out = _verify_text(gol16_path, tmp_path, capsys, text)
+    assert (rc, out.out, out.err) == (2, "", f"validation error: {message}\n")
 
 
 def _faulty_plan(gol16_path, tmp_path, kind):
@@ -541,10 +610,13 @@ def test_scatters_stay_exact_beyond_int64(tmp_path, capsys, offset, coeff):
     assert "verify: PASS" in capsys.readouterr().out
     assert invoke("plan", str(path), "--out", str(tmp_path)) == 0
     text = (tmp_path / "plan.txt").read_text()
-    computes = re.findall(r"t=\((\d+),(\d+),(\d+)\) kind=compute stmt=(\S+) i=\((\d+)\)", text)
-    assert len(computes) == 12  # W, R.1 and R.2 at four points each
-    for t0, t1, t2, stmt, i in computes:
-        assert (int(t0), int(t1)) == (0 if stmt == "W" else 2, 2 * coeff * int(i)), stmt
+    # W's writes and R.1's reads of b cross the nodes: a compute event at
+    # each of their eight executions, at the exact dilated scatter
+    computes = re.findall(r"t=\((\d+),(\d+),(\d+)\) kind=compute ", text)
+    assert len(computes) == 8
+    for t0, t1, t2 in computes:
+        assert int(t0) in (0, 2) and int(t1) % (2 * coeff) == 0 and 0 <= int(t1) // (2 * coeff) - offset < 4
+    assert f"stmtmap W {{ W[x] -> " in text and f"{offset} <= x <= {offset + 3}" in text
     first = 2 * coeff * offset
     assert f"node=(0) t=(0,{first},-1) kind=send_wait chunk=flow:W->R.1:b" in text
 
@@ -699,14 +771,16 @@ def test_bad_option_is_a_validation_error(gol16_path, capsys, options, message):
 
 
 def test_verify_reports_the_first_divergence(gol16_path, tmp_path, capsys):
-    """A plan that runs without a fault but drops one store: simulate
-    accepts it, verify names the first element that differs."""
+    """A plan that runs without a fault but places no execution of
+    S1.7(0,1,1), the first store of back(1,1): simulate accepts it, verify
+    names the first element that differs."""
     invoke("plan", str(gol16_path), "--grid", "2x2", "--out", str(tmp_path))
     lines = (tmp_path / "plan.txt").read_text().splitlines()
-    no = next(i for i, ln in enumerate(lines) if ln.endswith(" write=storage"))
-    assert lines[no] == ("node=(0,0) t=(0,0,0,2,0,2,14,0) kind=compute stmt=S1.7 i=(0,1,1) "
-                         "read=storage write=storage")
-    lines[no] = lines[no].replace(" write=storage", " write=none")
+    no = next(i for i, ln in enumerate(lines) if ln.startswith("stmtmap S1.7 "))
+    whole = "0 <= i <= 2 and 1 <= x <= 14 and 1 <= y <= 14 }"
+    assert lines[no].endswith(": " + whole)
+    lines[no] = lines[no].replace(whole, "1 <= i <= 2 and 1 <= x <= 14 and 1 <= y <= 14; " + lines[no][
+        lines[no].index("S1.7["):lines[no].index(" : ")] + " : i = 0 and 1 <= x <= 14 and 1 <= y <= 14 and x + y >= 3 }")
     plan_file = tmp_path / "no-store.txt"
     plan_file.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
@@ -756,8 +830,8 @@ BAD_PLANS = {
         _append_to_first(lambda ln: ln.startswith("channel cid=0 "), " tag=3 size=999 elem=float64 block=(1,1)"),
         lambda ln: ln.startswith("channel cid=0 "), "channel line takes no tag="),
     "write-twice": (
-        _append_to_first(lambda ln: ln.endswith(" read=storage write=storage"), " write=none"),
-        lambda ln: ln.endswith(" write=storage write=none"), "write= given twice"),
+        _append_to_first(lambda ln: " kind=compute " in ln and ln.endswith(" write=none"), " write=none"),
+        lambda ln: ln.endswith(" write=none write=none"), "write= given twice"),
     # a bare token beyond the name (header) or the name and type (field)
     "channel-stray-token": (_append_to_first(_is_channel0, " stray"), _is_channel0,
                             "channel line takes no 'stray'"),

@@ -11,6 +11,7 @@ from oracle import (
     buffer_rank,
     contents_equal,
     event_key,
+    expand_plan,
     search_only,
     stmt_nodes,
 )
@@ -379,9 +380,10 @@ def test_protocol_event_order(gol16_ctx):
 
 @pytest.mark.parametrize("which", ["gol16", "loopback"])
 def test_storage_writes_exactly_where_homed(gol16_ctx, which):
-    # a compute event stores the element it writes exactly when its node
-    # homes that element; LOOPBACK runs G(x) on the node that does not home
-    # a[x] too, and that execution must not store
+    # every execution stores the element it writes exactly when its node
+    # homes that element, so the simulator ends with the sequential
+    # contents; LOOPBACK runs G(x) on the node that does not home a[x] too,
+    # and that execution must not store
     if which == "gol16":
         scop, virt, dep, fp, sp, chunks, transfers = gol16_ctx
         plan = compile_plan(virt, dep, fp, sp, chunks)
@@ -391,14 +393,17 @@ def test_storage_writes_exactly_where_homed(gol16_ctx, which):
     position = {c: p for p, c in enumerate(virt.grid.nodes)}
     home = {s.id: fp.homes(acc.field, s.subscripts[j], virt.grid)
             for s in virt.real_statements() for j, acc in s.writes()}
+    rows = {s.id: {p: r for r, p in enumerate(map(tuple, s.instances.tolist()))} for s in virt.real_statements()}
     seen = set()
-    for node, evs in plan.events.items():
-        for ev in (ev for ev in evs if ev.kind == "compute"):
-            homed = ev.stmt in home and home[ev.stmt][virt.statement(ev.stmt).rows[ev.instance]] == position[node]
-            assert (("storage",) in ev.writes) == homed, (node, ev)
-            seen.add((ev.stmt in home, homed))
+    for node, steps in expand_plan(plan, virt).items():
+        for st in (st for st in steps if st.kind == "compute"):
+            seen.add((st.stmt in home, st.stmt in home and home[st.stmt][rows[st.stmt][st.instance]] == position[node]))
     assert (True, True) in seen
     assert which == "gol16" or (True, False) in seen
+    source = scop if which == "gol16" else parse_scop(json.dumps(LOOPBACK))
+    init = random_contents(source, 4)
+    final, _ = run(init_runtime(plan, virt.grid, init), virt)
+    assert all(np.array_equal(final[k], v) for k, v in sequential_execute(source, init).items())
 
 
 # Undilated, G's send lands one step after G's last execution, exactly
@@ -673,7 +678,7 @@ MALFORMED_PLANS = {
         "channel line takes no tag=",
     ),
     "compute_key_twice": (
-        lambda ln: ln.endswith(" read=storage write=storage"),
+        lambda ln: " kind=compute " in ln and ln.endswith(" write=none"),
         lambda ln: ln + " write=none",
         "write= given twice",
     ),
@@ -791,7 +796,7 @@ def test_plan_numbers_are_python_ints(gol16_path, case):
         assert all(type(v) is int for v in values), ch
     for evs in plan.events.values():
         for ev in evs:
-            values = [*ev.scatter, *ev.instance, *ev.element, *(ev.read_from or ()), ev.cid, ev.rank]
+            values = [*ev.scatter, *ev.element, *(ev.read_from or ()), ev.cid, ev.rank]
             values += [v for w in ev.writes for v in w[1:]]
             assert all(type(v) is int for v in values), ev
             if ev.kind == "buffer_fill":

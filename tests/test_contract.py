@@ -11,46 +11,47 @@ import numpy as np
 import pytest
 
 from conftest import REPO_ROOT
-from oracle import block_home, block_sizes
+from oracle import block_home, block_sizes, expand_plan
 from polydist.cli import main
 from polydist.commgen import build_transfers, dump_plan, parse_plan
 from polydist.deps import EPILOGUE
 from polydist.pipeline import cap_iterations, override_grid, plan_scop
 from polydist.scopio import parse_scop_file
+from polydist.syntax import format_map
 
 EXPECTED = {
     ("gol16", "2x2"): {
-        "plan.txt": "54c0f22ccc4883c8cde64c416316c2708970caac8bf88aaff822bc27fe211717",
+        "plan.txt": "dd7b11b0cd978af57d3c0276a982f1fb1dc12e7105c701844a5e59fd62fce397",
         "trace.txt": "a5d5f8a3a9b888b837cd547f2be75360b19ec308cf40204f482af17dd90e9d56",
         "fields.txt": "8720dc71e6251c2ce067a8b9a4fdb5755e7571421572ff3d56a9528dea2dac82",
     },
     ("gol16", "4x4"): {
-        "plan.txt": "77ad7069227bfab0e32dac7d9a358e843e8203c9c84ad2af3f42057cb8fcd698",
+        "plan.txt": "8f8dab5daf071db5df31d6694e87815b3b2eddc39604e0fa43f349ebe44ae9c0",
         "trace.txt": "216e9a043bc36825c5a9dede90c3bcbf5da39675287df91fc495eb31203db267",
         "fields.txt": "8720dc71e6251c2ce067a8b9a4fdb5755e7571421572ff3d56a9528dea2dac82",
     },
     ("gol16_fused", "2x2"): {
-        "plan.txt": "90772303fd86dd50f0172096a22a2b76148270f0d29bf82f4bde02f7f420fe58",
+        "plan.txt": "81d548527cb3086ff935f62402d8f453cfa036add7c1ddb6aa4aa0076f934a72",
         "trace.txt": "a5d5f8a3a9b888b837cd547f2be75360b19ec308cf40204f482af17dd90e9d56",
         "fields.txt": "8720dc71e6251c2ce067a8b9a4fdb5755e7571421572ff3d56a9528dea2dac82",
     },
     ("gol16_fused", "8x8"): {
-        "plan.txt": "f76edbcf19b4c7b2d9e36c7e67c00112d29c92e4ffdb5bb9ecb05ebcb9079746",
+        "plan.txt": "c3929b851978ecdd284a8af1b43cbf39f062fe43eb2a922056f4f8c96766daee",
         "trace.txt": "bf3bbc2b09cfa99afda576764cc7a324f39b2b766b29f95c7a6478c438489464",
         "fields.txt": "8720dc71e6251c2ce067a8b9a4fdb5755e7571421572ff3d56a9528dea2dac82",
     },
     ("gol16_fused", "16x16"): {
-        "plan.txt": "5070a8686f6c7fbd7f88c42e71677dfed702992b0ddd81d5a6c6ca3a21cf7caa",
+        "plan.txt": "9b01e025144fb9967f3edb4abd1c1c69985621f22b831e099ae5bca32a1db244",
         "trace.txt": "7587b6bf8789da454f2d252b667243ae5ee7f1d553e8563988e3787937058de1",
         "fields.txt": "8720dc71e6251c2ce067a8b9a4fdb5755e7571421572ff3d56a9528dea2dac82",
     },
     ("gol32", "2x2"): {
-        "plan.txt": "33983a6541cfdbb72e76a154760c9cca347fb405cf8f4f271485d10e33f4f1b9",
+        "plan.txt": "f4d9303371ecefb0b71bba4ba872f1bac824f545a48458a39ece1ae6067ee40f",
         "trace.txt": "bd5f05d1a85a0cf664445ff770c43ad2ad65c5d0daf83b2d8c3cd6f797c96b73",
         "fields.txt": "819ade320055e4b61c6d130a1f7d7274dec4410805a51ba3931f4c6a1743c2aa",
     },
     ("gol32", "4x4"): {
-        "plan.txt": "02b17ecb1b31a164278608c557360deab80712165af108b4bd816418eeb4d4d0",
+        "plan.txt": "ba571abd35f97ecbf762c0146080eaa1dad39d66d93967e9deb6be646204b6bf",
         "trace.txt": "738bbfd175b531d73c5bdfc3794835ea565896e98d00a373c1c7e3baea5bf7a1",
         "fields.txt": "819ade320055e4b61c6d130a1f7d7274dec4410805a51ba3931f4c6a1743c2aa",
     },
@@ -68,12 +69,25 @@ def test_simulate_outputs_pinned(scops_dir, tmp_path, scop, grid):
     assert dump_plan(parse_plan(text)) == text
 
 
+@pytest.mark.parametrize("scop, grid", sorted(EXPECTED))
+def test_plan_round_trips_in_memory(scops_dir, scop, grid):
+    # the plan as emitted, not only as dumped: parsing its dump gives equal
+    # channels and events and the same stmtmap text
+    extents = tuple(map(int, grid.split("x")))
+    _, plan = plan_scop(override_grid(parse_scop_file(scops_dir / f"{scop}.scop"), extents))
+    back = parse_plan(dump_plan(plan))
+    assert back.channels == plan.channels and back.events == plan.events
+    stmtmaps = [{sid: format_map(m) for sid, m in p.stmt_placement.maps.items()} for p in (plan, back)]
+    assert stmtmaps[0] == stmtmaps[1]
+
+
 # the keys each line kind of a plan states: a fact derived from another
 # entry (a tag, a size, an element type, a block size) is not among them
 PLAN_KEYS = {
     "field": {"extents"},
     "channel": {"cid", "family", "src", "dst", "box"},
-    "compute": {"t", "kind", "stmt", "i", "read", "write"},
+    "stmtmap": set(),  # a statement's id, then map text
+    "compute": {"t", "kind", "read", "write"},
     **{call: {"t", "kind", "chunk", "cid"} for call in ("send_wait", "send", "recv_wait", "recv")},
     "buffer_fill": {"t", "kind", "chunk", "cid", "elem", "rank"},
 }
@@ -84,21 +98,24 @@ def test_plan_lines_state_each_fact_once(scops_dir, tmp_path):
     seen = set()
     for ln in (tmp_path / "plan.txt").read_text().splitlines()[1:]:
         head, *rest = ln.split()
-        if head == "fieldmap":
+        if head in ("fieldmap", "stmtmap"):
+            seen.add(head)
             continue
         kv = dict(p.split("=", 1) for p in rest if "=" in p)
         kind = kv["kind"] if head.startswith("node=") else head
         assert set(kv) == PLAN_KEYS[kind], ln
         seen.add(kind)
-    assert seen == set(PLAN_KEYS)
+    assert seen == set(PLAN_KEYS) | {"fieldmap"}
 
 
 @pytest.mark.parametrize("scop, grid", sorted(EXPECTED))
 def test_only_values_between_nodes_travel(scops_dir, scop, grid):
-    """Checked against build_transfers' columns and block homes: no channel
-    runs from a node to itself, a compute event reads storage exactly when
-    its transfer stays on one node that homes the element, and it stores
-    exactly when its node homes the element it writes."""
+    """Checked on every execution of the plan's expansion against
+    build_transfers' columns and block homes: no channel runs from a node
+    to itself, and an execution reads storage exactly when its transfer
+    stays on one node that homes the element; and every execution that
+    writes a field runs where the element it writes is homed, so it stores
+    that element."""
     extents = tuple(map(int, grid.split("x")))
     analysis, plan = plan_scop(override_grid(parse_scop_file(scops_dir / f"{scop}.scop"), extents))
     assert plan.channels and all(ch.src != ch.dst for ch in plan.channels)
@@ -115,18 +132,16 @@ def test_only_values_between_nodes_travel(scops_dir, scop, grid):
         local.update((fam.consumer, r, c) for r, c in zip(ts.consumer_row[here].tolist(),
                                                            ts.consumer_node[here].tolist()))
     position = {c: p for p, c in enumerate(virt.grid.nodes)}
-    reads = stores = 0
-    for node, evs in plan.events.items():
-        for ev in (ev for ev in evs if ev.kind == "compute"):
-            s = virt.statement(ev.stmt)
-            row = s.rows[ev.instance]
+    rows = {s.id: {p: r for r, p in enumerate(map(tuple, s.instances.tolist()))} for s in virt.real_statements()}
+    reads, stores = 0, set()
+    for node, steps in expand_plan(plan, virt).items():
+        for st in (st for st in steps if st.kind == "compute"):
+            s, row = virt.statement(st.stmt), rows[st.stmt][st.instance]
             if s.reads():
-                reads += ev.read_from is None
-                assert (ev.read_from is None) == ((ev.stmt, row, position[node]) in local), (node, ev)
-            homed = any(block_home(s.elements[j][row], blocks[acc.field]) == node for j, acc in s.writes())
-            stores += homed
-            assert (("storage",) in ev.writes) == homed, (node, ev)
-    assert reads and stores
+                reads += st.read_from is None
+                assert (st.read_from is None) == ((st.stmt, row, position[node]) in local), (node, st)
+            stores.update(block_home(s.elements[j][row], blocks[acc.field]) == node for j, acc in s.writes())
+    assert reads and stores == {True}
 
 
 # gol16's dumps are golden files; these two configurations print the
@@ -188,8 +203,8 @@ def test_perfbench_pipeline_runs(scops_dir):
 # perfbench's workloads: (scop, grid, plan_events, plan_messages, and the
 # per-layer commgen.transfers, which counts no epilogue transfer)
 PLAN_COUNTS = {
-    "gol16_fused-8x8": ("scops/gol16_fused.scop", [8, 8], 8372, 672, 3528),
-    "gol32-2x2": ("scops/gol32.scop", [2, 2], 24516, 24, 16200),
+    "gol16_fused-8x8": ("scops/gol16_fused.scop", [8, 8], 4648, 672, 3528),
+    "gol32-2x2": ("scops/gol32.scop", [2, 2], 808, 24, 16200),
 }
 
 

@@ -8,6 +8,8 @@ import json
 import numpy as np
 import pytest
 
+from polydist.placement import Placement
+
 from polydist import exprs
 from polydist import scop as scop_module
 from polydist.cli import main
@@ -130,14 +132,14 @@ def _errors(scop, skip=("T",)) -> list:
     simulator, both without the statements in ``skip``; without T, W reads
     t before any write."""
     analysis, plan = plan_scop(scop)
-    plan = dataclasses.replace(plan, events={
-        node: [ev for ev in evs if ev.stmt not in skip] for node, evs in plan.events.items()})
+    plan = dataclasses.replace(plan, stmt_placement=Placement(
+        {sid: m for sid, m in plan.stmt_placement.maps.items() if sid not in skip}))
     init = random_contents(scop, 1)
-    kept = dataclasses.replace(scop, statements=tuple(s for s in scop.statements
-                                                      if s.id not in skip))
+    kept, virt = (dataclasses.replace(sc, statements=tuple(s for s in sc.statements if s.id not in skip))
+                  for sc in (scop, analysis.scop))
     messages = []
     for go in (lambda: sequential_execute(kept, init),
-               lambda: run(init_runtime(plan, analysis.scop.grid, init), analysis.scop)):
+               lambda: run(init_runtime(plan, virt.grid, init), virt)):
         with pytest.raises(EvaluationError) as exc:
             go()
         messages.append(str(exc.value))

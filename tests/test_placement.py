@@ -107,7 +107,7 @@ def test_homes_are_blocks(path, grid):
     fp = block_distribute(scop.fields, g)
     fields = tuple((f.name, f.element_type, f.extents) for f in scop.fields)
     init = random_contents(scop, 1)
-    sim = init_runtime(CommPlan(scop.name, g.extents, scop.scatter_arity, fields, fp, [], {}), g, init)
+    sim = init_runtime(CommPlan(scop.name, g.extents, scop.scatter_arity, fields, fp, Placement({}), [], {}), g, init)
     for f in scop.fields:
         every = list(np.ndindex(*f.extents))
         blocks = block_sizes(f.extents, g.extents)
@@ -239,7 +239,7 @@ def test_placement_covers_every_instance(scops_dir, monkeypatch, case):
     dep = compute_flow(virt)
     sp = place_statements(virt, dep, block_distribute(virt.fields, virt.grid))
     for s in virt.statements:
-        assert {tuple(r[: s.arity]) for r in sp.table[s.id].tolist()} == set(s.rows), s.id
+        assert {tuple(r[: s.arity]) for r in sp.table[s.id].tolist()} == set(map(tuple, s.instances.tolist())), s.id
     # each statement's missing instances are derived once (no adoption here)
     assert len(calls) <= len(virt.statements)
 
