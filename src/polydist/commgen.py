@@ -62,6 +62,7 @@ __all__ = [
     "Event",
     "CommPlan",
     "CALLS",
+    "COMPUTE_PHASE",
     "check_windows",
     "build_transfers",
     "group_chunks",
@@ -111,14 +112,16 @@ class Channel:
 
 
 IDLE, FILLING, SENT, RECEIVED = "idle", "filling", "sent", "received"  # a channel's states
-# per call: the end it runs at, its phase at a scatter (compute: 4), the state it needs and leaves
+# per call: the end it runs at, its phase at a scatter, the state it needs and leaves
 Call = namedtuple("Call", "end phase needs leaves")
+COMPUTE_PHASE = 4  # of an execution and its compute event: after the recv, send and waits at its t
 CALLS = {"recv": Call("dst", 0, RECEIVED, IDLE), "send": Call("src", 1, FILLING, SENT),
          "recv_wait": Call("dst", 2, SENT, RECEIVED), "send_wait": Call("src", 3, IDLE, FILLING),
          "buffer_fill": Call("src", 4, FILLING, FILLING)}
-# per call: its end, whether it needs the end's window open and whether it leaves it open;
-# a window is open while the end holds the buffer, in FILLING at the src, RECEIVED at the dst
-_WINDOW = {k: (c.end, c.needs in (FILLING, RECEIVED), c.leaves in (FILLING, RECEIVED)) for k, c in CALLS.items()}
+# per call: its end and phase, whether it needs the end's window open and whether it leaves it
+# open; a window is open while the end holds the buffer, in FILLING at the src, RECEIVED at the dst
+_WINDOW = {k: (c.end, c.phase, c.needs in (FILLING, RECEIVED), c.leaves in (FILLING, RECEIVED))
+           for k, c in CALLS.items()}
 
 
 @dataclass(slots=True)
@@ -133,28 +136,37 @@ class Event:
     rank: int = -1
 
 
-def check_windows(channels: list, node: tuple, events, windows: set) -> None:
-    """GeometryMismatch unless each event, run in order on the node, uses its channels at
-    their ends and inside their windows: ``send_wait`` and ``recv_wait`` open their end's
-    window and must find it closed, ``send`` and ``recv`` close it and must find it open,
-    and a fill or buffer write lies in the src window, a buffer read in the dst window.
-    ``windows`` holds the open windows as (cid, end, node) and is updated in place."""
+def check_windows(channels: list, node: tuple, events, windows: set, last: tuple = ()) -> list:
+    """The events' keys, each (*t, phase, cid, rank).  GeometryMismatch unless each event,
+    run in order on the node, has a key above the one before it (the first above ``last``),
+    so the order checked is the order run, and uses its channels at their ends and inside
+    their windows: ``send_wait`` and ``recv_wait`` open their end's window and must find it
+    closed, ``send`` and ``recv`` close it and must find it open, and a fill or buffer write
+    lies in the src window, a buffer read in the dst window.  ``windows`` holds the open
+    windows as (cid, end, node) and is updated in place."""
+    keys = []
     for ev in events:
         kind = ev.kind
         if kind == "compute":  # a window opened on this node passed the end check
+            phase = COMPUTE_PHASE
             if ev.read_from is not None and (ev.read_from[0], "dst", node) not in windows:
                 _outside(channels[ev.read_from[0]], "dst", node, "compute read", True)
             for w in ev.writes:
                 if (w[1], "src", node) not in windows:
                     _outside(channels[w[1]], "src", node, "compute write", True)
         elif kind in _WINDOW:
-            end, was, now = _WINDOW[kind]
-            ch, key = channels[ev.cid], (ev.cid, end, node)
-            if (ch.src if end == "src" else ch.dst) != node or (key in windows) != was:
+            end, phase, was, now = _WINDOW[kind]
+            ch, window = channels[ev.cid], (ev.cid, end, node)
+            if (ch.src if end == "src" else ch.dst) != node or (window in windows) != was:
                 _outside(ch, end, node, kind, was)
-            (windows.add if now else windows.discard)(key)
+            (windows.add if now else windows.discard)(window)
         else:
             raise GeometryMismatch(f"unknown event kind {kind}")
+        if (key := (*ev.scatter, phase, ev.cid, ev.rank)) <= last:
+            raise GeometryMismatch(f"{kind} at t={_fmt_tuple(ev.scatter)} on node {node} is not after "
+                                   "the event before it in (t, phase, cid, rank) order")
+        keys.append(last := key)
+    return keys
 
 
 def _outside(ch: Channel, end: str, node: tuple, what: str, was: bool) -> None:
@@ -405,7 +417,7 @@ def emit_protocol(scop: Scop, dep: DepGraph, fp: Placement, sp: Placement, chunk
         lo, hi = (np.searchsorted(writes[:, 0], keys, side=side) for side in ("left", "right"))
         buffers = [("buffer", c, k) for c, k in writes[:, 1:].tolist()]
         use = np.flatnonzero((cid >= 0) | (hi > lo))
-        add_keys(where[use], dilated[s.id][rows[use]], 4)  # after the scatter's channel calls
+        add_keys(where[use], dilated[s.id][rows[use]], COMPUTE_PHASE)
         columns = (dilated[s.id][rows[use]], cid[use], rank[use], lo[use], hi[use])
         for t, c, k, a, z in zip(*(v.tolist() for v in columns)):
             made.append(Event(tuple(t), "compute", None if c < 0 else (c, k), tuple(buffers[a:z])))
@@ -539,8 +551,7 @@ def parse_plan(text: str) -> CommPlan:
     by ``cid=``; every event's channel and buffer rank must exist, and its
     ``t=`` must have scatter_arity entries.  A compute line binds a buffer
     read, buffer writes or both.  Every event node and channel end must
-    lie in the grid, every fill element in its channel's field, each
-    node's events must ascend strictly by (t, phase, cid, rank), and every
+    lie in the grid, every fill element in its channel's field, and every
     event must pass ``check_windows`` after the earlier events of its
     node.  Malformed input raises ParseError with the 1-based line number."""
     numbered = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
@@ -550,7 +561,7 @@ def parse_plan(text: str) -> CommPlan:
     decls = {}
     homes = {}
     channels, stmt_maps = [], {}
-    # node -> its events and its last event's order key; the open windows after the lines so far
+    # node -> its events and its last event's key; the open windows after the lines so far
     events, last, windows = {}, {}, set()
 
     for i, (no, ln) in enumerate(numbered):
@@ -596,11 +607,8 @@ def parse_plan(text: str) -> CommPlan:
                 if any(None in lohi for b in bounds for lohi in b):
                     raise ValueError(f"stmtmap {sid} is unbounded")
                 if not all(0 <= lo and hi < e for b in bounds for (lo, hi), e in zip(b[m.n_in:], grid.extents)):
-                    nodes = enumerate_table(m.as_set())[:, m.n_in:]  # the bounds may reach beyond the points
-                    off = nodes[((nodes < 0) | (nodes >= grid.extents)).any(axis=1)].tolist()
-                    if off:
-                        raise ValueError(f"stmtmap {sid} places instances on node {_fmt_tuple(off[0])}, "
-                                         f"outside grid {_fmt_tuple(grid.extents)}")
+                    for at in enumerate_table(m.as_set())[:, m.n_in:].tolist():  # the bounds may be loose
+                        _within(tuple, f"stmtmap {sid} node", at, grid.extents, "grid")
                 stmt_maps[sid] = m
             elif parts[0] == "channel":
                 box_text = kv["box"][1:-1]
@@ -642,13 +650,8 @@ def parse_plan(text: str) -> CommPlan:
                         ev.element = _within(tup, "elem", kv["elem"], decl.extents, f"field {decl.name}")
                 else:
                     raise ValueError(f"unknown event kind {kind}")
-                check_windows(channels, node, (ev,), windows)
-                key = (scatter, CALLS[kind].phase if kind in CALLS else 4, ev.cid, ev.rank)
-                if key <= last.get(node, ()):
-                    raise ValueError(f"t={_fmt_tuple(scatter)} kind={kind} is not after the event before it "
-                                     f"on node {_fmt_tuple(node)} in (t, phase, cid, rank) order")
+                last[node] = check_windows(channels, node, (ev,), windows, last.get(node, ()))[0]
                 events.setdefault(node, []).append(ev)
-                last[node] = key
             else:
                 raise ValueError(f"unknown plan line {ln!r}")
         except KeyError as e:

@@ -911,11 +911,11 @@ def find_rows(table: np.ndarray, points: np.ndarray) -> np.ndarray:
     ascend like the rows); -1 for a point that is no row."""
     if not len(table):
         return np.full(len(points), -1)
-    lo, ext = table.min(axis=0), table.max(axis=0) - table.min(axis=0) + 1
-    stride = row_major_strides(ext[None])[0]
-    keys, want = (((t - lo) * stride).sum(axis=1) for t in (table, points))
+    lo, hi = table.min(axis=0), table.max(axis=0)
+    stride = row_major_strides((hi - lo + 1)[None])[0]
+    keys, want = ((t - lo) @ stride for t in (table, points))
     rows = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
-    hit = ((points >= lo) & (points < lo + ext)).all(axis=1) & (keys[rows] == want)
+    hit = ((points >= lo) & (points <= hi)).all(axis=1) & (keys[rows] == want)
     return np.where(hit, rows, -1)
 
 

@@ -82,8 +82,7 @@ class Placement:
         ascending by row and then node.  GeometryMismatch for a point that
         is not an instance of s."""
         t, n = self.table[s.id], self.table[s.id].shape[1] - grid.arity
-        rows = np.arange(len(t)) if np.array_equal(t[:, :n], s.instances) else (  # one node per instance
-            find_rows(s.instances, t[:, :n]) if n == s.arity else np.full(len(t), -1))
+        rows = find_rows(s.instances, t[:, :n]) if n == s.arity else np.full(len(t), -1)
         if (rows < 0).any():
             raise GeometryMismatch(f"{s.id}{tuple(t[rows < 0][0, :n].tolist())} is placed, "
                                    f"but is not an instance of {s.id}")

@@ -29,19 +29,19 @@ import hashlib
 import heapq
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import repeat
+from itertools import chain, repeat
 from operator import attrgetter
 
 import numpy as np
 
-from .commgen import CALLS, IDLE, CommPlan, Event, _fmt_tuple, check_windows
+from .commgen import CALLS, COMPUTE_PHASE, IDLE, CommPlan, Event, _fmt_tuple, check_windows
 from .errors import (
     BufferStateViolation,
     DeadlockDetected,
     GeometryMismatch,
     NotLocal,
 )
-from .scop import ClusterGrid, FieldDecl, Scop, Statement, instance_runner, point_table
+from .scop import ClusterGrid, FieldDecl, Scop, instance_runner, point_table
 
 __all__ = ["NodeState", "ChannelState", "Trace", "SimState", "init_runtime", "run"]
 
@@ -141,29 +141,19 @@ def _digest(values) -> str:
 
 
 _UNBOUND = Event((), "compute")  # the binding of an execution that uses no buffer slot
-_PHASE = {"compute": 4, **{kind: call.phase for kind, call in CALLS.items()}}
-
-
-def _table(rows: list, width: int) -> np.ndarray:
-    """Rows of ints as an int64 table, or of Python ints when some value needs them."""
-    try:
-        return np.array(rows, dtype=np.int64).reshape(-1, width)
-    except OverflowError:
-        return point_table(rows, width)
 
 
 def _steps(plan: CommPlan, scop: Scop) -> tuple[list, list, tuple, list]:
     """Per node position, its steps in run order and their heap keys, which
     order as (t, node) and are the node's position mod the node count; the
     executions' (runner, row, trace chunk, binding) columns; and the events.
-    The steps are the executions the statement placement gives the node, at
-    their dilated scatters (phase 4), and its events, merged by one lexsort
-    on (t, node, phase, cid, rank); a step is its index in the executions'
-    columns, then the events', and an execution's binding is the compute
-    event at its key.  GeometryMismatch unless the plan places
-    the scop's real statements at instances, each node's events pass
-    ``check_windows`` and ascend strictly by key, and each compute event
-    ties with an execution of a statement that makes the accesses it binds."""
+    A step indexes the executions' columns, then the events'.  A node's
+    steps are the executions the statement placement gives it, at their
+    dilated scatters, and its events, merged by one lexsort on (t, node,
+    phase, cid, rank); a compute event binds the execution at its key.
+    GeometryMismatch unless the plan places the scop's real statements at
+    instances, every node's events pass ``check_windows``, and each compute
+    event binds an execution of a statement that makes its accesses."""
     grid, real, placed = scop.grid, scop.real_statements(), plan.stmt_placement.maps
     nodes, arity = grid.nodes, scop.scatter_arity
     for sid in sorted(placed.keys() ^ {s.id for s in real}):  # the first stray or missing statement
@@ -173,40 +163,35 @@ def _steps(plan: CommPlan, scop: Scop) -> tuple[list, list, tuple, list]:
     if plan.scatter_arity != arity:
         raise GeometryMismatch(f"plan scatters have {plan.scatter_arity} entries, the scop's {arity}")
     execs = [plan.stmt_placement.node_rows(s, grid) for s in real]
-    for coord in nodes:
-        check_windows(plan.channels, coord, plan.events.get(coord, ()), set())
-    evs = [ev for coord in nodes for ev in plan.events.get(coord, ())]
+    node_evs = [plan.events.get(c, ()) for c in nodes]
+    keys = [k for c, own in zip(nodes, node_evs) for k in check_windows(plan.channels, c, own, set())]
+    evs = [ev for own in node_evs for ev in own]
+    try:
+        listed = np.fromiter(chain.from_iterable(keys), np.int64, len(keys) * (arity + 3)).reshape(-1, arity + 3)
+    except OverflowError:  # a scatter beyond int64
+        listed = point_table(keys, arity + 3)
     # the columns hold the executions first, then the events
     e = sum(len(r) for r, _ in execs)
-    listed = np.repeat(np.arange(len(nodes)), [len(plan.events.get(c, ())) for c in nodes])
-    pos = np.concatenate([w for _, w in execs] + [listed])
-    key = np.concatenate(  # t, phase, cid, rank
-        [np.column_stack((2 * s.scatters[r], np.tile((4, -1, -1), (len(r), 1)))) for s, (r, _) in zip(real, execs)]
-        + [_table([(*ev.scatter, _PHASE[ev.kind], ev.cid, ev.rank) for ev in evs], arity + 3)])
+    pos = np.concatenate([w for _, w in execs] + [np.repeat(np.arange(len(nodes)), list(map(len, node_evs)))])
+    key = np.concatenate([np.column_stack((2 * s.scatters[r], np.tile((COMPUTE_PHASE, -1, -1), (len(r), 1))))
+                          for s, (r, _) in zip(real, execs)] + [listed])
     order = np.lexsort((np.arange(len(pos)) >= e, *key[:, arity:].T[::-1], pos, *key[:, :arity].T[::-1]))
     rank = np.empty(len(order), dtype=np.intp)
     rank[order] = np.arange(len(order))
-    # each event must rank above the one before it on its node and not repeat its key
-    same = pos[e + 1:] == pos[e:-1]
-    down = np.flatnonzero(same & ((rank[e + 1:] < rank[e:-1]) | (key[e + 1:] == key[e:-1]).all(axis=1)))
-    if len(down):
-        ev, coord = evs[down[0] + 1], nodes[pos[e + down[0] + 1]]
-        raise GeometryMismatch(f"{ev.kind} at t={_fmt_tuple(ev.scatter)} on node {coord} is not after "
-                               "the event before it in (t, phase, cid, rank) order")
     # a compute event binds the execution just below it in the order, on its node at its key
-    bound = e + np.flatnonzero([ev.kind == "compute" for ev in evs])
+    bound = e + np.flatnonzero(listed[:, arity + 1] < 0)  # only compute events lack a cid
     tied = order[rank[bound] - 1]
     tied[(rank[bound] == 0) | (tied >= e) | (pos[tied] != pos[bound]) | (key[tied] != key[bound]).any(axis=1)] = -1
     owner = np.repeat(np.arange(len(real)), [len(r) for r, _ in execs])
+    makes = [(bool(s.reads()), bool(s.writes())) for s in real]
     runners = [f for s, (r, _) in zip(real, execs) for f in repeat(instance_runner(scop, s), len(r))]
     labels = [s.labels[i] for s, (r, _) in zip(real, execs) for i in r.tolist()]
     rows, bindings = np.concatenate([r for r, _ in execs] or [np.zeros(0, dtype=np.intp)]).tolist(), [_UNBOUND] * e
-    made = [np.array([bool(f(s)) for s in real] + [True])[owner[tied]] for f in (Statement.reads, Statement.writes)]
-    for b, x, reads, writes in zip(bound.tolist(), tied.tolist(), *made):
-        ev = evs[b - e]
+    for b, x in zip(bound.tolist(), tied.tolist()):
+        ev, (reads, writes) = evs[b - e], makes[owner[x]] if x >= 0 else (True, True)
         access = "read" if ev.read_from is not None and not reads else "write" if ev.writes and not writes else ""
         if x < 0 or access:
-            fault = (f"binds a field {access} for {labels[x]}, which {access}s no field" if x >= 0
+            fault = (f"binds a field {access} for {labels[x]}, which {access}s no field" if access
                      else "runs no execution")
             raise GeometryMismatch(f"compute event on node {nodes[pos[b]]} at t={_fmt_tuple(ev.scatter)} {fault}")
         bindings[x] = ev

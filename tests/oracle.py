@@ -15,7 +15,7 @@ import numpy as np
 
 from polydist import isets
 from polydist.chunking import _order_summary
-from polydist.commgen import CALLS, FILLING, IDLE, RECEIVED
+from polydist.commgen import CALLS, COMPUTE_PHASE, FILLING, IDLE, RECEIVED
 from polydist.errors import (
     BufferStateViolation,
     DeadlockDetected,
@@ -561,7 +561,7 @@ class Step:
 def event_key(ev) -> tuple:
     """Where an event stands in its node's list: the reference for the
     order ``emit_protocol`` gives by lexsort."""
-    phase = CALLS[ev.kind].phase if ev.kind in CALLS else 4  # compute events last
+    phase = CALLS[ev.kind].phase if ev.kind in CALLS else COMPUTE_PHASE
     return (ev.scatter, phase, ev.cid, ev.rank)
 
 

@@ -334,6 +334,11 @@ def _t_down(lines):
     return lines[:no] + [lines[no].replace(f" t=({','.join(t)}) ", f" t=({earlier}) ")] + lines[no + 1:]
 
 
+def _no_executions(lines):
+    """Every stmtmap empty, every binding line kept."""
+    return [ln.replace(" }", " and 0 = 1 }") if ln.startswith("stmtmap ") else ln for ln in lines]
+
+
 S11 = "stmtmap S1.1 { S1.1[i, x, y] -> P[floor(x/8), floor(y/8)] : 0 <= i <= 2 and 1 <= x <= 14 and 1 <= y <= 14 }"
 PR26_COMPUTE = "node=(0,0) t=(0,0,0,2,0,2,14,0) kind=compute stmt=S1.7 i=(0,1,1) read=storage write=storage"
 
@@ -347,7 +352,7 @@ BAD_PLACEMENTS = {
     "range-arity": (_line_edit("stmtmap S1.1 ", "P[floor(x/8), floor(y/8)]", "P[floor(x/8)]"), 1,
                     "stmtmap S1.1 ", "stmtmap S1.1 maps to 1 dims, the grid has 2"),
     "node-off-grid": (_line_edit("stmtmap S1.1 ", "P[floor(x/8), floor(y/8)]", "P[floor(x/8), 5]"), 1,
-                      "stmtmap S1.1 ", "stmtmap S1.1 places instances on node (0,5), outside grid (2,2)"),
+                      "stmtmap S1.1 ", "stmtmap S1.1 node=(0,5) outside grid (2,2)"),
     "unbounded": (_line_edit("stmtmap S1.1 ", "0 <= i <= 2", "0 <= i"), 1, "stmtmap S1.1 ",
                   "stmtmap S1.1 is unbounded"),
     "binds-nothing": (_line_edit("node=(0,0) t=(0,0,0,2,0,14,4,0) ", "read=buf:10@0", "read=none"), 1,
@@ -360,6 +365,8 @@ BAD_PLACEMENTS = {
                           "plan does not place statement S2.2"),
     "no-execution": (_t_down, 2, None,
                      "compute event on node (0, 0) at t=(0,0,0,2,0,14,4,-1) runs no execution"),
+    "no-execution-anywhere": (_no_executions, 2, None,
+                              "compute event on node (0, 0) at t=(0,0,0,2,0,14,4,0) runs no execution"),
 }
 
 
@@ -448,6 +455,29 @@ def test_verify_plan_with_unrunnable_compute(gol16_path, tmp_path, capsys, case)
                    f"for {label}, which {access}s no field")
     rc, out = _verify_text(gol16_path, tmp_path, capsys, text)
     assert (rc, out.out, out.err) == (2, "", f"validation error: {message}\n")
+
+
+def test_verify_plan_with_binding_out_of_order(gol16_path, tmp_path, capsys):
+    # a binding line whose t= names an execution before its chunk's
+    # recv_wait, the line left in place: its read lies inside the window in
+    # file order, but the run would read before the recv_wait, so the line
+    # is out of (t, phase, cid, rank) order, a parse error at the line
+    analysis, plan = plan_scop(parse_scop_file(gol16_path))
+    lines = dump_plan(plan).splitlines()
+    no = next(i for i, ln in enumerate(lines) if " kind=compute read=buf:" in ln)
+    node, t = re.match(r"node=\(([\d,]+)\) t=\(([-\d,]+)\) ", lines[no]).groups()
+    cid = re.search(r" read=buf:(\d+)@", lines[no])[1]
+    wait = max(i for i, ln in enumerate(lines[:no])
+               if ln.startswith(f"node=({node}) ") and " kind=recv_wait " in ln and ln.endswith(f" cid={cid}"))
+    before = tuple(map(int, re.search(r" t=\(([-\d,]+)\) ", lines[wait])[1].split(",")))
+    coord = tuple(map(int, node.split(",")))
+    early = max(st.scatter for st in expand_plan(plan, analysis.scop)[coord]
+                if st.kind == "compute" and st.scatter < before)
+    lines[no] = lines[no].replace(f" t=({t}) ", f" t=({','.join(map(str, early))}) ")
+    rc, out = _verify_text(gol16_path, tmp_path, capsys, "\n".join(lines) + "\n")
+    assert (rc, out.out) == (1, "")
+    assert out.err == (f"parse error: compute at t=({','.join(map(str, early))}) on node {coord} is not after "
+                       f"the event before it in (t, phase, cid, rank) order (line {no + 1})\n")
 
 
 def _faulty_plan(gol16_path, tmp_path, kind):

@@ -537,10 +537,23 @@ def test_placement_of_other_statements_rejected_before_first_step(gol16_built, c
                            "plan does not place statement S2.2")
 
 
+def test_plan_for_other_scatters_rejected_before_first_step(gol16_built):
+    # a plan whose scatters have other entries than the scop's cannot merge
+    # its events with the scop's executions
+    scop, virt, plan = gol16_built
+    sim = init_runtime(dataclasses.replace(plan, scatter_arity=virt.scatter_arity + 1), virt.grid,
+                       random_contents(scop, 3))
+    with pytest.raises(GeometryMismatch) as exc:
+        run(sim, virt)
+    assert str(exc.value) == f"plan scatters have {virt.scatter_arity + 1} entries, the scop's {virt.scatter_arity}"
+    assert sim.step == 0
+
+
 def test_event_out_of_order_rejected_before_first_step(gol16_built):
     # a binding moved to an execution before its chunk's recv_wait, without
-    # moving it in the list: the window check passes in list order, but the
-    # merge would run the buffer read before the recv_wait
+    # moving it in the list: its read lies inside the window in list order,
+    # but the merge would run it before the recv_wait, so the window check
+    # rejects the list out of key order, and the run does before the first step
     scop, virt, plan = gol16_built
     node, i, ev = first_event(plan, reads_buffer)
     evs = list(plan.events[node])
@@ -548,12 +561,15 @@ def test_event_out_of_order_rejected_before_first_step(gol16_built):
     early = max(st.scatter for st in expand_plan(plan, virt)[node]
                 if st.kind == "compute" and st.scatter < evs[wait].scatter)
     evs[i] = dataclasses.replace(ev, scatter=early)
-    check_windows(plan.channels, node, evs, set())
+    message = (f"compute at t=({','.join(map(str, early))}) on node {node} is not after the "
+               "event before it in (t, phase, cid, rank) order")
+    with pytest.raises(GeometryMismatch) as exc:
+        check_windows(plan.channels, node, evs, set())
+    assert str(exc.value) == message
     sim = init_runtime(with_events(plan, node, evs), virt.grid, random_contents(scop, 3))
     with pytest.raises(GeometryMismatch) as exc:
         run(sim, virt)
-    assert str(exc.value) == (f"compute at t=({','.join(map(str, early))}) on node {node} is not after the "
-                              "event before it in (t, phase, cid, rank) order")
+    assert str(exc.value) == message
     assert sim.step == 0
 
 
