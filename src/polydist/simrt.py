@@ -1,7 +1,8 @@
 """Deterministic in-process simulation of a node grid executing a plan.
 
-Each node owns the storage for its home elements of every field, a
-private scalar environment, and a cursor into its steps.  Every
+Each field is held once, in one array; only an element's home node, by
+the plan's home map, reads or stores it there.  Each node keeps a
+private scalar environment and a cursor into its steps.  Every
 execution stores each element it writes where its node homes it, and
 reads a value made on its own node from there unless a compute event
 binds it to a buffer slot; values from other nodes arrive through
@@ -50,7 +51,6 @@ __all__ = ["NodeState", "ChannelState", "Trace", "SimState", "init_runtime", "ru
 class NodeState:
     coord: tuple
     position: int  # in ClusterGrid.nodes
-    storage: dict  # field -> 1-D numpy array over the home elements, row-major
     scalars: dict = field(default_factory=dict)
     cursor: int = 0  # into the node's steps
 
@@ -74,9 +74,8 @@ class Trace:
 @dataclass
 class SimState:
     plan: CommPlan
-    fields: dict  # field name -> FieldDecl
-    homes: dict  # field name -> per-element home position table
-    slots: dict  # field name -> {element: (home position, storage slot)}
+    memory: dict  # field name -> its contents, one array
+    homes: dict  # field name -> {element: its home's position}
     nodes: dict  # coord -> NodeState
     channels: dict  # cid -> ChannelState
     trace: Trace
@@ -85,28 +84,18 @@ class SimState:
     def step(self) -> int:  # the events run so far, one trace entry each
         return len(self.trace.entries)
 
-    def _offset(self, node: NodeState, fieldname: str, index: tuple) -> int:
-        """The element's slot in the node's storage; NotLocal unless the node homes it."""
-        home = self.slots[fieldname].get(index)
-        if home is None or home[0] != node.position:
+    def load(self, node: NodeState, fieldname: str, index: tuple):
+        """The element's value; NotLocal unless the node homes it."""
+        if self.homes[fieldname].get(index) != node.position:
             raise NotLocal(f"{fieldname}{index} is not a home element of {node.coord}")
-        return home[1]
-
-    def gather(self) -> dict:
-        out = {}
-        for name, fld in self.fields.items():
-            arr = np.zeros(fld.extents, dtype=fld.dtype)
-            for node in self.nodes.values():
-                arr[self.homes[name] == node.position] = node.storage[name]
-            out[name] = arr
-        return out
+        return self.memory[fieldname].item(index)
 
 
 def init_runtime(plan: CommPlan, grid: ClusterGrid, init: dict) -> SimState:
     """Build nodes and channels; abort on geometry mismatch.  The plan's
     fields must be the contents' fields, with the same element types and
-    extents.  Each node stores the elements of every field that the
-    plan's home map places on it."""
+    extents.  The state holds a copy of each field, and the home of each
+    element by the plan's home map."""
     if grid.extents != tuple(plan.grid):
         raise GeometryMismatch(f"plan compiled for {plan.grid}, running on {grid.extents}")
     fields = {n: FieldDecl(name=n, element_type=t, extents=tuple(e)) for n, t, e in plan.fields}
@@ -120,20 +109,13 @@ def init_runtime(plan: CommPlan, grid: ClusterGrid, init: dict) -> SimState:
     for name in init:
         if name not in fields:
             raise GeometryMismatch(f"field {name} of the contents is missing from the plan")
-    nodes = {coord: NodeState(coord, position, {}) for position, coord in enumerate(grid.nodes)}
-    homes, slots = {}, {}
+    homes = {}
     for name, fld in fields.items():
         every = np.indices(fld.extents).reshape(fld.arity, -1).T
-        owner = plan.field_placement.homes(name, every, grid).reshape(fld.extents)
-        slot = np.zeros(fld.extents, dtype=np.intp)
-        for node in nodes.values():
-            mine = owner == node.position
-            slot[mine] = np.arange(np.count_nonzero(mine))
-            node.storage[name] = init[name][mine]
-        homes[name] = owner
-        slots[name] = dict(zip(map(tuple, every.tolist()), zip(owner.ravel().tolist(), slot.ravel().tolist())))
+        homes[name] = dict(zip(map(tuple, every.tolist()), plan.field_placement.homes(name, every, grid).tolist()))
+    nodes = {coord: NodeState(coord, position) for position, coord in enumerate(grid.nodes)}
     channels = {ch.cid: ChannelState() for ch in plan.channels}
-    return SimState(plan, fields, homes, slots, nodes, channels, Trace())
+    return SimState(plan, {name: init[name].copy() for name in fields}, homes, nodes, channels, Trace())
 
 
 def _digest(values) -> str:
@@ -152,8 +134,9 @@ def _steps(plan: CommPlan, scop: Scop) -> tuple[list, list, tuple, list]:
     dilated scatters, and its events, merged by one lexsort on (t, node,
     phase, cid, rank); a compute event binds the execution at its key.
     GeometryMismatch unless the plan places the scop's real statements at
-    instances, every node's events pass ``check_windows``, and each compute
-    event binds an execution of a statement that makes its accesses."""
+    instances, every node's events pass ``check_windows``, each compute
+    event binds an execution of a statement that makes its accesses, and
+    every instance runs on some node."""
     grid, real, placed = scop.grid, scop.real_statements(), plan.stmt_placement.maps
     nodes, arity = grid.nodes, scop.scatter_arity
     for sid in sorted(placed.keys() ^ {s.id for s in real}):  # the first stray or missing statement
@@ -195,6 +178,9 @@ def _steps(plan: CommPlan, scop: Scop) -> tuple[list, list, tuple, list]:
                      else "runs no execution")
             raise GeometryMismatch(f"compute event on node {nodes[pos[b]]} at t={_fmt_tuple(ev.scatter)} {fault}")
         bindings[x] = ev
+    for s, (r, _) in zip(real, execs):
+        if not (runs := np.bincount(r, minlength=len(s.instances))).all():
+            raise GeometryMismatch(f"plan places {s.labels[runs.argmin()]} on no node")
     keep = np.delete(order, rank[bound])
     keep = keep[np.argsort(pos[keep], kind="stable")]
     cuts = np.searchsorted(pos[keep], np.arange(len(nodes) + 1)).tolist()
@@ -211,16 +197,15 @@ def run(sim: SimState, scop: Scop):
 
     def read(ev, decl, element):  # the running execution's read access, on its node
         if ev.read_from is None:  # made on this node, by the element's last writer
-            return node.storage[decl.name].item(sim._offset(node, decl.name, element))
+            return sim.load(node, decl.name, element)
         value = sim.channels[ev.read_from[0]].slots[ev.read_from[1]]
         if value is None:
             raise BufferStateViolation(f"{labels[j]}: reading unwritten buffer slot")
         return value
 
     def store(ev, decl, element, value):
-        home = sim.slots[decl.name][element]
-        if home[0] == node.position:
-            node.storage[decl.name][home[1]] = value
+        if sim.homes[decl.name][element] == node.position:
+            sim.memory[decl.name][element] = value
         for _, cid, rank in ev.writes:
             sim.channels[cid].slots[rank] = value
 
@@ -244,8 +229,7 @@ def run(sim: SimState, scop: Scop):
                 if ev.kind == "send_wait":
                     ch.slots = [None] * plan.channels[ev.cid].layout.size
                 elif ev.kind == "buffer_fill":
-                    fieldname = plan.channels[ev.cid].layout.fieldname
-                    ch.slots[ev.rank] = node.storage[fieldname].item(sim._offset(node, fieldname, ev.element))
+                    ch.slots[ev.rank] = sim.load(node, plan.channels[ev.cid].layout.fieldname, ev.element)
                 ch.state = call.leaves
                 digest = "-"
                 if ev.kind in ("send", "recv"):  # the states a parked head waits for
@@ -266,4 +250,4 @@ def run(sim: SimState, scop: Scop):
     busy = [f"{cid} {ch.state}" for cid, ch in sim.channels.items() if ch.state != IDLE]
     if busy:
         raise BufferStateViolation(f"run ended with channels not idle: {', '.join(busy)}")
-    return sim.gather(), sim.trace
+    return sim.memory, sim.trace

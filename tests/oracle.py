@@ -20,6 +20,7 @@ from polydist.errors import (
     BufferStateViolation,
     DeadlockDetected,
     IterationCapExceeded,
+    NotLocal,
     SpaceMismatch,
     UnboundedSet,
 )
@@ -54,7 +55,6 @@ from polydist.isets import (
     union,
 )
 from polydist.scop import instance_runner
-from polydist.simrt import init_runtime
 
 MAX_POINTS = 250
 
@@ -624,22 +624,28 @@ def run_any_order(plan, scop, init, seed) -> dict:
     """The field contents a plan leaves when each step of its expansion
     (``expand_plan``) runs the head of a node drawn by a seeded
     ``random.Random`` from the nodes whose head can run: the any-order
-    reference for ``simrt.run``, sharing only its node storage and
-    ``scop.instance_runner``.  An execution reads its node's storage
-    unless it reads a buffer slot, and stores each element it writes that
-    its node homes.  A ``send_wait`` or ``recv_wait`` waits for the state
-    ``CALLS`` says it needs; every other call, and every buffer access,
-    must find its state, an assertion here, where ``simrt`` relies on
-    ``check_windows`` before the run.  Faults as ``simrt.run``'s:
-    DeadlockDetected when no head can run, BufferStateViolation for an
-    unwritten slot or a channel not idle at the end, NotLocal for an
-    element its node does not home."""
+    reference for ``simrt.run``, sharing only ``scop.instance_runner``.
+    Each node keeps a dict of its own home elements, by the plan's home
+    map.  An execution reads that dict unless it reads a buffer slot, and
+    stores each element it writes that its node homes.  A ``send_wait``
+    or ``recv_wait`` waits for the state ``CALLS`` says it needs; every
+    other call, and every buffer access, must find its state, an
+    assertion here, where ``simrt`` relies on ``check_windows`` before the
+    run.  Faults as ``simrt.run``'s: DeadlockDetected when no head can
+    run, BufferStateViolation for an unwritten slot or a channel not idle
+    at the end, NotLocal for an element its node does not home."""
     rng = random.Random(seed)
-    sim = init_runtime(plan, scop.grid, init)
+    grid = scop.grid
     runs = {s.id: instance_runner(scop, s) for s in scop.real_statements()}
     rows = {s.id: {p: r for r, p in enumerate(map(tuple, s.instances.tolist()))} for s in scop.real_statements()}
+    mine = {coord: {} for coord in grid.nodes}  # node -> {(field, element): value} over its home elements
+    for name, _, extents in plan.fields:
+        every = np.array(list(np.ndindex(*extents)), dtype=np.int64).reshape(-1, len(extents))
+        for e, p in zip(map(tuple, every.tolist()), plan.field_placement.homes(name, every, grid).tolist()):
+            mine[grid.nodes[p]][name, e] = init[name].item(e)
+    scalars = {coord: {} for coord in grid.nodes}
     steps = expand_plan(plan, scop)
-    events = {coord: steps.get(coord, []) for coord in sim.nodes}
+    events = {coord: steps.get(coord, []) for coord in grid.nodes}
     state = {ch.cid: IDLE for ch in plan.channels}
     slots: dict = {}  # cid -> the slots of its current message
     head = dict.fromkeys(events, 0)
@@ -653,9 +659,14 @@ def run_any_order(plan, scop, init, seed) -> dict:
         else:
             ready.append(coord)
 
+    def load(name, element):  # a home element of the running node
+        if (name, element) not in mine[coord]:
+            raise NotLocal(f"{name}{element} is not a home element of {coord}")
+        return mine[coord][name, element]
+
     def read(ev, decl, element):
         if ev.read_from is None:
-            return node.storage[decl.name].item(sim._offset(node, decl.name, element))
+            return load(decl.name, element)
         cid, rank = ev.read_from
         assert state[cid] == RECEIVED, f"{ev.stmt}{ev.instance} reads channel {cid} {state[cid]}"
         if slots[cid][rank] is None:
@@ -664,8 +675,8 @@ def run_any_order(plan, scop, init, seed) -> dict:
         return slots[cid][rank]
 
     def store(ev, decl, element, value):
-        if sim.slots[decl.name][element][0] == node.position:
-            node.storage[decl.name][sim._offset(node, decl.name, element)] = value
+        if (decl.name, element) in mine[coord]:
+            mine[coord][decl.name, element] = value
         for _, cid, rank in ev.writes:
             assert state[cid] == FILLING, f"{ev.stmt}{ev.instance} writes channel {cid} {state[cid]}"
             slots[cid][rank] = value
@@ -675,17 +686,16 @@ def run_any_order(plan, scop, init, seed) -> dict:
             place(coord)
     while ready:
         coord = ready.pop(rng.randrange(len(ready)))
-        node, ev = sim.nodes[coord], events[coord][head[coord]]
+        ev = events[coord][head[coord]]
         if ev.kind == "compute":
-            runs[ev.stmt](rows[ev.stmt][ev.instance], node.scalars, read, store, ev)
+            runs[ev.stmt](rows[ev.stmt][ev.instance], scalars[coord], read, store, ev)
         else:
             call = CALLS[ev.kind]
             assert state[ev.cid] == call.needs, f"{ev.kind} on channel {ev.cid} {state[ev.cid]}"
             if ev.kind == "send_wait":
                 slots[ev.cid] = [None] * plan.channels[ev.cid].layout.size
             elif ev.kind == "buffer_fill":
-                name = plan.channels[ev.cid].layout.fieldname
-                slots[ev.cid][ev.rank] = node.storage[name].item(sim._offset(node, name, ev.element))
+                slots[ev.cid][ev.rank] = load(plan.channels[ev.cid].layout.fieldname, ev.element)
             state[ev.cid] = call.leaves
             for c in parked.pop(ev.cid, ()):
                 place(c)
@@ -698,7 +708,11 @@ def run_any_order(plan, scop, init, seed) -> dict:
     busy = [f"{cid} {st}" for cid, st in state.items() if st != IDLE]
     if busy:
         raise BufferStateViolation(f"run ended with channels not idle: {', '.join(busy)}")
-    return sim.gather()
+    final = {name: init[name].copy() for name, _, _ in plan.fields}
+    for own in mine.values():
+        for (name, e), value in own.items():
+            final[name][e] = value
+    return final
 
 
 # -- field contents -----------------------------------------------------------

@@ -367,6 +367,8 @@ BAD_PLACEMENTS = {
                      "compute event on node (0, 0) at t=(0,0,0,2,0,14,4,-1) runs no execution"),
     "no-execution-anywhere": (_no_executions, 2, None,
                               "compute event on node (0, 0) at t=(0,0,0,2,0,14,4,0) runs no execution"),
+    "instance-unplaced": (_line_edit("stmtmap S1.7 ", "1 <= x <= 14", "2 <= x <= 14"), 2, None,
+                          "plan places S1.7(0,1,1) on no node"),
 }
 
 
@@ -801,23 +803,21 @@ def test_bad_option_is_a_validation_error(gol16_path, capsys, options, message):
 
 
 def test_verify_reports_the_first_divergence(gol16_path, tmp_path, capsys):
-    """A plan that runs without a fault but places no execution of
-    S1.7(0,1,1), the first store of back(1,1): simulate accepts it, verify
-    names the first element that differs."""
+    """A plan that passes every check and runs without a fault, but whose
+    S1.2(0,3,7) reads front(2,8), rank 1 of the message, in place of
+    front(3,8), rank 2: simulate accepts it, verify names the first
+    element that differs, back(3,7), which S1.7(0,3,7) stores."""
     invoke("plan", str(gol16_path), "--grid", "2x2", "--out", str(tmp_path))
     lines = (tmp_path / "plan.txt").read_text().splitlines()
-    no = next(i for i, ln in enumerate(lines) if ln.startswith("stmtmap S1.7 "))
-    whole = "0 <= i <= 2 and 1 <= x <= 14 and 1 <= y <= 14 }"
-    assert lines[no].endswith(": " + whole)
-    lines[no] = lines[no].replace(whole, "1 <= i <= 2 and 1 <= x <= 14 and 1 <= y <= 14; " + lines[no][
-        lines[no].index("S1.7["):lines[no].index(" : ")] + " : i = 0 and 1 <= x <= 14 and 1 <= y <= 14 and x + y >= 3 }")
-    plan_file = tmp_path / "no-store.txt"
-    plan_file.write_text("\n".join(lines) + "\n")
+    moved = _line_edit("node=(0,0) t=(0,0,0,6,0,14,4,0) ", "read=buf:10@2", "read=buf:10@1")(lines)
+    assert "channel cid=10 family=pro:S1.2:front src=(0,1) dst=(0,0) box=[1:7;8:8]" in lines
+    plan_file = tmp_path / "moved-read.txt"
+    plan_file.write_text("\n".join(moved) + "\n")
     capsys.readouterr()
     argv = (str(gol16_path), "--grid", "2x2", "--seed", "7", "--plan", str(plan_file))
     assert invoke("verify", *argv) == 4
     assert capsys.readouterr().out == (
-        "verify: FAIL first divergence field=back index=(1, 1) expected=True got=False\n")
+        "verify: FAIL first divergence field=back index=(3, 7) expected=True got=False\n")
     assert invoke("simulate", *argv) == 0
 
 

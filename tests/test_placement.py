@@ -100,8 +100,8 @@ def test_block_distribute_indivisible():
 @pytest.mark.parametrize("path", sorted(SCOPS.glob("*.scop")), ids=lambda p: p.stem)
 def test_homes_are_blocks(path, grid):
     """Every element's home, by its field's map and in the simulator's
-    storage, is its block: each node stores exactly its block's elements,
-    in row-major order, so the nodes' home elements partition the field."""
+    home lookup, is its block, so the nodes' home elements partition the
+    field into blocks; the simulator starts from the contents."""
     scop = override_grid(parse_scop_file(path), tuple(int(g) for g in grid.split("x")))
     g = scop.grid
     fp = block_distribute(scop.fields, g)
@@ -113,14 +113,8 @@ def test_homes_are_blocks(path, grid):
         blocks = block_sizes(f.extents, g.extents)
         expected = [block_home(e, blocks) for e in every]
         assert [g.nodes[i] for i in fp.homes(f.name, np.array(every), g).tolist()] == expected
-        block_of = {coord: [] for coord in g.nodes}
-        for e, home in zip(every, expected):
-            block_of[home].append(e)
-        for coord, node in sim.nodes.items():
-            mine = block_of[coord]
-            assert [sim._offset(node, f.name, e) for e in mine] == list(range(len(mine)))
-            assert node.storage[f.name].tolist() == [init[f.name][e] for e in mine]
-        assert (sim.gather()[f.name] == init[f.name]).all()
+        assert [g.nodes[sim.homes[f.name][e]] for e in every] == expected
+        assert np.array_equal(sim.memory[f.name], init[f.name])
 
 
 def test_owner_computes_placement(gol16_pipeline):

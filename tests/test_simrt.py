@@ -11,7 +11,17 @@ from hypothesis import strategies as st
 
 from polydist.chunking import chunk_all
 from polydist.cli import main
-from polydist.commgen import CALLS, CommPlan, check_windows, compile_plan, dump_plan, parse_plan
+from polydist.commgen import (
+    CALLS,
+    BufferLayout,
+    Channel,
+    CommPlan,
+    Event,
+    check_windows,
+    compile_plan,
+    dump_plan,
+    parse_plan,
+)
 from polydist.deps import add_virtual_statements, compute_flow
 from polydist.errors import (
     BufferStateViolation,
@@ -22,6 +32,7 @@ from polydist.errors import (
     SimulationFault,
 )
 from polydist.fields import random_contents
+from polydist.pipeline import plan_scop
 from polydist.placement import Placement, block_distribute, place_statements
 from polydist.scop import ClusterGrid, FieldDecl, isolate_accesses, sequential_execute
 from polydist.scopio import parse_scop
@@ -30,6 +41,7 @@ from polydist import simrt
 from polydist.simrt import init_runtime, run
 
 from oracle import contents_equal, event_key, expand_plan, run_any_order, scan_order, zero_contents
+from test_commgen import LOOPBACK
 
 
 def build(gol16_path, grid=None):
@@ -97,6 +109,55 @@ def test_untouched_elements_stay(gol16_built):
         assert np.array_equal(final[name][15, :], init[name][15, :])
         assert np.array_equal(final[name][:, 0], init[name][:, 0])
         assert np.array_equal(final[name][:, 15], init[name][:, 15])
+
+
+def test_run_leaves_the_callers_contents(gol16_built):
+    # verify and perfbench hand the same arrays to sequential execution
+    scop, virt, plan = gol16_built
+    init = random_contents(scop, 12)
+    kept = {name: arr.copy() for name, arr in init.items()}
+    final, _ = run(init_runtime(plan, virt.grid, init), virt)
+    assert contents_equal(init, kept) and not contents_equal(final, kept)
+
+
+# W(x) stores 1 into a[x], then V(x) stores 2; the emitted plan runs every
+# W(x) on node (0,), so W(1) runs on the node that does not home a[1]
+LATE_WRITER = {
+    "name": "late_writer",
+    "grid": [2],
+    "scatter_arity": 2,
+    "fields": [{"name": "a", "type": "int64", "extents": [2]}],
+    "functions": {},
+    "statements": [
+        {"id": "W", "domain": "{ [x] : 0 <= x < 2 }", "schedule": "{ [x] -> [x,0] }",
+         "accesses": [{"field": "a", "kind": "write", "index": ["x"]}], "body": ["int", 1]},
+        {"id": "V", "domain": "{ [x] : 0 <= x < 2 }", "schedule": "{ [x] -> [x,1] }",
+         "accesses": [{"field": "a", "kind": "write", "index": ["x"]}], "body": ["int", 2]},
+    ],
+}
+
+
+def test_store_lands_only_at_the_home():
+    # an added message that carries no value, sent by (1,) after its V(1),
+    # holds (0,) back until then, so (0,)'s W(1) runs after the home's
+    # later write: a store there would leave a[1] = 1
+    scop = parse_scop(json.dumps(LATE_WRITER))
+    analysis, plan = plan_scop(scop)
+    virt = analysis.scop
+    assert plan.stmt_placement.table["W"].tolist() == [[0, 0], [1, 0]] and not plan.channels
+    ch = Channel(0, "flow:V->W:a", (1,), (0,), BufferLayout("a", ((1, 1),)))
+    events = {(1,): [Event((-1, 0, 0), "send_wait", chunk="late", cid=0), Event((2, 2, 1), "send", chunk="late", cid=0)],
+              (0,): [Event((-1, 0, 0), "recv_wait", chunk="late", cid=0), Event((2, 0, 1), "recv", chunk="late", cid=0)]}
+    late = dataclasses.replace(plan, channels=[ch], events=events)
+    for node, evs in events.items():
+        check_windows(late.channels, node, evs, set())
+    init = zero_contents(scop)
+    final, trace = run(init_runtime(late, virt.grid, init), virt)
+    ran = [(node, chunk) for _, node, _, chunk, _, _ in trace.entries]
+    assert ran.index(((1,), "V(1)")) < ran.index(((0,), "W(1)"))
+    assert contents_equal(final, sequential_execute(scop, init))
+    for seed in (1, 2, 3):
+        assert contents_equal(run_any_order(late, virt, init, seed), final)
 
 
 def test_determinism(gol16_built):
@@ -672,12 +733,20 @@ CONTRACT_CONFIGURATIONS = [("gol16", (2, 2)), ("gol16", (4, 4)), ("gol16_fused",
                            ("gol32", (4, 4))]
 
 
-@pytest.mark.parametrize("name, grid", CONTRACT_CONFIGURATIONS,
-                         ids=[f"{n}-{a}x{b}" for n, (a, b) in CONTRACT_CONFIGURATIONS])
+ANY_ORDER = CONTRACT_CONFIGURATIONS + [("loopback", (2,))]
+
+
+@pytest.mark.parametrize("name, grid", ANY_ORDER, ids=[f"{n}-{'x'.join(map(str, g))}" for n, g in ANY_ORDER])
 def test_any_order_gives_the_simulators_contents(scops_dir, name, grid):
     # an emitted plan passes the window check, so every order of its nodes'
-    # steps reads the same values: seeded random orders end where simrt does
-    scop, virt, plan = build(scops_dir / f"{name}.scop", grid=grid)
+    # steps reads the same values: seeded random orders end where simrt does;
+    # LOOPBACK runs G(x) on the node that does not home a[x] too
+    if name == "loopback":
+        scop = parse_scop(json.dumps(LOOPBACK))
+        analysis, plan = plan_scop(scop)
+        virt = analysis.scop
+    else:
+        scop, virt, plan = build(scops_dir / f"{name}.scop", grid=grid)
     init = random_contents(scop, 7)
     final, _ = run(init_runtime(plan, virt.grid, init), virt)
     for seed in (1, 2, 3):
