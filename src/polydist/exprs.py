@@ -15,21 +15,25 @@ Node forms:
     ["if", c, t, f]                             conditional expression
     ["call", fname, args...]                    pure function call
 
-``compile_expr`` defines the language: one walk checks a tree and builds
-the closure that evaluates it.  Evaluation is strict about types: boolean
-operands are not silently treated as integers (use ``b2i``), which keeps
-the simulator's semantics unambiguous across nodes.
+``compile_expr`` defines the language: one walk checks a tree and writes
+the Python that evaluates it, which ``Code.define`` runs when first needed.
+Evaluation is strict about types: boolean operands are not silently treated
+as integers (use ``b2i``), which keeps the simulator's semantics unambiguous
+across nodes.  Names and literals reach the source only as generated names.
 """
 
 from __future__ import annotations
 
-import operator
+import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 from .errors import EvaluationError, ValidationError
 
-__all__ = ["PureFunction", "compile_expr", "compile_functions"]
+__all__ = ["PureFunction", "Code", "compile_expr", "compile_functions"]
+
+_SPLIT = 16  # node levels per generated function, far below CPython's nesting limits
 
 
 @dataclass(frozen=True)
@@ -53,43 +57,84 @@ def _need_num(v, op):
     return v
 
 
-def _numbers(x, y, op):
-    return _need_num(x, op), _need_num(y, op)
-
-
-def _same_kind(x, y, op):
-    if isinstance(x, bool) != isinstance(y, bool):
-        raise EvaluationError("eq/ne operands must have matching types")
-    return x, y
-
-
 def _unwritten(name):
     raise EvaluationError(f"scalar {name!r} read before any write")
 
 
+def _mismatched():
+    raise EvaluationError("eq/ne operands must have matching types")
+
+
 _LITERALS = {"int": int, "float": (int, float), "bool": bool}
-_UNARY = {"b2i": lambda v: int(_need_bool(v, "b2i")), "neg": lambda v: -_need_num(v, "neg"),
-          "not": lambda v: not _need_bool(v, "not")}
-_ARITH = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
-# comparison -> (operator, check of both operands once both are evaluated)
-_COMPARE = {"lt": (operator.lt, _numbers), "le": (operator.le, _numbers),
-            "gt": (operator.gt, _numbers), "ge": (operator.ge, _numbers),
-            "eq": (operator.eq, _same_kind), "ne": (operator.ne, _same_kind)}
+# operator -> (the kinds its operands need, None for any; its source over them; its value's kind)
+_OPERATORS = {"b2i": (("bool",), "(1 if {0} else 0)", "num"), "neg": (("num",), "(-{0})", "num"),
+              "not": (("bool",), "(not {0})", "bool"), "add": (("num", "num"), "({0} + {1})", "num"),
+              "sub": (("num", "num"), "({0} - {1})", "num"), "mul": (("num", "num"), "({0} * {1})", "num"),
+              "and": (("bool", "bool"), "({1} if {0} else False)", "bool"),
+              "or": (("bool", "bool"), "(True if {0} else {1})", "bool"),
+              "if": (("bool", None, None), "({1} if {0} else {2})", None)}
+# a comparison checks its operands, held in the temporaries x and y, once both are evaluated
+_ORDER = "({x} %s {y} if type({x} := {0}) is type({y} := {1}) in _NUM else _need_num({x}, %r) %s _need_num({y}, %r))"
+_EQUAL = "({x} %s {y} if (type({x} := {0}) is bool) is (type({y} := {1}) is bool) else _mismatched())"
+_OPERATORS.update({op: ((None, None), _ORDER % (t, op, t, op), "bool")
+                   for op, t in (("lt", "<"), ("le", "<="), ("gt", ">"), ("ge", ">="))})
+_OPERATORS.update({op: ((None, None), _EQUAL % t, "bool") for op, t in (("eq", "=="), ("ne", "!="))})
+_CHECKS = {"_need_bool": _need_bool, "_need_num": _need_num, "_unwritten": _unwritten, "_mismatched": _mismatched,
+           "_NUM": frozenset((int, float))}
+# a need -> the source of an operand t checked for it
+_CHECKED = {"bool": "({t} if type({t} := {src}) is bool else _need_bool({t}, {op!r}))",
+            "num": "({t} if type({t} := {src}) is int or type({t}) is float else _need_num({t}, {op!r}))"}
+
+
+@dataclass(frozen=True, eq=False)
+class Code:
+    """A checked body tree as Python: ``expr`` evaluates it over ``args``, calling
+    the helpers ``defs`` for deep subtrees; ``names`` binds every other name it
+    uses.  ``kind`` is "bool" or "num" when every value is one, else None."""
+
+    expr: str
+    kind: Optional[str]
+    args: str
+    defs: tuple
+    names: dict
+
+    def define(self, params: str, lines, names: dict) -> Callable:
+        """``def run(params)`` over the lines, with the code's names, ``names`` and the checks bound."""
+        source = "\n".join([*self.defs, f"def run({params}):", *("    " + line for line in lines)])
+        space = dict(_CHECKS, **{k: v.function if isinstance(v, Code) else v for k, v in (self.names | names).items()})
+        exec(source, space)
+        return space["run"]
+
+    @cached_property
+    def function(self) -> Callable:
+        """``run(*args)``, the tree's value; a callee's Code stands for it."""
+        return self.define(self.args, [f"return {self.expr}"], {})
 
 
 def compile_expr(node, scalars, accesses: Optional[Sequence[str]],
-                 function: Callable[[str], Optional[tuple]], where: str) -> Callable:
-    """Check a body tree and compile it into ``f(scalars, access)``, which
-    evaluates it against a scalar environment and an accessor of access
-    ordinals.  ``scalars`` are the names it may read, ``accesses`` the
-    statement's access kinds (None in a function body, which may access no
-    field) and ``function(name)`` a callee's (parameters, compiled body) or
-    None.  A bad tree raises ValidationError prefixed with ``where``."""
+                 function: Callable[[str], Optional[tuple]], where: str) -> Code:
+    """Check a body tree and write it as Python.  ``scalars`` are the names it
+    may read, ``accesses`` the statement's access kinds and ``function(name)``
+    a callee's (parameters, Code) or None.  A statement body reads ``sc`` and
+    access j as ``read(where, dj, ej[row])``, for the caller to bind dj and
+    ej; a function body (``accesses`` None) reads parameter i as ``pi``.  A
+    bad tree raises ValidationError prefixed with ``where``."""
+    names, defs, temps = {}, [], itertools.count()
+    local = None if accesses is not None else {name: f"p{i}" for i, name in enumerate(scalars)}
+    args = "row, sc, read, where" if local is None else ", ".join(f"p{i}" for i in range(len(scalars)))
 
     def fail(message):
         raise ValidationError(f"{where}: {message}")
 
-    def walk(n):
+    def bind(value, prefix: str) -> str:
+        names[name := f"{prefix}{len(names)}"] = value
+        return name
+
+    def checked(operand: tuple, need: Optional[str], op: str) -> str:
+        src, kind = operand
+        return src if need in (None, kind) else _CHECKED[need].format(t=f"t{next(temps)}", src=src, op=op)
+
+    def walk(n, depth: int) -> tuple:
         if not isinstance(n, (list, tuple)) or not n:
             fail(f"malformed expression node: {n!r}")
         op = n[0]
@@ -104,12 +149,15 @@ def compile_expr(node, scalars, accesses: Optional[Sequence[str]],
                     v = float(v)
                 except OverflowError:
                     fail(f"bad float literal: {n!r}")
-            return lambda sc, acc: v
+            return bind(v, "c"), "bool" if op == "bool" else "num"
         if op == "var":
             name = n[1] if len(n) == 2 else None
             if not isinstance(name, str) or name not in scalars:
                 fail(f"unknown scalar in body: {n!r}")
-            return lambda sc, acc: sc[name] if name in sc else _unwritten(name)
+            if local is not None:  # a repeated parameter name is the last
+                return local[name], None
+            k = bind(name, "k")
+            return f"(sc[{k}] if {k} in sc else _unwritten({k}))", None
         if op == "access":
             if accesses is None:
                 fail("pure functions cannot access fields")
@@ -118,48 +166,40 @@ def compile_expr(node, scalars, accesses: Optional[Sequence[str]],
                 fail(f"bad access reference: {n!r}")
             if accesses[j] != "read":
                 fail(f"body references write access {j}")
-            return lambda sc, acc: acc(j)
-        if op in _UNARY:
-            if len(n) != 2:
-                fail(f"{op} takes one operand")
-            f, a = _UNARY[op], walk(n[1])
-            return lambda sc, acc: f(a(sc, acc))
-        if op in _ARITH or op in _COMPARE or op in ("and", "or"):
-            if len(n) != 3:
-                fail(f"{op} takes two operands")
-            a, b = walk(n[1]), walk(n[2])
-            if op in ("and", "or"):
-                decided = op == "or"  # the first operand's value that decides the result
-                return lambda sc, acc: (decided if _need_bool(a(sc, acc), op) == decided
-                                        else _need_bool(b(sc, acc), op))
-            if op in _ARITH:  # each operand checked as it comes
-                f = _ARITH[op]
-                return lambda sc, acc: f(_need_num(a(sc, acc), op), _need_num(b(sc, acc), op))
-            f, check = _COMPARE[op]
-            return lambda sc, acc: f(*check(a(sc, acc), b(sc, acc), op))
-        if op == "if":
-            if len(n) != 4:
-                fail("if takes condition, then, else")
-            c, t, e = map(walk, n[1:])
-            return lambda sc, acc: t(sc, acc) if _need_bool(c(sc, acc), op) else e(sc, acc)
+            return f"read(where, d{j}, e{j}[row])", None
         if op == "call":
             fn = function(n[1]) if len(n) >= 2 and isinstance(n[1], str) else None
             if fn is None:
                 fail(f"call to unknown function: {n!r}")
-            params, body = fn
+            params, callee = fn
             if len(n) - 2 != len(params):
                 fail(f"{n[1]} expects {len(params)} arguments, got {len(n) - 2}")
-            args = [walk(x) for x in n[2:]]
-            return lambda sc, acc: body(dict(zip(params, [x(sc, acc) for x in args])), None)
-        fail(f"unknown expression operator: {op!r}")
+            operands = ", ".join("{%d}" % i for i in range(len(params)))
+            needs, template, kind = (None,) * len(params), f"{bind(callee, 'f')}({operands})", callee.kind
+        elif op not in _OPERATORS:
+            fail(f"unknown expression operator: {op!r}")
+        elif len(n) != len(needs := _OPERATORS[op][0]) + 1:
+            fail(f"{op} takes one operand" if len(needs) == 1 else
+                 f"{op} takes two operands" if len(needs) == 2 else "if takes condition, then, else")
+        else:
+            _, template, kind = _OPERATORS[op]
+        kids = []  # the operands' (source, kind), walked left to right
+        for x in n[len(n) - len(needs):]:
+            kids.append(walk(x, depth + 1))
+        src = template.format(*(checked(k, need, op) for k, need in zip(kids, needs)),
+                              x=f"t{next(temps)}", y=f"t{next(temps)}")
+        if depth % _SPLIT == 0 and depth:  # the subtree becomes a helper function
+            defs.append(f"def h{len(defs)}({args}):\n    return {src}")
+            src = f"h{len(defs) - 1}({args})"
+        return src, kind
 
-    return walk(node)
+    return Code(*walk(node, 0), args, tuple(defs), names)  # the walk fills defs and names
 
 
 def compile_functions(functions: dict[str, PureFunction]) -> dict[str, tuple]:
-    """Every function's (parameters, compiled body), each body compiled
-    once and its callees before it; a direct or mutual call cycle is a
-    ValidationError naming the function whose call closes it."""
+    """Every function's (parameters, Code), each body compiled once and its
+    callees before it; a direct or mutual call cycle is a ValidationError
+    naming the function whose call closes it."""
     compiled: dict[str, tuple] = {}
     calling: list[str] = []  # the functions being compiled, outermost first
 
@@ -178,4 +218,3 @@ def compile_functions(functions: dict[str, PureFunction]) -> dict[str, tuple]:
     for name in functions:
         resolve(name)
     return compiled
-

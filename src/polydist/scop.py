@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import EvaluationError, ValidationError
-from .exprs import PureFunction, compile_expr, compile_functions
+from .exprs import Code, PureFunction, compile_expr, compile_functions
 from .isets import AffineExpr, IntSet, Space, enumerate_table, exact_table, point_table, unique_rows
 
 __all__ = [
@@ -259,18 +259,24 @@ class Scop:
 
     @cached_property
     def function_bodies(self) -> dict:
-        """Every function's (parameters, compiled body), compiled once per scop."""
+        """Every function's (parameters, Code), compiled once per scop."""
         return compile_functions(self.functions)
 
-    def compile_body(self, s: Statement):
-        """The statement's body as a function of (scalars, accessor), checked
-        against its scalars, its readable accesses and the scop's functions;
-        a statement without a body does nothing and yields None."""
-        if s.body is None:
-            return lambda scalars, access: None
-        scalars = {*s.scalar_reads, *s.scalar_writes}
-        return compile_expr(s.body, scalars, [a.kind for a in s.accesses],
-                            self.function_bodies.get, s.id)
+    @cached_property
+    def _compiled(self) -> tuple[dict, dict]:
+        """Statement id -> its body's Code, and -> its instance runner."""
+        return {}, {}
+
+    def compile_body(self, s: Statement) -> Code:
+        """The statement's body as generated code, checked against its
+        scalars, its readable accesses and the scop's functions, once per
+        scop; a statement without a body evaluates to None."""
+        bodies = self._compiled[0]
+        if s.id not in bodies:
+            bodies[s.id] = Code("None", None, "", (), {}) if s.body is None else compile_expr(
+                s.body, {*s.scalar_reads, *s.scalar_writes}, [a.kind for a in s.accesses],
+                self.function_bodies.get, s.id)
+        return bodies[s.id]
 
     def _check_in_bounds(self, s: Statement, j: int, fld: FieldDecl) -> None:
         values = s.subscripts[j]
@@ -425,17 +431,15 @@ def instance_runner(scop: Scop, s: Statement):
     """``run(row, scalars, read, store, where)`` runs the instance of s in
     the row: each read access's value comes from ``read(where, decl,
     element)``, the checked write goes to ``store(where, decl, element,
-    value)``; the body is compiled and the accesses resolved once."""
-    decls = [scop.field(a.field) for a in s.accesses]
-    elements, writes = s.elements, s.writes()
-    write = writes[0][0] if writes else None
-    body = scop.compile_body(s)
-
-    def run(row: int, scalars, read, store, where) -> None:
-        value = body(scalars, lambda j: read(where, decls[j], elements[j][row]))
-        if write is not None:
-            store(where, decls[write], elements[write][row], _check_store(value, decls[write]))
-        for name in s.scalar_writes:
-            scalars[name] = value
-
-    return run
+    value)``.  Generated once per statement and scop, on first use."""
+    runners = scop._compiled[1]
+    if s.id not in runners:
+        code = scop.compile_body(s)
+        names = {"_check_store": _check_store, "scalar_writes": s.scalar_writes}
+        for j, (a, elements) in enumerate(zip(s.accesses, s.elements)):
+            names[f"d{j}"], names[f"e{j}"] = scop.field(a.field), elements
+        lines = [f"v = {code.expr}", *(f"store(where, d{j}, e{j}[row], _check_store(v, d{j}))"
+                                       for j, _ in s.writes()[:1]),
+                 *(f"sc[scalar_writes[{i}]] = v" for i in range(len(s.scalar_writes)))]
+        runners[s.id] = code.define("row, sc, read, store, where", lines, names)
+    return runners[s.id]

@@ -119,6 +119,8 @@ def parse_scop(text: str, name: str = "scop") -> Scop:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON: {e.msg}", e.lineno, e.colno)
+    except RecursionError:
+        raise ParseError("invalid JSON: the document nests too deep to read") from None
     if not isinstance(doc, dict):
         raise ParseError("scop document must be a JSON object")
     fields = []

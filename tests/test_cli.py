@@ -53,6 +53,21 @@ def test_malformed_json_exit_code(tmp_path, capsys):
     assert "line" in err
 
 
+def test_deeply_nested_document_is_a_parse_error(tmp_path, capsys):
+    # deeper than the JSON reader can recurse
+    doc = json.dumps({
+        "name": "deep", "grid": [2], "scatter_arity": 1,
+        "fields": [{"name": "a", "type": "int64", "extents": [2]}],
+        "statements": [{"id": "S", "domain": "{ [x] : 0 <= x < 2 }", "schedule": "{ [x] -> [x] }",
+                        "body": "BODY", "scalar_writes": ["t"]}],
+    })
+    path = tmp_path / "deep.scop"
+    path.write_text(doc.replace('"BODY"', '["neg", ' * 3000 + '["int", 1]' + "]" * 3000))
+    assert invoke("verify", str(path)) == 1
+    err = capsys.readouterr().err
+    assert err == "parse error: invalid JSON: the document nests too deep to read\n"
+
+
 def test_validation_exit_code(gol16_path, tmp_path):
     doc = json.loads(gol16_path.read_text())
     doc["statements"][0]["accesses"][0]["index"] = ["x", "16"]

@@ -4,22 +4,32 @@ compiler does."""
 
 import dataclasses
 import json
+import math
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from polydist.placement import Placement
 
+import polydist
 from polydist import exprs
 from polydist import scop as scop_module
 from polydist.cli import main
 from polydist.errors import EvaluationError, ValidationError
 from polydist.exprs import PureFunction
-from polydist.fields import random_contents
+from polydist.fields import first_divergence, random_contents
 from polydist.pipeline import plan_scop
 from polydist.scop import sequential_execute
 from polydist.scopio import parse_scop
 from polydist.simrt import init_runtime, run
+
+import oracle
+from oracle import contents_equal
 
 
 def _gol16_with(gol16_path, edit):
@@ -105,7 +115,11 @@ def test_recursive_function_exits_2(gol16_path, tmp_path, capsys):
 def _tiny(body, element_type="int64", functions=None):
     """T[x] writes scalar t, then W[x] stores the body, which may read t,
     into a[x], for x in 0..3 on a 2-node grid."""
-    return parse_scop(json.dumps({
+    return parse_scop(json.dumps(_tiny_doc(body, element_type, functions)))
+
+
+def _tiny_doc(body, element_type="int64", functions=None) -> dict:
+    return {
         "name": "tiny", "grid": [2], "scatter_arity": 2,
         "fields": [{"name": "a", "type": element_type, "extents": [4]}],
         "functions": functions or {},
@@ -116,7 +130,7 @@ def _tiny(body, element_type="int64", functions=None):
              "accesses": [{"field": "a", "kind": "write", "index": ["x"]}],
              "body": body, "scalar_reads": ["t"]},
         ],
-    }))
+    }
 
 
 def _both(scop):
@@ -226,36 +240,58 @@ def test_statement_without_a_body_does_nothing(gol16_path, tmp_path, capsys, rea
     assert capsys.readouterr().out == "verify: PASS (grid=2x2, seed=2)\n"
 
 
+def _recording_sources(monkeypatch) -> list:
+    """The list of every generated source that runs from now on."""
+    sources = []
+
+    def recording(source, space):
+        sources.append(source)
+        exec(source, space)
+
+    monkeypatch.setattr(exprs, "exec", recording, raising=False)
+    return sources
+
+
 def test_bodies_compiled_once_per_scop(gol16_path, monkeypatch):
     # hasLife gets a second caller, and is still compiled once per scop:
-    # when the scop is read, and again only for the isolated scop a run uses
+    # checked when the scop is read, defined by its first run, and again
+    # only for the isolated scop a simulation uses
     def second_caller(doc):
         s = dict(doc["statements"][5], id="S1.6b", scalar_writes=["spare"])
         s["schedule"] = "{ [i,x,y] -> [0,i,0,x,0,y,8] }"
         doc["statements"].append(s)
 
-    compiled = []
+    compiled, defined = [], _recording_sources(monkeypatch)
     real = exprs.compile_expr
 
     def counting(node, scalars, accesses, function, where):
         compiled.append(where)
         return real(node, scalars, accesses, function, where)
 
-    monkeypatch.setattr(exprs, "compile_expr", counting)
-    monkeypatch.setattr(scop_module, "compile_expr", counting)
+    for module in (exprs, scop_module):
+        monkeypatch.setattr(module, "compile_expr", counting)
     scop = parse_scop(_gol16_with(gol16_path, second_caller))
     bodies = [s.id for s in scop.statements if s.body is not None]
     assert compiled == ["function hasLife"] + bodies
+    assert defined == []  # reading a scop only checks its bodies
     compiled.clear()
     init = random_contents(scop, 4)
     expected = sequential_execute(scop, init)
-    assert compiled == bodies
+    assert compiled == [] and len(defined) == 1 + len(scop.real_statements())
+    defined.clear()
+    assert contents_equal(sequential_execute(scop, init), expected)
+    assert compiled == defined == []
     analysis, plan = plan_scop(scop)
     compiled.clear()
     final, _ = run(init_runtime(plan, analysis.scop.grid, init), analysis.scop)
     bodies = [s.id for s in analysis.scop.statements if s.body is not None]
     assert compiled == ["function hasLife"] + bodies
-    assert all(np.array_equal(final[f], expected[f]) for f in final)
+    assert len(defined) == 1 + len(analysis.scop.real_statements())
+    compiled.clear()
+    defined.clear()
+    again, _ = run(init_runtime(plan, analysis.scop.grid, init), analysis.scop)
+    assert compiled == defined == []
+    assert contents_equal(final, expected) and contents_equal(again, expected)
 
 
 _2_62 = ["int", 1 << 62]
@@ -279,3 +315,173 @@ def test_int64_store_out_of_range(body, value):
 def test_int64_store_at_the_range_ends(body, value):
     for final in _both(_tiny(body)):
         assert final["a"].tolist() == [value] * 4
+
+
+# each body as (opening text, innermost node, closing text, element type), nested 960 deep
+DEEP_BODIES = {
+    "neg": ('["neg", ', '["int", 1]', "]", "int64"),
+    "add-left": ('["add", ', '["int", 0]', ', ["int", 1]]', "int64"),
+    "add-right": ('["add", ["int", 1], ', '["int", 0]', "]", "int64"),
+    "if-and": ('["if", ["and", ["bool", true], ', '["bool", true]', '], ["bool", true], ["bool", false]]',
+               "bool"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEEP_BODIES))
+def test_deep_bodies_verify(tmp_path, case):
+    """960 levels of nesting (if-and: 480 of each) compile into helper
+    functions CPython can parse, and every level still evaluates.  The
+    document is written as text and verified in a fresh interpreter,
+    whose stack is as shallow as a user's."""
+    opening, leaf, closing, element_type = DEEP_BODIES[case]
+    depth = 480 if case == "if-and" else 960
+    path = tmp_path / "deep.scop"
+    path.write_text(json.dumps(_tiny_doc("BODY", element_type))
+                    .replace('"BODY"', opening * depth + leaf + closing * depth))
+    src = str(Path(polydist.__file__).parent.parent)
+    proc = subprocess.run([sys.executable, "-m", "polydist.cli", "verify", str(path), "--seed", "1"],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "verify: PASS (grid=2, seed=1)\n", "")
+
+
+_SCALARS = ("a", "b", "c", "u")  # u is never written
+_ACCESSES = ("read", "read", "write")
+_VALUES = {"num": (0, 1, -3, 2, 1 << 62, 0.5, -0.0, 2.0, float("inf"), float("nan")),
+           "bool": (True, False)}
+# operator -> the kinds of its operands (None: its result's) and of its result (None: either)
+_OPERATORS = {"b2i": (("bool",), "num"), "neg": (("num",), "num"), "not": (("bool",), "bool"),
+              **dict.fromkeys(("add", "sub", "mul"), (("num", "num"), "num")),
+              **dict.fromkeys(("lt", "le", "gt", "ge"), (("num", "num"), "bool")),
+              **dict.fromkeys(("eq", "ne", "and", "or"), (("bool", "bool"), "bool")),
+              "if": (("bool", None, None), None)}
+_MALFORMED = (["var", "ghost"], ["neg"], ["pow", _INT, _INT], ["access", 2], ["int", True], [],
+              ["call", "f0"], ["call", "nope", _INT])
+
+
+def _random_tree(rng, size, kind, scalars, reads, functions):
+    """A random tree of about ``size`` nodes over every node form: literals,
+    the ``scalars`` and ``reads`` ({kind: names or access ordinals}), calls
+    to ``functions`` ({name: parameter count}) and every operator.  Most
+    operands have the kind their operator needs; the tree has that
+    ``kind`` (None: either) unless an operand breaks it."""
+    if kind is None or rng.random() < 0.03:
+        kind = rng.choice(("num", "bool"))
+    if size <= 1 or rng.random() < 0.1:
+        leaf = rng.randrange(6)
+        if leaf == 0 and reads:
+            return ["access", rng.choice(reads[kind])]
+        if leaf == 1:
+            return ["var", rng.choice(scalars[kind])]
+        v = rng.choice(_VALUES[kind])
+        return ["bool" if isinstance(v, bool) else "float" if isinstance(v, float) else "int", v]
+    if functions and rng.random() < 0.1:
+        name = rng.choice(sorted(functions))
+        node, kinds = ["call", name], [None] * functions[name]
+    else:
+        op = rng.choice([op for op, (_, out) in _OPERATORS.items() if out in (kind, None)])
+        node, kinds = [op], [k or kind for k in _OPERATORS[op][0]]
+        if op in ("eq", "ne"):
+            kinds = [rng.choice(("num", "bool"))] * 2
+    cuts = sorted(rng.choice((1, size - 2, rng.randrange(size))) for _ in range(len(kinds) - 1))
+    sizes = [max(b - a, 1) for a, b in zip([0] + cuts, cuts + [size - 1])]
+    return node + [_random_tree(rng, n, k, scalars, reads, functions) for n, k in zip(sizes, kinds)]
+
+
+def _outcome(evaluate):
+    """An evaluation's value with its exact type, or its error."""
+    try:
+        v = evaluate()
+    except (EvaluationError, ValidationError) as e:
+        return type(e), str(e)
+    return type(v), repr(v)
+
+
+def _generated(tree, functions, values):
+    """The tree's Code and its function of (row, scalars, read, where), whose
+    read access j reads ``values[j]``."""
+    code = exprs.compile_expr(tree, set(_SCALARS), _ACCESSES,
+                              exprs.compile_functions(functions).get, "body")
+    names = {}
+    for j, v in enumerate(values):
+        names[f"d{j}"], names[f"e{j}"] = j, [v]
+    return code, code.define("row, sc, read, where", [f"return {code.expr}"], names)
+
+
+def test_generated_code_agrees_with_the_closure_interpreter():
+    """Random trees of every node form, ill-typed operands, unwritten
+    scalars, calls and short-circuits that skip a failing operand give
+    the same value of the same type, or the same error, from the
+    generated code and from the closure interpreter in the oracle."""
+    rng = random.Random(29)
+    outcomes, split = set(), 0
+    for _ in range(1500):
+        functions = {}
+        for i, params in enumerate((["x"], ["x", "y"], ["x", "y", "x"])):
+            body = _random_tree(rng, 12, None, {"num": params[:1], "bool": params[-2:]}, None,
+                                {f: len(functions[f].params) for f in functions})
+            functions[f"f{i}"] = PureFunction(f"f{i}", params, body)
+        # a holds a number, b a bool, c either, u nothing; access 0 reads a number, 1 a bool
+        tree = _random_tree(rng, rng.choice((8, 40, 120)), None, {"num": "aacu", "bool": "bbcu"},
+                            {"num": (0, 0, 1), "bool": (1, 1, 0)},
+                            {name: len(f.params) for name, f in functions.items()})
+        if rng.random() < 0.05:  # a node the checks reject, somewhere in the tree
+            node = tree
+            while len(node) > 1 and isinstance(node[-1], list):
+                node = node[-1]
+            node[-1] = rng.choice(_MALFORMED)
+        scalars = {"a": rng.choice(_VALUES["num"]), "b": rng.choice(_VALUES["bool"]),
+                   "c": rng.choice(_VALUES["num"] + _VALUES["bool"])}
+        values = [rng.choice(_VALUES["num"]), rng.choice(_VALUES["bool"]), None]
+        expected = _outcome(lambda: oracle.compile_expr(
+            tree, set(_SCALARS), _ACCESSES, oracle.compile_functions(functions).get, "body",
+        )(dict(scalars), values.__getitem__))
+        assert _outcome(lambda: _generated(tree, functions, values)[1](
+            0, dict(scalars), lambda where, decl, value: value, None)) == expected, tree
+        outcomes.add(expected[0])
+        split += expected[0] is not ValidationError and bool(_generated(tree, functions, values)[0].defs)
+    assert outcomes == {int, float, bool, EvaluationError, ValidationError}
+    assert split  # some trees were deep enough to need helper functions
+
+
+_EVIL = '"]\n__import__("os")._exit(7)#\'[{'
+
+
+def test_names_and_literals_stay_data(monkeypatch):
+    """Scalar, function and parameter names that would be code, and float
+    literals Python cannot write as text, are values in the generated
+    namespace: the sources hold none of them, and both executors agree bit
+    for bit."""
+    scalar, function, param = f"s{_EVIL}", f"f{_EVIL}", f"p{_EVIL}"
+    text = json.dumps({
+        "name": "evil", "grid": [2], "scatter_arity": 2,
+        "fields": [{"name": "a", "type": "float64", "extents": [4]},
+                   {"name": "b", "type": "float64", "extents": [4]}],
+        "functions": {function: {"params": [param], "body": [
+            "if", ["lt", ["var", param], ["float", 0.0]], ["float", -math.inf],
+            ["mul", ["var", param], ["float", -0.0]]]}},
+        "statements": [
+            {"id": "T", "domain": "{ [x] : 0 <= x < 4 }", "schedule": "{ [x] -> [x, 0] }",
+             "accesses": [{"field": "a", "kind": "read", "index": ["x"]}],
+             "body": ["call", function, ["access", 0]], "scalar_writes": [scalar]},
+            {"id": "W", "domain": "{ [x] : 0 <= x < 4 }", "schedule": "{ [x] -> [x, 1] }",
+             "accesses": [{"field": "b", "kind": "write", "index": ["x"]}],
+             "body": ["if", ["eq", ["var", scalar], ["float", -math.inf]],
+                      ["add", ["var", scalar], ["float", math.inf]],
+                      ["if", ["ne", ["var", scalar], ["float", math.nan]], ["var", scalar], ["float", 1.0]]],
+             "scalar_reads": [scalar]},
+        ],
+    })
+    assert "Infinity" in text and "NaN" in text and "-0.0" in text
+    sources = _recording_sources(monkeypatch)
+    scop = parse_scop(text)
+    init = {"a": np.array([-1.5, 2.0, -0.0, math.inf]), "b": np.zeros(4)}
+    expected = sequential_execute(scop, init)
+    analysis, plan = plan_scop(scop)
+    final, _ = run(init_runtime(plan, analysis.scop.grid, init), analysis.scop)
+    assert first_divergence(expected, final) is None
+    # -inf + inf, then a * -0.0 for a = 2.0, -0.0 and inf
+    assert [v == v and math.copysign(1, v) for v in final["b"].tolist()] == [False, -1, 1, False]
+    assert len(sources) == 2 * 3  # the function and both statements, once per scop
+    for fragment in (scalar, function, param, _EVIL, "__import__", "_exit", "Infinity", "inf",
+                     "NaN", "nan", "-0.0", "0.0"):
+        assert not any(fragment in source for source in sources), fragment
