@@ -35,7 +35,8 @@ only an execution that uses a buffer, by its node and dilated scatter.
 Transfers, channel boxes, buffer ranks and buffer bindings stay numpy
 columns indexed by instance row and node position; Python objects are
 made for the plan's channels and events, and for the TransferTuple views
-that iterating a family's transfers yields.
+that iterating a family's transfers yields.  A node runs its events in
+the one order ``event_key`` states, which emission sorts them by.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ __all__ = [
     "CommPlan",
     "CALLS",
     "COMPUTE_PHASE",
+    "event_key",
     "check_windows",
     "build_transfers",
     "group_chunks",
@@ -118,9 +120,9 @@ COMPUTE_PHASE = 4  # of an execution and its compute event: after the recv, send
 CALLS = {"recv": Call("dst", 0, RECEIVED, IDLE), "send": Call("src", 1, FILLING, SENT),
          "recv_wait": Call("dst", 2, SENT, RECEIVED), "send_wait": Call("src", 3, IDLE, FILLING),
          "buffer_fill": Call("src", 4, FILLING, FILLING)}
-# per call: its end and phase, whether it needs the end's window open and whether it leaves it
-# open; a window is open while the end holds the buffer, in FILLING at the src, RECEIVED at the dst
-_WINDOW = {k: (c.end, c.phase, c.needs in (FILLING, RECEIVED), c.leaves in (FILLING, RECEIVED))
+# per call: its end, whether it needs the end's window open and whether it leaves it open; a
+# window is open while the end holds the buffer, in FILLING at the src, RECEIVED at the dst
+_WINDOW = {k: (c.end, c.needs in (FILLING, RECEIVED), c.leaves in (FILLING, RECEIVED))
            for k, c in CALLS.items()}
 
 
@@ -136,8 +138,13 @@ class Event:
     rank: int = -1
 
 
+def event_key(ev: Event) -> tuple:
+    """Where a listed event stands in its node's list: (*t, phase, cid, rank)."""
+    return (*ev.scatter, CALLS[ev.kind].phase if ev.kind in CALLS else COMPUTE_PHASE, ev.cid, ev.rank)
+
+
 def check_windows(channels: list, node: tuple, events, windows: set, last: tuple = ()) -> list:
-    """The events' keys, each (*t, phase, cid, rank).  GeometryMismatch unless each event,
+    """The ``event_key`` of each event.  GeometryMismatch unless each event,
     run in order on the node, has a key above the one before it (the first above ``last``),
     so the order checked is the order run, and uses its channels at their ends and inside
     their windows: ``send_wait`` and ``recv_wait`` open their end's window and must find it
@@ -148,21 +155,20 @@ def check_windows(channels: list, node: tuple, events, windows: set, last: tuple
     for ev in events:
         kind = ev.kind
         if kind == "compute":  # a window opened on this node passed the end check
-            phase = COMPUTE_PHASE
             if ev.read_from is not None and (ev.read_from[0], "dst", node) not in windows:
                 _outside(channels[ev.read_from[0]], "dst", node, "compute read", True)
             for w in ev.writes:
                 if (w[1], "src", node) not in windows:
                     _outside(channels[w[1]], "src", node, "compute write", True)
         elif kind in _WINDOW:
-            end, phase, was, now = _WINDOW[kind]
+            end, was, now = _WINDOW[kind]
             ch, window = channels[ev.cid], (ev.cid, end, node)
             if (ch.src if end == "src" else ch.dst) != node or (window in windows) != was:
                 _outside(ch, end, node, kind, was)
             (windows.add if now else windows.discard)(window)
         else:
             raise GeometryMismatch(f"unknown event kind {kind}")
-        if (key := (*ev.scatter, phase, ev.cid, ev.rank)) <= last:
+        if (key := event_key(ev)) <= last:
             raise GeometryMismatch(f"{kind} at t={_fmt_tuple(ev.scatter)} on node {node} is not after "
                                    "the event before it in (t, phase, cid, rank) order")
         keys.append(last := key)
@@ -187,7 +193,7 @@ class CommPlan:
     field_placement: Placement
     stmt_placement: Placement  # per real statement: instance -> the nodes that run it
     channels: list
-    events: dict  # node -> list[Event] ascending by (t, phase, cid, rank); an event's node is its key
+    events: dict  # node -> list[Event] ascending by event_key; an event's node is its key
 
 
 # ---------------------------------------------------------------------------
@@ -298,24 +304,14 @@ def emit_protocol(scop: Scop, dep: DepGraph, fp: Placement, sp: Placement, chunk
     objects are made for the channels and events only, and a compute
     event only for an execution that reads or writes a buffer slot.  The
     plan's statement placement holds the real statements' maps, which say
-    where every other execution runs.  Each node's events are in order of
-    (scatter, phase, cid, rank), found by one lexsort over those columns
-    of every event.  No two events on a node tie: only compute events
-    lack a cid, and a node's compute events have distinct scatters, since
-    ``scatter_order`` rejects a schedule that is not injective."""
+    where every other execution runs.  Each event joins its node's list as
+    it is made, and each list is sorted by ``event_key``, where no two tie:
+    only compute events lack a cid, and their scatters are distinct."""
     nodes, n = scop.grid.nodes, len(scop.grid.nodes)
     dilated = {s.id: 2 * s.scatters for s in scop.statements}
     placed = Placement({s.id: sp.maps[s.id] for s in scop.real_statements()})
     channels: list = []
-    made: list = []  # every event, in the order made
-    # per block of events in `made`: node index, scatter rows, then the
-    # phase, cid and rank keys
-    order_keys: list = []
-
-    def add_keys(node, scatter, phase, cid=-1, rank=-1):
-        order_keys.append((node, scatter, *(np.broadcast_to(v, len(node)) for v in (phase, cid, rank))))
-
-    add_keys(np.zeros(0, dtype=np.intp), np.zeros((0, scop.scatter_arity), dtype=np.int64), 0)  # no events
+    made: list = [[] for _ in nodes]  # per node position, its events in the order made
     # the sources compute events read ("read") and the buffer slots they write
     # ("write"), by statement, as blocks of (key, cid, rank) columns; a read
     # from storage has cid and rank -1
@@ -366,7 +362,7 @@ def emit_protocol(scop: Scop, dep: DepGraph, fp: Placement, sp: Placement, chunk
         cut |= np.diff(ts.chunk, prepend=-1) != 0
         group, starts = np.cumsum(cut) - 1, np.flatnonzero(cut)
         ends = np.append(starts[1:], len(ts)) - 1
-        ends_at = (ts.producer_node[starts], ts.consumer_node[starts])
+        src, dst = ts.producer_node[starts].tolist(), ts.consumer_node[starts].tolist()
         names = [f"{key}@{_fmt_tuple(rep)}" for rep in ts.reps[ts.chunk[starts]].tolist()]
         cids = cid[starts].tolist()
         spans = []
@@ -379,12 +375,9 @@ def emit_protocol(scop: Scop, dep: DepGraph, fp: Placement, sp: Placement, chunk
         kinds = ("send_wait", "send", "recv_wait", "recv")
         scatter = np.stack(spans, axis=1)
         scatter[:, :, -1] += (-1, 1, -1, 1)
-        scatter = scatter.reshape(-1, scatter.shape[-1])
-        add_keys(np.repeat(np.stack(ends_at, axis=1), 2, axis=1).ravel(), scatter,
-                 np.tile([CALLS[k].phase for k in kinds], len(starts)), np.repeat(cid[starts], 4))
-        spans = iter(map(tuple, scatter.tolist()))
-        for name, c in zip(names, cids):
-            made += (Event(next(spans), kind, chunk=name, cid=c) for kind in kinds)
+        for name, c, a, b, calls in zip(names, cids, src, dst, scatter.tolist()):
+            for kind, at, t in zip(kinds, (a, a, b, b), calls):
+                made[at].append(Event(tuple(t), kind, chunk=name, cid=c))
 
         # consumer executions read their slots and producer executions write
         # them; the prologue fills every chunk's ranks once, in rank order
@@ -395,11 +388,9 @@ def emit_protocol(scop: Scop, dep: DepGraph, fp: Placement, sp: Placement, chunk
         order = np.lexsort((rank, group))
         g, r = group[order], rank[order]
         once = np.flatnonzero((np.diff(g, prepend=-1) != 0) | (np.diff(r, prepend=-1) != 0))
-        add_keys(ends_at[0][g[once]], np.broadcast_to(dilated[PROLOGUE][0], (len(once), scop.scatter_arity)),
-                 CALLS["buffer_fill"].phase, cid[starts][g[once]], r[once])
         fill_at = tuple(dilated[PROLOGUE][0].tolist())
-        for gi, e, k in zip(g[once].tolist(), elem[order][once].tolist(), r[once].tolist()):
-            made.append(Event(fill_at, "buffer_fill", chunk=names[gi], cid=cids[gi], element=tuple(e), rank=k))
+        for c, e, k in zip(g[once].tolist(), elem[order][once].tolist(), r[once].tolist()):
+            made[src[c]].append(Event(fill_at, "buffer_fill", chunk=names[c], cid=cids[c], element=tuple(e), rank=k))
 
     # a compute event for every execution of a real statement that uses a buffer slot
     for s in scop.real_statements():
@@ -417,16 +408,11 @@ def emit_protocol(scop: Scop, dep: DepGraph, fp: Placement, sp: Placement, chunk
         lo, hi = (np.searchsorted(writes[:, 0], keys, side=side) for side in ("left", "right"))
         buffers = [("buffer", c, k) for c, k in writes[:, 1:].tolist()]
         use = np.flatnonzero((cid >= 0) | (hi > lo))
-        add_keys(where[use], dilated[s.id][rows[use]], COMPUTE_PHASE)
-        columns = (dilated[s.id][rows[use]], cid[use], rank[use], lo[use], hi[use])
-        for t, c, k, a, z in zip(*(v.tolist() for v in columns)):
-            made.append(Event(tuple(t), "compute", None if c < 0 else (c, k), tuple(buffers[a:z])))
+        columns = (where[use], dilated[s.id][rows[use]], cid[use], rank[use], lo[use], hi[use])
+        for at, t, c, k, a, z in zip(*(v.tolist() for v in columns)):
+            made[at].append(Event(tuple(t), "compute", None if c < 0 else (c, k), tuple(buffers[a:z])))
 
-    node, scatter, *rest = (np.concatenate(c) for c in zip(*order_keys))
-    order = np.lexsort((*rest[::-1], *scatter.T[::-1], node))
-    made, node = [made[i] for i in order.tolist()], node[order]
-    cuts = np.flatnonzero(np.diff(node, prepend=-1)).tolist()
-    events = {nodes[node[a]]: made[a:b] for a, b in zip(cuts, cuts[1:] + [len(made)])}
+    events = {node: sorted(evs, key=event_key) for node, evs in zip(nodes, made) if evs}
     return CommPlan(
         name=scop.name,
         grid=scop.grid.extents,

@@ -565,8 +565,9 @@ class Step:
 
 
 def event_key(ev) -> tuple:
-    """Where an event stands in its node's list: the reference for the
-    order ``emit_protocol`` gives by lexsort."""
+    """Where an event stands in its node's list: the reference, written
+    apart from ``commgen.event_key``, for the order ``emit_protocol``
+    sorts each node's list by."""
     phase = CALLS[ev.kind].phase if ev.kind in CALLS else COMPUTE_PHASE
     return (ev.scatter, phase, ev.cid, ev.rank)
 

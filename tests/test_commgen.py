@@ -805,9 +805,9 @@ def test_plan_numbers_are_python_ints(gol16_path, case):
 
 @pytest.mark.parametrize("case", ["gol16-2x2", "wide-2^70"])
 def test_events_in_reference_order(gol16_path, case):
-    """Emission orders the events by one lexsort over their key columns
-    (int64, or Python ints at 2^70): each node's list is in the order of
-    the reference key, and the nodes come in grid order."""
+    """Emission sorts each node's events by ``commgen.event_key`` (scatters
+    of int64 size, or Python ints at 2^70): each node's list is in the
+    order of the reference key, and the nodes come in grid order."""
     from test_cli import _wide_scop
 
     doc = gol16_path.read_text() if case == "gol16-2x2" else json.dumps(_wide_scop(2**70, 1))
