@@ -50,7 +50,7 @@ import numpy as np
 
 from .deps import EPILOGUE, PROLOGUE, DepGraph, FlowFamily
 from .errors import AnalysisError, GeometryMismatch, ParseError, ValidationError
-from .isets import distinct_rows, enumerate_table, propagate, row_major_strides, unique_rows
+from .isets import IntSet, distinct_rows, embed_pieces, first_outside, propagate, row_major_strides, unique_rows
 from .placement import Placement, block_distribute
 from .scop import ClusterGrid, FieldDecl, Scop
 from .syntax import format_map, parse_map
@@ -593,8 +593,10 @@ def parse_plan(text: str) -> CommPlan:
                 if any(None in lohi for b in bounds for lohi in b):
                     raise ValueError(f"stmtmap {sid} is unbounded")
                 if not all(0 <= lo and hi < e for b in bounds for (lo, hi), e in zip(b[m.n_in:], grid.extents)):
-                    for at in enumerate_table(m.as_set())[:, m.n_in:].tolist():  # the bounds may be loose
-                        _within(tuple, f"stmtmap {sid} node", at, grid.extents, "grid")
+                    points, nodes = m.as_set(), range(m.n_in, m.n_in + m.n_out)  # the bounds may be loose
+                    on_grid = IntSet.make(points.space, embed_pieces(grid.node_set.pieces, nodes, points.arity))
+                    if (at := first_outside(points, on_grid)) is not None:
+                        _within(tuple, f"stmtmap {sid} node", at[m.n_in:], grid.extents, "grid")
                 stmt_maps[sid] = m
             elif parts[0] == "channel":
                 box_text = kv["box"][1:-1]

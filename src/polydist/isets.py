@@ -72,6 +72,7 @@ __all__ = [
     "inverse",
     "lexmin",
     "lexmax",
+    "first_outside",
     "select_lex_extreme",
 ]
 
@@ -801,8 +802,10 @@ def _search_piece(arity: int, piece: Piece, descending: bool):
     every remaining row is linear in a single dimension, the propagated
     bounds are exact and independent, so the rest of the subtree is a box
     and is emitted wholesale, unless it holds more than ``sys.maxsize``
-    points (SetTooLarge).  ``_dim_range`` ranges each dimension and
-    raises UnboundedSet for an unbounded one.
+    points (SetTooLarge after its first point, its corner, so a caller
+    that takes only the first point never meets the box's size).
+    ``_dim_range`` ranges each dimension and raises UnboundedSet for an
+    unbounded one.
     """
     point = [0] * arity
 
@@ -816,9 +819,13 @@ def _search_piece(arity: int, piece: Piece, descending: bool):
         coeffs = [r[1:-1] for r in cons.rows]
         if all(sum(map(bool, c)) <= 1 and not any(c[arity:]) for c in coeffs):
             box = [_dim_range(arity, cons, k, bounds) or (0, -1) for k in range(d, arity)]
-            if (size := prod(max(0, hi - lo + 1) for lo, hi in box)) > sys.maxsize:
+            if not (size := prod(max(0, hi - lo + 1) for lo, hi in box)):
+                return
+            point[d:] = [hi if descending else lo for lo, hi in box]
+            yield tuple(point)
+            if size > sys.maxsize:
                 raise SetTooLarge(f"a box of {size} points to search, more than {sys.maxsize}")
-            for tail in itertools.product(*(values(lo, hi) for lo, hi in box)):
+            for tail in itertools.islice(itertools.product(*(values(lo, hi) for lo, hi in box)), 1, None):
                 point[d:] = tail
                 yield tuple(point)
             return
@@ -1308,6 +1315,14 @@ def lexmin(a: IntSet) -> tuple[int, ...]:
 
 def lexmax(a: IntSet) -> tuple[int, ...]:
     return _lex_extreme(a, True)
+
+
+def first_outside(a: IntSet, b: IntSet) -> Optional[tuple[int, ...]]:
+    """The lexicographically first point of a that is not in b, or None:
+    the lexmin of their difference, whose pieces ``subtract`` keeps only
+    when they are not empty, so no point of a is enumerated."""
+    rest = subtract(a, b)
+    return lexmin(rest) if rest.pieces else None
 
 
 # ---------------------------------------------------------------------------

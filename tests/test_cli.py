@@ -355,6 +355,13 @@ def _no_executions(lines):
 
 
 S11 = "stmtmap S1.1 { S1.1[i, x, y] -> P[floor(x/8), floor(y/8)] : 0 <= i <= 2 and 1 <= x <= 14 and 1 <= y <= 14 }"
+
+
+def _at_origin_up_to(y):
+    """S1.1 placed on node (0,0) for 1 <= y <= the given bound."""
+    return _line_edit("stmtmap S1.1 ", S11[S11.index("P["):], f"P[0, 0] : 0 <= i <= 2 and 1 <= x <= 14 and 1 <= y <= {y} }}")
+
+
 PR26_COMPUTE = "node=(0,0) t=(0,0,0,2,0,2,14,0) kind=compute stmt=S1.7 i=(0,1,1) read=storage write=storage"
 
 # edits of the gol16 2x2 plan's stmtmap and compute lines -> (exit code, the
@@ -384,6 +391,15 @@ BAD_PLACEMENTS = {
                               "compute event on node (0, 0) at t=(0,0,0,2,0,14,4,0) runs no execution"),
     "instance-unplaced": (_line_edit("stmtmap S1.7 ", "1 <= x <= 14", "2 <= x <= 14"), 2, None,
                           "plan places S1.7(0,1,1) on no node"),
+    # maps reaching far past the grid or the domain: the first stray point
+    # is found without enumerating the map
+    "overreach-grid": (_line_edit("stmtmap S1.1 ", "y <= 14 }", "y <= 100000000 }"), 1, "stmtmap S1.1 ",
+                       "stmtmap S1.1 node=(0,2) outside grid (2,2)"),
+    "overreach-grid-wide": (_line_edit("stmtmap S1.1 ", "y <= 14 }", "y <= 99999999999999999999 }"), 1,
+                            "stmtmap S1.1 ", "stmtmap S1.1 node=(0,2) outside grid (2,2)"),
+    "overreach-domain": (_at_origin_up_to(3000000), 2, None, "S1.1(0, 1, 15) is placed, but is not an instance of S1.1"),
+    "overreach-domain-wide": (_at_origin_up_to(99999999999999999999), 2, None,
+                              "S1.1(0, 1, 15) is placed, but is not an instance of S1.1"),
 }
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from polydist.errors import EmptySet, SpaceMismatch, UnboundedSet
+from polydist.errors import EmptySet, SetTooLarge, SpaceMismatch, UnboundedSet
 from polydist.isets import (
     AffineExpr,
     IntMap,
@@ -8,6 +8,7 @@ from polydist.isets import (
     apply,
     compose,
     enumerate_set,
+    first_outside,
     intersect,
     inverse,
     is_empty,
@@ -134,6 +135,25 @@ def test_lexmin_empty_raises():
     s = setp("{ [i] : 0 <= i < 0 }", I)
     with pytest.raises(EmptySet):
         lexmin(s)
+
+
+@pytest.mark.parametrize("floor", ["", " and floor(y/2) >= 1"])
+def test_extremes_of_a_box_past_sys_maxsize(floor):
+    # the search yields a box's corner before it meets the box's size,
+    # which only enumerating the box exceeds
+    s = setp(f"{{ [x,y] : 0 <= x < 3 and 2 <= y <= {10**20}{floor} }}", XY)
+    assert (lexmin(s), lexmax(s), is_empty(s)) == ((0, 2), (2, 10**20), False)
+    if not floor:
+        with pytest.raises(SetTooLarge):
+            enumerate_set(s)
+
+
+def test_first_outside():
+    s = setp("{ [x,y] : 0 <= x < 3 and 1 <= y <= 99999999999999999999 }", XY)
+    box = setp("{ [x,y] : 0 <= x < 3 and 1 <= y <= 14 }", XY)
+    assert first_outside(s, box) == (0, 15)
+    assert first_outside(box, s) is None
+    assert first_outside(s, setp("{ [x,y] : 1 = 0 }", XY)) == (0, 1)
 
 
 def test_lexmin_nonbox():
