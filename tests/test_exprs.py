@@ -91,6 +91,12 @@ BAD_BODIES = {
               _function("g", ["x"], _RECURSIVE[:2] + [["bool", True], ["var", "x"]])),
         "function g: call cycle hasLife -> g -> hasLife",
     ),
+    # a repeated parameter would leave its earlier argument unread
+    "repeated_param": (
+        _then(lambda doc: doc["functions"]["hasLife"].update(params=["hadLife", "neighbors", "hadLife"]),
+              _body(5, ["call", "hasLife", ["bool", False], ["var", "neighbors"], ["var", "hadLife"]])),
+        "function hasLife: parameter 'hadLife' given twice",
+    ),
 }
 
 
