@@ -22,6 +22,7 @@ from polydist.commgen import (
     build_transfers,
     compile_plan,
     dump_plan,
+    emit_protocol,
     group_chunks,
     parse_plan,
 )
@@ -35,6 +36,7 @@ from polydist.isets import (
     Space,
     embed_pieces,
     enumerate_set,
+    map_union,
     eq0,
     is_empty,
     project_pieces,
@@ -304,6 +306,19 @@ def test_epilogue_transfer_between_nodes_rejected(multi_ctx):
     virt, dep, fp, placements, chunks = multi_ctx
     with pytest.raises(AnalysisError, match=r"^epilogue family epi:G:a has a transfer between nodes$"):
         compile_plan(virt, dep, fp, placements["away"], chunks)
+
+
+def test_reader_run_on_a_node_no_transfer_feeds_rejected(gol16_ctx):
+    # transfers resolved for the analysis placement feed S1.1(0,1,1) on its
+    # node only; run it on one more node too and it has an execution with
+    # no read source, which emission reports rather than binding
+    _, virt, dep, fp, sp, chunks, transfers = gol16_ctx
+    s = virt.statement("S1.1")
+    extra = parse_map("{ [i, x, y] -> [1, 1] : i = 0 and x = 1 and y = 1 }", dom=s.space, ran=virt.grid.space)
+    more = Placement(maps={**sp.maps, "S1.1": map_union(sp.maps["S1.1"], extra)})
+    assert len(more.node_rows(s, virt.grid)[0]) == len(sp.node_rows(s, virt.grid)[0]) + 1
+    with pytest.raises(AnalysisError, match=r"^read sources of S1\.1 do not match its executions one to one$"):
+        emit_protocol(virt, dep, fp, more, group_chunks(transfers))
 
 
 def test_buffer_rank_examples():
