@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import EvaluationError, ValidationError
 from .exprs import Code, PureFunction, compile_expr, compile_functions
-from .isets import AffineExpr, IntSet, Space, enumerate_table, exact_table, point_table, unique_rows
+from .isets import AffineExpr, IntSet, Space, enumerate_table, exact_table, unique_rows
 
 __all__ = [
     "FieldDecl",
@@ -27,7 +27,6 @@ __all__ = [
     "Scop",
     "isolate_accesses",
     "sequential_execute",
-    "point_table",
     "evaluate_rows",
 ]
 

@@ -42,7 +42,8 @@ from .errors import (
     GeometryMismatch,
     NotLocal,
 )
-from .scop import ClusterGrid, FieldDecl, Scop, instance_runner, point_table
+from .isets import point_table
+from .scop import ClusterGrid, FieldDecl, Scop, instance_runner
 
 __all__ = ["NodeState", "ChannelState", "Trace", "SimState", "init_runtime", "run"]
 

@@ -6,10 +6,10 @@ import pytest
 
 from polydist.errors import ParseError, ValidationError
 from polydist.fields import random_contents
-from polydist.isets import AffineExpr, DivTerm, enumerate_set
+from polydist.isets import AffineExpr, DivTerm, enumerate_set, point_table
 from polydist import scop as scop_module
 from polydist.pipeline import plan_scop
-from polydist.scop import evaluate_rows, isolate_accesses, point_table, sequential_execute
+from polydist.scop import evaluate_rows, isolate_accesses, sequential_execute
 from polydist.scopio import parse_scop, parse_scop_file, print_scop
 from polydist.simrt import init_runtime, run
 
