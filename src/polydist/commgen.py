@@ -593,9 +593,9 @@ def parse_plan(text: str) -> CommPlan:
                 if any(None in lohi for b in bounds for lohi in b):
                     raise ValueError(f"stmtmap {sid} is unbounded")
                 if not all(0 <= lo and hi < e for b in bounds for (lo, hi), e in zip(b[m.n_in:], grid.extents)):
-                    points, nodes = m.as_set(), range(m.n_in, m.n_in + m.n_out)  # the bounds may be loose
-                    on_grid = IntSet.make(points.space, embed_pieces(grid.node_set.pieces, nodes, points.arity))
-                    if (at := first_outside(points, on_grid)) is not None:
+                    points = m.as_set()  # the bounds may be loose
+                    on_grid = embed_pieces(grid.node_set.pieces, range(m.n_in, points.arity), points.arity)
+                    if (at := first_outside(points, IntSet.make(points.space, on_grid))) is not None:
                         _within(tuple, f"stmtmap {sid} node", at[m.n_in:], grid.extents, "grid")
                 stmt_maps[sid] = m
             elif parts[0] == "channel":
