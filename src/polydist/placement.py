@@ -16,7 +16,7 @@ by one row search (``isets.find_rows``) whatever pieces the map has.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -39,7 +39,6 @@ from .isets import (
     map_is_empty,
     map_subtract,
     map_union,
-    propagate,
     restrict_domain,
     select_lex_extreme,
     subtract,
@@ -82,29 +81,16 @@ class Placement:
         """Where the instances of s run: per table row, the instance's row
         in ``s.instances`` and the node's position in ``grid.nodes``,
         ascending by row and then node.  GeometryMismatch for the first
-        point, in lexicographic order, that is not an instance of s: looked
-        up in the table when the map's propagated bounds lie in those of a
-        piece of the domain, else found by ``isets.first_outside`` before
-        the map is enumerated, so a map reaching past the domain never is."""
+        point, in lexicographic order, that is not an instance of s, found
+        by ``isets.first_outside`` before the map is enumerated, so a map
+        reaching past the domain never is."""
         m, n = self.maps[s.id], self.maps[s.id].n_in
-        domain = [propagate(s.arity, p) for p in s.domain.pieces]
-        bounds = [b[:n] for b in map(partial(propagate, n + m.n_out), m.pieces) if b is not None]
-        if n != s.arity or not all(any(map(partial(_inside, b), domain)) for b in bounds):
-            points = m.as_set()
-            pieces = embed_pieces(s.domain.pieces, range(n), points.arity) if n == s.arity else ()
-            if (stray := first_outside(points, IntSet.make(points.space, pieces))) is not None:
-                raise _not_instance(s, stray[:n])
-        t = self.table[s.id]
-        rows = find_rows(s.instances, t[:, :n]) if n == s.arity else np.full(len(t), -1)
-        if (rows < 0).any():
-            raise _not_instance(s, tuple(t[rows < 0][0, :n].tolist()))
-        return rows, grid.index(t[:, n:])
-
-
-def _inside(box, outer) -> bool:
-    """Whether a box of (lo, hi) bounds, None where unbounded, lies in another."""
-    return all(None not in (lo, hi) and (a is None or a <= lo) and (z is None or hi <= z)
-               for (lo, hi), (a, z) in zip(box, outer))
+        points = m.as_set()
+        pieces = embed_pieces(s.domain.pieces, range(n), points.arity) if n == s.arity else ()
+        if (stray := first_outside(points, IntSet.make(points.space, pieces))) is not None:
+            raise _not_instance(s, stray[:n])
+        t = self.table[s.id]  # every row an instance of s, none if n != s.arity
+        return find_rows(s.instances, t[:, :n]) if len(t) else np.full(0, -1), grid.index(t[:, n:])
 
 
 def _not_instance(s: Statement, point: tuple) -> GeometryMismatch:
