@@ -139,10 +139,10 @@ def parse_scop(text: str, name: str = "scop") -> Scop:
         where = f"function {fname}"
         if not isinstance(fdoc, dict):
             raise ParseError(f"{where}: must be an object")
-        params = _items(fdoc, "params", str, where)
+        params, body = _items(fdoc, "params", str, where), _entry(fdoc, "body", object, where)
         for twice in (p for i, p in enumerate(params) if p in params[:i]):
             raise ValidationError(f"{where}: parameter {twice!r} given twice")
-        functions[fname] = PureFunction(fname, params, _entry(fdoc, "body", object, where))
+        functions[fname] = PureFunction(fname, params, body)
     scop = Scop(
         name=_entry(doc, "name", str, "scop", name),
         fields=tuple(fields),
