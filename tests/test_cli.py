@@ -363,6 +363,8 @@ def _at_origin_up_to(y):
     return _line_edit("stmtmap S1.1 ", S11[S11.index("P["):], f"P[0, 0] : 0 <= i <= 2 and 1 <= x <= 14 and 1 <= y <= {y} }}")
 
 
+S1_1_2D = "{ S1.1[i, x] -> P[floor(x/8), 0] : 0 <= i <= 2 and 1 <= x <= 14"
+
 PR26_COMPUTE = "node=(0,0) t=(0,0,0,2,0,2,14,0) kind=compute stmt=S1.7 i=(0,1,1) read=storage write=storage"
 
 # edits of the gol16 2x2 plan's stmtmap and compute lines -> (exit code, the
@@ -401,6 +403,12 @@ BAD_PLACEMENTS = {
     "overreach-domain": (_at_origin_up_to(3000000), 2, None, "S1.1(0, 1, 15) is placed, but is not an instance of S1.1"),
     "overreach-domain-wide": (_at_origin_up_to(99999999999999999999), 2, None,
                               "S1.1(0, 1, 15) is placed, but is not an instance of S1.1"),
+    # a map with one input dim too few: each of its points is a stray, and
+    # an empty one places nothing
+    "domain-arity": (_line_edit("stmtmap S1.1 ", S11[S11.index("{"):], S1_1_2D + " }"), 2, None,
+                     "S1.1(0, 1) is placed, but is not an instance of S1.1"),
+    "domain-arity-empty": (_line_edit("stmtmap S1.1 ", S11[S11.index("{"):], S1_1_2D + " and 0 = 1 }"), 2, None,
+                           "compute event on node (1, 0) at t=(0,0,0,16,0,2,2,0) runs no execution"),
 }
 
 
