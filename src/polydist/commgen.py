@@ -592,11 +592,10 @@ def parse_plan(text: str) -> CommPlan:
                 bounds = [b for b in map(partial(propagate, m.n_in + m.n_out), m.pieces) if b is not None]
                 if any(None in lohi for b in bounds for lohi in b):
                     raise ValueError(f"stmtmap {sid} is unbounded")
-                if not all(0 <= lo and hi < e for b in bounds for (lo, hi), e in zip(b[m.n_in:], grid.extents)):
-                    points = m.as_set()  # the bounds may be loose
-                    on_grid = embed_pieces(grid.node_set.pieces, range(m.n_in, points.arity), points.arity)
-                    if (at := first_outside(points, IntSet.make(points.space, on_grid))) is not None:
-                        _within(tuple, f"stmtmap {sid} node", at[m.n_in:], grid.extents, "grid")
+                points = m.as_set()
+                on_grid = embed_pieces(grid.node_set.pieces, range(m.n_in, points.arity), points.arity)
+                if (at := first_outside(points, IntSet.make(points.space, on_grid))) is not None:
+                    _within(tuple, f"stmtmap {sid} node", at[m.n_in:], grid.extents, "grid")
                 stmt_maps[sid] = m
             elif parts[0] == "channel":
                 box_text = kv["box"][1:-1]

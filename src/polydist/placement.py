@@ -2,8 +2,8 @@
 
 Field elements get home nodes by block distribution, one home map per
 field that every other module asks where an element lives.  Statement
-instances get executing nodes in passes: statements whose writes reach
-the epilogue run at the written element's home (owner computes); scalar
+instances get executing nodes in passes: every statement that writes a
+field runs at the written element's home (owner computes); scalar
 co-location then propagates consumer nodes into producers until a
 fixpoint; statements still unplaced are seeded at the homes of the
 elements they read from the prologue.  Instances still without a node
@@ -144,11 +144,10 @@ def place_statements(scop: Scop, dep: DepGraph, fp: Placement) -> Placement:
     grid = scop.grid
     placements: dict[str, IntMap] = {}
 
-    epilogue_writers = {f.producer for f in dep.epilogue_families()}
     for s in scop.statements:
         if s.is_virtual:
             placements[s.id] = _full_node_map(s, grid)
-        elif s.id in epilogue_writers and s.writes():
+        elif s.writes():
             _, acc = s.writes()[0]
             placements[s.id] = _access_to_grid(scop, s, acc, fp)
 

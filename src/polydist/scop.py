@@ -224,7 +224,28 @@ class Scop:
         self.function_bodies  # compiles every function body
         for s in self.statements:
             self._validate_statement(s)
-        scatter_order(self.statements)
+        self.order  # checks that the schedule is injective
+
+    @cached_property
+    def order(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every real-statement instance as (index in ``real_statements``,
+        row) columns, in ascending scatter order.  A shared scatter raises
+        ValidationError, naming the first instance, in statement and then
+        row order, whose scatter an earlier one holds."""
+        stmts = self.real_statements()
+        sizes = [len(s.scatters) for s in stmts]
+        owner = np.repeat(np.arange(len(stmts)), sizes)
+        row = np.arange(len(owner)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        stacked = np.concatenate([s.scatters for s in stmts] or [np.zeros((0, 1))])
+        _, inverse, first = unique_rows(stacked)
+        clash = np.flatnonzero(first[inverse] != np.arange(len(stacked)))
+        if len(clash):
+            (s, p), (o, q) = ((stmts[owner[g]], row[g]) for g in (clash[0], first[inverse[clash[0]]]))
+            raise ValidationError(
+                f"schedule not injective: {s.id}{tuple(s.instances[p].tolist())} and "
+                f"{o.id}{tuple(o.instances[q].tolist())} share scatter {tuple(stacked[clash[0]].tolist())}"
+            )
+        return owner[first], row[first]  # distinct scatters come in lexicographic order
 
     def _validate_statement(self, s: Statement) -> None:
         if len(s.schedule_exprs) != self.scatter_arity:
@@ -382,7 +403,7 @@ def _check_store(value, fld: FieldDecl):
 
 
 def sequential_execute(scop: Scop, init: FieldContents) -> FieldContents:
-    """Run every statement instance in ascending scatter order on one memory."""
+    """Run every statement instance, in ``scop.order``, on one memory."""
     fields = {}
     for f in scop.fields:
         if f.name not in init:
@@ -398,32 +419,11 @@ def sequential_execute(scop: Scop, init: FieldContents) -> FieldContents:
     def store(fields, decl, element, value):
         fields[decl.name][element] = value
 
-    stmts = scop.real_statements()
-    runs = [instance_runner(scop, s) for s in stmts]
+    runs = [instance_runner(scop, s) for s in scop.real_statements()]
     scalars: dict[str, object] = {}
-    for o, r in zip(*(a.tolist() for a in scatter_order(stmts))):
+    for o, r in zip(*(a.tolist() for a in scop.order)):
         runs[o](r, scalars, read, store, fields)
     return fields
-
-
-def scatter_order(statements) -> tuple[np.ndarray, np.ndarray]:
-    """Every instance of the statements as (statement index, row) columns,
-    in ascending scatter order.  A shared scatter raises ValidationError,
-    naming the first instance, in statement and then row order, whose
-    scatter an earlier one holds."""
-    sizes = [len(s.scatters) for s in statements]
-    owner = np.repeat(np.arange(len(statements)), sizes)
-    row = np.arange(len(owner)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    stacked = np.concatenate([s.scatters for s in statements] or [np.zeros((0, 1))])
-    _, inverse, first = unique_rows(stacked)
-    clash = np.flatnonzero(first[inverse] != np.arange(len(stacked)))
-    if len(clash):
-        (s, p), (o, q) = ((statements[owner[g]], row[g]) for g in (clash[0], first[inverse[clash[0]]]))
-        raise ValidationError(
-            f"schedule not injective: {s.id}{tuple(s.instances[p].tolist())} and "
-            f"{o.id}{tuple(o.instances[q].tolist())} share scatter {tuple(stacked[clash[0]].tolist())}"
-        )
-    return owner[first], row[first]  # distinct scatters come in lexicographic order
 
 
 def instance_runner(scop: Scop, s: Statement):

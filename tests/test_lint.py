@@ -3,6 +3,7 @@ library's ``ast``: every imported name is used, and ``__all__`` lists
 only names the module defines, so no module re-exports another's."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -50,3 +51,23 @@ def test_imports_used_and_all_defined(module):
     ]
     foreign = sorted(set(listed) - _defined(tree.body))
     assert not foreign, f"{module} lists names in __all__ that it does not define: {', '.join(foreign)}"
+
+
+def test_private_names_read():
+    # a top-level name with one leading underscore is read somewhere in the
+    # package outside its own definition, so no private helper is left dead
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+
+    def reads(node) -> list:
+        return [n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) or isinstance(n, ast.Attribute)]
+
+    every = Counter(name for tree in trees.values() for name in reads(tree))
+    dead = sorted(
+        f"{module}: {name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        for name in _defined([node])
+        if name.startswith("_") and not name.startswith("__") and every[name] == reads(node).count(name)
+    )
+    assert not dead, f"private names never read: {', '.join(dead)}"

@@ -6,6 +6,7 @@ import pytest
 from conftest import SCOPS
 from oracle import block_home, block_sizes, maps_equal, placement_nodes, sets_equal
 from test_contract import EXPECTED
+from test_simrt import CO_LOCATED, LATE_WRITER
 from polydist.cli import main
 from polydist.commgen import CommPlan
 from polydist.deps import add_virtual_statements, compute_flow
@@ -147,15 +148,20 @@ def test_scalar_safety(gol16_pipeline):
             assert cons_nodes <= prod_nodes, (fam.producer, fam.consumer, ig, ic)
 
 
-def test_owner_computes_invariant(gol16_pipeline):
-    virt, dep, fp, sp = gol16_pipeline
-    for fam in dep.epilogue_families():
-        s = virt.statement(fam.producer)
-        _, acc = s.writes()[0]
-        blocks = block_sizes(virt.field(fam.ref).extents, virt.grid.extents)
-        for ig, _, k in fam.pairs():
-            home = block_home(k, blocks)
-            assert home in placement_nodes(sp, fam.producer, ig)
+@pytest.mark.parametrize("case", [f"{name}-{grid}" for name, grid in EXPECTED] + ["late_writer", "co_located"])
+def test_owner_computes_invariant(scops_dir, case):
+    # owner computes: each instance that writes a field runs, among its
+    # nodes, on the block that homes the element it writes
+    virt = add_virtual_statements(isolate_accesses(_scop(scops_dir, case)))
+    sp = place_statements(virt, compute_flow(virt), block_distribute(virt.fields, virt.grid))
+    writers = [s for s in virt.real_statements() if s.writes()]
+    assert writers
+    for s in writers:
+        j, acc = s.writes()[0]
+        blocks = block_sizes(virt.field(acc.field).extents, virt.grid.extents)
+        placed = set(map(tuple, sp.table[s.id].tolist()))
+        for point, k in zip(s.instances.tolist(), s.elements[j]):
+            assert (*point, *block_home(k, blocks)) in placed, (s.id, point)
 
 
 def test_every_instance_placed(gol16_pipeline):
@@ -211,8 +217,9 @@ UNREAD = {
 
 
 def _scop(scops_dir, case):
-    if case == "unread":
-        return parse_scop(json.dumps(UNREAD))
+    docs = {"unread": UNREAD, "late_writer": LATE_WRITER, "co_located": CO_LOCATED}
+    if case in docs:
+        return parse_scop(json.dumps(docs[case]))
     name, grid = case.split("-")
     scop = parse_scop_file(scops_dir / f"{name}.scop")
     if grid == "empty":

@@ -188,6 +188,22 @@ def test_subscripts_evaluated_once_per_statement(gol16_path, monkeypatch):
     assert max(calls.values()) == 1
 
 
+def test_instance_order_sorted_once_per_scop(gol16_path, monkeypatch):
+    # validation computes Scop.order, and sequential execution reads it
+    calls = []
+    real = scop_module.unique_rows
+
+    def counting(table):
+        calls.append(len(table))
+        return real(table)
+
+    monkeypatch.setattr(scop_module, "unique_rows", counting)
+    scop = parse_scop_file(gol16_path)
+    init = random_contents(scop, 3)
+    assert contents_equal(sequential_execute(scop, init), sequential_execute(scop, init))
+    assert calls == [sum(len(s.instances) for s in scop.statements)]
+
+
 def test_malformed_json_position():
     with pytest.raises(ParseError) as ei:
         parse_scop("{ not json ")

@@ -120,8 +120,8 @@ def test_run_leaves_the_callers_contents(gol16_built):
     assert contents_equal(init, kept) and not contents_equal(final, kept)
 
 
-# W(x) stores 1 into a[x], then V(x) stores 2; the emitted plan runs every
-# W(x) on node (0,), so W(1) runs on the node that does not home a[1]
+# W(x) stores 1 into a[x], then V(x) stores 2; no dependence reaches W, so
+# only owner computes places it, at the home of a[x]
 LATE_WRITER = {
     "name": "late_writer",
     "grid": [2],
@@ -138,17 +138,18 @@ LATE_WRITER = {
 
 
 def test_store_lands_only_at_the_home():
-    # an added message that carries no value, sent by (1,) after its V(1),
-    # holds (0,) back until then, so (0,)'s W(1) runs after the home's
-    # later write: a store there would leave a[1] = 1
+    # with every W(x) put on (0,) by hand, an added message that carries no
+    # value, sent by (1,) after its V(1), holds (0,) back until then, so
+    # (0,)'s W(1) runs after the home's later write: a store there would
+    # leave a[1] = 1
     scop = parse_scop(json.dumps(LATE_WRITER))
     analysis, plan = plan_scop(scop)
     virt = analysis.scop
-    assert plan.stmt_placement.table["W"].tolist() == [[0, 0], [1, 0]] and not plan.channels
+    pinned = Placement({**plan.stmt_placement.maps, "W": parse_map("{ W[x] -> P[0] : 0 <= x <= 1 }")})
     ch = Channel(0, "flow:V->W:a", (1,), (0,), BufferLayout("a", ((1, 1),)))
     events = {(1,): [Event((-1, 0, 0), "send_wait", chunk="late", cid=0), Event((2, 2, 1), "send", chunk="late", cid=0)],
               (0,): [Event((-1, 0, 0), "recv_wait", chunk="late", cid=0), Event((2, 0, 1), "recv", chunk="late", cid=0)]}
-    late = dataclasses.replace(plan, channels=[ch], events=events)
+    late = dataclasses.replace(plan, stmt_placement=pinned, channels=[ch], events=events)
     for node, evs in events.items():
         check_windows(late.channels, node, evs, set())
     init = zero_contents(scop)
@@ -158,6 +159,54 @@ def test_store_lands_only_at_the_home():
     assert contents_equal(final, sequential_execute(scop, init))
     for seed in (1, 2, 3):
         assert contents_equal(run_any_order(late, virt, init, seed), final)
+
+
+def verifies_in_any_order(doc, seeds=range(4)):
+    """The document's plan: it matches sequential execution under each
+    contents seed, and the any-order oracle leaves the simulator's contents."""
+    scop = parse_scop(json.dumps(doc))
+    analysis, plan = plan_scop(scop)
+    for seed in seeds:
+        init = random_contents(scop, seed)
+        final, _ = run(init_runtime(plan, analysis.scop.grid, init), analysis.scop)
+        assert contents_equal(final, sequential_execute(scop, init)), seed
+        assert contents_equal(run_any_order(plan, analysis.scop, init, seed), final), seed
+    return plan
+
+
+def test_late_writer_runs_at_the_home():
+    # owner computes places W(1) on (1,), the home of a[1], though no
+    # dependence reaches W
+    plan = verifies_in_any_order(LATE_WRITER)
+    assert plan.stmt_placement.table["W"].tolist() == [[0, 0], [1, 1]] and not plan.channels
+
+
+# W(x) writes a[x] and the scalar t, R(x) reads t into b[3-x], V(x) then
+# overwrites a[x]: owner computes puts W(x) at the home of a[x], and
+# co-location adds R(x)'s node, the home of b[3-x]
+CO_LOCATED = {
+    "name": "co_located",
+    "grid": [2],
+    "scatter_arity": 2,
+    "fields": [{"name": "a", "type": "int64", "extents": [4]}, {"name": "b", "type": "int64", "extents": [4]}],
+    "functions": {},
+    "statements": [
+        {"id": "W", "domain": "{ [x] : 0 <= x < 4 }", "schedule": "{ [x] -> [x,0] }",
+         "accesses": [{"field": "a", "kind": "write", "index": ["x"]}], "body": ["int", 7],
+         "scalar_writes": ["t"]},
+        {"id": "R", "domain": "{ [x] : 0 <= x < 4 }", "schedule": "{ [x] -> [x,1] }",
+         "accesses": [{"field": "b", "kind": "write", "index": ["3 - x"]}],
+         "body": ["add", ["var", "t"], ["int", 1]], "scalar_reads": ["t"]},
+        {"id": "V", "domain": "{ [x] : 0 <= x < 4 }", "schedule": "{ [x] -> [x,2] }",
+         "accesses": [{"field": "a", "kind": "write", "index": ["x"]}], "body": ["int", 2]},
+    ],
+}
+
+
+def test_writer_runs_at_the_home_and_where_its_scalar_is_read():
+    plan = verifies_in_any_order(CO_LOCATED)
+    assert plan.stmt_placement.table["W"].tolist() == [[x, p] for x in range(4) for p in (0, 1)]
+    assert plan.stmt_placement.table["R"].tolist() == [[0, 1], [1, 1], [2, 0], [3, 0]]
 
 
 def test_determinism(gol16_built):
@@ -222,6 +271,25 @@ def test_deadlock_on_reordered_recv_wait(gol16_built):
     blocked = scan_order(bad, virt)
     assert isinstance(blocked, dict) and blocked[(0, 0)] == blocked[(1, 0)] == "recv_wait"
     assert str(exc.value) == f"all nodes blocked: {blocked}"
+
+
+def test_run_without_one_recv_wait(gol16_built):
+    # each of the 24 recv_waits, deleted alone from the plan in memory, fails
+    # the window check before the first step; run in any order, the plan's
+    # next use of that channel finds it in the wrong state
+    scop, virt, plan = gol16_built
+    init = random_contents(scop, 1)
+    cuts = [(node, i) for node, evs in plan.events.items() for i, ev in enumerate(evs) if ev.kind == "recv_wait"]
+    assert len(cuts) == 24
+    for node, i in cuts:
+        cut = dataclasses.replace(plan, events={**plan.events, node: plan.events[node][:i] + plan.events[node][i + 1:]})
+        sim = init_runtime(cut, virt.grid, init)
+        with pytest.raises(GeometryMismatch):
+            run(sim, virt)
+        assert sim.step == 0
+        for seed in (1, 2, 3):
+            with pytest.raises(AssertionError, match="channel"):
+                run_any_order(cut, virt, init, seed)
 
 
 def scan_kinds(plan, scop):
