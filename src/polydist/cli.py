@@ -1,7 +1,9 @@
 """Batch front door: analyze, plan, simulate, verify, print.
 
 Exit codes: 0 success / verification passed, 1 parse error, 2 validation
-error, 3 analysis error, 4 verification failure or simulation fault.
+error, 3 analysis error, 4 verification failure or simulation fault
+(in ``verify``, also a plan whose run fails to evaluate a body that the
+sequential run evaluated).
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from .commgen import dump_plan, parse_plan
 from .deps import add_virtual_statements
 from .errors import (
     AnalysisError,
+    EvaluationError,
     GeometryMismatch,
     ParseError,
     PolydistError,
@@ -153,10 +156,10 @@ def cmd_verify(args) -> int:
     init = _initial_contents(args, scop)
     virt, plan = _build_or_load_plan(args, scop)
     expected = sequential_execute(scop, init)
-    try:
+    try:  # the program ran sequentially, so a failed run is the plan's fault
         sim = init_runtime(plan, virt.grid, init)
         final, trace = run(sim, virt)
-    except SimulationFault as e:
+    except (SimulationFault, EvaluationError) as e:
         print(f"verify: FAIL ({type(e).__name__}: {e})")
         return EXIT_VERIFY
     if _wanted(args, "trace"):

@@ -18,9 +18,9 @@ One domination primitive.  A candidate is dropped where a candidate of
 the same level, of any writer and its own included, has a later scatter:
 ``isets.drop_dominated`` conjoins it with a shadow copy under a
 lexicographic order, projects the shadow out and subtracts the result;
-placement's ``select_lex_extreme`` calls it too.  Each scatter order (a
-writer's before the reader's, one candidate's before another's) is built
-once per statement pair and column layout within one ``compute_flow``.
+``select_lex_extreme`` calls it too.  Each scatter order (a writer's
+before the reader's, one candidate's before another's) is built once per
+statement pair and column layout within one ``compute_flow``.
 
 One family per writer.  A writer's surviving pieces are gathered over all
 levels into one ``FlowFamily`` per (writer, reader, field or scalar): a

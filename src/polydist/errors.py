@@ -57,10 +57,6 @@ class IndivisibleExtent(ValidationError):
     """A field extent is not divisible by the grid extent along some dimension."""
 
 
-class UnsatisfiablePlacement(AnalysisError):
-    """Co-location constraints left some statement instance without a node."""
-
-
 class EvaluationError(PolydistError):
     """Type error or bad reference while evaluating a statement body."""
 

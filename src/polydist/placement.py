@@ -2,13 +2,19 @@
 
 Field elements get home nodes by block distribution, one home map per
 field that every other module asks where an element lives.  Statement
-instances get executing nodes in passes: every statement that writes a
-field runs at the written element's home (owner computes); scalar
-co-location then propagates consumer nodes into producers until a
-fixpoint; statements still unplaced are seeded at the homes of the
-elements they read from the prologue.  Instances still without a node
-adopt the lexicographically smallest node any dependence neighbor runs
-on, and as a last resort run on node 0, so every instance gets a node.
+instances get executing nodes by three rules:
+
+1. Owner computes: the virtual statements run on every node, and a
+   field writer runs at the home of the element it writes.
+2. One default: an instance still without a node runs at the home of
+   the element it reads, or on node 0 if it reads no field.  The read is
+   local: the element's last writer ran at that home (rule 1), or the
+   home holds the value from before the region.
+3. Co-location, last: a scalar's producer also runs wherever a consumer
+   of it runs, repeated until nothing changes.  It runs after rule 1 and
+   again after rule 2 if that placed anything, so a scalar is read only
+   where it was written.
+
 Both kinds of map are a ``Placement``, read from its enumerated points
 by one row search (``isets.find_rows``) whatever pieces the map has.
 """
@@ -20,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import AnalysisError, GeometryMismatch, IndivisibleExtent, UnsatisfiablePlacement, ValidationError
+from .errors import AnalysisError, GeometryMismatch, IndivisibleExtent, ValidationError
 from .deps import DepGraph
 from .isets import (
     AffineExpr,
@@ -33,14 +39,12 @@ from .isets import (
     enumerate_table,
     find_rows,
     first_outside,
-    inverse,
     is_empty,
     map_domain,
     map_is_empty,
     map_subtract,
     map_union,
     restrict_domain,
-    select_lex_extreme,
     subtract,
 )
 from .scop import ClusterGrid, Scop, Statement
@@ -141,97 +145,57 @@ def _full_node_map(s: Statement, grid: ClusterGrid) -> IntMap:
 
 
 def place_statements(scop: Scop, dep: DepGraph, fp: Placement) -> Placement:
+    """The executing nodes of every instance, by the three rules above."""
     grid = scop.grid
     placements: dict[str, IntMap] = {}
-
-    for s in scop.statements:
+    for s in scop.statements:  # rule 1: owner computes
         if s.is_virtual:
             placements[s.id] = _full_node_map(s, grid)
         elif s.writes():
-            _, acc = s.writes()[0]
-            placements[s.id] = _access_to_grid(scop, s, acc, fp)
+            placements[s.id] = _access_to_grid(scop, s, s.writes()[0][1], fp)
+    scalar_maps = [(f.producer, f.consumer, f.as_map()) for f in dep.scalar_families()]
+    _co_locate(placements, scalar_maps)
 
-    # scalar co-location: producers run wherever their consumers run
-    scalar_fams = dep.scalar_families()
-    for _ in range(len(scop.statements) + 1):
-        changed = False
-        for fam in scalar_fams:
-            consumer = placements.get(fam.consumer)
-            if consumer is None:
-                continue
-            required = compose(consumer, fam.as_map())
-            current = placements.get(fam.producer)
-            if current is None:
-                placements[fam.producer] = required
-                changed = True
-            elif not map_is_empty(map_subtract(required, current)):
-                placements[fam.producer] = map_union(current, required)
-                changed = True
-        if not changed:
-            break
-    else:
-        raise UnsatisfiablePlacement("scalar co-location did not reach a fixpoint")
-
-    # prologue seeding for still-unplaced readers
-    prologue_readers = {f.consumer for f in dep.prologue_families()}
-    for s in scop.statements:
-        if s.id in placements or s.id not in prologue_readers:
-            continue
-        if s.reads():
-            _, acc = s.reads()[0]
-            placements[s.id] = _access_to_grid(scop, s, acc, fp)
-
-    def missing_of(s):
+    defaulted = False
+    for s in scop.statements:  # rule 2: one default for the unplaced instances
         current = placements.get(s.id)
         if current is None:
-            return s.domain
-        dom = IntSet(s.domain.space, map_domain(current).pieces)
-        return subtract(s.domain, dom)
-
-    # instances without a node; from here on only adoption changes them
-    missing = {s.id: missing_of(s) for s in scop.statements}
-
-    # neighbor adoption for still-unplaced instances, lexmin node per instance
-    for _ in range(len(scop.statements) + 1):
-        progressed = False
-        for s in scop.statements:
-            if is_empty(missing[s.id]):
+            missing = s.domain
+        else:
+            missing = subtract(s.domain, IntSet(s.domain.space, map_domain(current).pieces))
+            if is_empty(missing):
                 continue
-            candidates = None
-            for fam in dep.families:
-                if fam.consumer == s.id and fam.producer in placements:
-                    got = compose(placements[fam.producer], inverse(fam.as_map()))
-                elif fam.producer == s.id and fam.consumer in placements:
-                    got = compose(placements[fam.consumer], fam.as_map())
-                else:
-                    continue
-                candidates = got if candidates is None else map_union(candidates, got)
-            if candidates is None:
-                continue
-            candidates = restrict_domain(candidates, missing[s.id])
-            if map_is_empty(candidates):
-                continue
-            chosen = select_lex_extreme(candidates.as_set(), s.arity, maximize=False)
-            add = IntMap(candidates.dom, candidates.ran, chosen.pieces)
-            current = placements.get(s.id)
-            placements[s.id] = add if current is None else map_union(current, add)
-            missing[s.id] = missing_of(s)
-            progressed = True
-        if not progressed:
-            break
-
-    # last resort: node 0 for exactly the instances no dependence reaches
-    # (an empty domain gets an empty placement)
-    for s in scop.statements:
-        if s.id in placements and is_empty(missing[s.id]):
-            continue
-        zero = [AffineExpr.constant(s.arity, 0) for _ in range(grid.arity)]
-        fallback = restrict_domain(
-            IntMap.from_exprs(s.space, grid.space, zero), missing[s.id]
-        )
-        current = placements.get(s.id)
-        placements[s.id] = fallback if current is None else map_union(current, fallback)
+        if s.reads():
+            default = _access_to_grid(scop, s, s.reads()[0][1], fp)
+        else:
+            default = IntMap.from_exprs(s.space, grid.space, [AffineExpr.constant(s.arity, 0)] * grid.arity)
+        default = restrict_domain(default, missing)
+        placements[s.id] = default if current is None else map_union(current, default)
+        defaulted = True
+    if defaulted:
+        _co_locate(placements, scalar_maps)
     return Placement(maps=placements)
+
+
+def _co_locate(placements: dict, scalar_maps: list) -> None:
+    """Rule 3: add each scalar consumer's nodes to its producer's, through
+    the (producer, consumer, producer -> consumer map) of each scalar
+    family, until nothing changes.  Each change adds a placed point of
+    the finite instances x nodes, so the loop ends."""
+    changed = True
+    while changed:
+        changed = False
+        for producer, consumer, flow in scalar_maps:
+            if consumer not in placements:
+                continue
+            required, current = compose(placements[consumer], flow), placements.get(producer)
+            if current is None:
+                placements[producer] = required
+            elif map_is_empty(map_subtract(required, current)):
+                continue
+            else:
+                placements[producer] = map_union(current, required)
+            changed = True
 
 
 def dump_placements(scop: Scop, fp: Placement, sp: Placement) -> str:

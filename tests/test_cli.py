@@ -19,6 +19,7 @@ from polydist.pipeline import plan_scop
 from polydist.scopio import parse_scop, parse_scop_file
 
 from oracle import event_key, expand_plan
+from test_placement import SPLIT
 
 
 def invoke(*argv):
@@ -233,6 +234,30 @@ def test_verify_plan_with_unreleased_message(gol16_path, tmp_path, capsys):
         assert rc == 4
         assert capsys.readouterr().out == (
             f"verify: FAIL (BufferStateViolation: run ended with channels not idle: {tag} received)\n")
+
+
+# SPLIT's plan with S(x) only on (1,), the home of f[x+4], and T(x) only on
+# (0,): it parses and passes every check, but (0,) reads t before any write
+SPLIT_APART = """plan split grid=(2) scatter_arity=3
+field f int64 extents=(8)
+fieldmap f { f[k0] -> P[floor(k0/4)] : 0 <= k0 <= 7 }
+field g int64 extents=(8)
+fieldmap g { g[k0] -> P[floor(k0/4)] : 0 <= k0 <= 7 }
+stmtmap S { S[x] -> P[1] : 0 <= x <= 3 }
+stmtmap T { T[x] -> P[0] : 0 <= x <= 3 }
+"""
+
+
+def test_verify_plan_that_reads_a_scalar_before_its_write(tmp_path, capsys):
+    # the program runs sequentially, so verify blames the plan: exit 4;
+    # simulate reports the same run as an analysis error, exit 3
+    path, plan = tmp_path / "split.scop", tmp_path / "plan.txt"
+    path.write_text(json.dumps(SPLIT))
+    plan.write_text(SPLIT_APART)
+    assert invoke("verify", str(path), "--plan", str(plan)) == 4
+    assert capsys.readouterr() == ("verify: FAIL (EvaluationError: scalar 't' read before any write)\n", "")
+    assert invoke("simulate", str(path), "--plan", str(plan)) == 3
+    assert capsys.readouterr() == ("", "analysis error: scalar 't' read before any write\n")
 
 
 def _without_lines(text, dropped):

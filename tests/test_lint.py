@@ -1,6 +1,7 @@
 """Static checks over the package's modules, read with the standard
-library's ``ast``: every imported name is used, and ``__all__`` lists
-only names the module defines, so no module re-exports another's."""
+library's ``ast``: every imported name is used, ``__all__`` lists only
+names the module defines, so no module re-exports another's, and every
+error class has a raiser."""
 
 import ast
 from collections import Counter
@@ -71,3 +72,22 @@ def test_private_names_read():
         if name.startswith("_") and not name.startswith("__") and every[name] == reads(node).count(name)
     )
     assert not dead, f"private names never read: {', '.join(dead)}"
+
+
+def test_error_classes_raised():
+    # every class in errors.py is raised in the package, or is the base of
+    # one that is, so no error class is left without a raiser
+    tree = ast.parse((SRC / "errors.py").read_text())
+    bases = {node.name: [b.id for b in node.bases if isinstance(b, ast.Name)]
+             for node in tree.body if isinstance(node, ast.ClassDef)}
+    raised = {n.id for p in SRC.glob("*.py") for node in ast.walk(ast.parse(p.read_text()))
+              if isinstance(node, ast.Raise) and node.exc is not None
+              for n in ast.walk(node.exc) if isinstance(n, ast.Name)}
+    covered, todo = set(), [name for name in bases if name in raised]
+    while todo:
+        name = todo.pop()
+        if name not in covered:
+            covered.add(name)
+            todo.extend(b for b in bases[name] if b in bases)
+    idle = sorted(set(bases) - covered)
+    assert not idle, f"error classes never raised: {', '.join(idle)}"

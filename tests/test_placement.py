@@ -6,7 +6,7 @@ import pytest
 from conftest import SCOPS
 from oracle import block_home, block_sizes, maps_equal, placement_nodes, sets_equal
 from test_contract import EXPECTED
-from test_simrt import CO_LOCATED, LATE_WRITER
+from test_simrt import CO_LOCATED, LATE_WRITER, verifies_in_any_order
 from polydist.cli import main
 from polydist.commgen import CommPlan
 from polydist.deps import add_virtual_statements, compute_flow
@@ -139,13 +139,20 @@ def _home_of_xy(scop, fp, sid, field):
     return compose(fp.maps[field], sel)
 
 
-def test_scalar_safety(gol16_pipeline):
-    virt, dep, fp, sp = gol16_pipeline
+@pytest.mark.parametrize("case", [f"{name}-{grid}" for name, grid in EXPECTED]
+                         + ["unread", "late_writer", "co_located", "split", "adopt", "carry8", "carry32"])
+def test_scalar_safety(scops_dir, case):
+    # a scalar's consumer runs only where its producer runs
+    virt = add_virtual_statements(isolate_accesses(_scop(scops_dir, case)))
+    dep = compute_flow(virt)
+    sp = place_statements(virt, dep, block_distribute(virt.fields, virt.grid))
+    nodes = {}
+    for s in virt.statements:
+        for r in sp.table[s.id].tolist():
+            nodes.setdefault((s.id, tuple(r[: s.arity])), set()).add(tuple(r[s.arity :]))
     for fam in dep.scalar_families():
         for ig, ic, _ in fam.pairs():
-            prod_nodes = set(placement_nodes(sp, fam.producer, ig))
-            cons_nodes = set(placement_nodes(sp, fam.consumer, ic))
-            assert cons_nodes <= prod_nodes, (fam.producer, fam.consumer, ig, ic)
+            assert nodes[fam.consumer, ic] <= nodes[fam.producer, ig], (fam.producer, fam.consumer, ig, ic)
 
 
 @pytest.mark.parametrize("case", [f"{name}-{grid}" for name, grid in EXPECTED] + ["late_writer", "co_located"])
@@ -200,8 +207,9 @@ def test_dump_shape(gol16_pipeline):
     assert text == dump_placements(virt, fp, sp)
 
 
-# S reads f into a scalar nobody reads, so only prologue seeding places it;
-# U has no accesses and no dependences, so only the last resort places it
+# S reads f into a scalar nobody reads and U reads no field: neither writes
+# a field, so the default places S at the home of the element it reads and
+# U on node 0
 UNREAD = {
     "name": "unread", "grid": [2], "scatter_arity": 2,
     "fields": [{"name": "f", "type": "int64", "extents": [8]}],
@@ -216,10 +224,68 @@ UNREAD = {
 }
 
 
+# S(x) reads f[x+4] into t, which T(x) reads with g[x]: the default puts S
+# on (1,) and T on (0,), and co-location, run after the default, adds (0,)
+# to S
+SPLIT = {
+    "name": "split", "grid": [2], "scatter_arity": 2,
+    "fields": [{"name": "f", "type": "int64", "extents": [8]}, {"name": "g", "type": "int64", "extents": [8]}],
+    "functions": {},
+    "statements": [
+        {"id": "S", "domain": "{ [x] : 0 <= x <= 3 }", "schedule": "{ [x] -> [x, 0] }",
+         "accesses": [{"field": "f", "kind": "read", "index": ["x + 4"]}],
+         "body": ["access", 0], "scalar_writes": ["t"]},
+        {"id": "T", "domain": "{ [x] : 0 <= x <= 3 }", "schedule": "{ [x] -> [x, 1] }",
+         "accesses": [{"field": "g", "kind": "read", "index": ["x"]}],
+         "body": ["add", ["access", 0], ["var", "t"]], "scalar_reads": ["t"], "scalar_writes": ["u"]},
+    ],
+}
+
+# SPLIT after W and V write h and g: S and T read values of real writers,
+# not values from before the region
+ADOPT = {
+    "name": "adopt", "grid": [2], "scatter_arity": 2,
+    "fields": [{"name": "h", "type": "int64", "extents": [8]}, {"name": "g", "type": "int64", "extents": [8]}],
+    "functions": {},
+    "statements": [
+        {"id": "W", "domain": "{ [x] : 0 <= x <= 7 }", "schedule": "{ [x] -> [0, x] }",
+         "accesses": [{"field": "h", "kind": "write", "index": ["x"]}], "body": ["int", 3]},
+        {"id": "V", "domain": "{ [x] : 0 <= x <= 7 }", "schedule": "{ [x] -> [1, x] }",
+         "accesses": [{"field": "g", "kind": "write", "index": ["x"]}], "body": ["int", 5]},
+        dict(SPLIT["statements"][0], schedule="{ [x] -> [2, 2*x] }",
+             accesses=[{"field": "h", "kind": "read", "index": ["x + 4"]}]),
+        dict(SPLIT["statements"][1], schedule="{ [x] -> [2, 2*x + 1] }"),
+    ],
+}
+
+
+def carry(n):
+    """A loop-carried scalar: t = t + f[x] and g[x] = t, so co-location
+    takes one round per carried step to its fixpoint."""
+    return {
+        "name": f"carry{n}", "grid": [2], "scatter_arity": 3,
+        "fields": [{"name": "f", "type": "float64", "extents": [n]}, {"name": "g", "type": "float64", "extents": [n]}],
+        "functions": {},
+        "statements": [
+            {"id": "Z", "domain": "{ [x] : x = 0 }", "schedule": "{ [x] -> [0, 0, 0] }",
+             "body": ["float", 0], "scalar_writes": ["t"]},
+            {"id": "A", "domain": f"{{ [x] : 0 <= x <= {n - 1} }}", "schedule": "{ [x] -> [1, x, 0] }",
+             "accesses": [{"field": "f", "kind": "read", "index": ["x"]}],
+             "body": ["add", ["access", 0], ["var", "t"]], "scalar_reads": ["t"], "scalar_writes": ["t"]},
+            {"id": "B", "domain": f"{{ [x] : 0 <= x <= {n - 1} }}", "schedule": "{ [x] -> [1, x, 1] }",
+             "accesses": [{"field": "g", "kind": "write", "index": ["x"]}],
+             "body": ["var", "t"], "scalar_reads": ["t"]},
+        ],
+    }
+
+
+DOCS = {"unread": UNREAD, "late_writer": LATE_WRITER, "co_located": CO_LOCATED, "split": SPLIT,
+        "adopt": ADOPT, "carry8": carry(8), "carry32": carry(32)}
+
+
 def _scop(scops_dir, case):
-    docs = {"unread": UNREAD, "late_writer": LATE_WRITER, "co_located": CO_LOCATED}
-    if case in docs:
-        return parse_scop(json.dumps(docs[case]))
+    if case in DOCS:
+        return parse_scop(json.dumps(DOCS[case]))
     name, grid = case.split("-")
     scop = parse_scop_file(scops_dir / f"{name}.scop")
     if grid == "empty":
@@ -241,7 +307,7 @@ def test_placement_covers_every_instance(scops_dir, monkeypatch, case):
     sp = place_statements(virt, dep, block_distribute(virt.fields, virt.grid))
     for s in virt.statements:
         assert {tuple(r[: s.arity]) for r in sp.table[s.id].tolist()} == set(map(tuple, s.instances.tolist())), s.id
-    # each statement's missing instances are derived once (no adoption here)
+    # each statement's missing instances are derived once, for the default
     assert len(calls) <= len(virt.statements)
 
 
@@ -258,3 +324,12 @@ def test_unread_statements_placed(tmp_path, capsys):
     )
     assert main(["verify", str(path)]) == 0
     assert capsys.readouterr().out == "verify: PASS (grid=2, seed=0)\n"
+
+
+@pytest.mark.parametrize("case", ["split", "adopt", "carry8", "carry32"])
+def test_scalar_read_where_written(case):
+    # each verifies under seeds 0-3, and runs alike in any order
+    plan = verifies_in_any_order(DOCS[case])
+    if case in ("split", "adopt"):
+        assert plan.stmt_placement.table["S"].tolist() == [[x, p] for x in range(4) for p in (0, 1)]
+        assert plan.stmt_placement.table["T"].tolist() == [[x, 0] for x in range(4)]
